@@ -111,7 +111,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 struct SweepRow {
     sessions: u64,
-    rounds: u64,
+    slices: u64,
     tuples: u64,
     total_cost: f64,
     throughput: f64,
@@ -132,7 +132,7 @@ fn sweep_point(n: u64, goldens: &[Vec<Tuple>]) -> Result<SweepRow> {
         let (tenant, priority) = if i % 2 == 0 { ("tenant-a", 10) } else { ("tenant-b", 1) };
         server.admit(tenant, priority, &plan_for(i))?;
     }
-    let rounds = server.run_to_completion()?;
+    let slices = server.run_to_completion()?;
     let total_cost = t.db.ledger().snapshot().total_cost();
 
     let mut tuples = 0u64;
@@ -155,7 +155,7 @@ fn sweep_point(n: u64, goldens: &[Vec<Tuple>]) -> Result<SweepRow> {
     resume_costs.sort_by(|a, b| a.partial_cmp(b).unwrap());
     Ok(SweepRow {
         sessions: n,
-        rounds,
+        slices,
         tuples,
         total_cost,
         // Tuples delivered per 1k simulated cost units: the server's
@@ -175,10 +175,10 @@ fn main() -> Result<()> {
     for n in [1u64, 2, 3, 4, 6] {
         let row = sweep_point(n, &goldens)?;
         eprintln!(
-            "{} sessions: {:>3} rounds  {:>6} tuples  cost {:>10.1}  thpt {:>7.2}/kcu  \
+            "{} sessions: {:>3} slices  {:>6} tuples  cost {:>10.1}  thpt {:>7.2}/kcu  \
              {:>3} suspends  {:>3} resumes  p50 resume {:>8.1}  p95 resume {:>8.1}",
             row.sessions,
-            row.rounds,
+            row.slices,
             row.tuples,
             row.total_cost,
             row.throughput,
@@ -206,9 +206,9 @@ fn main() -> Result<()> {
         .iter()
         .map(|r| {
             format!(
-                r#"    {{ "sessions": {}, "rounds": {}, "tuples": {}, "total_cost": {:.2}, "tuples_per_kilocost": {:.3}, "suspends": {}, "resumes": {}, "p50_resume_cost": {:.2}, "p95_resume_cost": {:.2} }}"#,
+                r#"    {{ "sessions": {}, "slices": {}, "tuples": {}, "total_cost": {:.2}, "tuples_per_kilocost": {:.3}, "suspends": {}, "resumes": {}, "p50_resume_cost": {:.2}, "p95_resume_cost": {:.2} }}"#,
                 r.sessions,
-                r.rounds,
+                r.slices,
                 r.tuples,
                 r.total_cost,
                 r.throughput,

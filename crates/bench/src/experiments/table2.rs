@@ -97,6 +97,7 @@ pub fn chain_problem(k: usize) -> (SuspendProblem, ContractGraph) {
             OpSuspendInputs {
                 heap_bytes: if i < m { (3 + i % 7) * 8192 } else { 0 },
                 control_bytes: 48,
+                ..Default::default()
             },
         );
         work.entry(op).or_insert(5.0);

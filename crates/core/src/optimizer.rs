@@ -45,6 +45,11 @@ pub struct OpSuspendInputs {
     pub heap_bytes: usize,
     /// Bytes of control state (cursor positions etc.).
     pub control_bytes: usize,
+    /// The operator has delivered output since its inbound contract was
+    /// signed that a dump of its *current* state could not regenerate —
+    /// the paper's `c_{i,j} = 1` without an intervening checkpoint: if
+    /// the parent goes back, this operator must go back with it.
+    pub dump_loses_output: bool,
 }
 
 /// The full optimization problem, assembled by the lifecycle driver.
@@ -228,8 +233,11 @@ impl SuspendProblem {
                     false
                 } else if n.stateful {
                     // Paper's c_{i,j}: most recent checkpoint after the
-                    // chain checkpoint ⇒ heap rebuilt ⇒ cannot dump.
+                    // chain checkpoint ⇒ heap rebuilt ⇒ cannot dump. Nor
+                    // can an operator that says its current state no
+                    // longer reproduces what it emitted under the chain.
                     graph.latest_ckpt(i) != Some(chain.ckpt)
+                        || self.inputs_of(i).dump_loses_output
                 } else {
                     true
                 };
@@ -721,6 +729,7 @@ mod tests {
             OpSuspendInputs {
                 heap_bytes: nlj0_heap,
                 control_bytes: 32,
+                ..Default::default()
             },
         );
         inputs.insert(
@@ -728,6 +737,7 @@ mod tests {
             OpSuspendInputs {
                 heap_bytes: nlj1_heap,
                 control_bytes: 32,
+                ..Default::default()
             },
         );
         for op in [OpId(2), OpId(3), OpId(4)] {
@@ -736,6 +746,7 @@ mod tests {
                 OpSuspendInputs {
                     heap_bytes: 0,
                     control_bytes: 16,
+                    ..Default::default()
                 },
             );
         }
@@ -953,6 +964,7 @@ mod tests {
                 OpSuspendInputs {
                     heap_bytes: if i == 0 { 8192 * 4 } else { 0 },
                     control_bytes: 16,
+                    ..Default::default()
                 },
             );
         }

@@ -349,6 +349,7 @@ mod tests {
                 OpSuspendInputs {
                     heap_bytes: rng.gen_range(0..40) * 8192,
                     control_bytes: rng.gen_range(0..128),
+                    ..Default::default()
                 },
             );
             work.insert(op, rng.gen_range(0.0..200.0));
@@ -445,6 +446,7 @@ mod tests {
                 OpSuspendInputs {
                     heap_bytes: rng.gen_range(0..10) * 8192,
                     control_bytes: 32,
+                    ..Default::default()
                 },
             );
             work.insert(OpId(i as u32), rng.gen_range(0.0..100.0));

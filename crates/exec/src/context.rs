@@ -5,7 +5,8 @@ use crate::writers::{DumpPipeline, PrefetchedDumps};
 use qsr_core::{ContractGraph, OpId, WorkTable};
 use qsr_storage::{
     fnv1a, is_delta_frame, pages_for_bytes, BlobId, CostModel, CostSnapshot, Database, Decode,
-    DeltaDump, Encode, Result, StorageError, TraceEvent, COMPACT_CHAIN_LEN, PAGE_SIZE,
+    DeltaDump, Encode, FileId, Result, RunWriter, StorageError, TraceEvent, COMPACT_CHAIN_LEN,
+    PAGE_SIZE,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -146,6 +147,12 @@ pub struct ExecContext {
     /// current suspend rung, keyed by operator. Drained by the driver
     /// into `SuspendedQuery::delta_deps`.
     delta_emitted: RefCell<BTreeMap<OpId, Vec<BlobId>>>,
+    /// Run files this execution's operators created since it started (or
+    /// resumed). No committed suspend generation can reference them — a
+    /// commit consumes the execution — so they are garbage once the query
+    /// reaches `Done`; a committed suspend hands them to the caller
+    /// instead ([`crate::SuspendedHandle::spill_files`]).
+    pub(crate) spill_files: Vec<FileId>,
 }
 
 impl ExecContext {
@@ -169,7 +176,16 @@ impl ExecContext {
             delta_enabled: false,
             baselines: RefCell::new(HashMap::new()),
             delta_emitted: RefCell::new(BTreeMap::new()),
+            spill_files: Vec::new(),
         }
+    }
+
+    /// Start a new operator-owned run (sorted sublist, join or aggregate
+    /// partition), recording its file for reclaim at query end.
+    pub fn create_run(&mut self) -> Result<RunWriter> {
+        let w = RunWriter::create(self.db.pool().clone())?;
+        self.spill_files.push(w.file_id());
+        Ok(w)
     }
 
     /// Enable or disable delta checkpoint emission (driver-only).

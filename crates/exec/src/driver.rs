@@ -33,8 +33,8 @@ use qsr_core::{
     SuspendOptimizer, SuspendPlan, SuspendPolicy, SuspendProblem, SuspendedQuery,
 };
 use qsr_storage::{
-    env_flag, env_parse, is_delta_frame, pages_for_bytes, BlobId, Database, Decode, DeltaDump,
-    Encode, FileId, Phase, Result, Schema, StorageError, TraceEvent, Tuple,
+    delete_run, env_flag, env_parse, is_delta_frame, pages_for_bytes, BlobId, Database, Decode,
+    DeltaDump, Encode, FileId, Phase, Result, Schema, StorageError, TraceEvent, Tuple,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -51,6 +51,27 @@ pub struct SuspendedHandle {
     pub generation: u64,
     /// The degradation-ladder rung that actually committed.
     pub rung: Rung,
+    /// Run files the suspended execution created since it started (or
+    /// resumed). The committed generation may reference them, so they
+    /// outlive the suspend; whoever finally retires the query reclaims
+    /// them with [`reclaim_spill_files`].
+    pub spill_files: Vec<FileId>,
+}
+
+/// Delete run files of a query that will never run again (finished, or
+/// shed with its suspend generation retired). Best-effort like every
+/// reclaim path — a failed delete leaks a file, it never fails a query —
+/// except that a halting fault surfaces: the simulated process is dead.
+/// Charges nothing to the cost ledger.
+pub fn reclaim_spill_files(db: &Database, files: &mut Vec<FileId>) -> Result<()> {
+    for file in files.drain(..) {
+        if let Err(e) = delete_run(db.pool(), file) {
+            if db.disk().fault_injector().is_some_and(|fi| fi.halted()) {
+                return Err(e);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Options for the suspend phase.
@@ -335,7 +356,7 @@ impl QueryExecution {
         let out = self.root.next(&mut self.ctx)?;
         match &out {
             Poll::Tuple(_) => self.tuples_emitted += 1,
-            Poll::Done => self.finished = true,
+            Poll::Done => self.finish()?,
             Poll::Suspended => {}
         }
         Ok(out)
@@ -351,10 +372,24 @@ impl QueryExecution {
         let out = self.root.next_batch(&mut self.ctx, max)?;
         match &out {
             BatchPoll::Batch(b) => self.tuples_emitted += b.live_len() as u64,
-            BatchPoll::Done => self.finished = true,
+            BatchPoll::Done => self.finish()?,
             BatchPoll::Suspended => {}
         }
         Ok(out)
+    }
+
+    /// The plan reached `Done`: its operators will never read their spill
+    /// runs again, and no committed suspend generation references the
+    /// ones this execution created, so reclaim them.
+    fn finish(&mut self) -> Result<()> {
+        self.finished = true;
+        reclaim_spill_files(&self.db, &mut self.ctx.spill_files)
+    }
+
+    /// Hand over the run files this execution created (a caller dropping
+    /// a live execution it will not resume reclaims them itself).
+    pub fn take_spill_files(&mut self) -> Vec<FileId> {
+        std::mem::take(&mut self.ctx.spill_files)
     }
 
     /// The batch size [`QueryExecution::run`] drives the plan with
@@ -542,6 +577,7 @@ impl QueryExecution {
             match attempt {
                 Ok((mut handle, sq, committed)) => {
                     handle.rung = *rung;
+                    handle.spill_files = std::mem::take(&mut self.ctx.spill_files);
                     self.db.ledger().trace(|| TraceEvent::RungCommit {
                         rung: rung.name(),
                         generation: handle.generation,
@@ -796,6 +832,7 @@ impl QueryExecution {
                 report: report.clone(),
                 generation,
                 rung: Rung::Requested, // overwritten by the ladder loop
+                spill_files: Vec::new(), // filled in by the ladder loop
             },
             sq,
             manifest,

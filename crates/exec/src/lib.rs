@@ -15,7 +15,7 @@ pub mod recovery;
 pub mod writers;
 
 pub use context::{DumpWatchdog, ExecContext, SalvageCache, SuspendTrigger, WorkUnitObserver};
-pub use driver::{QueryExecution, Rung, SuspendOptions, SuspendedHandle};
+pub use driver::{reclaim_spill_files, QueryExecution, Rung, SuspendOptions, SuspendedHandle};
 pub use writers::DumpPipeline;
 pub use recovery::{
     clear_manifest, clear_manifest_named, read_manifest, read_manifest_named, with_backoff,

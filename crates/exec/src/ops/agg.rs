@@ -476,6 +476,7 @@ impl Operator for StreamAgg {
         OpSuspendInputs {
             heap_bytes: 0,
             control_bytes: 48,
+            ..Default::default()
         }
     }
 
@@ -639,6 +640,7 @@ impl Operator for Distinct {
         OpSuspendInputs {
             heap_bytes: 0,
             control_bytes: 8 + self.last.as_ref().map(Tuple::heap_bytes).unwrap_or(0),
+            ..Default::default()
         }
     }
 

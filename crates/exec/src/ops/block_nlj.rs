@@ -502,6 +502,7 @@ impl Operator for BlockNlj {
                     .as_ref()
                     .map(Tuple::heap_bytes)
                     .unwrap_or(0),
+            ..Default::default()
         }
     }
 

@@ -368,6 +368,7 @@ impl Operator for Filter {
         OpSuspendInputs {
             heap_bytes: 0,
             control_bytes: 8,
+            ..Default::default()
         }
     }
 

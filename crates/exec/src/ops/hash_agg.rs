@@ -271,7 +271,7 @@ impl Operator for HashAgg {
                 PHASE_PARTITION => {
                     while self.writers.len() < self.partitions {
                         self.writers
-                            .push(Some(RunWriter::create(ctx.db.pool().clone())?));
+                            .push(Some(ctx.create_run()?));
                     }
                     match self.child.next(ctx)? {
                         Poll::Tuple(t) => {
@@ -365,7 +365,7 @@ impl Operator for HashAgg {
                 PHASE_PARTITION => {
                     while self.writers.len() < self.partitions {
                         self.writers
-                            .push(Some(RunWriter::create(ctx.db.pool().clone())?));
+                            .push(Some(ctx.create_run()?));
                     }
                     match self.child.next_batch(ctx, max)? {
                         BatchPoll::Batch(b) => {
@@ -678,6 +678,7 @@ impl Operator for HashAgg {
         OpSuspendInputs {
             heap_bytes: self.heap_bytes,
             control_bytes: 40 + 16 * self.runs.len(),
+            ..Default::default()
         }
     }
 

@@ -30,7 +30,6 @@ use qsr_storage::{
     StorageError, Tuple, TupleAddr, TupleBlock,
 };
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 const PHASE_BUILD: u8 = 0;
 const PHASE_PROBE: u8 = 1;
@@ -416,9 +415,13 @@ impl HashJoin {
         Ok(())
     }
 
-    fn ensure_writers(writers: &mut Vec<Option<RunWriter>>, pool: &Arc<qsr_storage::BufferPool>, n: usize) -> Result<()> {
+    fn ensure_writers(
+        writers: &mut Vec<Option<RunWriter>>,
+        ctx: &mut ExecContext,
+        n: usize,
+    ) -> Result<()> {
         while writers.len() < n {
-            writers.push(Some(RunWriter::create(pool.clone())?));
+            writers.push(Some(ctx.create_run()?));
         }
         Ok(())
     }
@@ -683,7 +686,7 @@ impl HashJoin {
                 Ok(GraceStep::Continue)
             }
             TS_SPILL_BUILD => {
-                Self::ensure_writers(&mut self.spill_build_writers, ctx.db.pool(), self.partitions)?;
+                Self::ensure_writers(&mut self.spill_build_writers, ctx, self.partitions)?;
                 let reader = self
                     .spill_reader
                     .as_mut()
@@ -718,7 +721,7 @@ impl HashJoin {
                 Ok(GraceStep::Continue)
             }
             TS_SPILL_PROBE => {
-                Self::ensure_writers(&mut self.spill_probe_writers, ctx.db.pool(), self.partitions)?;
+                Self::ensure_writers(&mut self.spill_probe_writers, ctx, self.partitions)?;
                 let reader = self
                     .spill_reader
                     .as_mut()
@@ -850,7 +853,7 @@ impl Operator for HashJoin {
             }
             match self.phase {
                 PHASE_BUILD => {
-                    Self::ensure_writers(&mut self.build_writers, ctx.db.pool(), self.partitions)?;
+                    Self::ensure_writers(&mut self.build_writers, ctx, self.partitions)?;
                     match self.build.next(ctx)? {
                         Poll::Tuple(t) => {
                             ctx.tick(self.op);
@@ -893,7 +896,7 @@ impl Operator for HashJoin {
                     }
                 }
                 PHASE_PROBE => {
-                    Self::ensure_writers(&mut self.probe_writers, ctx.db.pool(), self.partitions)?;
+                    Self::ensure_writers(&mut self.probe_writers, ctx, self.partitions)?;
                     // Hybrid: finish emitting matches of the current probe
                     // tuple before pulling the next one.
                     if self.hybrid {
@@ -1049,7 +1052,7 @@ impl Operator for HashJoin {
             }
             match self.phase {
                 PHASE_BUILD => {
-                    Self::ensure_writers(&mut self.build_writers, ctx.db.pool(), self.partitions)?;
+                    Self::ensure_writers(&mut self.build_writers, ctx, self.partitions)?;
                     match self.build.next_batch(ctx, max)? {
                         BatchPoll::Batch(b) => {
                             let ints = b.column(self.build_key).and_then(ColumnVec::as_ints);
@@ -1099,7 +1102,7 @@ impl Operator for HashJoin {
                     }
                 }
                 PHASE_PROBE => {
-                    Self::ensure_writers(&mut self.probe_writers, ctx.db.pool(), self.partitions)?;
+                    Self::ensure_writers(&mut self.probe_writers, ctx, self.partitions)?;
                     // Hybrid: finish emitting matches of a probe tuple left
                     // over from a previous (possibly tuple-mode) call.
                     if self.hybrid {
@@ -1414,13 +1417,22 @@ impl Operator for HashJoin {
                     match strategy {
                         Strategy::Dump => {
                             // c = 0: no checkpoint since signing. In the
-                            // partition phases (and mid-spill) nothing was
-                            // produced since, so current state reproduces
-                            // all outputs; in the join phase the contract's
-                            // cursor is the resume point over the dumped
-                            // table.
+                            // join phase the contract's cursor is the
+                            // resume point over the dumped table. In the
+                            // partition phases (and mid-spill) the current
+                            // state reproduces all outputs only if nothing
+                            // was produced since — false once hybrid has
+                            // emitted inline partition-0 matches, which
+                            // `suspend_inputs` reports so the optimizer
+                            // never asks for this.
                             if target_repositions {
                                 (target, ctr.saved_tuples.clone(), None)
+                            } else if self.produced_since_sign > 0 {
+                                return Err(StorageError::invalid(format!(
+                                    "{}: Dump under a partition-phase contract would lose {} \
+                                     tuples emitted since it was signed",
+                                    self.op, self.produced_since_sign
+                                )));
                             } else {
                                 (current_control, ctr.saved_tuples.clone(), None)
                             }
@@ -1735,6 +1747,10 @@ impl Operator for HashJoin {
             control_bytes: 64
                 + 16 * (self.build_runs.len() + self.probe_runs.len())
                 + 48 * grace_entries,
+            // Hybrid emits partition-0 matches inline while partitioning
+            // the probe side, with no checkpoint to anchor them: a dump
+            // of the current state resumes *after* them.
+            dump_loses_output: self.phase == PHASE_PROBE && self.produced_since_sign > 0,
         }
     }
 

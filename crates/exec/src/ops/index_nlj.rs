@@ -271,6 +271,7 @@ impl Operator for IndexNlj {
             heap_bytes: 0,
             control_bytes: 16
                 + self.cur_outer.as_ref().map(Tuple::heap_bytes).unwrap_or(0),
+            ..Default::default()
         }
     }
 

@@ -621,6 +621,7 @@ impl Operator for MergeJoin {
             control_bytes: 64
                 + self.lahead.as_ref().map(Tuple::heap_bytes).unwrap_or(0)
                 + self.rahead.as_ref().map(Tuple::heap_bytes).unwrap_or(0),
+            ..Default::default()
         }
     }
 

@@ -142,6 +142,7 @@ impl Operator for Project {
         OpSuspendInputs {
             heap_bytes: 0,
             control_bytes: 0,
+            ..Default::default()
         }
     }
 

@@ -259,6 +259,7 @@ impl Operator for TableScan {
         OpSuspendInputs {
             heap_bytes: 0,
             control_bytes: 10, // page + slot
+            ..Default::default()
         }
     }
 

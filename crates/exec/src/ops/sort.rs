@@ -204,7 +204,7 @@ impl ExternalSort {
             keyed.push((k, t));
         }
         keyed.sort_by_key(|(k, _)| *k);
-        let mut w = RunWriter::create(ctx.db.pool().clone())?;
+        let mut w = ctx.create_run()?;
         for (_, t) in &keyed {
             w.append(t)?;
         }
@@ -324,7 +324,7 @@ impl ExternalSort {
             for i in 0..self.readers.len() {
                 self.advance_head(ctx, i)?;
             }
-            self.pass_writer = Some(RunWriter::create(ctx.db.pool().clone())?);
+            self.pass_writer = Some(ctx.create_run()?);
             self.pass_run = None;
             return Ok(());
         }
@@ -781,6 +781,7 @@ impl Operator for ExternalSort {
                 + 18
                     * (self.runs.len() + self.pass_out.len() + self.group.len())
                         .max(self.head_addrs.len()),
+            ..Default::default()
         }
     }
 

@@ -28,6 +28,8 @@ fn parse_skew(s: &str) -> Result<SkewProfile, String> {
 pub enum Policy {
     /// `SuspendPolicy::AllDump` — every operator dumps.
     Dump,
+    /// `SuspendPolicy::AllGoBack` — every operator goes back.
+    GoBack,
     /// `SuspendPolicy::Optimized { budget: None }` — the MIP picks a mix
     /// of DumpState and GoBack strategies.
     Optimized,
@@ -38,6 +40,7 @@ impl Policy {
     pub fn to_suspend_policy(self) -> qsr_core::SuspendPolicy {
         match self {
             Policy::Dump => qsr_core::SuspendPolicy::AllDump,
+            Policy::GoBack => qsr_core::SuspendPolicy::AllGoBack,
             Policy::Optimized => qsr_core::SuspendPolicy::Optimized { budget: None },
         }
     }
@@ -45,6 +48,7 @@ impl Policy {
     fn token(self) -> &'static str {
         match self {
             Policy::Dump => "dump",
+            Policy::GoBack => "goback",
             Policy::Optimized => "opt",
         }
     }
@@ -255,6 +259,7 @@ impl FromStr for Scenario {
                 "policy" => {
                     policy = Some(match value {
                         "dump" => Policy::Dump,
+                        "goback" => Policy::GoBack,
                         "opt" => Policy::Optimized,
                         p => return Err(format!("unknown policy {p:?}")),
                     })

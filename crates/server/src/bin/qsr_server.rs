@@ -13,8 +13,10 @@
 //! memory — everyone else parks on disk through the suspend path. Prints
 //! the per-tenant fairness ledger at the end.
 //!
-//! `--workers 0` (default) is the deterministic serial scheduler;
-//! `--workers N` runs slices on N real threads. `--sla-budget C` gives
+//! `--workers 0` (default) runs the scheduling loop on the main thread,
+//! deterministically; `--workers N` runs the same loop on N threads.
+//! `--max-live` is a strict bound either way and defaults to one live
+//! slot per worker (so every worker can run a slice). `--sla-budget C` gives
 //! every tenant a suspend-cost budget of C ledger units, from which each
 //! preemption derives its suspend deadline. `--admission-budget M` (with
 //! optional `--admission-price P`, default 1e6) prices each admission's
@@ -28,15 +30,14 @@ use qsr_server::{AdmissionConfig, QsrServer, ServerConfig, SlaConfig};
 use qsr_storage::{env_parse, BackendKind, Database, StorageError};
 use qsr_workload::{generate_table, TableSpec};
 
-fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{flag} expects an integer, got {v:?}"))
-        })
-        .unwrap_or(default)
+/// The value following `flag`, if present; a malformed value is a hard
+/// error naming the flag.
+fn flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = args.get(args.iter().position(|a| a == flag)? + 1)?;
+    Some(v.parse().unwrap_or_else(|e| panic!("{flag} {v:?}: {e}")))
 }
 
 fn plan_for(slot: u64) -> PlanSpec {
@@ -67,43 +68,25 @@ fn plan_for(slot: u64) -> PlanSpec {
     }
 }
 
-fn parse_f64_flag(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{flag} expects a number, got {v:?}"))
-        })
-}
-
 fn main() -> qsr_storage::Result<()> {
     let args: Vec<String> = std::env::args().collect();
-    let sessions = parse_flag(&args, "--sessions", 3);
-    let quantum = parse_flag(&args, "--quantum", 2_000);
-    let max_live = parse_flag(&args, "--max-live", 1) as usize;
+    let sessions: u64 = flag(&args, "--sessions").unwrap_or(3);
+    let quantum: u64 = flag(&args, "--quantum").unwrap_or(2_000);
     // Threading and SLA knobs; env overrides flags, hard-erroring on typos.
     let workers = env_parse::<usize>("QSR_WORKERS")
-        .unwrap_or_else(|| parse_flag(&args, "--workers", 0) as usize);
-    let sla_budget = env_parse::<f64>("QSR_SLA_BUDGET").or_else(|| parse_f64_flag(&args, "--sla-budget"));
-    let admission = args
-        .iter()
-        .position(|a| a == "--admission-budget")
-        .map(|_| AdmissionConfig {
-            memory_budget: parse_flag(&args, "--admission-budget", 0),
-            max_price: parse_f64_flag(&args, "--admission-price").unwrap_or(1e6),
-            queue: parse_flag(&args, "--admission-queue", 0) != 0,
-        });
+        .unwrap_or_else(|| flag(&args, "--workers").unwrap_or(0));
+    let max_live: usize = flag(&args, "--max-live").unwrap_or(workers.max(1));
+    let sla_budget = env_parse::<f64>("QSR_SLA_BUDGET").or_else(|| flag(&args, "--sla-budget"));
+    let admission = flag(&args, "--admission-budget").map(|memory_budget| AdmissionConfig {
+        memory_budget,
+        max_price: flag(&args, "--admission-price").unwrap_or(1e6),
+        queue: flag::<u64>(&args, "--admission-queue").unwrap_or(0) != 0,
+    });
     // Suspend-path knobs: delta checkpoints, keep-last-N retention, and
     // the suspend backend every parked session's state routes through.
-    let delta = parse_flag(&args, "--delta", 0) != 0;
-    let keep = parse_flag(&args, "--keep", 1) as usize;
-    let backend: BackendKind = args
-        .iter()
-        .position(|a| a == "--backend")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().unwrap_or_else(|e| panic!("{e}")))
-        .unwrap_or_default();
+    let delta = flag::<u64>(&args, "--delta").unwrap_or(0) != 0;
+    let keep: usize = flag(&args, "--keep").unwrap_or(1);
+    let backend: BackendKind = flag(&args, "--backend").unwrap_or_default();
 
     let dir = std::env::temp_dir().join(format!("qsr-server-{}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
@@ -140,15 +123,10 @@ fn main() -> qsr_storage::Result<()> {
         }
     }
 
-    let rounds = server.run_to_completion()?;
+    let slices = server.run_to_completion()?;
     println!(
-        "{} sessions over {} live slot(s), quantum {}, {} worker(s): {} scheduler {}",
-        sessions,
-        max_live,
-        quantum,
-        workers,
-        rounds,
-        if workers == 0 { "rounds" } else { "slices" },
+        "{sessions} sessions over {max_live} live slot(s), quantum {quantum}, \
+         {workers} worker(s): {slices} scheduler slices",
     );
     println!(
         "{:<12} {:<10} {:>8} {:>10} {:>8} {:>9} {:>8} {:>14} {:>9}",

@@ -12,10 +12,11 @@
 //! - [`registry`] — the crash-safe session registry: one atomic meta
 //!   sidecar plus one private generation-numbered suspend manifest per
 //!   session, reconstructed by a directory scan after a crash.
-//! - [`scheduler`] — the preemptive round-robin driver: quantum slicing,
-//!   MIP-cheapest victim choice, clean-abort rollback, server-level
-//!   shedding, and deterministic resume backoff, with per-tenant fairness
-//!   accounting.
+//! - [`scheduler`] — the preemptive round-robin driver, one loop run
+//!   inline or on worker threads: quantum slicing, MIP-cheapest victim
+//!   choice under a strict live-slot bound, clean-abort rollback,
+//!   server-level shedding, and deterministic resume backoff, with
+//!   per-tenant fairness accounting.
 
 pub mod registry;
 pub mod scheduler;

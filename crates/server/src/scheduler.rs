@@ -7,6 +7,38 @@
 //! cheapest victim — and resumed round-robin, so N sessions share one
 //! `Database`/buffer pool with per-tenant fairness accounting.
 //!
+//! ## The scheduling loop
+//!
+//! All scheduler state is one slot table (sessions in admission order) and
+//! there is one loop over it (`Sched::run`):
+//!
+//! 1. **claim** the next runnable session at the round-robin cursor;
+//! 2. **make room**: while `max_live` sessions already hold in-memory
+//!    state, check out the live sessions nobody has claimed, price each
+//!    (`victim_signal`, one root LP) and suspend the cheapest to disk;
+//! 3. **activate** the claimed session (start it, or resume its committed
+//!    generation) and run one **slice** of `quantum` work units;
+//! 4. **put it back**, still live — it is parked only when a later claim
+//!    needs its slot and it is the cheapest to suspend.
+//!
+//! Each time the cursor wraps, queued admissions are re-priced.
+//! [`ServerConfig::workers`] only chooses who runs the loop: `0` runs it
+//! inline on the caller's thread — one session at a time, every ledger
+//! charge in a deterministic order, bit-identical cost journals across
+//! runs (the property the oracle and the golden tests pin) — and `N >= 1`
+//! runs the same loop on N scoped threads over the shared `Database`. The
+//! table's mutex is released across every LP solve, suspend, resume and
+//! slice, so preemption suspends, resumes and degradation-ladder descents
+//! of different sessions genuinely overlap; ledger totals stay correct
+//! (every counter is atomic or lock-guarded) but per-phase attribution
+//! interleaves, so runs with two or more workers are validated by output
+//! equality, never ledger equality.
+//!
+//! `max_live` is a strict bound in both modes: a thread that cannot get a
+//! live slot (every live session is claimed by another thread) waits for
+//! one to come back, and no new claim is handed out while it waits. At
+//! most `min(workers, max_live)` sessions therefore run concurrently.
+//!
 //! Robustness model, layered on the per-query degradation ladder:
 //!
 //! - **Preemption is crash-safe**: a victim's suspend commits through its
@@ -21,24 +53,8 @@
 //!   before starving all tenants.
 //! - **Deterministic resume retry**: transient resume failures back off on
 //!   the pinned [`RESUME_BACKOFF`] schedule, counted per session.
-//!
-//! ## Execution modes
-//!
-//! With `workers == 0` (the default) the scheduler is the byte-exact
-//! serial round-robin loop of earlier releases: one session runs at a
-//! time, every ledger charge lands in a deterministic order, and repeated
-//! runs produce bit-identical cost journals — the property the oracle and
-//! the golden tests pin.
-//!
-//! With `workers >= 1`, [`QsrServer::run_to_completion`] runs session
-//! slices on that many OS threads over the same shared `Database`. Workers
-//! claim runnable sessions round-robin from a mutex-guarded slot table,
-//! run one quantum outside the lock, and *park* (suspend to disk) whenever
-//! another runnable session is waiting unclaimed — so preemption suspends,
-//! resumes, and degradation-ladder descents genuinely overlap. Ledger
-//! totals stay correct (every counter is atomic or lock-guarded) but
-//! per-phase attribution interleaves, so threaded runs are validated by
-//! output equality against the serial schedule, never ledger equality.
+//! - **Spill reclaim**: a session's run files are deleted when it finishes
+//!   or is shed, after its registry entries are retired.
 //!
 //! ## SLA scheduling and admission control
 //!
@@ -55,18 +71,20 @@
 //! (`victim_signal` per live session, the same signal preemption uses) and
 //! refuses sessions whose price exceeds the cap: a typed
 //! [`StorageError::Overloaded`] rejection, or a parked queue entry that
-//! [`QsrServer::drain_admission_queue`] re-prices as load drains.
+//! the loop re-prices head-of-line as load drains.
 
 use crate::registry::{SessionId, SessionMeta, SessionRegistry};
 use qsr_core::{SuspendOptimizer, SuspendPolicy};
 use qsr_exec::{
-    read_manifest_named, QueryExecution, ResumeError, Rung, SuspendOptions, PlanSpec,
-    RESUME_BACKOFF,
+    read_manifest_named, reclaim_spill_files, PlanSpec, QueryExecution, ResumeError, Rung,
+    SuspendOptions, RESUME_BACKOFF,
 };
 use qsr_mip::admission_price;
-use qsr_storage::{Database, Decode, Encode, Phase, Result, StorageError, TraceEvent, Tuple};
+use qsr_storage::{
+    Database, Decode, Encode, FileId, Phase, Result, StorageError, TraceEvent, Tuple,
+};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Per-tenant suspend-cost budgets for SLA-aware preemption deadlines.
 #[derive(Debug, Clone)]
@@ -107,8 +125,8 @@ pub struct AdmissionConfig {
     /// Maximum acceptable admission price (total `victim_signal` of the
     /// preemptions needed to free the demanded memory).
     pub max_price: f64,
-    /// Park rejected sessions on a FIFO queue (re-priced by
-    /// [`QsrServer::drain_admission_queue`]) instead of returning a typed
+    /// Park rejected sessions on a FIFO queue (re-priced each time the
+    /// scheduling cursor wraps) instead of returning a typed
     /// [`StorageError::Overloaded`] error.
     pub queue: bool,
 }
@@ -131,19 +149,18 @@ pub struct ServerConfig {
     /// `WorkUnitObserver`).
     pub quantum: u64,
     /// Live-session slots: how many sessions may hold in-memory execution
-    /// state at once. Activating a session beyond this budget preempts the
-    /// MIP-cheapest live victim to disk. (In threaded mode each worker
-    /// holds at most one session live, so the effective ceiling is
-    /// `max(max_live, workers)`.)
+    /// state at once, a strict bound whatever `workers` is. Activating a
+    /// session beyond this budget first preempts the MIP-cheapest
+    /// unclaimed live victim to disk.
     pub max_live: usize,
     /// Suspend policy used for preemptions.
     pub policy: SuspendPolicy,
     /// Suspend options used for preemptions.
     pub options: SuspendOptions,
-    /// Worker threads for [`QsrServer::run_to_completion`]. `0` (the
-    /// default) is the deterministic serial scheduler whose ledgers are
-    /// bit-identical across runs; `>= 1` runs slices on real threads and
-    /// is validated by output equality.
+    /// Threads running the scheduling loop. `0` (the default) runs it
+    /// inline on the caller's thread, with ledgers bit-identical across
+    /// runs; `>= 1` runs the same loop on that many threads, of which at
+    /// most `min(workers, max_live)` run slices at once.
     pub workers: usize,
     /// Per-tenant SLA budgets; `None` disables deadline derivation (every
     /// preemption uses `options.deadline` as-is).
@@ -191,10 +208,9 @@ pub struct FairnessStats {
     /// Simulated `Phase::Fallback` cost charged to this session's
     /// *preemption decisions*: when preempting a victim to make room for
     /// this session descends the degradation ladder, the rung>0 fallback
-    /// I/O is the cost of this session's demand, not of the victim —
-    /// so it accrues here, on the preemptor. (In threaded mode parking is
-    /// the scheduler's own decision and the cost lands on the parked
-    /// session's row.)
+    /// I/O is the cost of this session's demand for the slot, not of the
+    /// victim — so it accrues here, on the session whose activation
+    /// demanded the slot.
     pub preempt_fallback_cost: f64,
     /// `Phase::Resume` cost burned by failed transient resume attempts
     /// (backoff-retry re-reads). Kept out of `resume_cost` so the SLA
@@ -241,6 +257,9 @@ pub struct Session {
     pub est_mem: u64,
     /// Fairness ledger.
     pub fairness: FairnessStats,
+    /// Run files of this session's earlier executions (parked or rolled
+    /// back), reclaimed when the session is retired.
+    spill_files: Vec<FileId>,
 }
 
 impl Session {
@@ -260,6 +279,7 @@ impl Session {
             committed_tuples: 0,
             est_mem,
             fairness: FairnessStats::default(),
+            spill_files: Vec::new(),
         }
     }
 
@@ -285,41 +305,63 @@ impl Session {
     pub fn is_shed(&self) -> bool {
         matches!(self.state, SessionState::Shed)
     }
+
+    fn is_live(&self) -> bool {
+        matches!(self.state, SessionState::Live(_))
+    }
+
+    /// Estimated cost of suspending this (live) session right now: one
+    /// root LP, zero branch-and-bound nodes.
+    fn victim_signal(&self) -> f64 {
+        match &self.state {
+            SessionState::Live(exec) => {
+                SuspendOptimizer::victim_signal(&exec.suspend_problem(), &exec.ctx().graph)
+            }
+            _ => f64::INFINITY,
+        }
+    }
+
+    /// Move to `next`, dropping any in-memory execution but keeping the
+    /// run files it created for reclaim at retirement.
+    fn drop_exec(&mut self, next: SessionState) {
+        if let SessionState::Live(exec) = &mut self.state {
+            self.spill_files.extend(exec.take_spill_files());
+        }
+        self.state = next;
+    }
 }
 
-/// Outcome of one round-robin pass over all runnable sessions.
+/// What the scheduling loop did: one pass for [`QsrServer::run_round`],
+/// the whole run for [`QsrServer::run_to_completion`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RoundReport {
-    /// Slices actually run this round.
+    /// Slices actually run.
     pub slices: u64,
-    /// Sessions that reached completion this round.
+    /// Sessions that reached completion.
     pub finished: u64,
-    /// Sessions shed this round.
+    /// Shedding-ladder walks.
     pub shed: u64,
-    /// Preemption suspends this round.
+    /// Preemption suspends.
     pub preemptions: u64,
 }
 
-/// The shared-infrastructure handle every slice primitive works against:
-/// the database, the durable registry, and the immutable scheduling
-/// config. Both the serial loop and the worker threads drive sessions
-/// through exactly these functions, so the two modes cannot drift.
-struct SliceCtx<'a> {
-    db: &'a Arc<Database>,
-    registry: &'a SessionRegistry,
-    config: &'a ServerConfig,
+/// The shared infrastructure every slice primitive works against: the
+/// database, the durable registry, and the scheduling config.
+struct Env {
+    db: Arc<Database>,
+    registry: SessionRegistry,
+    config: ServerConfig,
 }
 
-/// What one preemption attempt did, alongside its `Result`.
+/// What one preemption attempt did.
 struct PreemptOutcome {
-    /// `Ok` on a committed park; the clean-abort / halt error otherwise.
-    result: Result<()>,
     /// `Phase::Fallback` ledger delta across the attempt — rung>0 ladder
     /// I/O, attributed by the caller to the preempting decision.
     fallback_cost: f64,
-    /// On success: the committed rung and the plan's estimated suspend
-    /// cost (the SLA spend figure).
-    committed: Option<(Rung, f64)>,
+    /// On a committed park: the committed rung and the plan's estimated
+    /// suspend cost (the SLA spend figure). Otherwise the clean-abort or
+    /// halt error.
+    committed: Result<(Rung, f64)>,
 }
 
 /// Preempt a live session: suspend its execution to disk under its
@@ -332,43 +374,25 @@ struct PreemptOutcome {
 /// generation (or scratch) without duplicating output — and the error is
 /// returned for the server-level ladder. Halting faults propagate
 /// immediately: the process is dead.
-fn preempt_on(
-    cx: &SliceCtx<'_>,
-    s: &mut Session,
-    est_cost: f64,
-    reason: &str,
-    deadline: Option<f64>,
-) -> PreemptOutcome {
-    let state = std::mem::replace(&mut s.state, SessionState::Fresh);
-    let SessionState::Live(exec) = state else {
-        s.state = state;
-        return PreemptOutcome {
-            result: Err(StorageError::invalid("preempt target is not live")),
-            fallback_cost: 0.0,
-            committed: None,
-        };
+fn preempt_on(env: &Env, s: &mut Session, est_cost: f64, deadline: Option<f64>) -> PreemptOutcome {
+    let SessionState::Live(exec) = std::mem::replace(&mut s.state, SessionState::Fresh) else {
+        unreachable!("victims are checked out of the table live");
     };
-    let id = s.id();
-    cx.db.ledger().trace(|| TraceEvent::Preempt {
-        session: id.0,
+    env.db.ledger().trace(|| TraceEvent::Preempt {
+        session: s.meta.id,
         est_suspend_cost: est_cost,
-        reason: reason.to_string(),
+        reason: "live-slot pressure".to_string(),
     });
-    let before = cx.db.ledger().snapshot();
-    let options = match deadline {
-        Some(d) => {
-            let mut o = cx.config.options.clone();
-            o.deadline = Some(o.deadline.map_or(d, |x| x.min(d)));
-            o
-        }
-        None => cx.config.options.clone(),
-    };
-    let outcome = exec.suspend_with(&cx.config.policy, &options);
-    let after = cx.db.ledger().snapshot();
-    let fallback_cost =
-        after.phase_cost(Phase::Fallback) - before.phase_cost(Phase::Fallback);
+    let before = env.db.ledger().snapshot();
+    let mut options = env.config.options.clone();
+    if let Some(d) = deadline {
+        options.deadline = Some(options.deadline.map_or(d, |x| x.min(d)));
+    }
+    let outcome = exec.suspend_with(&env.config.policy, &options);
+    let after = env.db.ledger().snapshot();
+    let fallback_cost = after.phase_cost(Phase::Fallback) - before.phase_cost(Phase::Fallback);
     let suspend_cost = after.phase_cost(Phase::Suspend) - before.phase_cost(Phase::Suspend);
-    match outcome {
+    let committed = match outcome {
         Ok(handle) => {
             s.committed_tuples = s.base.unwrap_or(0) + s.collected.len() as u64;
             s.state = SessionState::Suspended {
@@ -376,81 +400,49 @@ fn preempt_on(
             };
             s.fairness.suspends += 1;
             s.fairness.suspend_cost.push(suspend_cost);
-            PreemptOutcome {
-                result: Ok(()),
-                fallback_cost,
-                committed: Some((handle.rung, handle.report.est_suspend_cost)),
-            }
+            s.spill_files.extend(handle.spill_files);
+            Ok((handle.rung, handle.report.est_suspend_cost))
         }
         Err(e) => {
-            let halted = cx
-                .db
-                .disk()
-                .fault_injector()
-                .is_some_and(|fi| fi.halted());
-            if halted {
-                return PreemptOutcome {
-                    result: Err(e),
-                    fallback_cost,
-                    committed: None,
-                };
+            let halted = env.db.disk().fault_injector().is_some_and(|fi| fi.halted());
+            if !halted {
+                // Clean abort: on-disk state is exactly the last committed
+                // generation (the ladder never touched the manifest).
+                rollback_on(&env.db, s);
             }
-            // Clean abort: on-disk state is exactly the last committed
-            // generation (the ladder never touched the manifest). Roll
-            // delivered output back to that watermark so the re-resumed
-            // session never duplicates a tuple.
-            let manifest = read_manifest_named(cx.db, &SessionRegistry::manifest_name(id))
-                .ok()
-                .flatten();
-            let keep = s.committed_tuples.saturating_sub(s.base.unwrap_or(0)) as usize;
-            s.collected.truncate(keep);
-            s.state = match manifest {
-                Some(m) => SessionState::Suspended {
-                    generation: m.generation,
-                },
-                None => {
-                    // Back to scratch: the whole stream will replay.
-                    s.base = Some(0);
-                    s.committed_tuples = 0;
-                    s.collected.clear();
-                    SessionState::Fresh
-                }
-            };
-            PreemptOutcome {
-                result: Err(e),
-                fallback_cost,
-                committed: None,
-            }
+            Err(e)
         }
+    };
+    PreemptOutcome {
+        fallback_cost,
+        committed,
     }
 }
 
-/// Drop a live session's in-memory execution after a failed slice —
-/// the failed write leaves operator state undefined, so continuing it
-/// could silently corrupt output — and roll the session back to its
-/// last committed suspend generation (or scratch), truncating
-/// delivered output to the committed watermark so the replay never
-/// duplicates a tuple.
+/// Roll a session whose in-memory execution is lost — a clean-aborted
+/// suspend, or a failed slice whose failed write leaves operator state
+/// undefined — back to its last committed suspend generation (or
+/// scratch), truncating delivered output to the committed watermark so
+/// the replay never duplicates a tuple.
 fn rollback_on(db: &Database, s: &mut Session) {
-    if !matches!(s.state, SessionState::Live(_)) {
-        return;
-    }
     let manifest = read_manifest_named(db, &SessionRegistry::manifest_name(s.id()))
         .ok()
         .flatten();
     let keep = s.committed_tuples.saturating_sub(s.base.unwrap_or(0)) as usize;
     s.collected.truncate(keep);
-    s.state = match manifest {
+    let next = match manifest {
         Some(m) => SessionState::Suspended {
             generation: m.generation,
         },
         None => {
+            // Back to scratch: the whole stream will replay.
             s.base = Some(0);
             s.committed_tuples = 0;
             s.collected.clear();
             SessionState::Fresh
         }
     };
+    s.drop_exec(next);
 }
 
 /// Resume a suspended session's execution from its private manifest,
@@ -460,7 +452,7 @@ fn rollback_on(db: &Database, s: &mut Session) {
 /// attempt's `Phase::Resume` delta accrues to `resume_retry_cost`; only
 /// the successful attempt's delta is the resume's recorded cost.
 fn resume_on(
-    cx: &SliceCtx<'_>,
+    env: &Env,
     s: &mut Session,
     generation: u64,
 ) -> std::result::Result<Box<QueryExecution>, ResumeError> {
@@ -468,11 +460,11 @@ fn resume_on(
     let name = SessionRegistry::manifest_name(id);
     let mut attempt = 1u32;
     let (exec, before) = loop {
-        let before = cx.db.ledger().snapshot().phase_cost(Phase::Resume);
+        let before = env.db.ledger().snapshot().phase_cost(Phase::Resume);
         match QueryExecution::recover_named_with(
-            cx.db.clone(),
+            env.db.clone(),
             &name,
-            cx.config.options.resume_workers,
+            env.config.options.resume_workers,
         ) {
             Ok(Some(exec)) => break (exec, before),
             Ok(None) => {
@@ -482,7 +474,7 @@ fn resume_on(
             }
             Err(ResumeError::Storage(e)) if e.is_transient() => {
                 s.fairness.resume_retry_cost +=
-                    cx.db.ledger().snapshot().phase_cost(Phase::Resume) - before;
+                    env.db.ledger().snapshot().phase_cost(Phase::Resume) - before;
                 match RESUME_BACKOFF.delay_after(attempt) {
                     Some(d) => {
                         std::thread::sleep(d);
@@ -495,7 +487,7 @@ fn resume_on(
             Err(e) => return Err(e),
         }
     };
-    let after = cx.db.ledger().snapshot().phase_cost(Phase::Resume);
+    let after = env.db.ledger().snapshot().phase_cost(Phase::Resume);
     if s.base.is_none() {
         // Recovered mid-stream: everything before this point was
         // delivered by the pre-crash process.
@@ -504,7 +496,7 @@ fn resume_on(
     s.committed_tuples = exec.tuples_emitted();
     s.fairness.resumes += 1;
     s.fairness.resume_cost.push(after - before);
-    cx.db.ledger().trace(|| TraceEvent::SessionResume {
+    env.db.ledger().trace(|| TraceEvent::SessionResume {
         session: id.0,
         generation,
     });
@@ -513,19 +505,19 @@ fn resume_on(
 
 /// Bring a non-live runnable session live: start it fresh or resume it
 /// from its committed generation.
-fn activate_on(cx: &SliceCtx<'_>, s: &mut Session) -> Result<()> {
+fn activate_on(env: &Env, s: &mut Session) -> Result<()> {
     match &s.state {
         SessionState::Live(_) => Ok(()),
         SessionState::Fresh => {
             let spec = PlanSpec::decode_from_slice(&s.meta.plan_bytes)?;
-            let mut exec = Box::new(QueryExecution::start(cx.db.clone(), spec)?);
+            let mut exec = Box::new(QueryExecution::start(env.db.clone(), spec)?);
             exec.set_manifest_name(SessionRegistry::manifest_name(s.id()));
             s.state = SessionState::Live(exec);
             Ok(())
         }
         SessionState::Suspended { generation } => {
             let generation = *generation;
-            let exec = resume_on(cx, s, generation).map_err(StorageError::from)?;
+            let exec = resume_on(env, s, generation).map_err(StorageError::from)?;
             s.state = SessionState::Live(exec);
             Ok(())
         }
@@ -535,8 +527,8 @@ fn activate_on(cx: &SliceCtx<'_>, s: &mut Session) -> Result<()> {
 
 /// Run one quantum-bounded slice of a live session. Returns whether the
 /// session finished.
-fn run_slice_on(cx: &SliceCtx<'_>, s: &mut Session) -> Result<bool> {
-    let quantum = cx.config.quantum.max(1);
+fn run_slice_on(env: &Env, s: &mut Session) -> Result<bool> {
+    let quantum = env.config.quantum.max(1);
     let SessionState::Live(exec) = &mut s.state else {
         return Err(StorageError::invalid("run_slice on a non-live session"));
     };
@@ -558,40 +550,111 @@ fn run_slice_on(cx: &SliceCtx<'_>, s: &mut Session) -> Result<bool> {
     s.fairness.quanta += 1;
     s.fairness.work_units += units_after.saturating_sub(units_before);
     s.fairness.tuples += tuples.len() as u64;
-    s.fairness.slice_nanos.push(clock.elapsed().as_nanos() as u64);
+    s.fairness
+        .slice_nanos
+        .push(clock.elapsed().as_nanos() as u64);
     s.collected.extend(tuples);
     if done {
-        let id = SessionId(s.meta.id);
         s.state = SessionState::Finished;
-        cx.registry.remove(id)?;
+        retire_on(env, s)?;
     }
     Ok(done)
 }
 
-/// The long-lived multi-session engine.
-pub struct QsrServer {
-    db: Arc<Database>,
-    registry: SessionRegistry,
-    config: ServerConfig,
-    sessions: Vec<Session>,
+/// Retire a session that will never run again (finished or shed): remove
+/// its registry entries — committed suspend generation, then meta — and
+/// only then reclaim the run files its executions left behind, which
+/// that generation may have referenced.
+fn retire_on(env: &Env, s: &mut Session) -> Result<()> {
+    env.registry.remove(s.id())?;
+    reclaim_spill_files(&env.db, &mut s.spill_files)
+}
+
+/// Durably admit a session: the meta sidecar commits before the session
+/// is handed to the scheduler.
+fn admit_on(
+    env: &Env,
+    next_id: &mut u64,
+    tenant: &str,
+    priority: u32,
+    spec: &PlanSpec,
+) -> Result<Session> {
+    let id = *next_id;
+    *next_id += 1;
+    let meta = SessionMeta {
+        id,
+        tenant: tenant.to_string(),
+        priority,
+        plan_bytes: spec.encode_to_vec(),
+    };
+    env.registry.admit(&meta)?;
+    env.db.ledger().trace(|| TraceEvent::SessionAdmit {
+        session: id,
+        tenant: tenant.to_string(),
+        priority,
+    });
+    Ok(Session::new(meta, SessionState::Fresh))
+}
+
+/// Scheduler books that outlive a run of the loop.
+#[derive(Default)]
+struct Books {
     next_id: u64,
     /// Suspend-cost spend per tenant (SLA deadline derivation).
     sla_spent: HashMap<String, f64>,
     /// Sessions refused by admission control and parked for retry.
     admission_queue: VecDeque<(String, u32, PlanSpec)>,
+    /// Most sessions ever holding in-memory state at once.
+    peak_live: usize,
+}
+
+impl Books {
+    /// The SLA-derived suspend deadline for `tenant`: the unspent part of
+    /// its budget. `None` when SLA scheduling is off.
+    fn sla_deadline(&self, config: &ServerConfig, tenant: &str) -> Option<f64> {
+        let sla = config.sla.as_ref()?;
+        let spent = self.sla_spent.get(tenant).copied().unwrap_or(0.0);
+        Some((sla.budget_for(tenant) - spent).max(0.0))
+    }
+
+    /// SLA spend of one preemption of `victim` under a derived deadline —
+    /// the only place budgets are drawn down: anything but a commit on
+    /// the requested rung is a miss, and a commit spends the plan's
+    /// estimated suspend cost from the tenant's budget.
+    fn sla_spend(&mut self, victim: &mut Session, committed: Option<(Rung, f64)>) {
+        if !matches!(committed, Some((Rung::Requested, _))) {
+            victim.fairness.sla_misses += 1;
+        }
+        if let Some((_, est_suspend)) = committed {
+            *self
+                .sla_spent
+                .entry(victim.meta.tenant.clone())
+                .or_insert(0.0) += est_suspend;
+        }
+    }
+}
+
+/// The long-lived multi-session engine.
+pub struct QsrServer {
+    env: Env,
+    sessions: Vec<Session>,
+    books: Books,
 }
 
 impl QsrServer {
     /// Open a server over `db` with no admitted sessions.
     pub fn new(db: Arc<Database>, config: ServerConfig) -> Self {
         Self {
-            registry: SessionRegistry::new(db.clone()),
-            db,
-            config,
+            env: Env {
+                registry: SessionRegistry::new(db.clone()),
+                db,
+                config,
+            },
             sessions: Vec::new(),
-            next_id: 1,
-            sla_spent: HashMap::new(),
-            admission_queue: VecDeque::new(),
+            books: Books {
+                next_id: 1,
+                ..Books::default()
+            },
         }
     }
 
@@ -604,14 +667,12 @@ impl QsrServer {
     /// leaked by torn uploads (referenced by no manifest that survived)
     /// are deleted on backends that can enumerate their blobs.
     pub fn recover(db: Arc<Database>, config: ServerConfig) -> Result<Self> {
-        let registry = SessionRegistry::new(db.clone());
-        let metas = registry.scan()?;
-        let mut sessions = Vec::new();
-        let mut next_id = 1;
-        for meta in metas {
+        let mut server = Self::new(db, config);
+        let db = &server.env.db;
+        for meta in server.env.registry.scan()? {
             let id = SessionId(meta.id);
-            next_id = next_id.max(meta.id + 1);
-            let manifest = read_manifest_named(&db, &SessionRegistry::manifest_name(id))
+            server.books.next_id = server.books.next_id.max(meta.id + 1);
+            let manifest = read_manifest_named(db, &SessionRegistry::manifest_name(id))
                 .map_err(StorageError::from)?;
             let state = match manifest {
                 Some(m) => SessionState::Suspended {
@@ -621,37 +682,24 @@ impl QsrServer {
             };
             db.ledger().trace(|| TraceEvent::RecoveryStep {
                 step: match &state {
-                    SessionState::Suspended { generation } => format!(
-                        "registry: {id} reconstructed at suspend generation {generation}"
-                    ),
+                    SessionState::Suspended { generation } => {
+                        format!("registry: {id} reconstructed at suspend generation {generation}")
+                    }
                     _ => format!("registry: {id} reconstructed with no committed suspend"),
                 },
             });
-            sessions.push(Session::new(meta, state));
+            server.sessions.push(Session::new(meta, state));
         }
         // Best-effort: a still-dead remote endpoint must not block
         // recovery; the next recover (or GC) sweeps instead.
-        let _ = QueryExecution::sweep_orphan_blobs(&db);
-        Ok(Self {
-            registry: SessionRegistry::new(db.clone()),
-            db,
-            config,
-            sessions,
-            next_id,
-            sla_spent: HashMap::new(),
-            admission_queue: VecDeque::new(),
-        })
-    }
-
-    /// The shared database.
-    pub fn db(&self) -> &Arc<Database> {
-        &self.db
+        let _ = QueryExecution::sweep_orphan_blobs(db);
+        Ok(server)
     }
 
     /// Mutable scheduling configuration (quantum, slots, policy) — takes
-    /// effect from the next slice.
+    /// effect from the next run of the loop.
     pub fn config_mut(&mut self) -> &mut ServerConfig {
-        &mut self.config
+        &mut self.env.config
     }
 
     /// All sessions, admission order.
@@ -659,9 +707,10 @@ impl QsrServer {
         &self.sessions
     }
 
-    /// Look up a session by id.
-    pub fn session(&self, id: SessionId) -> Option<&Session> {
-        self.sessions.iter().find(|s| s.meta.id == id.0)
+    /// The most sessions that ever held in-memory execution state at
+    /// once; never exceeds `max_live`.
+    pub fn peak_live(&self) -> usize {
+        self.books.peak_live
     }
 
     /// Durably admit a new session for `tenant` at `priority`. The meta
@@ -669,81 +718,50 @@ impl QsrServer {
     /// session survives a crash even if it never ran. Bypasses admission
     /// control — use [`QsrServer::try_admit`] for priced admission.
     pub fn admit(&mut self, tenant: &str, priority: u32, spec: &PlanSpec) -> Result<SessionId> {
-        let id = SessionId(self.next_id);
-        self.next_id += 1;
-        let meta = SessionMeta {
-            id: id.0,
-            tenant: tenant.to_string(),
-            priority,
-            plan_bytes: spec.encode_to_vec(),
-        };
-        self.registry.admit(&meta)?;
-        self.db.ledger().trace(|| TraceEvent::SessionAdmit {
-            session: id.0,
-            tenant: tenant.to_string(),
-            priority,
-        });
-        self.sessions.push(Session::new(meta, SessionState::Fresh));
+        let s = admit_on(&self.env, &mut self.books.next_id, tenant, priority, spec)?;
+        let id = s.id();
+        self.sessions.push(s);
         Ok(id)
-    }
-
-    /// Price the admission of a `demand`-tuple session against the live
-    /// set: free memory under the budget admits for 0; otherwise victims
-    /// are priced by `victim_signal` in the ascending order the scheduler
-    /// would actually preempt them. `None` means no victim combination
-    /// frees enough.
-    fn price_admission(&self, adm: &AdmissionConfig, demand: u64) -> Option<f64> {
-        let used: u64 = self
-            .sessions
-            .iter()
-            .filter(|s| matches!(s.state, SessionState::Live(_)))
-            .map(|s| s.est_mem)
-            .sum();
-        let free = adm.memory_budget.saturating_sub(used);
-        let victims: Vec<(f64, u64)> = self
-            .sessions
-            .iter()
-            .filter_map(|s| match &s.state {
-                SessionState::Live(exec) => Some((
-                    SuspendOptimizer::victim_signal(&exec.suspend_problem(), &exec.ctx().graph),
-                    s.est_mem,
-                )),
-                _ => None,
-            })
-            .collect();
-        admission_price(demand, free, &victims)
     }
 
     /// Admit `tenant`'s session if its estimated memory can be freed
     /// cheaply enough under the configured [`AdmissionConfig`]; with no
-    /// admission config this is exactly [`QsrServer::admit`]. Rejections
-    /// return a typed [`StorageError::Overloaded`] (or park the session on
-    /// the admission queue when `queue` is set).
-    pub fn try_admit(
-        &mut self,
-        tenant: &str,
-        priority: u32,
-        spec: &PlanSpec,
-    ) -> Result<Admission> {
-        let Some(adm) = self.config.admission.clone() else {
+    /// admission config this is exactly [`QsrServer::admit`]. Free memory
+    /// under the budget admits for 0; otherwise the live sessions are
+    /// priced by `victim_signal` in the ascending order the scheduler
+    /// would actually preempt them. Rejections return a typed
+    /// [`StorageError::Overloaded`] (or park the session on the admission
+    /// queue when `queue` is set).
+    pub fn try_admit(&mut self, tenant: &str, priority: u32, spec: &PlanSpec) -> Result<Admission> {
+        let Some(adm) = self.env.config.admission.clone() else {
             return self.admit(tenant, priority, spec).map(Admission::Admitted);
         };
         let demand = spec.estimated_mem_tuples();
-        match self.price_admission(&adm, demand) {
+        let victims: Vec<(f64, u64)> = self
+            .sessions
+            .iter()
+            .filter(|s| s.is_live())
+            .map(|s| (s.victim_signal(), s.est_mem))
+            .collect();
+        let used: u64 = victims.iter().map(|(_, mem)| mem).sum();
+        match admission_price(demand, adm.memory_budget.saturating_sub(used), &victims) {
             Some(price) if price <= adm.max_price => {
                 self.admit(tenant, priority, spec).map(Admission::Admitted)
             }
             priced => {
                 let price = priced.unwrap_or(f64::INFINITY);
-                self.db.ledger().trace(|| TraceEvent::AdmissionReject {
+                self.env.db.ledger().trace(|| TraceEvent::AdmissionReject {
                     tenant: tenant.to_string(),
                     est_mem: demand,
                     price,
                     queued: adm.queue,
                 });
                 if adm.queue {
-                    self.admission_queue
-                        .push_back((tenant.to_string(), priority, spec.clone()));
+                    self.books.admission_queue.push_back((
+                        tenant.to_string(),
+                        priority,
+                        spec.clone(),
+                    ));
                     Ok(Admission::Queued)
                 } else {
                     Err(StorageError::Overloaded {
@@ -757,513 +775,405 @@ impl QsrServer {
 
     /// Sessions currently parked on the admission queue.
     pub fn queued_admissions(&self) -> usize {
-        self.admission_queue.len()
+        self.books.admission_queue.len()
     }
 
-    /// Re-price queued admissions FIFO as load drains, admitting every
-    /// affordable head-of-line entry. An entry that can never be admitted
-    /// — nothing is live and it still does not fit the budget — is dropped
-    /// (with a rejection trace) rather than blocking the queue forever.
-    /// Returns the ids admitted this pass.
-    pub fn drain_admission_queue(&mut self) -> Result<Vec<SessionId>> {
-        let Some(adm) = self.config.admission.clone() else {
-            return Ok(Vec::new());
-        };
-        let mut admitted = Vec::new();
-        while let Some((tenant, _priority, spec)) = self.admission_queue.front() {
-            let demand = spec.estimated_mem_tuples();
-            match self.price_admission(&adm, demand) {
-                Some(price) if price <= adm.max_price => {
-                    let (tenant, priority, spec) =
-                        self.admission_queue.pop_front().expect("front checked");
-                    admitted.push(self.admit(&tenant, priority, &spec)?);
-                }
-                priced => {
-                    let nothing_live = !self
-                        .sessions
-                        .iter()
-                        .any(|s| matches!(s.state, SessionState::Live(_)));
-                    if nothing_live {
-                        // Even an idle server cannot fit it: unadmittable.
-                        let price = priced.unwrap_or(f64::INFINITY);
-                        self.db.ledger().trace(|| TraceEvent::AdmissionReject {
-                            tenant: tenant.clone(),
-                            est_mem: demand,
-                            price,
-                            queued: false,
-                        });
-                        self.admission_queue.pop_front();
-                        continue;
-                    }
-                    break; // head-of-line waits for load to drain
-                }
-            }
-        }
-        Ok(admitted)
-    }
-
-    /// Number of sessions currently holding in-memory state.
-    fn live_count(&self) -> usize {
-        self.sessions
-            .iter()
-            .filter(|s| matches!(s.state, SessionState::Live(_)))
-            .count()
-    }
-
-    /// Choose the preemption victim among live sessions other than
-    /// `keep`: the one whose estimated suspend cost (one root LP, zero
-    /// branch-and-bound nodes) is lowest. Ties break toward the lower
-    /// session id for determinism.
-    fn pick_victim(&self, keep: Option<SessionId>) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, s) in self.sessions.iter().enumerate() {
-            if keep == Some(s.id()) {
-                continue;
-            }
-            let SessionState::Live(exec) = &s.state else {
-                continue;
-            };
-            let cost = SuspendOptimizer::victim_signal(&exec.suspend_problem(), &exec.ctx().graph);
-            match best {
-                Some((_, c)) if c <= cost => {}
-                _ => best = Some((i, cost)),
-            }
-        }
-        best
-    }
-
-    /// The SLA-derived suspend deadline for `tenant`: the unspent part of
-    /// its budget. `None` when SLA scheduling is off.
-    fn derived_deadline(&self, tenant: &str) -> Option<f64> {
-        let sla = self.config.sla.as_ref()?;
-        let spent = self.sla_spent.get(tenant).copied().unwrap_or(0.0);
-        Some((sla.budget_for(tenant) - spent).max(0.0))
-    }
-
-    /// Preempt the session at `idx` (which must be live). `by` names the
-    /// session whose activation demanded the preemption: ladder rung>0
-    /// fallback I/O is charged to *its* fairness row (the preempting
-    /// decision), never to the victim's.
-    fn preempt(&mut self, idx: usize, est_cost: f64, reason: &str, by: Option<usize>) -> Result<()> {
-        let tenant = self.sessions[idx].meta.tenant.clone();
-        let deadline = self.derived_deadline(&tenant);
-        let cx = SliceCtx {
-            db: &self.db,
-            registry: &self.registry,
-            config: &self.config,
-        };
-        let out = preempt_on(&cx, &mut self.sessions[idx], est_cost, reason, deadline);
-        if out.fallback_cost != 0.0 {
-            let target = by.unwrap_or(idx);
-            self.sessions[target].fairness.preempt_fallback_cost += out.fallback_cost;
-        }
-        if deadline.is_some() && !matches!(out.committed, Some((Rung::Requested, _))) {
-            self.sessions[idx].fairness.sla_misses += 1;
-        }
-        if let Some((_, est_suspend)) = out.committed {
-            if self.config.sla.is_some() {
-                *self.sla_spent.entry(tenant).or_insert(0.0) += est_suspend;
-            }
-        }
-        out.result
-    }
-
-    /// Roll the live session at `idx` back to its last committed
-    /// generation after a failed slice.
-    fn rollback_live(&mut self, idx: usize) {
-        rollback_on(&self.db, &mut self.sessions[idx]);
-    }
-
-    /// Server-level degradation ladder: shed the lowest-priority runnable
-    /// session (ties break toward the younger session) via clean abort —
-    /// drop its execution state, retire its registry entries, discard its
-    /// output. Returns the shed session's id, or `None` when nothing is
-    /// left to shed.
-    fn shed_lowest_priority(&mut self, reason: &str) -> Result<Option<SessionId>> {
-        let victim = self
-            .sessions
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_runnable())
-            .min_by_key(|(_, s)| (s.meta.priority, std::cmp::Reverse(s.meta.id)))
-            .map(|(i, _)| i);
-        let Some(i) = victim else {
-            return Ok(None);
-        };
-        let s = &mut self.sessions[i];
-        let id = s.id();
-        let priority = s.meta.priority;
-        s.state = SessionState::Shed;
-        s.collected.clear();
-        self.db.ledger().trace(|| TraceEvent::Shed {
-            session: id.0,
-            priority,
-            reason: reason.to_string(),
-        });
-        self.registry.remove(id)?;
-        Ok(Some(id))
-    }
-
-    /// Bring the session at `idx` live (starting or resuming as needed),
-    /// preempting the MIP-cheapest victim first when live slots are full.
-    fn activate(&mut self, idx: usize, report: &mut RoundReport) -> Result<()> {
-        if matches!(self.sessions[idx].state, SessionState::Live(_)) {
-            return Ok(());
-        }
-        // Slot pressure: make room by parking the cheapest victim.
-        while self.live_count() >= self.config.max_live.max(1) {
-            let keep = Some(self.sessions[idx].id());
-            let Some((vidx, cost)) = self.pick_victim(keep) else {
-                break;
-            };
-            match self.preempt(vidx, cost, "live-slot pressure", Some(idx)) {
-                Ok(()) => report.preemptions += 1,
-                Err(e) if e.is_resource_pressure() => {
-                    // Even the ladder could not park the victim: shed the
-                    // lowest-priority session and retry.
-                    report.shed += 1;
-                    if self.shed_lowest_priority(&format!("pressure: {e}"))?.is_none() {
-                        return Err(e);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        // The session may have been shed while making room for itself.
-        if !self.sessions[idx].is_runnable() {
-            return Ok(());
-        }
-        let cx = SliceCtx {
-            db: &self.db,
-            registry: &self.registry,
-            config: &self.config,
-        };
-        activate_on(&cx, &mut self.sessions[idx])
-    }
-
-    /// One round-robin pass: give every runnable session one quantum, in
-    /// admission order. Sessions park and resume through the suspend
-    /// machinery as live slots demand. Queued admissions are re-priced
-    /// first, so sessions parked by admission control join as load drains.
+    /// One round-robin pass of the scheduling loop: queued admissions are
+    /// re-priced, then every runnable session gets one quantum, in
+    /// admission order, parking and resuming through the suspend
+    /// machinery as live slots demand.
     pub fn run_round(&mut self) -> Result<RoundReport> {
-        self.drain_admission_queue()?;
-        let mut report = RoundReport::default();
-        for idx in 0..self.sessions.len() {
-            if !self.sessions[idx].is_runnable() {
-                continue;
-            }
-            self.activate(idx, &mut report)?;
-            // The session may have been shed while making room for itself.
-            if !matches!(self.sessions[idx].state, SessionState::Live(_)) {
-                continue;
-            }
-            let cx = SliceCtx {
-                db: &self.db,
-                registry: &self.registry,
-                config: &self.config,
-            };
-            match run_slice_on(&cx, &mut self.sessions[idx]) {
-                Ok(true) => report.finished += 1,
-                Ok(false) => {}
-                Err(e) if e.is_resource_pressure() => {
-                    // Execution itself hit pressure (e.g. a spill write
-                    // over quota). The failed write leaves the live
-                    // operator state undefined — roll this session back to
-                    // its last committed generation — then walk the server
-                    // ladder to relieve the pressure.
-                    self.rollback_live(idx);
-                    report.shed += 1;
-                    if self.shed_lowest_priority(&format!("pressure: {e}"))?.is_none() {
-                        return Err(e);
-                    }
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-            report.slices += 1;
-        }
-        Ok(report)
+        self.run(Some(1))
     }
 
-    /// Drive all sessions to completion (or shedding). With `workers == 0`
-    /// this is the deterministic serial loop and the return value counts
-    /// rounds; with `workers >= 1` slices run on that many threads and the
-    /// return value counts slices (there are no global rounds to count).
+    /// Drive all sessions to completion (or shedding), on the caller's
+    /// thread with `workers == 0` and on `workers` threads otherwise.
+    /// Returns the number of slices run.
     pub fn run_to_completion(&mut self) -> Result<u64> {
-        if self.config.workers >= 1 {
-            return self.run_threaded();
-        }
-        let mut rounds = 0;
-        while self.sessions.iter().any(Session::is_runnable)
-            || !self.admission_queue.is_empty()
-        {
-            self.run_round()?;
-            rounds += 1;
-        }
-        Ok(rounds)
+        self.run(None).map(|report| report.slices)
     }
 
-    /// The threaded scheduler: `workers` OS threads claim runnable
-    /// sessions round-robin from a shared slot table, run one quantum
-    /// outside the lock, and park (suspend to disk) whenever another
-    /// runnable session waits unclaimed. Sessions, their fairness rows,
-    /// and their exactly-once watermarks survive in admission order.
-    fn run_threaded(&mut self) -> Result<u64> {
-        self.drain_admission_queue()?;
-        let workers = self.config.workers.max(1);
-        let state = ThreadState {
-            slots: std::mem::take(&mut self.sessions)
-                .into_iter()
-                .map(Some)
-                .collect(),
-            cursor: 0,
-            checked_out: 0,
-            slices: 0,
-            sla_spent: std::mem::take(&mut self.sla_spent),
-            fatal: None,
-        };
-        let shared = ThreadShared {
-            db: &self.db,
-            registry: &self.registry,
-            config: &self.config,
-            state: Mutex::new(state),
+    /// Run the scheduling loop for `passes` cursor passes (`None`: until
+    /// nothing is runnable and the admission queue is empty). Sessions,
+    /// their fairness rows, and their exactly-once watermarks survive in
+    /// admission order.
+    fn run(&mut self, passes: Option<u64>) -> Result<RoundReport> {
+        let sched = Sched {
+            env: &self.env,
+            table: Mutex::new(Table {
+                slots: std::mem::take(&mut self.sessions)
+                    .into_iter()
+                    .map(Some)
+                    .collect(),
+                // Past the end: the first claim wraps, which drains the
+                // admission queue and starts the first pass.
+                cursor: usize::MAX,
+                passes_left: passes,
+                books: std::mem::take(&mut self.books),
+                ..Table::default()
+            }),
             cv: Condvar::new(),
         };
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| worker_loop(&shared));
-            }
-        });
-        let st = shared
-            .state
+        match sched.env.config.workers {
+            0 => sched.run(),
+            n => std::thread::scope(|scope| {
+                for _ in 0..n {
+                    scope.spawn(|| sched.run());
+                }
+            }),
+        }
+        let table = sched
+            .table
             .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        self.sessions = st.slots.into_iter().flatten().collect();
-        self.sla_spent = st.sla_spent;
-        match st.fatal {
+            .expect("scheduler threads joined without panicking");
+        self.sessions = table.slots.into_iter().flatten().collect();
+        self.books = table.books;
+        match table.fatal {
             Some(e) => Err(e),
-            None => Ok(st.slices),
+            None => Ok(table.report),
         }
     }
 }
 
-/// State the worker threads coordinate through, behind one mutex.
-struct ThreadState {
+/// The slot table: all scheduler state, behind one mutex for the length
+/// of a run.
+#[derive(Default)]
+struct Table {
     /// Sessions in admission order; `None` marks one checked out by a
-    /// worker (it is always returned to the same slot).
+    /// loop thread (it is always returned to the same slot).
     slots: Vec<Option<Session>>,
-    /// Round-robin claim cursor.
+    /// Round-robin claim cursor: the next claim scans from here to the
+    /// end of the table, then wraps.
     cursor: usize,
-    /// Sessions currently checked out by workers.
+    /// Cursor passes still to start (`None`: run to completion).
+    passes_left: Option<u64>,
+    /// Sessions currently checked out.
     checked_out: usize,
-    /// Slices completed across all workers.
-    slices: u64,
-    /// Suspend-cost spend per tenant (SLA deadline derivation).
-    sla_spent: HashMap<String, f64>,
-    /// First fatal error; set once, stops every worker.
+    /// Estimated memory of the checked-out sessions.
+    held_mem: u64,
+    /// Checked-out sessions still waiting in `make_room` for a live slot;
+    /// every other checked-out session is live (or about to be).
+    claiming: usize,
+    /// Threads waiting in `make_room` for a live slot to come back.
+    starved: usize,
+    /// A thread is draining the admission queue.
+    draining: bool,
+    /// The run is over; every thread leaves the loop.
+    stopped: bool,
+    report: RoundReport,
+    /// First fatal error; set once, stops every thread.
     fatal: Option<StorageError>,
+    books: Books,
 }
 
-/// Shared context of one threaded run.
-struct ThreadShared<'a> {
-    db: &'a Arc<Database>,
-    registry: &'a SessionRegistry,
-    config: &'a ServerConfig,
-    state: Mutex<ThreadState>,
+impl Table {
+    fn live_in_table(&self) -> impl Iterator<Item = &Session> {
+        self.slots.iter().flatten().filter(|s| s.is_live())
+    }
+
+    /// Sessions holding in-memory state (or a slot reserved for it),
+    /// checked out or not.
+    fn live(&self) -> usize {
+        self.live_in_table().count() + self.checked_out - self.claiming
+    }
+
+    /// Estimated memory of the [`Table::live`] sessions.
+    fn live_mem(&self) -> u64 {
+        self.live_in_table().map(|s| s.est_mem).sum::<u64>() + self.held_mem
+    }
+
+    /// Check the session in slot `i` out of the table.
+    fn take(&mut self, i: usize) -> Session {
+        let s = self.slots[i].take().expect("slot scanned as occupied");
+        self.checked_out += 1;
+        self.held_mem += s.est_mem;
+        s
+    }
+
+    /// Return a checked-out session to its slot; from here its state
+    /// alone says whether it occupies a live slot.
+    fn put(&mut self, i: usize, s: Session) {
+        self.checked_out -= 1;
+        self.held_mem -= s.est_mem;
+        self.slots[i] = Some(s);
+    }
+
+    fn fail(&mut self, e: StorageError) {
+        self.fatal.get_or_insert(e);
+    }
+}
+
+type Guard<'g> = MutexGuard<'g, Table>;
+
+/// One run of the scheduling loop over the slot table.
+struct Sched<'a> {
+    env: &'a Env,
+    table: Mutex<Table>,
+    /// Signalled on every put-back and state change a waiter may need.
     cv: Condvar,
 }
 
-/// What one worker iteration did.
-#[derive(Default)]
-struct ThreadSliceReport {
-    slices: u64,
-}
+impl Sched<'_> {
+    fn lock(&self) -> Guard<'_> {
+        self.table
+            .lock()
+            .expect("a scheduler thread panicked holding the slot table")
+    }
 
-fn worker_loop(sh: &ThreadShared<'_>) {
-    loop {
-        let mut st = sh.state.lock().unwrap_or_else(|p| p.into_inner());
-        let (idx, mut session) = loop {
-            if st.fatal.is_some() {
-                drop(st);
-                sh.cv.notify_all();
-                return;
-            }
-            let n = st.slots.len();
-            let mut found = None;
-            for k in 0..n {
-                let i = (st.cursor + k) % n;
-                if st.slots[i].as_ref().is_some_and(|s| s.is_runnable()) {
-                    found = Some(i);
-                    break;
-                }
-            }
-            match found {
-                Some(i) => {
-                    st.cursor = (i + 1) % n;
-                    st.checked_out += 1;
-                    break (i, st.slots[i].take().expect("slot scanned as occupied"));
-                }
-                None if st.checked_out > 0 => {
-                    // A checked-out session may come back runnable (or its
-                    // return may end the run); wait for the next put-back.
-                    st = sh.cv.wait(st).unwrap_or_else(|p| p.into_inner());
-                }
-                None => {
-                    drop(st);
-                    sh.cv.notify_all();
-                    return;
-                }
-            }
-        };
-        drop(st);
+    fn wait<'g>(&self, t: Guard<'g>) -> Guard<'g> {
+        self.cv
+            .wait(t)
+            .expect("a scheduler thread panicked holding the slot table")
+    }
 
-        let outcome = threaded_slice(sh, &mut session);
-
-        let mut st = sh.state.lock().unwrap_or_else(|p| p.into_inner());
-        st.checked_out -= 1;
-        match outcome {
-            Ok(rep) => st.slices += rep.slices,
-            Err(e) => {
-                let halted = sh
-                    .db
-                    .disk()
-                    .fault_injector()
-                    .is_some_and(|fi| fi.halted());
-                if !halted && e.is_resource_pressure() {
-                    shed_under_pressure(sh, &mut st, &mut session, e);
-                } else if st.fatal.is_none() {
-                    st.fatal = Some(e);
+    /// The scheduling loop — the only one; see the module docs. Runs on
+    /// the caller's thread or on several at once; the table lock is held
+    /// only between the numbered steps, never across an LP solve, a
+    /// suspend, a resume or a slice.
+    fn run(&self) {
+        let mut t = self.lock();
+        loop {
+            let claimed;
+            (t, claimed) = self.claim(t);
+            let Some((idx, mut s)) = claimed else { break };
+            if !s.is_live() {
+                t.claiming += 1;
+                t = self.make_room(t, &mut s);
+                t.claiming -= 1;
+            }
+            // The session may have been shed while making room for itself.
+            if s.is_runnable() && t.fatal.is_none() {
+                t.books.peak_live = t.books.peak_live.max(t.live());
+                drop(t);
+                let outcome =
+                    activate_on(self.env, &mut s).and_then(|()| run_slice_on(self.env, &mut s));
+                if matches!(&outcome, Err(e) if e.is_resource_pressure()) {
+                    // Execution itself hit pressure (e.g. a spill write
+                    // over quota); the failed write leaves the live
+                    // operator state undefined.
+                    rollback_on(&self.env.db, &mut s);
+                }
+                t = self.lock();
+                match outcome {
+                    Ok(done) => {
+                        t.report.slices += 1;
+                        t.report.finished += u64::from(done);
+                    }
+                    Err(e) if e.is_resource_pressure() => {
+                        self.shed_lowest_priority(&mut t, &mut s, e)
+                    }
+                    Err(e) => t.fail(e),
                 }
             }
+            t.put(idx, s);
+            self.cv.notify_all();
         }
-        st.slots[idx] = Some(session);
-        drop(st);
-        sh.cv.notify_all();
+        drop(t);
+        self.cv.notify_all();
     }
-}
 
-/// One worker iteration over a checked-out session: activate, run one
-/// quantum, then park if other runnable sessions are waiting unclaimed.
-/// Pressure errors roll the session back before surfacing, so the caller
-/// only has to walk the shedding ladder.
-fn threaded_slice(sh: &ThreadShared<'_>, s: &mut Session) -> Result<ThreadSliceReport> {
-    let cx = SliceCtx {
-        db: sh.db,
-        registry: sh.registry,
-        config: sh.config,
-    };
-    let mut rep = ThreadSliceReport::default();
-    if !s.is_runnable() {
-        return Ok(rep);
-    }
-    activate_on(&cx, s)?;
-    let done = match run_slice_on(&cx, s) {
-        Ok(done) => done,
-        Err(e) => {
-            if e.is_resource_pressure()
-                && !cx.db.disk().fault_injector().is_some_and(|fi| fi.halted())
+    /// Step 1: claim the next runnable session in admission order, or
+    /// `None` when this thread should leave the loop. Running off the end
+    /// of the table ends a pass: queued admissions are re-priced and the
+    /// cursor wraps.
+    fn claim<'g>(&'g self, mut t: Guard<'g>) -> (Guard<'g>, Option<(usize, Session)>) {
+        loop {
+            if t.fatal.is_some() || t.stopped {
+                return (t, None);
+            }
+            if t.starved > 0 {
+                // A thread is waiting for a live slot: let it have the
+                // next session that comes back rather than re-claim it.
+                t = self.wait(t);
+                continue;
+            }
+            let next = (t.cursor..t.slots.len())
+                .find(|&i| t.slots[i].as_ref().is_some_and(Session::is_runnable));
+            if let Some(i) = next {
+                t.cursor = i + 1;
+                let s = t.take(i);
+                return (t, Some((i, s)));
+            }
+            if t.cursor == 0 && t.checked_out > 0 {
+                // A fresh pass found nothing, but a checked-out session
+                // may come back runnable (or its return may end the run).
+                t = self.wait(t);
+            } else if t.cursor > 0
+                || (self.env.config.admission.is_some() && !t.books.admission_queue.is_empty())
             {
-                rollback_on(cx.db, s);
+                // End of a pass. (A fresh pass that found nothing still
+                // owes queued admissions a re-pricing: the load they were
+                // waiting on may have drained since the last wrap.)
+                if t.passes_left == Some(0) {
+                    t.stopped = true;
+                    continue;
+                }
+                t.passes_left = t.passes_left.map(|p| p - 1);
+                t = self.drain_admission_queue(t);
+                t.cursor = 0;
+            } else {
+                t.stopped = true;
             }
-            return Err(e);
-        }
-    };
-    rep.slices = 1;
-    if done {
-        return Ok(rep);
-    }
-    // Park when demand exceeds worker supply: another runnable session
-    // sits unclaimed in the slot table, so this one suspends to free its
-    // memory. This is what makes preemption suspends genuinely
-    // concurrent — every worker whose slice expires under load parks at
-    // the same time.
-    let (waiting, deadline) = {
-        let st = sh.state.lock().unwrap_or_else(|p| p.into_inner());
-        let waiting = st.slots.iter().flatten().any(|o| o.is_runnable());
-        let deadline = sh.config.sla.as_ref().map(|sla| {
-            let spent = st.sla_spent.get(&s.meta.tenant).copied().unwrap_or(0.0);
-            (sla.budget_for(&s.meta.tenant) - spent).max(0.0)
-        });
-        (waiting, deadline)
-    };
-    if !waiting {
-        return Ok(rep); // keep live: nobody needs the memory
-    }
-    let est = match &s.state {
-        SessionState::Live(exec) => {
-            SuspendOptimizer::victim_signal(&exec.suspend_problem(), &exec.ctx().graph)
-        }
-        _ => 0.0,
-    };
-    let out = preempt_on(&cx, s, est, "quantum expiry", deadline);
-    // The park is the scheduler's own decision; its ladder fallback cost
-    // lands on the parked session's decision row.
-    if out.fallback_cost != 0.0 {
-        s.fairness.preempt_fallback_cost += out.fallback_cost;
-    }
-    if deadline.is_some() && !matches!(out.committed, Some((Rung::Requested, _))) {
-        s.fairness.sla_misses += 1;
-    }
-    if let Some((_, est_suspend)) = out.committed {
-        if sh.config.sla.is_some() {
-            let mut st = sh.state.lock().unwrap_or_else(|p| p.into_inner());
-            *st.sla_spent.entry(s.meta.tenant.clone()).or_insert(0.0) += est_suspend;
         }
     }
-    out.result?;
-    Ok(rep)
-}
 
-/// Threaded counterpart of the serial shedding ladder: shed the
-/// lowest-priority runnable session among the parked slots and the
-/// session in hand (sessions checked out by *other* workers cannot be
-/// shed — they come back through their own error paths). With nothing to
-/// shed, the pressure error becomes fatal.
-fn shed_under_pressure(
-    sh: &ThreadShared<'_>,
-    st: &mut ThreadState,
-    held: &mut Session,
-    e: StorageError,
-) {
-    let reason = format!("pressure: {e}");
-    let slot_victim = st
-        .slots
-        .iter()
-        .enumerate()
-        .filter_map(|(i, o)| o.as_ref().filter(|s| s.is_runnable()).map(|s| (i, s)))
-        .min_by_key(|(_, s)| (s.meta.priority, std::cmp::Reverse(s.meta.id)))
-        .map(|(i, s)| (i, (s.meta.priority, std::cmp::Reverse(s.meta.id))));
-    let held_key = held
-        .is_runnable()
-        .then_some((held.meta.priority, std::cmp::Reverse(held.meta.id)));
-    let use_held = match (&slot_victim, &held_key) {
-        (Some((_, sk)), Some(hk)) => hk < sk,
-        (None, Some(_)) => true,
-        _ => false,
-    };
-    let victim: Option<&mut Session> = if use_held {
-        Some(held)
-    } else {
-        slot_victim.and_then(|(i, _)| st.slots[i].as_mut())
-    };
-    let Some(v) = victim else {
-        if st.fatal.is_none() {
-            st.fatal = Some(e);
+    /// Check out every live session nobody has claimed and price each one
+    /// — `victim_signal`, an LP solve — with the table unlocked. The
+    /// caller puts them back.
+    fn price_live<'g>(&'g self, mut t: Guard<'g>) -> (Guard<'g>, Vec<(usize, Session, f64)>) {
+        let live: Vec<usize> = (0..t.slots.len())
+            .filter(|&i| t.slots[i].as_ref().is_some_and(Session::is_live))
+            .collect();
+        if live.is_empty() {
+            // Keep the lock: a caller about to wait for a put-back must
+            // not miss one between an unlock here and its wait.
+            return (t, Vec::new());
         }
-        return;
-    };
-    let id = v.id();
-    let priority = v.meta.priority;
-    v.state = SessionState::Shed;
-    v.collected.clear();
-    sh.db.ledger().trace(|| TraceEvent::Shed {
-        session: id.0,
-        priority,
-        reason: reason.clone(),
-    });
-    if let Err(re) = sh.registry.remove(id) {
-        if st.fatal.is_none() {
-            st.fatal = Some(re);
+        let held: Vec<(usize, Session)> = live.into_iter().map(|i| (i, t.take(i))).collect();
+        drop(t);
+        let priced = held
+            .into_iter()
+            .map(|(i, s)| {
+                let cost = s.victim_signal();
+                (i, s, cost)
+            })
+            .collect();
+        (self.lock(), priced)
+    }
+
+    /// Step 2, the park decision — the only one: while every live slot is
+    /// taken, suspend the unclaimed live session that is cheapest to
+    /// suspend (ties toward the earlier admission) to make room for `s`.
+    /// Ladder fallback I/O of the preemption is charged to `s`, the
+    /// session whose activation demanded the slot. A victim whose suspend
+    /// exhausts the ladder walks the shedding ladder instead — which may
+    /// shed `s` itself.
+    fn make_room<'g>(&'g self, mut t: Guard<'g>, s: &mut Session) -> Guard<'g> {
+        let config = &self.env.config;
+        while s.is_runnable() && t.fatal.is_none() && t.live() >= config.max_live.max(1) {
+            let priced;
+            (t, priced) = self.price_live(t);
+            let mut cheapest: Option<(usize, Session, f64)> = None;
+            for (i, o, cost) in priced {
+                match &cheapest {
+                    Some((_, _, c)) if *c <= cost => t.put(i, o),
+                    _ => {
+                        if let Some((j, dearer, _)) = cheapest.replace((i, o, cost)) {
+                            t.put(j, dearer);
+                        }
+                    }
+                }
+            }
+            self.cv.notify_all();
+            let Some((vidx, mut victim, cost)) = cheapest else {
+                // Every live session is claimed by another thread: wait
+                // for one to come back, holding new claims off meanwhile.
+                t.starved += 1;
+                t = self.wait(t);
+                t.starved -= 1;
+                self.cv.notify_all();
+                continue;
+            };
+            let deadline = t.books.sla_deadline(config, &victim.meta.tenant);
+            drop(t);
+            let out = preempt_on(self.env, &mut victim, cost, deadline);
+            t = self.lock();
+            s.fairness.preempt_fallback_cost += out.fallback_cost;
+            if deadline.is_some() {
+                t.books
+                    .sla_spend(&mut victim, out.committed.as_ref().ok().copied());
+            }
+            t.put(vidx, victim);
+            self.cv.notify_all();
+            match out.committed {
+                Ok(_) => t.report.preemptions += 1,
+                Err(e) if e.is_resource_pressure() => self.shed_lowest_priority(&mut t, s, e),
+                Err(e) => t.fail(e),
+            }
         }
+        t
+    }
+
+    /// Server-level degradation ladder — the only shedding path: pressure
+    /// `e` defeated a victim's suspend ladder or a slice, so shed the
+    /// lowest-priority runnable session (ties toward the younger) among
+    /// the table and the session in hand, via clean abort: drop its
+    /// execution state, discard its output, retire its registry entries
+    /// and run files. Sessions claimed by other threads cannot be shed —
+    /// they come back through their own error paths. With nothing left to
+    /// shed, the pressure error is fatal.
+    fn shed_lowest_priority(&self, t: &mut Table, held: &mut Session, e: StorageError) {
+        t.report.shed += 1;
+        let victim = t
+            .slots
+            .iter_mut()
+            .flatten()
+            .chain(std::iter::once(held))
+            .filter(|s| s.is_runnable())
+            .min_by_key(|s| (s.meta.priority, std::cmp::Reverse(s.meta.id)));
+        let Some(v) = victim else {
+            return t.fail(e);
+        };
+        v.drop_exec(SessionState::Shed);
+        v.collected.clear();
+        self.env.db.ledger().trace(|| TraceEvent::Shed {
+            session: v.meta.id,
+            priority: v.meta.priority,
+            reason: format!("pressure: {e}"),
+        });
+        if let Err(e) = retire_on(self.env, v) {
+            t.fail(e);
+        }
+    }
+
+    /// Re-price queued admissions FIFO as load drains — at every cursor
+    /// wrap — admitting every affordable head-of-line entry to the end of
+    /// the table. An entry that can never be admitted — nothing is live
+    /// and it still does not fit the budget — is dropped (with a
+    /// rejection trace) rather than blocking the queue forever.
+    fn drain_admission_queue<'g>(&'g self, mut t: Guard<'g>) -> Guard<'g> {
+        let Some(adm) = &self.env.config.admission else {
+            return t;
+        };
+        if std::mem::replace(&mut t.draining, true) {
+            return t;
+        }
+        while let Some((_, _, spec)) = t.books.admission_queue.front() {
+            let demand = spec.estimated_mem_tuples();
+            let priced;
+            (t, priced) = self.price_live(t);
+            let victims: Vec<(f64, u64)> = priced.iter().map(|(_, s, c)| (*c, s.est_mem)).collect();
+            for (i, s, _) in priced {
+                t.put(i, s);
+            }
+            self.cv.notify_all();
+            let free = adm.memory_budget.saturating_sub(t.live_mem());
+            let price = admission_price(demand, free, &victims);
+            let affordable = price.is_some_and(|p| p <= adm.max_price);
+            if !affordable && t.live() > 0 {
+                break; // head-of-line waits for load to drain
+            }
+            let (tenant, priority, spec) =
+                t.books.admission_queue.pop_front().expect("front checked");
+            if affordable {
+                match admit_on(self.env, &mut t.books.next_id, &tenant, priority, &spec) {
+                    Ok(s) => t.slots.push(Some(s)),
+                    Err(e) => {
+                        t.fail(e);
+                        break;
+                    }
+                }
+            } else {
+                // Even an idle server cannot fit it: unadmittable.
+                self.env.db.ledger().trace(|| TraceEvent::AdmissionReject {
+                    tenant,
+                    est_mem: demand,
+                    price: price.unwrap_or(f64::INFINITY),
+                    queued: false,
+                });
+            }
+        }
+        t.draining = false;
+        t
     }
 }

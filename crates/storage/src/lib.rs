@@ -70,7 +70,7 @@ pub use heap::{HeapCursor, HeapFile, PageRun, TupleAddr};
 pub use index::{IndexBuilder, IndexMeta, SortedIndex};
 pub use page::{pages_for_bytes, Page, PAGE_SIZE};
 pub use pagecol::{PageColumns, RawColumn};
-pub use run::{RunHandle, RunReader, RunWriter};
+pub use run::{delete_run, RunHandle, RunReader, RunWriter};
 pub use schema::{Column, Schema};
 pub use trace::{install_env_tracer, record_json, TraceEvent, TraceRecord, Tracer};
 pub use tuple::Tuple;

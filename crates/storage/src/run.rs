@@ -77,6 +77,11 @@ impl RunWriter {
         })
     }
 
+    /// The run's backing file.
+    pub fn file_id(&self) -> FileId {
+        self.heap.file_id()
+    }
+
     /// Append one tuple.
     pub fn append(&mut self, tuple: &Tuple) -> Result<()> {
         self.heap.append(tuple)
@@ -174,10 +179,10 @@ impl RunReader {
     }
 }
 
-/// Delete a sealed run's backing file (used when an operator's
-/// disk-resident state is finally garbage).
-pub fn delete_run(pool: &BufferPool, handle: RunHandle) -> Result<()> {
-    pool.delete_file(handle.file)
+/// Delete a run's backing file (used when an operator's disk-resident
+/// state is finally garbage: the owning query finished or was shed).
+pub fn delete_run(pool: &BufferPool, file: FileId) -> Result<()> {
+    pool.delete_file(file)
 }
 
 #[cfg(test)]
@@ -307,7 +312,7 @@ mod tests {
         let mut w = RunWriter::create(dm.clone()).unwrap();
         w.append(&tup(1)).unwrap();
         let h = w.finish().unwrap();
-        delete_run(&dm, h).unwrap();
+        delete_run(&dm, h.file).unwrap();
         let mut r = RunReader::open(dm, h);
         assert!(r.next().is_err());
     }

@@ -145,6 +145,26 @@ pub fn cases() -> Vec<OracleCase> {
             },
         },
         OracleCase {
+            // A stateful parent over the hybrid join: the sort's contract
+            // on the join is signed once, then the join emits inline
+            // partition-0 matches all through its probe phase — the
+            // window where a dump of the join's current state cannot
+            // regenerate what the sort would redo.
+            name: "sort-over-hybrid-join",
+            plan: PlanSpec::Sort {
+                input: Box::new(PlanSpec::HashJoin {
+                    build: scan("ob"),
+                    probe: scan("oa"),
+                    build_key: 0,
+                    probe_key: 0,
+                    partitions: 3,
+                    hybrid: true,
+                }),
+                key: 0,
+                buffer_tuples: 64,
+            },
+        },
+        OracleCase {
             name: "hash-agg",
             plan: PlanSpec::HashAgg {
                 input: scan("oa"),

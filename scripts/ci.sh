@@ -50,18 +50,29 @@ rm -rf "$QSR_TRACE_DIR"
 cargo test --release -q --test trace_invariants \
     tracer_installed_is_ledger_bit_identical
 
-# Scheduler smoke: the multi-session preemptive server. Three concurrent
-# sessions over one live slot (every activation forces a pressure
-# preemption of the MIP-cheapest victim), the fault matrix injecting
-# crash/torn/NoSpace at every write ordinal of a preemption with full
-# registry recovery after each halting fault (tests/server_matrix.rs),
-# the server binary end-to-end, and the session-count sweep bench
-# writing BENCH_pr6.json (throughput + p95 resume latency in ledger
-# units).
+# Scheduler stage: the multi-session preemptive server — one scheduling
+# loop, run inline (--workers 0) or on threads. The server matrix covers
+# both: three sessions over one live slot (every activation preempts the
+# MIP-cheapest victim), crash/torn/NoSpace at every write ordinal of a
+# preemption with full registry recovery after each halting fault, the
+# seeded threaded stress lane and the crash mid-concurrent-suspend,
+# SLA-budget rung forcing, admission reject/queue/drain in both modes,
+# the strict max_live ceiling, workers=1 == workers=0 equivalence, and
+# spill reclaim. Then the orphan-blob sweep for torn remote puts, the
+# server binary end-to-end in both modes, the session-count sweep
+# (BENCH_pr6.json: throughput + p95 resume latency in ledger units) and
+# the worker sweep (BENCH_pr10.json: workers=0 ledger bit-identity
+# across runs, wall-clock throughput, per-tenant p50/p95 slice latency,
+# SLA-miss rate for workers in {0,1,2,4}).
 cargo test --release -q --test server_matrix
-cargo run --release -q -p qsr-server --bin qsr-server -- \
-    --sessions 3 --quantum 1500 --max-live 1
+cargo test --release -q --test delta_retention \
+    torn_remote_put_orphans_are_swept_and_resume_survives
+for workers in 0 2; do
+    cargo run --release -q -p qsr-server --bin qsr-server -- \
+        --sessions 3 --quantum 1500 --max-live 1 --workers "$workers"
+done
 cargo run --release -p qsr-bench --bin bench_pr6
+cargo run --release -p qsr-bench --bin bench_pr10
 
 # Vectorization stage: the batch execution path. A deliberately awkward
 # batch size (48, straddling page boundaries) re-runs the end-to-end and
@@ -97,29 +108,12 @@ cargo test --release -q --test oracle_sweep backend_delta_retention_chains
 cargo test --release -q -p qsr-storage --test env_knobs
 cargo run --release -p qsr-bench --bin bench_pr9
 
-# Concurrency stage: true threaded quantum slices. The seeded stress
-# lane (sessions x workers {2,4} x backend x delta, goldens delivered
-# exactly once with concurrent parking forced), the crash injected
-# mid-concurrent-suspend with registry recovery, SLA-budget rung
-# forcing with per-tenant miss accounting, admission-control
-# reject/queue/drain, and the orphan-blob sweep for torn remote puts.
-# The server binary then runs end-to-end with two slice threads, and
-# the worker-sweep bench pins workers=0 ledger bit-identity across
-# runs and writes BENCH_pr10.json (wall-clock throughput, per-tenant
-# p50/p95 slice latency, SLA-miss rate for workers in {0,1,2,4}).
-cargo test --release -q --test server_matrix \
-    threaded_stress_lane_delivers_goldens_exactly_once
-cargo test --release -q --test server_matrix \
-    crash_mid_concurrent_suspend_leaves_registry_recoverable
-cargo test --release -q --test server_matrix \
-    sla_budgets_force_cheaper_rungs_and_count_misses
-cargo test --release -q --test server_matrix \
-    admission_control_rejects_queues_and_drains
-cargo test --release -q --test delta_retention \
-    torn_remote_put_orphans_are_swept_and_resume_survives
-cargo run --release -q -p qsr-server --bin qsr-server -- \
-    --sessions 3 --quantum 1500 --max-live 1 --workers 2
-cargo run --release -p qsr-bench --bin bench_pr10
+# Repo benchmark (read-only use): the standalone benchmark crate
+# path-depends on the engine crates' public API and nothing above builds
+# it, so run its unit tests and a 1/10-size pass of the whole harness
+# (two sets, every workload, traced and untraced).
+cargo test -q --manifest-path benchmark/Cargo.toml
+bash benchmark/repeat.sh --smoke
 
 # Nightly lane (opt-in: QSR_NIGHTLY=1). The full-corpus oracle matrix —
 # every scenario x config x batch combination at stride cfg.stride,

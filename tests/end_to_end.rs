@@ -369,3 +369,55 @@ fn resume_without_persisted_graph_reforms_gradually() {
     all.extend(p4);
     assert_eq!(all, expected, "h3_used={h3_used}");
 }
+
+/// Spill reclaim: every run file a finished query's operators created —
+/// sort sublists and merge-pass outputs, grace-join partitions at every
+/// recursion level, aggregate partitions — is deleted when the plan
+/// reaches `Done`, so the disk footprint returns to its pre-query value.
+#[test]
+fn finished_queries_reclaim_their_spill_files() {
+    let (_d, db) = setup("reclaim");
+    let scan = |t: &str| Box::new(PlanSpec::TableScan { table: t.into() });
+    let plans = [
+        PlanSpec::MemoryBudget {
+            input: Box::new(PlanSpec::Sort {
+                input: scan("r"),
+                key: 0,
+                buffer_tuples: 300,
+            }),
+            mem_budget: 0,
+            merge_fanin: 3,
+        },
+        PlanSpec::MemoryBudget {
+            input: Box::new(PlanSpec::HashJoin {
+                build: scan("s"),
+                probe: scan("r"),
+                build_key: 0,
+                probe_key: 0,
+                partitions: 3,
+                hybrid: false,
+            }),
+            mem_budget: 40,
+            merge_fanin: 0,
+        },
+        PlanSpec::HashAgg {
+            input: scan("r"),
+            group_col: 1,
+            agg_col: 0,
+            func: AggFn::Count,
+            partitions: 4,
+        },
+    ];
+    db.pool().flush_all().unwrap();
+    let before = db.disk().used_bytes();
+    for plan in plans {
+        let mut exec = QueryExecution::start(db.clone(), plan).unwrap();
+        let out = exec.run_to_completion().unwrap();
+        assert!(!out.is_empty());
+        assert_eq!(
+            db.disk().used_bytes(),
+            before,
+            "a finished query must leave no spill file behind"
+        );
+    }
+}

@@ -473,9 +473,11 @@ fn nightly() -> bool {
 }
 
 /// A server with `n` sessions (cycling the three plan shapes) over the
-/// given backend, worker count, and delta setting — the threaded stress
-/// lane's parameterized builder. The backend installs before any
-/// admission so registry sidecars and suspend state share one store.
+/// given backend, worker count, and delta setting, with one live slot per
+/// worker — the threaded stress lane's parameterized builder: more
+/// sessions than `max_live = workers` keeps every worker preempting, so
+/// suspends of different victims overlap. The backend installs before
+/// any admission so registry sidecars and suspend state share one store.
 fn build_server_mt(
     tag: &str,
     n: usize,
@@ -490,6 +492,7 @@ fn build_server_mt(
     db.install_backend(backend);
     let mut cfg = config();
     cfg.workers = workers;
+    cfg.max_live = workers;
     cfg.options.delta = Some(delta);
     let mut server = QsrServer::new(db.clone(), cfg);
     let all = plans();
@@ -502,8 +505,9 @@ fn build_server_mt(
     (dir, db, server)
 }
 
-/// The seeded multi-threaded stress lane: N sessions × workers {2,4} ×
-/// backend {local,memory} × delta {off,on}. Threaded schedules interleave
+/// The seeded multi-threaded stress lane: workers {2,4} (and as many live
+/// slots, and more sessions than that) × backend {local,memory} × delta
+/// {off,on}. Threaded schedules interleave
 /// suspends, resumes, and ladder descents arbitrarily, so the invariant
 /// is output equality: every session must deliver its uninterrupted
 /// golden bit-exactly, exactly once, with suspends matched by resumes.
@@ -511,8 +515,8 @@ fn build_server_mt(
 fn threaded_stress_lane_delivers_goldens_exactly_once() {
     let goldens = goldens();
     let reps = if nightly() { 3 } else { 1 };
-    let sessions = if nightly() { 6 } else { 4 };
     for workers in [2usize, 4] {
+        let sessions = workers + if nightly() { 4 } else { 2 };
         for backend in [BackendKind::Local, BackendKind::Memory] {
             for delta in [false, true] {
                 for rep in 0..reps {
@@ -546,7 +550,7 @@ fn threaded_stress_lane_delivers_goldens_exactly_once() {
                     }
                     assert!(
                         preempted > 0,
-                        "{what}: more sessions than workers must force concurrent parking"
+                        "{what}: more sessions than live slots must force concurrent parking"
                     );
                 }
             }
@@ -554,8 +558,8 @@ fn threaded_stress_lane_delivers_goldens_exactly_once() {
     }
 }
 
-/// Crash injected mid-concurrent-suspend: with two workers parking
-/// sessions simultaneously, a halting fault at an arbitrary interleaved
+/// Crash injected mid-concurrent-suspend: with two workers (and two live
+/// slots for four sessions) parking sessions simultaneously, a halting fault at an arbitrary interleaved
 /// write ordinal must still leave every session's manifest with exactly
 /// one valid generation, the registry recoverable, and post-recovery
 /// output an exact golden suffix (the exactly-once watermark).
@@ -880,3 +884,207 @@ fn sla_budgets_force_cheaper_rungs_and_count_misses() {
     );
 }
 
+/// Collect `(session, est_suspend_cost, reason)` of every preemption, in
+/// journal order.
+fn preempts(tracer: &Tracer) -> Vec<(u64, f64, String)> {
+    tracer
+        .take_full()
+        .into_iter()
+        .filter_map(|rec| match rec.event {
+            TraceEvent::Preempt { session, est_suspend_cost, reason } => {
+                Some((session, est_suspend_cost, reason))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The three-session mix over `max_live` slots and `workers` threads,
+/// with a full-capture tracer attached.
+fn build_traced(
+    tag: &str,
+    max_live: usize,
+    workers: usize,
+) -> (TempDir, Arc<Database>, QsrServer, Arc<Tracer>) {
+    let (dir, db, mut server) = build_server(tag);
+    let tracer = Arc::new(Tracer::new(db.ledger().clone()));
+    tracer.enable_full_capture();
+    db.install_tracer(Some(tracer.clone()));
+    server.config_mut().max_live = max_live;
+    server.config_mut().workers = workers;
+    (dir, db, server, tracer)
+}
+
+/// One policy, both modes: with more live slots than workers the threaded
+/// run must park the *cheapest* live victim when a claim needs a slot —
+/// not whichever session's quantum just expired. After one slice each,
+/// the mid-flight sort (session 1) prices above the block-NLJ (session
+/// 2); session 3's activation must therefore displace session 2, exactly
+/// as the serial loop does.
+#[test]
+fn threaded_run_parks_the_cheapest_victim() {
+    let goldens = goldens();
+    // The sort's mid-flight signal after one slice: what the one-slot
+    // serial run pays to park it first.
+    let (_d, _db, mut one_slot, one_slot_trace) = build_traced("victim-pin", 1, 0);
+    one_slot.run_round().unwrap();
+    let (pinned, sort_cost, _) = preempts(&one_slot_trace)[0].clone();
+    assert_eq!(pinned, 1);
+
+    let (_d0, _db0, mut serial, serial_trace) = build_traced("victim-serial", 2, 0);
+    serial.run_to_completion().unwrap();
+    let want = preempts(&serial_trace);
+    let (first, first_cost, _) = want[0].clone();
+    assert_eq!(first, 2, "the block-NLJ is the cheapest first victim");
+    assert!(
+        first_cost < sort_cost,
+        "the victim signal must separate the two candidates ({first_cost} vs {sort_cost})"
+    );
+
+    let (_d1, _db1, mut threaded, trace) = build_traced("victim-threaded", 2, 1);
+    threaded.run_to_completion().unwrap();
+    let got = preempts(&trace);
+    assert_eq!(
+        got, want,
+        "workers=1 must choose the same victims, at the same prices, for the same reason"
+    );
+    assert!(got.iter().all(|(.., reason)| reason == "live-slot pressure"));
+    for (i, s) in threaded.sessions().iter().enumerate() {
+        assert_eq!(s.collected, goldens[i]);
+    }
+}
+
+/// `max_live` is a strict ceiling whatever the worker count: with fewer
+/// slots than workers the surplus workers wait, and sessions still
+/// alternate through the suspend path instead of both staying live.
+#[test]
+fn threaded_live_sessions_never_exceed_max_live() {
+    let goldens = goldens();
+    for (max_live, workers, sessions) in [(1usize, 2usize, 2usize), (2, 4, 6)] {
+        let what = format!("max_live={max_live} workers={workers} sessions={sessions}");
+        let (_dir, _db, mut server) =
+            build_server_mt(&format!("ceiling-{max_live}"), sessions, BackendKind::Local, workers, false);
+        server.config_mut().max_live = max_live;
+        server.run_to_completion().unwrap();
+        assert!(
+            server.peak_live() <= max_live,
+            "{what}: {} sessions were live at once",
+            server.peak_live()
+        );
+        let mut preempted = 0;
+        for (i, s) in server.sessions().iter().enumerate() {
+            assert!(s.is_finished(), "{what}: session {} must finish", i + 1);
+            assert_eq!(s.collected, goldens[i % 3], "{what}: session {}", i + 1);
+            preempted += s.fairness.suspends;
+        }
+        assert!(
+            preempted > 0,
+            "{what}: sharing fewer slots than sessions must go through the suspend path"
+        );
+    }
+}
+
+/// A session parked on the admission queue is re-priced every time the
+/// cursor wraps — also under worker threads — so it is admitted once the
+/// incumbent finishes, and runs to its golden.
+#[test]
+fn queued_admission_is_admitted_under_threads() {
+    let goldens = goldens();
+    let dir = TempDir::new("admit-mt");
+    let db = Database::open_with_pool(&dir.0, CostModel::default(), 0).unwrap();
+    populate(&db);
+    db.pool().flush_all().unwrap();
+    let mut server = QsrServer::new(db.clone(), config());
+    server.admit("tenant-a", 5, &plans()[0]).unwrap();
+    // Bring the sort live mid-flight, then queue a newcomer whose memory
+    // only fits once the sort is gone.
+    server.run_round().unwrap();
+    server.config_mut().admission = Some(AdmissionConfig {
+        memory_budget: plans()[1].estimated_mem_tuples(),
+        max_price: 0.0,
+        queue: true,
+    });
+    assert_eq!(
+        server.try_admit("tenant-c", 1, &plans()[1]).unwrap(),
+        Admission::Queued
+    );
+    server.config_mut().workers = 2;
+    server.run_to_completion().unwrap();
+    assert_eq!(server.queued_admissions(), 0, "the queue must drain");
+    let late = server
+        .sessions()
+        .iter()
+        .find(|s| s.meta.tenant == "tenant-c")
+        .expect("the queued session must be admitted once load drains");
+    assert!(late.is_finished());
+    assert_eq!(late.collected, goldens[1]);
+    assert_eq!(server.sessions()[0].collected, goldens[0]);
+}
+
+/// The equivalence behind "one loop": a single worker thread runs the
+/// very schedule the inline loop runs — byte-identical outputs, fairness
+/// counters and cost ledger (wall-clock slice times aside).
+#[test]
+fn one_worker_is_equivalent_to_the_inline_loop() {
+    let run = |workers: usize| {
+        let (_dir, db, mut server) = build_server(&format!("equiv-{workers}"));
+        server.config_mut().workers = workers;
+        server.config_mut().sla = Some(SlaConfig::uniform(0.5));
+        let slices = server.run_to_completion().unwrap();
+        let rows: Vec<_> = server
+            .sessions()
+            .iter()
+            .map(|s| {
+                let f = &s.fairness;
+                (
+                    (s.collected.clone(), s.is_finished(), s.is_shed()),
+                    (f.quanta, f.work_units, f.tuples, f.suspends, f.resumes),
+                    (f.resume_retries, f.sla_misses),
+                    (f.resume_cost.clone(), f.suspend_cost.clone()),
+                    (f.preempt_fallback_cost, f.resume_retry_cost),
+                )
+            })
+            .collect();
+        (slices, rows, db.ledger().snapshot())
+    };
+    let (inline_slices, inline_rows, inline_ledger) = run(0);
+    let (slices, rows, ledger) = run(1);
+    assert_eq!(slices, inline_slices);
+    assert_eq!(rows, inline_rows);
+    assert!(ledger == inline_ledger, "workers=1 must charge the inline loop's ledger");
+    assert!(
+        inline_rows.iter().any(|row| row.2 .1 > 0),
+        "the starved SLA budget must make the comparison cover misses"
+    );
+}
+
+/// Spill reclaim at the server: a session that was preempted (so its run
+/// files outlived one execution and were inherited by the next) and then
+/// finished leaves nothing behind — run files, dump blobs and suspend
+/// generations are all gone once its registry entries are retired.
+#[test]
+fn preempted_then_finished_session_reclaims_its_spill_files() {
+    let dir = TempDir::new("reclaim");
+    let db = Database::open_with_pool(&dir.0, CostModel::default(), 0).unwrap();
+    populate(&db);
+    db.pool().flush_all().unwrap();
+    let before = db.disk().used_bytes();
+    let mut server = QsrServer::new(db.clone(), ServerConfig { quantum: 400, ..config() });
+    let sort = PlanSpec::Sort {
+        input: Box::new(PlanSpec::TableScan { table: "r".into() }),
+        key: 0,
+        buffer_tuples: 100,
+    };
+    server.admit("tenant-a", 5, &sort).unwrap();
+    server.admit("tenant-b", 3, &plans()[2]).unwrap();
+    server.run_to_completion().unwrap();
+    for s in server.sessions() {
+        assert!(s.is_finished());
+        assert!(s.fairness.suspends > 0, "session {} was never preempted", s.meta.id);
+    }
+    assert_eq!(
+        db.disk().used_bytes(),
+        before,
+        "finished sessions must leave no run file, dump blob or generation behind"
+    );
+}
