@@ -146,20 +146,6 @@ impl Default for SuspendOptions {
     }
 }
 
-/// Parse a non-negative integer environment knob. Unset means `default`;
-/// set-but-unparsable is a hard error — a mistyped knob must not silently
-/// fall back to a different execution mode.
-fn env_usize(name: &str, default: usize) -> Result<usize> {
-    match std::env::var(name) {
-        Ok(v) => v.trim().parse::<usize>().map_err(|_| {
-            StorageError::invalid(format!(
-                "{name} must be a non-negative integer, got {v:?}"
-            ))
-        }),
-        Err(_) => Ok(default),
-    }
-}
-
 /// One rung of the suspend degradation ladder, in descending order of
 /// plan quality: the requested policy, the LP-rounded heuristic, the
 /// all-DumpState strawman, the all-GoBack minimum. Each rung is
@@ -260,7 +246,7 @@ impl QueryExecution {
             topology: built.topology,
             tuples_emitted: 0,
             finished: false,
-            batch_size: env_usize("QSR_BATCH_SIZE", 0)?,
+            batch_size: env_parse("QSR_BATCH_SIZE").unwrap_or(0),
             manifest_name: SUSPEND_MANIFEST.to_string(),
         };
         exec.root.open(&mut exec.ctx)?;
@@ -278,7 +264,7 @@ impl QueryExecution {
             topology: built.topology,
             tuples_emitted: 0,
             finished: false,
-            batch_size: env_usize("QSR_BATCH_SIZE", 0)?,
+            batch_size: env_parse("QSR_BATCH_SIZE").unwrap_or(0),
             manifest_name: SUSPEND_MANIFEST.to_string(),
         };
         exec.ctx.checkpoints_enabled = checkpoints;
@@ -1211,7 +1197,7 @@ impl QueryExecution {
         db: Arc<Database>,
         name: &str,
     ) -> std::result::Result<Option<Self>, ResumeError> {
-        let workers = env_usize("QSR_RESUME_WORKERS", 0).map_err(ResumeError::Storage)?;
+        let workers = env_parse("QSR_RESUME_WORKERS").unwrap_or(0);
         Self::recover_named_with(db, name, workers)
     }
 
@@ -1421,7 +1407,7 @@ impl QueryExecution {
             topology: built.topology,
             tuples_emitted: sq.tuples_emitted,
             finished: false,
-            batch_size: env_usize("QSR_BATCH_SIZE", 0)?,
+            batch_size: env_parse("QSR_BATCH_SIZE").unwrap_or(0),
             manifest_name: SUSPEND_MANIFEST.to_string(),
         };
         let resumed = exec.root.resume(&mut exec.ctx, sq);

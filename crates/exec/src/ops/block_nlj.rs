@@ -37,7 +37,7 @@ use qsr_core::{
     SuspendPlan, SuspendedQuery,
 };
 use qsr_storage::{
-    Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple, TupleBlock,
+    Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple, TupleBlock, TupleSlice,
 };
 use std::collections::VecDeque;
 
@@ -330,7 +330,7 @@ impl Operator for BlockNlj {
         let strategy = plan.get(self.op);
         match (mode, strategy) {
             (SuspendMode::Current, Strategy::Dump) => {
-                let blob = ctx.put_dump_value(self.op, &BufferDump(self.buffer.clone()))?;
+                let blob = ctx.put_dump_value(self.op, &TupleSlice(&self.buffer))?;
                 sq.put_record(OpSuspendRecord {
                     op: self.op,
                     strategy,
@@ -395,7 +395,7 @@ impl Operator for BlockNlj {
                             target
                         };
                         let blob =
-                            ctx.put_dump_value(self.op, &BufferDump(self.buffer.clone()))?;
+                            ctx.put_dump_value(self.op, &TupleSlice(&self.buffer))?;
                         sq.put_record(OpSuspendRecord {
                             op: self.op,
                             strategy: strat,
@@ -448,7 +448,7 @@ impl Operator for BlockNlj {
         self.clear_buffer();
         match (&rec.strategy, &rec.heap_dump) {
             (Strategy::Dump, Some(blob)) => {
-                let BufferDump(tuples) = ctx.get_dump_value_for(self.op, *blob)?;
+                let TupleBlock(tuples) = ctx.get_dump_value_for(self.op, *blob)?;
                 for t in tuples {
                     self.push_buffer(t);
                 }
@@ -516,21 +516,5 @@ impl Operator for BlockNlj {
         f(self);
         self.outer.visit_mut(f);
         self.inner.visit_mut(f);
-    }
-}
-
-/// Heap-dump payload: the outer buffer, stored as a column-major
-/// [`TupleBlock`] (raw value runs, no per-tuple headers).
-struct BufferDump(Vec<Tuple>);
-
-impl Encode for BufferDump {
-    fn encode(&self, enc: &mut Encoder) {
-        TupleBlock(self.0.clone()).encode(enc);
-    }
-}
-
-impl Decode for BufferDump {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(BufferDump(TupleBlock::decode(dec)?.0))
     }
 }

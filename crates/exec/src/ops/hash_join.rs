@@ -1,12 +1,21 @@
 //! Partitioned hash join: simple (Grace) and hybrid variants (paper §4).
 //!
-//! **Simple hash join** runs in two phases. Phase 1 hashes each child into
-//! `P` on-disk partitions; the end of phase 1 is a *materialization point*
-//! — the partition runs are disk-resident state that survives suspension.
-//! Phase 2 loads one build partition into an in-memory table (the heap
-//! state) and streams the matching probe partition; minimal-heap-state
-//! points occur at partition boundaries, where proactive checkpoints are
-//! created.
+//! The join runs in three phases. **Build** and **probe** hash each child
+//! into `P` on-disk partition runs; the end of each is a *materialization
+//! point* — the sealed runs are disk-resident state that survives
+//! suspension. The **join phase** is a depth-first walk over partition
+//! *tasks*, each a matched (build run, probe run) pair: the top-level
+//! partitions in order (the `cur_part` cursor) and, ahead of them, the
+//! children a spilled task queued. A task that fits the memory budget
+//! loads its build run into the in-memory table (the heap state) and
+//! streams its probe run against it. An over-budget task is re-partitioned
+//! one level deeper under a level-salted hash or, at [`MAX_SPILL_DEPTH`] —
+//! duplicate-heavy keys never split — joined by block nested-loop in
+//! budget-sized build chunks. Every task end is a minimal-heap-state
+//! point, where a proactive checkpoint is created. A zero budget means no
+//! task is ever over budget (as a zero `merge_fanin` never forces a merge
+//! pass in `sort.rs`): the walk visits the top-level partitions and
+//! nothing else.
 //!
 //! **Hybrid hash join** keeps partition 0 of the build side entirely in
 //! memory and probes it on the fly during the probe child's partitioning
@@ -15,9 +24,9 @@
 //! beginning of the phase with respect to the build relation; the probe
 //! relation still benefits from the materialization point.
 //!
-//! During the partitioning phases the operator produces nothing (simple
-//! variant), so incoming contracts migrate forward across phase
-//! boundaries like the sort's.
+//! During the partitioning phases (simple variant) and the spill stages
+//! the operator produces nothing, so incoming contracts migrate forward
+//! across phase and task boundaries like the sort's.
 
 use crate::context::ExecContext;
 use crate::operator::{BatchPoll, Operator, Poll, SuspendMode};
@@ -27,22 +36,25 @@ use qsr_core::{
 };
 use qsr_storage::{
     Decode, Decoder, Encode, Encoder, Result, RunHandle, RunReader, RunWriter, Schema,
-    StorageError, Tuple, TupleAddr, TupleBlock,
+    StorageError, Tuple, TupleAddr, TupleBlock, TupleSlice,
 };
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 
 const PHASE_BUILD: u8 = 0;
 const PHASE_PROBE: u8 = 1;
-const PHASE_JOIN: u8 = 2;
 const PHASE_DONE: u8 = 3;
-/// Grace-mode join phase (`mem_budget > 0`): a work queue of partition
-/// tasks replaces the linear partition scan so over-budget partitions can
-/// be recursively re-partitioned.
+/// The join phase: the depth-first walk over partition tasks.
+const PHASE_TASKS: u8 = 5;
+/// Retired join-phase bytes, still decoded (see [`HjControl::decode`]):
+/// the linear partition scan budget-less joins ran, and the task queue
+/// that was seeded with every top-level partition up front.
+const PHASE_JOIN: u8 = 2;
 const PHASE_GRACE: u8 = 4;
 
-/// Grace task stages. `TS_JOIN` and `TS_NLJ` emit output; the spill
-/// stages only move tuples between runs (no output, so checkpoints and
-/// contract migration behave like the partitioning phases).
+/// Task stages. `TS_JOIN` and `TS_NLJ` emit output; the spill stages only
+/// move tuples between runs (no output, so checkpoints and contract
+/// migration behave like the partitioning phases).
 const TS_JOIN: u8 = 0;
 const TS_SPILL_BUILD: u8 = 1;
 const TS_SPILL_PROBE: u8 = 2;
@@ -65,7 +77,7 @@ fn hash_partition_at(key: i64, level: u64, partitions: usize) -> usize {
     (salted.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) as usize % partitions
 }
 
-/// One node of the grace partition tree: a matched (build, probe) pair of
+/// One node of the partition tree: a matched (build, probe) pair of
 /// sealed runs awaiting join, spill, or NLJ fallback. `path` is the chain
 /// of partition indices from the root (display form `"2.0"`).
 #[derive(Debug, Clone, PartialEq)]
@@ -77,6 +89,15 @@ struct PartTask {
 }
 
 impl PartTask {
+    fn top_level(part: usize, build: RunHandle, probe: RunHandle) -> Self {
+        PartTask {
+            level: 0,
+            path: vec![part as u32],
+            build,
+            probe,
+        }
+    }
+
     fn path_string(&self) -> String {
         let parts: Vec<String> = self.path.iter().map(u32::to_string).collect();
         parts.join(".")
@@ -115,9 +136,9 @@ impl Decode for PartTask {
     }
 }
 
-/// One step of the grace task machine (shared by `next` / `next_batch` so
-/// tick accounting — and therefore every suspend boundary — is identical
-/// in tuple and vectorized execution).
+/// One step of the task machine (shared by `next` / `next_batch` so tick
+/// accounting — and therefore every suspend boundary — is identical in
+/// tuple and vectorized execution).
 enum GraceStep {
     Emit(Tuple),
     Continue,
@@ -130,7 +151,8 @@ struct HjControl {
     /// Sealed (or in-progress, at suspend) partition runs per side.
     build_runs: Vec<RunHandle>,
     probe_runs: Vec<RunHandle>,
-    /// Join phase: current partition and probe cursor.
+    /// Join phase: the next top-level partition to start, and the probe
+    /// cursor of the task in flight.
     cur_part: u64,
     probe_addr: Option<TupleAddr>,
     cur_probe: Option<Tuple>,
@@ -139,10 +161,10 @@ struct HjControl {
     probe_done: bool,
     build_consumed: u64,
     probe_consumed: u64,
-    /// Grace mode: pending tasks (popped from the back), the in-flight
-    /// task and its stage, sealed child runs of an in-progress spill, the
-    /// re-partition read cursor, and the NLJ block cursor (current block
-    /// start and the precomputed next-block start).
+    /// Join phase: queued spill children (popped from the back), the
+    /// in-flight task and its stage, sealed child runs of an in-progress
+    /// spill, the re-partition read cursor, and the NLJ block cursor
+    /// (current block start and the precomputed next-block start).
     tasks: Vec<PartTask>,
     cur_task: Option<PartTask>,
     stage: u8,
@@ -153,6 +175,18 @@ struct HjControl {
     nlj_addr: Option<TupleAddr>,
     nlj_next_pos: u64,
     nlj_next_addr: Option<TupleAddr>,
+}
+
+impl HjControl {
+    /// Whether a resume can reposition straight onto this join-phase
+    /// state: a task boundary or an emitting stage is rebuildable from
+    /// sealed runs (bucket + probe position, §4). A mid-spill state would
+    /// reference unsealed child writers, so spill stages anchor at the
+    /// latest task-boundary checkpoint like the partitioning phases do.
+    fn repositions(&self) -> bool {
+        self.phase == PHASE_TASKS
+            && (self.cur_task.is_none() || matches!(self.stage, TS_JOIN | TS_NLJ))
+    }
 }
 
 impl Encode for HjControl {
@@ -183,7 +217,7 @@ impl Encode for HjControl {
 
 impl Decode for HjControl {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(HjControl {
+        let mut c = HjControl {
             phase: dec.get_u8()?,
             build_runs: dec.get_seq()?,
             probe_runs: dec.get_seq()?,
@@ -205,7 +239,34 @@ impl Decode for HjControl {
             nlj_addr: dec.get_option()?,
             nlj_next_pos: dec.get_u64()?,
             nlj_next_addr: dec.get_option()?,
-        })
+        };
+        // Records written under a retired join-phase byte map onto the
+        // task walk, so queries suspended by an older build still resume.
+        match c.phase {
+            // Linear scan: `cur_part` named the partition in flight (or
+            // next up — that scan loaded either on resume) and no task
+            // objects existed.
+            PHASE_JOIN => {
+                c.phase = PHASE_TASKS;
+                let part = c.cur_part as usize;
+                if let (Some(&build), Some(&probe)) =
+                    (c.build_runs.get(part), c.probe_runs.get(part))
+                {
+                    c.cur_task = Some(PartTask::top_level(part, build, probe));
+                    c.cur_part += 1;
+                }
+            }
+            // Seeded queue: the unstarted top-level partitions sat at the
+            // bottom of the queue and `cur_part` never moved.
+            PHASE_GRACE => {
+                c.phase = PHASE_TASKS;
+                let unstarted = c.tasks.iter().filter(|t| t.level == 0).count();
+                c.tasks.retain(|t| t.level > 0);
+                c.cur_part = c.build_runs.len().saturating_sub(unstarted) as u64;
+            }
+            _ => {}
+        }
+        Ok(c)
     }
 }
 
@@ -229,7 +290,7 @@ pub struct HashJoin {
     probe_done: bool,
 
     /// In-memory hash table: partition 0 during hybrid build/probe, or the
-    /// current partition during the join phase.
+    /// in-flight task's build run (or NLJ block) during the join phase.
     table: HashMap<i64, Vec<Tuple>>,
     heap_bytes: usize,
     cur_part: usize,
@@ -249,8 +310,8 @@ pub struct HashJoin {
     /// set, `next()` freezes (returns `Suspended`) upon reaching it.
     replay_stop: Option<(u64, u64)>,
 
-    /// Grace mode: per-partition build budget in tuples (0 = disabled,
-    /// bit-identical legacy join phase).
+    /// Per-task build budget in tuples (0 = unlimited: no task is ever
+    /// over budget).
     mem_budget: usize,
     tasks: Vec<PartTask>,
     cur_task: Option<PartTask>,
@@ -341,19 +402,13 @@ impl HashJoin {
         self
     }
 
-    /// Cap the in-memory build partition at `budget` tuples (0 disables):
-    /// over-budget partitions are recursively re-partitioned with a
-    /// level-salted hash up to [`MAX_SPILL_DEPTH`], then joined by block
-    /// nested-loop in `budget`-tuple build chunks.
+    /// Cap the in-memory build side of a partition task at `budget`
+    /// tuples (0 = unlimited): over-budget tasks are recursively
+    /// re-partitioned with a level-salted hash up to [`MAX_SPILL_DEPTH`],
+    /// then joined by block nested-loop in `budget`-tuple build chunks.
     pub fn with_memory_budget(mut self, budget: usize) -> Self {
         self.mem_budget = budget;
         self
-    }
-
-    /// Stages that emit output; the spill stages do not, so they can go
-    /// back to their task-boundary checkpoint without re-emission.
-    fn grace_emitting(stage: u8) -> bool {
-        matches!(stage, TS_JOIN | TS_NLJ)
     }
 
     fn control(&self) -> HjControl {
@@ -411,7 +466,6 @@ impl HashJoin {
             }
         }
         ctx.graph.prune_for(self.op);
-        let _ = ck;
         Ok(())
     }
 
@@ -426,9 +480,44 @@ impl HashJoin {
         Ok(())
     }
 
+    fn append_to(writers: &mut [Option<RunWriter>], part: usize, t: &Tuple) -> Result<()> {
+        writers[part]
+            .as_mut()
+            .ok_or_else(|| StorageError::invalid("hash-join partition writer missing"))?
+            .append(t)
+    }
+
+    /// Reopen sealed partition runs as in-progress writers (a Dump resume
+    /// keeps appending where the suspend sealed them).
+    fn reopen_writers(
+        ctx: &ExecContext,
+        runs: &mut Vec<RunHandle>,
+    ) -> Result<Vec<Option<RunWriter>>> {
+        runs.drain(..)
+            .map(|h| RunWriter::reopen(ctx.db.pool().clone(), h).map(Some))
+            .collect()
+    }
+
     fn table_insert(&mut self, key: i64, t: Tuple) {
         self.heap_bytes += t.heap_bytes();
         self.table.entry(key).or_default().push(t);
+    }
+
+    /// Drop the in-memory table and the probe cursor over it.
+    fn clear_probe_state(&mut self) {
+        self.table.clear();
+        self.heap_bytes = 0;
+        self.probe_reader = None;
+        self.cur_probe = None;
+        self.cur_probe_addr = None;
+        self.match_idx = 0;
+    }
+
+    fn reset_nlj_cursor(&mut self) {
+        self.nlj_pos = 0;
+        self.nlj_addr = None;
+        self.nlj_next_pos = 0;
+        self.nlj_next_addr = None;
     }
 
     /// Seal in-progress partition writers into `runs`, in place. A writer
@@ -467,55 +556,89 @@ impl HashJoin {
         Ok(())
     }
 
-    fn load_build_partition(&mut self, ctx: &mut ExecContext, part: usize) -> Result<()> {
-        let handle = self.build_runs[part];
-        self.load_build_run(ctx, handle)
+    /// Route one build tuple: hybrid keeps partition 0 in the in-memory
+    /// table, everything else goes to its partition run.
+    fn partition_build(&mut self, ctx: &mut ExecContext, key: i64, t: Tuple) -> Result<()> {
+        ctx.tick(self.op);
+        self.build_consumed += 1;
+        let p = hash_partition(key, self.partitions);
+        if self.hybrid && p == 0 {
+            self.table_insert(key, t);
+            return Ok(());
+        }
+        Self::append_to(&mut self.build_writers, p, &t)
     }
 
-    /// Load a whole sealed run into the in-memory table.
-    fn load_build_run(&mut self, ctx: &mut ExecContext, handle: RunHandle) -> Result<()> {
-        self.table.clear();
-        self.heap_bytes = 0;
-        let mut r = RunReader::open(ctx.db.pool().clone(), handle);
-        while let Some(t) = r.next()? {
-            let key = t.get(self.build_key).as_int()?;
-            self.table_insert(key, t);
+    /// Route one probe tuple: a hybrid partition-0 tuple becomes the probe
+    /// cursor over the in-memory table (its matches are emitted inline),
+    /// everything else goes to its partition run.
+    fn partition_probe(&mut self, ctx: &mut ExecContext, key: i64, t: Tuple) -> Result<()> {
+        ctx.tick(self.op);
+        self.probe_consumed += 1;
+        let p = hash_partition(key, self.partitions);
+        if self.hybrid && p == 0 {
+            self.cur_probe = Some(t);
+            self.match_idx = 0;
+            return Ok(());
         }
-        ctx.note_page_reads(self.op, r.pages_fetched());
+        Self::append_to(&mut self.probe_writers, p, &t)
+    }
+
+    /// Build side exhausted. The phase boundary is a materialization
+    /// point with a checkpoint — but NOT for hybrid: its in-memory
+    /// partition-0 table means this is not a minimal-heap-state point
+    /// (the paper's §4 observation that hybrid can only dump or go back
+    /// to the beginning w.r.t. the build relation).
+    fn end_build(&mut self, ctx: &mut ExecContext) -> Result<()> {
+        self.build_done = true;
+        Self::seal_writers(ctx, self.op, &mut self.build_writers, &mut self.build_runs)?;
+        self.phase = PHASE_PROBE;
+        if !self.hybrid {
+            self.checkpoint(ctx, true)?;
+        }
         Ok(())
     }
 
-    /// Load the next NLJ build chunk (up to `mem_budget` tuples starting
-    /// at `nlj_addr`) into the table and precompute the next block cursor.
+    /// Probe side exhausted: enter the join phase at the first on-disk
+    /// partition (partition 0 of a hybrid join was consumed on the fly).
+    /// Hybrid drops its in-memory table here, so this is a
+    /// minimal-heap-state point for both variants.
+    fn end_probe(&mut self, ctx: &mut ExecContext) -> Result<()> {
+        self.probe_done = true;
+        Self::seal_writers(ctx, self.op, &mut self.probe_writers, &mut self.probe_runs)?;
+        self.clear_probe_state();
+        self.phase = PHASE_TASKS;
+        self.cur_part = usize::from(self.hybrid);
+        self.checkpoint(ctx, false)
+    }
+
+    /// Load the in-flight task's build side into the table: the whole run
+    /// for a join task; for NLJ the next block (up to `mem_budget` tuples
+    /// from `nlj_addr`), precomputing the following block's cursor.
     /// Deterministic from (`nlj_pos`, `nlj_addr`), so a GoBack resume can
-    /// rebuild the in-flight block by re-running it.
-    fn load_nlj_block(&mut self, ctx: &mut ExecContext, task: &PartTask) -> Result<()> {
+    /// rebuild the table by re-running it.
+    fn load_table(&mut self, ctx: &mut ExecContext, build: RunHandle) -> Result<()> {
         self.table.clear();
         self.heap_bytes = 0;
-        let mut r = RunReader::open(ctx.db.pool().clone(), task.build);
+        let nlj = self.stage == TS_NLJ;
+        let limit = if nlj { self.mem_budget.max(1) as u64 } else { u64::MAX };
+        let mut r = RunReader::open(ctx.db.pool().clone(), build);
         if let Some(addr) = self.nlj_addr {
             r.seek(addr);
         }
         let mut loaded = 0u64;
-        while (loaded as usize) < self.mem_budget.max(1) {
-            match r.next()? {
-                Some(t) => {
-                    let key = t.get(self.build_key).as_int()?;
-                    self.table_insert(key, t);
-                    loaded += 1;
-                }
-                None => break,
-            }
+        while loaded < limit {
+            let Some(t) = r.next()? else { break };
+            let key = t.get(self.build_key).as_int()?;
+            self.table_insert(key, t);
+            loaded += 1;
         }
         ctx.note_page_reads(self.op, r.pages_fetched());
-        self.nlj_next_pos = self.nlj_pos + loaded;
-        self.nlj_next_addr = Some(r.position());
+        if nlj {
+            self.nlj_next_pos = self.nlj_pos + loaded;
+            self.nlj_next_addr = Some(r.position());
+        }
         Ok(())
-    }
-
-    fn open_probe_reader(&mut self, ctx: &mut ExecContext, part: usize, at: Option<TupleAddr>) {
-        let handle = self.probe_runs[part];
-        self.open_probe_run(ctx, handle, at);
     }
 
     fn open_probe_run(&mut self, ctx: &mut ExecContext, handle: RunHandle, at: Option<TupleAddr>) {
@@ -527,145 +650,123 @@ impl HashJoin {
         self.probe_reader = Some(r);
     }
 
-    fn note_probe_io(&mut self, ctx: &mut ExecContext) {
-        if let Some(r) = &self.probe_reader {
+    /// Charge the pages `reader` fetched since the last call.
+    fn note_io(ctx: &mut ExecContext, op: OpId, reader: &Option<RunReader>, noted: &mut u64) {
+        if let Some(r) = reader {
             let fetched = r.pages_fetched();
-            let delta = fetched.saturating_sub(self.pages_noted);
-            self.pages_noted = fetched;
-            ctx.note_page_reads(self.op, delta);
+            ctx.note_page_reads(op, fetched.saturating_sub(*noted));
+            *noted = fetched;
         }
     }
 
-    /// First join-phase partition: 0 for simple, 1 for hybrid (partition 0
-    /// was consumed on the fly).
-    fn first_join_partition(&self) -> usize {
-        if self.hybrid {
-            1
-        } else {
-            0
-        }
-    }
-
-    /// Emit matches of `probe_tuple` against the in-memory table, resuming
-    /// at `self.match_idx`.
-    fn next_match(&mut self, probe_tuple: &Tuple, probe_key: usize) -> Result<Option<Tuple>> {
-        let key = probe_tuple.get(probe_key).as_int()?;
-        if let Some(matches) = self.table.get(&key) {
-            if self.match_idx < matches.len() {
-                let out = matches[self.match_idx].join(probe_tuple);
+    /// The next match of the probe cursor against the in-memory table,
+    /// resuming at `match_idx`; clears the cursor once its matches are
+    /// exhausted. `None` without a cursor.
+    fn next_match(&mut self) -> Result<Option<Tuple>> {
+        let Some(p) = &self.cur_probe else {
+            return Ok(None);
+        };
+        let key = p.get(self.probe_key).as_int()?;
+        match self.table.get(&key).and_then(|ms| ms.get(self.match_idx)) {
+            Some(m) => {
+                let out = m.join(p);
                 self.match_idx += 1;
-                return Ok(Some(out));
+                Ok(Some(out))
+            }
+            None => {
+                self.cur_probe = None;
+                self.cur_probe_addr = None;
+                self.match_idx = 0;
+                Ok(None)
             }
         }
-        Ok(None)
     }
 
-    /// Seed the grace work queue from the sealed top-level partitions
-    /// (pushed in reverse so they pop in partition order; spill children
-    /// are pushed the same way, giving a depth-first tree walk).
-    fn seed_grace_tasks(&mut self) {
-        self.tasks.clear();
-        for part in (self.first_join_partition()..self.partitions).rev() {
-            self.tasks.push(PartTask {
-                level: 0,
-                path: vec![part as u32],
-                build: self.build_runs[part],
-                probe: self.probe_runs[part],
-            });
+    /// Emit every remaining match of the probe cursor into `out`.
+    fn emit_matches(&mut self, out: &mut Batch) -> Result<()> {
+        while let Some(m) = self.next_match()? {
+            self.produced_since_sign += 1;
+            out.push(&m);
         }
-        self.cur_task = None;
-        self.stage = TS_JOIN;
+        Ok(())
     }
 
-    fn note_spill_io(&mut self, ctx: &mut ExecContext) {
-        if let Some(r) = &self.spill_reader {
-            let fetched = r.pages_fetched();
-            let delta = fetched.saturating_sub(self.spill_pages_noted);
-            self.spill_pages_noted = fetched;
-            ctx.note_page_reads(self.op, delta);
-        }
+    /// The next task of the depth-first walk: queued spill children first
+    /// (they were pushed in reverse, so they pop in partition order), then
+    /// the next top-level partition.
+    fn next_task(&mut self) -> Option<PartTask> {
+        self.tasks.pop().or_else(|| {
+            let part = self.cur_part;
+            (part < self.partitions).then(|| {
+                self.cur_part += 1;
+                PartTask::top_level(part, self.build_runs[part], self.probe_runs[part])
+            })
+        })
     }
 
-    /// Classify the popped task and set up its stage. Joins and NLJ load
-    /// lazily on the first step; a spill opens its re-partition reader
-    /// here and announces itself in the trace.
+    /// Classify the task and set up its stage. Joins and NLJ load lazily
+    /// on the first step; a spill opens its re-partition reader here and
+    /// announces itself in the trace.
     fn start_task(&mut self, ctx: &mut ExecContext, task: PartTask) {
-        self.nlj_pos = 0;
-        self.nlj_addr = None;
-        self.nlj_next_pos = 0;
-        self.nlj_next_addr = None;
-        if task.build.tuples as usize > self.mem_budget {
-            if task.level >= MAX_SPILL_DEPTH {
-                self.stage = TS_NLJ;
-            } else {
-                self.stage = TS_SPILL_BUILD;
-                let (op, level) = (self.op.0, task.level + 1);
-                let (path, tuples, pages) = (task.path_string(), task.build.tuples, task.build.pages);
-                ctx.db.ledger().trace(|| qsr_storage::TraceEvent::PartitionSpill {
-                    op,
-                    level,
-                    path: path.clone(),
-                    tuples,
-                    pages,
-                });
-                self.spill_build_children.clear();
-                self.spill_probe_children.clear();
-                self.spill_pages_noted = 0;
-                self.spill_reader = Some(RunReader::open(ctx.db.pool().clone(), task.build));
-            }
+        self.reset_nlj_cursor();
+        self.stage = if self.mem_budget == 0 || task.build.tuples as usize <= self.mem_budget {
+            TS_JOIN
+        } else if task.level >= MAX_SPILL_DEPTH {
+            TS_NLJ
         } else {
-            self.stage = TS_JOIN;
-        }
+            let (op, level) = (self.op.0, task.level + 1);
+            let (path, tuples, pages) = (task.path_string(), task.build.tuples, task.build.pages);
+            ctx.db.ledger().trace(|| qsr_storage::TraceEvent::PartitionSpill {
+                op,
+                level,
+                path: path.clone(),
+                tuples,
+                pages,
+            });
+            self.spill_build_children.clear();
+            self.spill_probe_children.clear();
+            self.spill_pages_noted = 0;
+            self.spill_reader = Some(RunReader::open(ctx.db.pool().clone(), task.build));
+            TS_SPILL_BUILD
+        };
         self.cur_task = Some(task);
     }
 
     /// Task complete: minimal-heap-state point, proactive checkpoint.
     fn finish_task(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        self.table.clear();
-        self.heap_bytes = 0;
-        self.probe_reader = None;
-        self.cur_probe = None;
-        self.cur_probe_addr = None;
-        self.match_idx = 0;
-        self.nlj_pos = 0;
-        self.nlj_addr = None;
-        self.nlj_next_pos = 0;
-        self.nlj_next_addr = None;
+        self.clear_probe_state();
+        self.reset_nlj_cursor();
         self.cur_task = None;
         self.checkpoint(ctx, false)
     }
 
-    /// One step of the grace task machine. Tick placement matches the
-    /// legacy join phase (one tick per probe tuple consumed, plus one per
-    /// tuple moved during a spill), so work-unit boundaries are identical
-    /// between tuple and batch execution.
+    /// One step of the task machine: one tick per probe tuple consumed
+    /// and one per tuple moved during a spill.
     fn grace_step(&mut self, ctx: &mut ExecContext) -> Result<GraceStep> {
-        let task = match self.cur_task.clone() {
-            Some(t) => t,
-            None => match self.tasks.pop() {
+        let Some(task) = &self.cur_task else {
+            return Ok(match self.next_task() {
                 Some(t) => {
                     self.start_task(ctx, t);
-                    return Ok(GraceStep::Continue);
+                    GraceStep::Continue
                 }
-                None => return Ok(GraceStep::Done),
-            },
+                None => GraceStep::Done,
+            });
         };
+        let (level, build, probe) = (task.level, task.build, task.probe);
         match self.stage {
-            TS_JOIN => {
+            // The probe loop: join and NLJ tasks differ only in how much
+            // of the build run `load_table` takes and what the end of the
+            // probe run advances.
+            TS_JOIN | TS_NLJ => {
                 if self.probe_reader.is_none() {
-                    self.load_build_run(ctx, task.build)?;
-                    self.open_probe_run(ctx, task.probe, None);
+                    self.load_table(ctx, build)?;
+                    self.open_probe_run(ctx, probe, None);
                 }
-                if let Some(p) = self.cur_probe.clone() {
-                    match self.next_match(&p, self.probe_key)? {
-                        Some(out) => return Ok(GraceStep::Emit(out)),
-                        None => {
-                            self.cur_probe = None;
-                            self.cur_probe_addr = None;
-                            self.match_idx = 0;
-                        }
-                    }
-                    return Ok(GraceStep::Continue);
+                if self.cur_probe.is_some() {
+                    return Ok(match self.next_match()? {
+                        Some(out) => GraceStep::Emit(out),
+                        None => GraceStep::Continue,
+                    });
                 }
                 let reader = self
                     .probe_reader
@@ -673,156 +774,104 @@ impl HashJoin {
                     .ok_or_else(|| StorageError::invalid("hash-join probe reader not open"))?;
                 let addr = reader.position();
                 let t = reader.next()?;
-                self.note_probe_io(ctx);
+                Self::note_io(ctx, self.op, &self.probe_reader, &mut self.pages_noted);
                 match t {
                     Some(t) => {
                         ctx.tick(self.op);
                         self.cur_probe = Some(t);
                         self.cur_probe_addr = Some(addr);
                         self.match_idx = 0;
+                    }
+                    // Probe run exhausted. NLJ moves on to the precomputed
+                    // next build block — with no checkpoint in between, to
+                    // keep the block cursor the sole recovery input — and
+                    // the task ends once the build run is exhausted too.
+                    None if self.stage == TS_NLJ && self.nlj_next_pos < build.tuples => {
+                        self.clear_probe_state();
+                        self.nlj_pos = self.nlj_next_pos;
+                        self.nlj_addr = self.nlj_next_addr;
                     }
                     None => self.finish_task(ctx)?,
                 }
                 Ok(GraceStep::Continue)
             }
-            TS_SPILL_BUILD => {
-                Self::ensure_writers(&mut self.spill_build_writers, ctx, self.partitions)?;
+            // Re-partition one side of the task one level deeper.
+            TS_SPILL_BUILD | TS_SPILL_PROBE => {
+                let build_side = self.stage == TS_SPILL_BUILD;
+                let (writers, children, key_col) = match build_side {
+                    true => (
+                        &mut self.spill_build_writers,
+                        &mut self.spill_build_children,
+                        self.build_key,
+                    ),
+                    false => (
+                        &mut self.spill_probe_writers,
+                        &mut self.spill_probe_children,
+                        self.probe_key,
+                    ),
+                };
+                Self::ensure_writers(writers, ctx, self.partitions)?;
                 let reader = self
                     .spill_reader
                     .as_mut()
                     .ok_or_else(|| StorageError::invalid("hash-join spill reader not open"))?;
                 let t = reader.next()?;
-                self.note_spill_io(ctx);
+                Self::note_io(ctx, self.op, &self.spill_reader, &mut self.spill_pages_noted);
                 match t {
                     Some(t) => {
                         ctx.tick(self.op);
-                        let key = t.get(self.build_key).as_int()?;
-                        let p = hash_partition_at(key, task.level + 1, self.partitions);
-                        self.spill_build_writers[p]
-                            .as_mut()
-                            .ok_or_else(|| {
-                                StorageError::invalid("hash-join spill partition writer missing")
-                            })?
-                            .append(&t)?;
+                        let key = t.get(key_col).as_int()?;
+                        let p = hash_partition_at(key, level + 1, self.partitions);
+                        Self::append_to(writers, p, &t)?;
                     }
-                    None => {
-                        Self::seal_writers(
-                            ctx,
-                            self.op,
-                            &mut self.spill_build_writers,
-                            &mut self.spill_build_children,
-                        )?;
+                    None if build_side => {
+                        Self::seal_writers(ctx, self.op, writers, children)?;
                         self.spill_pages_noted = 0;
-                        self.spill_reader =
-                            Some(RunReader::open(ctx.db.pool().clone(), task.probe));
+                        self.spill_reader = Some(RunReader::open(ctx.db.pool().clone(), probe));
                         self.stage = TS_SPILL_PROBE;
                     }
-                }
-                Ok(GraceStep::Continue)
-            }
-            TS_SPILL_PROBE => {
-                Self::ensure_writers(&mut self.spill_probe_writers, ctx, self.partitions)?;
-                let reader = self
-                    .spill_reader
-                    .as_mut()
-                    .ok_or_else(|| StorageError::invalid("hash-join spill reader not open"))?;
-                let t = reader.next()?;
-                self.note_spill_io(ctx);
-                match t {
-                    Some(t) => {
-                        ctx.tick(self.op);
-                        let key = t.get(self.probe_key).as_int()?;
-                        let p = hash_partition_at(key, task.level + 1, self.partitions);
-                        self.spill_probe_writers[p]
-                            .as_mut()
-                            .ok_or_else(|| {
-                                StorageError::invalid("hash-join spill partition writer missing")
-                            })?
-                            .append(&t)?;
-                    }
+                    // Both sides split: the children replace the task.
                     None => {
-                        Self::seal_writers(
-                            ctx,
-                            self.op,
-                            &mut self.spill_probe_writers,
-                            &mut self.spill_probe_children,
-                        )?;
+                        Self::seal_writers(ctx, self.op, writers, children)?;
                         self.spill_reader = None;
                         let builds = std::mem::take(&mut self.spill_build_children);
                         let probes = std::mem::take(&mut self.spill_probe_children);
+                        let parent = self.cur_task.take().map(|t| t.path).unwrap_or_default();
                         for i in (0..self.partitions).rev() {
-                            let mut path = task.path.clone();
+                            let mut path = parent.clone();
                             path.push(i as u32);
                             self.tasks.push(PartTask {
-                                level: task.level + 1,
+                                level: level + 1,
                                 path,
                                 build: builds[i],
                                 probe: probes[i],
                             });
                         }
-                        self.cur_task = None;
                         self.checkpoint(ctx, false)?;
                     }
                 }
                 Ok(GraceStep::Continue)
             }
-            TS_NLJ => {
-                if self.nlj_pos >= task.build.tuples {
-                    self.finish_task(ctx)?;
-                    return Ok(GraceStep::Continue);
-                }
-                if self.probe_reader.is_none() {
-                    self.load_nlj_block(ctx, &task)?;
-                    self.open_probe_run(ctx, task.probe, None);
-                    return Ok(GraceStep::Continue);
-                }
-                if let Some(p) = self.cur_probe.clone() {
-                    match self.next_match(&p, self.probe_key)? {
-                        Some(out) => return Ok(GraceStep::Emit(out)),
-                        None => {
-                            self.cur_probe = None;
-                            self.cur_probe_addr = None;
-                            self.match_idx = 0;
-                        }
-                    }
-                    return Ok(GraceStep::Continue);
-                }
-                let reader = self
-                    .probe_reader
-                    .as_mut()
-                    .ok_or_else(|| StorageError::invalid("hash-join probe reader not open"))?;
-                let addr = reader.position();
-                let t = reader.next()?;
-                self.note_probe_io(ctx);
-                match t {
-                    Some(t) => {
-                        ctx.tick(self.op);
-                        self.cur_probe = Some(t);
-                        self.cur_probe_addr = Some(addr);
-                        self.match_idx = 0;
-                    }
-                    None => {
-                        // Block finished: advance to the precomputed next
-                        // block (a minimal-heap point only at task end —
-                        // intermediate blocks skip the checkpoint to keep
-                        // the block cursor the sole recovery input).
-                        self.table.clear();
-                        self.heap_bytes = 0;
-                        self.probe_reader = None;
-                        self.cur_probe = None;
-                        self.cur_probe_addr = None;
-                        self.match_idx = 0;
-                        self.nlj_pos = self.nlj_next_pos;
-                        self.nlj_addr = self.nlj_next_addr;
-                        if self.nlj_pos >= task.build.tuples {
-                            self.finish_task(ctx)?;
-                        }
-                    }
-                }
-                Ok(GraceStep::Continue)
-            }
-            s => Err(StorageError::corrupt(format!("bad grace stage {s}"))),
+            s => Err(StorageError::corrupt(format!("bad hash-join task stage {s}"))),
         }
+    }
+}
+
+/// What a `next_batch` call returns when it cannot make progress: the
+/// rows gathered so far, or `idle` if there are none.
+fn flush(out: Batch, idle: BatchPoll) -> BatchPoll {
+    match out.is_empty() {
+        true => idle,
+        false => BatchPoll::Batch(out),
+    }
+}
+
+/// Join key of row `r`, read from the unboxed column slice when the key
+/// column is monomorphic.
+fn batch_key(b: &Batch, ints: Option<&[i64]>, r: usize, col: usize) -> Result<i64> {
+    match ints {
+        Some(ints) => Ok(ints[r]),
+        None => b.value(r, col).as_int(),
     }
 }
 
@@ -848,7 +897,7 @@ impl Operator for HashJoin {
             return Ok(Poll::Tuple(t));
         }
         loop {
-            if ctx.suspend_pending() || (self.replay_stop.is_some() && self.replay_reached()) {
+            if ctx.suspend_pending() || self.replay_reached() {
                 return Ok(Poll::Suspended);
             }
             match self.phase {
@@ -856,42 +905,10 @@ impl Operator for HashJoin {
                     Self::ensure_writers(&mut self.build_writers, ctx, self.partitions)?;
                     match self.build.next(ctx)? {
                         Poll::Tuple(t) => {
-                            ctx.tick(self.op);
-                            self.build_consumed += 1;
                             let key = t.get(self.build_key).as_int()?;
-                            let p = hash_partition(key, self.partitions);
-                            if self.hybrid && p == 0 {
-                                self.table_insert(key, t);
-                            } else {
-                                self.build_writers[p]
-                                    .as_mut()
-                                    .ok_or_else(|| {
-                                        StorageError::invalid(
-                                            "hash-join build partition writer missing",
-                                        )
-                                    })?
-                                    .append(&t)?;
-                            }
+                            self.partition_build(ctx, key, t)?;
                         }
-                        Poll::Done => {
-                            self.build_done = true;
-                            Self::seal_writers(
-                                ctx,
-                                self.op,
-                                &mut self.build_writers,
-                                &mut self.build_runs,
-                            )?;
-                            self.phase = PHASE_PROBE;
-                            // Materialization point: phase-boundary ckpt —
-                            // but NOT for hybrid: its in-memory partition-0
-                            // table means this is not a minimal-heap-state
-                            // point (the paper's §4 observation that hybrid
-                            // can only dump or go back to the beginning
-                            // w.r.t. the build relation).
-                            if !self.hybrid {
-                                self.checkpoint(ctx, true)?;
-                            }
-                        }
+                        Poll::Done => self.end_build(ctx)?,
                         Poll::Suspended => return Ok(Poll::Suspended),
                     }
                 }
@@ -899,69 +916,20 @@ impl Operator for HashJoin {
                     Self::ensure_writers(&mut self.probe_writers, ctx, self.partitions)?;
                     // Hybrid: finish emitting matches of the current probe
                     // tuple before pulling the next one.
-                    if self.hybrid {
-                        if let Some(p) = self.cur_probe.clone() {
-                            match self.next_match(&p, self.probe_key)? {
-                                Some(out) => {
-                                    self.produced_since_sign += 1;
-                                    return Ok(Poll::Tuple(out));
-                                }
-                                None => {
-                                    self.cur_probe = None;
-                                    self.match_idx = 0;
-                                }
-                            }
-                        }
+                    if let Some(out) = self.next_match()? {
+                        self.produced_since_sign += 1;
+                        return Ok(Poll::Tuple(out));
                     }
                     match self.probe.next(ctx)? {
                         Poll::Tuple(t) => {
-                            ctx.tick(self.op);
-                            self.probe_consumed += 1;
                             let key = t.get(self.probe_key).as_int()?;
-                            let p = hash_partition(key, self.partitions);
-                            if self.hybrid && p == 0 {
-                                self.cur_probe = Some(t);
-                                self.match_idx = 0;
-                            } else {
-                                self.probe_writers[p]
-                                    .as_mut()
-                                    .ok_or_else(|| {
-                                        StorageError::invalid(
-                                            "hash-join probe partition writer missing",
-                                        )
-                                    })?
-                                    .append(&t)?;
-                            }
+                            self.partition_probe(ctx, key, t)?;
                         }
-                        Poll::Done => {
-                            self.probe_done = true;
-                            Self::seal_writers(
-                                ctx,
-                                self.op,
-                                &mut self.probe_writers,
-                                &mut self.probe_runs,
-                            )?;
-                            // Hybrid drops the in-memory partition-0 table
-                            // here: minimal-heap-state point.
-                            self.table.clear();
-                            self.heap_bytes = 0;
-                            if self.mem_budget > 0 {
-                                self.phase = PHASE_GRACE;
-                                self.seed_grace_tasks();
-                            } else {
-                                self.phase = PHASE_JOIN;
-                            }
-                            self.cur_part = self.first_join_partition();
-                            self.cur_probe = None;
-                            self.cur_probe_addr = None;
-                            self.match_idx = 0;
-                            self.probe_reader = None;
-                            self.checkpoint(ctx, false)?;
-                        }
+                        Poll::Done => self.end_probe(ctx)?,
                         Poll::Suspended => return Ok(Poll::Suspended),
                     }
                 }
-                PHASE_GRACE => match self.grace_step(ctx)? {
+                PHASE_TASKS => match self.grace_step(ctx)? {
                     GraceStep::Emit(t) => {
                         self.produced_since_sign += 1;
                         return Ok(Poll::Tuple(t));
@@ -969,56 +937,6 @@ impl Operator for HashJoin {
                     GraceStep::Continue => {}
                     GraceStep::Done => self.phase = PHASE_DONE,
                 },
-                PHASE_JOIN => {
-                    if self.cur_part >= self.partitions {
-                        self.phase = PHASE_DONE;
-                        continue;
-                    }
-                    if self.probe_reader.is_none() {
-                        self.load_build_partition(ctx, self.cur_part)?;
-                        self.open_probe_reader(ctx, self.cur_part, None);
-                    }
-                    if let Some(p) = self.cur_probe.clone() {
-                        match self.next_match(&p, self.probe_key)? {
-                            Some(out) => {
-                                self.produced_since_sign += 1;
-                                return Ok(Poll::Tuple(out));
-                            }
-                            None => {
-                                self.cur_probe = None;
-                                self.cur_probe_addr = None;
-                                self.match_idx = 0;
-                            }
-                        }
-                        continue;
-                    }
-                    let reader = self
-                        .probe_reader
-                        .as_mut()
-                        .ok_or_else(|| StorageError::invalid("hash-join probe reader not open"))?;
-                    let addr = reader.position();
-                    let t = reader.next()?;
-                    self.note_probe_io(ctx);
-                    match t {
-                        Some(t) => {
-                            ctx.tick(self.op);
-                            self.cur_probe = Some(t);
-                            self.cur_probe_addr = Some(addr);
-                            self.match_idx = 0;
-                        }
-                        None => {
-                            // Partition exhausted: minimal-heap point.
-                            self.table.clear();
-                            self.heap_bytes = 0;
-                            self.probe_reader = None;
-                            self.cur_part += 1;
-                            self.cur_probe = None;
-                            self.cur_probe_addr = None;
-                            self.match_idx = 0;
-                            self.checkpoint(ctx, false)?;
-                        }
-                    }
-                }
                 PHASE_DONE => return Ok(Poll::Done),
                 p => return Err(StorageError::corrupt(format!("bad HJ phase {p}"))),
             }
@@ -1044,11 +962,8 @@ impl Operator for HashJoin {
             }
         }
         loop {
-            if ctx.suspend_pending() || (self.replay_stop.is_some() && self.replay_reached()) {
-                return Ok(match out.is_empty() {
-                    true => BatchPoll::Suspended,
-                    false => BatchPoll::Batch(out),
-                });
+            if ctx.suspend_pending() || self.replay_reached() {
+                return Ok(flush(out, BatchPoll::Suspended));
             }
             match self.phase {
                 PHASE_BUILD => {
@@ -1056,138 +971,42 @@ impl Operator for HashJoin {
                     match self.build.next_batch(ctx, max)? {
                         BatchPoll::Batch(b) => {
                             let ints = b.column(self.build_key).and_then(ColumnVec::as_ints);
-                            let rows: Vec<usize> = b.live_rows().collect();
-                            for &r in &rows {
-                                ctx.tick(self.op);
-                                self.build_consumed += 1;
-                                let key = match ints {
-                                    Some(ints) => ints[r],
-                                    None => b.value(r, self.build_key).as_int()?,
-                                };
-                                let p = hash_partition(key, self.partitions);
-                                let t = b.tuple(r);
-                                if self.hybrid && p == 0 {
-                                    self.table_insert(key, t);
-                                } else {
-                                    self.build_writers[p]
-                                        .as_mut()
-                                        .ok_or_else(|| {
-                                            StorageError::invalid(
-                                                "hash-join build partition writer missing",
-                                            )
-                                        })?
-                                        .append(&t)?;
-                                }
+                            for r in b.live_rows() {
+                                let key = batch_key(&b, ints, r, self.build_key)?;
+                                self.partition_build(ctx, key, b.tuple(r))?;
                             }
                         }
-                        BatchPoll::Done => {
-                            self.build_done = true;
-                            Self::seal_writers(
-                                ctx,
-                                self.op,
-                                &mut self.build_writers,
-                                &mut self.build_runs,
-                            )?;
-                            self.phase = PHASE_PROBE;
-                            if !self.hybrid {
-                                self.checkpoint(ctx, true)?;
-                            }
-                        }
-                        BatchPoll::Suspended => {
-                            return Ok(match out.is_empty() {
-                                true => BatchPoll::Suspended,
-                                false => BatchPoll::Batch(out),
-                            })
-                        }
+                        BatchPoll::Done => self.end_build(ctx)?,
+                        BatchPoll::Suspended => return Ok(flush(out, BatchPoll::Suspended)),
                     }
                 }
                 PHASE_PROBE => {
                     Self::ensure_writers(&mut self.probe_writers, ctx, self.partitions)?;
-                    // Hybrid: finish emitting matches of a probe tuple left
-                    // over from a previous (possibly tuple-mode) call.
-                    if self.hybrid {
-                        if let Some(p) = self.cur_probe.clone() {
-                            while let Some(m) = self.next_match(&p, self.probe_key)? {
-                                self.produced_since_sign += 1;
-                                out.push(&m);
-                            }
-                            self.cur_probe = None;
-                            self.match_idx = 0;
-                            if out.len() >= max {
-                                return Ok(BatchPoll::Batch(out));
-                            }
-                        }
+                    // Hybrid: first the matches of a probe tuple left over
+                    // from a previous (possibly tuple-mode) call, then of
+                    // every partition-0 row as it is routed — all emitted
+                    // inline, so no probe cursor survives past its row.
+                    self.emit_matches(&mut out)?;
+                    if out.len() >= max {
+                        return Ok(BatchPoll::Batch(out));
                     }
                     match self.probe.next_batch(ctx, max)? {
                         BatchPoll::Batch(b) => {
                             let ints = b.column(self.probe_key).and_then(ColumnVec::as_ints);
-                            let rows: Vec<usize> = b.live_rows().collect();
-                            for &r in &rows {
-                                ctx.tick(self.op);
-                                self.probe_consumed += 1;
-                                let key = match ints {
-                                    Some(ints) => ints[r],
-                                    None => b.value(r, self.probe_key).as_int()?,
-                                };
-                                let p = hash_partition(key, self.partitions);
-                                let t = b.tuple(r);
-                                if self.hybrid && p == 0 {
-                                    // All matches are emitted inline, so no
-                                    // in-flight probe tuple survives past
-                                    // this row.
-                                    self.match_idx = 0;
-                                    while let Some(m) = self.next_match(&t, self.probe_key)? {
-                                        self.produced_since_sign += 1;
-                                        out.push(&m);
-                                    }
-                                    self.match_idx = 0;
-                                } else {
-                                    self.probe_writers[p]
-                                        .as_mut()
-                                        .ok_or_else(|| {
-                                            StorageError::invalid(
-                                                "hash-join probe partition writer missing",
-                                            )
-                                        })?
-                                        .append(&t)?;
-                                }
+                            for r in b.live_rows() {
+                                let key = batch_key(&b, ints, r, self.probe_key)?;
+                                self.partition_probe(ctx, key, b.tuple(r))?;
+                                self.emit_matches(&mut out)?;
                             }
                             if out.len() >= max {
                                 return Ok(BatchPoll::Batch(out));
                             }
                         }
-                        BatchPoll::Done => {
-                            self.probe_done = true;
-                            Self::seal_writers(
-                                ctx,
-                                self.op,
-                                &mut self.probe_writers,
-                                &mut self.probe_runs,
-                            )?;
-                            self.table.clear();
-                            self.heap_bytes = 0;
-                            if self.mem_budget > 0 {
-                                self.phase = PHASE_GRACE;
-                                self.seed_grace_tasks();
-                            } else {
-                                self.phase = PHASE_JOIN;
-                            }
-                            self.cur_part = self.first_join_partition();
-                            self.cur_probe = None;
-                            self.cur_probe_addr = None;
-                            self.match_idx = 0;
-                            self.probe_reader = None;
-                            self.checkpoint(ctx, false)?;
-                        }
-                        BatchPoll::Suspended => {
-                            return Ok(match out.is_empty() {
-                                true => BatchPoll::Suspended,
-                                false => BatchPoll::Batch(out),
-                            })
-                        }
+                        BatchPoll::Done => self.end_probe(ctx)?,
+                        BatchPoll::Suspended => return Ok(flush(out, BatchPoll::Suspended)),
                     }
                 }
-                PHASE_GRACE => match self.grace_step(ctx)? {
+                PHASE_TASKS => match self.grace_step(ctx)? {
                     GraceStep::Emit(t) => {
                         self.produced_since_sign += 1;
                         out.push(&t);
@@ -1198,64 +1017,7 @@ impl Operator for HashJoin {
                     GraceStep::Continue => {}
                     GraceStep::Done => self.phase = PHASE_DONE,
                 },
-                PHASE_JOIN => {
-                    if self.cur_part >= self.partitions {
-                        self.phase = PHASE_DONE;
-                        continue;
-                    }
-                    if self.probe_reader.is_none() {
-                        self.load_build_partition(ctx, self.cur_part)?;
-                        self.open_probe_reader(ctx, self.cur_part, None);
-                    }
-                    if let Some(p) = self.cur_probe.clone() {
-                        match self.next_match(&p, self.probe_key)? {
-                            Some(m) => {
-                                self.produced_since_sign += 1;
-                                out.push(&m);
-                                if out.len() >= max {
-                                    return Ok(BatchPoll::Batch(out));
-                                }
-                            }
-                            None => {
-                                self.cur_probe = None;
-                                self.cur_probe_addr = None;
-                                self.match_idx = 0;
-                            }
-                        }
-                        continue;
-                    }
-                    let reader = self
-                        .probe_reader
-                        .as_mut()
-                        .ok_or_else(|| StorageError::invalid("hash-join probe reader not open"))?;
-                    let addr = reader.position();
-                    let t = reader.next()?;
-                    self.note_probe_io(ctx);
-                    match t {
-                        Some(t) => {
-                            ctx.tick(self.op);
-                            self.cur_probe = Some(t);
-                            self.cur_probe_addr = Some(addr);
-                            self.match_idx = 0;
-                        }
-                        None => {
-                            self.table.clear();
-                            self.heap_bytes = 0;
-                            self.probe_reader = None;
-                            self.cur_part += 1;
-                            self.cur_probe = None;
-                            self.cur_probe_addr = None;
-                            self.match_idx = 0;
-                            self.checkpoint(ctx, false)?;
-                        }
-                    }
-                }
-                PHASE_DONE => {
-                    return Ok(match out.is_empty() {
-                        true => BatchPoll::Done,
-                        false => BatchPoll::Batch(out),
-                    })
-                }
+                PHASE_DONE => return Ok(flush(out, BatchPoll::Done)),
                 p => return Err(StorageError::corrupt(format!("bad HJ phase {p}"))),
             }
         }
@@ -1269,43 +1031,24 @@ impl Operator for HashJoin {
     }
 
     fn sign_contract(&mut self, ctx: &mut ExecContext, parent_ckpt: CkptId) -> Result<CtrId> {
-        // Reactive (fresh-cursor) checkpoints are valid GoBack targets only
-        // where state is rebuildable from sealed runs: the legacy join
-        // phase, and grace join/NLJ stages or task boundaries. A mid-spill
-        // reactive point would reference unsealed child writers, so spill
-        // stages anchor at the latest proactive (task-boundary) checkpoint
-        // like the partitioning phases do.
-        let reactive = self.phase == PHASE_JOIN
-            || self.phase == PHASE_DONE
-            || (self.phase == PHASE_GRACE
-                && (self.cur_task.is_none() || Self::grace_emitting(self.stage)));
-        let ctr = if reactive {
-            // Reactive: fresh checkpoint capturing the join-phase cursor
-            // (bucket number + probe position, §4).
-            let control = self.control().encode_to_vec();
-            let work = ctx.work.get(self.op);
+        let current = self.control();
+        let control = current.encode_to_vec();
+        let work = ctx.work.get(self.op);
+        let ck = if self.phase == PHASE_DONE || current.repositions() {
+            // Reactive: a fresh checkpoint capturing the join-phase
+            // cursor is a valid GoBack target.
             let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
             ctx.graph.prune_for(self.op);
-            ctx.graph
-                .sign_contract(parent_ckpt, self.op, ck, control, work, vec![])?
+            ck
         } else {
-            let latest = match ctx.graph.latest_ckpt(self.op) {
+            match ctx.graph.latest_ckpt(self.op) {
                 Some(ck) => ck,
-                None => ctx.graph.create_barrier_checkpoint(
-                    self.op,
-                    self.control().encode_to_vec(),
-                    ctx.work.get(self.op),
-                ),
-            };
-            ctx.graph.sign_contract(
-                parent_ckpt,
-                self.op,
-                latest,
-                self.control().encode_to_vec(),
-                ctx.work.get(self.op),
-                vec![],
-            )?
+                None => ctx.graph.create_barrier_checkpoint(self.op, control.clone(), work),
+            }
         };
+        let ctr = ctx
+            .graph
+            .sign_contract(parent_ckpt, self.op, ck, control, work, vec![])?;
         self.last_in_ctr = Some(ctr);
         self.produced_since_sign = 0;
         Ok(ctr)
@@ -1336,8 +1079,8 @@ impl Operator for HashJoin {
         // one stopped instead of dropping runs already on disk.
         Self::seal_writers(ctx, self.op, &mut self.build_writers, &mut self.build_runs)?;
         Self::seal_writers(ctx, self.op, &mut self.probe_writers, &mut self.probe_runs)?;
-        // Mid-spill grace suspends seal the child partition writers the
-        // same way; the sealed handles ride in the control record (Dump
+        // Mid-spill suspends seal the child partition writers the same
+        // way; the sealed handles ride in the control record (Dump
         // reopens them for appending, GoBack discards them).
         Self::seal_writers(
             ctx,
@@ -1351,13 +1094,13 @@ impl Operator for HashJoin {
             &mut self.spill_probe_writers,
             &mut self.spill_probe_children,
         )?;
-        let sealed_build = self.build_runs.clone();
-        let sealed_probe = self.probe_runs.clone();
-
-        let current_control = HjControl {
-            build_runs: sealed_build.clone(),
-            probe_runs: sealed_probe.clone(),
-            ..self.control()
+        let current_control = self.control();
+        let ckpt_control = |ctx: &ExecContext, ck: CkptId| -> Result<HjControl> {
+            let ck = ctx
+                .graph
+                .checkpoint(ck)
+                .ok_or_else(|| StorageError::invalid("hash join checkpoint missing"))?;
+            HjControl::decode_from_slice(&ck.control)
         };
 
         let (resume_point, saved, ckpt_for_children): (HjControl, Vec<Vec<u8>>, Option<CkptId>) =
@@ -1369,33 +1112,22 @@ impl Operator for HashJoin {
                             .graph
                             .latest_ckpt(self.op)
                             .ok_or_else(|| StorageError::invalid("hash join has no checkpoint"))?;
-                        let grace_reposition = self.phase == PHASE_GRACE
-                            && (self.cur_task.is_none() || Self::grace_emitting(self.stage));
-                        if self.phase == PHASE_JOIN || grace_reposition {
-                            // Join phase (or a grace join/NLJ stage):
-                            // rebuild the table from own runs and
+                        if current_control.repositions() {
+                            // Rebuild the table from own runs and
                             // reposition the probe cursor — target is the
                             // current control state.
                             (current_control, Vec::new(), None)
-                        } else if self.phase == PHASE_GRACE {
+                        } else if self.phase == PHASE_TASKS {
                             // Mid-spill: restart the in-flight task from
                             // its boundary checkpoint (spill stages emit
                             // nothing, so no output is re-delivered).
-                            let ck = ctx
-                                .graph
-                                .checkpoint(latest)
-                                .ok_or_else(|| {
-                                    StorageError::invalid("missing latest checkpoint")
-                                })?
-                                .control
-                                .clone();
-                            (HjControl::decode_from_slice(&ck)?, Vec::new(), None)
+                            (ckpt_control(ctx, latest)?, Vec::new(), None)
                         } else {
                             // Partition phases: go back to the phase-start
                             // checkpoint (shipped via `aux`); the resume
                             // target is the *current* point, so already
                             // delivered output is never re-emitted.
-                            (current_control.clone(), Vec::new(), Some(latest))
+                            (current_control, Vec::new(), Some(latest))
                         }
                     }
                 },
@@ -1406,72 +1138,42 @@ impl Operator for HashJoin {
                         .ok_or_else(|| StorageError::invalid(format!("unknown contract {ctr_id}")))?
                         .clone();
                     let target = HjControl::decode_from_slice(&ctr.control)?;
-                    // Grace targets split like the phases do: join/NLJ
-                    // stages (and task boundaries) reposition over sealed
-                    // runs; spill-stage targets reference unsealed child
-                    // writers and fall back to the boundary state.
-                    let target_repositions = target.phase == PHASE_JOIN
-                        || (target.phase == PHASE_GRACE
-                            && (target.cur_task.is_none()
-                                || Self::grace_emitting(target.stage)));
+                    let saved = ctr.saved_tuples;
                     match strategy {
-                        Strategy::Dump => {
-                            // c = 0: no checkpoint since signing. In the
-                            // join phase the contract's cursor is the
-                            // resume point over the dumped table. In the
-                            // partition phases (and mid-spill) the current
-                            // state reproduces all outputs only if nothing
-                            // was produced since — false once hybrid has
-                            // emitted inline partition-0 matches, which
-                            // `suspend_inputs` reports so the optimizer
-                            // never asks for this.
-                            if target_repositions {
-                                (target, ctr.saved_tuples.clone(), None)
-                            } else if self.produced_since_sign > 0 {
-                                return Err(StorageError::invalid(format!(
-                                    "{}: Dump under a partition-phase contract would lose {} \
-                                     tuples emitted since it was signed",
-                                    self.op, self.produced_since_sign
-                                )));
-                            } else {
-                                (current_control, ctr.saved_tuples.clone(), None)
-                            }
+                        // Join-phase targets that reposition resume at the
+                        // contract's cursor, over the dumped table or over
+                        // one rebuilt from sealed runs.
+                        _ if target.repositions() => (target, saved, None),
+                        // c = 0: no checkpoint since signing. In the
+                        // partition phases (and mid-spill) the current
+                        // state reproduces all outputs only if nothing
+                        // was produced since — false once hybrid has
+                        // emitted inline partition-0 matches, which
+                        // `suspend_inputs` reports so the optimizer
+                        // never asks for this.
+                        Strategy::Dump if self.produced_since_sign > 0 => {
+                            return Err(StorageError::invalid(format!(
+                                "{}: Dump under a partition-phase contract would lose {} \
+                                 tuples emitted since it was signed",
+                                self.op, self.produced_since_sign
+                            )));
                         }
-                        Strategy::GoBack { .. } => {
-                            if target_repositions {
-                                (target, ctr.saved_tuples.clone(), None)
-                            } else if target.phase == PHASE_GRACE {
-                                // Spill-stage target: roll forward from the
-                                // fulfilling (task-boundary) checkpoint.
-                                let ck = ctx
-                                    .graph
-                                    .checkpoint(ctr.child_ckpt)
-                                    .ok_or_else(|| {
-                                        StorageError::invalid("missing fulfilling checkpoint")
-                                    })?
-                                    .control
-                                    .clone();
-                                (
-                                    HjControl::decode_from_slice(&ck)?,
-                                    ctr.saved_tuples.clone(),
-                                    None,
-                                )
-                            } else {
-                                (target, ctr.saved_tuples.clone(), Some(ctr.child_ckpt))
-                            }
+                        Strategy::Dump => (current_control, saved, None),
+                        // Spill-stage target: roll forward from the
+                        // fulfilling (task-boundary) checkpoint.
+                        Strategy::GoBack { .. } if target.phase == PHASE_TASKS => {
+                            (ckpt_control(ctx, ctr.child_ckpt)?, saved, None)
                         }
+                        Strategy::GoBack { .. } => (target, saved, Some(ctr.child_ckpt)),
                     }
                 }
             };
 
         // Heap dump: the in-memory table (hybrid partition 0 or the
-        // current join partition).
+        // in-flight task's build side).
         let heap_dump = match strategy {
             Strategy::Dump if !self.table.is_empty() => {
-                let mut pairs: Vec<(i64, Vec<Tuple>)> =
-                    self.table.iter().map(|(k, v)| (*k, v.clone())).collect();
-                pairs.sort_by_key(|(k, _)| *k);
-                Some(ctx.put_dump_value(self.op, &TableDump(pairs))?)
+                Some(ctx.put_dump_value(self.op, &TableDump(Cow::Borrowed(&self.table)))?)
             }
             _ => None,
         };
@@ -1493,21 +1195,15 @@ impl Operator for HashJoin {
             aux,
         });
 
-        match ckpt_for_children {
-            Some(ck) => {
-                for child in [&mut self.build, &mut self.probe] {
-                    match ctx.graph.contract_from(ck, child.op_id()).map(|c| c.id) {
-                        Some(ctr) => child.suspend(ctx, SuspendMode::Contract(ctr), plan, sq)?,
-                        None => child.suspend(ctx, SuspendMode::Current, plan, sq)?,
-                    }
-                }
-                Ok(())
-            }
-            None => {
-                self.build.suspend(ctx, SuspendMode::Current, plan, sq)?;
-                self.probe.suspend(ctx, SuspendMode::Current, plan, sq)
+        for child in [&mut self.build, &mut self.probe] {
+            let ctr = ckpt_for_children
+                .and_then(|ck| ctx.graph.contract_from(ck, child.op_id()).map(|c| c.id));
+            match ctr {
+                Some(ctr) => child.suspend(ctx, SuspendMode::Contract(ctr), plan, sq)?,
+                None => child.suspend(ctx, SuspendMode::Current, plan, sq)?,
             }
         }
+        Ok(())
     }
 
     fn resume(&mut self, ctx: &mut ExecContext, sq: &SuspendedQuery) -> Result<()> {
@@ -1515,10 +1211,13 @@ impl Operator for HashJoin {
         self.probe.resume(ctx, sq)?;
         let rec = sq.record(self.op)?;
         let control = HjControl::decode_from_slice(&rec.resume_point)?;
+        let repositions = control.repositions();
 
         self.phase = control.phase;
         self.build_done = control.build_done;
         self.probe_done = control.probe_done;
+        self.build_runs = control.build_runs.clone();
+        self.probe_runs = control.probe_runs.clone();
         self.cur_part = control.cur_part as usize;
         self.cur_probe = control.cur_probe.clone();
         self.cur_probe_addr = control.probe_addr;
@@ -1540,67 +1239,48 @@ impl Operator for HashJoin {
         self.nlj_addr = control.nlj_addr;
         self.nlj_next_pos = control.nlj_next_pos;
         self.nlj_next_addr = control.nlj_next_addr;
+        let in_flight = self.cur_task.as_ref().map(|t| (t.build, t.probe));
 
-        match (&rec.strategy, &rec.heap_dump) {
-            (Strategy::Dump, dump) => {
+        match rec.strategy {
+            Strategy::Dump => {
                 // Reopen partially written partitions for appending.
-                self.build_runs = control.build_runs.clone();
-                self.probe_runs = control.probe_runs.clone();
-                if self.phase == PHASE_BUILD {
-                    self.build_writers = self
-                        .build_runs
-                        .drain(..)
-                        .map(|h| RunWriter::reopen(ctx.db.pool().clone(), h).map(Some))
-                        .collect::<Result<_>>()?;
-                } else if self.phase == PHASE_PROBE {
-                    self.probe_writers = self
-                        .probe_runs
-                        .drain(..)
-                        .map(|h| RunWriter::reopen(ctx.db.pool().clone(), h).map(Some))
-                        .collect::<Result<_>>()?;
-                } else if self.phase == PHASE_GRACE && self.cur_task.is_some() {
+                match (self.phase, in_flight) {
+                    (PHASE_BUILD, _) => {
+                        self.build_writers = Self::reopen_writers(ctx, &mut self.build_runs)?;
+                    }
+                    (PHASE_PROBE, _) => {
+                        self.probe_writers = Self::reopen_writers(ctx, &mut self.probe_runs)?;
+                    }
                     // Mid-spill: the stage's child runs were sealed at
-                    // suspend; reopen them all as in-progress writers and
+                    // suspend; reopen them as in-progress writers and
                     // reposition the re-partition reader. (In build-spill,
                     // probe children don't exist yet; in probe-spill, the
                     // build children are final and stay sealed.)
-                    let task = self.cur_task.clone().expect("checked above");
-                    if self.stage == TS_SPILL_BUILD {
-                        self.spill_build_writers = self
-                            .spill_build_children
-                            .drain(..)
-                            .map(|h| RunWriter::reopen(ctx.db.pool().clone(), h).map(Some))
-                            .collect::<Result<_>>()?;
-                        let mut r = RunReader::open(ctx.db.pool().clone(), task.build);
-                        if let Some(addr) = control.spill_addr {
-                            r.seek(addr);
-                        }
-                        self.spill_reader = Some(r);
-                    } else if self.stage == TS_SPILL_PROBE {
-                        self.spill_probe_writers = self
-                            .spill_probe_children
-                            .drain(..)
-                            .map(|h| RunWriter::reopen(ctx.db.pool().clone(), h).map(Some))
-                            .collect::<Result<_>>()?;
-                        let mut r = RunReader::open(ctx.db.pool().clone(), task.probe);
+                    (PHASE_TASKS, Some((build, probe))) if !repositions => {
+                        let run = if self.stage == TS_SPILL_BUILD {
+                            self.spill_build_writers =
+                                Self::reopen_writers(ctx, &mut self.spill_build_children)?;
+                            build
+                        } else {
+                            self.spill_probe_writers =
+                                Self::reopen_writers(ctx, &mut self.spill_probe_children)?;
+                            probe
+                        };
+                        let mut r = RunReader::open(ctx.db.pool().clone(), run);
                         if let Some(addr) = control.spill_addr {
                             r.seek(addr);
                         }
                         self.spill_reader = Some(r);
                     }
+                    _ => {}
                 }
-                if let Some(blob) = dump {
-                    let TableDump(pairs) = ctx.get_dump_value_for(self.op, *blob)?;
-                    for (k, vs) in pairs {
-                        for t in vs {
-                            self.table_insert(k, t);
-                        }
-                    }
+                if let Some(blob) = rec.heap_dump {
+                    let TableDump(table) = ctx.get_dump_value_for(self.op, blob)?;
+                    self.table = table.into_owned();
+                    self.heap_bytes = self.table.values().flatten().map(Tuple::heap_bytes).sum();
                 }
             }
-            (Strategy::GoBack { .. }, _) => {
-                self.build_runs = control.build_runs.clone();
-                self.probe_runs = control.probe_runs.clone();
+            Strategy::GoBack { .. } => {
                 if self.phase == PHASE_BUILD || (self.phase == PHASE_PROBE && !self.hybrid) {
                     // Reset counters to the checkpoint baseline: the work
                     // from there to the suspend point is redone by normal
@@ -1634,26 +1314,24 @@ impl Operator for HashJoin {
                         // with output suppressed until the consumed
                         // counters reach the contract point, then restore
                         // the emission cursors (§3.3 skipping).
-                        let target = control.clone();
-                        let start = if rec.aux.is_empty() {
+                        if rec.aux.is_empty() {
                             return Err(StorageError::corrupt(
                                 "hybrid GoBack record missing checkpoint control",
                             ));
-                        } else {
-                            HjControl::decode_from_slice(&rec.aux)?
-                        };
+                        }
+                        let start = HjControl::decode_from_slice(&rec.aux)?;
                         self.phase = start.phase;
                         self.build_done = start.build_done;
                         self.probe_done = start.probe_done;
                         self.build_consumed = start.build_consumed;
                         self.probe_consumed = start.probe_consumed;
-                        self.build_runs = start.build_runs.clone();
-                        self.probe_runs = start.probe_runs.clone();
+                        self.build_runs = start.build_runs;
+                        self.probe_runs = start.probe_runs;
                         self.cur_probe = None;
                         self.cur_probe_addr = None;
                         self.match_idx = 0;
                         self.replay_stop =
-                            Some((target.build_consumed, target.probe_consumed));
+                            Some((control.build_consumed, control.probe_consumed));
                         while !self.replay_reached() {
                             match self.next(ctx)? {
                                 Poll::Tuple(_) => {} // suppressed re-emission
@@ -1675,55 +1353,29 @@ impl Operator for HashJoin {
                             }
                         }
                         self.replay_stop = None;
-                        self.cur_probe = target.cur_probe.clone();
-                        self.match_idx = target.match_idx as usize;
+                        self.cur_probe = control.cur_probe.clone();
+                        self.match_idx = control.match_idx as usize;
                     }
                 }
             }
         }
 
-        if self.phase == PHASE_JOIN && self.cur_part < self.partitions {
-            // Rebuild the current partition's table and reposition the
-            // probe cursor (GoBack), or restore from the dump (Dump).
+        // A join or NLJ task in flight: rebuild its table from the build
+        // run (the NLJ block reload is deterministic from the recorded
+        // block cursor) unless the dump restored it, and reposition the
+        // probe cursor.
+        if let Some((build, probe)) = in_flight.filter(|_| repositions) {
             if rec.heap_dump.is_none() {
-                self.load_build_partition(ctx, self.cur_part)?;
+                self.load_table(ctx, build)?;
             }
-            let at = self.cur_probe_addr.or(control.probe_addr);
-            self.open_probe_reader(ctx, self.cur_part, at);
+            self.open_probe_run(ctx, probe, self.cur_probe_addr);
             if self.cur_probe.is_some() {
                 // The recorded probe tuple was already consumed from the
                 // run; skip past it.
-                let r = self
-                    .probe_reader
-                    .as_mut()
-                    .ok_or_else(|| StorageError::invalid("hash-join probe reader not open"))?;
-                let _ = r.next()?;
-                self.note_probe_io(ctx);
-            }
-        }
-
-        // Grace join/NLJ stages mirror the legacy join-phase rebuild, but
-        // over the in-flight task's runs (the NLJ block reload is
-        // deterministic from the recorded block cursor).
-        if self.phase == PHASE_GRACE && Self::grace_emitting(self.stage) {
-            if let Some(task) = self.cur_task.clone() {
-                if rec.heap_dump.is_none() {
-                    if self.stage == TS_JOIN {
-                        self.load_build_run(ctx, task.build)?;
-                    } else if self.nlj_pos < task.build.tuples {
-                        self.load_nlj_block(ctx, &task)?;
-                    }
+                if let Some(r) = self.probe_reader.as_mut() {
+                    r.next()?;
                 }
-                let at = self.cur_probe_addr.or(control.probe_addr);
-                self.open_probe_run(ctx, task.probe, at);
-                if self.cur_probe.is_some() {
-                    let r = self
-                        .probe_reader
-                        .as_mut()
-                        .ok_or_else(|| StorageError::invalid("hash-join probe reader not open"))?;
-                    let _ = r.next()?;
-                    self.note_probe_io(ctx);
-                }
+                Self::note_io(ctx, self.op, &self.probe_reader, &mut self.pages_noted);
             }
         }
 
@@ -1738,15 +1390,19 @@ impl Operator for HashJoin {
     }
 
     fn suspend_inputs(&self) -> OpSuspendInputs {
-        let grace_entries = self.tasks.len()
+        // Control-record entries beyond the fixed part: queued and
+        // in-flight spill children and an in-progress spill's child runs.
+        // A top-level partition in flight is the `cur_part` cursor; its
+        // runs are counted with `build_runs` / `probe_runs`.
+        let task_entries = self.tasks.len()
             + self.spill_build_children.len()
             + self.spill_probe_children.len()
-            + usize::from(self.cur_task.is_some());
+            + usize::from(self.cur_task.as_ref().is_some_and(|t| t.level > 0));
         OpSuspendInputs {
             heap_bytes: self.heap_bytes,
             control_bytes: 64
                 + 16 * (self.build_runs.len() + self.probe_runs.len())
-                + 48 * grace_entries,
+                + 48 * task_entries,
             // Hybrid emits partition-0 matches inline while partitioning
             // the probe side, with no checkpoint to anchor them: a dump
             // of the current state resumes *after* them.
@@ -1767,31 +1423,32 @@ impl Operator for HashJoin {
     }
 }
 
-/// Heap-dump image of the in-memory hash table. Zero-copy layout: one raw
-/// little-endian run of the `n` keys, one raw run of per-key tuple counts,
-/// then every tuple flattened into a single column-major [`TupleBlock`] —
-/// no per-pair tags or per-tuple headers.
-struct TableDump(Vec<(i64, Vec<Tuple>)>);
+/// Heap-dump image of the in-memory hash table, encoded straight from the
+/// table in sorted key order: one raw little-endian run of the `n` keys,
+/// one raw run of per-key tuple counts, then every tuple flattened into a
+/// single column-major [`TupleBlock`] — no per-pair tags or per-tuple
+/// headers.
+struct TableDump<'a>(Cow<'a, HashMap<i64, Vec<Tuple>>>);
 
-impl Encode for TableDump {
+impl Encode for TableDump<'_> {
     fn encode(&self, enc: &mut Encoder) {
-        let n = self.0.len();
-        enc.put_u32(n as u32);
-        let mut keys = Vec::with_capacity(n * 8);
-        let mut counts = Vec::with_capacity(n * 4);
-        let mut flat = Vec::new();
-        for (k, vs) in &self.0 {
+        let mut groups: Vec<(&i64, &Vec<Tuple>)> = self.0.iter().collect();
+        groups.sort_by_key(|(k, _)| **k);
+        enc.put_u32(groups.len() as u32);
+        let mut keys = Vec::with_capacity(groups.len() * 8);
+        let mut counts = Vec::with_capacity(groups.len() * 4);
+        for (k, vs) in &groups {
             keys.extend_from_slice(&k.to_le_bytes());
             counts.extend_from_slice(&(vs.len() as u32).to_le_bytes());
-            flat.extend(vs.iter().cloned());
         }
         enc.put_raw(&keys);
         enc.put_raw(&counts);
-        TupleBlock(flat).encode(enc);
+        let flat: Vec<&Tuple> = groups.iter().flat_map(|(_, vs)| vs.iter()).collect();
+        TupleSlice(&flat).encode(enc);
     }
 }
 
-impl Decode for TableDump {
+impl Decode for TableDump<'static> {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let n = dec.get_u32()? as usize;
         if n > (1 << 28) {
@@ -1801,25 +1458,108 @@ impl Decode for TableDump {
         let counts = dec.get_raw(n * 4)?;
         let TupleBlock(flat) = TupleBlock::decode(dec)?;
         let mut it = flat.into_iter();
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let k = i64::from_le_bytes(keys[i * 8..i * 8 + 8].try_into().expect("8-byte key"));
-            let c =
-                u32::from_le_bytes(counts[i * 4..i * 4 + 4].try_into().expect("4-byte count"))
-                    as usize;
-            let mut vs = Vec::with_capacity(c.min(1 << 20));
-            for _ in 0..c {
-                vs.push(it.next().ok_or_else(|| {
-                    StorageError::corrupt("table dump truncated: fewer tuples than counts claim")
-                })?);
+        let mut table = HashMap::with_capacity(n);
+        for (k, c) in keys.chunks_exact(8).zip(counts.chunks_exact(4)) {
+            let k = i64::from_le_bytes(k.try_into().expect("8-byte key"));
+            let c = u32::from_le_bytes(c.try_into().expect("4-byte count")) as usize;
+            let vs: Vec<Tuple> = it.by_ref().take(c).collect();
+            if vs.len() < c {
+                return Err(StorageError::corrupt(
+                    "table dump truncated: fewer tuples than counts claim",
+                ));
             }
-            out.push((k, vs));
+            table.insert(k, vs);
         }
         if it.next().is_some() {
             return Err(StorageError::corrupt(
                 "table dump has trailing tuples beyond counted groups",
             ));
         }
-        Ok(TableDump(out))
+        Ok(TableDump(Cow::Owned(table)))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{PlanSpec, QueryExecution, SuspendTrigger};
+    use qsr_core::SuspendPolicy;
+    use qsr_storage::Database;
+    use qsr_workload::{generate_table, TableSpec};
+
+    /// A record written under the retired linear-scan phase byte — mid
+    /// partition, probe cursor and all — resumes to the same remaining
+    /// output as the task-walk record of the same point.
+    #[test]
+    fn retired_phase_byte_resumes_like_the_task_walk() {
+        let dir = std::env::temp_dir().join(format!("qsr-hj-retired-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let db = Database::open_default(&dir).unwrap();
+        generate_table(&db, &TableSpec::new("b", 300).payload(16).seed(5)).unwrap();
+        generate_table(&db, &TableSpec::new("p", 900).payload(16).seed(6)).unwrap();
+        let plan = PlanSpec::HashJoin {
+            build: Box::new(PlanSpec::TableScan { table: "b".into() }),
+            probe: Box::new(PlanSpec::TableScan { table: "p".into() }),
+            build_key: 0,
+            probe_key: 0,
+            partitions: 3,
+            hybrid: false,
+        };
+        let mut base = QueryExecution::start(db.clone(), plan.clone()).unwrap();
+        let expected = base.run_to_completion().unwrap();
+
+        // 1 200 partitioning ticks, then half of the 900 probe ticks:
+        // the suspend lands inside the second partition.
+        let mut exec = QueryExecution::start(db.clone(), plan).unwrap();
+        exec.set_trigger(Some(SuspendTrigger::AfterOpTuples {
+            op: OpId(0),
+            n: 1_200 + 450,
+        }));
+        let (prefix, done) = exec.run().unwrap();
+        assert!(!done);
+        let handle = exec.suspend(&SuspendPolicy::AllGoBack).unwrap();
+
+        let blob = db.backend().get_blob(handle.blob).unwrap();
+        let mut sq = SuspendedQuery::decode_from_slice(&blob).unwrap();
+        let rec = sq.records.get_mut(&OpId(0)).unwrap();
+        let walk = HjControl::decode_from_slice(&rec.resume_point).unwrap();
+        let part = match &walk.cur_task {
+            Some(t) if t.level == 0 => u64::from(t.path[0]),
+            t => panic!("expected a top-level partition in flight, got {t:?}"),
+        };
+        assert!(part > 0 && walk.cur_probe.is_some() && walk.probe_addr.is_some());
+        // The same point as the linear scan recorded it: `cur_part` names
+        // the partition in flight and there are no task objects.
+        let retired = HjControl {
+            phase: PHASE_JOIN,
+            cur_part: part,
+            cur_task: None,
+            ..walk.clone()
+        };
+        rec.resume_point = retired.encode_to_vec();
+        assert_eq!(rec.resume_point[0], 2);
+        assert_eq!(HjControl::decode_from_slice(&rec.resume_point).unwrap(), walk);
+        let retired_blob = db.backend().put_blob(&sq.encode_to_vec()).unwrap();
+        // And as the seeded queue recorded it: the unstarted top-level
+        // partitions queued, `cur_part` never moved.
+        let seeded = HjControl {
+            phase: PHASE_GRACE,
+            cur_part: 0,
+            tasks: (part as usize + 1..3)
+                .rev()
+                .map(|p| PartTask::top_level(p, walk.build_runs[p], walk.probe_runs[p]))
+                .collect(),
+            ..walk.clone()
+        };
+        assert_eq!(HjControl::decode_from_slice(&seeded.encode_to_vec()).unwrap(), walk);
+
+        for blob in [retired_blob, handle.blob] {
+            let mut resumed = QueryExecution::resume_from_blob(db.clone(), blob).unwrap();
+            let mut all = prefix.clone();
+            all.extend(resumed.run_to_completion().unwrap());
+            assert_eq!(all, expected);
+        }
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

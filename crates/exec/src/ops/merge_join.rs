@@ -16,7 +16,7 @@ use qsr_core::{
     SuspendPlan, SuspendedQuery,
 };
 use qsr_storage::{
-    Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple, TupleBlock,
+    Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple, TupleBlock, TupleSlice,
 };
 use std::collections::VecDeque;
 
@@ -647,8 +647,8 @@ struct PacketDump {
 
 impl Encode for PacketDump {
     fn encode(&self, enc: &mut Encoder) {
-        TupleBlock(self.left.clone()).encode(enc);
-        TupleBlock(self.right.clone()).encode(enc);
+        TupleSlice(&self.left).encode(enc);
+        TupleSlice(&self.right).encode(enc);
     }
 }
 

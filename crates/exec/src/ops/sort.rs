@@ -31,7 +31,7 @@ use qsr_core::{
 };
 use qsr_storage::{
     Decode, Decoder, Encode, Encoder, Result, RunHandle, RunReader, RunWriter, Schema,
-    StorageError, Tuple, TupleAddr, TupleBlock,
+    StorageError, Tuple, TupleAddr, TupleBlock, TupleSlice,
 };
 use std::collections::VecDeque;
 
@@ -632,7 +632,7 @@ impl Operator for ExternalSort {
 
         let heap_dump = match strategy {
             Strategy::Dump if self.phase == PHASE_BUILD && !self.buf.is_empty() => {
-                Some(ctx.put_dump_value(self.op, &BufferDump(self.buf.clone()))?)
+                Some(ctx.put_dump_value(self.op, &TupleSlice(&self.buf))?)
             }
             _ => None,
         };
@@ -672,7 +672,7 @@ impl Operator for ExternalSort {
         if control.phase == PHASE_BUILD {
             match (&rec.strategy, &rec.heap_dump) {
                 (Strategy::Dump, Some(blob)) => {
-                    let BufferDump(tuples) = ctx.get_dump_value_for(self.op, *blob)?;
+                    let TupleBlock(tuples) = ctx.get_dump_value_for(self.op, *blob)?;
                     for t in &tuples {
                         self.heap_bytes += t.heap_bytes();
                     }
@@ -793,21 +793,5 @@ impl Operator for ExternalSort {
     fn visit_mut(&mut self, f: &mut dyn FnMut(&mut dyn Operator)) {
         f(self);
         self.child.visit_mut(f);
-    }
-}
-
-/// Heap-dump image of the phase-1 sort buffer, stored as a column-major
-/// [`TupleBlock`] (raw value runs, no per-tuple headers).
-struct BufferDump(Vec<Tuple>);
-
-impl Encode for BufferDump {
-    fn encode(&self, enc: &mut Encoder) {
-        TupleBlock(self.0.clone()).encode(enc);
-    }
-}
-
-impl Decode for BufferDump {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(BufferDump(TupleBlock::decode(dec)?.0))
     }
 }

@@ -17,7 +17,7 @@ use crate::ops::{
 use crate::ops::agg::{Distinct, StreamAgg};
 use qsr_core::{OpId, PlanTopology, TopoNode};
 use qsr_storage::{
-    Database, Decode, Decoder, Encode, Encoder, Result, Schema, StorageError,
+    env_parse, Database, Decode, Decoder, Encode, Encoder, Result, Schema, StorageError,
 };
 
 /// Declarative physical plan.
@@ -550,19 +550,12 @@ pub struct BuildOptions {
     pub merge_fanin: usize,
 }
 
-fn env_usize(name: &str) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
 impl Default for BuildOptions {
     fn default() -> Self {
         Self {
             contract_migration: true,
-            mem_budget: env_usize("QSR_MEM_BUDGET"),
-            merge_fanin: env_usize("QSR_MERGE_FANIN"),
+            mem_budget: env_parse("QSR_MEM_BUDGET").unwrap_or(0),
+            merge_fanin: env_parse("QSR_MERGE_FANIN").unwrap_or(0),
         }
     }
 }

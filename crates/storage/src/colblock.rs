@@ -19,6 +19,7 @@ use crate::codec::{Decode, Decoder, Encode, Encoder};
 use crate::error::{Result, StorageError};
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::borrow::Borrow;
 
 const FORMAT_COLUMNAR: u8 = 0;
 const FORMAT_ROWS: u8 = 1;
@@ -31,14 +32,23 @@ const COL_STR: u8 = 3;
 const COL_MIXED: u8 = 4;
 
 /// A run of tuples encoded column-major with raw (untagged, unprefixed)
-/// per-column byte slices. Wrap a `Vec<Tuple>` to dump it zero-copy;
-/// decoding returns the tuples in their original order.
+/// per-column byte slices; decoding returns the tuples in their original
+/// order. Encode operator state through [`TupleSlice`] instead of moving
+/// it into a `TupleBlock`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TupleBlock(pub Vec<Tuple>);
 
+/// The encode-only borrowed form of a [`TupleBlock`] — the dump image of
+/// an operator's tuple buffer, written straight from the buffer. The wire
+/// bytes are those of `TupleBlock(rows.to_vec())`, so it decodes as a
+/// `TupleBlock`. Rows may be `Tuple`s or `&Tuple`s (state that is not
+/// contiguous in memory, e.g. the groups of a hash table).
+#[derive(Debug, Clone, Copy)]
+pub struct TupleSlice<'a, T = Tuple>(pub &'a [T]);
+
 /// The column layout to use for column `c`: a single tag if every row
 /// holds the same variant there, otherwise `COL_MIXED`.
-fn column_tag(rows: &[Tuple], c: usize) -> u8 {
+fn column_tag(rows: &[&Tuple], c: usize) -> u8 {
     let tag_of = |v: &Value| match v {
         Value::Int(_) => COL_INT,
         Value::Float(_) => COL_FLOAT,
@@ -54,7 +64,7 @@ fn column_tag(rows: &[Tuple], c: usize) -> u8 {
     first
 }
 
-fn encode_column(enc: &mut Encoder, rows: &[Tuple], c: usize, tag: u8) {
+fn encode_column(enc: &mut Encoder, rows: &[&Tuple], c: usize, tag: u8) {
     enc.put_u8(tag);
     match tag {
         COL_INT => {
@@ -177,11 +187,21 @@ fn decode_column(dec: &mut Decoder<'_>, rows: usize, out: &mut [Vec<Value>]) -> 
 
 impl Encode for TupleBlock {
     fn encode(&self, enc: &mut Encoder) {
-        let rows = &self.0;
+        TupleSlice(&self.0).encode(enc);
+    }
+}
+
+impl<T: Borrow<Tuple>> Encode for TupleSlice<'_, T> {
+    fn encode(&self, enc: &mut Encoder) {
+        let rows: Vec<&Tuple> = self.0.iter().map(Borrow::borrow).collect();
+        let rows = rows.as_slice();
         let uniform = !rows.is_empty() && rows.iter().all(|t| t.arity() == rows[0].arity());
         if !uniform {
             enc.put_u8(FORMAT_ROWS);
-            enc.put_seq(rows);
+            enc.put_u32(rows.len() as u32);
+            for t in rows {
+                t.encode(enc);
+            }
             return;
         }
         let cols = rows[0].arity();
@@ -275,6 +295,33 @@ mod tests {
         let block = TupleBlock(ragged.clone());
         assert_eq!(block.encode_to_vec()[0], FORMAT_ROWS);
         assert_eq!(roundtrip(&block).unwrap().0, ragged);
+    }
+
+    #[test]
+    fn borrowed_encode_is_wire_identical_to_owned() {
+        // Bytes the owned encoder wrote before `TupleSlice` existed, one
+        // block per format: existing blobs, delta baselines and
+        // checksum-keyed salvage entries depend on them not moving.
+        let columnar = vec![
+            t(vec![Value::Int(1), Value::Str("a".into()), Value::Bool(true)]),
+            t(vec![Value::Int(-2), Value::Str("bc".into()), Value::Bool(false)]),
+        ];
+        let columnar_wire: &[u8] = &[
+            0, 2, 0, 0, 0, 3, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 254, 255, 255, 255, 255, 255,
+            255, 255, 3, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 97, 98, 99, 2, 1, 0,
+        ];
+        let ragged = vec![t(vec![Value::Int(1)]), t(vec![Value::Int(2), Value::Bool(true)])];
+        let ragged_wire: &[u8] = &[
+            1, 2, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0,
+            0, 0, 3, 1,
+        ];
+        for (rows, wire) in [(columnar, columnar_wire), (ragged, ragged_wire)] {
+            assert_eq!(TupleBlock(rows.clone()).encode_to_vec(), wire);
+            assert_eq!(TupleSlice(&rows).encode_to_vec(), wire);
+            let refs: Vec<&Tuple> = rows.iter().collect();
+            assert_eq!(TupleSlice(&refs).encode_to_vec(), wire);
+            assert_eq!(TupleBlock::decode_from_slice(wire).unwrap().0, rows);
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use blob::{fnv1a, BlobId, BlobStore};
 pub use bufpool::{BufferPool, PinGuard};
 pub use catalog::{Catalog, TableInfo};
 pub use codec::{Decode, Decoder, Encode, Encoder};
-pub use colblock::TupleBlock;
+pub use colblock::{TupleBlock, TupleSlice};
 pub use cost::{CacheStats, CostLedger, CostModel, CostSnapshot, Phase, PhaseCost};
 pub use db::Database;
 pub use delta::{is_delta_frame, DeltaDump, COMPACT_CHAIN_LEN, DELTA_MAGIC, DELTA_VERSION};

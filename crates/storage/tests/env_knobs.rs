@@ -54,7 +54,9 @@ fn numeric_knobs_parse_or_name_the_variable() {
     }
 
     // QSR_KEEP_GENERATIONS reads as usize (the retention window width),
-    // as does QSR_WORKERS (the server's slice-thread count; 0 = serial).
+    // as do QSR_WORKERS (the server's slice-thread count; 0 = serial),
+    // the spill-shape knobs QSR_MEM_BUDGET / QSR_MERGE_FANIN (0 =
+    // unlimited) and the driver's QSR_BATCH_SIZE / QSR_RESUME_WORKERS.
     let usize_table: &[Row<usize>] = &[
         ("QSR_KEEP_GENERATIONS", None, Ok(None)),
         ("QSR_KEEP_GENERATIONS", Some("1"), Ok(Some(1))),
@@ -68,6 +70,26 @@ fn numeric_knobs_parse_or_name_the_variable() {
         ("QSR_WORKERS", Some("two"), Err(())),
         ("QSR_WORKERS", Some("-1"), Err(())),
         ("QSR_WORKERS", Some(""), Err(())),
+        ("QSR_MEM_BUDGET", None, Ok(None)),
+        ("QSR_MEM_BUDGET", Some("5000"), Ok(Some(5000))),
+        ("QSR_MEM_BUDGET", Some("64k"), Err(())),
+        ("QSR_MEM_BUDGET", Some("-1"), Err(())),
+        ("QSR_MEM_BUDGET", Some(""), Err(())),
+        ("QSR_MERGE_FANIN", None, Ok(None)),
+        ("QSR_MERGE_FANIN", Some("4"), Ok(Some(4))),
+        ("QSR_MERGE_FANIN", Some("64k"), Err(())),
+        ("QSR_MERGE_FANIN", Some("-1"), Err(())),
+        ("QSR_MERGE_FANIN", Some(""), Err(())),
+        ("QSR_BATCH_SIZE", None, Ok(None)),
+        ("QSR_BATCH_SIZE", Some("48"), Ok(Some(48))),
+        ("QSR_BATCH_SIZE", Some("64k"), Err(())),
+        ("QSR_BATCH_SIZE", Some("-1"), Err(())),
+        ("QSR_BATCH_SIZE", Some(""), Err(())),
+        ("QSR_RESUME_WORKERS", None, Ok(None)),
+        ("QSR_RESUME_WORKERS", Some("4"), Ok(Some(4))),
+        ("QSR_RESUME_WORKERS", Some("64k"), Err(())),
+        ("QSR_RESUME_WORKERS", Some("-1"), Err(())),
+        ("QSR_RESUME_WORKERS", Some(""), Err(())),
     ];
     for (name, raw, expected) in usize_table {
         let got = parse_env_value::<usize>(name, *raw);

@@ -19,11 +19,10 @@ cargo test --workspace --release -q
 cargo run --release -p qsr-bench --bin bench_pr2
 
 # Degradation smoke: crash/torn/NoSpace at every write ordinal of a
-# pressured suspend, of generation GC, and of generation retirement
-# (tests/degradation_matrix.rs), then the deadline + quota ladder sweep
-# bench. Asserts no rung overruns its budget beyond the commit
-# bookkeeping and writes BENCH_pr4.json.
-cargo test --release -q --test degradation_matrix
+# pressured suspend, of generation GC, and of generation retirement ran
+# in the release workspace pass above (tests/degradation_matrix.rs);
+# here the deadline + quota ladder sweep bench. Asserts no rung overruns
+# its budget beyond the commit bookkeeping and writes BENCH_pr4.json.
 cargo run --release -p qsr-bench --bin bench_pr4
 
 # Differential suspend-point oracle, bounded CI shape: stride-1 sweep
@@ -35,10 +34,10 @@ QSR_ORACLE_SEED=219803630 QSR_ORACLE_FAULTS=32 \
     cargo test --release -q --test oracle_sweep
 
 # Observability smoke: the oracle smoke runs with a JSONL flight-recorder
-# sink attached (QSR_TRACE), every emitted line is validated against the
-# checked-in event schema, and the zero-overhead-off pin — tracer
-# installed vs absent leaves the CostLedger bit-identical — runs in
-# release mode.
+# sink attached (QSR_TRACE) and every emitted line is validated against
+# the checked-in event schema. (The zero-overhead-off pin — tracer
+# installed vs absent leaves the CostLedger bit-identical — ran in the
+# release workspace pass above, tests/trace_invariants.rs.)
 QSR_TRACE_DIR="$(mktemp -d)"
 QSR_TRACE="$QSR_TRACE_DIR/trace.jsonl" \
     cargo run --release -p qsr-bench --bin oracle_smoke
@@ -47,26 +46,23 @@ cargo run --release -p qsr-bench --bin trace_check -- \
 cargo run --release -p qsr-bench --bin trace_summary -- \
     "$QSR_TRACE_DIR/trace.jsonl"
 rm -rf "$QSR_TRACE_DIR"
-cargo test --release -q --test trace_invariants \
-    tracer_installed_is_ledger_bit_identical
 
 # Scheduler stage: the multi-session preemptive server — one scheduling
-# loop, run inline (--workers 0) or on threads. The server matrix covers
+# loop, run inline (--workers 0) or on threads. The server matrix
+# (tests/server_matrix.rs, in the release workspace pass above) covers
 # both: three sessions over one live slot (every activation preempts the
 # MIP-cheapest victim), crash/torn/NoSpace at every write ordinal of a
 # preemption with full registry recovery after each halting fault, the
 # seeded threaded stress lane and the crash mid-concurrent-suspend,
 # SLA-budget rung forcing, admission reject/queue/drain in both modes,
 # the strict max_live ceiling, workers=1 == workers=0 equivalence, and
-# spill reclaim. Then the orphan-blob sweep for torn remote puts, the
-# server binary end-to-end in both modes, the session-count sweep
+# spill reclaim; tests/delta_retention.rs there sweeps the orphan blobs
+# of torn remote puts. Here the server binary end-to-end in both modes,
+# the session-count sweep
 # (BENCH_pr6.json: throughput + p95 resume latency in ledger units) and
 # the worker sweep (BENCH_pr10.json: workers=0 ledger bit-identity
 # across runs, wall-clock throughput, per-tenant p50/p95 slice latency,
 # SLA-miss rate for workers in {0,1,2,4}).
-cargo test --release -q --test server_matrix
-cargo test --release -q --test delta_retention \
-    torn_remote_put_orphans_are_swept_and_resume_survives
 for workers in 0 2; do
     cargo run --release -q -p qsr-server --bin qsr-server -- \
         --sessions 3 --quantum 1500 --max-live 1 --workers "$workers"
@@ -76,8 +72,10 @@ cargo run --release -p qsr-bench --bin bench_pr10
 
 # Vectorization stage: the batch execution path. A deliberately awkward
 # batch size (48, straddling page boundaries) re-runs the end-to-end and
-# stride-7 oracle sweeps in batch mode so every suspend point is hit with
-# partially filled batches, then the vectorized-scan bench asserts pool-0
+# stride-7 oracle sweeps and the executor crate's operator-level
+# suspend/resume tests in batch mode, so every suspend point is hit with
+# partially filled batches and every operator's shared step runs in the
+# batch lane too, then the vectorized-scan bench asserts pool-0
 # ledger bit-identity between tuple and batch modes and writes
 # BENCH_pr7.json. (The nightly QSR_ORACLE_FULL=1 oracle run widens this
 # lane too: the oracle's batch axis replays every corpus scenario at
@@ -85,6 +83,7 @@ cargo run --release -p qsr-bench --bin bench_pr10
 QSR_BATCH_SIZE=48 cargo test --release -q --test end_to_end
 QSR_ORACLE_STRIDE=7 QSR_BATCH_SIZE=48 \
     cargo test --release -q --test oracle_sweep
+QSR_BATCH_SIZE=48 cargo test --release -q -p qsr-exec
 cargo run --release -p qsr-bench --bin bench_pr7
 
 # Larger-than-memory stage: the recursive grace hash join and the
@@ -95,17 +94,15 @@ cargo run --release -p qsr-bench --bin bench_pr7
 cargo run --release -p qsr-bench --bin bench_pr8
 
 # Backend stage: pluggable suspend backends, delta checkpoints, and
-# retention. The delta-chain commit / compaction-fold / retention-GC /
-# remote retry-failover fault matrices already ran in the release
-# degradation_matrix pass above; here the backend-aware oracle lane
-# replays suspend chains across local/memory/remote x delta x keep, the
-# env-knob audit covers QSR_SUSPEND_BACKEND / QSR_DELTA /
-# QSR_KEEP_GENERATIONS, and the bench asserts five delta suspends charge
-# measurably less dump I/O than full dumps (and that the remote stack
-# retries transients but fails over dead endpoints) and writes
-# BENCH_pr9.json.
-cargo test --release -q --test oracle_sweep backend_delta_retention_chains
-cargo test --release -q -p qsr-storage --test env_knobs
+# retention. The release workspace pass above already ran the
+# delta-chain commit / compaction-fold / retention-GC / remote
+# retry-failover fault matrices (degradation_matrix), the backend-aware
+# oracle lane replaying suspend chains across local/memory/remote x
+# delta x keep (oracle_sweep backend_delta_retention_chains) and the
+# env-knob audit (qsr-storage env_knobs); here the bench asserts five
+# delta suspends charge measurably less dump I/O than full dumps (and
+# that the remote stack retries transients but fails over dead
+# endpoints) and writes BENCH_pr9.json.
 cargo run --release -p qsr-bench --bin bench_pr9
 
 # Repo benchmark (read-only use): the standalone benchmark crate

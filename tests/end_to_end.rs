@@ -281,6 +281,82 @@ fn grace_operators_batch_mode_pins_tuple_mode_ledgers() {
     }
 }
 
+/// A hash join has one join phase — the partition task walk — and a zero
+/// `mem_budget` only means that no task is ever over budget. The pin: run
+/// budget-less and under a budget no partition exceeds, the join agrees
+/// on output, work units and the execution ledger, and a suspend at 80 %
+/// of the work charges the same and resumes to the same output under
+/// every policy — hybrid and simple, tuple and batch lanes.
+#[test]
+fn budgetless_join_equals_never_exceeded_budget() {
+    let plan = |hybrid: bool, mem_budget: usize| {
+        let join = PlanSpec::HashJoin {
+            build: Box::new(PlanSpec::TableScan { table: "s".into() }),
+            probe: Box::new(PlanSpec::TableScan { table: "r".into() }),
+            build_key: 0,
+            probe_key: 0,
+            partitions: 4,
+            hybrid,
+        };
+        match mem_budget {
+            0 => join,
+            _ => PlanSpec::MemoryBudget {
+                input: Box::new(join),
+                mem_budget,
+                merge_fanin: 0,
+            },
+        }
+    };
+    let policies = [
+        SuspendPolicy::AllDump,
+        SuspendPolicy::AllGoBack,
+        SuspendPolicy::Optimized { budget: None },
+    ];
+    for hybrid in [true, false] {
+        for batch in [0, 48] {
+            let lane = format!("hybrid={hybrid} batch={batch}");
+            // Per budget: (output, work units, execute-phase ledger,
+            // suspend-phase ledger per policy).
+            let mut runs = Vec::new();
+            for mem_budget in [0, 1_000_000] {
+                let (_d, db) = setup("budget-eq");
+                db.ledger().reset();
+                let mut exec = QueryExecution::start(db.clone(), plan(hybrid, mem_budget)).unwrap();
+                exec.set_batch_size(batch);
+                let expected = exec.run_to_completion().unwrap();
+                let total = exec.work_units();
+                let execute = db.ledger().snapshot().phase(Phase::Execute);
+
+                let mut suspend_costs = Vec::new();
+                for policy in &policies {
+                    let (_d, db) = setup("budget-eq-s");
+                    let mut exec =
+                        QueryExecution::start(db.clone(), plan(hybrid, mem_budget)).unwrap();
+                    exec.set_batch_size(batch);
+                    let b = total * 8 / 10;
+                    exec.set_work_unit_observer(Some(Box::new(move |_op, seq: u64| seq >= b)));
+                    let (prefix, done) = exec.run().unwrap();
+                    assert!(!done, "{lane}: boundary {b} must interrupt the join");
+                    let handle = exec.suspend(policy).unwrap();
+                    suspend_costs.push(db.ledger().snapshot().phase(Phase::Suspend));
+                    let mut resumed = QueryExecution::resume(db, &handle).unwrap();
+                    resumed.set_batch_size(batch);
+                    let mut all = prefix;
+                    all.extend(resumed.run_to_completion().unwrap());
+                    assert_eq!(all, expected, "{lane} budget={mem_budget} {policy:?}");
+                }
+                runs.push((expected, total, execute, suspend_costs));
+            }
+            let (unbudgeted, budgeted) = (&runs[0], &runs[1]);
+            assert!(!unbudgeted.0.is_empty(), "{lane}: the join must produce output");
+            assert_eq!(unbudgeted.0, budgeted.0, "{lane}: output");
+            assert_eq!(unbudgeted.1, budgeted.1, "{lane}: work units");
+            assert_eq!(unbudgeted.2, budgeted.2, "{lane}: execute-phase ledger");
+            assert_eq!(unbudgeted.3, budgeted.3, "{lane}: charged suspend cost per policy");
+        }
+    }
+}
+
 #[test]
 fn checkpointing_overhead_is_negligible_in_cost_units() {
     // The paper's §3.1 claim: asynchronous checkpointing at

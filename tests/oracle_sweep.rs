@@ -235,7 +235,9 @@ fn batch_mode_suspend_point_sweep() {
 /// contract signing and the end of the join's probe phase the hybrid join
 /// has emitted inline partition-0 matches that only a GoBack regenerates;
 /// an Optimized plan pairing `Sort: GoBack` with `HashJoin: Dump` there
-/// resumed with those tuples missing.
+/// resumed with those tuples missing. The bare budget-less hybrid join
+/// rides the same sweep: every suspend point of the partition task walk,
+/// in both lanes of its one shared step.
 #[test]
 fn sort_over_hybrid_join_every_policy_and_lane() {
     let cfg = config();
@@ -243,29 +245,30 @@ fn sort_over_hybrid_join_every_policy_and_lane() {
         return;
     }
     let mut oracle = Oracle::new();
-    let case = "sort-over-hybrid-join";
-    let total = oracle
-        .total_work_units(case)
-        .unwrap_or_else(|e| panic!("golden run of {case}: {e}"));
-    for policy in [Policy::Dump, Policy::GoBack, Policy::Optimized] {
-        for batch in [0, 48] {
-            for boundary in 1..=total {
-                let s = Scenario {
-                    case: case.to_string(),
-                    pool_pages: 0,
-                    dump_writers: 0,
-                    batch,
-                    mem_budget: 0,
-                    merge_fanin: 0,
-                    skew: SkewProfile::Default,
-                    policy,
-                    quota: None,
-                    backend: Default::default(),
-                    delta: false,
-                    keep: 1,
-                    mode: Mode::Sweep { boundary },
-                };
-                check_or_die(&mut oracle, &s, cfg.seed);
+    for case in ["sort-over-hybrid-join", "hash-join"] {
+        let total = oracle
+            .total_work_units(case)
+            .unwrap_or_else(|e| panic!("golden run of {case}: {e}"));
+        for policy in [Policy::Dump, Policy::GoBack, Policy::Optimized] {
+            for batch in [0, 48] {
+                for boundary in 1..=total {
+                    let s = Scenario {
+                        case: case.to_string(),
+                        pool_pages: 0,
+                        dump_writers: 0,
+                        batch,
+                        mem_budget: 0,
+                        merge_fanin: 0,
+                        skew: SkewProfile::Default,
+                        policy,
+                        quota: None,
+                        backend: Default::default(),
+                        delta: false,
+                        keep: 1,
+                        mode: Mode::Sweep { boundary },
+                    };
+                    check_or_die(&mut oracle, &s, cfg.seed);
+                }
             }
         }
     }
