@@ -277,7 +277,7 @@ impl SuspendedQuery {
         let graph_bytes = dec.get_option()?;
         let tuples_emitted = dec.get_u64()?;
         let n = dec.get_u32()? as usize;
-        let mut work_snapshot = Vec::with_capacity(n.min(1 << 16));
+        let mut work_snapshot = Vec::with_capacity(n.min(dec.remaining()));
         for _ in 0..n {
             let op = OpId::decode(dec)?;
             let w = dec.get_f64()?;

@@ -9,6 +9,7 @@
 
 use crate::context::ExecContext;
 use crate::operator::{BatchPoll, Operator, Poll, SuspendMode};
+use crate::ops::Accum;
 use qsr_core::{
     Batch, CkptId, ColumnVec, CtrId, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot,
     SuspendPlan, SuspendedQuery,
@@ -62,61 +63,6 @@ impl Encode for AggFn {
 impl Decode for AggFn {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         AggFn::from_tag(dec.get_u8()?)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Accum {
-    count: u64,
-    sum: i64,
-    min: i64,
-    max: i64,
-}
-
-impl Accum {
-    fn new() -> Self {
-        Self {
-            count: 0,
-            sum: 0,
-            min: i64::MAX,
-            max: i64::MIN,
-        }
-    }
-
-    fn add(&mut self, v: i64) {
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    fn value(&self, f: AggFn) -> i64 {
-        match f {
-            AggFn::Count => self.count as i64,
-            AggFn::Sum => self.sum,
-            AggFn::Min => self.min,
-            AggFn::Max => self.max,
-        }
-    }
-}
-
-impl Encode for Accum {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.count);
-        enc.put_i64(self.sum);
-        enc.put_i64(self.min);
-        enc.put_i64(self.max);
-    }
-}
-
-impl Decode for Accum {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(Accum {
-            count: dec.get_u64()?,
-            sum: dec.get_i64()?,
-            min: dec.get_i64()?,
-            max: dec.get_i64()?,
-        })
     }
 }
 

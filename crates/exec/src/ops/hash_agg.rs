@@ -17,6 +17,7 @@
 use crate::context::ExecContext;
 use crate::operator::{BatchPoll, Operator, Poll, SuspendMode};
 use crate::ops::agg::AggFn;
+use crate::ops::{hash_partition, Accum};
 use qsr_core::{
     Batch, CkptId, ColumnVec, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord,
     SideSnapshot, Strategy, SuspendPlan, SuspendedQuery,
@@ -30,65 +31,6 @@ use std::collections::{HashMap, VecDeque};
 const PHASE_PARTITION: u8 = 0;
 const PHASE_AGG: u8 = 1;
 const PHASE_DONE: u8 = 2;
-
-fn hash_partition(key: i64, partitions: usize) -> usize {
-    ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) as usize % partitions
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Acc {
-    count: u64,
-    sum: i64,
-    min: i64,
-    max: i64,
-}
-
-impl Acc {
-    fn new() -> Self {
-        Self {
-            count: 0,
-            sum: 0,
-            min: i64::MAX,
-            max: i64::MIN,
-        }
-    }
-
-    fn add(&mut self, v: i64) {
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    fn value(&self, f: AggFn) -> i64 {
-        match f {
-            AggFn::Count => self.count as i64,
-            AggFn::Sum => self.sum,
-            AggFn::Min => self.min,
-            AggFn::Max => self.max,
-        }
-    }
-}
-
-impl Encode for Acc {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.count);
-        enc.put_i64(self.sum);
-        enc.put_i64(self.min);
-        enc.put_i64(self.max);
-    }
-}
-
-impl Decode for Acc {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(Acc {
-            count: dec.get_u64()?,
-            sum: dec.get_i64()?,
-            min: dec.get_i64()?,
-            max: dec.get_i64()?,
-        })
-    }
-}
 
 #[derive(Debug, Clone, PartialEq)]
 struct HaControl {
@@ -136,7 +78,7 @@ pub struct HashAgg {
     runs: Vec<RunHandle>,
     cur_part: usize,
     /// Current partition's groups, sorted by key, with emission cursor.
-    groups: Vec<(i64, Acc)>,
+    groups: Vec<(i64, Accum)>,
     emit_idx: usize,
     heap_bytes: usize,
     consumed: u64,
@@ -226,17 +168,17 @@ impl HashAgg {
     }
 
     fn load_partition(&mut self, ctx: &mut ExecContext, part: usize) -> Result<()> {
-        let mut table: HashMap<i64, Acc> = HashMap::new();
+        let mut table: HashMap<i64, Accum> = HashMap::new();
         let mut bytes = 0usize;
         let mut r = RunReader::open(ctx.db.pool().clone(), self.runs[part]);
         while let Some(t) = r.next()? {
             let g = t.get(self.group_col).as_int()?;
             let v = t.get(self.agg_col).as_int()?;
-            table.entry(g).or_insert_with(Acc::new).add(v);
+            table.entry(g).or_insert_with(Accum::new).add(v);
             bytes += 40;
         }
         ctx.note_page_reads(self.op, r.pages_fetched());
-        let mut groups: Vec<(i64, Acc)> = table.into_iter().collect();
+        let mut groups: Vec<(i64, Accum)> = table.into_iter().collect();
         groups.sort_by_key(|(g, _)| *g);
         self.groups = groups;
         self.heap_bytes = bytes;
@@ -696,7 +638,7 @@ impl Operator for HashAgg {
 /// Heap-dump image of the current partition's groups. Zero-copy layout:
 /// one raw little-endian run of the `n` group keys followed by one raw
 /// run of `n` fixed-width (32-byte) accumulators — no per-group headers.
-struct GroupsDump(Vec<(i64, Acc)>);
+struct GroupsDump(Vec<(i64, Accum)>);
 
 const ACC_BYTES: usize = 32;
 
@@ -738,7 +680,7 @@ impl Decode for GroupsDump {
             };
             out.push((
                 g,
-                Acc {
+                Accum {
                     count: u64::from_le_bytes(word(0)),
                     sum: i64::from_le_bytes(word(1)),
                     min: i64::from_le_bytes(word(2)),

@@ -30,6 +30,7 @@
 
 use crate::context::ExecContext;
 use crate::operator::{BatchPoll, Operator, Poll, SuspendMode};
+use crate::ops::hash_partition;
 use qsr_core::{
     Batch, CkptId, ColumnVec, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord,
     SideSnapshot, Strategy, SuspendPlan, SuspendedQuery,
@@ -64,10 +65,6 @@ const TS_NLJ: u8 = 3;
 /// falls back to block nested-loop (chunked build) instead of spilling
 /// again — duplicate-heavy keys never split, so depth must be capped.
 const MAX_SPILL_DEPTH: u64 = 2;
-
-fn hash_partition(key: i64, partitions: usize) -> usize {
-    ((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) as usize % partitions
-}
 
 /// Level-salted partition hash: re-partitioning one level deeper must not
 /// reuse the parent's split (every tuple of a partition shares its parent

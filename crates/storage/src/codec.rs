@@ -238,7 +238,9 @@ impl<'a> Decoder<'a> {
     /// Read a length-prefixed sequence written by [`Encoder::put_seq`].
     pub fn get_seq<T: Decode>(&mut self) -> Result<Vec<T>> {
         let len = self.get_u32()? as usize;
-        let mut out = Vec::with_capacity(len.min(1 << 20));
+        // Reserve for what the bytes left can hold (an element takes at
+        // least one), not for what the prefix claims.
+        let mut out = Vec::with_capacity(len.min(self.remaining()));
         for _ in 0..len {
             out.push(T::decode(self)?);
         }

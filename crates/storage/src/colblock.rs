@@ -11,9 +11,10 @@
 //! the enclosing [`BlobStore`](crate::BlobStore) checksums the whole
 //! encoded block, so torn or bit-flipped dumps are still detected.
 //!
-//! Tuples with heterogeneous arity (or an empty run, where no column
-//! layout can be inferred) fall back to the old row-major encoding behind
-//! a format byte, so every `Vec<Tuple>` round-trips.
+//! Tuples with heterogeneous arity (or an empty run or zero-column
+//! tuples, where there is no column layout to write) fall back to the old
+//! row-major encoding behind a format byte, so every `Vec<Tuple>`
+//! round-trips.
 
 use crate::codec::{Decode, Decoder, Encode, Encoder};
 use crate::error::{Result, StorageError};
@@ -195,7 +196,9 @@ impl<T: Borrow<Tuple>> Encode for TupleSlice<'_, T> {
     fn encode(&self, enc: &mut Encoder) {
         let rows: Vec<&Tuple> = self.0.iter().map(Borrow::borrow).collect();
         let rows = rows.as_slice();
-        let uniform = !rows.is_empty() && rows.iter().all(|t| t.arity() == rows[0].arity());
+        let uniform = !rows.is_empty()
+            && rows[0].arity() > 0
+            && rows.iter().all(|t| t.arity() == rows[0].arity());
         if !uniform {
             enc.put_u8(FORMAT_ROWS);
             enc.put_u32(rows.len() as u32);
@@ -220,16 +223,22 @@ impl Decode for TupleBlock {
         match dec.get_u8()? {
             FORMAT_ROWS => Ok(TupleBlock(dec.get_seq()?)),
             FORMAT_COLUMNAR => {
-                let rows = dec.get_u32()? as usize;
-                let cols = dec.get_u32()? as usize;
-                // Guard against absurd counts from corrupt headers before
-                // allocating (the blob checksum usually catches this, but
-                // TupleBlock is also decoded from unchecksummed contexts).
-                if rows > (1 << 28) || cols > (1 << 16) {
+                let rows = dec.get_u32()?;
+                let cols = dec.get_u32()?;
+                // Bound the shape by the bytes actually present before
+                // allocating for it (the blob checksum usually catches a
+                // corrupt header, but TupleBlock is also decoded from
+                // unchecksummed contexts): every column layout stores a
+                // tag byte plus at least one byte per row, and the encoder
+                // never writes a columnar block of rows without columns.
+                let min_payload = u64::from(cols) * (u64::from(rows) + 1);
+                if min_payload > dec.remaining() as u64 || (cols == 0 && rows > 0) {
                     return Err(StorageError::corrupt(format!(
-                        "implausible tuple block shape {rows}x{cols}"
+                        "tuple block shape {rows}x{cols} exceeds its {} payload bytes",
+                        dec.remaining()
                     )));
                 }
+                let (rows, cols) = (rows as usize, cols as usize);
                 let mut out: Vec<Vec<Value>> = vec![Vec::with_capacity(cols); rows];
                 for _ in 0..cols {
                     decode_column(dec, rows, &mut out)?;
@@ -353,10 +362,31 @@ mod tests {
     #[test]
     fn corrupt_headers_are_typed_errors() {
         assert!(TupleBlock::decode_from_slice(&[9]).is_err());
-        let mut enc = Encoder::new();
-        enc.put_u8(FORMAT_COLUMNAR);
-        enc.put_u32(u32::MAX);
-        enc.put_u32(u32::MAX);
-        assert!(TupleBlock::decode_from_slice(&enc.finish()).is_err());
+        // Shapes the payload cannot back: absurd counts, rows without
+        // columns (2^26 of them used to decode to as many empty tuples),
+        // and one row more than the column bytes present.
+        for (rows, cols, payload) in [
+            (u32::MAX, u32::MAX, &[][..]),
+            (1 << 26, 0, &[]),
+            (3, 1, &[COL_BOOL, 1, 0]),
+        ] {
+            let mut enc = Encoder::new();
+            enc.put_u8(FORMAT_COLUMNAR);
+            enc.put_u32(rows);
+            enc.put_u32(cols);
+            enc.put_raw(payload);
+            let got = TupleBlock::decode_from_slice(&enc.finish());
+            assert!(matches!(got, Err(StorageError::Corrupt(_))), "{rows}x{cols}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn zero_column_tuples_roundtrip_row_major() {
+        // No plan buffers them (every dumped buffer is keyed on a column),
+        // but the block type still round-trips every `Vec<Tuple>`.
+        let rows = vec![t(vec![]); 3];
+        let block = TupleBlock(rows.clone());
+        assert_eq!(block.encode_to_vec()[0], FORMAT_ROWS);
+        assert_eq!(roundtrip(&block).unwrap().0, rows);
     }
 }

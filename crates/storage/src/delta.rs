@@ -195,7 +195,9 @@ impl DeltaDump {
         let full_checksum = d.get_u64()?;
         let n = d.get_usize()?;
         let max_chunks = (full_len as usize).div_ceil(PAGE_SIZE);
-        if n != max_chunks {
+        // Each chunk slot takes at least its tag byte, so a table larger
+        // than the rest of the frame is forged; reject it before reserving.
+        if n != max_chunks || n > d.remaining() {
             return Err(StorageError::corrupt(format!(
                 "delta frame declares {n} chunks for a {full_len}-byte state"
             )));

@@ -88,7 +88,7 @@ impl Encode for Tuple {
 impl Decode for Tuple {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let n = dec.get_u32()? as usize;
-        let mut vals = Vec::with_capacity(n.min(1 << 16));
+        let mut vals = Vec::with_capacity(n.min(dec.remaining()));
         for _ in 0..n {
             vals.push(Value::decode(dec)?);
         }

@@ -4,6 +4,10 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Work-tree state on entry (empty outside a git checkout); compared at the
+# end so that no stage can leave an artefact in the checkout unnoticed.
+tree_before="$(git status --porcelain 2>/dev/null || true)"
+
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q
@@ -12,18 +16,6 @@ cargo test -q
 # concurrency-sensitive; optimized codegen shakes out timing-dependent
 # bugs the dev profile can mask.
 cargo test --workspace --release -q
-
-# Bench smoke: cached-vs-uncached scan-join ledger counters and serial
-# vs pipelined suspend wall-clock. Asserts the >=5x cached-read reduction
-# and writes BENCH_pr2.json.
-cargo run --release -p qsr-bench --bin bench_pr2
-
-# Degradation smoke: crash/torn/NoSpace at every write ordinal of a
-# pressured suspend, of generation GC, and of generation retirement ran
-# in the release workspace pass above (tests/degradation_matrix.rs);
-# here the deadline + quota ladder sweep bench. Asserts no rung overruns
-# its budget beyond the commit bookkeeping and writes BENCH_pr4.json.
-cargo run --release -p qsr-bench --bin bench_pr4
 
 # Differential suspend-point oracle, bounded CI shape: stride-1 sweep
 # over the corpus plus 32 seeded fault schedules (the workspace test run
@@ -35,9 +27,7 @@ QSR_ORACLE_SEED=219803630 QSR_ORACLE_FAULTS=32 \
 
 # Observability smoke: the oracle smoke runs with a JSONL flight-recorder
 # sink attached (QSR_TRACE) and every emitted line is validated against
-# the checked-in event schema. (The zero-overhead-off pin — tracer
-# installed vs absent leaves the CostLedger bit-identical — ran in the
-# release workspace pass above, tests/trace_invariants.rs.)
+# the checked-in event schema.
 QSR_TRACE_DIR="$(mktemp -d)"
 QSR_TRACE="$QSR_TRACE_DIR/trace.jsonl" \
     cargo run --release -p qsr-bench --bin oracle_smoke
@@ -47,63 +37,21 @@ cargo run --release -p qsr-bench --bin trace_summary -- \
     "$QSR_TRACE_DIR/trace.jsonl"
 rm -rf "$QSR_TRACE_DIR"
 
-# Scheduler stage: the multi-session preemptive server — one scheduling
-# loop, run inline (--workers 0) or on threads. The server matrix
-# (tests/server_matrix.rs, in the release workspace pass above) covers
-# both: three sessions over one live slot (every activation preempts the
-# MIP-cheapest victim), crash/torn/NoSpace at every write ordinal of a
-# preemption with full registry recovery after each halting fault, the
-# seeded threaded stress lane and the crash mid-concurrent-suspend,
-# SLA-budget rung forcing, admission reject/queue/drain in both modes,
-# the strict max_live ceiling, workers=1 == workers=0 equivalence, and
-# spill reclaim; tests/delta_retention.rs there sweeps the orphan blobs
-# of torn remote puts. Here the server binary end-to-end in both modes,
-# the session-count sweep
-# (BENCH_pr6.json: throughput + p95 resume latency in ledger units) and
-# the worker sweep (BENCH_pr10.json: workers=0 ledger bit-identity
-# across runs, wall-clock throughput, per-tenant p50/p95 slice latency,
-# SLA-miss rate for workers in {0,1,2,4}).
+# Scheduler stage: the server binary end to end, inline (--workers 0) and
+# on threads (tests/server_matrix.rs ran in the release workspace pass).
 for workers in 0 2; do
     cargo run --release -q -p qsr-server --bin qsr-server -- \
         --sessions 3 --quantum 1500 --max-live 1 --workers "$workers"
 done
-cargo run --release -p qsr-bench --bin bench_pr6
-cargo run --release -p qsr-bench --bin bench_pr10
 
-# Vectorization stage: the batch execution path. A deliberately awkward
-# batch size (48, straddling page boundaries) re-runs the end-to-end and
-# stride-7 oracle sweeps and the executor crate's operator-level
-# suspend/resume tests in batch mode, so every suspend point is hit with
-# partially filled batches and every operator's shared step runs in the
-# batch lane too, then the vectorized-scan bench asserts pool-0
-# ledger bit-identity between tuple and batch modes and writes
-# BENCH_pr7.json. (The nightly QSR_ORACLE_FULL=1 oracle run widens this
-# lane too: the oracle's batch axis replays every corpus scenario at
-# several batch sizes against the tuple-mode reference.)
+# Vectorization stage: a deliberately awkward batch size (48, straddling
+# page boundaries) re-runs the end-to-end and stride-7 oracle sweeps and
+# the executor crate's operator-level suspend/resume tests in batch mode,
+# so every suspend point is hit with partially filled batches.
 QSR_BATCH_SIZE=48 cargo test --release -q --test end_to_end
 QSR_ORACLE_STRIDE=7 QSR_BATCH_SIZE=48 \
     cargo test --release -q --test oracle_sweep
 QSR_BATCH_SIZE=48 cargo test --release -q -p qsr-exec
-cargo run --release -p qsr-bench --bin bench_pr7
-
-# Larger-than-memory stage: the recursive grace hash join and the
-# multi-pass external sort. The partition-depth and merge-pass sweeps
-# assert the budget/fan-in knobs actually grade recursion depth and
-# intermediate pass counts, and a NoSpace fault parked mid-recursive
-# spill must land on a degraded ladder rung that still resumes.
-cargo run --release -p qsr-bench --bin bench_pr8
-
-# Backend stage: pluggable suspend backends, delta checkpoints, and
-# retention. The release workspace pass above already ran the
-# delta-chain commit / compaction-fold / retention-GC / remote
-# retry-failover fault matrices (degradation_matrix), the backend-aware
-# oracle lane replaying suspend chains across local/memory/remote x
-# delta x keep (oracle_sweep backend_delta_retention_chains) and the
-# env-knob audit (qsr-storage env_knobs); here the bench asserts five
-# delta suspends charge measurably less dump I/O than full dumps (and
-# that the remote stack retries transients but fails over dead
-# endpoints) and writes BENCH_pr9.json.
-cargo run --release -p qsr-bench --bin bench_pr9
 
 # Repo benchmark (read-only use): the standalone benchmark crate
 # path-depends on the engine crates' public API and nothing above builds
@@ -114,9 +62,8 @@ bash benchmark/repeat.sh --smoke
 
 # Nightly lane (opt-in: QSR_NIGHTLY=1). The full-corpus oracle matrix —
 # every scenario x config x batch combination at stride cfg.stride,
-# including the grace/multipass knob cross product — plus the paper-scale
-# (2.2M rows, 200K-tuple buffers) larger-than-memory smoke. Hours, not
-# minutes: keep it off the commit path.
+# including the grace/multipass knob cross product. Hours, not minutes:
+# keep it off the commit path.
 if [ "${QSR_NIGHTLY:-0}" = "1" ]; then
     QSR_ORACLE_FULL=1 QSR_ORACLE_SEED=219803630 QSR_ORACLE_FAULTS=64 \
         cargo test --release -q --test oracle_sweep
@@ -126,5 +73,12 @@ if [ "${QSR_NIGHTLY:-0}" = "1" ]; then
     # delta chaining and multi-generation retention windows.
     QSR_ORACLE_FULL=1 \
         cargo test --release -q --test oracle_sweep backend_delta_retention_chains
-    cargo run --release -p qsr-bench --bin bench_pr8 -- --scale
+fi
+
+# No stage may write into the checkout: build outputs and benchmark
+# results are ignored paths, anything else left behind fails the run.
+tree_after="$(git status --porcelain 2>/dev/null || true)"
+if [ "$tree_after" != "$tree_before" ]; then
+    printf 'ci.sh changed the work tree:\n%s\n' "$tree_after" >&2
+    exit 1
 fi

@@ -1,0 +1,172 @@
+//! Decoder robustness: everything a resumed process reads back from disk
+//! or from a remote endpoint — tuple blocks, tuples, the `SuspendedQuery`,
+//! the suspend manifest, delta frames — turns arbitrary bytes into `Ok` or
+//! a typed `Err`. Never a panic, and never an allocation sized by a count
+//! the input merely claims: a decode may allocate in proportion to the
+//! bytes it was handed, not to a header field.
+
+use proptest::prelude::*;
+use qsr::core::{OpId, OpSuspendRecord, Strategy as OpStrategy, SuspendedQuery};
+use qsr::exec::SuspendManifest;
+use qsr::storage::{
+    fnv1a, BlobId, Decode, DeltaDump, Encode, Encoder, FileId, StorageError, Tuple, TupleBlock,
+    Value, DELTA_MAGIC, DELTA_VERSION,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// No input here is longer than `MAX_INPUT` bytes, and no decode of one
+/// may request more than `ALLOC_BOUND` bytes from the allocator in total.
+/// The worst honest blow-up is one reserved 24-byte `Value` slot per input
+/// byte (measured: 6 KB for 256 bytes), so 64 KiB leaves an order of
+/// magnitude of room and is four orders below what a forged count used to
+/// reserve.
+const MAX_INPUT: usize = 512;
+const ALLOC_BOUND: usize = 64 << 10;
+
+thread_local! {
+    /// Bytes this thread has requested from the allocator (the harness
+    /// runs tests on parallel threads; a process-wide count would mix them).
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: both methods forward their arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract (the default `realloc` goes
+// through `alloc`); the counter touches no allocator state, and a
+// `const`-initialised `Cell<usize>` thread-local never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: the allocator also runs while a thread is torn down.
+        let _ = REQUESTED.try_with(|r| r.set(r.get().saturating_add(layout.size())));
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System.alloc` for this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Feed `bytes` to every decoder. A panic fails the test by itself; the
+/// allocation bound is asserted here.
+fn decode_all(bytes: &[u8]) {
+    fn one<T>(what: &str, bytes: &[u8], decode: impl FnOnce(&[u8]) -> Result<T, StorageError>) {
+        assert!(bytes.len() <= MAX_INPUT);
+        let before = REQUESTED.with(Cell::get);
+        drop(decode(bytes));
+        let requested = REQUESTED.with(Cell::get) - before;
+        assert!(
+            requested <= ALLOC_BOUND,
+            "{what}: decoding {} bytes requested {requested} bytes of memory: {bytes:?}",
+            bytes.len()
+        );
+    }
+    one("TupleBlock", bytes, TupleBlock::decode_from_slice);
+    one("Tuple", bytes, Tuple::decode_from_slice);
+    one("SuspendedQuery", bytes, SuspendedQuery::decode_from_slice);
+    one("SuspendManifest", bytes, SuspendManifest::decode_from_slice);
+    one("DeltaDump", bytes, DeltaDump::decode_from_bytes);
+}
+
+fn blob(n: u64) -> BlobId {
+    BlobId { file: FileId(n), len: 4096 * n, checksum: n.wrapping_mul(0x9E37_79B9_7F4A_7C15) }
+}
+
+/// One valid encoding per decoder and per wire shape (columnar and
+/// row-major blocks, v1 and v2 manifests, v2 and v3 suspended queries).
+fn valid_encodings() -> Vec<Vec<u8>> {
+    let row = |i: i64| {
+        let name = Value::Str(format!("r{i}"));
+        Tuple::new(vec![Value::Int(i), Value::Float(i as f64 / 4.0), name, Value::Bool(i % 2 == 0)])
+    };
+    let ragged = vec![row(1), Tuple::new(vec![Value::Int(7)])];
+    let record = OpSuspendRecord {
+        op: OpId(1),
+        strategy: OpStrategy::GoBack { to: OpId(0) },
+        resume_point: vec![1, 2, 3],
+        heap_dump: Some(blob(3)),
+        saved_tuples: vec![row(9).encode_to_vec()],
+        aux: vec![4, 5],
+    };
+    let mut query = SuspendedQuery {
+        plan_bytes: vec![0xAB; 12],
+        tuples_emitted: 17,
+        work_snapshot: vec![(OpId(0), 1.5), (OpId(1), 2.5)],
+        ..SuspendedQuery::default()
+    };
+    query.put_record(record.clone());
+    query.fallbacks.insert(OpId(1), vec![record]);
+    let mut chained = query.clone();
+    chained.delta_deps.insert(OpId(1), vec![blob(1), blob(2)]);
+    let mut manifest = SuspendManifest::new(4, blob(5));
+    let v1_manifest = manifest.encode_to_vec();
+    manifest.chain_len = 2;
+    manifest.retained = vec![(3, blob(6))];
+    let delta = DeltaDump::diff(&[0u8; 100], blob(7), &[1u8; 90]).expect("the states differ");
+    vec![
+        TupleBlock((0..3).map(row).collect()).encode_to_vec(),
+        TupleBlock(ragged).encode_to_vec(),
+        row(5).encode_to_vec(),
+        query.encode_to_vec(),
+        chained.encode_to_vec(),
+        v1_manifest,
+        manifest.encode_to_vec(),
+        delta.encode_to_vec(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn arbitrary_bytes_decode_to_ok_or_typed_error(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        decode_all(&bytes);
+    }
+
+    #[test]
+    fn damaged_valid_encodings_decode_to_ok_or_typed_error(
+        which: usize,
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+        cut: usize,
+    ) {
+        let valid = valid_encodings();
+        let mut bytes = valid[which % valid.len()].clone();
+        decode_all(&bytes);
+        for (at, value) in edits {
+            let at = at % bytes.len();
+            bytes[at] = value;
+        }
+        decode_all(&bytes);
+        decode_all(&bytes[..cut % bytes.len()]);
+    }
+}
+
+/// A delta frame whose frame checksum is valid but whose body claims a
+/// 2^60-byte state in 2^48 chunks: the chunk table used to be reserved up
+/// front. (The other named input, a columnar block header of 2^26 rows
+/// and no columns, sits with the block's unit tests in `colblock.rs`.)
+#[test]
+fn forged_delta_chunk_count_is_rejected_before_allocating() {
+    let mut body = Encoder::new();
+    blob(1).encode(&mut body);
+    body.put_u64(1 << 60);
+    body.put_u64(0);
+    body.put_usize(1 << 48);
+    let body = body.finish();
+    let mut frame = Encoder::new();
+    frame.put_u32(DELTA_MAGIC);
+    frame.put_u32(DELTA_VERSION);
+    frame.put_raw(&body);
+    frame.put_u64(fnv1a(&body));
+    let frame = frame.finish();
+    decode_all(&frame);
+    let decoded = DeltaDump::decode_from_bytes(&frame);
+    assert!(matches!(decoded, Err(StorageError::Corrupt(_))), "got {decoded:?}");
+}

@@ -15,7 +15,7 @@ use qsr::exec::{
     PlanSpec, Predicate, QueryExecution, Rung, SuspendOptions, SuspendTrigger,
 };
 use qsr::storage::{
-    CostModel, Database, Decode, FaultInjector, LocalDiskBackend, RemoteMockBackend,
+    CostModel, Database, Decode, FaultInjector, LocalDiskBackend, Phase, RemoteMockBackend,
     RobustBackend, Tuple, WriteFault, COMPACT_CHAIN_LEN, PAGE_SIZE, RESUME_BACKOFF,
 };
 use qsr::workload::{generate_table, KeyDist, TableSpec};
@@ -279,6 +279,75 @@ fn tiny_deadline_admission_control_skips_to_goback() {
     );
     drop(db);
     assert_resumable_or_clean(&dir, &prefix, &reference, "deadline admission control");
+}
+
+#[test]
+fn deadline_sweep_commits_within_budget_at_every_fraction() {
+    // Deadlines from a sliver of the full all-dump suspend cost up to all
+    // of it, on a plan with enough buffered state (three stacked block
+    // NLJs, ~100 cost units of dumps) that the deadline decides how much
+    // of it is dumped: whatever the ladder lands on, the suspend phase
+    // spends no more than the deadline plus the commit bookkeeping (the
+    // SuspendedQuery blob and the manifest rename ride outside the
+    // budgeted dumps), a rung always commits, and the resume is exact.
+    let nlj = |outer: PlanSpec, inner: &str, buffer_tuples: usize| PlanSpec::BlockNlj {
+        outer: Box::new(outer),
+        inner: Box::new(PlanSpec::TableScan { table: inner.into() }),
+        outer_key: 0,
+        inner_key: 0,
+        buffer_tuples,
+    };
+    let plan = || {
+        let base = PlanSpec::Filter {
+            input: Box::new(PlanSpec::TableScan { table: "a".into() }),
+            predicate: Predicate::IntLt { col: 1, value: 100 },
+        };
+        nlj(nlj(nlj(base, "b", 400), "c", 800), "d", 1200)
+    };
+    let start = |tag: &str| -> (TempDir, Arc<Database>, QueryExecution) {
+        let dir = TempDir::new(tag);
+        let db = Database::open_with_pool(&dir.0, CostModel::default(), 0).unwrap();
+        for (name, rows) in [("a", 8_000u64), ("b", 8_000), ("c", 8_000), ("d", 600)] {
+            generate_table(&db, &TableSpec::new(name, rows).payload(64).seed(rows)).unwrap();
+        }
+        let exec = QueryExecution::start(db.clone(), plan()).unwrap();
+        (dir, db, exec)
+    };
+    // Run to the suspend point, suspend, and resume to completion; returns
+    // the whole output and what the suspend phase charged.
+    let cycle = |policy: &SuspendPolicy, deadline: Option<f64>| -> (Vec<Tuple>, f64) {
+        let (_dir, db, mut exec) = start("sweep");
+        exec.set_trigger(Some(SuspendTrigger::AfterOpTuples { op: OpId(0), n: 560 }));
+        let (mut out, done) = exec.run().unwrap();
+        assert!(!done, "trigger must fire before the query completes");
+        let before = db.ledger().snapshot();
+        let h = exec
+            .suspend_with(policy, &SuspendOptions { deadline, ..serial_options() })
+            .unwrap_or_else(|e| panic!("deadline {deadline:?}: no rung committed: {e}"));
+        let spent = db.ledger().snapshot().since(&before).phase_cost(Phase::Suspend);
+        let mut resumed = QueryExecution::resume(db, &h).unwrap();
+        out.extend(resumed.run_to_completion().unwrap());
+        (out, spent)
+    };
+    let reference = start("sweep-ref").2.run_to_completion().unwrap();
+    let (out, full) = cycle(&SuspendPolicy::AllDump, None);
+    assert_eq!(out, reference);
+
+    let mut spends = Vec::new();
+    for frac in [0.02, 0.25, 0.5, 0.75, 1.0] {
+        let deadline = full * frac;
+        let (out, spent) = cycle(&SuspendPolicy::Optimized { budget: None }, Some(deadline));
+        assert!(
+            spent <= deadline + full * 0.05 + 10.0,
+            "deadline {deadline:.1} ({frac} x full {full:.1}): suspend spent {spent:.1}"
+        );
+        assert_eq!(out, reference, "deadline {frac} x full: output diverges");
+        spends.push(spent);
+    }
+    assert!(
+        spends[0] < spends[4],
+        "the sweep must cross plans, or the bound above checks nothing: {spends:?}"
+    );
 }
 
 #[test]
@@ -805,9 +874,21 @@ fn fault_matrix_at_recursive_spill_and_merge_pass_ordinals() {
                     fi.fail_write(k, fault);
                     db.disk().set_fault_injector(Some(fi));
                     // Commit, ladder descent, or halt are all legal; the
-                    // state left behind is what the cell checks.
-                    let _ =
+                    // state left behind is what the cell checks. Only a
+                    // one-shot NoSpace is never fatal: a fault-free rung
+                    // is always left, below the requested one when the
+                    // requested plan's first write is the one that fails.
+                    let outcome =
                         exec.suspend_with(&SuspendPolicy::Optimized { budget: None }, &serial_options());
+                    if matches!(fault, WriteFault::NoSpace) {
+                        let rung = outcome
+                            .unwrap_or_else(|e| panic!("{name}: NoSpace at write {k} of boundary {b} aborted: {e}"))
+                            .rung;
+                        assert!(
+                            k > 1 || rung != Rung::Requested,
+                            "{name} boundary {b}: NoSpace on the first write must degrade the rung"
+                        );
+                    }
                     drop(db);
                     assert_grace_resumable_or_clean(
                         &dir,
@@ -1102,13 +1183,14 @@ fn retention_gc_fault_matrix_never_breaks_live_chains() {
 fn remote_fault_matrix_retries_or_fails_over_at_every_write() {
     let reference = reference_output();
 
-    // One suspend cell through a scripted remote stack. `script` arms the
-    // remote before the suspend; returns the robust layer for post-checks.
-    let cell = |tag: &str, script: &dyn Fn(&RemoteMockBackend)| -> (TempDir, Arc<RobustBackend>, Vec<Tuple>) {
+    // One suspend cell through a scripted remote stack charging 2 latency
+    // units per page put. `script` arms the remote before the suspend;
+    // returns the robust layer and the latency charged for post-checks.
+    let cell = |tag: &str, script: &dyn Fn(&RemoteMockBackend)| -> (TempDir, Arc<RobustBackend>, Vec<Tuple>, u64) {
         let (dir, db, prefix, exec) = run_to_suspend_point(tag);
         let local =
             || Arc::new(LocalDiskBackend::new(db.blobs().clone(), db.disk().clone()));
-        let remote = Arc::new(RemoteMockBackend::new(local(), 9));
+        let remote = Arc::new(RemoteMockBackend::new(local(), 9).with_latency(2, None));
         script(&remote);
         let robust = Arc::new(RobustBackend::new(
             remote.clone(),
@@ -1119,29 +1201,36 @@ fn remote_fault_matrix_retries_or_fails_over_at_every_write() {
         db.set_backend(robust.clone());
         exec.suspend_with(&SuspendPolicy::AllDump, &serial_options())
             .expect("retry/failover must keep the suspend alive");
-        (dir, robust, prefix)
+        (dir, robust, prefix, remote.latency_units())
     };
 
-    let writes = {
+    let (writes, clean_latency) = {
         let (_dir, db, _prefix, exec) = run_to_suspend_point("rmdry");
         let local =
             || Arc::new(LocalDiskBackend::new(db.blobs().clone(), db.disk().clone()));
-        let remote = Arc::new(RemoteMockBackend::new(local(), 9));
+        let remote = Arc::new(RemoteMockBackend::new(local(), 9).with_latency(2, None));
         db.set_backend(remote.clone());
         exec.suspend_with(&SuspendPolicy::AllDump, &serial_options())
             .unwrap();
-        remote.faults().writes_observed()
+        (remote.faults().writes_observed(), remote.latency_units())
     };
     assert!(writes > 0, "a remote suspend must issue remote writes");
 
     for k in 1..=writes {
         for fault in [WriteFault::Crash, WriteFault::Torn, WriteFault::Transient(1)] {
-            let (dir, robust, prefix) =
+            let (dir, robust, prefix, latency) =
                 cell("rmcell", &|r: &RemoteMockBackend| r.faults().fail_write(k, fault));
             if matches!(fault, WriteFault::Crash | WriteFault::Torn) {
                 assert!(
                     robust.failed_over(),
                     "{fault:?} at remote write {k}: a dead endpoint must fail over"
+                );
+                // Failover stops the remote latency charge: nothing put
+                // after write k is paid for at the dead endpoint.
+                assert!(
+                    latency <= clean_latency && (k > 1 || latency < clean_latency),
+                    "{fault:?} at remote write {k}: charged {latency} latency units, \
+                     a clean remote suspend charges {clean_latency}"
                 );
             } else {
                 assert!(
@@ -1158,7 +1247,7 @@ fn remote_fault_matrix_retries_or_fails_over_at_every_write() {
         }
         // Typed timeout on the k-th put (ordinals past the last put are
         // vacuously clean cells): never blindly retried, always failover.
-        let (dir, _robust, prefix) =
+        let (dir, _robust, prefix, _latency) =
             cell("rmtimeout", &|r: &RemoteMockBackend| r.timeout_put(k));
         assert_resumable_or_clean(
             &dir,

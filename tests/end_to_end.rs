@@ -5,8 +5,8 @@
 
 use qsr::core::{OpId, SuspendPolicy};
 use qsr::exec::{AggFn, PlanSpec, Predicate, QueryExecution, SuspendTrigger};
-use qsr::storage::{Database, Phase};
-use qsr::workload::{generate_table, TableSpec};
+use qsr::storage::{CostModel, Database, Phase, TraceEvent, Tracer};
+use qsr::workload::{generate_table, KeyDist, TableSpec};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -179,13 +179,12 @@ fn aggregate_pipeline_suspends_cleanly() {
 /// Larger-than-memory operators under the vectorized path: tuple-at-a-time
 /// and `QSR_BATCH_SIZE=48` batch execution must produce bit-identical
 /// output *and* bit-identical execution-phase ledgers (vectorization
-/// reshapes the pull loop, never the I/O), for the recursive grace join
-/// and the multi-pass external sort — including a batch-mode suspend
-/// parked mid-machinery (inside the partition spills / merge passes).
+/// reshapes the pull loop, never the I/O), for the recursive grace join,
+/// the multi-pass external sort and a scan-filter-project-aggregate
+/// pipeline — including a batch-mode suspend parked mid-machinery (inside
+/// the partition spills / merge passes / the scan).
 #[test]
 fn grace_operators_batch_mode_pins_tuple_mode_ledgers() {
-    use qsr::workload::KeyDist;
-
     let grace_setup = |tag: &str| -> (TempDir, Arc<Database>) {
         let dir = TempDir::new(tag);
         let db = Database::open_default(&dir.0).unwrap();
@@ -200,6 +199,7 @@ fn grace_operators_batch_mode_pins_tuple_mode_ledgers() {
             &TableSpec::new("gc", 60).payload(24).seed(16).dist(KeyDist::Reversed),
         )
         .unwrap();
+        generate_table(&db, &TableSpec::new("gf", 2000).payload(16).seed(17)).unwrap();
         (dir, db)
     };
     let plans = [
@@ -223,6 +223,20 @@ fn grace_operators_batch_mode_pins_tuple_mode_ledgers() {
             }),
             mem_budget: 0,
             merge_fanin: 2,
+        },
+        // Every operator here has a native batch body, and 2000 rows put
+        // page boundaries inside the 48-row batches.
+        PlanSpec::StreamAgg {
+            input: Box::new(PlanSpec::Project {
+                input: Box::new(PlanSpec::Filter {
+                    input: Box::new(PlanSpec::TableScan { table: "gf".into() }),
+                    predicate: Predicate::IntLt { col: 1, value: 700 },
+                }),
+                columns: vec![0, 1],
+            }),
+            group_col: None,
+            agg_col: 0,
+            func: AggFn::Sum,
         },
     ];
     for plan in plans {
@@ -279,6 +293,87 @@ fn grace_operators_batch_mode_pins_tuple_mode_ledgers() {
             assert_eq!(all, expected, "batch-mode suspend at boundary {b}");
         }
     }
+}
+
+/// The spill knobs grade what they claim to, read off the flight recorder:
+/// a grace join's `mem_budget` sets how deep the partition tree goes (a
+/// duplicate-heavy build cannot be split and rides the depth cap into the
+/// nested-loop fallback) without changing the result, and an external
+/// sort's `merge_fanin` sets how many intermediate merge passes it runs.
+#[test]
+fn spill_knobs_grade_partition_depth_and_merge_passes() {
+    // One traced run: output cardinality, deepest `PartitionSpill` level
+    // and number of `MergePass` events.
+    let traced = |build_keys: KeyDist, plan: PlanSpec| -> (usize, u64, usize) {
+        let dir = TempDir::new("grade");
+        let db = Database::open_default(&dir.0).unwrap();
+        for spec in [
+            TableSpec::new("gb", 240).seed(21).dist(build_keys),
+            TableSpec::new("gp", 480).seed(22),
+            TableSpec::new("gs", 60).seed(23).dist(KeyDist::Reversed),
+        ] {
+            generate_table(&db, &spec.payload(16)).unwrap();
+        }
+        let tracer = Arc::new(Tracer::new(db.ledger().clone()));
+        tracer.enable_full_capture();
+        db.ledger().set_tracer(&tracer);
+        let mut exec = QueryExecution::start(db.clone(), plan).unwrap();
+        let rows = exec.run_to_completion().unwrap().len();
+        let events = tracer.take_full();
+        let spill_level = |e: &TraceEvent| match e {
+            TraceEvent::PartitionSpill { level, .. } => Some(*level),
+            _ => None,
+        };
+        let level = events.iter().filter_map(|r| spill_level(&r.event)).max().unwrap_or(0);
+        let passes = events.iter().filter(|r| matches!(r.event, TraceEvent::MergePass { .. }));
+        (rows, level, passes.count())
+    };
+    let scan = |t: &str| Box::new(PlanSpec::TableScan { table: t.into() });
+    let budgeted = |input: PlanSpec, mem_budget: usize, merge_fanin: usize| {
+        PlanSpec::MemoryBudget { input: Box::new(input), mem_budget, merge_fanin }
+    };
+
+    // 240 unique build keys over 4 partitions: 60 tuples per top-level
+    // partition, 15 one level down — budget 30 needs exactly one
+    // re-partition, budget 4 at least two.
+    let grace = |build_keys: KeyDist, mem_budget: usize| {
+        let join = PlanSpec::HashJoin {
+            build: scan("gb"),
+            probe: scan("gp"),
+            build_key: 0,
+            probe_key: 0,
+            partitions: 4,
+            hybrid: false,
+        };
+        traced(build_keys, budgeted(join, mem_budget, 0))
+    };
+    let (rows, level, _) = grace(KeyDist::Unique, 0);
+    assert!(rows > 0, "the join must produce output");
+    assert_eq!(level, 0, "no budget, no recursive spill");
+    let (mid_rows, level, _) = grace(KeyDist::Unique, 30);
+    assert_eq!(level, 1, "budget 30 must stop after one re-partition");
+    let (deep_rows, level, _) = grace(KeyDist::Unique, 4);
+    assert!(level >= 2, "budget 4 must re-partition at least twice, got {level}");
+    assert_eq!((mid_rows, deep_rows), (rows, rows), "a budget must not change the join result");
+    // ~190 build tuples share key 0: no hash splits them, so the walk
+    // reaches the depth cap and joins that partition by nested loops.
+    let (dup_rows, level, _) = grace(KeyDist::DupHeavy, 4);
+    assert_eq!(level, 2, "the hot key must ride the depth cap");
+    assert_eq!(dup_rows, grace(KeyDist::DupHeavy, 0).0, "NLJ fallback result size");
+
+    // 60 reversed rows through a 6-tuple buffer: 10 sublists.
+    let passes = |merge_fanin: usize| {
+        let sort = PlanSpec::Sort { input: scan("gs"), key: 0, buffer_tuples: 6 };
+        let (rows, _, passes) = traced(KeyDist::Unique, budgeted(sort, 0, merge_fanin));
+        assert_eq!(rows, 60);
+        passes
+    };
+    let (unlimited, four, two) = (passes(0), passes(4), passes(2));
+    assert_eq!(unlimited, 0, "unlimited fan-in merges in the single final pass");
+    assert!(
+        0 < four && four < two,
+        "a smaller fan-in must add merge passes: fan-in 4 ran {four}, fan-in 2 ran {two}"
+    );
 }
 
 /// A hash join has one join phase — the partition task walk — and a zero
@@ -355,6 +450,37 @@ fn budgetless_join_equals_never_exceeded_budget() {
             assert_eq!(unbudgeted.3, budgeted.3, "{lane}: charged suspend cost per policy");
         }
     }
+}
+
+/// What the buffer pool buys, in ledger units: the same scan-join run
+/// twice charges at least 5x fewer page reads through a 256-frame pool
+/// than uncached (PR 2 measured 148x at this size).
+#[test]
+fn cached_scan_join_charges_fewer_page_reads() {
+    let charged_reads = |pool_pages: usize| -> u64 {
+        let dir = TempDir::new("pool");
+        let db = Database::open_with_pool(&dir.0, CostModel::default(), pool_pages).unwrap();
+        generate_table(&db, &TableSpec::new("r", 2000).payload(64).seed(1)).unwrap();
+        generate_table(&db, &TableSpec::new("s", 400).payload(64).seed(2)).unwrap();
+        let plan = PlanSpec::BlockNlj {
+            outer: Box::new(PlanSpec::TableScan { table: "r".into() }),
+            inner: Box::new(PlanSpec::TableScan { table: "s".into() }),
+            outer_key: 0,
+            inner_key: 0,
+            buffer_tuples: 200,
+        };
+        db.ledger().reset();
+        for _ in 0..2 {
+            let mut exec = QueryExecution::start(db.clone(), plan.clone()).unwrap();
+            exec.run_to_completion().unwrap();
+        }
+        db.ledger().snapshot().total_pages_read()
+    };
+    let (uncached, cached) = (charged_reads(0), charged_reads(256));
+    assert!(
+        cached * 5 <= uncached,
+        "pool 256 charged {cached} page reads, pool 0 charged {uncached}"
+    );
 }
 
 #[test]

@@ -160,6 +160,21 @@ fn concurrent_sessions_deliver_goldens_exactly_once() {
     // One live slot for three sessions: scheduling MUST have gone through
     // the suspend path, or this test exercises nothing.
     assert!(preempted > 0, "no preemption happened under 1 live slot");
+
+    // The same slot with nobody waiting for it: no preemption at all.
+    let dir = TempDir::new("solo");
+    let db = Database::open_with_pool(&dir.0, CostModel::default(), 0).unwrap();
+    populate(&db);
+    let mut solo = QsrServer::new(db, config());
+    solo.admit("tenant-a", PRIORITIES[0], &plans()[0]).unwrap();
+    solo.run_to_completion().unwrap();
+    let s = &solo.sessions()[0];
+    assert_eq!(s.collected, goldens[0]);
+    assert_eq!(
+        (s.fairness.suspends, s.fairness.resumes),
+        (0, 0),
+        "one session over one live slot must never be preempted"
+    );
 }
 
 #[test]
@@ -801,17 +816,21 @@ fn admission_control_rejects_queues_and_drains() {
 fn sla_budgets_force_cheaper_rungs_and_count_misses() {
     let goldens = goldens();
 
-    // Generous budgets: every preemption fits its deadline, zero misses.
-    let (_dir, _db, mut server) = build_server("sla-rich");
-    server.config_mut().sla = Some(SlaConfig::uniform(1e9));
-    server.run_to_completion().unwrap();
-    for (i, s) in server.sessions().iter().enumerate() {
-        assert_eq!(s.collected, goldens[i]);
-        assert_eq!(
-            s.fairness.sla_misses, 0,
-            "session {}: a generous budget must never miss",
-            i + 1
-        );
+    // Generous budgets: every preemption fits its deadline, zero misses —
+    // on the inline loop and on worker threads alike.
+    for workers in [0, 2] {
+        let (_dir, _db, mut server) = build_server("sla-rich");
+        server.config_mut().workers = workers;
+        server.config_mut().sla = Some(SlaConfig::uniform(1e9));
+        server.run_to_completion().unwrap();
+        for (i, s) in server.sessions().iter().enumerate() {
+            assert_eq!(s.collected, goldens[i]);
+            assert_eq!(
+                s.fairness.sla_misses, 0,
+                "workers={workers} session {}: a generous budget must never miss",
+                i + 1
+            );
+        }
     }
 
     // Starved budgets: once a tenant's spend exhausts its budget the
