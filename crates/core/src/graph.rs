@@ -471,7 +471,7 @@ impl Decode for SideSnapshot {
 }
 
 // Checkpoint records cross the disk boundary inside serialized contract
-// graphs and operator control state, so each one carries an FNV-1a trailer
+// graphs and operator control state, so each one carries a checksum trailer
 // over its own fields: a damaged record surfaces as `ChecksumMismatch` at
 // decode time instead of resuming from a garbage position.
 impl Checkpoint {
@@ -490,7 +490,7 @@ impl Encode for Checkpoint {
         let mut fields = Encoder::new();
         self.encode_fields(&mut fields);
         let fields = fields.finish();
-        enc.put_u64(qsr_storage::fnv1a(&fields));
+        enc.put_u64(qsr_storage::checksum(&fields));
         enc.put_bytes(&fields);
     }
 }
@@ -499,14 +499,7 @@ impl Decode for Checkpoint {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let expected = dec.get_u64()?;
         let fields = dec.get_bytes()?;
-        let actual = qsr_storage::fnv1a(fields);
-        if actual != expected {
-            return Err(StorageError::checksum_mismatch(
-                "Checkpoint record",
-                expected,
-                actual,
-            ));
-        }
+        qsr_storage::verify_checksum("Checkpoint record", fields, expected)?;
         let mut fdec = Decoder::new(fields);
         let ckpt = Checkpoint {
             id: CkptId::decode(&mut fdec)?,

@@ -4,7 +4,8 @@
 
 use crate::ids::OpId;
 use qsr_storage::{
-    fnv1a, BlobId, BlobStore, Decode, Decoder, Encode, Encoder, Result, StorageError,
+    checksum, verify_checksum, BlobId, BlobStore, Decode, Decoder, Encode, Encoder, Result,
+    StorageError,
 };
 use std::collections::BTreeMap;
 
@@ -13,7 +14,7 @@ use std::collections::BTreeMap;
 pub const SUSPENDED_QUERY_MAGIC: u32 = 0x5152_5351;
 
 /// Newest codec version this build writes and reads. v1 was the unframed
-/// format (no magic/version/CRC); v2 wraps the body in a length + FNV-1a
+/// format (no magic/version/CRC); v2 wraps the body in a length + checksum
 /// frame and adds per-operator GoBack fallback records; v3 appends the
 /// delta-chain dependency section. A structure with no delta chains is
 /// written as v2, byte-identical to pre-delta builds, and v2 frames decode
@@ -313,7 +314,7 @@ impl SuspendedQuery {
 }
 
 // The on-disk form is framed: magic, codec version, length-prefixed body,
-// FNV-1a checksum of the body. A flipped bit or truncation anywhere in the
+// `qsr_storage::checksum` of the body. A flipped bit or truncation anywhere in the
 // frame surfaces as `Corrupt` / `ChecksumMismatch` / `VersionMismatch` —
 // never a panic, never silent garbage.
 impl Encode for SuspendedQuery {
@@ -327,7 +328,7 @@ impl Encode for SuspendedQuery {
         } else {
             SUSPENDED_QUERY_VERSION
         });
-        enc.put_u64(fnv1a(&body));
+        enc.put_u64(checksum(&body));
         enc.put_bytes(&body);
     }
 }
@@ -350,14 +351,7 @@ impl Decode for SuspendedQuery {
         }
         let expected = dec.get_u64()?;
         let body = dec.get_bytes()?;
-        let actual = fnv1a(body);
-        if actual != expected {
-            return Err(StorageError::checksum_mismatch(
-                "SuspendedQuery body",
-                expected,
-                actual,
-            ));
-        }
+        verify_checksum("SuspendedQuery body", body, expected)?;
         let mut body_dec = Decoder::new(body);
         let sq = Self::decode_body(&mut body_dec, version)?;
         if !body_dec.is_exhausted() {

@@ -4,7 +4,7 @@
 use crate::writers::{DumpPipeline, PrefetchedDumps};
 use qsr_core::{ContractGraph, OpId, WorkTable};
 use qsr_storage::{
-    fnv1a, is_delta_frame, pages_for_bytes, BlobId, CostModel, CostSnapshot, Database, Decode,
+    checksum, is_delta_frame, pages_for_bytes, BlobId, CostModel, CostSnapshot, Database, Decode,
     DeltaDump, Encode, FileId, Result, RunWriter, StorageError, TraceEvent, COMPACT_CHAIN_LEN,
     PAGE_SIZE,
 };
@@ -325,8 +325,12 @@ impl ExecContext {
         let (bytes, deps) = self.delta_encode(op, full);
         let nbytes = bytes.len() as u64;
         let pages = pages_for_bytes(bytes.len()) as u64;
-        let key = (fnv1a(&bytes), nbytes);
-        if let Some(id) = self.salvage.borrow_mut().remove(&key) {
+        // The salvage cache is empty on every first rung, so the common
+        // suspend never hashes a dump here: whoever writes it computes the
+        // one checksum its `BlobId` needs.
+        let sum = (!self.salvage.borrow().is_empty()).then(|| checksum(&bytes));
+        let salvaged = sum.and_then(|sum| self.salvage.borrow_mut().remove(&(sum, nbytes)));
+        if let Some(id) = salvaged {
             self.db.ledger().trace(|| TraceEvent::OpDump {
                 op: op.0,
                 strategy: "dump",
@@ -359,7 +363,7 @@ impl ExecContext {
         }
         let backend = self.db.backend();
         let id = match &self.dump_pipeline {
-            Some(p) => p.put_encoded(bytes),
+            Some(p) => p.put_checksummed(bytes, sum),
             None => backend.put_blob(&bytes),
         }?;
         self.db.ledger().trace(|| TraceEvent::OpDump {
@@ -405,7 +409,7 @@ impl ExecContext {
         let delta = DeltaDump::diff(&b.bytes, b.id, &full).unwrap_or_else(|| DeltaDump {
             base: b.id,
             full_len: full.len() as u64,
-            full_checksum: fnv1a(&full),
+            full_checksum: checksum(&full),
             chunks: vec![None; full.len().div_ceil(PAGE_SIZE)],
         });
         let encoded = delta.encode_to_vec();

@@ -18,7 +18,8 @@
 
 use qsr_core::OpId;
 use qsr_storage::{
-    fnv1a, BlobId, Database, Decode, Decoder, Encode, Encoder, Result, StorageError,
+    checksum, verify_checksum, BlobId, Database, Decode, Decoder, Encode, Encoder, Result,
+    StorageError,
 };
 use std::fmt;
 
@@ -88,7 +89,7 @@ impl Encode for SuspendManifest {
         let body = body.finish();
         enc.put_u32(MANIFEST_MAGIC);
         enc.put_u32(if v1 { 1 } else { MANIFEST_VERSION });
-        enc.put_u64(fnv1a(&body));
+        enc.put_u64(checksum(&body));
         enc.put_bytes(&body);
     }
 }
@@ -111,14 +112,7 @@ impl Decode for SuspendManifest {
         }
         let expected = dec.get_u64()?;
         let body = dec.get_bytes()?;
-        let actual = fnv1a(body);
-        if actual != expected {
-            return Err(StorageError::checksum_mismatch(
-                "SuspendManifest body",
-                expected,
-                actual,
-            ));
-        }
+        verify_checksum("SuspendManifest body", body, expected)?;
         let mut bdec = Decoder::new(body);
         let mut m = SuspendManifest::new(bdec.get_u64()?, BlobId::decode(&mut bdec)?);
         if version >= 2 {

@@ -20,7 +20,9 @@
 //! is identical to a serial suspend, and every pre-commit write targets a
 //! fresh file that is invisible without the manifest.
 
-use qsr_storage::{fnv1a, BlobId, BufferPool, Database, Encode, FileId, Page, Result, PAGE_SIZE};
+use qsr_storage::{
+    checksum, BlobId, BufferPool, Database, Encode, FileId, Page, Result, PAGE_SIZE,
+};
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -77,11 +79,17 @@ impl DumpPipeline {
     /// serialized the payload — e.g. to consult the salvage cache by
     /// checksum before paying for a write).
     pub fn put_encoded(&self, bytes: Vec<u8>) -> Result<BlobId> {
+        self.put_checksummed(bytes, None)
+    }
+
+    /// [`Self::put_encoded`] for a caller that may already hold the
+    /// payload's checksum (`sum`): the bytes are hashed here only if not.
+    pub(crate) fn put_checksummed(&self, bytes: Vec<u8>, sum: Option<u64>) -> Result<BlobId> {
         let file = self.pool.create_file()?;
         let id = BlobId {
             file,
             len: bytes.len() as u64,
-            checksum: fnv1a(&bytes),
+            checksum: sum.unwrap_or_else(|| checksum(&bytes)),
         };
         let unsent = match &*self.tx.lock().expect("pipeline sender poisoned") {
             Some(tx) => tx.send(Job::WriteBlob { file, bytes }).err().map(|e| e.0),
@@ -308,9 +316,13 @@ fn worker_loop(
 /// Page-by-page blob body write + fsync (the id's checksum was computed
 /// at submit time from the same bytes).
 fn write_blob(pool: &Arc<BufferPool>, file: FileId, bytes: &[u8]) -> Result<()> {
+    // One page buffer for the whole blob; only the last chunk can be
+    // short, so only it needs its slack re-zeroed.
+    let mut page = Page::zeroed();
     for chunk in bytes.chunks(PAGE_SIZE) {
-        let mut page = Page::zeroed();
-        page.bytes_mut()[..chunk.len()].copy_from_slice(chunk);
+        let (body, slack) = page.bytes_mut().split_at_mut(chunk.len());
+        body.copy_from_slice(chunk);
+        slack.fill(0);
         pool.append_page(file, &page)?;
     }
     pool.sync_file(file)

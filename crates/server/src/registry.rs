@@ -25,7 +25,9 @@
 //! [`QueryExecution::set_manifest_name`]: qsr_exec::QueryExecution::set_manifest_name
 
 use qsr_exec::QueryExecution;
-use qsr_storage::{fnv1a, Database, Decode, Decoder, Encode, Encoder, Result, StorageError};
+use qsr_storage::{
+    checksum, verify_checksum, Database, Decode, Decoder, Encode, Encoder, Result, StorageError,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -78,7 +80,7 @@ impl Encode for SessionMeta {
         let body = body.finish();
         enc.put_u32(META_MAGIC);
         enc.put_u32(META_VERSION);
-        enc.put_u64(fnv1a(&body));
+        enc.put_u64(checksum(&body));
         enc.put_bytes(&body);
     }
 }
@@ -101,14 +103,7 @@ impl Decode for SessionMeta {
         }
         let expected = dec.get_u64()?;
         let body = dec.get_bytes()?;
-        let actual = fnv1a(body);
-        if actual != expected {
-            return Err(StorageError::checksum_mismatch(
-                "SessionMeta body",
-                expected,
-                actual,
-            ));
-        }
+        verify_checksum("SessionMeta body", body, expected)?;
         let mut bdec = Decoder::new(body);
         let m = SessionMeta {
             id: bdec.get_u64()?,

@@ -14,7 +14,8 @@
 //! top of any primary/fallback pair.
 
 use crate::backoff::BackoffSchedule;
-use crate::blob::{fnv1a, BlobId, BlobStore};
+use crate::blob::{BlobId, BlobStore};
+use crate::checksum::{checksum, verify_checksum};
 use crate::cost::CostLedger;
 use crate::disk::{DiskManager, FileId};
 use crate::error::{Result, StorageError};
@@ -190,9 +191,18 @@ pub const MEMORY_FILE_BASE: u64 = 1 << 40;
 /// memory, resume in the same process" case — and vanish on restart.
 #[derive(Default)]
 pub struct MemoryBackend {
-    blobs: Mutex<BTreeMap<u64, Vec<u8>>>,
+    blobs: Mutex<BTreeMap<u64, MemoryBlob>>,
     manifests: Mutex<BTreeMap<String, Vec<u8>>>,
     next: AtomicU64,
+}
+
+/// A stored blob beside the id minted for it at `put_blob`. The bytes are
+/// shared, so a reader holds the backend lock for a refcount bump, never
+/// for a copy or a checksum pass.
+#[derive(Clone)]
+struct MemoryBlob {
+    id: BlobId,
+    bytes: Arc<[u8]>,
 }
 
 impl MemoryBackend {
@@ -213,30 +223,35 @@ impl SuspendBackend for MemoryBackend {
     }
     fn put_blob(&self, bytes: &[u8]) -> Result<BlobId> {
         let n = self.next.fetch_add(1, Ordering::SeqCst);
-        let file = FileId(MEMORY_FILE_BASE + n);
-        self.blobs.lock().insert(file.0, bytes.to_vec());
-        Ok(BlobId {
-            file,
+        let id = BlobId {
+            file: FileId(MEMORY_FILE_BASE + n),
             len: bytes.len() as u64,
-            checksum: fnv1a(bytes),
-        })
+            checksum: checksum(bytes),
+        };
+        let blob = MemoryBlob {
+            id,
+            bytes: bytes.into(),
+        };
+        self.blobs.lock().insert(id.file.0, blob);
+        Ok(id)
     }
     fn get_blob(&self, id: BlobId) -> Result<Vec<u8>> {
-        let bytes = self
+        let stored = self
             .blobs
             .lock()
             .get(&id.file.0)
             .cloned()
             .ok_or_else(|| StorageError::NotFound(format!("memory blob {}", id.file)))?;
-        let actual = fnv1a(&bytes);
-        if actual != id.checksum || bytes.len() as u64 != id.len {
+        // Stored bytes are immutable, so the id minted with them still
+        // describes them: a caller's id is right iff it equals that one.
+        if id != stored.id {
             return Err(StorageError::checksum_mismatch(
                 format!("memory blob {}", id.file),
                 id.checksum,
-                actual,
+                stored.id.checksum,
             ));
         }
-        Ok(bytes)
+        Ok(stored.bytes.to_vec())
     }
     fn sync_blob(&self, _id: BlobId) -> Result<()> {
         Ok(()) // RAM is as durable as it gets here
@@ -266,17 +281,7 @@ impl SuspendBackend for MemoryBackend {
             .collect())
     }
     fn list_blobs(&self) -> Result<Option<Vec<BlobId>>> {
-        Ok(Some(
-            self.blobs
-                .lock()
-                .iter()
-                .map(|(file, bytes)| BlobId {
-                    file: FileId(*file),
-                    len: bytes.len() as u64,
-                    checksum: fnv1a(bytes),
-                })
-                .collect(),
-        ))
+        Ok(Some(self.blobs.lock().values().map(|b| b.id).collect()))
     }
 }
 
@@ -407,14 +412,7 @@ impl SuspendBackend for RemoteMockBackend {
         let mut bytes = self.inner.get_blob(id)?;
         if let Some(bit) = flip {
             fault::flip_bit(&mut bytes, bit);
-            let actual = fnv1a(&bytes);
-            if actual != id.checksum {
-                return Err(StorageError::checksum_mismatch(
-                    format!("remote blob {}", id.file),
-                    id.checksum,
-                    actual,
-                ));
-            }
+            verify_checksum(format_args!("remote blob {}", id.file), &bytes, id.checksum)?;
         }
         Ok(bytes)
     }

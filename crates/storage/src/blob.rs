@@ -6,14 +6,15 @@
 //! `ceil(len / PAGE_SIZE)` page writes; reading charges the same in reads —
 //! this is where the suspend/resume cost of DumpState comes from.
 
-use crate::codec::{Decode, Decoder, Encode, Encoder};
 use crate::bufpool::BufferPool;
+use crate::checksum::{checksum, verify_checksum};
+use crate::codec::{Decode, Decoder, Encode, Encoder};
 use crate::disk::FileId;
 use crate::error::{Result, StorageError};
 use crate::page::{Page, PAGE_SIZE};
 use std::sync::Arc;
 
-/// Identifier of a stored blob. Carries the payload's FNV-1a checksum so
+/// Identifier of a stored blob. Carries the payload's [`checksum`] so
 /// any on-disk corruption is detected at read time — dumped operator heap
 /// state and `SuspendedQuery` structures must never silently decode into
 /// garbage positions.
@@ -23,15 +24,9 @@ pub struct BlobId {
     pub file: FileId,
     /// Exact payload length in bytes.
     pub len: u64,
-    /// FNV-1a 64-bit checksum of the payload.
+    /// [`checksum`] of the payload (FNV-1a in ids minted by builds that
+    /// predate it; [`verify_checksum`] accepts both).
     pub checksum: u64,
-}
-
-/// FNV-1a 64-bit hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
-    })
 }
 
 impl Encode for BlobId {
@@ -71,9 +66,13 @@ impl BlobStore {
     /// plan and must start from accounted-for state.
     pub fn put(&self, bytes: &[u8]) -> Result<BlobId> {
         let file = self.pool.create_file()?;
+        // One page buffer for the whole blob; only the last chunk can be
+        // short, so only it needs its slack re-zeroed.
+        let mut page = Page::zeroed();
         for chunk in bytes.chunks(PAGE_SIZE) {
-            let mut page = Page::zeroed();
-            page.bytes_mut()[..chunk.len()].copy_from_slice(chunk);
+            let (body, slack) = page.bytes_mut().split_at_mut(chunk.len());
+            body.copy_from_slice(chunk);
+            slack.fill(0);
             if let Err(e) = self.pool.append_page(file, &page) {
                 let _ = self.pool.delete_file(file);
                 return Err(e);
@@ -82,7 +81,7 @@ impl BlobStore {
         Ok(BlobId {
             file,
             len: bytes.len() as u64,
-            checksum: fnv1a(bytes),
+            checksum: checksum(bytes),
         })
     }
 
@@ -103,14 +102,7 @@ impl BlobStore {
             let take = remaining.min(PAGE_SIZE);
             out.extend_from_slice(&page.bytes()[..take]);
         }
-        let actual = fnv1a(&out);
-        if actual != id.checksum {
-            return Err(StorageError::checksum_mismatch(
-                format!("blob {:?}", id.file),
-                id.checksum,
-                actual,
-            ));
-        }
+        verify_checksum(format_args!("blob {:?}", id.file), &out, id.checksum)?;
         Ok(out)
     }
 

@@ -28,6 +28,12 @@ impl Encoder {
         }
     }
 
+    /// Continue writing after the bytes already in `buf` (the inverse of
+    /// [`Encoder::finish`]).
+    pub(crate) fn from_vec(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -221,8 +227,9 @@ impl<'a> Decoder<'a> {
 
     /// Read a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String> {
-        let bytes = self.get_bytes()?;
-        String::from_utf8(bytes.to_vec())
+        // Validate the borrowed bytes first: corrupt input allocates nothing.
+        std::str::from_utf8(self.get_bytes()?)
+            .map(str::to_owned)
             .map_err(|_| StorageError::corrupt("invalid utf-8 in string"))
     }
 

@@ -18,7 +18,8 @@
 //! full dumps without any manifest-side flag and verifies the replayed
 //! bytes end-to-end.
 
-use crate::blob::{fnv1a, BlobId};
+use crate::blob::BlobId;
+use crate::checksum::{checksum, verify_checksum};
 use crate::codec::{Decode, Decoder, Encode, Encoder};
 use crate::error::{Result, StorageError};
 use crate::page::PAGE_SIZE;
@@ -44,7 +45,7 @@ pub struct DeltaDump {
     pub base: BlobId,
     /// Length of the full reconstructed state in bytes.
     pub full_len: u64,
-    /// FNV-1a checksum of the full reconstructed state.
+    /// [`checksum`] of the full reconstructed state.
     pub full_checksum: u64,
     /// One slot per [`PAGE_SIZE`] chunk of the full state: `Some(bytes)`
     /// where this generation changed the chunk, `None` where the base's
@@ -79,7 +80,7 @@ impl DeltaDump {
         Some(DeltaDump {
             base,
             full_len: new.len() as u64,
-            full_checksum: fnv1a(new),
+            full_checksum: checksum(new),
             chunks,
         })
     }
@@ -116,14 +117,7 @@ impl DeltaDump {
                 }
             }
         }
-        let actual = fnv1a(&out);
-        if actual != self.full_checksum {
-            return Err(StorageError::checksum_mismatch(
-                "delta-reconstructed dump",
-                self.full_checksum,
-                actual,
-            ));
-        }
+        verify_checksum("delta-reconstructed dump", &out, self.full_checksum)?;
         Ok(out)
     }
 
@@ -157,7 +151,7 @@ impl DeltaDump {
         e.put_u32(DELTA_MAGIC);
         e.put_u32(DELTA_VERSION);
         e.put_raw(&body);
-        e.put_u64(fnv1a(&body));
+        e.put_u64(checksum(&body));
         e.finish()
     }
 
@@ -181,14 +175,7 @@ impl DeltaDump {
         let body = &bytes[8..bytes.len() - 8];
         let mut tail = Decoder::new(&bytes[bytes.len() - 8..]);
         let expected = tail.get_u64()?;
-        let actual = fnv1a(body);
-        if expected != actual {
-            return Err(StorageError::checksum_mismatch(
-                "delta frame",
-                expected,
-                actual,
-            ));
-        }
+        verify_checksum("delta frame", body, expected)?;
         let mut d = Decoder::new(body);
         let base = BlobId::decode(&mut d)?;
         let full_len = d.get_u64()?;

@@ -6,11 +6,12 @@
 //! the [`CostLedger`], which is how experiments
 //! observe suspend/resume overheads.
 
+use crate::checksum::{checksum, verify_checksum};
 use crate::cost::CostLedger;
 use crate::error::{Result, StorageError};
 use crate::fault::{self, FaultInjector, WriteKind, WriteOutcome};
 use crate::trace::TraceEvent;
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{Page, PAGE_RECORD, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -21,14 +22,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// On-disk size of one page record: the [`PAGE_SIZE`] payload plus an
-/// FNV-1a checksum trailer. The trailer is a `DiskManager` implementation
-/// detail — every layer above sees [`PAGE_SIZE`] pages, and all quota /
-/// `used_bytes` accounting stays in logical [`PAGE_SIZE`] units — but it
-/// lets `read_page` detect arbitrary media corruption (bit flips, torn
-/// overwrites) on tuple-bearing heap and run pages, which unlike blobs
-/// and sidecars have no payload framing of their own.
-const PAGE_RECORD: usize = PAGE_SIZE + 8;
+// On disk a page is a [`PAGE_RECORD`]: the [`PAGE_SIZE`] payload plus a
+// [`checksum`](crate::checksum) trailer. The trailer is a `DiskManager`
+// implementation detail — every layer above sees [`PAGE_SIZE`] pages, and
+// all quota / `used_bytes` accounting stays in logical [`PAGE_SIZE`] units
+// — but it lets `read_page` detect arbitrary media corruption (bit flips,
+// torn overwrites) on tuple-bearing heap and run pages, which unlike blobs
+// and sidecars have no payload framing of their own.
 
 /// Identifier of a file managed by the [`DiskManager`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -344,11 +344,12 @@ impl DiskManager {
 
     /// Read page `page_no` of file `id`. Charges one page read.
     ///
-    /// The on-disk record's FNV-1a trailer is verified against the payload
-    /// *after* any injected bit flip, so media corruption of a page —
-    /// unlike blobs and sidecars, pages carry raw tuple bytes with no
+    /// The on-disk record's checksum trailer is verified against the
+    /// payload *after* any injected bit flip, so media corruption of a page
+    /// — unlike blobs and sidecars, pages carry raw tuple bytes with no
     /// framing of their own — surfaces as a typed [`StorageError`] instead
-    /// of silently feeding garbage to a GoBack re-execution.
+    /// of silently feeding garbage to a GoBack re-execution. The record is
+    /// read straight into the page it is returned in.
     pub fn read_page(&self, id: FileId, page_no: u64) -> Result<Page> {
         let flip = self.fault_read(PAGE_SIZE)?;
         let of = self.file_handle(id)?;
@@ -358,20 +359,18 @@ impl DiskManager {
                 "read past end of {id}: page {page_no} of {pages}"
             )));
         }
-        let mut buf = vec![0u8; PAGE_RECORD];
-        of.read_record_at(&mut buf, page_no * PAGE_RECORD as u64)?;
-        let stored = u64::from_le_bytes(buf[PAGE_SIZE..].try_into().unwrap());
-        buf.truncate(PAGE_SIZE);
+        let mut page = Page::zeroed();
+        let record = page.record_mut();
+        of.read_record_at(record, page_no * PAGE_RECORD as u64)?;
+        let stored = u64::from_le_bytes(record[PAGE_SIZE..].try_into().unwrap());
         if let Some(bit) = flip {
-            fault::flip_bit(&mut buf, bit);
+            fault::flip_bit(page.bytes_mut(), bit);
         }
-        if crate::blob::fnv1a(&buf) != stored {
-            return Err(StorageError::corrupt(format!(
-                "page checksum mismatch on page {page_no} of {id}"
-            )));
-        }
+        verify_checksum("page", page.bytes(), stored).map_err(|_| {
+            StorageError::corrupt(format!("page checksum mismatch on page {page_no} of {id}"))
+        })?;
         self.ledger.charge_read(1);
-        Ok(Page::from_bytes(&buf))
+        Ok(page)
     }
 
     /// Write one page record (caller must hold the file's write lock).
@@ -394,7 +393,7 @@ impl DiskManager {
             WriteOutcome::Proceed => {
                 let mut rec = Vec::with_capacity(PAGE_RECORD);
                 rec.extend_from_slice(page.bytes());
-                rec.extend_from_slice(&crate::blob::fnv1a(page.bytes()).to_le_bytes());
+                rec.extend_from_slice(&checksum(page.bytes()).to_le_bytes());
                 of.write_record_at(&rec, offset)?;
                 if page_no == pages {
                     // Release-publish the extension only after the record

@@ -10,7 +10,7 @@ use crate::bufpool::BufferPool;
 use crate::codec::{Decode, Decoder, Encode, Encoder};
 use crate::disk::FileId;
 use crate::error::{Result, StorageError};
-use crate::page::{Page, PAGE_SIZE};
+use crate::page::{Page, PAGE_RECORD, PAGE_SIZE};
 use crate::pagecol::{decode_page_columns, PageColumns};
 use crate::tuple::Tuple;
 use std::sync::Arc;
@@ -59,9 +59,41 @@ pub struct HeapFile {
     tail: Option<TailPage>,
 }
 
+/// The page being filled. `buf` *is* the page image — the count slot,
+/// then the records — in a buffer sized for one whole page record, so
+/// tuples are encoded where they will be written from and sealing the
+/// page moves no bytes.
 struct TailPage {
     buf: Encoder,
     count: u16,
+}
+
+impl TailPage {
+    fn new() -> Self {
+        let mut buf = Encoder::with_capacity(PAGE_RECORD);
+        buf.put_u16(0); // count slot, filled in when the page is sealed
+        Self { buf, count: 0 }
+    }
+
+    /// Seal into a page: count stamped, slack zeroed. Returns the number
+    /// of bytes in use so a failed write can [`Self::unseal`].
+    fn seal(self) -> (Page, usize) {
+        let mut image = self.buf.finish();
+        let used = image.len();
+        image[..PAGE_HEADER].copy_from_slice(&self.count.to_le_bytes());
+        image.resize(PAGE_RECORD, 0);
+        (Page::from_record(image), used)
+    }
+
+    fn unseal(page: Page, used: usize) -> Self {
+        let count = page.read_u16(0);
+        let mut image = page.into_record();
+        image.truncate(used);
+        Self {
+            buf: Encoder::from_vec(image),
+            count,
+        }
+    }
 }
 
 impl HeapFile {
@@ -102,29 +134,25 @@ impl HeapFile {
         self.pool.num_pages(self.file)
     }
 
-    /// Append a tuple; may flush a full page.
+    /// Append a tuple; may flush a full page. The tuple is encoded
+    /// straight into the tail page's buffer, behind its length prefix.
     pub fn append(&mut self, tuple: &Tuple) -> Result<()> {
-        let mut encoded = Encoder::new();
-        tuple.encode(&mut encoded);
-        let bytes = encoded.finish();
-        if PAGE_HEADER + 4 + bytes.len() > PAGE_SIZE {
+        let len = tuple.encoded_len();
+        if PAGE_HEADER + 4 + len > PAGE_SIZE {
             return Err(StorageError::invalid(format!(
-                "tuple of {} bytes does not fit a page",
-                bytes.len()
+                "tuple of {len} bytes does not fit a page"
             )));
         }
-        let needs_flush = match &self.tail {
-            Some(t) => PAGE_HEADER + t.buf.len() + 4 + bytes.len() > PAGE_SIZE,
-            None => false,
-        };
-        if needs_flush {
+        if matches!(&self.tail, Some(t) if t.buf.len() + 4 + len > PAGE_SIZE) {
             self.flush_tail()?;
         }
-        let tail = self.tail.get_or_insert_with(|| TailPage {
-            buf: Encoder::new(),
-            count: 0,
-        });
-        tail.buf.put_bytes(&bytes);
+        let tail = self.tail.get_or_insert_with(TailPage::new);
+        tail.buf.put_u32(len as u32);
+        let body = tail.buf.len();
+        tuple.encode(&mut tail.buf);
+        // The prefix is already on the page: a length that disagreed with
+        // the encoding would corrupt every later record of the page.
+        assert_eq!(tail.buf.len() - body, len, "Tuple::encoded_len disagrees with encode");
         tail.count += 1;
         self.tuple_count += 1;
         Ok(())
@@ -135,13 +163,12 @@ impl HeapFile {
         // (quota, injected fault) keeps the buffered tuples so a later
         // retry — e.g. a cheaper degradation-ladder rung re-sealing a
         // partition — can flush them instead of silently losing them.
-        if let Some(tail) = &self.tail {
-            let mut page = Page::zeroed();
-            page.write_u16(0, tail.count);
-            let body = tail.buf.as_slice();
-            page.bytes_mut()[PAGE_HEADER..PAGE_HEADER + body.len()].copy_from_slice(body);
-            self.pool.append_page(self.file, &page)?;
-            self.tail = None;
+        if let Some(tail) = self.tail.take() {
+            let (page, used) = tail.seal();
+            if let Err(e) = self.pool.append_page(self.file, &page) {
+                self.tail = Some(TailPage::unseal(page, used));
+                return Err(e);
+            }
         }
         Ok(())
     }
@@ -170,13 +197,21 @@ impl HeapFile {
     }
 
     /// Fetch the single tuple at `addr` (one page read on a pool miss).
+    /// Records are length-prefixed, so the slots before it are skipped,
+    /// not decoded.
     pub fn fetch(&self, addr: TupleAddr) -> Result<Tuple> {
         let page = self.pool.read_page(self.file, addr.page)?;
-        let tuples = decode_page(&page)?;
-        tuples
-            .into_iter()
-            .nth(addr.slot as usize)
-            .ok_or_else(|| StorageError::invalid(format!("no slot {} on page {}", addr.slot, addr.page)))
+        if addr.slot >= page.read_u16(0) {
+            return Err(StorageError::invalid(format!(
+                "no slot {} on page {}",
+                addr.slot, addr.page
+            )));
+        }
+        let mut dec = Decoder::new(&page.bytes()[PAGE_HEADER..]);
+        for _ in 0..addr.slot {
+            dec.get_bytes()?;
+        }
+        Tuple::decode_from_slice(dec.get_bytes()?)
     }
 }
 
@@ -538,24 +573,154 @@ mod tests {
         // Walk with a cursor recording addresses, then fetch a few back.
         let mut c = h.cursor();
         let mut addrs = Vec::new();
-        loop {
-            let pos = c.position();
-            match c.next().unwrap() {
-                Some(t) => addrs.push((pos, t)),
-                None => break,
-            }
+        while let Some(at) = c.next_with_addr().unwrap() {
+            addrs.push(at);
         }
         for (addr, expect) in addrs.iter().step_by(37) {
             assert_eq!(&h.fetch(*addr).unwrap(), expect);
         }
+        // The last slot of a full page, and the slot one past it: the
+        // count in the page header bounds the skip, so a slot the page
+        // does not have is a typed error, not a decode of zero padding.
+        let (last, expect) = addrs.iter().rfind(|(a, _)| a.page == 0).unwrap();
+        assert_eq!(&h.fetch(*last).unwrap(), expect);
+        let past = TupleAddr {
+            page: 0,
+            slot: last.slot + 1,
+        };
+        match h.fetch(past) {
+            Err(StorageError::InvalidArgument(m)) => {
+                assert_eq!(m, format!("no slot {} on page 0", past.slot))
+            }
+            other => panic!("expected a typed no-slot error, got {other:?}"),
+        }
+    }
+
+    /// Tuples of very different widths, so records meet the page end at
+    /// many different offsets.
+    fn mixed(k: i64) -> Tuple {
+        Tuple::new(vec![
+            Value::Int(k),
+            Value::Str("w".repeat((k as usize * 37) % 900)),
+            Value::Bool(k % 3 == 0),
+            Value::Float(k as f64 / 8.0),
+        ])
+    }
+
+    /// The append sequence this file used before tuples were encoded in
+    /// place — encode to a `Vec`, then `put_bytes` it into the tail, then
+    /// copy the tail into a zeroed page — kept as the reference for what
+    /// a heap page's bytes are.
+    fn reference_pages(tuples: &[Tuple]) -> Vec<Vec<u8>> {
+        fn seal(count: u16, body: &Encoder) -> Vec<u8> {
+            let mut page = Page::zeroed();
+            page.write_u16(0, count);
+            page.bytes_mut()[PAGE_HEADER..PAGE_HEADER + body.len()]
+                .copy_from_slice(body.as_slice());
+            page.bytes().to_vec()
+        }
+        let mut pages = Vec::new();
+        let (mut body, mut count) = (Encoder::new(), 0u16);
+        for t in tuples {
+            let bytes = t.encode_to_vec();
+            if PAGE_HEADER + body.len() + 4 + bytes.len() > PAGE_SIZE {
+                pages.push(seal(count, &body));
+                (body, count) = (Encoder::new(), 0);
+            }
+            body.put_bytes(&bytes);
+            count += 1;
+        }
+        if count > 0 {
+            pages.push(seal(count, &body));
+        }
+        pages
+    }
+
+    fn pages_of(h: &HeapFile) -> Vec<Vec<u8>> {
+        (0..h.pages().unwrap())
+            .map(|p| h.pool.read_page(h.file, p).unwrap().bytes().to_vec())
+            .collect()
     }
 
     #[test]
-    fn oversized_tuple_is_rejected() {
-        let (_d, dm) = test_dm();
-        let mut h = HeapFile::create(dm).unwrap();
+    fn in_place_append_writes_the_same_page_bytes() {
+        let (_d, pool) = test_dm();
+        let tuples: Vec<Tuple> = (0..400).map(mixed).collect();
+        let mut h = HeapFile::create(pool).unwrap();
+        for t in &tuples {
+            h.append(t).unwrap();
+        }
+        h.finish().unwrap();
+        let expect = reference_pages(&tuples);
+        assert!(expect.len() > 5, "must cross several page boundaries");
+        assert_eq!(pages_of(&h), expect);
+    }
+
+    #[test]
+    fn oversized_tuple_is_rejected_and_leaves_the_tail_untouched() {
+        let (_d, pool) = test_dm();
+        let tuples: Vec<Tuple> = (0..20).map(mixed).collect();
+        let mut h = HeapFile::create(pool).unwrap();
         let huge = Tuple::new(vec![Value::Str("x".repeat(PAGE_SIZE))]);
-        assert!(h.append(&huge).is_err());
+        let huge_len = huge.encode_to_vec().len();
+        for (i, t) in tuples.iter().enumerate() {
+            h.append(t).unwrap();
+            if i % 5 == 0 {
+                match h.append(&huge) {
+                    Err(StorageError::InvalidArgument(m)) => {
+                        assert_eq!(m, format!("tuple of {huge_len} bytes does not fit a page"))
+                    }
+                    other => panic!("expected a typed does-not-fit error, got {other:?}"),
+                }
+            }
+        }
+        h.finish().unwrap();
+        assert_eq!(h.tuple_count(), 20);
+        assert_eq!(pages_of(&h), reference_pages(&tuples));
+    }
+
+    #[test]
+    fn failed_flush_keeps_the_buffered_tuples_for_a_retry() {
+        use crate::fault::{FaultInjector, WriteFault};
+        let tuples: Vec<Tuple> = (0..60).map(mixed).collect();
+
+        // Quota: the page-filling append fails with `NoSpace` and must not
+        // have consumed the tail; once space is back, the same append and
+        // everything after it land as if nothing had happened.
+        let (_d, pool) = test_dm();
+        let mut h = HeapFile::create(pool.clone()).unwrap();
+        pool.disk().set_quota(Some(0));
+        let mut refused = 0;
+        for t in &tuples {
+            if let Err(e) = h.append(t) {
+                assert!(matches!(e, StorageError::NoSpace { .. }), "{e}");
+                assert!(h.has_unflushed_tail());
+                refused += 1;
+                pool.disk().set_quota(None);
+                h.append(t).unwrap();
+                pool.disk().set_quota(Some(0));
+            }
+        }
+        assert!(refused > 0, "the quota must have refused a page");
+        assert!(matches!(h.finish(), Err(StorageError::NoSpace { .. })));
+        assert!(h.has_unflushed_tail(), "a refused seal keeps the tail");
+        pool.disk().set_quota(None);
+        h.finish().unwrap();
+        assert_eq!(pages_of(&h), reference_pages(&tuples));
+
+        // Injected transient fault on the sealing write: same contract.
+        let (_d, pool) = test_dm();
+        let mut h = HeapFile::create(pool.clone()).unwrap();
+        for t in &tuples[..3] {
+            h.append(t).unwrap();
+        }
+        let fi = Arc::new(FaultInjector::new());
+        pool.disk().set_fault_injector(Some(fi.clone()));
+        fi.fail_write(1, WriteFault::Transient(1));
+        assert!(h.finish().unwrap_err().is_transient());
+        assert!(h.has_unflushed_tail());
+        h.finish().unwrap();
+        assert_eq!(pages_of(&h), reference_pages(&tuples[..3]));
     }
 
     #[test]

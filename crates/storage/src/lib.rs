@@ -27,6 +27,7 @@ pub mod backoff;
 pub mod blob;
 pub mod bufpool;
 pub mod catalog;
+pub mod checksum;
 pub mod codec;
 pub mod colblock;
 pub mod cost;
@@ -51,9 +52,10 @@ pub use backend::{
     SuspendBackend, MEMORY_FILE_BASE,
 };
 pub use backoff::{with_backoff, with_retries, BackoffSchedule, MAX_RETRIES, RESUME_BACKOFF};
-pub use blob::{fnv1a, BlobId, BlobStore};
+pub use blob::{BlobId, BlobStore};
 pub use bufpool::{BufferPool, PinGuard};
 pub use catalog::{Catalog, TableInfo};
+pub use checksum::{checksum, fnv1a, verify_checksum};
 pub use codec::{Decode, Decoder, Encode, Encoder};
 pub use colblock::{TupleBlock, TupleSlice};
 pub use cost::{CacheStats, CostLedger, CostModel, CostSnapshot, Phase, PhaseCost};

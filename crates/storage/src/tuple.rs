@@ -50,6 +50,11 @@ impl Tuple {
         Tuple::new(indices.iter().map(|&i| self.values[i].clone()).collect())
     }
 
+    /// Exact number of bytes [`Encode::encode`] appends for this tuple.
+    pub(crate) fn encoded_len(&self) -> usize {
+        4 + self.values.iter().map(Value::encoded_len).sum::<usize>()
+    }
+
     /// Approximate in-memory footprint in bytes (for heap-state sizing
     /// reported to the suspend-plan optimizer).
     pub fn heap_bytes(&self) -> usize {

@@ -107,6 +107,17 @@ impl Value {
             Value::Str(s) => s.len() + 8,
         }
     }
+
+    /// Exact number of bytes [`Encode::encode`] appends for this value:
+    /// the tag byte plus the payload. Lets a writer that must know whether
+    /// a record fits reserve its length prefix before encoding in place.
+    pub(crate) fn encoded_len(&self) -> usize {
+        1 + match self {
+            Value::Int(_) | Value::Float(_) => 8,
+            Value::Bool(_) => 1,
+            Value::Str(s) => 4 + s.len(),
+        }
+    }
 }
 
 impl Eq for Value {}

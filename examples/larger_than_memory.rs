@@ -113,7 +113,7 @@ fn main() {
     println!("cold resume: {before} tuples before suspend + {after} after = identical output");
 
     // Media corruption: flip one bit on the next disk read. The per-page
-    // FNV-1a trailer rejects the page with a typed, non-transient error
+    // checksum trailer rejects the page with a typed, non-transient error
     // instead of silently joining garbage; clearing the fault recovers.
     let dir = base.join("flip");
     std::fs::create_dir_all(&dir).unwrap();

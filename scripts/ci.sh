@@ -9,6 +9,20 @@ cd "$(dirname "$0")/.."
 tree_before="$(git status --porcelain 2>/dev/null || true)"
 
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Structural guard: the legacy hash `fnv1a` survives only as the fallback
+# arm of the checksum module's verifier (DESIGN.md §10) and in test code.
+# Outside `#[cfg(test)]` tails, `crates/*/src` may hold exactly its
+# definition and that one call; any other hit — a write-side use creeping
+# back in — fails the run.
+legacy_calls="$(grep -rl 'fnv1a(' crates/*/src | while read -r f; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -c 'fnv1a(' | sed "s|^|$f |"
+done | grep -v ' 0$' || true)"
+if [ "$legacy_calls" != "crates/storage/src/checksum.rs 2" ]; then
+    printf 'fnv1a( outside the checksum module (file, hits before its test tail):\n%s\n' \
+        "$legacy_calls" >&2
+    exit 1
+fi
 cargo build --release
 cargo test -q
 

@@ -6,14 +6,19 @@
 //! bytes it was handed, not to a header field.
 
 use proptest::prelude::*;
-use qsr::core::{OpId, OpSuspendRecord, Strategy as OpStrategy, SuspendedQuery};
+use qsr::core::{
+    Checkpoint, ContractGraph, OpId, OpSuspendRecord, Strategy as OpStrategy, SuspendedQuery,
+};
 use qsr::exec::SuspendManifest;
+use qsr::server::SessionMeta;
 use qsr::storage::{
-    fnv1a, BlobId, Decode, DeltaDump, Encode, Encoder, FileId, StorageError, Tuple, TupleBlock,
-    Value, DELTA_MAGIC, DELTA_VERSION,
+    checksum, fnv1a, BlobId, BlobStore, BufferPool, CostLedger, Decode, DeltaDump, DiskManager,
+    Encode, Encoder, FileId, HeapFile, StorageError, Tuple, TupleBlock, Value, DELTA_MAGIC,
+    DELTA_VERSION, PAGE_SIZE,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// No input here is longer than `MAX_INPUT` bytes, and no decode of one
 /// may request more than `ALLOC_BOUND` bytes from the allocator in total.
@@ -169,4 +174,139 @@ fn forged_delta_chunk_count_is_rejected_before_allocating() {
     decode_all(&frame);
     let decoded = DeltaDump::decode_from_bytes(&frame);
     assert!(matches!(decoded, Err(StorageError::Corrupt(_))), "got {decoded:?}");
+}
+
+/// A frame exactly as f25e1d4 wrote it: the same bytes with FNV-1a of
+/// `body` in the eight-byte checksum slot at `slot`. (Body encodings did
+/// not change; only the function that fills the slot did.)
+fn legacy_frame(mut frame: Vec<u8>, slot: usize, body: std::ops::Range<usize>) -> Vec<u8> {
+    let new = u64::from_le_bytes(frame[slot..slot + 8].try_into().unwrap());
+    assert_eq!(new, checksum(&frame[body.clone()]), "slot/body layout of the frame");
+    let old = fnv1a(&frame[body]);
+    assert_ne!(old, new, "the two functions must disagree for the test to mean anything");
+    frame[slot..slot + 8].copy_from_slice(&old.to_le_bytes());
+    frame
+}
+
+/// Everything a build before the word-parallel checksum persisted — frames
+/// of every kind, a blob, a heap page — still verifies on this one (the
+/// fallback arm of `verify_checksum`), and damage to it is still rejected
+/// with the same typed error: the legacy arm widens what is accepted by
+/// exactly the legacy value, nothing else.
+#[test]
+fn data_written_with_the_legacy_checksum_still_reads_and_still_rejects_damage() {
+    // --- Frames: `magic, version, sum, len-prefixed body` for all but the
+    // delta frame (`magic, version, body, sum`) and the bare checkpoint
+    // record (`sum, len-prefixed fields`).
+    fn check<T: std::fmt::Debug + PartialEq>(
+        what: &str,
+        frame: Vec<u8>,
+        slot: usize,
+        body: std::ops::Range<usize>,
+        decode: impl Fn(&[u8]) -> Result<T, StorageError>,
+    ) {
+        let value = decode(&frame).unwrap_or_else(|e| panic!("{what}: fresh frame: {e}"));
+        let old = legacy_frame(frame, slot, body.clone());
+        let back = decode(&old).unwrap_or_else(|e| panic!("{what}: legacy frame: {e}"));
+        assert_eq!(back, value, "{what}");
+        for bit in (slot * 8..slot * 8 + 64).chain(body.start * 8..body.end * 8) {
+            let mut bad = old.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let got = decode(&bad);
+            assert!(
+                matches!(got, Err(StorageError::ChecksumMismatch { .. })),
+                "{what}: bit {bit} flipped in a legacy frame: {got:?}"
+            );
+        }
+    }
+    let frames = valid_encodings();
+    let [.., query, chained, v1_manifest, v2_manifest, delta] = &frames[..] else {
+        panic!("valid_encodings ends with the five framed structures");
+    };
+    for (what, frame) in [("SuspendedQuery v2", query), ("SuspendedQuery v3", chained)] {
+        check(what, frame.clone(), 8, 20..frame.len(), SuspendedQuery::decode_from_slice);
+    }
+    for (what, frame) in [("manifest v1", v1_manifest), ("manifest v2", v2_manifest)] {
+        check(what, frame.clone(), 8, 20..frame.len(), SuspendManifest::decode_from_slice);
+    }
+    let n = delta.len();
+    check("delta frame", delta.clone(), n - 8, 8..n - 8, DeltaDump::decode_from_bytes);
+    let mut graph = ContractGraph::new();
+    let ckpt = graph.create_checkpoint(OpId(2), vec![9, 8, 7], 3.5);
+    let record = graph.checkpoint(ckpt).expect("just created").encode_to_vec();
+    check("checkpoint record", record.clone(), 0, 12..record.len(), Checkpoint::decode_from_slice);
+    let meta = SessionMeta { id: 3, tenant: "t".into(), priority: 1, plan_bytes: vec![1, 2, 3] };
+    let meta = meta.encode_to_vec();
+    check("session meta", meta.clone(), 8, 20..meta.len(), SessionMeta::decode_from_slice);
+
+    // --- Pages and blobs: page files as f25e1d4 laid them out, each 8 KiB
+    // payload followed by FNV-1a of it.
+    let dir = std::env::temp_dir().join(format!("qsr-legacy-sum-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write_file = |n: u64, payloads: &[Vec<u8>]| {
+        let mut bytes = Vec::new();
+        for p in payloads {
+            assert_eq!(p.len(), PAGE_SIZE);
+            bytes.extend_from_slice(p);
+            bytes.extend_from_slice(&fnv1a(p).to_le_bytes());
+        }
+        std::fs::write(dir.join(format!("f{n}.qsr")), bytes).unwrap();
+    };
+    let open = || {
+        let dm = DiskManager::open(&dir, CostLedger::default()).unwrap();
+        BufferPool::passthrough(Arc::new(dm))
+    };
+
+    // One heap page holding two tuples: `[count u16][len u32, tuple]...`.
+    let rows = [
+        Tuple::new(vec![Value::Int(7), Value::Str("legacy".into())]),
+        Tuple::new(vec![Value::Int(8), Value::Str("page".into())]),
+    ];
+    let mut page = Encoder::new();
+    page.put_u16(rows.len() as u16);
+    for r in &rows {
+        page.put_bytes(&r.encode_to_vec());
+    }
+    let mut page = page.finish();
+    page.resize(PAGE_SIZE, 0);
+    write_file(0, std::slice::from_ref(&page));
+    let mut cursor = HeapFile::open(open(), FileId(0), 2).cursor();
+    assert_eq!(cursor.next().unwrap().as_ref(), Some(&rows[0]));
+    assert_eq!(cursor.next().unwrap().as_ref(), Some(&rows[1]));
+    assert_eq!(cursor.next().unwrap(), None);
+    // A flipped payload bit under the legacy trailer: still `Corrupt`.
+    let mut rotten = page.clone();
+    rotten[40] ^= 0x10;
+    let mut record = rotten;
+    record.extend_from_slice(&fnv1a(&page).to_le_bytes());
+    std::fs::write(dir.join("f0.qsr"), &record).unwrap();
+    let got = HeapFile::open(open(), FileId(0), 2).cursor().next();
+    assert!(matches!(got, Err(StorageError::Corrupt(_))), "rotten legacy page: {got:?}");
+
+    // One blob spanning two pages, named by a legacy `BlobId`.
+    let payload: Vec<u8> = (0..PAGE_SIZE + 100).map(|i| (i % 251) as u8).collect();
+    let pages = |payload: &[u8]| -> Vec<Vec<u8>> {
+        payload
+            .chunks(PAGE_SIZE)
+            .map(|c| {
+                let mut p = c.to_vec();
+                p.resize(PAGE_SIZE, 0);
+                p
+            })
+            .collect()
+    };
+    write_file(1, &pages(&payload));
+    let id = BlobId { file: FileId(1), len: payload.len() as u64, checksum: fnv1a(&payload) };
+    assert_eq!(BlobStore::new(open()).get(id).unwrap(), payload);
+    // Damage the page trailers cannot see (pages rewritten consistently,
+    // payload no longer what the id names): still `ChecksumMismatch`.
+    let mut swapped = payload.clone();
+    swapped[PAGE_SIZE + 5] ^= 1;
+    write_file(1, &pages(&swapped));
+    let got = BlobStore::new(open()).get(id);
+    assert!(
+        matches!(got, Err(StorageError::ChecksumMismatch { .. })),
+        "swapped legacy blob: {got:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
