@@ -4,6 +4,8 @@
 //! sanity pass over the same machinery `tests/oracle_sweep.rs` sweeps
 //! exhaustively; wall-clock per case is printed for the bench log.
 
+#![forbid(unsafe_code)]
+
 use qsr_oracle::{Mode, Oracle, Policy, Scenario, SkewProfile};
 use qsr_storage::FaultSchedule;
 use std::time::Instant;

@@ -10,6 +10,8 @@
 //! multiple sessions; `seq` restarts at 0 are run boundaries). Exits
 //! non-zero naming the first offending line.
 
+#![forbid(unsafe_code)]
+
 use qsr_bench::json::{parse, Json};
 use std::process::exit;
 

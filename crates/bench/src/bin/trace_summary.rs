@@ -10,6 +10,8 @@
 //! only needs the attribution-relevant fields and fails on lines where
 //! they are malformed.
 
+#![forbid(unsafe_code)]
+
 use qsr_bench::attribution::{from_jsonl, render};
 use std::process::exit;
 

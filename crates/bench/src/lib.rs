@@ -13,6 +13,8 @@
 //! not made here — `benchmark/` at the repository root is the one harness
 //! for those.
 
+#![forbid(unsafe_code)]
+
 pub mod attribution;
 pub mod experiments;
 pub mod harness;

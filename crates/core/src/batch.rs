@@ -1,7 +1,7 @@
 //! Columnar tuple batches for vectorized execution.
 //!
 //! The executor's original interface is tuple-at-a-time: one virtual
-//! `next()` call, one `Poll` allocation, and one `Arc<[Value]>` per row.
+//! `next()` call, one `Poll` allocation, and one row record per row.
 //! A [`Batch`] amortizes all three: operators exchange fixed-capacity
 //! column vectors ([`ColumnVec`]) plus an optional *selection mask*, so
 //! inner loops run per-column over unboxed `i64`/`f64` slices and filters
@@ -13,16 +13,16 @@
 //! the tuple path uses, so every existing suspend record, checkpoint, and
 //! resume path is untouched by batch mode.
 
-use qsr_storage::{PageColumns, RawColumn, Tuple, Value};
+use qsr_storage::{PageColumns, RawColumn, Tuple, Value, ValueRef};
 use std::sync::Arc;
 
 /// One column of a [`Batch`]. Monomorphic variants store unboxed scalars
 /// (the fast path for vectorized predicates and arithmetic); `Val` is the
 /// escape hatch for columns that mix variants across rows; `Rows` is a
-/// *late-materialized* column that borrows the source tuples (an
-/// `Arc<[Value]>` each) and only clones a value out when a consumer
-/// actually reads it — the batch-mode answer to heap-allocated payload
-/// columns that a downstream projection will drop unread.
+/// *late-materialized* column that shares the source tuples (one `Arc`'d
+/// record each) and only reads a field out when a consumer actually asks
+/// for it — the batch-mode answer to payload columns that a downstream
+/// projection will drop unread.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnVec {
     /// Unboxed 64-bit integers.
@@ -31,13 +31,10 @@ pub enum ColumnVec {
     Float(Vec<f64>),
     /// Unboxed booleans.
     Bool(Vec<bool>),
-    /// Strings.
-    Str(Vec<String>),
-    /// Strings kept as raw UTF-8 (validated at page decode): one
+    /// Strings kept as raw UTF-8 (validated where they came from): one
     /// concatenated arena plus `rows + 1` offsets. This is the zero-copy
     /// landing zone for [`Batch::append_page_columns`] — a payload column
-    /// arrives as two `memcpy`s and is materialized into `String`s only
-    /// when a consumer reads it.
+    /// arrives as two `memcpy`s — and no `String` is built per row.
     StrRaw {
         /// Byte offsets; string `r` is `data[offsets[r]..offsets[r+1]]`.
         offsets: Vec<u32>,
@@ -56,12 +53,15 @@ pub enum ColumnVec {
 }
 
 impl ColumnVec {
-    fn with_capacity_like(v: &Value, cap: usize) -> Self {
+    fn with_capacity_like(v: ValueRef<'_>, cap: usize) -> Self {
         match v {
-            Value::Int(_) => ColumnVec::Int(Vec::with_capacity(cap)),
-            Value::Float(_) => ColumnVec::Float(Vec::with_capacity(cap)),
-            Value::Bool(_) => ColumnVec::Bool(Vec::with_capacity(cap)),
-            Value::Str(_) => ColumnVec::Str(Vec::with_capacity(cap)),
+            ValueRef::Int(_) => ColumnVec::Int(Vec::with_capacity(cap)),
+            ValueRef::Float(_) => ColumnVec::Float(Vec::with_capacity(cap)),
+            ValueRef::Bool(_) => ColumnVec::Bool(Vec::with_capacity(cap)),
+            ValueRef::Str(_) => ColumnVec::StrRaw {
+                offsets: vec![0],
+                data: Vec::new(),
+            },
         }
     }
 
@@ -71,7 +71,6 @@ impl ColumnVec {
             ColumnVec::Int(v) => v.len(),
             ColumnVec::Float(v) => v.len(),
             ColumnVec::Bool(v) => v.len(),
-            ColumnVec::Str(v) => v.len(),
             ColumnVec::StrRaw { offsets, .. } => offsets.len() - 1,
             ColumnVec::Val(v) => v.len(),
             ColumnVec::Rows { rows, .. } => rows.len(),
@@ -84,17 +83,16 @@ impl ColumnVec {
     }
 
     /// Append `v`, promoting the column to `Val` on a variant mismatch.
-    pub fn push(&mut self, v: Value) {
+    pub fn push(&mut self, v: ValueRef<'_>) {
         match (&mut *self, v) {
-            (ColumnVec::Int(col), Value::Int(x)) => col.push(x),
-            (ColumnVec::Float(col), Value::Float(x)) => col.push(x),
-            (ColumnVec::Bool(col), Value::Bool(x)) => col.push(x),
-            (ColumnVec::Str(col), Value::Str(x)) => col.push(x),
-            (ColumnVec::StrRaw { offsets, data }, Value::Str(x)) => {
+            (ColumnVec::Int(col), ValueRef::Int(x)) => col.push(x),
+            (ColumnVec::Float(col), ValueRef::Float(x)) => col.push(x),
+            (ColumnVec::Bool(col), ValueRef::Bool(x)) => col.push(x),
+            (ColumnVec::StrRaw { offsets, data }, ValueRef::Str(x)) => {
                 data.extend_from_slice(x.as_bytes());
                 offsets.push(data.len() as u32);
             }
-            (ColumnVec::Val(col), v) => col.push(v),
+            (ColumnVec::Val(col), v) => col.push(v.to_value()),
             (_, v) => {
                 self.promote();
                 self.push(v);
@@ -105,40 +103,22 @@ impl ColumnVec {
     /// Rewrite the column as `Val`, boxing each scalar (and materializing
     /// every lazy row reference).
     fn promote(&mut self) {
-        let vals = match std::mem::replace(self, ColumnVec::Val(Vec::new())) {
-            ColumnVec::Int(v) => v.into_iter().map(Value::Int).collect(),
-            ColumnVec::Float(v) => v.into_iter().map(Value::Float).collect(),
-            ColumnVec::Bool(v) => v.into_iter().map(Value::Bool).collect(),
-            ColumnVec::Str(v) => v.into_iter().map(Value::Str).collect(),
-            ColumnVec::StrRaw { offsets, data } => (0..offsets.len() - 1)
-                .map(|r| {
-                    Value::Str(
-                        std::str::from_utf8(&data[offsets[r] as usize..offsets[r + 1] as usize])
-                            .expect("validated at page decode")
-                            .to_string(),
-                    )
-                })
-                .collect(),
-            ColumnVec::Val(v) => v,
-            ColumnVec::Rows { rows, col } => rows.iter().map(|t| t.get(col).clone()).collect(),
-        };
+        let vals = (0..self.len()).map(|r| self.value(r).to_value()).collect();
         *self = ColumnVec::Val(vals);
     }
 
-    /// The value at `row` (cloned out of the column).
-    pub fn value(&self, row: usize) -> Value {
+    /// The value at `row`, borrowed from the column.
+    pub fn value(&self, row: usize) -> ValueRef<'_> {
         match self {
-            ColumnVec::Int(v) => Value::Int(v[row]),
-            ColumnVec::Float(v) => Value::Float(v[row]),
-            ColumnVec::Bool(v) => Value::Bool(v[row]),
-            ColumnVec::Str(v) => Value::Str(v[row].clone()),
-            ColumnVec::StrRaw { offsets, data } => Value::Str(
+            ColumnVec::Int(v) => ValueRef::Int(v[row]),
+            ColumnVec::Float(v) => ValueRef::Float(v[row]),
+            ColumnVec::Bool(v) => ValueRef::Bool(v[row]),
+            ColumnVec::StrRaw { offsets, data } => ValueRef::Str(
                 std::str::from_utf8(&data[offsets[row] as usize..offsets[row + 1] as usize])
-                    .expect("validated at page decode")
-                    .to_string(),
+                    .expect("validated where the bytes came from"),
             ),
-            ColumnVec::Val(v) => v[row].clone(),
-            ColumnVec::Rows { rows, col } => rows[row].get(*col).clone(),
+            ColumnVec::Val(v) => v[row].as_ref(),
+            ColumnVec::Rows { rows, col } => rows[row].get(*col),
         }
     }
 
@@ -256,44 +236,31 @@ impl Batch {
             return Self::with_capacity(arity, capacity);
         }
         let rows: Arc<[Tuple]> = rows.into();
+        debug_assert_eq!(rows[0].arity(), arity, "from_rows arity mismatch");
+        // Field `c` of every row through `pick`, if it takes them all.
+        fn unboxed<T>(
+            rows: &[Tuple],
+            c: usize,
+            pick: impl Fn(ValueRef<'_>) -> Option<T>,
+        ) -> Option<Vec<T>> {
+            rows.iter().map(|t| pick(t.get(c))).collect()
+        }
         let columns = (0..arity)
             .map(|c| {
-                debug_assert_eq!(rows[0].values().len(), arity, "from_rows arity mismatch");
-                match rows[0].get(c) {
-                    Value::Int(_) => {
-                        match rows.iter().map(|t| t.get(c).as_int()).collect::<Result<_, _>>() {
-                            Ok(v) => ColumnVec::Int(v),
-                            Err(_) => ColumnVec::Rows { rows: rows.clone(), col: c },
-                        }
+                let column = match rows[0].get(c) {
+                    ValueRef::Int(_) => unboxed(&rows, c, |v| v.as_int().ok()).map(ColumnVec::Int),
+                    ValueRef::Float(_) => {
+                        unboxed(&rows, c, |v| v.as_float().ok()).map(ColumnVec::Float)
                     }
-                    Value::Float(_) => {
-                        let v: Option<Vec<f64>> = rows
-                            .iter()
-                            .map(|t| match t.get(c) {
-                                Value::Float(x) => Some(*x),
-                                _ => None,
-                            })
-                            .collect();
-                        match v {
-                            Some(v) => ColumnVec::Float(v),
-                            None => ColumnVec::Rows { rows: rows.clone(), col: c },
-                        }
+                    ValueRef::Bool(_) => {
+                        unboxed(&rows, c, |v| v.as_bool().ok()).map(ColumnVec::Bool)
                     }
-                    Value::Bool(_) => {
-                        let v: Option<Vec<bool>> = rows
-                            .iter()
-                            .map(|t| match t.get(c) {
-                                Value::Bool(x) => Some(*x),
-                                _ => None,
-                            })
-                            .collect();
-                        match v {
-                            Some(v) => ColumnVec::Bool(v),
-                            None => ColumnVec::Rows { rows: rows.clone(), col: c },
-                        }
-                    }
-                    Value::Str(_) => ColumnVec::Rows { rows: rows.clone(), col: c },
-                }
+                    ValueRef::Str(_) => None,
+                };
+                column.unwrap_or_else(|| ColumnVec::Rows {
+                    rows: rows.clone(),
+                    col: c,
+                })
             })
             .collect();
         Self {
@@ -349,35 +316,29 @@ impl Batch {
         self.sel = sel;
     }
 
-    /// Append a row of raw values. Panics if `values.len() != arity`
+    /// Append a row of owned values. Panics if `values.len() != arity`
     /// (an internal invariant — schemas are checked at plan build).
     pub fn push_row(&mut self, values: Vec<Value>) {
         assert_eq!(values.len(), self.arity, "batch row arity mismatch");
-        self.rows = None;
-        if self.columns.is_empty() {
-            self.columns = values
-                .iter()
-                .map(|v| ColumnVec::with_capacity_like(v, self.capacity))
-                .collect();
-        }
-        for (col, v) in self.columns.iter_mut().zip(values) {
-            col.push(v);
-        }
+        self.push_fields(values.iter().map(Value::as_ref));
     }
 
-    /// Append a [`Tuple`]'s values (no intermediate row vector).
+    /// Append a [`Tuple`]'s fields (no intermediate row vector).
     pub fn push(&mut self, t: &Tuple) {
-        let values = t.values();
-        assert_eq!(values.len(), self.arity, "batch row arity mismatch");
+        assert_eq!(t.arity(), self.arity, "batch row arity mismatch");
+        self.push_fields(t.values());
+    }
+
+    fn push_fields<'a>(&mut self, fields: impl Iterator<Item = ValueRef<'a>> + Clone) {
         self.rows = None;
         if self.columns.is_empty() {
-            self.columns = values
-                .iter()
+            self.columns = fields
+                .clone()
                 .map(|v| ColumnVec::with_capacity_like(v, self.capacity))
                 .collect();
         }
-        for (col, v) in self.columns.iter_mut().zip(values) {
-            col.push(v.clone());
+        for (col, v) in self.columns.iter_mut().zip(fields) {
+            col.push(v);
         }
     }
 
@@ -410,7 +371,7 @@ impl Batch {
     }
 
     /// The value at (`row`, `col`) ignoring the selection mask.
-    pub fn value(&self, row: usize, col: usize) -> Value {
+    pub fn value(&self, row: usize, col: usize) -> ValueRef<'_> {
         self.columns[col].value(row)
     }
 
@@ -421,7 +382,7 @@ impl Batch {
         if let Some(rows) = &self.rows {
             return rows[row].clone();
         }
-        Tuple::new((0..self.arity).map(|c| self.value(row, c)).collect())
+        Tuple::from_fields((0..self.arity).map(|c| self.value(row, c)))
     }
 
     /// Iterate the live row indices in order.
@@ -516,8 +477,8 @@ mod tests {
         b.push_row(vec![Value::Int(1)]);
         b.push_row(vec![Value::Str("x".into())]);
         assert_eq!(b.column(0).unwrap().as_ints(), None);
-        assert_eq!(b.value(0, 0), Value::Int(1));
-        assert_eq!(b.value(1, 0), Value::Str("x".into()));
+        assert_eq!(b.value(0, 0), ValueRef::Int(1));
+        assert_eq!(b.value(1, 0), ValueRef::Str("x"));
     }
 
     #[test]
@@ -532,8 +493,8 @@ mod tests {
         assert_eq!(p.live_len(), 2);
         let rows = p.to_tuples();
         assert_eq!(
-            rows[1].values(),
-            &[Value::Float(3.0), Value::Int(3), Value::Int(3)]
+            rows[1],
+            Tuple::new(vec![Value::Float(3.0), Value::Int(3), Value::Int(3)])
         );
     }
 

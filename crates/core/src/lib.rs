@@ -28,6 +28,8 @@
 //! * [`work`] — per-operator cumulative-work tracking feeding the
 //!   optimizer's `g^r` terms.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod graph;
 pub mod ids;

@@ -34,6 +34,11 @@ impl WorkTable {
         self.inner.lock().get(&op).copied().unwrap_or(0.0)
     }
 
+    /// Sum of all counters, taken under the lock (no copy of the table).
+    pub fn total(&self) -> f64 {
+        self.inner.lock().values().sum()
+    }
+
     /// Snapshot of all counters.
     pub fn snapshot(&self) -> HashMap<OpId, f64> {
         self.inner.lock().clone()
@@ -79,6 +84,17 @@ mod tests {
         assert_eq!(w.get(OpId(0)), 4.0);
         w.reset();
         assert_eq!(w2.get(OpId(0)), 0.0);
+    }
+
+    #[test]
+    fn total_is_the_sum_of_a_snapshot() {
+        let w = WorkTable::new();
+        assert_eq!(w.total(), 0.0);
+        for (op, amount) in [(0, 0.1), (1, 0.2), (2, 0.7), (0, 1e-3), (7, 12.5)] {
+            w.charge(OpId(op), amount);
+            // Same addends in the same (table) order: bit-equal, not close.
+            assert_eq!(w.total(), w.snapshot().values().sum::<f64>());
+        }
     }
 
     #[test]

@@ -531,19 +531,11 @@ impl ExecContext {
             }
         }
         if !self.suspend_requested {
-            match &self.trigger {
-                Some(SuspendTrigger::AfterOpTuples { op: top, n }) if *top == op && count >= *n => {
-                    self.suspend_requested = true;
-                }
-                Some(SuspendTrigger::AfterOpTuples { .. }) => {}
-                Some(SuspendTrigger::AfterTotalWork { units }) => {
-                    let total: f64 = self.work.snapshot().values().sum();
-                    if total >= *units {
-                        self.suspend_requested = true;
-                    }
-                }
-                None => {}
-            }
+            self.suspend_requested = match &self.trigger {
+                Some(SuspendTrigger::AfterOpTuples { op: top, n }) => *top == op && count >= *n,
+                Some(SuspendTrigger::AfterTotalWork { units }) => self.work.total() >= *units,
+                None => false,
+            };
         }
         self.suspend_requested
     }
@@ -629,6 +621,33 @@ mod tests {
         assert!(!c.tick(OpId(0)));
         c.note_page_reads(OpId(0), 2);
         assert!(c.tick(OpId(0)));
+    }
+
+    #[test]
+    fn work_trigger_fires_on_the_tick_the_snapshot_sum_crosses() {
+        // The trigger reads `WorkTable::total`; the reference is the sum
+        // over a cloned snapshot, which it used to take on every tick.
+        // Fractional charges spread over several operators, so a different
+        // order of addition would move the crossing.
+        let (_d, mut c) = ctx();
+        c.cpu_tuple_cost = 0.1;
+        let units = 7.3;
+        c.set_trigger(Some(SuspendTrigger::AfterTotalWork { units }));
+        let (mut fired_at, mut expected) = (None, None);
+        for tick in 1..=200u32 {
+            let op = OpId(tick % 5);
+            if tick % 7 == 0 {
+                c.note_page_reads(op, 1);
+            }
+            if c.tick(op) && fired_at.is_none() {
+                fired_at = Some(tick);
+            }
+            if c.work.snapshot().values().sum::<f64>() >= units && expected.is_none() {
+                expected = Some(tick);
+            }
+        }
+        assert!(expected.is_some_and(|t| t > 1), "crossed at {expected:?}");
+        assert_eq!(fired_at, expected);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! their semantics-driven checkpointing, the plan specification, and the
 //! execute/suspend/resume lifecycle driver.
 
+#![forbid(unsafe_code)]
+
 pub mod context;
 pub mod driver;
 pub mod operator;

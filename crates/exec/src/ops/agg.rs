@@ -16,7 +16,7 @@ use qsr_core::{
 };
 use qsr_storage::{
     Column, DataType, Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple,
-    Value,
+    ValueRef,
 };
 use std::collections::VecDeque;
 
@@ -150,12 +150,9 @@ impl StreamAgg {
     }
 
     fn emit(&self) -> Tuple {
-        let mut vals = Vec::new();
-        if self.group_col.is_some() {
-            vals.push(Value::Int(self.cur_group.unwrap_or(0)));
-        }
-        vals.push(Value::Int(self.acc.value(self.func)));
-        Tuple::new(vals)
+        let group = self.group_col.map(|_| ValueRef::Int(self.cur_group.unwrap_or(0)));
+        let agg = ValueRef::Int(self.acc.value(self.func));
+        Tuple::from_fields(group.into_iter().chain([agg]))
     }
 }
 

@@ -38,6 +38,7 @@ use qsr_core::{
 };
 use qsr_storage::{
     Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple, TupleBlock, TupleSlice,
+    Value,
 };
 use std::collections::VecDeque;
 
@@ -89,6 +90,10 @@ pub struct BlockNlj {
     schema: Schema,
 
     buffer: Vec<Tuple>,
+    /// `buffer[i]`'s join key, side by side: the nested loop compares
+    /// every inner row with every buffered row, and reads the keys off
+    /// this run instead of reaching into each row for its own.
+    buffer_keys: Vec<Value>,
     heap_bytes: usize,
     phase: u8,
     cursor: usize,
@@ -123,6 +128,7 @@ impl BlockNlj {
             buffer_size,
             schema,
             buffer: Vec::new(),
+            buffer_keys: Vec::new(),
             heap_bytes: 0,
             phase: PHASE_FILL,
             cursor: 0,
@@ -153,11 +159,13 @@ impl BlockNlj {
 
     fn push_buffer(&mut self, t: Tuple) {
         self.heap_bytes += t.heap_bytes();
+        self.buffer_keys.push(t.get(self.outer_key).to_value());
         self.buffer.push(t);
     }
 
     fn clear_buffer(&mut self) {
         self.buffer.clear();
+        self.buffer_keys.clear();
         self.heap_bytes = 0;
     }
 
@@ -189,10 +197,6 @@ impl BlockNlj {
         }
         ctx.graph.prune_for(self.op);
         Ok(())
-    }
-
-    fn keys_match(&self, outer: &Tuple, inner: &Tuple) -> Result<bool> {
-        Ok(outer.get(self.outer_key) == inner.get(self.inner_key))
     }
 
     /// Restore machine state from an encoded control record.
@@ -267,13 +271,13 @@ impl Operator for BlockNlj {
                         Poll::Suspended => return Ok(Poll::Suspended),
                     },
                     Some(inner) => {
-                        let inner = inner.clone();
-                        while self.cursor < self.buffer.len() {
-                            let i = self.cursor;
+                        let key = inner.get(self.inner_key);
+                        while let Some(outer_key) = self.buffer_keys.get(self.cursor) {
                             self.cursor += 1;
-                            if self.keys_match(&self.buffer[i], &inner)? {
+                            if outer_key.as_ref() == key {
                                 self.produced_since_sign += 1;
-                                return Ok(Poll::Tuple(self.buffer[i].join(&inner)));
+                                let outer = &self.buffer[self.cursor - 1];
+                                return Ok(Poll::Tuple(outer.join(inner)));
                             }
                         }
                         self.inner_tuple = None;

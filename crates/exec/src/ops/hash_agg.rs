@@ -24,7 +24,7 @@ use qsr_core::{
 };
 use qsr_storage::{
     Column, DataType, Decode, Decoder, Encode, Encoder, Result, RunHandle, RunReader, RunWriter,
-    Schema, StorageError, Tuple, Value,
+    Schema, StorageError, Tuple, Value, ValueRef,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -262,9 +262,9 @@ impl Operator for HashAgg {
                         let (g, acc) = self.groups[self.emit_idx];
                         self.emit_idx += 1;
                         self.produced_since_sign += 1;
-                        return Ok(Poll::Tuple(Tuple::new(vec![
-                            Value::Int(g),
-                            Value::Int(acc.value(self.func)),
+                        return Ok(Poll::Tuple(Tuple::from_fields([
+                            ValueRef::Int(g),
+                            ValueRef::Int(acc.value(self.func)),
                         ])));
                     }
                     // Partition exhausted: minimal-heap-state point.

@@ -33,7 +33,8 @@ use qsr_storage::{
     Decode, Decoder, Encode, Encoder, Result, RunHandle, RunReader, RunWriter, Schema,
     StorageError, Tuple, TupleAddr, TupleBlock, TupleSlice,
 };
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 const PHASE_BUILD: u8 = 0;
 const PHASE_MERGE: u8 = 1;
@@ -111,7 +112,10 @@ pub struct ExternalSort {
     readers: Vec<RunReader>,
     heads: Vec<Option<Tuple>>,
     head_addrs: Vec<Option<TupleAddr>>,
-    pages_noted: u64,
+    /// `(key, run index)` of every run that has a head, smallest on top:
+    /// the merge emits keys in order and, among equal keys, the lowest
+    /// run first — so equal keys leave in the order they were read in.
+    merge_heap: BinaryHeap<Reverse<(i64, usize)>>,
 
     /// Intermediate-pass state (PHASE_PASS only): pass ordinal, completed
     /// outputs of the current pass, the in-progress group's inputs, its
@@ -148,7 +152,7 @@ impl ExternalSort {
             readers: Vec::new(),
             heads: Vec::new(),
             head_addrs: Vec::new(),
-            pages_noted: 0,
+            merge_heap: BinaryHeap::new(),
             pass_level: 0,
             pass_out: Vec::new(),
             group: Vec::new(),
@@ -264,17 +268,59 @@ impl ExternalSort {
 
     fn open_final_merge(&mut self, ctx: &mut ExecContext) -> Result<()> {
         self.phase = PHASE_MERGE;
-        self.pages_noted = 0;
-        self.readers = self
-            .runs
-            .iter()
-            .map(|&h| RunReader::open(ctx.db.pool().clone(), h))
-            .collect();
-        self.heads = vec![None; self.runs.len()];
-        self.head_addrs = vec![None; self.runs.len()];
+        let runs = self.runs.clone();
+        self.open_merge(ctx, &runs)
+    }
+
+    /// Open a reader on each of `runs` and load every first tuple as its
+    /// run's head.
+    fn open_merge(&mut self, ctx: &mut ExecContext, runs: &[RunHandle]) -> Result<()> {
+        self.open_readers(ctx, runs);
         for i in 0..self.readers.len() {
             self.advance_head(ctx, i)?;
         }
+        Ok(())
+    }
+
+    /// Fresh readers over `runs`, no heads yet.
+    fn open_readers(&mut self, ctx: &ExecContext, runs: &[RunHandle]) {
+        self.readers = runs
+            .iter()
+            .map(|&h| RunReader::open(ctx.db.pool().clone(), h))
+            .collect();
+        self.heads = vec![None; runs.len()];
+        self.head_addrs = vec![None; runs.len()];
+        self.merge_heap.clear();
+    }
+
+    /// Resume a merge of `runs` suspended with its heads at `addrs`
+    /// (`None` = run exhausted): reopen the readers and re-read each
+    /// recorded head.
+    fn reopen_merge(
+        &mut self,
+        ctx: &mut ExecContext,
+        runs: &[RunHandle],
+        addrs: &[Option<TupleAddr>],
+    ) -> Result<()> {
+        if addrs.len() != runs.len() {
+            return Err(StorageError::corrupt(format!(
+                "sort control records {} heads for {} runs",
+                addrs.len(),
+                runs.len()
+            )));
+        }
+        self.open_readers(ctx, runs);
+        let mut pages = 0;
+        for (i, addr) in addrs.iter().enumerate() {
+            if let Some(addr) = *addr {
+                self.readers[i].seek(addr);
+                pages += self.load_head(i)?;
+                if self.heads[i].is_none() {
+                    return Err(StorageError::corrupt("recorded head missing from run"));
+                }
+            }
+        }
+        ctx.note_page_reads(self.op, pages);
         Ok(())
     }
 
@@ -313,17 +359,8 @@ impl ExternalSort {
                     pages,
                 });
             }
-            self.pages_noted = 0;
-            self.readers = self
-                .group
-                .iter()
-                .map(|&h| RunReader::open(ctx.db.pool().clone(), h))
-                .collect();
-            self.heads = vec![None; self.group.len()];
-            self.head_addrs = vec![None; self.group.len()];
-            for i in 0..self.readers.len() {
-                self.advance_head(ctx, i)?;
-            }
+            let group = self.group.clone();
+            self.open_merge(ctx, &group)?;
             self.pass_writer = Some(ctx.create_run()?);
             self.pass_run = None;
             return Ok(());
@@ -405,42 +442,40 @@ impl ExternalSort {
         Ok(())
     }
 
-    fn advance_head(&mut self, ctx: &mut ExecContext, i: usize) -> Result<()> {
-        let addr = self.readers[i].position();
-        let t = self.readers[i].next()?;
+    /// Read run `i`'s next tuple in as its head: slot, address, and —
+    /// with its key cached — merge-heap entry. Returns the page reads the
+    /// step cost, for the caller to attribute.
+    fn load_head(&mut self, i: usize) -> Result<u64> {
+        let reader = &mut self.readers[i];
+        let (addr, fetched) = (reader.position(), reader.pages_fetched());
+        let t = reader.next()?;
+        let pages = reader.pages_fetched() - fetched;
         self.head_addrs[i] = t.as_ref().map(|_| addr);
+        if let Some(t) = &t {
+            self.merge_heap.push(Reverse((self.sort_key(t)?, i)));
+        }
         self.heads[i] = t;
-        self.note_io(ctx);
+        Ok(pages)
+    }
+
+    fn advance_head(&mut self, ctx: &mut ExecContext, i: usize) -> Result<()> {
+        let pages = self.load_head(i)?;
+        ctx.note_page_reads(self.op, pages);
         Ok(())
     }
 
-    fn note_io(&mut self, ctx: &mut ExecContext) {
-        let fetched: u64 = self.readers.iter().map(RunReader::pages_fetched).sum();
-        let delta = fetched.saturating_sub(self.pages_noted);
-        self.pages_noted = fetched;
-        ctx.note_page_reads(self.op, delta);
-    }
-
+    /// The smallest head — of equal keys, the lowest run's — replaced by
+    /// its run's next tuple. O(log runs): only the advanced run's key is
+    /// extracted and only its reader's pages are counted.
     fn pop_min(&mut self, ctx: &mut ExecContext) -> Result<Option<Tuple>> {
-        let mut best: Option<(usize, i64)> = None;
-        for (i, h) in self.heads.iter().enumerate() {
-            if let Some(t) = h {
-                let k = self.sort_key(t)?;
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        match best {
-            Some((i, _)) => {
-                let t = self.heads[i]
-                    .take()
-                    .ok_or_else(|| StorageError::invalid("sort merge head missing"))?;
-                self.advance_head(ctx, i)?;
-                Ok(Some(t))
-            }
-            None => Ok(None),
-        }
+        let Some(Reverse((_, i))) = self.merge_heap.pop() else {
+            return Ok(None);
+        };
+        let t = self.heads[i]
+            .take()
+            .ok_or_else(|| StorageError::invalid("sort merge head missing"))?;
+        self.advance_head(ctx, i)?;
+        Ok(Some(t))
     }
 }
 
@@ -503,6 +538,7 @@ impl Operator for ExternalSort {
         self.child.close(ctx)?;
         self.buf.clear();
         self.readers.clear();
+        self.merge_heap.clear();
         Ok(())
     }
 
@@ -662,7 +698,7 @@ impl Operator for ExternalSort {
         self.readers.clear();
         self.heads.clear();
         self.head_addrs.clear();
-        self.pages_noted = 0;
+        self.merge_heap.clear();
         self.pass_level = control.pass_level;
         self.pass_out = control.pass_out.clone();
         self.group.clear();
@@ -713,26 +749,8 @@ impl Operator for ExternalSort {
                             Some(RunWriter::reopen(ctx.db.pool().clone(), h)?);
                         self.pass_run = Some(h);
                     }
-                    self.readers = self
-                        .group
-                        .iter()
-                        .map(|&h| RunReader::open(ctx.db.pool().clone(), h))
-                        .collect();
-                    self.heads = vec![None; self.group.len()];
-                    self.head_addrs = control.head_addrs.clone();
-                    for i in 0..self.readers.len() {
-                        if let Some(addr) = control.head_addrs[i] {
-                            self.readers[i].seek(addr);
-                            let t = self.readers[i].next()?;
-                            if t.is_none() {
-                                return Err(StorageError::corrupt(
-                                    "recorded head missing from run",
-                                ));
-                            }
-                            self.heads[i] = t;
-                        }
-                    }
-                    self.note_io(ctx);
+                    let group = self.group.clone();
+                    self.reopen_merge(ctx, &group, &control.head_addrs)?;
                 }
                 Strategy::GoBack { .. } => {
                     // Checkpoints land at group boundaries, so restart the
@@ -745,24 +763,8 @@ impl Operator for ExternalSort {
             }
         } else {
             // Final merge: reopen readers and re-read the recorded heads.
-            self.readers = self
-                .runs
-                .iter()
-                .map(|&h| RunReader::open(ctx.db.pool().clone(), h))
-                .collect();
-            self.heads = vec![None; self.runs.len()];
-            self.head_addrs = control.head_addrs.clone();
-            for i in 0..self.readers.len() {
-                if let Some(addr) = control.head_addrs[i] {
-                    self.readers[i].seek(addr);
-                    let t = self.readers[i].next()?;
-                    if t.is_none() {
-                        return Err(StorageError::corrupt("recorded head missing from run"));
-                    }
-                    self.heads[i] = t;
-                }
-            }
-            self.note_io(ctx);
+            let runs = self.runs.clone();
+            self.reopen_merge(ctx, &runs, &control.head_addrs)?;
         }
         self.pending = rec
             .saved_tuples

@@ -6,7 +6,7 @@ mod common;
 
 use common::*;
 use qsr_exec::{AggFn, PlanSpec};
-use qsr_storage::{Tuple, Value};
+use qsr_storage::{Tuple, ValueRef};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -223,7 +223,7 @@ fn stream_agg_min_max_sum() {
         };
         let got = run_baseline(&db, &spec);
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].get(0), &Value::Int(expected), "{func:?}");
+        assert_eq!(got[0].get(0), ValueRef::Int(expected), "{func:?}");
     }
 }
 

@@ -136,6 +136,96 @@ fn sort_both_phases() {
     sweep(&db, &spec2, &[(0, 1), (0, 555), (0, 1998)]);
 }
 
+/// What the merge phase computed when it scanned every head for the
+/// minimum: `runs` merged by repeatedly taking the first head no other
+/// head is strictly smaller than — of equal keys, the lowest run's.
+fn linear_scan_merge(runs: Vec<Vec<qsr_storage::Tuple>>) -> Vec<qsr_storage::Tuple> {
+    let key = |t: &qsr_storage::Tuple| t.get(0).as_int().unwrap();
+    let mut runs: Vec<_> = runs.into_iter().map(|r| r.into_iter().peekable()).collect();
+    let mut out = Vec::new();
+    loop {
+        let mut best: Option<(usize, i64)> = None;
+        for (i, run) in runs.iter_mut().enumerate() {
+            if let Some(k) = run.peek().map(key) {
+                if best.is_none_or(|(_, bk)| k < bk) {
+                    best = Some((i, k));
+                }
+            }
+        }
+        match best {
+            Some((i, _)) => out.extend(runs[i].next()),
+            None => return out,
+        }
+    }
+}
+
+/// The whole sort by that reference: sublists of `buffer` rows, passes
+/// over groups of `fanin` runs while more than `fanin` remain (0 = no
+/// cap), then the final merge.
+fn reference_sort(
+    rows: &[qsr_storage::Tuple],
+    buffer: usize,
+    fanin: usize,
+) -> Vec<qsr_storage::Tuple> {
+    let mut runs: Vec<Vec<_>> = rows
+        .chunks(buffer)
+        .map(|c| {
+            let mut run = c.to_vec();
+            run.sort_by_key(|t| t.get(0).as_int().unwrap());
+            run
+        })
+        .collect();
+    while fanin > 0 && runs.len() > fanin {
+        runs = runs
+            .chunks(fanin)
+            .map(|group| linear_scan_merge(group.to_vec()))
+            .collect();
+    }
+    linear_scan_merge(runs)
+}
+
+#[test]
+fn dup_heavy_sort_merges_in_the_linear_scan_order() {
+    // 80 % of `dh`'s keys are one value, so nearly every pick of the merge
+    // is a tie that only the run order decides. Nine sublists: the final
+    // merge alone, and under a fan-in of 2 three passes before it.
+    use qsr_workload::{generate_table, KeyDist, TableSpec};
+    let (_d, db) = test_db("sort-dup");
+    let spec = TableSpec::new("dh", 1100).payload(8).dist(KeyDist::DupHeavy).seed(4);
+    generate_table(&db, &spec).unwrap();
+    let rows = run_baseline(&db, &scan("dh"));
+    let sort = |fanin| PlanSpec::MemoryBudget {
+        input: Box::new(PlanSpec::Sort {
+            input: Box::new(scan("dh")),
+            key: 0,
+            buffer_tuples: 128,
+        }),
+        mem_budget: 0,
+        merge_fanin: fanin,
+    };
+    let dump_and_goback = [SuspendPolicy::AllDump, SuspendPolicy::AllGoBack];
+    for fanin in [0, 2] {
+        let expect = reference_sort(&rows, 128, fanin);
+        assert_eq!(run_baseline(&db, &sort(fanin)), expect, "fan-in {fanin}");
+        // Suspends in the middle of the final merge (an always-true filter
+        // on top ticks per merged row) and, for the capped sort, in the
+        // middle of a pass group (the sort ticks per row a pass merges).
+        // Ids: 0=Filter, 1=Sort, 2=Scan.
+        let consumed = sel_filter(sort(fanin), 1000);
+        let mut points = vec![after(0, 1), after(0, 640), after(0, 1000)];
+        if fanin > 0 {
+            points.extend([after(1, 1100 + 130), after(1, 1100 + 1100 + 300)]);
+        }
+        for trigger in points {
+            for policy in &dump_and_goback {
+                let (before, total) = check_suspend_resume(&db, &consumed, trigger.clone(), policy);
+                assert!(before < total, "{trigger:?} must land before the end");
+            }
+        }
+        assert_eq!(run_baseline(&db, &consumed), expect, "fan-in {fanin}, under a filter");
+    }
+}
+
 #[test]
 fn smj_s_plan() {
     // The paper's SMJ_S (Figure 7): MJ(Sort(Filter(Scan R)), Sort(Scan T)).

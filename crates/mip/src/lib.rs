@@ -18,6 +18,8 @@
 //! this scale. `qsr-core` additionally provides a structured solver for
 //! adversarially large plans and property-tests it against this crate.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod branch_bound;
 pub mod problem;

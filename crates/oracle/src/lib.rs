@@ -32,6 +32,8 @@
 //! pages, dump writers) before the harness panics, so the bug report is
 //! the smallest scenario that still fails.
 
+#![forbid(unsafe_code)]
+
 #![warn(missing_docs)]
 
 mod runner;

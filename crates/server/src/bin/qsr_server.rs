@@ -24,6 +24,8 @@
 //! preemption price exceeds P. `QSR_WORKERS` / `QSR_SLA_BUDGET` override
 //! the flags (hard error on malformed values).
 
+#![forbid(unsafe_code)]
+
 use qsr_core::SuspendPolicy;
 use qsr_exec::{AggFn, PlanSpec, Predicate, SuspendOptions};
 use qsr_server::{AdmissionConfig, QsrServer, ServerConfig, SlaConfig};

@@ -18,6 +18,8 @@
 //!   server-level shedding, and deterministic resume backoff, with
 //!   per-tenant fairness accounting.
 
+#![forbid(unsafe_code)]
+
 pub mod registry;
 pub mod scheduler;
 

@@ -152,6 +152,11 @@ impl<'a> Decoder<'a> {
         self.buf.len() - self.pos
     }
 
+    /// The bytes not yet read.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
     /// True if the cursor has consumed every byte.
     pub fn is_exhausted(&self) -> bool {
         self.remaining() == 0

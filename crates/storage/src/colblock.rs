@@ -19,7 +19,7 @@
 use crate::codec::{Decode, Decoder, Encode, Encoder};
 use crate::error::{Result, StorageError};
 use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{ValueRef, TAG_BOOL, TAG_FLOAT, TAG_INT};
 use std::borrow::Borrow;
 
 const FORMAT_COLUMNAR: u8 = 0;
@@ -47,143 +47,92 @@ pub struct TupleBlock(pub Vec<Tuple>);
 #[derive(Debug, Clone, Copy)]
 pub struct TupleSlice<'a, T = Tuple>(pub &'a [T]);
 
-/// The column layout to use for column `c`: a single tag if every row
-/// holds the same variant there, otherwise `COL_MIXED`.
-fn column_tag(rows: &[&Tuple], c: usize) -> u8 {
-    let tag_of = |v: &Value| match v {
-        Value::Int(_) => COL_INT,
-        Value::Float(_) => COL_FLOAT,
-        Value::Bool(_) => COL_BOOL,
-        Value::Str(_) => COL_STR,
-    };
-    let first = tag_of(rows[0].get(c));
-    for t in &rows[1..] {
-        if tag_of(t.get(c)) != first {
-            return COL_MIXED;
-        }
+/// Write one column: `column` yields each row's encoded field (value tag
+/// and payload, as the row's record holds it). A column whose rows all
+/// hold the same variant is written as that variant's raw payloads — the
+/// bytes are already little-endian in the record, so this is a copy per
+/// row — and a mixed one as the tagged fields themselves.
+fn encode_column<'a>(enc: &mut Encoder, column: impl Iterator<Item = &'a [u8]> + Clone) {
+    let first = column.clone().next().expect("columnar blocks have rows")[0];
+    if !column.clone().all(|f| f[0] == first) {
+        enc.put_u8(COL_MIXED);
+        column.for_each(|f| enc.put_raw(f));
+        return;
     }
-    first
-}
-
-fn encode_column(enc: &mut Encoder, rows: &[&Tuple], c: usize, tag: u8) {
-    enc.put_u8(tag);
-    match tag {
-        COL_INT => {
-            let mut raw = Vec::with_capacity(rows.len() * 8);
-            for t in rows {
-                let v = match t.get(c) {
-                    Value::Int(v) => *v,
-                    _ => unreachable!("column_tag verified Int"),
-                };
-                raw.extend_from_slice(&v.to_le_bytes());
-            }
-            enc.put_raw(&raw);
+    match first {
+        TAG_INT | TAG_FLOAT => {
+            enc.put_u8(if first == TAG_INT { COL_INT } else { COL_FLOAT });
+            column.for_each(|f| enc.put_raw(&f[1..9]));
         }
-        COL_FLOAT => {
-            let mut raw = Vec::with_capacity(rows.len() * 8);
-            for t in rows {
-                let v = match t.get(c) {
-                    Value::Float(v) => *v,
-                    _ => unreachable!("column_tag verified Float"),
-                };
-                raw.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-            enc.put_raw(&raw);
-        }
-        COL_BOOL => {
-            let mut raw = Vec::with_capacity(rows.len());
-            for t in rows {
-                let v = match t.get(c) {
-                    Value::Bool(v) => *v,
-                    _ => unreachable!("column_tag verified Bool"),
-                };
-                raw.push(v as u8);
-            }
-            enc.put_raw(&raw);
-        }
-        COL_STR => {
-            // One run of u32 lengths, then the concatenated bytes.
-            let mut lens = Vec::with_capacity(rows.len() * 4);
-            let mut total = 0usize;
-            for t in rows {
-                let s = match t.get(c) {
-                    Value::Str(s) => s,
-                    _ => unreachable!("column_tag verified Str"),
-                };
-                lens.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                total += s.len();
-            }
-            enc.put_raw(&lens);
-            let mut bytes = Vec::with_capacity(total);
-            for t in rows {
-                if let Value::Str(s) = t.get(c) {
-                    bytes.extend_from_slice(s.as_bytes());
-                }
-            }
-            enc.put_bytes(&bytes);
+        TAG_BOOL => {
+            enc.put_u8(COL_BOOL);
+            column.for_each(|f| enc.put_raw(&f[1..2]));
         }
         _ => {
-            for t in rows {
-                t.get(c).encode(enc);
-            }
+            // One run of u32 lengths, then the concatenated bytes behind
+            // their total length.
+            enc.put_u8(COL_STR);
+            column.clone().for_each(|f| enc.put_raw(&f[1..5]));
+            let total: usize = column.clone().map(|f| f.len() - 5).sum();
+            enc.put_u32(total as u32);
+            column.for_each(|f| enc.put_raw(&f[5..]));
         }
     }
 }
 
-fn decode_column(dec: &mut Decoder<'_>, rows: usize, out: &mut [Vec<Value>]) -> Result<()> {
+/// Read one column of `rows` values, borrowing strings from the block's
+/// bytes: every value is checked here, none is copied.
+fn decode_column<'a>(dec: &mut Decoder<'a>, rows: usize) -> Result<Vec<ValueRef<'a>>> {
+    let mut out = Vec::with_capacity(rows);
     match dec.get_u8()? {
         COL_INT => {
             let raw = dec.get_raw(rows * 8)?;
-            for (r, chunk) in raw.chunks_exact(8).enumerate() {
-                let v = i64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
-                out[r].push(Value::Int(v));
-            }
+            out.extend(raw.chunks_exact(8).map(|chunk| {
+                ValueRef::Int(i64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)")))
+            }));
         }
         COL_FLOAT => {
             let raw = dec.get_raw(rows * 8)?;
-            for (r, chunk) in raw.chunks_exact(8).enumerate() {
+            out.extend(raw.chunks_exact(8).map(|chunk| {
                 let bits = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
-                out[r].push(Value::Float(f64::from_bits(bits)));
-            }
+                ValueRef::Float(f64::from_bits(bits))
+            }));
         }
         COL_BOOL => {
-            let raw = dec.get_raw(rows)?;
-            for (r, b) in raw.iter().enumerate() {
+            for b in dec.get_raw(rows)? {
                 match b {
-                    0 => out[r].push(Value::Bool(false)),
-                    1 => out[r].push(Value::Bool(true)),
+                    0 => out.push(ValueRef::Bool(false)),
+                    1 => out.push(ValueRef::Bool(true)),
                     b => return Err(StorageError::corrupt(format!("bad bool byte {b}"))),
                 }
             }
         }
         COL_STR => {
-            let lens_raw = dec.get_raw(rows * 4)?;
-            let lens: Vec<usize> = lens_raw
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")) as usize)
-                .collect();
-            let bytes = dec.get_bytes()?;
-            if lens.iter().sum::<usize>() != bytes.len() {
+            let lens = dec.get_raw(rows * 4)?.chunks_exact(4).map(|c| {
+                u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")) as usize
+            });
+            let mut bytes = dec.get_bytes()?;
+            if lens.clone().sum::<usize>() != bytes.len() {
                 return Err(StorageError::corrupt(
                     "string column lengths disagree with payload size",
                 ));
             }
-            let mut off = 0usize;
-            for (r, len) in lens.iter().enumerate() {
-                let s = std::str::from_utf8(&bytes[off..off + len])
+            for len in lens {
+                let (s, rest) = bytes.split_at(len);
+                let s = std::str::from_utf8(s)
                     .map_err(|_| StorageError::corrupt("invalid utf-8 in string column"))?;
-                out[r].push(Value::Str(s.to_string()));
-                off += len;
+                out.push(ValueRef::Str(s));
+                bytes = rest;
             }
         }
         COL_MIXED => {
-            for slot in out.iter_mut().take(rows) {
-                slot.push(Value::decode(dec)?);
+            for _ in 0..rows {
+                out.push(ValueRef::decode(dec)?);
             }
         }
         t => return Err(StorageError::corrupt(format!("bad column tag {t}"))),
     }
-    Ok(())
+    Ok(out)
 }
 
 impl Encode for TupleBlock {
@@ -194,26 +143,21 @@ impl Encode for TupleBlock {
 
 impl<T: Borrow<Tuple>> Encode for TupleSlice<'_, T> {
     fn encode(&self, enc: &mut Encoder) {
-        let rows: Vec<&Tuple> = self.0.iter().map(Borrow::borrow).collect();
-        let rows = rows.as_slice();
-        let uniform = !rows.is_empty()
-            && rows[0].arity() > 0
-            && rows.iter().all(|t| t.arity() == rows[0].arity());
-        if !uniform {
+        let rows = || self.0.iter().map(Borrow::borrow);
+        let cols = rows().next().map_or(0, Tuple::arity);
+        if cols == 0 || rows().any(|t| t.arity() != cols) {
             enc.put_u8(FORMAT_ROWS);
-            enc.put_u32(rows.len() as u32);
-            for t in rows {
-                t.encode(enc);
-            }
+            enc.put_u32(self.0.len() as u32);
+            rows().for_each(|t| t.encode(enc));
             return;
         }
-        let cols = rows[0].arity();
         enc.put_u8(FORMAT_COLUMNAR);
-        enc.put_u32(rows.len() as u32);
+        enc.put_u32(self.0.len() as u32);
         enc.put_u32(cols as u32);
+        // Each row's record is walked once; `fields` is row-major.
+        let fields: Vec<&[u8]> = rows().flat_map(Tuple::fields).collect();
         for c in 0..cols {
-            let tag = column_tag(rows, c);
-            encode_column(enc, rows, c, tag);
+            encode_column(enc, fields[c..].iter().copied().step_by(cols));
         }
     }
 }
@@ -238,12 +182,13 @@ impl Decode for TupleBlock {
                         dec.remaining()
                     )));
                 }
-                let (rows, cols) = (rows as usize, cols as usize);
-                let mut out: Vec<Vec<Value>> = vec![Vec::with_capacity(cols); rows];
-                for _ in 0..cols {
-                    decode_column(dec, rows, &mut out)?;
-                }
-                Ok(TupleBlock(out.into_iter().map(Tuple::new).collect()))
+                let columns = (0..cols)
+                    .map(|_| decode_column(dec, rows as usize))
+                    .collect::<Result<Vec<_>>>()?;
+                // A row is one allocation: its fields, already checked,
+                // are written straight into its record.
+                let row = |r| Tuple::from_fields(columns.iter().map(move |col| col[r]));
+                Ok(TupleBlock((0..rows as usize).map(row).collect()))
             }
             f => Err(StorageError::corrupt(format!("bad tuple block format {f}"))),
         }
@@ -254,6 +199,7 @@ impl Decode for TupleBlock {
 mod tests {
     use super::*;
     use crate::codec::roundtrip;
+    use crate::value::Value;
 
     fn t(vals: Vec<Value>) -> Tuple {
         Tuple::new(vals)
@@ -352,7 +298,7 @@ mod tests {
         ];
         let back = roundtrip(&TupleBlock(rows.clone())).unwrap().0;
         for (a, b) in rows.iter().zip(&back) {
-            let (Value::Float(x), Value::Float(y)) = (a.get(0), b.get(0)) else {
+            let (ValueRef::Float(x), ValueRef::Float(y)) = (a.get(0), b.get(0)) else {
                 panic!("expected floats");
             };
             assert_eq!(x.to_bits(), y.to_bits());

@@ -134,10 +134,11 @@ impl HeapFile {
         self.pool.num_pages(self.file)
     }
 
-    /// Append a tuple; may flush a full page. The tuple is encoded
+    /// Append a tuple; may flush a full page. The tuple's record is copied
     /// straight into the tail page's buffer, behind its length prefix.
     pub fn append(&mut self, tuple: &Tuple) -> Result<()> {
-        let len = tuple.encoded_len();
+        let record = tuple.record();
+        let len = record.len();
         if PAGE_HEADER + 4 + len > PAGE_SIZE {
             return Err(StorageError::invalid(format!(
                 "tuple of {len} bytes does not fit a page"
@@ -147,12 +148,7 @@ impl HeapFile {
             self.flush_tail()?;
         }
         let tail = self.tail.get_or_insert_with(TailPage::new);
-        tail.buf.put_u32(len as u32);
-        let body = tail.buf.len();
-        tuple.encode(&mut tail.buf);
-        // The prefix is already on the page: a length that disagreed with
-        // the encoding would corrupt every later record of the page.
-        assert_eq!(tail.buf.len() - body, len, "Tuple::encoded_len disagrees with encode");
+        tail.buf.put_bytes(record);
         tail.count += 1;
         self.tuple_count += 1;
         Ok(())
@@ -211,46 +207,47 @@ impl HeapFile {
         for _ in 0..addr.slot {
             dec.get_bytes()?;
         }
-        Tuple::decode_from_slice(dec.get_bytes()?)
+        Tuple::from_record(dec.get_bytes()?)
     }
 }
 
-fn decode_page(page: &Page) -> Result<Vec<Tuple>> {
-    let count = page.read_u16(0) as usize;
-    let mut dec = Decoder::new(&page.bytes()[PAGE_HEADER..]);
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let bytes = dec.get_bytes()?;
-        out.push(Tuple::decode_from_slice(bytes)?);
-    }
-    Ok(out)
-}
-
-/// Decoded form of the page the cursor is currently positioned on.
-/// Page *bytes* live in the shared buffer pool; this is only the CPU-side
-/// decode result, kept so a full scan decodes (and, in passthrough mode,
-/// reads) each page exactly once — in *either* representation. A page is
-/// never decoded twice: whichever access mode touches it first decides,
-/// and the other mode serves rows out of the cached form.
-enum PageDecode {
-    /// Row-major: one [`Tuple`] per slot (the tuple-at-a-time path).
-    Rows(Vec<Tuple>),
-    /// Column-major: shared with batch consumers via `Arc`.
-    Cols(Arc<PageColumns>),
-}
-
-impl PageDecode {
-    fn rows(&self) -> usize {
-        match self {
-            PageDecode::Rows(ts) => ts.len(),
-            PageDecode::Cols(pc) => pc.rows(),
-        }
-    }
-}
-
-struct DecodedPage {
+/// The page the cursor is positioned on: the page itself (shared with the
+/// buffer pool, read and charged once), a byte position among its records
+/// for the row path, and — once a batch scan has asked for it — its
+/// column-major decode. Rows are cut out of the page bytes one at a time;
+/// nothing is decoded ahead of the cursor.
+struct CurrentPage {
     page_no: u64,
-    decode: PageDecode,
+    page: Arc<Page>,
+    /// Rows on the page (its count header).
+    rows: usize,
+    /// Byte offset of the record in slot `at_slot`. Records are
+    /// length-prefixed, so moving forward skips prefixes, not rows.
+    at: usize,
+    at_slot: usize,
+    /// Column-major decode, made on the first [`HeapCursor::page_run`] of
+    /// the page and shared with batch consumers: `Some(None)` is a page
+    /// of ragged rows, which has none.
+    cols: Option<Option<Arc<PageColumns>>>,
+}
+
+impl CurrentPage {
+    /// The record in `slot` (which the page has), unchecked beyond its
+    /// length prefix. Leaves the byte position just past it.
+    fn record(&mut self, slot: usize) -> Result<&[u8]> {
+        if slot < self.at_slot {
+            (self.at, self.at_slot) = (PAGE_HEADER, 0);
+        }
+        let area = &self.page.bytes()[self.at..];
+        let mut dec = Decoder::new(area);
+        for _ in self.at_slot..slot {
+            dec.get_bytes()?;
+        }
+        let record = dec.get_bytes()?;
+        self.at += area.len() - dec.remaining();
+        self.at_slot = slot + 1;
+        Ok(record)
+    }
 }
 
 /// What [`HeapCursor::page_run`] found at the cursor position.
@@ -263,8 +260,8 @@ pub enum PageRun {
         /// First unconsumed slot.
         start: u16,
     },
-    /// The current page is cached row-wise (ragged rows, or a page the
-    /// tuple path decoded first): drain it with [`HeapCursor::next`].
+    /// The current page holds ragged rows and has no column-major form:
+    /// drain it with [`HeapCursor::next`].
     Rows,
     /// End of file.
     Eof,
@@ -273,15 +270,16 @@ pub enum PageRun {
 /// Sequential scan cursor over a heap file.
 ///
 /// Page reads go through the shared [`BufferPool`]; the cursor itself only
-/// keeps the current page's decoded tuples, so a full scan charges exactly
-/// one page read per page (and zero on pool hits). `position()` returns
+/// keeps the current page, so a full scan charges exactly one page read
+/// per page (and zero on pool hits), whichever of the row and the batch
+/// access reaches it first. `position()` returns
 /// the address of the *next* tuple to be returned — the value a table scan
 /// records in contracts — and `seek()` repositions to such an address.
 pub struct HeapCursor {
     pool: Arc<BufferPool>,
     file: FileId,
     next: TupleAddr,
-    decoded: Option<DecodedPage>,
+    current: Option<CurrentPage>,
     pages_fetched: u64,
 }
 
@@ -291,7 +289,7 @@ impl HeapCursor {
             pool,
             file,
             next: TupleAddr::ZERO,
-            decoded: None,
+            current: None,
             pages_fetched: 0,
         }
     }
@@ -308,12 +306,12 @@ impl HeapCursor {
     }
 
     /// Reposition so the next `next()` returns the tuple at `addr`.
-    /// The decoded page is dropped; the page will be re-fetched (charged
+    /// The current page is dropped; the page will be re-fetched (charged
     /// unless the pool still holds it) on the next call — this is
     /// precisely the resume-time read the paper describes for table scans.
     pub fn seek(&mut self, addr: TupleAddr) {
         self.next = addr;
-        self.decoded = None;
+        self.current = None;
     }
 
     /// Return the next tuple together with its *exact* address, or `None`
@@ -336,50 +334,39 @@ impl HeapCursor {
         }
     }
 
-    /// Ensure the current page is decoded and cached, reading (and
-    /// charging) it at most once regardless of which representation was
-    /// requested. Returns `false` at end of file. `columnar` only matters
-    /// on a cache miss: a page already cached in the other representation
-    /// is kept as-is rather than re-read.
-    fn load_current_page(&mut self, columnar: bool) -> Result<bool> {
+    /// Ensure the page under the cursor is held, reading (and charging)
+    /// it at most once. Returns `None` at end of file.
+    fn load_current_page(&mut self) -> Result<Option<&mut CurrentPage>> {
         let page_no = self.next.page;
-        if self.decoded.as_ref().map(|d| d.page_no) == Some(page_no) {
-            return Ok(true);
-        }
-        let total = self.pool.num_pages(self.file)?;
-        if page_no >= total {
-            return Ok(false);
-        }
-        let page = self.pool.read_page(self.file, page_no)?;
-        self.pages_fetched += 1;
-        let decode = if columnar {
-            let count = page.read_u16(0) as usize;
-            match decode_page_columns(&page.bytes()[PAGE_HEADER..], count)? {
-                Some(pc) => PageDecode::Cols(Arc::new(pc)),
-                // Ragged rows: fall back to the row decode.
-                None => PageDecode::Rows(decode_page(&page)?),
+        if self.current.as_ref().map(|c| c.page_no) != Some(page_no) {
+            if page_no >= self.pool.num_pages(self.file)? {
+                return Ok(None);
             }
-        } else {
-            PageDecode::Rows(decode_page(&page)?)
-        };
-        self.decoded = Some(DecodedPage { page_no, decode });
-        Ok(true)
+            let page = self.pool.read_page(self.file, page_no)?;
+            self.pages_fetched += 1;
+            self.current = Some(CurrentPage {
+                page_no,
+                rows: page.read_u16(0) as usize,
+                page,
+                at: PAGE_HEADER,
+                at_slot: 0,
+                cols: None,
+            });
+        }
+        Ok(self.current.as_mut())
     }
 
-    /// Return the next tuple, or `None` at end of file.
+    /// Return the next tuple, or `None` at end of file: a checked copy of
+    /// its record off the page, one allocation.
     #[allow(clippy::should_implement_trait)] // fallible pull, not an Iterator
     pub fn next(&mut self) -> Result<Option<Tuple>> {
         loop {
-            if !self.load_current_page(false)? {
-                return Ok(None);
-            }
-            let d = self.decoded.as_ref().expect("page just loaded");
             let slot = self.next.slot as usize;
-            if slot < d.decode.rows() {
-                let t = match &d.decode {
-                    PageDecode::Rows(ts) => ts[slot].clone(),
-                    PageDecode::Cols(pc) => pc.tuple(slot),
-                };
+            let Some(cur) = self.load_current_page()? else {
+                return Ok(None);
+            };
+            if slot < cur.rows {
+                let t = Tuple::from_record(cur.record(slot)?)?;
                 self.next.slot += 1;
                 return Ok(Some(t));
             }
@@ -398,17 +385,23 @@ impl HeapCursor {
     /// [`HeapCursor::advance_slots`] so `position()` stays exact.
     pub fn page_run(&mut self) -> Result<PageRun> {
         loop {
-            if !self.load_current_page(true)? {
+            let start = self.next.slot;
+            let Some(cur) = self.load_current_page()? else {
                 return Ok(PageRun::Eof);
-            }
-            let d = self.decoded.as_ref().expect("page just loaded");
-            if (self.next.slot as usize) < d.decode.rows() {
-                return Ok(match &d.decode {
-                    PageDecode::Cols(pc) => PageRun::Cols {
-                        cols: pc.clone(),
-                        start: self.next.slot,
-                    },
-                    PageDecode::Rows(_) => PageRun::Rows,
+            };
+            if (start as usize) < cur.rows {
+                let cols = match &cur.cols {
+                    Some(decoded) => decoded.clone(),
+                    None => {
+                        let area = &cur.page.bytes()[PAGE_HEADER..];
+                        let decoded = decode_page_columns(area, cur.rows)?.map(Arc::new);
+                        cur.cols = Some(decoded.clone());
+                        decoded
+                    }
+                };
+                return Ok(match cols {
+                    Some(cols) => PageRun::Cols { cols, start },
+                    None => PageRun::Rows,
                 });
             }
             self.next = TupleAddr {

@@ -6,7 +6,8 @@
 //!
 //! The crate provides:
 //!
-//! * a row model ([`Value`], [`DataType`], [`Schema`], [`Tuple`]),
+//! * a row model ([`Value`]/[`ValueRef`], [`DataType`], [`Schema`], and
+//!   [`Tuple`] — a row kept as the bytes it has on a page),
 //! * a hand-rolled binary codec ([`codec`]) used for tuples, operator
 //!   control state, checkpoints, contracts, and the `SuspendedQuery`
 //!   structure,
@@ -21,6 +22,8 @@
 //! All higher layers (`qsr-core`, `qsr-exec`) perform I/O exclusively
 //! through this crate, so the cost ledger observes every byte that moves —
 //! which is what makes the paper's experiments reproducible on any host.
+
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod backoff;
@@ -76,4 +79,4 @@ pub use run::{delete_run, RunHandle, RunReader, RunWriter};
 pub use schema::{Column, Schema};
 pub use trace::{install_env_tracer, record_json, TraceEvent, TraceRecord, Tracer};
 pub use tuple::Tuple;
-pub use value::{DataType, Value};
+pub use value::{DataType, Value, ValueRef};

@@ -1,19 +1,17 @@
 //! Column-major heap-page decode for the vectorized scan path.
 //!
-//! `decode_page` (the tuple-at-a-time path) materializes every row as a
-//! `Tuple` — a `Vec<Value>`, an `Arc<[Value]>`, and a `String` per heap
-//! field, three allocations per row before the executor has done any
-//! work. A batch-mode scan instead decodes the same page bytes straight
-//! into [`PageColumns`]: scalars land in unboxed `Vec<i64>`/`Vec<f64>`
-//! runs, and string fields stay as one concatenated byte arena plus an
-//! offset run — no per-row allocation at all. The executor's `Batch`
-//! copies column ranges out of this (or moves them) and materializes a
-//! `String` only when a consumer actually reads one.
+//! The tuple-at-a-time path copies each row's record off the page into a
+//! [`Tuple`] — one allocation per row. A batch-mode scan instead decodes
+//! the same page bytes straight into [`PageColumns`]: scalars land in
+//! unboxed `Vec<i64>`/`Vec<f64>` runs, and string fields stay as one
+//! concatenated byte arena plus an offset run — no per-row allocation at
+//! all. The executor's `Batch` copies column ranges out of this (or moves
+//! them) and reads a string only when a consumer actually asks for one.
 
-use crate::codec::{Decode, Decoder};
+use crate::codec::Decoder;
 use crate::error::{Result, StorageError};
 use crate::tuple::Tuple;
-use crate::value::{Value, TAG_BOOL, TAG_FLOAT, TAG_INT, TAG_STR};
+use crate::value::{Value, ValueRef, TAG_BOOL, TAG_FLOAT, TAG_INT, TAG_STR};
 
 /// One column of a decoded page.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,26 +37,26 @@ pub enum RawColumn {
 impl RawColumn {
     /// A column holding `v` as its first row, typed by `v`'s variant and
     /// sized for `cap` rows.
-    fn seeded(v: Value, cap: usize) -> Self {
+    fn seeded(v: ValueRef<'_>, cap: usize) -> Self {
         match v {
-            Value::Int(x) => {
+            ValueRef::Int(x) => {
                 let mut vec = Vec::with_capacity(cap);
                 vec.push(x);
                 RawColumn::Int(vec)
             }
-            Value::Float(x) => {
+            ValueRef::Float(x) => {
                 let mut vec = Vec::with_capacity(cap);
                 vec.push(x);
                 RawColumn::Float(vec)
             }
-            Value::Bool(x) => {
+            ValueRef::Bool(x) => {
                 let mut vec = Vec::with_capacity(cap);
                 vec.push(x);
                 RawColumn::Bool(vec)
             }
-            Value::Str(s) => RawColumn::Str {
+            ValueRef::Str(s) => RawColumn::Str {
                 offsets: vec![0, s.len() as u32],
-                data: s.into_bytes(),
+                data: s.as_bytes().to_vec(),
             },
         }
     }
@@ -89,24 +87,23 @@ impl RawColumn {
         }
     }
 
-    /// The value at `row`, materialized.
-    pub fn value(&self, row: usize) -> Value {
+    /// The value at `row`, borrowed from the column.
+    pub fn value(&self, row: usize) -> ValueRef<'_> {
         match self {
-            RawColumn::Int(v) => Value::Int(v[row]),
-            RawColumn::Float(v) => Value::Float(v[row]),
-            RawColumn::Bool(v) => Value::Bool(v[row]),
-            RawColumn::Str { .. } => Value::Str(
+            RawColumn::Int(v) => ValueRef::Int(v[row]),
+            RawColumn::Float(v) => ValueRef::Float(v[row]),
+            RawColumn::Bool(v) => ValueRef::Bool(v[row]),
+            RawColumn::Str { .. } => ValueRef::Str(
                 std::str::from_utf8(self.str_bytes(row).expect("Str column"))
-                    .expect("validated at decode")
-                    .to_string(),
+                    .expect("validated at decode"),
             ),
-            RawColumn::Val(v) => v[row].clone(),
+            RawColumn::Val(v) => v[row].as_ref(),
         }
     }
 
     /// Box every stored value (the mixed-column escape hatch).
     fn promote(&mut self) {
-        let vals: Vec<Value> = (0..self.len()).map(|r| self.value(r)).collect();
+        let vals: Vec<Value> = (0..self.len()).map(|r| self.value(r).to_value()).collect();
         *self = RawColumn::Val(vals);
     }
 
@@ -172,7 +169,7 @@ impl PageColumns {
 
     /// Materialize physical row `row` as a [`Tuple`].
     pub fn tuple(&self, row: usize) -> Tuple {
-        Tuple::new(self.cols.iter().map(|c| c.value(row)).collect())
+        Tuple::from_fields(self.cols.iter().map(|c| c.value(row)))
     }
 }
 
@@ -196,7 +193,7 @@ pub fn decode_page_columns(tuple_area: &[u8], count: usize) -> Result<Option<Pag
             // The first row decides each column's representation.
             cols.reserve(arity);
             for _ in 0..arity {
-                cols.push(RawColumn::seeded(Value::decode(&mut dec)?, count));
+                cols.push(RawColumn::seeded(ValueRef::decode(&mut dec)?, count));
             }
         } else {
             if arity != cols.len() {

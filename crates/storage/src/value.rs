@@ -29,9 +29,11 @@ impl fmt::Display for DataType {
     }
 }
 
-/// A scalar value. Floats use total ordering so values can be used as
-/// sort/join keys without panics.
-#[derive(Debug, Clone, PartialEq)]
+/// A scalar value, owned. Floats use total ordering so values can be used
+/// as sort/join keys without panics. Comparison, hashing, display and the
+/// typed accessors are those of the borrowed view, [`ValueRef`] — there is
+/// one definition of each.
+#[derive(Debug, Clone)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),
@@ -43,80 +45,261 @@ pub enum Value {
     Bool(bool),
 }
 
+/// A scalar value borrowed from wherever it lives — a field of a raw-row
+/// [`Tuple`](crate::Tuple), a column of a batch, an owned [`Value`].
+/// Scalars are held by value, a string as a `&str`; the view is `Copy`.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    /// 64-bit signed integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 string.
+    Str(&'a str),
+    /// Boolean.
+    Bool(bool),
+}
+
 impl Value {
+    /// Borrow this value.
+    #[inline]
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Int(v) => ValueRef::Int(*v),
+            Value::Float(v) => ValueRef::Float(*v),
+            Value::Str(v) => ValueRef::Str(v),
+            Value::Bool(v) => ValueRef::Bool(*v),
+        }
+    }
+
     /// The [`DataType`] of this value.
     pub fn data_type(&self) -> DataType {
-        match self {
-            Value::Int(_) => DataType::Int,
-            Value::Float(_) => DataType::Float,
-            Value::Str(_) => DataType::Str,
-            Value::Bool(_) => DataType::Bool,
-        }
+        self.as_ref().data_type()
     }
 
     /// Extract an `i64`, erroring on any other type.
     pub fn as_int(&self) -> Result<i64> {
-        match self {
-            Value::Int(v) => Ok(*v),
-            other => Err(StorageError::invalid(format!(
-                "expected INT, got {}",
-                other.data_type()
-            ))),
-        }
+        self.as_ref().as_int()
     }
 
     /// Extract an `f64`, erroring on any other type.
     pub fn as_float(&self) -> Result<f64> {
-        match self {
-            Value::Float(v) => Ok(*v),
-            other => Err(StorageError::invalid(format!(
-                "expected FLOAT, got {}",
-                other.data_type()
-            ))),
-        }
+        self.as_ref().as_float()
     }
 
     /// Extract a `&str`, erroring on any other type.
     pub fn as_str(&self) -> Result<&str> {
-        match self {
-            Value::Str(v) => Ok(v),
-            other => Err(StorageError::invalid(format!(
-                "expected STR, got {}",
-                other.data_type()
-            ))),
-        }
+        self.as_ref().as_str()
     }
 
     /// Extract a `bool`, erroring on any other type.
     pub fn as_bool(&self) -> Result<bool> {
-        match self {
-            Value::Bool(v) => Ok(*v),
-            other => Err(StorageError::invalid(format!(
-                "expected BOOL, got {}",
-                other.data_type()
-            ))),
-        }
+        self.as_ref().as_bool()
     }
 
     /// Approximate in-memory footprint of the value in bytes. Used by
     /// operators to report heap-state sizes to the suspend-plan optimizer.
     pub fn heap_bytes(&self) -> usize {
+        self.as_ref().heap_bytes()
+    }
+}
+
+impl<'a> ValueRef<'a> {
+    /// An owned copy.
+    pub fn to_value(self) -> Value {
         match self {
-            Value::Int(_) | Value::Float(_) => 8,
-            Value::Bool(_) => 1,
-            Value::Str(s) => s.len() + 8,
+            ValueRef::Int(v) => Value::Int(v),
+            ValueRef::Float(v) => Value::Float(v),
+            ValueRef::Str(v) => Value::Str(v.to_owned()),
+            ValueRef::Bool(v) => Value::Bool(v),
         }
     }
 
-    /// Exact number of bytes [`Encode::encode`] appends for this value:
-    /// the tag byte plus the payload. Lets a writer that must know whether
-    /// a record fits reserve its length prefix before encoding in place.
-    pub(crate) fn encoded_len(&self) -> usize {
-        1 + match self {
-            Value::Int(_) | Value::Float(_) => 8,
-            Value::Bool(_) => 1,
-            Value::Str(s) => 4 + s.len(),
+    /// The [`DataType`] of this value.
+    pub fn data_type(self) -> DataType {
+        match self {
+            ValueRef::Int(_) => DataType::Int,
+            ValueRef::Float(_) => DataType::Float,
+            ValueRef::Str(_) => DataType::Str,
+            ValueRef::Bool(_) => DataType::Bool,
         }
+    }
+
+    #[cold]
+    fn expected(self, want: DataType) -> StorageError {
+        StorageError::invalid(format!("expected {want}, got {}", self.data_type()))
+    }
+
+    /// Extract an `i64`, erroring on any other type.
+    #[inline]
+    pub fn as_int(self) -> Result<i64> {
+        match self {
+            ValueRef::Int(v) => Ok(v),
+            other => Err(other.expected(DataType::Int)),
+        }
+    }
+
+    /// Extract an `f64`, erroring on any other type.
+    #[inline]
+    pub fn as_float(self) -> Result<f64> {
+        match self {
+            ValueRef::Float(v) => Ok(v),
+            other => Err(other.expected(DataType::Float)),
+        }
+    }
+
+    /// Extract a `&str`, erroring on any other type.
+    #[inline]
+    pub fn as_str(self) -> Result<&'a str> {
+        match self {
+            ValueRef::Str(v) => Ok(v),
+            other => Err(other.expected(DataType::Str)),
+        }
+    }
+
+    /// Extract a `bool`, erroring on any other type.
+    #[inline]
+    pub fn as_bool(self) -> Result<bool> {
+        match self {
+            ValueRef::Bool(v) => Ok(v),
+            other => Err(other.expected(DataType::Bool)),
+        }
+    }
+
+    /// Approximate in-memory footprint of the value in bytes. Used by
+    /// operators to report heap-state sizes to the suspend-plan optimizer.
+    pub fn heap_bytes(self) -> usize {
+        match self {
+            ValueRef::Int(_) | ValueRef::Float(_) => 8,
+            ValueRef::Bool(_) => 1,
+            ValueRef::Str(s) => s.len() + 8,
+        }
+    }
+
+    /// The tagged encoding — the bytes a row record holds for this field
+    /// — handed to `put` piece by piece. The one writer of the format.
+    pub(crate) fn encode_with(self, mut put: impl FnMut(&[u8])) {
+        match self {
+            ValueRef::Int(v) => {
+                put(&[TAG_INT]);
+                put(&v.to_le_bytes());
+            }
+            ValueRef::Float(v) => {
+                put(&[TAG_FLOAT]);
+                put(&v.to_bits().to_le_bytes());
+            }
+            ValueRef::Str(v) => {
+                put(&[TAG_STR]);
+                put(&(v.len() as u32).to_le_bytes());
+                put(v.as_bytes());
+            }
+            ValueRef::Bool(v) => put(&[TAG_BOOL, v as u8]),
+        }
+    }
+
+    /// Exact number of bytes [`ValueRef::encode_with`] hands out.
+    pub(crate) fn encoded_len(self) -> usize {
+        let mut len = 0;
+        self.encode_with(|bytes| len += bytes.len());
+        len
+    }
+
+    /// Read one tagged value off `dec`, borrowing a string from its
+    /// buffer: every check [`Value::decode`] makes, no allocation.
+    pub(crate) fn decode(dec: &mut Decoder<'a>) -> Result<Self> {
+        match dec.get_u8()? {
+            TAG_INT => Ok(ValueRef::Int(dec.get_i64()?)),
+            TAG_FLOAT => Ok(ValueRef::Float(dec.get_f64()?)),
+            TAG_STR => std::str::from_utf8(dec.get_bytes()?)
+                .map(ValueRef::Str)
+                .map_err(|_| StorageError::corrupt("invalid utf-8 in string")),
+            TAG_BOOL => Ok(ValueRef::Bool(dec.get_bool()?)),
+            t => Err(StorageError::corrupt(format!("bad value tag {t}"))),
+        }
+    }
+}
+
+impl PartialEq for ValueRef<'_> {
+    /// Same-variant payload equality; floats compare as IEEE numbers
+    /// (`NaN != NaN`, `-0.0 == 0.0`), unlike [`Ord`]'s total order.
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (ValueRef::Int(a), ValueRef::Int(b)) => a == b,
+            (ValueRef::Float(a), ValueRef::Float(b)) => a == b,
+            (ValueRef::Str(a), ValueRef::Str(b)) => a == b,
+            (ValueRef::Bool(a), ValueRef::Bool(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for ValueRef<'_> {}
+
+impl PartialOrd for ValueRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ValueRef<'_> {
+    /// Total order: values of the same type compare naturally (floats via
+    /// IEEE total order); across types the order is Int < Float < Str < Bool.
+    fn cmp(&self, other: &Self) -> Ordering {
+        fn rank(v: ValueRef<'_>) -> u8 {
+            match v {
+                ValueRef::Int(_) => 0,
+                ValueRef::Float(_) => 1,
+                ValueRef::Str(_) => 2,
+                ValueRef::Bool(_) => 3,
+            }
+        }
+        match (*self, *other) {
+            (ValueRef::Int(a), ValueRef::Int(b)) => a.cmp(&b),
+            (ValueRef::Float(a), ValueRef::Float(b)) => a.total_cmp(&b),
+            (ValueRef::Str(a), ValueRef::Str(b)) => a.cmp(b),
+            (ValueRef::Bool(a), ValueRef::Bool(b)) => a.cmp(&b),
+            (a, b) => rank(a).cmp(&rank(b)),
+        }
+    }
+}
+
+impl std::hash::Hash for ValueRef<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        match *self {
+            ValueRef::Int(v) => {
+                state.write_u8(0);
+                v.hash(state);
+            }
+            ValueRef::Float(v) => {
+                state.write_u8(1);
+                v.to_bits().hash(state);
+            }
+            ValueRef::Str(v) => {
+                state.write_u8(2);
+                v.hash(state);
+            }
+            ValueRef::Bool(v) => {
+                state.write_u8(3);
+                v.hash(state);
+            }
+        }
+    }
+}
+
+impl fmt::Display for ValueRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ValueRef::Int(v) => write!(f, "{v}"),
+            ValueRef::Float(v) => write!(f, "{v}"),
+            ValueRef::Str(v) => write!(f, "{v:?}"),
+            ValueRef::Bool(v) => write!(f, "{v}"),
+        }
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_ref() == other.as_ref()
     }
 }
 
@@ -129,58 +312,20 @@ impl PartialOrd for Value {
 }
 
 impl Ord for Value {
-    /// Total order: values of the same type compare naturally (floats via
-    /// IEEE total order); across types the order is Int < Float < Str < Bool.
     fn cmp(&self, other: &Self) -> Ordering {
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Value::Int(_) => 0,
-                Value::Float(_) => 1,
-                Value::Str(_) => 2,
-                Value::Bool(_) => 3,
-            }
-        }
-        match (self, other) {
-            (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (a, b) => rank(a).cmp(&rank(b)),
-        }
+        self.as_ref().cmp(&other.as_ref())
     }
 }
 
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        match self {
-            Value::Int(v) => {
-                state.write_u8(0);
-                v.hash(state);
-            }
-            Value::Float(v) => {
-                state.write_u8(1);
-                v.to_bits().hash(state);
-            }
-            Value::Str(v) => {
-                state.write_u8(2);
-                v.hash(state);
-            }
-            Value::Bool(v) => {
-                state.write_u8(3);
-                v.hash(state);
-            }
-        }
+        self.as_ref().hash(state);
     }
 }
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Float(v) => write!(f, "{v}"),
-            Value::Str(v) => write!(f, "{v:?}"),
-            Value::Bool(v) => write!(f, "{v}"),
-        }
+        self.as_ref().fmt(f)
     }
 }
 
@@ -217,36 +362,13 @@ pub(crate) const TAG_BOOL: u8 = 3;
 
 impl Encode for Value {
     fn encode(&self, enc: &mut Encoder) {
-        match self {
-            Value::Int(v) => {
-                enc.put_u8(TAG_INT);
-                enc.put_i64(*v);
-            }
-            Value::Float(v) => {
-                enc.put_u8(TAG_FLOAT);
-                enc.put_f64(*v);
-            }
-            Value::Str(v) => {
-                enc.put_u8(TAG_STR);
-                enc.put_str(v);
-            }
-            Value::Bool(v) => {
-                enc.put_u8(TAG_BOOL);
-                enc.put_bool(*v);
-            }
-        }
+        self.as_ref().encode_with(|bytes| enc.put_raw(bytes));
     }
 }
 
 impl Decode for Value {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        match dec.get_u8()? {
-            TAG_INT => Ok(Value::Int(dec.get_i64()?)),
-            TAG_FLOAT => Ok(Value::Float(dec.get_f64()?)),
-            TAG_STR => Ok(Value::Str(dec.get_str()?)),
-            TAG_BOOL => Ok(Value::Bool(dec.get_bool()?)),
-            t => Err(StorageError::corrupt(format!("bad value tag {t}"))),
-        }
+        ValueRef::decode(dec).map(ValueRef::to_value)
     }
 }
 

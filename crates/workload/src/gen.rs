@@ -3,7 +3,7 @@
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use qsr_storage::{
-    Column, DataType, Database, HeapFile, IndexBuilder, Result, Schema, TableInfo, Tuple, Value,
+    Column, DataType, Database, HeapFile, IndexBuilder, Result, Schema, TableInfo, Tuple, ValueRef,
 };
 use std::sync::Arc;
 
@@ -156,10 +156,10 @@ pub fn generate_table(db: &Arc<Database>, spec: &TableSpec) -> Result<TableInfo>
     let mut heap = HeapFile::create(db.pool().clone())?;
     for &key in &keys {
         let sel = rng.gen_range(0..1000i64);
-        heap.append(&Tuple::new(vec![
-            Value::Int(key),
-            Value::Int(sel),
-            Value::Str(payload_for(key, spec.payload_bytes)),
+        heap.append(&Tuple::from_fields([
+            ValueRef::Int(key),
+            ValueRef::Int(sel),
+            ValueRef::Str(&payload_for(key, spec.payload_bytes)),
         ]))?;
     }
     heap.finish()?;
@@ -204,10 +204,10 @@ pub fn generate_skewed_table(db: &Arc<Database>, spec: &TableSpec) -> Result<Tab
         } else {
             rng.gen_range(500..1000i64)
         };
-        heap.append(&Tuple::new(vec![
-            Value::Int(key),
-            Value::Int(sel),
-            Value::Str(payload_for(key, spec.payload_bytes)),
+        heap.append(&Tuple::from_fields([
+            ValueRef::Int(key),
+            ValueRef::Int(sel),
+            ValueRef::Str(&payload_for(key, spec.payload_bytes)),
         ]))?;
     }
     heap.finish()?;

@@ -18,6 +18,8 @@
 //! holding a deterministic pseudo-random value in `0..1000`; the predicate
 //! `sel < 1000*s` then selects the desired fraction, uniformly spread.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod gen;
 

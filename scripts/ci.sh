@@ -23,6 +23,15 @@ if [ "$legacy_calls" != "crates/storage/src/checksum.rs 2" ]; then
         "$legacy_calls" >&2
     exit 1
 fi
+
+# Structural guard: rows are raw bytes read through safe code only, and
+# nothing else in the engine needs `unsafe` either — every library and
+# binary root under crates/ forbids it.
+unguarded="$(grep -L '^#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs crates/*/src/bin/*.rs || true)"
+if [ -n "$unguarded" ]; then
+    printf 'crate roots without #![forbid(unsafe_code)]:\n%s\n' "$unguarded" >&2
+    exit 1
+fi
 cargo build --release
 cargo test -q
 

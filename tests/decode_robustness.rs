@@ -5,6 +5,9 @@
 //! the input merely claims: a decode may allocate in proportion to the
 //! bytes it was handed, not to a header field.
 
+mod counting_alloc;
+
+use counting_alloc::requested_bytes;
 use proptest::prelude::*;
 use qsr::core::{
     Checkpoint, ContractGraph, OpId, OpSuspendRecord, Strategy as OpStrategy, SuspendedQuery,
@@ -16,8 +19,6 @@ use qsr::storage::{
     Encode, Encoder, FileId, HeapFile, StorageError, Tuple, TupleBlock, Value, DELTA_MAGIC,
     DELTA_VERSION, PAGE_SIZE,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 /// No input here is longer than `MAX_INPUT` bytes, and no decode of one
@@ -29,42 +30,14 @@ use std::sync::Arc;
 const MAX_INPUT: usize = 512;
 const ALLOC_BOUND: usize = 64 << 10;
 
-thread_local! {
-    /// Bytes this thread has requested from the allocator (the harness
-    /// runs tests on parallel threads; a process-wide count would mix them).
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-// SAFETY: both methods forward their arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract (the default `realloc` goes
-// through `alloc`); the counter touches no allocator state, and a
-// `const`-initialised `Cell<usize>` thread-local never allocates.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: the allocator also runs while a thread is torn down.
-        let _ = REQUESTED.try_with(|r| r.set(r.get().saturating_add(layout.size())));
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System.alloc` for this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
 /// Feed `bytes` to every decoder. A panic fails the test by itself; the
 /// allocation bound is asserted here.
 fn decode_all(bytes: &[u8]) {
     fn one<T>(what: &str, bytes: &[u8], decode: impl FnOnce(&[u8]) -> Result<T, StorageError>) {
         assert!(bytes.len() <= MAX_INPUT);
-        let before = REQUESTED.with(Cell::get);
+        let before = requested_bytes();
         drop(decode(bytes));
-        let requested = REQUESTED.with(Cell::get) - before;
+        let requested = requested_bytes() - before;
         assert!(
             requested <= ALLOC_BOUND,
             "{what}: decoding {} bytes requested {requested} bytes of memory: {bytes:?}",
@@ -174,6 +147,71 @@ fn forged_delta_chunk_count_is_rejected_before_allocating() {
     decode_all(&frame);
     let decoded = DeltaDump::decode_from_bytes(&frame);
     assert!(matches!(decoded, Err(StorageError::Corrupt(_))), "got {decoded:?}");
+}
+
+/// Malformed row records, one per way a record can be wrong. A row is
+/// adopted as bytes, so the check at the door is all that stands between
+/// these and the accessors that trust the bytes: each must be a typed
+/// `Corrupt` — from `from_record`, from the codec entry point, and from a
+/// scan that finds the record on a heap page — and never a panic.
+#[test]
+fn malformed_row_records_are_typed_corrupt_errors() {
+    let good = Tuple::new(vec![Value::Int(7), Value::Str("naïve".into()), Value::Bool(true)]);
+    let rec = good.encode_to_vec();
+    // Layout: arity(4) | 0,i64(9) | 2,len(4),"naïve"(6) | 3,bool(1).
+    assert_eq!(rec.len(), 4 + 9 + 5 + 6 + 2);
+    let edit = |at: usize, byte: u8| {
+        let mut bad = rec.clone();
+        bad[at] = byte;
+        bad
+    };
+    let mut trailing = rec.clone();
+    trailing.extend_from_slice(&[0, 0]);
+    let cases: [(&str, Vec<u8>, &str); 9] = [
+        ("empty", Vec::new(), "decode past end: need 4 bytes, have 0"),
+        ("truncated body", rec[..rec.len() - 1].to_vec(), "decode past end: need 1 bytes, have 0"),
+        ("truncated scalar", rec[..9].to_vec(), "decode past end: need 8 bytes, have 4"),
+        ("bad tag", edit(4, 0x7f), "bad value tag 127"),
+        ("arity overrun", edit(0, 4), "decode past end: need 1 bytes, have 0"),
+        ("string length past the end", edit(14, 0xff), "decode past end: need 255 bytes, have 8"),
+        ("invalid utf-8", edit(20, b'x'), "invalid utf-8 in string"),
+        ("bad bool byte", edit(rec.len() - 1, 2), "bad bool byte 2"),
+        ("trailing bytes", trailing, "2 trailing bytes after decode"),
+    ];
+
+    let dir = std::env::temp_dir().join(format!("qsr-bad-rows-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (n, (what, bytes, message)) in cases.iter().enumerate() {
+        decode_all(bytes);
+        for got in [Tuple::from_record(bytes), Tuple::decode_from_slice(bytes)] {
+            match got {
+                Err(StorageError::Corrupt(m)) => assert_eq!(&m, message, "{what}"),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // The same bytes as the second record of a heap page (the trailer
+        // is this build's checksum, so only the record is wrong): the scan
+        // serves the first row and fails, typed, at the bad one.
+        let mut page = Encoder::new();
+        page.put_u16(2);
+        page.put_bytes(&rec);
+        page.put_bytes(bytes);
+        let mut page = page.finish();
+        page.resize(PAGE_SIZE, 0);
+        let sum = checksum(&page);
+        page.extend_from_slice(&sum.to_le_bytes());
+        std::fs::write(dir.join(format!("f{n}.qsr")), page).unwrap();
+        let dm = DiskManager::open(&dir, CostLedger::default()).unwrap();
+        let pool = BufferPool::passthrough(Arc::new(dm));
+        let heap = HeapFile::open(pool, FileId(n as u64), 2);
+        let mut cursor = heap.cursor();
+        assert_eq!(cursor.next().unwrap(), Some(good.clone()), "{what}");
+        let got = cursor.next();
+        assert!(matches!(got, Err(StorageError::Corrupt(_))), "{what}: scan gave {got:?}");
+        let fetched = heap.fetch(qsr::storage::TupleAddr { page: 0, slot: 1 });
+        assert!(matches!(fetched, Err(StorageError::Corrupt(_))), "{what}: fetch gave {fetched:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A frame exactly as f25e1d4 wrote it: the same bytes with FNV-1a of
