@@ -4,7 +4,9 @@
 //! state into a blob. Writing those blobs one after another puts the full
 //! I/O latency on the suspend critical path — exactly the window the paper
 //! wants small. The [`DumpPipeline`] is a bounded pool of background
-//! writer threads: the submitting (operator) thread encodes the payload,
+//! writer threads, spawned one per submitted blob up to the bound (most
+//! suspends dump nothing, and those pay for no thread): the submitting
+//! (operator) thread encodes the payload,
 //! creates the backing file, and computes the [`BlobId`] — so operators
 //! get their id synchronously, same as the serial path — while the page
 //! writes and the per-blob fsync happen on worker threads, overlapping
@@ -28,43 +30,45 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 
-enum Job {
-    /// Write `bytes` as pages of `file`, then fsync it.
-    WriteBlob { file: FileId, bytes: Vec<u8> },
-    /// Flush dirty buffer-pool frames of `file` and fsync it.
-    SyncFile(FileId),
+/// Write `bytes` as pages of `file`, then fsync it.
+struct Job {
+    file: FileId,
+    bytes: Vec<u8>,
+}
+
+struct Writers {
+    /// `None` once the pipeline is finished: later blobs are written
+    /// inline.
+    tx: Option<Sender<Job>>,
+    handles: Vec<JoinHandle<()>>,
 }
 
 /// Bounded background writer pool for suspend-time dump blobs. See the
 /// module docs for the protocol.
 pub struct DumpPipeline {
     pool: Arc<BufferPool>,
-    tx: StdMutex<Option<Sender<Job>>>,
-    workers: StdMutex<Vec<JoinHandle<()>>>,
+    max_writers: usize,
+    rx: Arc<StdMutex<Receiver<Job>>>,
+    writers: StdMutex<Writers>,
     errors: Arc<StdMutex<Vec<qsr_storage::StorageError>>>,
 }
 
 impl DumpPipeline {
-    /// Spawn `workers` writer threads over the database's buffer pool.
-    /// `workers` must be ≥ 1 (a serial suspend simply uses no pipeline).
+    /// A pipeline of at most `workers` writer threads (at least one; a
+    /// serial suspend simply uses no pipeline) over the database's buffer
+    /// pool. Threads are spawned as blobs arrive, one per blob up to the
+    /// bound, so a suspend that dumps nothing pays for no thread.
     pub fn new(db: &Database, workers: usize) -> Arc<Self> {
-        let pool = db.pool().clone();
         let (tx, rx) = std::sync::mpsc::channel::<Job>();
-        let rx = Arc::new(StdMutex::new(rx));
-        let errors = Arc::new(StdMutex::new(Vec::new()));
-        let handles = (0..workers.max(1))
-            .map(|_| {
-                let rx = rx.clone();
-                let pool = pool.clone();
-                let errors = errors.clone();
-                std::thread::spawn(move || worker_loop(&rx, &pool, &errors))
-            })
-            .collect();
         Arc::new(Self {
-            pool,
-            tx: StdMutex::new(Some(tx)),
-            workers: StdMutex::new(handles),
-            errors,
+            pool: db.pool().clone(),
+            max_writers: workers.max(1),
+            rx: Arc::new(StdMutex::new(rx)),
+            writers: StdMutex::new(Writers {
+                tx: Some(tx),
+                handles: Vec::new(),
+            }),
+            errors: Arc::new(StdMutex::new(Vec::new())),
         })
     }
 
@@ -91,46 +95,41 @@ impl DumpPipeline {
             len: bytes.len() as u64,
             checksum: sum.unwrap_or_else(|| checksum(&bytes)),
         };
-        let unsent = match &*self.tx.lock().expect("pipeline sender poisoned") {
-            Some(tx) => tx.send(Job::WriteBlob { file, bytes }).err().map(|e| e.0),
-            None => Some(Job::WriteBlob { file, bytes }),
-        };
-        if let Some(Job::WriteBlob { file, bytes }) = unsent {
-            // Pipeline already finished (or its workers died): write
-            // inline so the returned id is always backed by data.
+        let mut w = self.writers.lock().expect("pipeline writers poisoned");
+        let Some(tx) = &w.tx else {
+            // Pipeline already finished: write inline so the returned id
+            // is always backed by data.
+            drop(w);
             write_blob(&self.pool, file, &bytes)?;
+            return Ok(id);
+        };
+        tx.send(Job { file, bytes })
+            .expect("the pipeline itself keeps the receiver alive");
+        if w.handles.len() < self.max_writers {
+            let (rx, pool, errors) = (self.rx.clone(), self.pool.clone(), self.errors.clone());
+            w.handles
+                .push(std::thread::spawn(move || worker_loop(&rx, &pool, &errors)));
         }
         Ok(id)
-    }
-
-    /// Schedule a flush-and-fsync of `file` (dirty buffer-pool pages).
-    pub fn submit_sync(&self, file: FileId) {
-        let inline = match &*self.tx.lock().expect("pipeline sender poisoned") {
-            Some(tx) => tx.send(Job::SyncFile(file)).is_err(),
-            None => true,
-        };
-        if inline {
-            if let Err(e) = self.pool.sync_file(file) {
-                self.errors.lock().expect("error list poisoned").push(e);
-            }
-        }
     }
 
     /// Join every writer. Returns the first error any worker hit (all
     /// submitted jobs are attempted regardless). Idempotent; the driver
     /// MUST call this before committing the suspend manifest.
     pub fn finish(&self) -> Result<()> {
-        drop(self.tx.lock().expect("pipeline sender poisoned").take());
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .expect("worker list poisoned")
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        let handles = {
+            let mut w = self.writers.lock().expect("pipeline writers poisoned");
+            w.tx = None;
+            std::mem::take(&mut w.handles)
+        };
+        // Join before taking the error list: the writers push onto it.
+        let panicked = handles.into_iter().filter_map(|h| h.join().err()).count();
         let mut errs = self.errors.lock().expect("error list poisoned");
+        if panicked > 0 {
+            errs.push(qsr_storage::StorageError::invalid(
+                "a dump writer panicked; its blobs may be unwritten",
+            ));
+        }
         match errs.is_empty() {
             true => Ok(()),
             false => Err(errs.remove(0)),
@@ -301,11 +300,7 @@ fn worker_loop(
             },
             Err(_) => return,
         };
-        let outcome = match job {
-            Job::WriteBlob { file, bytes } => write_blob(pool, file, &bytes),
-            Job::SyncFile(file) => pool.sync_file(file),
-        };
-        if let Err(e) = outcome {
+        if let Err(e) = write_blob(pool, job.file, &job.bytes) {
             if let Ok(mut errs) = errors.lock() {
                 errs.push(e);
             }
@@ -367,6 +362,30 @@ mod tests {
         pipe.finish().unwrap();
         for (id, p) in ids.iter().zip(&payloads) {
             assert_eq!(db.blobs().get_value::<Vec<u8>>(*id).unwrap(), *p);
+        }
+    }
+
+    #[test]
+    fn writers_are_spawned_per_blob_up_to_the_bound() {
+        let d = TempDir::new();
+        let db = Database::open(&d.0, CostModel::symmetric(1.0)).unwrap();
+        let spawned = |p: &DumpPipeline| p.writers.lock().unwrap().handles.len();
+
+        // A suspend that dumps nothing: no thread to spawn or join.
+        let idle = DumpPipeline::new(&db, 4);
+        assert_eq!(spawned(&idle), 0);
+        idle.finish().unwrap();
+
+        let pipe = DumpPipeline::new(&db, 3);
+        let mut ids = Vec::new();
+        for (n, want) in [(1u8, 1), (2, 2), (3, 3), (4, 3), (5, 3)] {
+            ids.push((n, pipe.put_value(&vec![n; PAGE_SIZE + 1]).unwrap()));
+            assert_eq!(spawned(&pipe), want, "after {n} blobs of at most 3 writers");
+        }
+        pipe.finish().unwrap();
+        for (n, id) in ids {
+            let want = vec![n; PAGE_SIZE + 1];
+            assert_eq!(db.blobs().get_value::<Vec<u8>>(id).unwrap(), want);
         }
     }
 

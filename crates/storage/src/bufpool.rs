@@ -1,5 +1,5 @@
 //! Shared buffer pool: a fixed-capacity frame table over [`DiskManager`]
-//! pages with LRU eviction, pin counts, and dirty-page write-back.
+//! pages with strict-LRU eviction and dirty-page write-back.
 //!
 //! Every page consumer in the engine — heap scans, sort runs, hash-join
 //! partitions, index pages, dump blobs — goes through a [`BufferPool`]
@@ -21,6 +21,22 @@
 //! the pre-pool engine. Experiment figures default to this mode for paper
 //! fidelity (`DESIGN.md` §11).
 //!
+//! # Frame table
+//!
+//! No operation but [`BufferPool::flush_all`] does work proportional to
+//! the pool's capacity (`DESIGN.md` §11 has the per-operation table):
+//!
+//! * resident frames live in a dense slab threaded by an intrusive
+//!   doubly-linked list in recency order, so a touch is a constant-time
+//!   move to the back and the eviction victim is the list head — the
+//!   frame whose last touch is oldest, which is strict LRU;
+//! * `index` maps `(file, page)` to the frame's slab slot in key order,
+//!   so one file's frames are a contiguous range in page order;
+//! * `dirty` holds the keys of the frames the disk has not seen, in the
+//!   same order, so a flush walks exactly the pages it writes.
+//!
+//! One mutex covers all three plus the logical file sizes.
+//!
 //! # Write buffering and flush ordering
 //!
 //! With capacity > 0, `write_page`/`append_page` buffer into the frame
@@ -39,32 +55,111 @@ use crate::disk::{DiskManager, FileId};
 use crate::error::{Result, StorageError};
 use crate::page::Page;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::{Bound, RangeInclusive};
 use std::sync::Arc;
 
-struct Frame {
-    page: Arc<Page>,
-    dirty: bool,
-    pins: u32,
-    /// Monotonic LRU tick of the last touch.
-    last_used: u64,
+type Key = (FileId, u64);
+
+/// "No frame" in the recency list's links.
+const NIL: usize = usize::MAX;
+
+/// Every possible key of `id` from page `from` on.
+fn pages_from(id: FileId, from: u64) -> RangeInclusive<Key> {
+    (id, from)..=(id, u64::MAX)
 }
 
-#[derive(Default)]
+struct Frame {
+    key: Key,
+    page: Arc<Page>,
+    /// Neighbours in the recency list (slab slots, or [`NIL`]).
+    prev: usize,
+    next: usize,
+}
+
 struct Inner {
-    frames: HashMap<(FileId, u64), Frame>,
+    /// Resident frames, dense: `slab.len()` is the resident count.
+    slab: Vec<Frame>,
+    /// Least and most recently touched frame ([`NIL`] when empty).
+    head: usize,
+    tail: usize,
+    /// Slab slot of every resident frame, in `(file, page)` order.
+    index: BTreeMap<Key, usize>,
+    /// Keys of the resident frames the disk has not seen yet.
+    dirty: BTreeSet<Key>,
     /// Logical page count per file, including buffered (dirty) appends
     /// the disk has not seen yet. Populated lazily from the disk manager.
     sizes: HashMap<FileId, u64>,
-    tick: u64,
 }
 
 impl Inner {
-    fn touch(&mut self, key: (FileId, u64)) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(f) = self.frames.get_mut(&key) {
-            f.last_used = tick;
+    fn unlink(&mut self, slot: usize) {
+        let Frame { prev, next, .. } = self.slab[slot];
+        match prev {
+            NIL => self.head = next,
+            p => self.slab[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slab[n].prev = prev,
+        }
+    }
+
+    /// Point the neighbours of `slot` — or the ends of the list — at it.
+    fn attach(&mut self, slot: usize) {
+        let Frame { prev, next, .. } = self.slab[slot];
+        match prev {
+            NIL => self.head = slot,
+            p => self.slab[p].next = slot,
+        }
+        match next {
+            NIL => self.tail = slot,
+            n => self.slab[n].prev = slot,
+        }
+    }
+
+    /// Make `slot` the most recently used frame.
+    fn touch(&mut self, slot: usize) {
+        if self.tail != slot {
+            self.unlink(slot);
+            (self.slab[slot].prev, self.slab[slot].next) = (self.tail, NIL);
+            self.attach(slot);
+        }
+    }
+
+    /// Add a frame as the most recently used one.
+    fn insert(&mut self, key: Key, page: Arc<Page>, dirty: bool) {
+        let slot = self.slab.len();
+        self.slab.push(Frame {
+            key,
+            page,
+            prev: self.tail,
+            next: NIL,
+        });
+        self.attach(slot);
+        self.index.insert(key, slot);
+        if dirty {
+            self.dirty.insert(key);
+        }
+    }
+
+    /// Drop the frame in `slot`, dirty or not. The slab stays dense: its
+    /// last frame moves into the hole and is re-attached under that slot.
+    fn remove(&mut self, slot: usize) {
+        self.unlink(slot);
+        let gone = self.slab.swap_remove(slot);
+        self.index.remove(&gone.key);
+        self.dirty.remove(&gone.key);
+        if slot < self.slab.len() {
+            self.attach(slot);
+            self.index.insert(self.slab[slot].key, slot);
+        }
+    }
+
+    /// Drop every frame whose key lies in `keys`.
+    fn remove_range(&mut self, keys: RangeInclusive<Key>) {
+        while let Some((_, &slot)) = self.index.range(keys.clone()).next() {
+            self.remove(slot);
         }
     }
 }
@@ -83,7 +178,14 @@ impl BufferPool {
         Arc::new(Self {
             dm,
             capacity,
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner {
+                slab: Vec::new(),
+                head: NIL,
+                tail: NIL,
+                index: BTreeMap::new(),
+                dirty: BTreeSet::new(),
+                sizes: HashMap::new(),
+            }),
         })
     }
 
@@ -105,21 +207,12 @@ impl BufferPool {
 
     /// Number of frames currently cached (for tests/introspection).
     pub fn cached_frames(&self) -> usize {
-        self.inner.lock().frames.len()
+        self.inner.lock().slab.len()
     }
 
     /// Whether `(file, page_no)` is currently cached.
     pub fn is_cached(&self, file: FileId, page_no: u64) -> bool {
-        self.inner.lock().frames.contains_key(&(file, page_no))
-    }
-
-    /// Current pin count of `(file, page_no)` (0 if not cached).
-    pub fn pin_count(&self, file: FileId, page_no: u64) -> u32 {
-        self.inner
-            .lock()
-            .frames
-            .get(&(file, page_no))
-            .map_or(0, |f| f.pins)
+        self.inner.lock().index.contains_key(&(file, page_no))
     }
 
     /// Create a new empty file. Delegates to the disk manager; registers
@@ -137,7 +230,7 @@ impl BufferPool {
     pub fn delete_file(&self, id: FileId) -> Result<()> {
         if self.capacity > 0 {
             let mut g = self.inner.lock();
-            g.frames.retain(|&(f, _), _| f != id);
+            g.remove_range(pages_from(id, 0));
             g.sizes.remove(&id);
         }
         self.dm.delete_file(id)
@@ -150,7 +243,7 @@ impl BufferPool {
     pub fn truncate_file(&self, id: FileId, pages: u64) -> Result<()> {
         if self.capacity > 0 {
             let mut g = self.inner.lock();
-            g.frames.retain(|&(f, p), _| f != id || p < pages);
+            g.remove_range(pages_from(id, pages));
             let size = self.logical_size(&mut g, id)?;
             if size > pages {
                 g.sizes.insert(id, pages);
@@ -184,11 +277,10 @@ impl BufferPool {
             return Ok(Arc::new(self.dm.read_page(id, page_no)?));
         }
         let mut g = self.inner.lock();
-        if let Some(f) = g.frames.get(&(id, page_no)) {
-            let page = f.page.clone();
-            g.touch((id, page_no));
+        if let Some(&slot) = g.index.get(&(id, page_no)) {
+            g.touch(slot);
             self.dm.ledger().note_cache(1, 0, 0, 0);
-            return Ok(page);
+            return Ok(g.slab[slot].page.clone());
         }
         let size = self.logical_size(&mut g, id)?;
         if page_no >= size {
@@ -200,23 +292,6 @@ impl BufferPool {
         self.dm.ledger().note_cache(0, 1, 0, 0);
         self.install(&mut g, id, page_no, page.clone(), false)?;
         Ok(page)
-    }
-
-    /// Read a page and pin its frame: the returned guard keeps the frame
-    /// in memory (never a victim) until dropped. In passthrough mode the
-    /// guard just owns the page.
-    pub fn read_page_pinned(self: &Arc<Self>, id: FileId, page_no: u64) -> Result<PinGuard> {
-        let page = self.read_page(id, page_no)?;
-        if self.capacity > 0 {
-            if let Some(f) = self.inner.lock().frames.get_mut(&(id, page_no)) {
-                f.pins += 1;
-            }
-        }
-        Ok(PinGuard {
-            pool: self.clone(),
-            key: (id, page_no),
-            page,
-        })
     }
 
     /// Write a page: buffered in the frame table (dirty) when caching,
@@ -233,16 +308,17 @@ impl BufferPool {
                 "write would leave a hole in {id}: page {page_no} of {size}"
             )));
         }
+        if let Some(&slot) = g.index.get(&(id, page_no)) {
+            g.slab[slot].page = Arc::new(page.clone());
+            g.dirty.insert((id, page_no));
+            g.touch(slot);
+            return Ok(());
+        }
+        self.install(&mut g, id, page_no, Arc::new(page.clone()), true)?;
         if page_no == size {
             g.sizes.insert(id, size + 1);
         }
-        if let Some(f) = g.frames.get_mut(&(id, page_no)) {
-            f.page = Arc::new(page.clone());
-            f.dirty = true;
-            g.touch((id, page_no));
-            return Ok(());
-        }
-        self.install(&mut g, id, page_no, Arc::new(page.clone()), true)
+        Ok(())
     }
 
     /// Append a page, returning its page number. Atomic under the pool
@@ -253,14 +329,16 @@ impl BufferPool {
         }
         let mut g = self.inner.lock();
         let page_no = self.logical_size(&mut g, id)?;
-        g.sizes.insert(id, page_no + 1);
+        // The file grows only once its new page has a frame: a refused
+        // victim write-back must leave no logical page without one, or the
+        // caller's retry would append past a hole.
         self.install(&mut g, id, page_no, Arc::new(page.clone()), true)?;
+        g.sizes.insert(id, page_no + 1);
         Ok(page_no)
     }
 
-    /// Insert a frame, evicting the LRU unpinned frame if at capacity.
-    /// When every frame is pinned the pool temporarily over-commits
-    /// rather than failing.
+    /// Insert a frame as the most recently used one, first evicting the
+    /// least recently used frame if the pool is full.
     fn install(
         &self,
         g: &mut Inner,
@@ -269,37 +347,22 @@ impl BufferPool {
         page: Arc<Page>,
         dirty: bool,
     ) -> Result<()> {
-        if g.frames.len() >= self.capacity {
-            let victim = g
-                .frames
-                .iter()
-                .filter(|(_, f)| f.pins == 0)
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(&k, f)| (k, f.dirty));
-            if let Some(((vf, vp), vdirty)) = victim {
-                if vdirty {
-                    self.flush_locked(g, vf, Some(vp))?;
-                }
-                g.frames.remove(&(vf, vp));
-                self.dm.ledger().note_cache(0, 0, 1, 0);
-                self.dm.ledger().trace(|| crate::trace::TraceEvent::PoolEvict {
-                    file: vf.0,
-                    page: vp,
-                    dirty: vdirty,
-                });
+        if g.slab.len() >= self.capacity {
+            let victim = g.head;
+            let (vf, vp) = g.slab[victim].key;
+            let vdirty = g.dirty.contains(&(vf, vp));
+            if vdirty {
+                self.flush_locked(g, vf, Some(vp))?;
             }
+            g.remove(victim);
+            self.dm.ledger().note_cache(0, 0, 1, 0);
+            self.dm.ledger().trace(|| crate::trace::TraceEvent::PoolEvict {
+                file: vf.0,
+                page: vp,
+                dirty: vdirty,
+            });
         }
-        g.tick += 1;
-        let tick = g.tick;
-        g.frames.insert(
-            (id, page_no),
-            Frame {
-                page,
-                dirty,
-                pins: 0,
-                last_used: tick,
-            },
-        );
+        g.insert((id, page_no), page, dirty);
         Ok(())
     }
 
@@ -308,24 +371,11 @@ impl BufferPool {
     /// never sees a hole. Frames stay cached, now clean. Returns the
     /// number of pages written back.
     fn flush_locked(&self, g: &mut Inner, id: FileId, up_to: Option<u64>) -> Result<u64> {
-        let mut dirty: Vec<u64> = g
-            .frames
-            .iter()
-            .filter(|(&(f, p), fr)| f == id && fr.dirty && up_to.is_none_or(|u| p <= u))
-            .map(|(&(_, p), _)| p)
-            .collect();
-        dirty.sort_unstable();
+        let keys = (id, 0)..=(id, up_to.unwrap_or(u64::MAX));
         let mut written = 0u64;
-        for p in dirty {
-            // Clone the Arc out so the write borrows nothing from `g`.
-            let page = match g.frames.get(&(id, p)) {
-                Some(fr) => fr.page.clone(),
-                None => continue,
-            };
-            self.dm.write_page(id, p, &page)?;
-            if let Some(fr) = g.frames.get_mut(&(id, p)) {
-                fr.dirty = false;
-            }
+        while let Some(&key) = g.dirty.range(keys.clone()).next() {
+            self.dm.write_page(id, key.1, &g.slab[g.index[&key]].page)?;
+            g.dirty.remove(&key);
             written += 1;
         }
         if written > 0 {
@@ -354,16 +404,10 @@ impl BufferPool {
             return Ok(0);
         }
         let mut g = self.inner.lock();
-        let mut files: Vec<FileId> = g
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&(id, _), _)| id)
-            .collect();
-        files.sort_unstable();
-        files.dedup();
         let mut written = 0;
-        for id in files {
+        // Each round leaves its file with no dirty frame (or fails), so
+        // the first dirty key moves on to the next file.
+        while let Some(&(id, _)) = g.dirty.first() {
             written += self.flush_locked(&mut g, id, None)?;
         }
         Ok(written)
@@ -375,14 +419,12 @@ impl BufferPool {
             return Vec::new();
         }
         let g = self.inner.lock();
-        let mut files: Vec<FileId> = g
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(&(id, _), _)| id)
-            .collect();
-        files.sort_unstable();
-        files.dedup();
+        let mut files = Vec::new();
+        let mut after = Bound::Unbounded;
+        while let Some(&(id, _)) = g.dirty.range((after, Bound::Unbounded)).next() {
+            files.push(id);
+            after = Bound::Excluded((id, u64::MAX));
+        }
         files
     }
 
@@ -400,32 +442,8 @@ impl std::fmt::Debug for BufferPool {
         let g = self.inner.lock();
         f.debug_struct("BufferPool")
             .field("capacity", &self.capacity)
-            .field("frames", &g.frames.len())
+            .field("frames", &g.slab.len())
             .finish()
-    }
-}
-
-/// Keeps one frame pinned (ineligible for eviction) while alive.
-pub struct PinGuard {
-    pool: Arc<BufferPool>,
-    key: (FileId, u64),
-    page: Arc<Page>,
-}
-
-impl PinGuard {
-    /// The pinned page.
-    pub fn page(&self) -> &Page {
-        &self.page
-    }
-}
-
-impl Drop for PinGuard {
-    fn drop(&mut self) {
-        if self.pool.capacity > 0 {
-            if let Some(f) = self.pool.inner.lock().frames.get_mut(&self.key) {
-                f.pins = f.pins.saturating_sub(1);
-            }
-        }
     }
 }
 
@@ -548,28 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_frames_are_never_evicted() {
-        let (_d, pool) = pool(2);
-        let f = pool.create_file().unwrap();
-        for i in 0..3 {
-            pool.append_page(f, &stamped(i)).unwrap();
-        }
-        pool.flush_file(f).unwrap();
-        let guard = pool.read_page_pinned(f, 0).unwrap();
-        assert_eq!(pool.pin_count(f, 0), 1);
-        // Fill past capacity: page 0 must survive every eviction.
-        for _ in 0..3 {
-            for p in 1..3 {
-                pool.read_page(f, p).unwrap();
-            }
-        }
-        assert!(pool.is_cached(f, 0), "pinned frame survived");
-        assert_eq!(guard.page().read_u32(0), 0);
-        drop(guard);
-        assert_eq!(pool.pin_count(f, 0), 0);
-    }
-
-    #[test]
     fn dirty_eviction_writes_back_lower_pages_first() {
         // Capacity 2 with 3 buffered appends forces eviction of a dirty
         // appended frame whose lower-numbered neighbours are also dirty;
@@ -619,6 +615,286 @@ mod tests {
         assert_eq!(delta.cache.write_backs, 0);
         assert_eq!(pool.cached_frames(), 0);
         assert!(pool.read_page(f, 0).is_err());
+    }
+
+    /// The frame table as it was before the recency list: each frame
+    /// carries the tick of its last touch, the victim is whichever frame a
+    /// scan of the whole table finds with the smallest tick, and a flush
+    /// collects and sorts the file's dirty pages. The reference the pool
+    /// must match event for event.
+    struct ScanPool {
+        dm: Arc<DiskManager>,
+        capacity: usize,
+        /// `(page, dirty, tick of last touch)` per resident frame.
+        frames: HashMap<Key, (Arc<Page>, bool, u64)>,
+        sizes: HashMap<FileId, u64>,
+        tick: u64,
+    }
+
+    impl ScanPool {
+        fn new(dm: Arc<DiskManager>, capacity: usize) -> Self {
+            Self {
+                dm,
+                capacity,
+                frames: HashMap::new(),
+                sizes: HashMap::new(),
+                tick: 0,
+            }
+        }
+
+        fn create_file(&mut self) -> Result<FileId> {
+            let id = self.dm.create_file()?;
+            self.sizes.insert(id, 0);
+            Ok(id)
+        }
+
+        fn delete_file(&mut self, id: FileId) -> Result<()> {
+            self.frames.retain(|&(f, _), _| f != id);
+            self.sizes.remove(&id);
+            self.dm.delete_file(id)
+        }
+
+        fn truncate_file(&mut self, id: FileId, pages: u64) -> Result<()> {
+            self.frames.retain(|&(f, p), _| f != id || p < pages);
+            if self.num_pages(id)? > pages {
+                self.sizes.insert(id, pages);
+            }
+            self.dm.truncate_pages(id, pages)
+        }
+
+        fn num_pages(&mut self, id: FileId) -> Result<u64> {
+            if let Some(&n) = self.sizes.get(&id) {
+                return Ok(n);
+            }
+            let n = self.dm.num_pages(id)?;
+            self.sizes.insert(id, n);
+            Ok(n)
+        }
+
+        fn touch(&mut self, key: Key) {
+            self.tick += 1;
+            self.frames.get_mut(&key).unwrap().2 = self.tick;
+        }
+
+        fn read_page(&mut self, id: FileId, page_no: u64) -> Result<Arc<Page>> {
+            if let Some(f) = self.frames.get(&(id, page_no)) {
+                let page = f.0.clone();
+                self.touch((id, page_no));
+                self.dm.ledger().note_cache(1, 0, 0, 0);
+                return Ok(page);
+            }
+            let size = self.num_pages(id)?;
+            if page_no >= size {
+                return Err(StorageError::invalid("read past end"));
+            }
+            let page = Arc::new(self.dm.read_page(id, page_no)?);
+            self.dm.ledger().note_cache(0, 1, 0, 0);
+            self.install((id, page_no), page.clone(), false)?;
+            Ok(page)
+        }
+
+        fn write_page(&mut self, id: FileId, page_no: u64, page: &Page) -> Result<()> {
+            let size = self.num_pages(id)?;
+            if page_no > size {
+                return Err(StorageError::invalid("hole"));
+            }
+            if page_no == size {
+                self.sizes.insert(id, size + 1);
+            }
+            if let Some(f) = self.frames.get_mut(&(id, page_no)) {
+                (f.0, f.1) = (Arc::new(page.clone()), true);
+                self.touch((id, page_no));
+                return Ok(());
+            }
+            self.install((id, page_no), Arc::new(page.clone()), true)
+        }
+
+        fn append_page(&mut self, id: FileId, page: &Page) -> Result<u64> {
+            let page_no = self.num_pages(id)?;
+            self.write_page(id, page_no, page)?;
+            Ok(page_no)
+        }
+
+        fn install(&mut self, key: Key, page: Arc<Page>, dirty: bool) -> Result<()> {
+            if self.frames.len() >= self.capacity {
+                let (&(vf, vp), &(_, vdirty, _)) =
+                    self.frames.iter().min_by_key(|(_, f)| f.2).unwrap();
+                if vdirty {
+                    self.flush(vf, Some(vp))?;
+                }
+                self.frames.remove(&(vf, vp));
+                self.dm.ledger().note_cache(0, 0, 1, 0);
+                self.dm.ledger().trace(|| crate::trace::TraceEvent::PoolEvict {
+                    file: vf.0,
+                    page: vp,
+                    dirty: vdirty,
+                });
+            }
+            self.tick += 1;
+            self.frames.insert(key, (page, dirty, self.tick));
+            Ok(())
+        }
+
+        fn flush(&mut self, id: FileId, up_to: Option<u64>) -> Result<u64> {
+            let mut dirty: Vec<u64> = self
+                .frames
+                .iter()
+                .filter(|(&(f, p), fr)| f == id && fr.1 && up_to.is_none_or(|u| p <= u))
+                .map(|(&(_, p), _)| p)
+                .collect();
+            dirty.sort_unstable();
+            for &p in &dirty {
+                let frame = self.frames.get_mut(&(id, p)).unwrap();
+                self.dm.write_page(id, p, &frame.0)?;
+                frame.1 = false;
+            }
+            let written = dirty.len() as u64;
+            if written > 0 {
+                self.dm.ledger().note_cache(0, 0, 0, written);
+                self.dm.ledger().trace(|| crate::trace::TraceEvent::PoolWriteBack {
+                    file: id.0,
+                    pages: written,
+                });
+            }
+            Ok(written)
+        }
+
+        fn flush_all(&mut self) -> Result<u64> {
+            let mut files: Vec<FileId> = self
+                .frames
+                .iter()
+                .filter(|(_, f)| f.1)
+                .map(|(&(id, _), _)| id)
+                .collect();
+            files.sort_unstable();
+            files.dedup();
+            let mut written = 0;
+            for id in files {
+                written += self.flush(id, None)?;
+            }
+            Ok(written)
+        }
+    }
+
+    /// A traced disk manager in a fresh directory: every pool event is
+    /// captured together with the ledger snapshot at the time.
+    fn traced_disk() -> (TempDir, Arc<DiskManager>, Arc<crate::trace::Tracer>) {
+        let d = TempDir::new();
+        let ledger = CostLedger::new(CostModel::symmetric(1.0));
+        let tracer = Arc::new(crate::trace::Tracer::new(ledger.clone()));
+        tracer.enable_full_capture();
+        ledger.set_tracer(&tracer);
+        let dm = Arc::new(DiskManager::open(&d.0, ledger).unwrap());
+        (d, dm, tracer)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The list-and-index pool against the scan-for-min reference,
+        /// operation by operation: same results, same victims in the same
+        /// order with the same write-backs (the trace stream, which also
+        /// carries the ledger — `CacheStats` and per-phase pages — at
+        /// every event), same residents, and the same bytes on disk.
+        #[test]
+        fn prop_pool_matches_scan_for_min_reference(
+            ops in proptest::collection::vec((0u8..12, 0usize..4, 0u64..12, any::<u32>()), 1..120),
+            nfiles in 2usize..=4,
+            cap in 1usize..=16,
+        ) {
+            let (_d1, dm, trace) = traced_disk();
+            let (_d2, ref_dm, ref_trace) = traced_disk();
+            let pool = BufferPool::new(dm, cap);
+            let mut model = ScanPool::new(ref_dm, cap);
+            let mut files: Vec<FileId> = (0..nfiles)
+                .map(|_| {
+                    let id = pool.create_file().unwrap();
+                    assert_eq!(id, model.create_file().unwrap());
+                    id
+                })
+                .collect();
+            let stamp = |r: Result<Arc<Page>>| r.map(|p| p.read_u32(0)).map_err(|_| ());
+            for (kind, file, page, val) in ops {
+                let f = files[file % nfiles];
+                let n = pool.num_pages(f).unwrap();
+                prop_assert_eq!(n, model.num_pages(f).unwrap());
+                let v = &stamped(val);
+                match kind {
+                    0 => prop_assert_eq!(
+                        pool.append_page(f, v).map_err(|_| ()),
+                        model.append_page(f, v).map_err(|_| ())
+                    ),
+                    // Any page: an overwrite, an extension, or a refused hole.
+                    1 => prop_assert_eq!(
+                        pool.write_page(f, page, v).is_ok(),
+                        model.write_page(f, page, v).is_ok()
+                    ),
+                    2 if n > 0 => prop_assert_eq!(
+                        pool.write_page(f, page % n, v).is_ok(),
+                        model.write_page(f, page % n, v).is_ok()
+                    ),
+                    3 => prop_assert_eq!(
+                        pool.flush_file(f).map_err(|_| ()),
+                        model.flush(f, None).map_err(|_| ())
+                    ),
+                    4 => prop_assert_eq!(
+                        pool.flush_all().map_err(|_| ()),
+                        model.flush_all().map_err(|_| ())
+                    ),
+                    5 => {
+                        pool.delete_file(f).unwrap();
+                        model.delete_file(f).unwrap();
+                        files[file % nfiles] = pool.create_file().unwrap();
+                        prop_assert_eq!(files[file % nfiles], model.create_file().unwrap());
+                    }
+                    6 => prop_assert_eq!(
+                        pool.truncate_file(f, page).is_ok(),
+                        model.truncate_file(f, page).is_ok()
+                    ),
+                    // Any page, past the end included.
+                    7 => prop_assert_eq!(
+                        stamp(pool.read_page(f, page)),
+                        stamp(model.read_page(f, page))
+                    ),
+                    _ if n > 0 => prop_assert_eq!(
+                        stamp(pool.read_page(f, page % n)),
+                        stamp(model.read_page(f, page % n))
+                    ),
+                    _ => {}
+                }
+                prop_assert!(pool.cached_frames() <= cap);
+                prop_assert_eq!(pool.dirty_files(), {
+                    let mut dirty: Vec<FileId> =
+                        model.frames.iter().filter(|(_, f)| f.1).map(|(k, _)| k.0).collect();
+                    dirty.sort_unstable();
+                    dirty.dedup();
+                    dirty
+                });
+            }
+            for &f in &files {
+                for p in 0..12 {
+                    prop_assert_eq!(pool.is_cached(f, p), model.frames.contains_key(&(f, p)));
+                }
+            }
+            prop_assert_eq!(pool.flush_all().unwrap(), model.flush_all().unwrap());
+            prop_assert_eq!(trace.take_full(), ref_trace.take_full());
+            prop_assert_eq!(
+                pool.disk().ledger().snapshot(),
+                model.dm.ledger().snapshot()
+            );
+            for &f in &files {
+                let n = pool.disk().num_pages(f).unwrap();
+                prop_assert_eq!(n, pool.num_pages(f).unwrap());
+                prop_assert_eq!(n, model.dm.num_pages(f).unwrap());
+                for p in 0..n {
+                    prop_assert!(
+                        pool.disk().read_page(f, p).unwrap().bytes()
+                            == model.dm.read_page(f, p).unwrap().bytes()
+                    );
+                }
+            }
+        }
+
     }
 
     proptest! {
@@ -672,7 +948,7 @@ mod tests {
             }
         }
 
-        /// The pool never exceeds capacity while no frame is pinned, and
+        /// The pool never exceeds capacity, and
         /// eviction order respects LRU: after a sequence of reads over a
         /// file larger than the pool, the most recently touched pages are
         /// exactly the resident ones.

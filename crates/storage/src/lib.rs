@@ -56,7 +56,7 @@ pub use backend::{
 };
 pub use backoff::{with_backoff, with_retries, BackoffSchedule, MAX_RETRIES, RESUME_BACKOFF};
 pub use blob::{BlobId, BlobStore};
-pub use bufpool::{BufferPool, PinGuard};
+pub use bufpool::BufferPool;
 pub use catalog::{Catalog, TableInfo};
 pub use checksum::{checksum, fnv1a, verify_checksum};
 pub use codec::{Decode, Decoder, Encode, Encoder};

@@ -145,3 +145,56 @@ fn cached_pool_surfaces_nospace_at_flush_and_stays_consistent() {
     pool.flush_file(f).unwrap();
     assert_eq!(dm.num_pages(f).unwrap(), 2);
 }
+
+/// A buffered append (or extending write) whose eviction victim cannot be
+/// written back fails *without growing the file*: the retry lands on the
+/// same page number, and the file ends up byte-identical to one written
+/// without a cache. Growing first left a logical page with no frame, and
+/// every later append then sat beyond a hole the disk refuses to write.
+#[test]
+fn refused_victim_write_back_does_not_grow_the_file() {
+    type Extend = fn(&BufferPool, qsr_storage::FileId, &Page) -> qsr_storage::Result<u64>;
+    let by_append: Extend = |pool, f, page| pool.append_page(f, page);
+    let by_write: Extend = |pool, f, page| {
+        let at = pool.num_pages(f)?;
+        pool.write_page(f, at, page).map(|()| at)
+    };
+    let stamped = |v: u32| {
+        let mut p = Page::zeroed();
+        p.write_u32(0, v);
+        p
+    };
+    for extend in [by_append, by_write] {
+        let (_d, dm) = disk();
+        dm.set_quota(Some(PAGE_SIZE as u64));
+        let pool = BufferPool::new(dm.clone(), 2);
+        let f = pool.create_file().unwrap();
+        // Pages 0 and 1 fill the pool; page 2 evicts page 0, which fits
+        // the quota; page 3 needs page 1 written back, which does not.
+        for v in 0..3 {
+            assert_eq!(extend(&pool, f, &stamped(v)).unwrap(), v as u64);
+        }
+        let err = extend(&pool, f, &stamped(3)).unwrap_err();
+        assert!(matches!(err, StorageError::NoSpace { .. }), "{err}");
+        assert_eq!(pool.num_pages(f).unwrap(), 3, "the file did not grow");
+
+        dm.set_quota(None);
+        assert_eq!(extend(&pool, f, &stamped(3)).unwrap(), 3, "the retry");
+        assert_eq!(extend(&pool, f, &stamped(4)).unwrap(), 4);
+        pool.flush_all().unwrap();
+
+        let (_d2, plain_dm) = disk();
+        let plain = BufferPool::passthrough(plain_dm.clone());
+        let g = plain.create_file().unwrap();
+        for v in 0..5 {
+            plain.append_page(g, &stamped(v)).unwrap();
+        }
+        assert_eq!(dm.num_pages(f).unwrap(), 5);
+        for p in 0..5 {
+            assert!(
+                dm.read_page(f, p).unwrap().bytes() == plain_dm.read_page(g, p).unwrap().bytes(),
+                "page {p} differs from the uncached file"
+            );
+        }
+    }
+}

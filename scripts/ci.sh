@@ -40,6 +40,12 @@ cargo test -q
 # bugs the dev profile can mask.
 cargo test --workspace --release -q
 
+# Threads sharing a small buffer pool: a race shows up in some schedules
+# and not others, so the stress test gets three more rolls of the dice.
+for _ in 1 2 3; do
+    cargo test --release -q -p qsr-storage --test bufpool_scale threads_sharing
+done
+
 # Differential suspend-point oracle, bounded CI shape: stride-1 sweep
 # over the corpus plus 32 seeded fault schedules (the workspace test run
 # above already covers the default seed; this pins an explicit one so
