@@ -5,11 +5,11 @@ use crate::writers::{DumpPipeline, PrefetchedDumps};
 use qsr_core::{ContractGraph, OpId, WorkTable};
 use qsr_storage::{
     checksum, is_delta_frame, pages_for_bytes, BlobId, CostModel, CostSnapshot, Database, Decode,
-    DeltaDump, Encode, FileId, Result, RunWriter, StorageError, TraceEvent, COMPACT_CHAIN_LEN,
-    PAGE_SIZE,
+    DeltaDump, Encode, FileId, Result, RunHandle, RunWriter, StorageError, TraceEvent,
+    COMPACT_CHAIN_LEN, PAGE_SIZE,
 };
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// When to fire a suspend request, for controlled experiments. In a
@@ -153,6 +153,11 @@ pub struct ExecContext {
     /// reaches `Done`; a committed suspend hands them to the caller
     /// instead ([`crate::SuspendedHandle::spill_files`]).
     pub(crate) spill_files: Vec<FileId>,
+    /// Run files this execution created or reopened for appending since
+    /// it started (or resumed): the only files whose pages it can have
+    /// dirtied, so the only ones its suspend barrier flushes and syncs —
+    /// never a neighbouring execution's in the shared pool.
+    pub(crate) written_files: BTreeSet<FileId>,
 }
 
 impl ExecContext {
@@ -177,6 +182,7 @@ impl ExecContext {
             baselines: RefCell::new(HashMap::new()),
             delta_emitted: RefCell::new(BTreeMap::new()),
             spill_files: Vec::new(),
+            written_files: BTreeSet::new(),
         }
     }
 
@@ -185,6 +191,15 @@ impl ExecContext {
     pub fn create_run(&mut self) -> Result<RunWriter> {
         let w = RunWriter::create(self.db.pool().clone())?;
         self.spill_files.push(w.file_id());
+        self.written_files.insert(w.file_id());
+        Ok(w)
+    }
+
+    /// Reopen a sealed run for further appends (a resumed operator
+    /// continuing a partially written run; see [`RunWriter::reopen`]).
+    pub fn reopen_run(&mut self, handle: RunHandle) -> Result<RunWriter> {
+        let w = RunWriter::reopen(self.db.pool().clone(), handle)?;
+        self.written_files.insert(handle.file);
         Ok(w)
     }
 

@@ -781,10 +781,10 @@ impl QueryExecution {
         });
 
         // Durability barrier: everything the manifest makes reachable must
-        // be stable before the rename that commits it. This includes any
-        // page still dirty in the shared buffer pool (run files, index
-        // pages): resume reopens the database with a fresh pool and reads
-        // from disk.
+        // be stable before the rename that commits it. This includes the
+        // pages of this execution's run files still dirty in the shared
+        // buffer pool: resume reopens the database with a fresh pool and
+        // reads from disk.
         if let Err(e) = self.sync_rung(&sq, blob) {
             // The just-saved `SuspendedQuery` blob is referenced by
             // nothing yet; reclaim it so a failed rung leaks no files.
@@ -825,7 +825,11 @@ impl QueryExecution {
         ))
     }
 
-    /// Flush and fsync everything a rung's manifest would reference.
+    /// Flush and fsync everything a rung's manifest would reference: its
+    /// blobs, and the run files this execution wrote since it started or
+    /// resumed (`ExecContext::written_files`). Run files it wrote in an
+    /// earlier segment were synced by the suspend that ended that segment,
+    /// and a neighbouring execution's dirty files are its own business.
     fn sync_rung(&self, sq: &SuspendedQuery, blob: BlobId) -> Result<()> {
         let backend = self.db.backend();
         backend.sync_blob(blob)?;
@@ -835,7 +839,9 @@ impl QueryExecution {
             }
         }
         for file in self.db.pool().dirty_files() {
-            self.db.pool().sync_file(file)?;
+            if self.ctx.written_files.contains(&file) {
+                self.db.pool().sync_file(file)?;
+            }
         }
         Ok(())
     }

@@ -8,6 +8,14 @@
 //! The inner child is *positional*: contracts carry a side snapshot of its
 //! position, and resume merely seeks it (§3.3, skipping versus redoing).
 //!
+//! The join emits exactly the nested loop's sequence — for each inner
+//! tuple, the equal-key buffered rows in buffer order — but finds them
+//! through a key → positions index over the buffer instead of comparing
+//! the inner tuple with every buffered row. The control state is the
+//! nested loop's: after a match, `cursor` is one past the matched row;
+//! when no match is left, `cursor` is the fill level and the inner tuple
+//! is dropped.
+//!
 //! Contract migration (§3.4 case 1): if a whole batch produces no join
 //! output, incoming contracts migrate forward to the new checkpoint.
 //!
@@ -38,12 +46,73 @@ use qsr_core::{
 };
 use qsr_storage::{
     Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple, TupleBlock, TupleSlice,
-    Value,
+    ValueRef,
 };
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
+use std::hash::BuildHasher;
 
 const PHASE_FILL: u8 = 0;
 const PHASE_JOIN: u8 = 1;
+
+/// End of a chain in [`KeyIndex::next`].
+const END: usize = usize::MAX;
+
+/// The outer buffer's join keys, looked up instead of scanned: buffered
+/// positions grouped by the hash of their key, each group a chain in
+/// ascending position order. Equal keys hash alike (`-0.0` as `0.0`), so
+/// every row equal to a probe key is on that key's chain; rows of other
+/// keys that share the hash are skipped by comparing keys on the walk.
+/// A NaN key equals nothing and goes on no chain. The index is derived
+/// from the buffer alone: it is never dumped, and `heap_bytes` does not
+/// count it.
+#[derive(Default)]
+struct KeyIndex {
+    /// Key hash → first and last position of its chain.
+    chains: HashMap<u64, (usize, usize)>,
+    /// `next[p]`: the position after `p` on `p`'s chain, or [`END`].
+    next: Vec<usize>,
+}
+
+impl KeyIndex {
+    /// The chain a key belongs on: its hash under the map's own randomly
+    /// keyed hasher, so keys cannot be picked to pile onto one chain.
+    fn key_hash(&self, key: ValueRef<'_>) -> u64 {
+        self.chains.hasher().hash_one(key)
+    }
+
+    /// Append the next buffer position, whose join key is `key`.
+    fn push(&mut self, key: ValueRef<'_>) {
+        let pos = self.next.len();
+        self.next.push(END);
+        if matches!(key, ValueRef::Float(f) if f.is_nan()) {
+            return;
+        }
+        match self.chains.entry(self.key_hash(key)) {
+            Entry::Occupied(mut chain) => {
+                let last = &mut chain.get_mut().1;
+                self.next[*last] = pos;
+                *last = pos;
+            }
+            Entry::Vacant(slot) => {
+                slot.insert((pos, pos));
+            }
+        }
+    }
+
+    /// First position on `key`'s chain, or [`END`].
+    fn head(&self, key: ValueRef<'_>) -> usize {
+        self.chains
+            .get(&self.key_hash(key))
+            .map_or(END, |&(first, _)| first)
+    }
+
+    /// Forget every position; the allocations are kept for the next block.
+    fn clear(&mut self) {
+        self.chains.clear();
+        self.next.clear();
+    }
+}
 
 /// Serializable control state (paper §2: "NLJ's control state consists of
 /// a tuple from its inner child and a cursor over the outer buffer" — plus
@@ -90,10 +159,9 @@ pub struct BlockNlj {
     schema: Schema,
 
     buffer: Vec<Tuple>,
-    /// `buffer[i]`'s join key, side by side: the nested loop compares
-    /// every inner row with every buffered row, and reads the keys off
-    /// this run instead of reaching into each row for its own.
-    buffer_keys: Vec<Value>,
+    /// `buffer`'s rows by join key, kept in step by the only two
+    /// mutators, `push_buffer` and `clear_buffer`.
+    index: KeyIndex,
     heap_bytes: usize,
     phase: u8,
     cursor: usize,
@@ -128,7 +196,7 @@ impl BlockNlj {
             buffer_size,
             schema,
             buffer: Vec::new(),
-            buffer_keys: Vec::new(),
+            index: KeyIndex::default(),
             heap_bytes: 0,
             phase: PHASE_FILL,
             cursor: 0,
@@ -159,14 +227,35 @@ impl BlockNlj {
 
     fn push_buffer(&mut self, t: Tuple) {
         self.heap_bytes += t.heap_bytes();
-        self.buffer_keys.push(t.get(self.outer_key).to_value());
+        self.index.push(t.get(self.outer_key));
         self.buffer.push(t);
     }
 
     fn clear_buffer(&mut self) {
         self.buffer.clear();
-        self.buffer_keys.clear();
+        self.index.clear();
         self.heap_bytes = 0;
+    }
+
+    /// The first buffered row at or after `cursor` whose join key equals
+    /// `key`: where the nested loop would stop next.
+    fn probe(&self, key: ValueRef<'_>) -> Option<usize> {
+        let key_at = |p: usize| self.buffer[p].get(self.outer_key);
+        // `cursor` is 0 for a fresh inner tuple and otherwise one past its
+        // last match, whose chain successor is then the next candidate.
+        // Walking the chain from its head is right for any cursor, and is
+        // what a fresh tuple (or any other restored state) does.
+        let mut pos = match self.cursor.checked_sub(1) {
+            Some(prev) if prev < self.buffer.len() && key_at(prev) == key => self.index.next[prev],
+            _ => self.index.head(key),
+        };
+        while pos != END {
+            if pos >= self.cursor && key_at(pos) == key {
+                return Some(pos);
+            }
+            pos = self.index.next[pos];
+        }
+        None
     }
 
     /// Proactive checkpoint at the minimal-heap-state point (buffer just
@@ -270,18 +359,17 @@ impl Operator for BlockNlj {
                         }
                         Poll::Suspended => return Ok(Poll::Suspended),
                     },
-                    Some(inner) => {
-                        let key = inner.get(self.inner_key);
-                        while let Some(outer_key) = self.buffer_keys.get(self.cursor) {
-                            self.cursor += 1;
-                            if outer_key.as_ref() == key {
-                                self.produced_since_sign += 1;
-                                let outer = &self.buffer[self.cursor - 1];
-                                return Ok(Poll::Tuple(outer.join(inner)));
-                            }
+                    Some(inner) => match self.probe(inner.get(self.inner_key)) {
+                        Some(pos) => {
+                            self.cursor = pos + 1;
+                            self.produced_since_sign += 1;
+                            return Ok(Poll::Tuple(self.buffer[pos].join(inner)));
                         }
-                        self.inner_tuple = None;
-                    }
+                        None => {
+                            self.cursor = self.buffer.len();
+                            self.inner_tuple = None;
+                        }
+                    },
                 }
             }
         }

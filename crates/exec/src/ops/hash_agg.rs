@@ -578,7 +578,7 @@ impl Operator for HashAgg {
                     self.writers = self
                         .runs
                         .drain(..)
-                        .map(|h| RunWriter::reopen(ctx.db.pool().clone(), h).map(Some))
+                        .map(|h| ctx.reopen_run(h).map(Some))
                         .collect::<Result<_>>()?;
                 } else if self.phase == PHASE_AGG
                     && (self.emit_idx > 0 || self.cur_part < self.partitions)

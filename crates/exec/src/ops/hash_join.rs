@@ -487,12 +487,10 @@ impl HashJoin {
     /// Reopen sealed partition runs as in-progress writers (a Dump resume
     /// keeps appending where the suspend sealed them).
     fn reopen_writers(
-        ctx: &ExecContext,
+        ctx: &mut ExecContext,
         runs: &mut Vec<RunHandle>,
     ) -> Result<Vec<Option<RunWriter>>> {
-        runs.drain(..)
-            .map(|h| RunWriter::reopen(ctx.db.pool().clone(), h).map(Some))
-            .collect()
+        runs.drain(..).map(|h| ctx.reopen_run(h).map(Some)).collect()
     }
 
     fn table_insert(&mut self, key: i64, t: Tuple) {

@@ -745,8 +745,7 @@ impl Operator for ExternalSort {
                     // nothing to reopen.
                     self.group = control.group.clone();
                     if let Some(h) = control.pass_run {
-                        self.pass_writer =
-                            Some(RunWriter::reopen(ctx.db.pool().clone(), h)?);
+                        self.pass_writer = Some(ctx.reopen_run(h)?);
                         self.pass_run = Some(h);
                     }
                     let group = self.group.clone();

@@ -3,7 +3,7 @@
 
 use qsr_exec::{PlanSpec, Predicate, QueryExecution, SuspendTrigger};
 use qsr_core::{OpId, SuspendPolicy};
-use qsr_storage::{Database, Tuple};
+use qsr_storage::{Database, HeapFile, Schema, TableInfo, Tuple};
 use qsr_workload::{build_index, generate_table, TableSpec};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,6 +45,24 @@ pub fn test_db(tag: &str) -> (TempDir, Arc<Database>) {
     generate_table(&db, &TableSpec::new("s_sorted", 600).sorted().payload(24).seed(4)).unwrap();
     build_index(&db, "t", 0).unwrap();
     (dir, db)
+}
+
+/// Register `rows`, in order, as table `name` of `schema`.
+pub fn create_table(db: &Arc<Database>, name: &str, schema: Schema, rows: &[Tuple]) {
+    let mut heap = HeapFile::create(db.pool().clone()).unwrap();
+    for r in rows {
+        heap.append(r).unwrap();
+    }
+    heap.finish().unwrap();
+    let info = TableInfo {
+        name: name.into(),
+        file: heap.file_id(),
+        schema,
+        tuple_count: heap.tuple_count(),
+        indexes: vec![],
+        sorted_on: None,
+    };
+    db.with_catalog_mut(|c| c.create_table(info)).unwrap();
 }
 
 /// Scan helper.

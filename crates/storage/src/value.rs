@@ -264,6 +264,9 @@ impl Ord for ValueRef<'_> {
 }
 
 impl std::hash::Hash for ValueRef<'_> {
+    /// Agrees with [`PartialEq`]: equal values hash alike. A float hashes
+    /// its bit pattern, except that `-0.0` hashes as `0.0`, which it
+    /// equals (NaN equals nothing, so its bits are free to differ).
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         match *self {
             ValueRef::Int(v) => {
@@ -272,6 +275,7 @@ impl std::hash::Hash for ValueRef<'_> {
             }
             ValueRef::Float(v) => {
                 state.write_u8(1);
+                let v = if v == 0.0 { 0.0 } else { v };
                 v.to_bits().hash(state);
             }
             ValueRef::Str(v) => {
@@ -399,6 +403,9 @@ impl Decode for DataType {
 mod tests {
     use super::*;
     use crate::codec::roundtrip;
+    use crate::tuple::Tuple;
+    use proptest::prelude::*;
+    use std::hash::{DefaultHasher, Hash, Hasher};
 
     #[test]
     fn accessors_enforce_types() {
@@ -451,6 +458,71 @@ mod tests {
     fn heap_bytes_reflects_payload() {
         assert_eq!(Value::Int(0).heap_bytes(), 8);
         assert_eq!(Value::Str("abcd".into()).heap_bytes(), 12);
+    }
+
+    fn hash_of(v: &impl Hash) -> u64 {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    /// Floats where IEEE equality and bit identity part ways, subnormals,
+    /// and integers whose float twin is exact.
+    fn arb_value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            any::<i64>().prop_map(Value::Int),
+            (-3i64..3).prop_map(Value::Int),
+            any::<u64>().prop_map(|b| Value::Float(f64::from_bits(b))),
+            (-3i64..3).prop_map(|v| Value::Float(v as f64)),
+            Just(Value::Float(0.0)),
+            Just(Value::Float(-0.0)),
+            Just(Value::Float(f64::NAN)),
+            Just(Value::Float(-f64::NAN)),
+            (1u64..1 << 52).prop_map(|b| Value::Float(f64::from_bits(b))),
+            (1u64..1 << 52).prop_map(|b| Value::Float(-f64::from_bits(b))),
+            ".{0,3}".prop_map(Value::Str),
+            any::<bool>().prop_map(Value::Bool),
+        ]
+    }
+
+    /// `b` is usually a near relative of `a`, so equal pairs are common.
+    fn relative(a: &Value, how: u8) -> Value {
+        match (a, how % 4) {
+            (Value::Float(f), 0) => Value::Float(-f),
+            (Value::Float(f), 1) if f.fract() == 0.0 && f.abs() < 1e15 => Value::Int(*f as i64),
+            (Value::Int(i), 1) => Value::Float(*i as f64),
+            (Value::Float(f), 2) => Value::Float(f + 0.0),
+            _ => a.clone(),
+        }
+    }
+
+    #[test]
+    fn signed_zeros_are_equal_and_hash_alike() {
+        let (pos, neg) = (Value::Float(0.0), Value::Float(-0.0));
+        assert_eq!(pos, neg);
+        assert_eq!(hash_of(&pos), hash_of(&neg));
+        assert_eq!(hash_of(&pos.as_ref()), hash_of(&neg.as_ref()));
+        // Numeric twins of different types are not equal.
+        assert_ne!(Value::Int(0), pos);
+        assert_ne!(Value::Float(f64::NAN), Value::Float(f64::NAN));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        /// The contract a hashed lookup relies on: `a == b ⇒ hash(a) ==
+        /// hash(b)`, for owned values, borrowed views and rows alike.
+        #[test]
+        fn prop_equal_values_hash_alike(a in arb_value(), other in arb_value(), how: u8) {
+            let b = if how % 8 < 6 { relative(&a, how) } else { other };
+            if a == b {
+                prop_assert_eq!(hash_of(&a), hash_of(&b), "{:?} == {:?}", a, b);
+                prop_assert_eq!(hash_of(&a.as_ref()), hash_of(&b.as_ref()));
+                let (x, y) = (Tuple::new(vec![a.clone()]), Tuple::new(vec![b.clone()]));
+                prop_assert_eq!(hash_of(&x), hash_of(&y));
+            }
+            prop_assert_eq!(hash_of(&a), hash_of(&a.as_ref()));
+        }
     }
 
     #[test]

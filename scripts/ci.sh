@@ -46,6 +46,11 @@ for _ in 1 2 3; do
     cargo test --release -q -p qsr-storage --test bufpool_scale threads_sharing
 done
 
+# Block NLJ scaling: time per inner row against an 8 192-row outer buffer
+# must stay within 3x of a 64-row one (a lookup, not a scan of the
+# buffer), timed once more with optimized codegen.
+cargo test --release -q -p qsr-exec --test nlj_scale
+
 # Differential suspend-point oracle, bounded CI shape: stride-1 sweep
 # over the corpus plus 32 seeded fault schedules (the workspace test run
 # above already covers the default seed; this pins an explicit one so
