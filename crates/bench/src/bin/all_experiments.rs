@@ -17,12 +17,6 @@
 //! `--trace-json PATH` (exported as `QSR_TRACE`) attaches a structured
 //! trace sink to every experiment database: each suspend-lifecycle event
 //! is appended to PATH as one JSON line.
-//!
-//! `--batch-size N` (exported as `QSR_BATCH_SIZE`) runs every experiment
-//! through the vectorized batch driver with N-row batches instead of the
-//! tuple-at-a-time pull; 0 (the default) keeps tuple mode. Ledger numbers
-//! are identical in both modes — batching changes wall clock, not charged
-//! I/O — which is exactly the invariant the oracle's batch axis pins.
 
 #![forbid(unsafe_code)]
 
@@ -58,18 +52,10 @@ fn main() {
                 let p = p.expect("--trace-json needs a file path");
                 std::env::set_var("QSR_TRACE", p);
             }
-            "--batch-size" => {
-                let n: usize = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--batch-size needs a non-negative row count");
-                std::env::set_var("QSR_BATCH_SIZE", n.to_string());
-            }
             other => {
                 eprintln!(
                     "unknown argument: {other} (supported: --pool-pages N, \
-                     --suspend-deadline C, --disk-quota BYTES, --trace-json PATH, \
-                     --batch-size N)"
+                     --suspend-deadline C, --disk-quota BYTES, --trace-json PATH)"
                 );
                 std::process::exit(2);
             }

@@ -32,7 +32,6 @@ fn main() {
             dump_writers: 4,
             policy: Policy::Optimized,
             quota: None,
-            batch: 48,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,

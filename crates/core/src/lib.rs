@@ -30,7 +30,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod graph;
 pub mod ids;
 pub mod optimizer;
@@ -39,7 +38,6 @@ pub mod suspended;
 pub mod topology;
 pub mod work;
 
-pub use batch::{Batch, ColumnVec};
 pub use graph::{Checkpoint, Contract, ContractGraph, Migration, SideSnapshot};
 pub use ids::{CkptId, CtrId, OpId};
 pub use optimizer::{

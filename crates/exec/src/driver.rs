@@ -21,7 +21,7 @@
 //! delivers exactly the tuples following the last pre-suspend output.
 
 use crate::context::{DumpWatchdog, ExecContext, SuspendTrigger, WorkUnitObserver};
-use crate::operator::{BatchPoll, Operator, Poll, SuspendMode};
+use crate::operator::{Operator, Poll, SuspendMode};
 use crate::plan::{build_plan, PlanSpec};
 use crate::recovery::{
     clear_manifest_named, commit_manifest_named, read_manifest_named, with_retries, ResumeError,
@@ -202,11 +202,6 @@ pub struct QueryExecution {
     topology: PlanTopology,
     tuples_emitted: u64,
     finished: bool,
-    /// Rows per batch when [`QueryExecution::run`] drives the plan through
-    /// the vectorized `next_batch` interface; `0` (the default) keeps the
-    /// classic tuple-at-a-time pull. Seeded from the `QSR_BATCH_SIZE`
-    /// environment knob at start and resume.
-    batch_size: usize,
     /// Sidecar name this execution's suspends commit under. Defaults to
     /// the global [`SUSPEND_MANIFEST`]; the multi-session server assigns
     /// each session its own name so concurrent suspended sessions never
@@ -246,7 +241,6 @@ impl QueryExecution {
             topology: built.topology,
             tuples_emitted: 0,
             finished: false,
-            batch_size: env_parse("QSR_BATCH_SIZE").unwrap_or(0),
             manifest_name: SUSPEND_MANIFEST.to_string(),
         };
         exec.root.open(&mut exec.ctx)?;
@@ -264,7 +258,6 @@ impl QueryExecution {
             topology: built.topology,
             tuples_emitted: 0,
             finished: false,
-            batch_size: env_parse("QSR_BATCH_SIZE").unwrap_or(0),
             manifest_name: SUSPEND_MANIFEST.to_string(),
         };
         exec.ctx.checkpoints_enabled = checkpoints;
@@ -348,22 +341,6 @@ impl QueryExecution {
         Ok(out)
     }
 
-    /// Pull the next batch of up to `max` output rows through the
-    /// vectorized interface. Operators without a native `next_batch`
-    /// transparently adapt their tuple loop, so this works on any plan.
-    pub fn next_batch(&mut self, max: usize) -> Result<BatchPoll> {
-        if self.finished {
-            return Ok(BatchPoll::Done);
-        }
-        let out = self.root.next_batch(&mut self.ctx, max)?;
-        match &out {
-            BatchPoll::Batch(b) => self.tuples_emitted += b.live_len() as u64,
-            BatchPoll::Done => self.finish()?,
-            BatchPoll::Suspended => {}
-        }
-        Ok(out)
-    }
-
     /// The plan reached `Done`: its operators will never read their spill
     /// runs again, and no committed suspend generation references the
     /// ones this execution created, so reclaim them.
@@ -378,35 +355,15 @@ impl QueryExecution {
         std::mem::take(&mut self.ctx.spill_files)
     }
 
-    /// The batch size [`QueryExecution::run`] drives the plan with
-    /// (`0` = tuple-at-a-time).
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Override the vectorized batch size (`0` disables batch mode). The
-    /// knob only changes how rows move between operators at execution
-    /// time; outputs, suspend records, and charged ledgers are identical
-    /// either way.
-    pub fn set_batch_size(&mut self, n: usize) {
-        self.batch_size = n;
-    }
+    /// Has no effect: rows always move one at a time. Kept only because
+    /// the `benchmark/` crate still calls it; it is removed together with
+    /// those calls (ROADMAP item 5).
+    pub fn set_batch_size(&mut self, _rows: usize) {}
 
     /// Run until completion or suspension. Returns the tuples produced in
-    /// this stretch and whether the query finished. With a non-zero
-    /// [`QueryExecution::batch_size`], rows move through the plan in
-    /// column batches and are torn back into tuples only here at the top.
+    /// this stretch and whether the query finished.
     pub fn run(&mut self) -> Result<(Vec<Tuple>, bool)> {
         let mut out = Vec::new();
-        if self.batch_size > 0 {
-            loop {
-                match self.next_batch(self.batch_size)? {
-                    BatchPoll::Batch(b) => out.extend(b.to_tuples()),
-                    BatchPoll::Done => return Ok((out, true)),
-                    BatchPoll::Suspended => return Ok((out, false)),
-                }
-            }
-        }
         loop {
             match self.next()? {
                 Poll::Tuple(t) => out.push(t),
@@ -1413,7 +1370,6 @@ impl QueryExecution {
             topology: built.topology,
             tuples_emitted: sq.tuples_emitted,
             finished: false,
-            batch_size: env_parse("QSR_BATCH_SIZE").unwrap_or(0),
             manifest_name: SUSPEND_MANIFEST.to_string(),
         };
         let resumed = exec.root.resume(&mut exec.ctx, sq);

@@ -10,9 +10,7 @@
 //! its operator descriptions.
 
 use crate::context::ExecContext;
-use qsr_core::{
-    Batch, CkptId, CtrId, OpId, OpSuspendInputs, SideSnapshot, SuspendPlan, SuspendedQuery,
-};
+use qsr_core::{CkptId, CtrId, OpId, OpSuspendInputs, SideSnapshot, SuspendPlan, SuspendedQuery};
 use qsr_storage::{Result, Schema, StorageError, Tuple};
 
 /// Result of pulling one tuple.
@@ -24,20 +22,6 @@ pub enum Poll {
     Done,
     /// A suspend request was observed; the operator tree is frozen at the
     /// suspend point and control returns to the lifecycle driver.
-    Suspended,
-}
-
-/// Result of pulling one batch of tuples.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatchPoll {
-    /// The next output batch (non-empty; selection mask applied by the
-    /// consumer via [`Batch::to_tuples`] / [`Batch::live_rows`]).
-    Batch(Batch),
-    /// End of stream.
-    Done,
-    /// A suspend request was observed. Any rows produced before the
-    /// request were already returned in earlier (possibly partial)
-    /// batches; the tree is frozen exactly as in the tuple path.
     Suspended,
 }
 
@@ -73,45 +57,6 @@ pub trait Operator: Send {
 
     /// Pull the next tuple.
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Poll>;
-
-    /// Pull up to `max` tuples as a columnar [`Batch`]. The default
-    /// adapter loops `next()`, so every operator is batch-capable; the
-    /// high-volume operators override it with genuinely vectorized loops.
-    ///
-    /// Contract: per-tuple work-unit accounting (`ExecContext::tick`) and
-    /// page-I/O charges are identical to the tuple path — batch mode may
-    /// only change *when* work units land within a batch, never how many.
-    /// A pending suspend request ends the batch early: the partial batch
-    /// is returned first and the *next* call reports `Suspended`, so no
-    /// produced row is ever dropped.
-    fn next_batch(&mut self, ctx: &mut ExecContext, max: usize) -> Result<BatchPoll> {
-        let max = max.max(1);
-        let mut batch: Option<Batch> = None;
-        loop {
-            match self.next(ctx)? {
-                Poll::Tuple(t) => {
-                    let b = batch
-                        .get_or_insert_with(|| Batch::with_capacity(t.arity(), max));
-                    b.push(&t);
-                    if b.len() >= max || ctx.suspend_pending() {
-                        return Ok(BatchPoll::Batch(batch.expect("just inserted")));
-                    }
-                }
-                Poll::Done => {
-                    return Ok(match batch {
-                        Some(b) => BatchPoll::Batch(b),
-                        None => BatchPoll::Done,
-                    })
-                }
-                Poll::Suspended => {
-                    return Ok(match batch {
-                        Some(b) => BatchPoll::Batch(b),
-                        None => BatchPoll::Suspended,
-                    })
-                }
-            }
-        }
-    }
 
     /// Release resources.
     fn close(&mut self, ctx: &mut ExecContext) -> Result<()>;

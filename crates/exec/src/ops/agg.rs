@@ -8,11 +8,11 @@
 //! expressed by composing `HashJoin`-style partitioning with these.
 
 use crate::context::ExecContext;
-use crate::operator::{BatchPoll, Operator, Poll, SuspendMode};
+use crate::operator::{Operator, Poll, SuspendMode};
 use crate::ops::Accum;
 use qsr_core::{
-    Batch, CkptId, ColumnVec, CtrId, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot,
-    SuspendPlan, SuspendedQuery,
+    CkptId, CtrId, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, SuspendPlan,
+    SuspendedQuery,
 };
 use qsr_storage::{
     Column, DataType, Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple,
@@ -216,117 +216,6 @@ impl Operator for StreamAgg {
                 }
                 Poll::Done => self.done = true,
                 Poll::Suspended => return Ok(Poll::Suspended),
-            }
-        }
-    }
-
-    /// Vectorized aggregation: consume whole child batches, updating the
-    /// accumulator straight off unboxed columns where the input is dense
-    /// integers. Group-boundary emissions accumulate into one output
-    /// batch per consumed input batch (order preserved; brief overfill
-    /// past `max` is allowed by the batch contract). Ticks stay per
-    /// input row and the accumulator always reflects exactly the rows
-    /// the child has emitted, so suspend/resume state is identical to
-    /// the tuple path's.
-    fn next_batch(&mut self, ctx: &mut ExecContext, max: usize) -> Result<BatchPoll> {
-        let max = max.max(1);
-        let mut out = Batch::with_capacity(self.schema.len(), max);
-        while let Some(t) = self.pending.pop_front() {
-            out.push(&t);
-            if out.len() >= max {
-                return Ok(BatchPoll::Batch(out));
-            }
-        }
-        loop {
-            if ctx.suspend_pending() {
-                return Ok(match out.is_empty() {
-                    true => BatchPoll::Suspended,
-                    false => BatchPoll::Batch(out),
-                });
-            }
-            if self.done {
-                if !self.finished {
-                    self.finished = true;
-                    if self.cur_group.is_some() || self.group_col.is_none() {
-                        out.push(&self.emit());
-                    }
-                }
-                return Ok(match out.is_empty() {
-                    true => BatchPoll::Done,
-                    false => BatchPoll::Batch(out),
-                });
-            }
-            if self.finished {
-                return Ok(match out.is_empty() {
-                    true => BatchPoll::Done,
-                    false => BatchPoll::Batch(out),
-                });
-            }
-            match self.child.next_batch(ctx, max)? {
-                BatchPoll::Batch(b) => {
-                    let aggs = b.column(self.agg_col).and_then(ColumnVec::as_ints);
-                    match self.group_col {
-                        // Global aggregate over a dense unboxed column:
-                        // the whole batch is one slice walk.
-                        None if aggs.is_some() && b.selection().is_none() => {
-                            for &v in &aggs.unwrap()[..b.len()] {
-                                ctx.tick(self.op);
-                                self.acc.add(v);
-                            }
-                        }
-                        None => {
-                            let live: Vec<usize> = b.live_rows().collect();
-                            for r in live {
-                                ctx.tick(self.op);
-                                let v = match aggs {
-                                    Some(a) => a[r],
-                                    None => b.value(r, self.agg_col).as_int()?,
-                                };
-                                self.acc.add(v);
-                            }
-                        }
-                        Some(g) => {
-                            let keys = b.column(g).and_then(ColumnVec::as_ints);
-                            let live: Vec<usize> = b.live_rows().collect();
-                            for r in live {
-                                ctx.tick(self.op);
-                                let v = match aggs {
-                                    Some(a) => a[r],
-                                    None => b.value(r, self.agg_col).as_int()?,
-                                };
-                                let key = match keys {
-                                    Some(k) => k[r],
-                                    None => b.value(r, g).as_int()?,
-                                };
-                                match self.cur_group {
-                                    Some(cur) if cur == key => self.acc.add(v),
-                                    Some(_) => {
-                                        let t = self.emit();
-                                        out.push(&t);
-                                        self.cur_group = Some(key);
-                                        self.acc = Accum::new();
-                                        self.acc.add(v);
-                                    }
-                                    None => {
-                                        self.cur_group = Some(key);
-                                        self.acc = Accum::new();
-                                        self.acc.add(v);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if !out.is_empty() {
-                        return Ok(BatchPoll::Batch(out));
-                    }
-                }
-                BatchPoll::Done => self.done = true,
-                BatchPoll::Suspended => {
-                    return Ok(match out.is_empty() {
-                        true => BatchPoll::Suspended,
-                        false => BatchPoll::Batch(out),
-                    })
-                }
             }
         }
     }

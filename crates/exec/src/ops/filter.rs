@@ -7,10 +7,10 @@
 //! to regenerate the non-matching prefix on resume.
 
 use crate::context::ExecContext;
-use crate::operator::{BatchPoll, Operator, Poll, SuspendMode};
+use crate::operator::{Operator, Poll, SuspendMode};
 use qsr_core::{
-    Batch, CkptId, ColumnVec, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord,
-    SideSnapshot, SuspendPlan, SuspendedQuery,
+    CkptId, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, SuspendPlan,
+    SuspendedQuery,
 };
 use qsr_storage::{
     Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple,
@@ -154,48 +154,6 @@ impl Filter {
         ctx.graph.prune_for(self.op);
         Ok(())
     }
-
-    /// Vectorized predicate evaluation: the surviving row indices among
-    /// `batch`'s live rows, in order. Integer predicates run over the
-    /// unboxed column slice when the column is monomorphic.
-    fn eval_selection(&self, batch: &Batch) -> Result<Vec<u32>> {
-        let mut sel = Vec::with_capacity(batch.live_len());
-        let (col, test): (usize, Box<dyn Fn(i64) -> bool>) = match &self.predicate {
-            Predicate::True => {
-                sel.extend(batch.live_rows().map(|r| r as u32));
-                return Ok(sel);
-            }
-            Predicate::IntLt { col, value } => {
-                let v = *value;
-                (*col, Box::new(move |x| x < v))
-            }
-            Predicate::IntGe { col, value } => {
-                let v = *value;
-                (*col, Box::new(move |x| x >= v))
-            }
-            Predicate::IntEq { col, value } => {
-                let v = *value;
-                (*col, Box::new(move |x| x == v))
-            }
-        };
-        match batch.column(col).and_then(ColumnVec::as_ints) {
-            Some(ints) => {
-                for r in batch.live_rows() {
-                    if test(ints[r]) {
-                        sel.push(r as u32);
-                    }
-                }
-            }
-            None => {
-                for r in batch.live_rows() {
-                    if test(batch.value(r, col).as_int()?) {
-                        sel.push(r as u32);
-                    }
-                }
-            }
-        }
-        Ok(sel)
-    }
 }
 
 impl Operator for Filter {
@@ -229,49 +187,6 @@ impl Operator for Filter {
                 }
                 return Ok(Poll::Tuple(t));
             }
-        }
-    }
-
-    /// Vectorized filter: consume one child batch, tick every consumed
-    /// row (identical work-unit count to the tuple path), evaluate the
-    /// predicate per column, and pass the batch through with a shrunk
-    /// selection mask — survivors are never copied. A batch already
-    /// consumed from the child is always fully processed; a pending
-    /// suspend surfaces on the *next* pull, as in the tuple path.
-    fn next_batch(&mut self, ctx: &mut ExecContext, max: usize) -> Result<BatchPoll> {
-        if !self.pending.is_empty() {
-            let max = max.max(1);
-            let mut batch = Batch::with_capacity(self.schema.len(), max);
-            while let Some(t) = self.pending.pop_front() {
-                batch.push(&t);
-                if batch.len() >= max {
-                    break;
-                }
-            }
-            return Ok(BatchPoll::Batch(batch));
-        }
-        loop {
-            if ctx.suspend_pending() {
-                return Ok(BatchPoll::Suspended);
-            }
-            let mut batch = match self.child.next_batch(ctx, max)? {
-                BatchPoll::Batch(b) => b,
-                BatchPoll::Done => return Ok(BatchPoll::Done),
-                BatchPoll::Suspended => return Ok(BatchPoll::Suspended),
-            };
-            for _ in 0..batch.live_len() {
-                ctx.tick(self.op);
-            }
-            let sel = self.eval_selection(&batch)?;
-            if sel.is_empty() {
-                continue;
-            }
-            if self.migration_enabled && self.pending_migration.is_some() {
-                let first = batch.tuple(sel[0] as usize);
-                self.migrate_if_pending(ctx, &first)?;
-            }
-            batch.set_selection(Some(sel));
-            return Ok(BatchPoll::Batch(batch));
         }
     }
 

@@ -15,16 +15,16 @@
 //! directly to the cursor.
 
 use crate::context::ExecContext;
-use crate::operator::{BatchPoll, Operator, Poll, SuspendMode};
+use crate::operator::{Operator, Poll, SuspendMode};
 use crate::ops::agg::AggFn;
 use crate::ops::{hash_partition, Accum};
 use qsr_core::{
-    Batch, CkptId, ColumnVec, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord,
-    SideSnapshot, Strategy, SuspendPlan, SuspendedQuery,
+    CkptId, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, Strategy,
+    SuspendPlan, SuspendedQuery,
 };
 use qsr_storage::{
     Column, DataType, Decode, Decoder, Encode, Encoder, Result, RunHandle, RunReader, RunWriter,
-    Schema, StorageError, Tuple, Value, ValueRef,
+    Schema, StorageError, Tuple, ValueRef,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -275,121 +275,6 @@ impl Operator for HashAgg {
                     self.checkpoint(ctx, false)?;
                 }
                 PHASE_DONE => return Ok(Poll::Done),
-                p => return Err(StorageError::corrupt(format!("bad hash-agg phase {p}"))),
-            }
-        }
-    }
-
-    /// Vectorized execution. The partition phase consumes whole child
-    /// batches (the group key is read from the unboxed column slice when
-    /// monomorphic); the emission phase fills a column-major output batch
-    /// in a tight loop. Per-tuple `tick` accounting matches `next()`, so
-    /// suspend triggers fire on identical work units; a consumed child
-    /// batch is always fully partitioned before a pending suspend
-    /// surfaces.
-    fn next_batch(&mut self, ctx: &mut ExecContext, max: usize) -> Result<BatchPoll> {
-        let max = max.max(1);
-        let mut out = Batch::with_capacity(self.schema.len(), max);
-        while let Some(t) = self.pending.pop_front() {
-            out.push(&t);
-            if out.len() >= max {
-                return Ok(BatchPoll::Batch(out));
-            }
-        }
-        loop {
-            if ctx.suspend_pending() {
-                return Ok(match out.is_empty() {
-                    true => BatchPoll::Suspended,
-                    false => BatchPoll::Batch(out),
-                });
-            }
-            match self.phase {
-                PHASE_PARTITION => {
-                    while self.writers.len() < self.partitions {
-                        self.writers
-                            .push(Some(ctx.create_run()?));
-                    }
-                    match self.child.next_batch(ctx, max)? {
-                        BatchPoll::Batch(b) => {
-                            let ints = b.column(self.group_col).and_then(ColumnVec::as_ints);
-                            let rows: Vec<usize> = b.live_rows().collect();
-                            for &r in &rows {
-                                ctx.tick(self.op);
-                                self.consumed += 1;
-                                let g = match ints {
-                                    Some(ints) => ints[r],
-                                    None => b.value(r, self.group_col).as_int()?,
-                                };
-                                let p = hash_partition(g, self.partitions);
-                                self.writers[p]
-                                    .as_mut()
-                                    .ok_or_else(|| {
-                                        StorageError::invalid("hash-agg partition writer missing")
-                                    })?
-                                    .append(&b.tuple(r))?;
-                            }
-                        }
-                        BatchPoll::Done => {
-                            for w in self.writers.drain(..) {
-                                let handle = w
-                                    .ok_or_else(|| {
-                                        StorageError::invalid("hash-agg partition writer missing")
-                                    })?
-                                    .finish()?;
-                                let pages = ctx.db.pool().num_pages(handle.file)?;
-                                ctx.note_page_writes(self.op, pages);
-                                self.runs.push(handle);
-                            }
-                            self.phase = PHASE_AGG;
-                            self.cur_part = 0;
-                            self.emit_idx = 0;
-                            self.groups.clear();
-                            self.heap_bytes = 0;
-                            self.checkpoint(ctx, false)?;
-                        }
-                        BatchPoll::Suspended => {
-                            return Ok(match out.is_empty() {
-                                true => BatchPoll::Suspended,
-                                false => BatchPoll::Batch(out),
-                            })
-                        }
-                    }
-                }
-                PHASE_AGG => {
-                    if self.cur_part >= self.partitions {
-                        self.phase = PHASE_DONE;
-                        continue;
-                    }
-                    if self.groups.is_empty() && self.emit_idx == 0 {
-                        self.load_partition(ctx, self.cur_part)?;
-                    }
-                    while self.emit_idx < self.groups.len() {
-                        if ctx.suspend_pending() {
-                            break;
-                        }
-                        let (g, acc) = self.groups[self.emit_idx];
-                        self.emit_idx += 1;
-                        self.produced_since_sign += 1;
-                        out.push_row(vec![Value::Int(g), Value::Int(acc.value(self.func))]);
-                        if out.len() >= max {
-                            return Ok(BatchPoll::Batch(out));
-                        }
-                    }
-                    if ctx.suspend_pending() {
-                        continue; // loop top returns the partial batch
-                    }
-                    self.groups.clear();
-                    self.heap_bytes = 0;
-                    self.emit_idx = 0;
-                    self.cur_part += 1;
-                    self.checkpoint(ctx, false)?;
-                }
-                PHASE_DONE => {
-                    return Ok(match out.is_empty() {
-                        true => BatchPoll::Done,
-                        false => BatchPoll::Batch(out),
-                    })
-                }
                 p => return Err(StorageError::corrupt(format!("bad hash-agg phase {p}"))),
             }
         }

@@ -29,11 +29,11 @@
 //! across phase and task boundaries like the sort's.
 
 use crate::context::ExecContext;
-use crate::operator::{BatchPoll, Operator, Poll, SuspendMode};
+use crate::operator::{Operator, Poll, SuspendMode};
 use crate::ops::hash_partition;
 use qsr_core::{
-    Batch, CkptId, ColumnVec, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord,
-    SideSnapshot, Strategy, SuspendPlan, SuspendedQuery,
+    CkptId, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, Strategy,
+    SuspendPlan, SuspendedQuery,
 };
 use qsr_storage::{
     Decode, Decoder, Encode, Encoder, Result, RunHandle, RunReader, RunWriter, Schema,
@@ -133,9 +133,7 @@ impl Decode for PartTask {
     }
 }
 
-/// One step of the task machine (shared by `next` / `next_batch` so tick
-/// accounting — and therefore every suspend boundary — is identical in
-/// tuple and vectorized execution).
+/// One step of the task machine.
 enum GraceStep {
     Emit(Tuple),
     Continue,
@@ -677,15 +675,6 @@ impl HashJoin {
         }
     }
 
-    /// Emit every remaining match of the probe cursor into `out`.
-    fn emit_matches(&mut self, out: &mut Batch) -> Result<()> {
-        while let Some(m) = self.next_match()? {
-            self.produced_since_sign += 1;
-            out.push(&m);
-        }
-        Ok(())
-    }
-
     /// The next task of the depth-first walk: queued spill children first
     /// (they were pushed in reverse, so they pop in partition order), then
     /// the next top-level partition.
@@ -852,24 +841,6 @@ impl HashJoin {
     }
 }
 
-/// What a `next_batch` call returns when it cannot make progress: the
-/// rows gathered so far, or `idle` if there are none.
-fn flush(out: Batch, idle: BatchPoll) -> BatchPoll {
-    match out.is_empty() {
-        true => idle,
-        false => BatchPoll::Batch(out),
-    }
-}
-
-/// Join key of row `r`, read from the unboxed column slice when the key
-/// column is monomorphic.
-fn batch_key(b: &Batch, ints: Option<&[i64]>, r: usize, col: usize) -> Result<i64> {
-    match ints {
-        Some(ints) => Ok(ints[r]),
-        None => b.value(r, col).as_int(),
-    }
-}
-
 impl Operator for HashJoin {
     fn op_id(&self) -> OpId {
         self.op
@@ -933,86 +904,6 @@ impl Operator for HashJoin {
                     GraceStep::Done => self.phase = PHASE_DONE,
                 },
                 PHASE_DONE => return Ok(Poll::Done),
-                p => return Err(StorageError::corrupt(format!("bad HJ phase {p}"))),
-            }
-        }
-    }
-
-    /// Vectorized execution. The partitioning phases consume whole child
-    /// batches (key extraction runs over the unboxed column slice when the
-    /// key column is monomorphic); the join phase emits matches into a
-    /// column-major output batch without per-tuple driver dispatch.
-    /// Per-tuple `tick` accounting is identical to `next()`, so suspend
-    /// triggers land on the same work units. A child batch, once
-    /// consumed, is always fully partitioned — in hybrid mode the inline
-    /// match emission can overfill the output past `max`, which `Batch`
-    /// permits.
-    fn next_batch(&mut self, ctx: &mut ExecContext, max: usize) -> Result<BatchPoll> {
-        let max = max.max(1);
-        let mut out = Batch::with_capacity(self.schema.len(), max);
-        while let Some(t) = self.pending.pop_front() {
-            out.push(&t);
-            if out.len() >= max {
-                return Ok(BatchPoll::Batch(out));
-            }
-        }
-        loop {
-            if ctx.suspend_pending() || self.replay_reached() {
-                return Ok(flush(out, BatchPoll::Suspended));
-            }
-            match self.phase {
-                PHASE_BUILD => {
-                    Self::ensure_writers(&mut self.build_writers, ctx, self.partitions)?;
-                    match self.build.next_batch(ctx, max)? {
-                        BatchPoll::Batch(b) => {
-                            let ints = b.column(self.build_key).and_then(ColumnVec::as_ints);
-                            for r in b.live_rows() {
-                                let key = batch_key(&b, ints, r, self.build_key)?;
-                                self.partition_build(ctx, key, b.tuple(r))?;
-                            }
-                        }
-                        BatchPoll::Done => self.end_build(ctx)?,
-                        BatchPoll::Suspended => return Ok(flush(out, BatchPoll::Suspended)),
-                    }
-                }
-                PHASE_PROBE => {
-                    Self::ensure_writers(&mut self.probe_writers, ctx, self.partitions)?;
-                    // Hybrid: first the matches of a probe tuple left over
-                    // from a previous (possibly tuple-mode) call, then of
-                    // every partition-0 row as it is routed — all emitted
-                    // inline, so no probe cursor survives past its row.
-                    self.emit_matches(&mut out)?;
-                    if out.len() >= max {
-                        return Ok(BatchPoll::Batch(out));
-                    }
-                    match self.probe.next_batch(ctx, max)? {
-                        BatchPoll::Batch(b) => {
-                            let ints = b.column(self.probe_key).and_then(ColumnVec::as_ints);
-                            for r in b.live_rows() {
-                                let key = batch_key(&b, ints, r, self.probe_key)?;
-                                self.partition_probe(ctx, key, b.tuple(r))?;
-                                self.emit_matches(&mut out)?;
-                            }
-                            if out.len() >= max {
-                                return Ok(BatchPoll::Batch(out));
-                            }
-                        }
-                        BatchPoll::Done => self.end_probe(ctx)?,
-                        BatchPoll::Suspended => return Ok(flush(out, BatchPoll::Suspended)),
-                    }
-                }
-                PHASE_TASKS => match self.grace_step(ctx)? {
-                    GraceStep::Emit(t) => {
-                        self.produced_since_sign += 1;
-                        out.push(&t);
-                        if out.len() >= max {
-                            return Ok(BatchPoll::Batch(out));
-                        }
-                    }
-                    GraceStep::Continue => {}
-                    GraceStep::Done => self.phase = PHASE_DONE,
-                },
-                PHASE_DONE => return Ok(flush(out, BatchPoll::Done)),
                 p => return Err(StorageError::corrupt(format!("bad HJ phase {p}"))),
             }
         }

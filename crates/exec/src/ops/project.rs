@@ -2,7 +2,7 @@
 //! filter's minus contract migration (projection consumes nothing).
 
 use crate::context::ExecContext;
-use crate::operator::{BatchPoll, Operator, Poll, SuspendMode};
+use crate::operator::{Operator, Poll, SuspendMode};
 use qsr_core::{
     CkptId, CtrId, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, SuspendPlan,
     SuspendedQuery,
@@ -53,25 +53,6 @@ impl Operator for Project {
                 Ok(Poll::Tuple(t.project(&self.columns)))
             }
             None => Ok(Poll::Done),
-        }
-    }
-
-    /// Vectorized projection: whole columns are moved (or cloned, on
-    /// repeats) out of the child batch — no per-row tuple rebuild, which
-    /// is the dominant cost of the tuple path. Work units stay per-row.
-    fn next_batch(&mut self, ctx: &mut ExecContext, max: usize) -> Result<BatchPoll> {
-        if ctx.suspend_pending() {
-            return Ok(BatchPoll::Suspended);
-        }
-        match self.child.next_batch(ctx, max)? {
-            BatchPoll::Batch(b) => {
-                for _ in 0..b.live_len() {
-                    ctx.tick(self.op);
-                }
-                Ok(BatchPoll::Batch(b.project(&self.columns)))
-            }
-            BatchPoll::Done => Ok(BatchPoll::Done),
-            BatchPoll::Suspended => Ok(BatchPoll::Suspended),
         }
     }
 

@@ -8,13 +8,13 @@
 //!   re-read on the next `next()` call, which is the charged resume I/O).
 
 use crate::context::ExecContext;
-use crate::operator::{BatchPoll, Operator, Poll, SuspendMode};
+use crate::operator::{Operator, Poll, SuspendMode};
 use qsr_core::{
-    Batch, CkptId, CtrId, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, SuspendPlan,
+    CkptId, CtrId, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, SuspendPlan,
     SuspendedQuery,
 };
 use qsr_storage::{
-    Decode, Encode, HeapCursor, HeapFile, PageRun, Result, Schema, StorageError, Tuple, TupleAddr,
+    Decode, Encode, HeapCursor, HeapFile, Result, Schema, StorageError, Tuple, TupleAddr,
 };
 use std::collections::VecDeque;
 
@@ -112,81 +112,6 @@ impl Operator for TableScan {
                 Ok(Poll::Tuple(t))
             }
             None => Ok(Poll::Done),
-        }
-    }
-
-    /// Vectorized scan: heap pages are decoded column-major by the cursor
-    /// (once per page, cached — page-read charges are identical to the
-    /// tuple path) and whole page runs land in the output batch as slice
-    /// copies via [`Batch::append_page_columns`]: scalar fields as unboxed
-    /// `memcpy`s, strings as one raw-byte arena copy, no per-row `Tuple`
-    /// or `Value` built at all. Tick accounting stays per tuple, same as
-    /// `next()`, so suspend triggers land on identical work units and the
-    /// row whose tick fires the trigger is included in the output —
-    /// consumed slots are reported back to the cursor so `position()` is
-    /// exact in both modes.
-    fn next_batch(&mut self, ctx: &mut ExecContext, max: usize) -> Result<BatchPoll> {
-        let max = max.max(1);
-        let arity = self.schema.len();
-        let mut out = Batch::with_capacity(arity, max);
-        // Resume-saved rows first (row-oriented, only present right after
-        // a resume).
-        while let Some(t) = self.pending.pop_front() {
-            out.push(&t);
-            if out.len() >= max {
-                return Ok(BatchPoll::Batch(out));
-            }
-        }
-        loop {
-            if ctx.suspend_pending() {
-                return Ok(match out.is_empty() {
-                    true => BatchPoll::Suspended,
-                    false => BatchPoll::Batch(out),
-                });
-            }
-            let run = self.cursor_mut()?.page_run()?;
-            self.note_io(ctx);
-            match run {
-                PageRun::Eof => {
-                    return Ok(match out.is_empty() {
-                        true => BatchPoll::Done,
-                        false => BatchPoll::Batch(out),
-                    });
-                }
-                // Ragged page (or one the tuple path decoded first):
-                // drain it row by row off the shared cache.
-                PageRun::Rows => {
-                    if let Some(t) = self.cursor_mut()?.next()? {
-                        ctx.tick(self.op);
-                        out.push(&t);
-                        if out.len() >= max {
-                            return Ok(BatchPoll::Batch(out));
-                        }
-                    }
-                }
-                PageRun::Cols { cols, start } => {
-                    let start = start as usize;
-                    let want = (cols.rows() - start).min(max - out.len());
-                    // Tick per row, stopping after the row whose tick
-                    // fires a suspend trigger — that row is the last one
-                    // consumed, exactly as in tuple mode.
-                    let mut consumed = 0;
-                    let mut suspended = false;
-                    while consumed < want {
-                        ctx.tick(self.op);
-                        consumed += 1;
-                        if ctx.suspend_pending() {
-                            suspended = true;
-                            break;
-                        }
-                    }
-                    out.append_page_columns(&cols, start, consumed);
-                    self.cursor_mut()?.advance_slots(consumed as u16);
-                    if suspended || out.len() >= max {
-                        return Ok(BatchPoll::Batch(out));
-                    }
-                }
-            }
         }
     }
 

@@ -284,7 +284,6 @@ impl Oracle {
             Ok(e) => e,
             Err(e) => return ctx_err("start", e),
         };
-        exec.set_batch_size(s.batch);
         let policy = s.policy.to_suspend_policy();
         let options = Self::options_for(s);
         let mut collected = Vec::new();
@@ -317,7 +316,6 @@ impl Oracle {
                 let db = Self::reopen(&dir.0, s, db)?;
                 return match QueryExecution::recover(db.clone()) {
                     Ok(Some(mut resumed)) => {
-                        resumed.set_batch_size(s.batch);
                         let mut all = collected[..committed].to_vec();
                         match resumed.run_to_completion() {
                             Ok(suffix) => all.extend(suffix),
@@ -333,7 +331,7 @@ impl Oracle {
                     Ok(None) if i == 0 => Self::diff(
                         s,
                         &format!("fresh rerun after clean-abort suspend ({e})"),
-                        &Self::rerun(db, &plan, s.batch)?,
+                        &Self::rerun(db, &plan)?,
                         golden,
                     ),
                     Ok(None) => Err(format!(
@@ -347,10 +345,7 @@ impl Oracle {
             committed = collected.len();
             db = Self::reopen(&dir.0, s, db)?;
             exec = match QueryExecution::recover(db.clone()) {
-                Ok(Some(mut r)) => {
-                    r.set_batch_size(s.batch);
-                    r
-                }
+                Ok(Some(r)) => r,
                 Ok(None) => {
                     return Err(format!(
                         "recover {i}: committed suspend left no manifest [{s}]"
@@ -386,7 +381,6 @@ impl Oracle {
             Ok(e) => e,
             Err(e) => return ctx_err("start", e),
         };
-        exec.set_batch_size(s.batch);
         let policy = s.policy.to_suspend_policy();
         let options = Self::options_for(s);
         Self::arm(&mut exec, boundary);
@@ -411,7 +405,6 @@ impl Oracle {
             let db = Self::reopen(&dir.0, s, db)?;
             match QueryExecution::recover(db.clone()) {
                 Ok(Some(mut resumed)) => {
-                    resumed.set_batch_size(s.batch);
                     let mut all = prefix;
                     match resumed.run_to_completion() {
                         Ok(suffix) => all.extend(suffix),
@@ -430,7 +423,7 @@ impl Oracle {
                     Self::diff(
                         s,
                         "fresh rerun after failed suspend",
-                        &Self::rerun(db, &plan, s.batch)?,
+                        &Self::rerun(db, &plan)?,
                         golden,
                     )
                 }
@@ -441,7 +434,7 @@ impl Oracle {
                     Self::diff(
                         s,
                         &format!("fallback rerun after typed recovery error ({resume_err})"),
-                        &Self::rerun(db, &plan, s.batch)?,
+                        &Self::rerun(db, &plan)?,
                         golden,
                     )
                 }
@@ -463,7 +456,7 @@ impl Oracle {
                     Ok(None) => Self::diff(
                         s,
                         &format!("fresh rerun after clean-abort suspend ({e})"),
-                        &Self::rerun(db, &plan, s.batch)?,
+                        &Self::rerun(db, &plan)?,
                         golden,
                     ),
                     Ok(Some(_)) => Err(format!(
@@ -485,7 +478,6 @@ impl Oracle {
             db.disk().set_fault_injector(None);
             match recovered {
                 Ok(Some(mut resumed)) => {
-                    resumed.set_batch_size(s.batch);
                     let mut all = prefix;
                     match resumed.run_to_completion() {
                         Ok(suffix) => all.extend(suffix),
@@ -502,10 +494,7 @@ impl Oracle {
                     // suspend state — and the output must match.
                     let db = Self::reopen(&dir.0, s, db)?;
                     let mut resumed = match QueryExecution::recover(db) {
-                        Ok(Some(mut r)) => {
-                            r.set_batch_size(s.batch);
-                            r
-                        }
+                        Ok(Some(r)) => r,
                         Ok(None) => {
                             return Err(format!(
                                 "manifest lost after failed resume ({resume_err}) [{s}]"
@@ -533,12 +522,11 @@ impl Oracle {
         }
     }
 
-    fn rerun(db: Arc<Database>, plan: &qsr_exec::PlanSpec, batch: usize) -> OracleResult<Vec<Tuple>> {
+    fn rerun(db: Arc<Database>, plan: &qsr_exec::PlanSpec) -> OracleResult<Vec<Tuple>> {
         let mut fresh = match QueryExecution::start(db, plan.clone()) {
             Ok(e) => e,
             Err(e) => return ctx_err("fresh rerun start", e),
         };
-        fresh.set_batch_size(batch);
         fresh
             .run_to_completion()
             .map_err(|e| format!("fresh rerun: {e}"))
@@ -598,7 +586,6 @@ mod tests {
             case: "sort".into(),
             pool_pages: 0,
             dump_writers: 0,
-            batch: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -620,7 +607,6 @@ mod tests {
             case: "distinct".into(),
             pool_pages: 0,
             dump_writers: 0,
-            batch: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -644,7 +630,6 @@ mod tests {
             case: "sort".into(),
             pool_pages: 0,
             dump_writers: 0,
-            batch: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -665,7 +650,6 @@ mod tests {
             case: "sort".into(),
             pool_pages: 0,
             dump_writers: 0,
-            batch: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -689,7 +673,6 @@ mod tests {
             case: "grace-join-deep".into(),
             pool_pages: 0,
             dump_writers: 0,
-            batch: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -718,7 +701,6 @@ mod tests {
             case: "multipass-sort".into(),
             pool_pages: 0,
             dump_writers: 0,
-            batch: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,

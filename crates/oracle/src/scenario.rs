@@ -95,12 +95,6 @@ pub struct Scenario {
     pub pool_pages: usize,
     /// Parallel dump writers (0 = serial suspend).
     pub dump_writers: usize,
-    /// Vectorized batch size for the interfered run and its recovery
-    /// ladder (0 = classic tuple-at-a-time). The golden run always
-    /// executes tuple-at-a-time, so a non-zero batch axis checks the
-    /// vectorized path — including suspends landing mid-batch — against
-    /// the scalar reference output.
-    pub batch: usize,
     /// Per-partition hash-join build budget in tuples, applied by wrapping
     /// the case's plan in a `MemoryBudget` envelope (0 = absent, legacy
     /// execution and pre-existing tokens unchanged).
@@ -169,9 +163,6 @@ impl fmt::Display for Scenario {
             self.dump_writers,
             self.policy.token()
         )?;
-        if self.batch != 0 {
-            write!(f, ";batch={}", self.batch)?;
-        }
         if self.mem_budget != 0 {
             write!(f, ";budget={}", self.mem_budget)?;
         }
@@ -231,7 +222,6 @@ impl FromStr for Scenario {
         let mut case = None;
         let mut pool = None;
         let mut writers = None;
-        let mut batch = None;
         let mut mem_budget = None;
         let mut merge_fanin = None;
         let mut skew = None;
@@ -252,7 +242,12 @@ impl FromStr for Scenario {
                 "case" => case = Some(value.to_string()),
                 "pool" => pool = Some(num(value)? as usize),
                 "writers" => writers = Some(num(value)? as usize),
-                "batch" => batch = Some(num(value)? as usize),
+                // Tokens minted while the engine had a batch lane may carry
+                // a batch size. Rows always move one at a time now, as their
+                // golden run did, so the part is checked and ignored.
+                "batch" => {
+                    num(value)?;
+                }
                 "budget" => mem_budget = Some(num(value)?),
                 "fanin" => merge_fanin = Some(num(value)?),
                 "skew" => skew = Some(parse_skew(value)?),
@@ -325,8 +320,6 @@ impl FromStr for Scenario {
             case: case.ok_or("missing case=")?,
             pool_pages: pool.ok_or("missing pool=")?,
             dump_writers: writers.ok_or("missing writers=")?,
-            // Absent in pre-batch tokens: those replay tuple-at-a-time.
-            batch: batch.unwrap_or(0),
             // Absent in pre-grace tokens: legacy knob-free execution.
             mem_budget: mem_budget.unwrap_or(0),
             merge_fanin: merge_fanin.unwrap_or(0),
@@ -359,7 +352,6 @@ mod tests {
             case: "sort".into(),
             pool_pages: 64,
             dump_writers: 4,
-            batch: 1024,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -374,7 +366,6 @@ mod tests {
             case: "hash-join".into(),
             pool_pages: 0,
             dump_writers: 0,
-            batch: 7,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -391,7 +382,6 @@ mod tests {
             case: "merge-join".into(),
             pool_pages: 64,
             dump_writers: 0,
-            batch: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -414,7 +404,6 @@ mod tests {
             case: "distinct".into(),
             pool_pages: 0,
             dump_writers: 4,
-            batch: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -438,7 +427,6 @@ mod tests {
             case: "sort".into(),
             pool_pages: 0,
             dump_writers: 0,
-            batch: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -464,7 +452,6 @@ mod tests {
             case: "sort".into(),
             pool_pages: 0,
             dump_writers: 0,
-            batch: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -489,15 +476,23 @@ mod tests {
     }
 
     #[test]
-    fn pre_batch_tokens_parse_as_tuple_mode() {
-        // Tokens minted before the batch axis existed carry no `batch=`
-        // part; they must replay tuple-at-a-time, and tuple-mode tokens
-        // must not grow a redundant part.
-        let s: Scenario = "case=sort;pool=0;writers=0;policy=dump;mode=sweep:3"
+    fn batch_tokens_parse_and_replay_one_row_at_a_time() {
+        // Tokens minted while the engine had a batch lane may carry a
+        // `batch=N` part; they parse to the same scenario as the token
+        // without it, and re-render without it. A malformed size is
+        // still rejected.
+        let plain: Scenario = "case=sort;pool=0;writers=0;policy=dump;mode=sweep:3"
             .parse()
             .unwrap();
-        assert_eq!(s.batch, 0);
-        assert!(!s.to_string().contains("batch="), "token {s}");
+        for batch in ["batch=0", "batch=48", "batch=1024"] {
+            let token = format!("case=sort;pool=0;writers=0;policy=dump;{batch};mode=sweep:3");
+            let s: Scenario = token.parse().unwrap_or_else(|e| panic!("{token}: {e}"));
+            assert_eq!(s, plain, "token {token}");
+            assert!(!s.to_string().contains("batch="), "token {s}");
+        }
+        assert!("case=sort;pool=0;writers=0;policy=dump;batch=x;mode=sweep:3"
+            .parse::<Scenario>()
+            .is_err());
     }
 
     #[test]
@@ -506,7 +501,6 @@ mod tests {
             case: "grace-join-deep".into(),
             pool_pages: 64,
             dump_writers: 4,
-            batch: 48,
             mem_budget: 3,
             merge_fanin: 2,
             skew: SkewProfile::Dup,
@@ -548,7 +542,6 @@ mod tests {
             case: "sort".into(),
             pool_pages: 0,
             dump_writers: 0,
-            batch: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,

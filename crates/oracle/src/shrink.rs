@@ -101,14 +101,6 @@ pub fn shrink(oracle: &mut Oracle, failing: &Scenario) -> Scenario {
         c.dump_writers = 0;
         sh.try_adopt(&mut best, c);
     }
-    if best.batch != 0 {
-        // Dropping to tuple-at-a-time removes the whole vectorized layer
-        // from the repro; a failure that survives this was never about
-        // batching.
-        let mut c = best.clone();
-        c.batch = 0;
-        sh.try_adopt(&mut best, c);
-    }
     if best.skew != qsr_workload::SkewProfile::Default {
         // The default profile already forces recursive spills; a failure
         // that survives losing the skew axis was never about it.

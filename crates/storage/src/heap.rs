@@ -11,7 +11,6 @@ use crate::codec::{Decode, Decoder, Encode, Encoder};
 use crate::disk::FileId;
 use crate::error::{Result, StorageError};
 use crate::page::{Page, PAGE_RECORD, PAGE_SIZE};
-use crate::pagecol::{decode_page_columns, PageColumns};
 use crate::tuple::Tuple;
 use std::sync::Arc;
 
@@ -212,10 +211,9 @@ impl HeapFile {
 }
 
 /// The page the cursor is positioned on: the page itself (shared with the
-/// buffer pool, read and charged once), a byte position among its records
-/// for the row path, and — once a batch scan has asked for it — its
-/// column-major decode. Rows are cut out of the page bytes one at a time;
-/// nothing is decoded ahead of the cursor.
+/// buffer pool, read and charged once) and a byte position among its
+/// records. Rows are cut out of the page bytes one at a time; nothing is
+/// decoded ahead of the cursor.
 struct CurrentPage {
     page_no: u64,
     page: Arc<Page>,
@@ -225,10 +223,6 @@ struct CurrentPage {
     /// length-prefixed, so moving forward skips prefixes, not rows.
     at: usize,
     at_slot: usize,
-    /// Column-major decode, made on the first [`HeapCursor::page_run`] of
-    /// the page and shared with batch consumers: `Some(None)` is a page
-    /// of ragged rows, which has none.
-    cols: Option<Option<Arc<PageColumns>>>,
 }
 
 impl CurrentPage {
@@ -250,29 +244,11 @@ impl CurrentPage {
     }
 }
 
-/// What [`HeapCursor::page_run`] found at the cursor position.
-pub enum PageRun {
-    /// The rest of the current page, column-decoded: consume rows
-    /// `start..cols.rows()` and report back via [`HeapCursor::advance_slots`].
-    Cols {
-        /// Columnar decode of the whole page (shared, cached in the cursor).
-        cols: Arc<PageColumns>,
-        /// First unconsumed slot.
-        start: u16,
-    },
-    /// The current page holds ragged rows and has no column-major form:
-    /// drain it with [`HeapCursor::next`].
-    Rows,
-    /// End of file.
-    Eof,
-}
-
 /// Sequential scan cursor over a heap file.
 ///
 /// Page reads go through the shared [`BufferPool`]; the cursor itself only
 /// keeps the current page, so a full scan charges exactly one page read
-/// per page (and zero on pool hits), whichever of the row and the batch
-/// access reaches it first. `position()` returns
+/// per page (and zero on pool hits). `position()` returns
 /// the address of the *next* tuple to be returned — the value a table scan
 /// records in contracts — and `seek()` repositions to such an address.
 pub struct HeapCursor {
@@ -350,7 +326,6 @@ impl HeapCursor {
                 page,
                 at: PAGE_HEADER,
                 at_slot: 0,
-                cols: None,
             });
         }
         Ok(self.current.as_mut())
@@ -376,47 +351,6 @@ impl HeapCursor {
                 slot: 0,
             };
         }
-    }
-
-    /// Columnar access for the batch scan: the rest of the current page as
-    /// a [`PageRun`]. Rolls over exhausted pages; charges one page read on
-    /// a cache miss, exactly like [`HeapCursor::next`]. After consuming
-    /// `n` rows of a `Cols` run, report back with
-    /// [`HeapCursor::advance_slots`] so `position()` stays exact.
-    pub fn page_run(&mut self) -> Result<PageRun> {
-        loop {
-            let start = self.next.slot;
-            let Some(cur) = self.load_current_page()? else {
-                return Ok(PageRun::Eof);
-            };
-            if (start as usize) < cur.rows {
-                let cols = match &cur.cols {
-                    Some(decoded) => decoded.clone(),
-                    None => {
-                        let area = &cur.page.bytes()[PAGE_HEADER..];
-                        let decoded = decode_page_columns(area, cur.rows)?.map(Arc::new);
-                        cur.cols = Some(decoded.clone());
-                        decoded
-                    }
-                };
-                return Ok(match cols {
-                    Some(cols) => PageRun::Cols { cols, start },
-                    None => PageRun::Rows,
-                });
-            }
-            self.next = TupleAddr {
-                page: self.next.page + 1,
-                slot: 0,
-            };
-        }
-    }
-
-    /// Advance the cursor `n` slots within the current page (rows consumed
-    /// from a [`PageRun::Cols`]). Page rollover happens lazily on the next
-    /// access, mirroring what `next()` does — so `position()` after a
-    /// partial page has identical page/slot values in both modes.
-    pub fn advance_slots(&mut self, n: u16) {
-        self.next.slot += n;
     }
 }
 
@@ -546,6 +480,22 @@ mod tests {
         }
         assert_eq!(first.len() + rest.len(), 500);
         assert_eq!(rest[0], tup(123));
+
+        // Every position a scan passes through, including one past the
+        // last slot of a page (rollover to the next page is lazy), seeks a
+        // fresh cursor to exactly the next row.
+        let mut c = h.cursor();
+        let mut page_ends = 0;
+        for k in 0..500 {
+            let pos = c.position();
+            assert_eq!(h.cursor_at(pos).next().unwrap(), Some(tup(k)), "seek to {pos:?}");
+            let (addr, t) = c.next_with_addr().unwrap().unwrap();
+            assert_eq!(t, tup(k));
+            if addr.page != pos.page {
+                page_ends += 1;
+            }
+        }
+        assert!(page_ends > 1, "the scan must stop at several page ends");
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod fault;
 pub mod heap;
 pub mod index;
 pub mod page;
-pub mod pagecol;
 pub mod run;
 pub mod schema;
 pub mod trace;
@@ -71,10 +70,9 @@ pub use fault::{
     splitmix64, FaultInjector, FaultSchedule, WriteEvent, WriteFault, WriteKind, WriteOutcome,
     MAX_SCHEDULED_TRANSIENTS,
 };
-pub use heap::{HeapCursor, HeapFile, PageRun, TupleAddr};
+pub use heap::{HeapCursor, HeapFile, TupleAddr};
 pub use index::{IndexBuilder, IndexMeta, SortedIndex};
 pub use page::{pages_for_bytes, Page, PAGE_SIZE};
-pub use pagecol::{PageColumns, RawColumn};
 pub use run::{delete_run, RunHandle, RunReader, RunWriter};
 pub use schema::{Column, Schema};
 pub use trace::{install_env_tracer, record_json, TraceEvent, TraceRecord, Tracer};

@@ -46,7 +46,7 @@ pub enum Value {
 }
 
 /// A scalar value borrowed from wherever it lives — a field of a raw-row
-/// [`Tuple`](crate::Tuple), a column of a batch, an owned [`Value`].
+/// [`Tuple`](crate::Tuple), a column of a dump block, an owned [`Value`].
 /// Scalars are held by value, a string as a `&str`; the view is `Copy`.
 #[derive(Debug, Clone, Copy)]
 pub enum ValueRef<'a> {

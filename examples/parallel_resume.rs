@@ -1,12 +1,10 @@
-//! Verify drive for vectorized batch execution + parallel resume: run a
-//! join/agg query tuple-at-a-time and in 64-row batches (same output,
-//! bit-identical pool-0 ledger), then suspend a batch-mode run mid-query,
+//! Verify drive for parallel resume: suspend a join/sort query mid-query,
 //! reopen the directory cold, and recover with 4 prefetch workers — the
 //! stitched output must match the uninterrupted reference byte for byte
 //! and the Phase::Resume charge must equal a serial recovery's.
 //!
 //! ```sh
-//! cargo run --offline --example batch_resume
+//! cargo run --offline --example parallel_resume
 //! ```
 
 use qsr::core::{OpId, SuspendPolicy};
@@ -41,20 +39,15 @@ fn fresh_db(dir: &std::path::Path) -> Arc<Database> {
     db
 }
 
-fn run_full(dir: &std::path::Path, batch: usize) -> (Vec<Tuple>, u64, u64) {
+fn run_full(dir: &std::path::Path) -> Vec<Tuple> {
     let db = fresh_db(dir);
-    let before = db.ledger().snapshot();
-    let mut exec = QueryExecution::start(db.clone(), plan()).unwrap();
-    exec.set_batch_size(batch);
-    let out = exec.run_to_completion().unwrap();
-    let used = db.ledger().snapshot().since(&before);
-    (out, used.total_pages_read(), used.total_pages_written())
+    let mut exec = QueryExecution::start(db, plan()).unwrap();
+    exec.run_to_completion().unwrap()
 }
 
 fn resume_after_suspend(dir: &std::path::Path, workers: usize) -> (Vec<Tuple>, u64) {
     let db = fresh_db(dir);
     let mut exec = QueryExecution::start(db.clone(), plan()).unwrap();
-    exec.set_batch_size(64);
     exec.set_trigger(Some(SuspendTrigger::AfterOpTuples {
         op: OpId(0),
         n: 400,
@@ -83,7 +76,6 @@ fn resume_after_suspend(dir: &std::path::Path, workers: usize) -> (Vec<Tuple>, u
         .since(&before)
         .phase(Phase::Resume)
         .pages_read;
-    resumed.set_batch_size(64);
     let suffix = resumed.run_to_completion().unwrap();
     let mut all = prefix;
     all.extend(suffix);
@@ -91,16 +83,11 @@ fn resume_after_suspend(dir: &std::path::Path, workers: usize) -> (Vec<Tuple>, u
 }
 
 fn main() {
-    let base = std::env::temp_dir().join(format!("qsr-batch-resume-{}", std::process::id()));
+    let base = std::env::temp_dir().join(format!("qsr-parallel-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
-    let (reference, tr, tw) = run_full(&base.join("tuple"), 0);
-    println!("tuple mode:  {} rows, {tr} pages read / {tw} written", reference.len());
-
-    let (batched, br, bw) = run_full(&base.join("batch"), 64);
-    assert_eq!(batched, reference, "batch output must be byte-identical");
-    assert_eq!((br, bw), (tr, tw), "batch ledger must be bit-identical at pool 0");
-    println!("batch mode:  {} rows, {br} pages read / {bw} written — identical", batched.len());
+    let reference = run_full(&base.join("reference"));
+    println!("uninterrupted: {} rows", reference.len());
 
     let (serial, serial_pages) = resume_after_suspend(&base.join("serial"), 0);
     assert_eq!(serial, reference, "serial resume must reproduce the reference");
@@ -117,5 +104,5 @@ fn main() {
     );
 
     let _ = std::fs::remove_dir_all(&base);
-    println!("batch + parallel-resume verify: OK");
+    println!("parallel-resume verify: OK");
 }

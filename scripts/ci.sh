@@ -78,15 +78,6 @@ for workers in 0 2; do
         --sessions 3 --quantum 1500 --max-live 1 --workers "$workers"
 done
 
-# Vectorization stage: a deliberately awkward batch size (48, straddling
-# page boundaries) re-runs the end-to-end and stride-7 oracle sweeps and
-# the executor crate's operator-level suspend/resume tests in batch mode,
-# so every suspend point is hit with partially filled batches.
-QSR_BATCH_SIZE=48 cargo test --release -q --test end_to_end
-QSR_ORACLE_STRIDE=7 QSR_BATCH_SIZE=48 \
-    cargo test --release -q --test oracle_sweep
-QSR_BATCH_SIZE=48 cargo test --release -q -p qsr-exec
-
 # Repo benchmark (read-only use): the standalone benchmark crate
 # path-depends on the engine crates' public API and nothing above builds
 # it, so run its unit tests and a 1/10-size pass of the whole harness
@@ -95,13 +86,11 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 bash benchmark/repeat.sh --smoke
 
 # Nightly lane (opt-in: QSR_NIGHTLY=1). The full-corpus oracle matrix —
-# every scenario x config x batch combination at stride cfg.stride,
+# every scenario x config combination at stride cfg.stride,
 # including the grace/multipass knob cross product. Hours, not minutes:
 # keep it off the commit path.
 if [ "${QSR_NIGHTLY:-0}" = "1" ]; then
     QSR_ORACLE_FULL=1 QSR_ORACLE_SEED=219803630 QSR_ORACLE_FAULTS=64 \
-        cargo test --release -q --test oracle_sweep
-    QSR_ORACLE_FULL=1 QSR_BATCH_SIZE=48 \
         cargo test --release -q --test oracle_sweep
     # Delta-chain lane: the widened corpus crossing every backend with
     # delta chaining and multi-generation retention windows.

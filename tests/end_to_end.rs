@@ -174,123 +174,55 @@ fn aggregate_pipeline_suspends_cleanly() {
         all.extend(rest);
         assert_eq!(all, expected, "suspend at sort tick {n}");
     }
-}
 
-/// Larger-than-memory operators under the vectorized path: tuple-at-a-time
-/// and `QSR_BATCH_SIZE=48` batch execution must produce bit-identical
-/// output *and* bit-identical execution-phase ledgers (vectorization
-/// reshapes the pull loop, never the I/O), for the recursive grace join,
-/// the multi-pass external sort and a scan-filter-project-aggregate
-/// pipeline — including a batch-mode suspend parked mid-machinery (inside
-/// the partition spills / merge passes / the scan).
-#[test]
-fn grace_operators_batch_mode_pins_tuple_mode_ledgers() {
-    let grace_setup = |tag: &str| -> (TempDir, Arc<Database>) {
-        let dir = TempDir::new(tag);
-        let db = Database::open_default(&dir.0).unwrap();
-        generate_table(
-            &db,
-            &TableSpec::new("gb", 27).payload(24).seed(15).dist(KeyDist::DupHeavy),
-        )
-        .unwrap();
-        generate_table(&db, &TableSpec::new("ga", 54).payload(24).seed(14)).unwrap();
-        generate_table(
-            &db,
-            &TableSpec::new("gc", 60).payload(24).seed(16).dist(KeyDist::Reversed),
-        )
-        .unwrap();
-        generate_table(&db, &TableSpec::new("gf", 2000).payload(16).seed(17)).unwrap();
-        (dir, db)
+    // A scan → filter → project → aggregate pipeline suspended right after
+    // the last row of a page: the scan's position, recorded as control
+    // state and in the reactive contracts, is one past that page's last
+    // slot, and resume must roll over to the next page, neither skipping
+    // nor repeating a row.
+    let pipeline = PlanSpec::StreamAgg {
+        input: Box::new(PlanSpec::Project {
+            input: Box::new(PlanSpec::Filter {
+                input: Box::new(PlanSpec::TableScan { table: "r".into() }),
+                predicate: Predicate::IntLt { col: 1, value: 700 },
+            }),
+            columns: vec![0, 1],
+        }),
+        group_col: None,
+        agg_col: 0,
+        func: AggFn::Sum,
     };
-    let plans = [
-        PlanSpec::MemoryBudget {
-            input: Box::new(PlanSpec::HashJoin {
-                build: Box::new(PlanSpec::TableScan { table: "gb".into() }),
-                probe: Box::new(PlanSpec::TableScan { table: "ga".into() }),
-                build_key: 0,
-                probe_key: 0,
-                partitions: 3,
-                hybrid: false,
-            }),
-            mem_budget: 2,
-            merge_fanin: 0,
-        },
-        PlanSpec::MemoryBudget {
-            input: Box::new(PlanSpec::Sort {
-                input: Box::new(PlanSpec::TableScan { table: "gc".into() }),
-                key: 0,
-                buffer_tuples: 6,
-            }),
-            mem_budget: 0,
-            merge_fanin: 2,
-        },
-        // Every operator here has a native batch body, and 2000 rows put
-        // page boundaries inside the 48-row batches.
-        PlanSpec::StreamAgg {
-            input: Box::new(PlanSpec::Project {
-                input: Box::new(PlanSpec::Filter {
-                    input: Box::new(PlanSpec::TableScan { table: "gf".into() }),
-                    predicate: Predicate::IntLt { col: 1, value: 700 },
-                }),
-                columns: vec![0, 1],
-            }),
-            group_col: None,
-            agg_col: 0,
-            func: AggFn::Sum,
-        },
+    let expected = QueryExecution::start(db.clone(), pipeline.clone())
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
+    let mut cursor = db.open_table_heap("r").unwrap().cursor();
+    let mut page_ends = Vec::new();
+    let mut rows = 0u64;
+    while let Some((addr, _)) = cursor.next_with_addr().unwrap() {
+        if addr.slot == 0 && rows > 0 {
+            page_ends.push(rows);
+        }
+        rows += 1;
+    }
+    assert!(page_ends.len() >= 3, "the table must span several pages");
+    let policies = [
+        SuspendPolicy::AllDump,
+        SuspendPolicy::AllGoBack,
+        SuspendPolicy::Optimized { budget: None },
     ];
-    for plan in plans {
-        // Tuple-mode reference: output, total work units, and the
-        // execution ledger.
-        let (_d1, db1) = grace_setup("gbt");
-        db1.ledger().reset();
-        let mut tuple_exec = QueryExecution::start(db1.clone(), plan.clone()).unwrap();
-        tuple_exec.set_batch_size(0);
-        let expected = tuple_exec.run_to_completion().unwrap();
-        let total = tuple_exec.work_units();
-        let tuple_ledger = db1.ledger().snapshot();
-
-        // Batch 48, uninterrupted: bit-identical output and ledger.
-        let (_d2, db2) = grace_setup("gbb");
-        db2.ledger().reset();
-        let mut batch_exec = QueryExecution::start(db2.clone(), plan.clone()).unwrap();
-        batch_exec.set_batch_size(48);
-        assert_eq!(batch_exec.run_to_completion().unwrap(), expected);
-        let batch_ledger = db2.ledger().snapshot();
-        assert_eq!(
-            tuple_ledger.total_cost(),
-            batch_ledger.total_cost(),
-            "batch mode must not change execution I/O cost"
-        );
-        assert_eq!(
-            tuple_ledger.phase(Phase::Execute),
-            batch_ledger.phase(Phase::Execute),
-            "batch mode must not change execute-phase page counts"
-        );
-
-        // Batch 48 with suspends parked inside the machinery: boundaries
-        // at 40% and 60% of the work-unit space land mid-spill / mid-pass
-        // (the same region the degradation matrix's tracer cross-check
-        // pins), and batch-mode resume must still complete to `expected`.
-        for frac in [4u64, 6] {
-            let b = (total * frac / 10).max(1);
-            let (dir, db) = grace_setup("gbs");
-            let mut exec = QueryExecution::start(db.clone(), plan.clone()).unwrap();
-            exec.set_batch_size(48);
-            exec.set_work_unit_observer(Some(Box::new(move |_op, seq: u64| seq >= b)));
+    for &n in &page_ends[..3] {
+        for policy in &policies {
+            let mut exec = QueryExecution::start(db.clone(), pipeline.clone()).unwrap();
+            // Operators are numbered in preorder: the scan is op 3.
+            exec.set_trigger(Some(SuspendTrigger::AfterOpTuples { op: OpId(3), n }));
             let (prefix, done) = exec.run().unwrap();
-            assert!(!done, "boundary {b} must interrupt the query");
-            exec.suspend(&SuspendPolicy::Optimized { budget: None })
-                .unwrap();
-            drop(db);
-            // Fresh handle over the same directory: the "new process".
-            let db = Database::open_default(&dir.0).unwrap();
-            let mut resumed = QueryExecution::recover(db).unwrap().unwrap();
-            resumed.set_batch_size(48);
-            let rest = resumed.run_to_completion().unwrap();
+            assert!(!done, "scan row {n} must interrupt the pipeline");
+            let handle = exec.suspend(policy).unwrap();
+            let mut resumed = QueryExecution::resume(db.clone(), &handle).unwrap();
             let mut all = prefix;
-            all.extend(rest);
-            assert_eq!(all, expected, "batch-mode suspend at boundary {b}");
+            all.extend(resumed.run_to_completion().unwrap());
+            assert_eq!(all, expected, "suspend after scan row {n} (a page end), {policy:?}");
         }
     }
 }
@@ -381,7 +313,7 @@ fn spill_knobs_grade_partition_depth_and_merge_passes() {
 /// budget-less and under a budget no partition exceeds, the join agrees
 /// on output, work units and the execution ledger, and a suspend at 80 %
 /// of the work charges the same and resumes to the same output under
-/// every policy — hybrid and simple, tuple and batch lanes.
+/// every policy, hybrid and simple.
 #[test]
 fn budgetless_join_equals_never_exceeded_budget() {
     let plan = |hybrid: bool, mem_budget: usize| {
@@ -408,47 +340,42 @@ fn budgetless_join_equals_never_exceeded_budget() {
         SuspendPolicy::Optimized { budget: None },
     ];
     for hybrid in [true, false] {
-        for batch in [0, 48] {
-            let lane = format!("hybrid={hybrid} batch={batch}");
-            // Per budget: (output, work units, execute-phase ledger,
-            // suspend-phase ledger per policy).
-            let mut runs = Vec::new();
-            for mem_budget in [0, 1_000_000] {
-                let (_d, db) = setup("budget-eq");
-                db.ledger().reset();
-                let mut exec = QueryExecution::start(db.clone(), plan(hybrid, mem_budget)).unwrap();
-                exec.set_batch_size(batch);
-                let expected = exec.run_to_completion().unwrap();
-                let total = exec.work_units();
-                let execute = db.ledger().snapshot().phase(Phase::Execute);
+        let lane = format!("hybrid={hybrid}");
+        // Per budget: (output, work units, execute-phase ledger,
+        // suspend-phase ledger per policy).
+        let mut runs = Vec::new();
+        for mem_budget in [0, 1_000_000] {
+            let (_d, db) = setup("budget-eq");
+            db.ledger().reset();
+            let mut exec = QueryExecution::start(db.clone(), plan(hybrid, mem_budget)).unwrap();
+            let expected = exec.run_to_completion().unwrap();
+            let total = exec.work_units();
+            let execute = db.ledger().snapshot().phase(Phase::Execute);
 
-                let mut suspend_costs = Vec::new();
-                for policy in &policies {
-                    let (_d, db) = setup("budget-eq-s");
-                    let mut exec =
-                        QueryExecution::start(db.clone(), plan(hybrid, mem_budget)).unwrap();
-                    exec.set_batch_size(batch);
-                    let b = total * 8 / 10;
-                    exec.set_work_unit_observer(Some(Box::new(move |_op, seq: u64| seq >= b)));
-                    let (prefix, done) = exec.run().unwrap();
-                    assert!(!done, "{lane}: boundary {b} must interrupt the join");
-                    let handle = exec.suspend(policy).unwrap();
-                    suspend_costs.push(db.ledger().snapshot().phase(Phase::Suspend));
-                    let mut resumed = QueryExecution::resume(db, &handle).unwrap();
-                    resumed.set_batch_size(batch);
-                    let mut all = prefix;
-                    all.extend(resumed.run_to_completion().unwrap());
-                    assert_eq!(all, expected, "{lane} budget={mem_budget} {policy:?}");
-                }
-                runs.push((expected, total, execute, suspend_costs));
+            let mut suspend_costs = Vec::new();
+            for policy in &policies {
+                let (_d, db) = setup("budget-eq-s");
+                let mut exec =
+                    QueryExecution::start(db.clone(), plan(hybrid, mem_budget)).unwrap();
+                let b = total * 8 / 10;
+                exec.set_work_unit_observer(Some(Box::new(move |_op, seq: u64| seq >= b)));
+                let (prefix, done) = exec.run().unwrap();
+                assert!(!done, "{lane}: boundary {b} must interrupt the join");
+                let handle = exec.suspend(policy).unwrap();
+                suspend_costs.push(db.ledger().snapshot().phase(Phase::Suspend));
+                let mut resumed = QueryExecution::resume(db, &handle).unwrap();
+                let mut all = prefix;
+                all.extend(resumed.run_to_completion().unwrap());
+                assert_eq!(all, expected, "{lane} budget={mem_budget} {policy:?}");
             }
-            let (unbudgeted, budgeted) = (&runs[0], &runs[1]);
-            assert!(!unbudgeted.0.is_empty(), "{lane}: the join must produce output");
-            assert_eq!(unbudgeted.0, budgeted.0, "{lane}: output");
-            assert_eq!(unbudgeted.1, budgeted.1, "{lane}: work units");
-            assert_eq!(unbudgeted.2, budgeted.2, "{lane}: execute-phase ledger");
-            assert_eq!(unbudgeted.3, budgeted.3, "{lane}: charged suspend cost per policy");
+            runs.push((expected, total, execute, suspend_costs));
         }
+        let (unbudgeted, budgeted) = (&runs[0], &runs[1]);
+        assert!(!unbudgeted.0.is_empty(), "{lane}: the join must produce output");
+        assert_eq!(unbudgeted.0, budgeted.0, "{lane}: output");
+        assert_eq!(unbudgeted.1, budgeted.1, "{lane}: work units");
+        assert_eq!(unbudgeted.2, budgeted.2, "{lane}: execute-phase ledger");
+        assert_eq!(unbudgeted.3, budgeted.3, "{lane}: charged suspend cost per policy");
     }
 }
 

@@ -1,0 +1,108 @@
+//! Golden suspended-query directories: a database directory holding a
+//! committed suspend, written once by an older build and checked in, so
+//! every later build proves it can still resume what that build stored.
+//!
+//! `suspend-v3/` was written by `examples/golden_suspend.rs` (the
+//! [`write_suspend`] below) at commit fbdca7e. It holds the layout of that
+//! era at its newest: a `SuspendedQuery` v3 frame (it carries delta-chain
+//! dependencies), a v2 manifest (a delta chain and a retained generation),
+//! a hash join parked in its partition task walk (phase byte 5), columnar
+//! `TupleBlock` dump blocks, delta frames, and word-parallel checksums.
+//! The query is a merge join of a hash aggregate with a sort over a hash
+//! join. It was suspended twice under `AllDump`, with a resume in between,
+//! each time while the aggregate, the sort and the join all held in-memory
+//! state, so the second suspend chains delta dumps to the first one's.
+
+// Each includer uses its own half of this module.
+#![allow(dead_code)]
+
+use qsr::core::{OpId, SuspendPolicy};
+use qsr::exec::{AggFn, PlanSpec, QueryExecution, SuspendOptions, SuspendTrigger};
+use qsr::storage::{Database, Result};
+use qsr::workload::{generate_table, TableSpec};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+/// The checked-in directory of the `SuspendedQuery` v3 era.
+pub fn suspend_v3_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/suspend-v3")
+}
+
+/// `MergeJoin(HashAgg(r), Sort(HashJoin{build: s, probe: t}))` on `sel`,
+/// operators numbered in preorder: merge join 0, hash aggregate 1, scan
+/// of `r` 2, sort 3, hash join 4, scans of `s` and `t` 5 and 6. The
+/// one-partition aggregate emits `r`'s `sel` groups (about 860 of 2 000
+/// rows) in key order; the sort orders the key-on-key join of `s` and
+/// `t` by `s.sel`.
+pub fn plan() -> PlanSpec {
+    let scan = |table: &str| Box::new(PlanSpec::TableScan { table: table.into() });
+    PlanSpec::MergeJoin {
+        left: Box::new(PlanSpec::HashAgg {
+            input: scan("r"),
+            group_col: 1,
+            agg_col: 0,
+            func: AggFn::Sum,
+            partitions: 1,
+        }),
+        right: Box::new(PlanSpec::Sort {
+            input: Box::new(PlanSpec::HashJoin {
+                build: scan("s"),
+                probe: scan("t"),
+                build_key: 0,
+                probe_key: 0,
+                partitions: 4,
+                hybrid: false,
+            }),
+            key: 1,
+            buffer_tuples: 100,
+        }),
+        left_key: 0,
+        right_key: 1,
+    }
+}
+
+/// Create the three 2 000-row tables in a fresh database at `dir`.
+pub fn populate(dir: &Path) -> Result<Arc<Database>> {
+    let db = Database::open_default(dir)?;
+    for (table, seed) in [("r", 41), ("s", 42), ("t", 43)] {
+        generate_table(&db, &TableSpec::new(table, 2000).payload(8).seed(seed))?;
+    }
+    Ok(db)
+}
+
+/// Hash-join work units before the first suspend: 2 000 build and 2 000
+/// probe rows partitioned, then 1 000 of the 2 000 probe rows of the
+/// partition task walk. By then the merge join has pulled the aggregate's
+/// first group (all groups are in memory) and is filling the sort (spilled
+/// sublists plus a buffer) from the join's task phase. The resumed segment
+/// runs 300 more join work units before the second suspend.
+const SUSPEND_AFTER_JOIN_TICKS: [u64; 2] = [5000, 300];
+
+/// Populate `dir`, then run [`plan`] through two `AllDump` suspends with
+/// delta checkpoints and two retained generations, reopening the database
+/// for the resume in between. The merge join has not matched a row at
+/// either suspend, so nothing has been delivered: resuming must produce
+/// the whole result.
+pub fn write_suspend(dir: &Path) -> Result<()> {
+    let options = SuspendOptions {
+        delta: Some(true),
+        keep_generations: Some(2),
+        ..SuspendOptions::default()
+    };
+    for (i, n) in SUSPEND_AFTER_JOIN_TICKS.into_iter().enumerate() {
+        let mut exec = match i {
+            0 => QueryExecution::start(populate(dir)?, plan())?,
+            _ => QueryExecution::recover(Database::open_default(dir)?)?
+                .expect("the first suspend committed"),
+        };
+        exec.set_trigger(Some(SuspendTrigger::AfterOpTuples { op: OpId(4), n }));
+        let (delivered, done) = exec.run()?;
+        assert!(!done && delivered.is_empty(), "suspend {i} must land inside the sort's input");
+        let inputs = exec.suspend_problem().inputs;
+        for op in [1, 3, 4] {
+            assert!(inputs[&OpId(op)].heap_bytes > 0, "op {op} must hold in-memory state");
+        }
+        exec.suspend_with(&SuspendPolicy::AllDump, &options)?;
+    }
+    Ok(())
+}

@@ -1,0 +1,88 @@
+//! Suspended queries stored by an older build resume on this one: each
+//! checked-in golden directory (see `tests/golden/mod.rs`) is copied to a
+//! scratch directory, recovered through the cold-start path, and must
+//! deliver exactly what a fresh uninterrupted run of its plan delivers.
+
+mod golden;
+
+use qsr::core::{OpId, Strategy, SuspendedQuery};
+use qsr::exec::{read_manifest, QueryExecution, SUSPEND_MANIFEST};
+use qsr::storage::{Database, TraceEvent, Tracer};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+struct TempDir(PathBuf);
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let p = std::env::temp_dir().join(format!("qsr-golden-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&p);
+        std::fs::create_dir_all(&p).unwrap();
+        TempDir(p)
+    }
+}
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn copy_dir(from: &Path, to: &Path) {
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            std::fs::create_dir_all(&target).unwrap();
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).unwrap();
+        }
+    }
+}
+
+/// The codec version word of a framed structure (after the magic).
+fn version_word(frame: &[u8]) -> u32 {
+    u32::from_le_bytes(frame[4..8].try_into().unwrap())
+}
+
+#[test]
+fn suspend_v3_directory_resumes_to_a_fresh_run() {
+    let dir = TempDir::new("v3");
+    copy_dir(&golden::suspend_v3_dir(), &dir.0);
+    let db = Database::open_default(&dir.0).unwrap();
+
+    // The directory is of the era it claims to be.
+    let manifest = read_manifest(&db).unwrap().expect("a committed manifest");
+    assert_eq!(version_word(&std::fs::read(dir.0.join(SUSPEND_MANIFEST)).unwrap()), 2);
+    assert!(manifest.chain_len >= 1, "the second suspend chains delta dumps");
+    assert_eq!(manifest.retained.len(), 1, "the first generation is retained");
+    assert_eq!(version_word(&db.blobs().get(manifest.query).unwrap()), 3);
+    let sq = SuspendedQuery::load(db.blobs(), manifest.query).unwrap();
+    for op in [1, 3, 4] {
+        let record = &sq.records[&OpId(op)];
+        assert_eq!(record.strategy, Strategy::Dump, "op {op}");
+        assert!(record.heap_dump.is_some(), "op {op} carries a dump");
+    }
+    assert_eq!(sq.records[&OpId(4)].resume_point[0], 5, "hash join parked in its task walk");
+
+    // Every dump is read back: an unreadable one would be replaced by its
+    // GoBack fallback, which reaches the same output without the dump.
+    let tracer = Arc::new(Tracer::new(db.ledger().clone()));
+    tracer.enable_full_capture();
+    db.ledger().set_tracer(&tracer);
+    let mut resumed = QueryExecution::recover(db.clone())
+        .unwrap()
+        .expect("the golden directory holds a committed suspend");
+    let substituted = tracer.take_full().into_iter().any(|r| {
+        matches!(&r.event, TraceEvent::RecoveryStep { step } if step.contains("substituting"))
+    });
+    assert!(!substituted, "every dump must decode on this build");
+    assert_eq!(resumed.tuples_emitted(), 0, "the suspend was taken before any output");
+    let recovered = resumed.run_to_completion().unwrap();
+
+    let fresh = QueryExecution::start(db, golden::plan())
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
+    assert!(fresh.len() > 1000, "the plan must produce a real result");
+    assert_eq!(recovered, fresh);
+}

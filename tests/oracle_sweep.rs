@@ -9,10 +9,7 @@
 //!    pool × writers configuration,
 //! 2. multi-suspend chains (suspend → resume → suspend …) to depth 3,
 //! 3. `QSR_ORACLE_FAULTS` randomized fault schedules (default 32; seeded,
-//!    no wall-clock entropy) striking the suspend or resume phase,
-//! 4. a vectorized batch-mode lane (`batch=` token axis) re-running the
-//!    sweep and chains through `next_batch` against the tuple-mode golden;
-//!    `QSR_ORACLE_FULL=1` widens the batch sizes to {1, 7, 64, 1024}.
+//!    no wall-clock entropy) striking the suspend or resume phase.
 //!
 //! On failure the harness prints a repro line
 //! (`QSR_ORACLE_SEED=… QSR_ORACLE_CASE='…'`), greedily shrinks the
@@ -109,7 +106,6 @@ fn exhaustive_suspend_point_sweep() {
                     case: case.name.to_string(),
                     pool_pages,
                     dump_writers,
-                    batch: 0,
                     mem_budget: 0,
                     merge_fanin: 0,
                     skew: SkewProfile::Default,
@@ -157,7 +153,6 @@ fn multi_suspend_chains_to_depth_three() {
                     case: case.name.to_string(),
                     pool_pages,
                     dump_writers,
-                    batch: 0,
                     mem_budget: 0,
                     merge_fanin: 0,
                     skew: SkewProfile::Default,
@@ -180,64 +175,13 @@ fn multi_suspend_chains_to_depth_three() {
     }
 }
 
-/// Vectorized-execution family: the exhaustive suspend-point sweep again,
-/// but with the interfered run (and every recovery re-execution) driven
-/// through `next_batch` while the golden stays tuple-at-a-time. Batch
-/// sizes are deliberately odd so suspend boundaries land *mid-batch* at
-/// every possible alignment — the contract under test is that operators
-/// fully process any consumed batch and surface the suspend on the next
-/// pull, so delivered output is bit-identical to the scalar path no
-/// matter where inside a batch the request lands.
-#[test]
-fn batch_mode_suspend_point_sweep() {
-    let cfg = config();
-    if cfg.replay.is_some() {
-        return;
-    }
-    let mut oracle = Oracle::new();
-    let batches: &[usize] = if cfg.full { &[1, 7, 64, 1024] } else { &[7, 64] };
-    for case in qsr::workload::cases() {
-        let total = oracle
-            .total_work_units(case.name)
-            .unwrap_or_else(|e| panic!("golden run of {}: {e}", case.name));
-        for &batch in batches {
-            let mut boundary = 1;
-            while boundary <= total {
-                let policy = if boundary % 2 == 0 {
-                    Policy::Optimized
-                } else {
-                    Policy::Dump
-                };
-                let s = Scenario {
-                    case: case.name.to_string(),
-                    pool_pages: 0,
-                    dump_writers: 0,
-                    batch,
-                    mem_budget: 0,
-                    merge_fanin: 0,
-                    skew: SkewProfile::Default,
-                    policy,
-                    quota: None,
-                    backend: Default::default(),
-                    delta: false,
-                    keep: 1,
-                    mode: Mode::Sweep { boundary },
-                };
-                check_or_die(&mut oracle, &s, cfg.seed);
-                boundary += cfg.stride;
-            }
-        }
-    }
-}
-
 /// The sort-over-hybrid-join regression: every boundary (always stride 1)
-/// under all three policies, tuple and batch-48 lanes. Between the sort's
+/// under all three policies. Between the sort's
 /// contract signing and the end of the join's probe phase the hybrid join
 /// has emitted inline partition-0 matches that only a GoBack regenerates;
 /// an Optimized plan pairing `Sort: GoBack` with `HashJoin: Dump` there
 /// resumed with those tuples missing. The bare budget-less hybrid join
-/// rides the same sweep: every suspend point of the partition task walk,
-/// in both lanes of its one shared step.
+/// rides the same sweep: every suspend point of the partition task walk.
 #[test]
 fn sort_over_hybrid_join_every_policy_and_lane() {
     let cfg = config();
@@ -250,60 +194,23 @@ fn sort_over_hybrid_join_every_policy_and_lane() {
             .total_work_units(case)
             .unwrap_or_else(|e| panic!("golden run of {case}: {e}"));
         for policy in [Policy::Dump, Policy::GoBack, Policy::Optimized] {
-            for batch in [0, 48] {
-                for boundary in 1..=total {
-                    let s = Scenario {
-                        case: case.to_string(),
-                        pool_pages: 0,
-                        dump_writers: 0,
-                        batch,
-                        mem_budget: 0,
-                        merge_fanin: 0,
-                        skew: SkewProfile::Default,
-                        policy,
-                        quota: None,
-                        backend: Default::default(),
-                        delta: false,
-                        keep: 1,
-                        mode: Mode::Sweep { boundary },
-                    };
-                    check_or_die(&mut oracle, &s, cfg.seed);
-                }
+            for boundary in 1..=total {
+                let s = Scenario {
+                    case: case.to_string(),
+                    pool_pages: 0,
+                    dump_writers: 0,
+                    mem_budget: 0,
+                    merge_fanin: 0,
+                    skew: SkewProfile::Default,
+                    policy,
+                    quota: None,
+                    backend: Default::default(),
+                    delta: false,
+                    keep: 1,
+                    mode: Mode::Sweep { boundary },
+                };
+                check_or_die(&mut oracle, &s, cfg.seed);
             }
-        }
-    }
-}
-
-/// Batch-mode chains: suspend → resume → suspend with every segment
-/// executing vectorized, so resumed operators are re-driven through
-/// `next_batch` from restored row-oriented state.
-#[test]
-fn batch_mode_multi_suspend_chains() {
-    let cfg = config();
-    if cfg.replay.is_some() {
-        return;
-    }
-    let mut oracle = Oracle::new();
-    for case in qsr::workload::cases() {
-        let total = oracle.total_work_units(case.name).unwrap();
-        let step = (total / 4).max(1);
-        for (batch, boundaries) in [(7, vec![step, step]), (64, vec![step, step, step])] {
-            let s = Scenario {
-                case: case.name.to_string(),
-                pool_pages: 64,
-                dump_writers: 4,
-                batch,
-                mem_budget: 0,
-                merge_fanin: 0,
-                skew: SkewProfile::Default,
-                policy: Policy::Optimized,
-                quota: None,
-                backend: Default::default(),
-                delta: false,
-                keep: 1,
-                mode: Mode::Chain { boundaries },
-            };
-            check_or_die(&mut oracle, &s, cfg.seed);
         }
     }
 }
@@ -339,7 +246,6 @@ fn backend_delta_retention_chains() {
                     case: case.to_string(),
                     pool_pages: 0,
                     dump_writers: 0,
-                    batch: 0,
                     mem_budget: 0,
                     merge_fanin: 0,
                     skew: SkewProfile::Default,
@@ -383,7 +289,6 @@ fn degradation_ladder_quota_sweep() {
                     case: case.name.to_string(),
                     pool_pages: 0,
                     dump_writers: 0,
-                    batch: 0,
                     mem_budget: 0,
                     merge_fanin: 0,
                     skew: SkewProfile::Default,
@@ -423,7 +328,6 @@ fn scripted_nospace_at_every_suspend_write() {
             case: case.to_string(),
             pool_pages: 0,
             dump_writers: 0,
-            batch: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -481,21 +385,14 @@ fn grace_memory_knob_sweep() {
         return;
     }
     let mut oracle = Oracle::new();
-    // The full lane crosses every boundary with the whole pool × writers ×
-    // batch matrix; the quick lane rotates through the matrix across the
+    // The full lane crosses every boundary with the whole pool × writers
+    // matrix; the quick lane rotates through the matrix across the
     // boundary space so each combination still sees every region.
-    let mut combos = Vec::new();
-    for (pool_pages, dump_writers) in CONFIGS {
-        for batch in [0, 48] {
-            combos.push((pool_pages, dump_writers, batch));
-        }
-    }
     for (case, mem_budget, merge_fanin, skew) in GRACE_VARIANTS {
         let probe = Scenario {
             case: case.to_string(),
             pool_pages: 0,
             dump_writers: 0,
-            batch: 0,
             mem_budget,
             merge_fanin,
             skew,
@@ -524,17 +421,16 @@ fn grace_memory_knob_sweep() {
             } else {
                 Policy::Dump
             };
-            let picks: &[(usize, usize, usize)] = if cfg.full {
-                &combos
+            let picks: &[(usize, usize)] = if cfg.full {
+                &CONFIGS
             } else {
-                std::slice::from_ref(&combos[turn % combos.len()])
+                std::slice::from_ref(&CONFIGS[turn % CONFIGS.len()])
             };
-            for &(pool_pages, dump_writers, batch) in picks {
+            for &(pool_pages, dump_writers) in picks {
                 let s = Scenario {
                     case: case.to_string(),
                     pool_pages,
                     dump_writers,
-                    batch,
                     mem_budget,
                     merge_fanin,
                     skew,
@@ -575,12 +471,10 @@ fn grace_knob_fault_schedules() {
         let (pool_pages, dump_writers) = CONFIGS[(next() % CONFIGS.len() as u64) as usize];
         let during_resume = next() % 2 == 1;
         let policy = if next() % 2 == 0 { Policy::Dump } else { Policy::Optimized };
-        let batch = if next() % 2 == 0 { 0 } else { 48 };
         let shape = Scenario {
             case: case.to_string(),
             pool_pages,
             dump_writers,
-            batch,
             mem_budget,
             merge_fanin,
             skew,
@@ -648,7 +542,6 @@ fn randomized_fault_schedules() {
             case: case.name.to_string(),
             pool_pages,
             dump_writers,
-            batch: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
