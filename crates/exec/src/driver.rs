@@ -738,10 +738,12 @@ impl QueryExecution {
         });
 
         // Durability barrier: everything the manifest makes reachable must
-        // be stable before the rename that commits it. This includes the
-        // pages of this execution's run files still dirty in the shared
-        // buffer pool: resume reopens the database with a fresh pool and
-        // reads from disk.
+        // have left this process before the rename that commits it, since
+        // resume reopens the database with a fresh pool and reads from
+        // disk. The blobs are fsynced; so are this execution's run files
+        // with pages still dirty in the shared pool. Run pages written
+        // back before now are in the OS page cache, not fsynced: enough
+        // against a process kill (DESIGN.md §10), not against an OS crash.
         if let Err(e) = self.sync_rung(&sq, blob) {
             // The just-saved `SuspendedQuery` blob is referenced by
             // nothing yet; reclaim it so a failed rung leaks no files.
@@ -782,11 +784,13 @@ impl QueryExecution {
         ))
     }
 
-    /// Flush and fsync everything a rung's manifest would reference: its
-    /// blobs, and the run files this execution wrote since it started or
-    /// resumed (`ExecContext::written_files`). Run files it wrote in an
-    /// earlier segment were synced by the suspend that ended that segment,
-    /// and a neighbouring execution's dirty files are its own business.
+    /// Flush and fsync what a rung's manifest would reference and this
+    /// process may still hold: its blobs, and those run files this
+    /// execution wrote since it started or resumed
+    /// (`ExecContext::written_files`) that have pages dirty in the pool.
+    /// A run file whose pages the pool already wrote back is not fsynced
+    /// — nor is one from an earlier segment — and a neighbouring
+    /// execution's dirty files are its own business.
     fn sync_rung(&self, sq: &SuspendedQuery, blob: BlobId) -> Result<()> {
         let backend = self.db.backend();
         backend.sync_blob(blob)?;

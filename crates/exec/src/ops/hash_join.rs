@@ -1312,8 +1312,8 @@ impl Operator for HashJoin {
 /// Heap-dump image of the in-memory hash table, encoded straight from the
 /// table in sorted key order: one raw little-endian run of the `n` keys,
 /// one raw run of per-key tuple counts, then every tuple flattened into a
-/// single column-major [`TupleBlock`] — no per-pair tags or per-tuple
-/// headers.
+/// single [`TupleBlock`] of their records, written straight from the
+/// table's rows.
 struct TableDump<'a>(Cow<'a, HashMap<i64, Vec<Tuple>>>);
 
 impl Encode for TableDump<'_> {

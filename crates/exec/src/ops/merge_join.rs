@@ -18,6 +18,7 @@ use qsr_core::{
 use qsr_storage::{
     Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple, TupleBlock, TupleSlice,
 };
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 const ST_ADVANCE: u8 = 1;
@@ -37,20 +38,6 @@ struct MjControl {
     rahead: Option<Tuple>,
     l_done: bool,
     r_done: bool,
-}
-
-impl MjControl {
-    /// Machine position ignoring the emission cursors (used as the
-    /// roll-forward stop condition; the cursors are restored directly).
-    fn machine_eq(&self, other: &MjControl) -> bool {
-        self.state == other.state
-            && self.lfill == other.lfill
-            && self.rfill == other.rfill
-            && self.lahead == other.lahead
-            && self.rahead == other.rahead
-            && self.l_done == other.l_done
-            && self.r_done == other.r_done
-    }
 }
 
 impl Encode for MjControl {
@@ -83,6 +70,12 @@ impl Decode for MjControl {
     }
 }
 
+/// A lookahead row with its join key, read once when the row arrives.
+struct Keyed {
+    key: i64,
+    row: Tuple,
+}
+
 /// One machine transition's outcome.
 enum Step {
     /// Keep stepping.
@@ -107,10 +100,12 @@ pub struct MergeJoin {
     state: u8,
     lpacket: Vec<Tuple>,
     rpacket: Vec<Tuple>,
+    /// The join key of every row in `lpacket` (`None` while it is empty).
+    packet_key: Option<i64>,
     li: usize,
     ri: usize,
-    lahead: Option<Tuple>,
-    rahead: Option<Tuple>,
+    lahead: Option<Keyed>,
+    rahead: Option<Keyed>,
     l_done: bool,
     r_done: bool,
     heap_bytes: usize,
@@ -142,6 +137,7 @@ impl MergeJoin {
             state: ST_ADVANCE,
             lpacket: Vec::new(),
             rpacket: Vec::new(),
+            packet_key: None,
             li: 0,
             ri: 0,
             lahead: None,
@@ -169,19 +165,37 @@ impl MergeJoin {
             rfill: self.rpacket.len() as u64,
             li: self.li as u64,
             ri: self.ri as u64,
-            lahead: self.lahead.clone(),
-            rahead: self.rahead.clone(),
+            lahead: self.lahead.as_ref().map(|k| k.row.clone()),
+            rahead: self.rahead.as_ref().map(|k| k.row.clone()),
             l_done: self.l_done,
             r_done: self.r_done,
         }
     }
 
-    fn lkey(&self, t: &Tuple) -> Result<i64> {
-        t.get(self.left_key).as_int()
+    /// True when the machine is where `target` was, emission cursors
+    /// aside (the roll-forward stop condition; the cursors are restored
+    /// directly).
+    fn reached(&self, target: &MjControl) -> bool {
+        fn row(k: &Option<Keyed>) -> Option<&Tuple> {
+            k.as_ref().map(|k| &k.row)
+        }
+        self.state == target.state
+            && self.lpacket.len() as u64 == target.lfill
+            && self.rpacket.len() as u64 == target.rfill
+            && row(&self.lahead) == target.lahead.as_ref()
+            && row(&self.rahead) == target.rahead.as_ref()
+            && self.l_done == target.l_done
+            && self.r_done == target.r_done
     }
 
-    fn rkey(&self, t: &Tuple) -> Result<i64> {
-        t.get(self.right_key).as_int()
+    fn keyed_left(&self, row: Tuple) -> Result<Keyed> {
+        let key = row.get(self.left_key).as_int()?;
+        Ok(Keyed { key, row })
+    }
+
+    fn keyed_right(&self, row: Tuple) -> Result<Keyed> {
+        let key = row.get(self.right_key).as_int()?;
+        Ok(Keyed { key, row })
     }
 
     /// Proactive checkpoint at a packet boundary (both packets empty).
@@ -221,75 +235,42 @@ impl MergeJoin {
                 // Lazily (re)fill the lookaheads — this also covers the
                 // very first call and re-entry after a mid-pull suspension.
                 if self.lahead.is_none() && !self.l_done {
-                    match self.left.next(ctx)? {
-                        Poll::Tuple(t) => {
-                            self.lahead = Some(t);
-                            ctx.tick(self.op);
-                        }
-                        Poll::Done => self.l_done = true,
-                        Poll::Suspended => return Ok(Step::Suspended),
-                    }
-                    return Ok(Step::Continue);
+                    return self.pull_left(ctx);
                 }
                 if self.rahead.is_none() && !self.r_done {
-                    match self.right.next(ctx)? {
-                        Poll::Tuple(t) => {
-                            self.rahead = Some(t);
-                            ctx.tick(self.op);
-                        }
-                        Poll::Done => self.r_done = true,
-                        Poll::Suspended => return Ok(Step::Suspended),
-                    }
-                    return Ok(Step::Continue);
+                    return self.pull_right(ctx);
                 }
-                let (Some(l), Some(r)) = (self.lahead.clone(), self.rahead.clone()) else {
+                let (Some(l), Some(r)) = (&self.lahead, &self.rahead) else {
                     self.state = ST_DONE;
                     return Ok(Step::Finished);
                 };
-                let lk = self.lkey(&l)?;
-                let rk = self.rkey(&r)?;
-                if lk < rk {
-                    self.lahead = None; // discarded: no right match
-                } else if lk > rk {
-                    self.rahead = None;
-                } else {
-                    self.state = ST_BUILD_LEFT;
+                match l.key.cmp(&r.key) {
+                    Ordering::Less => self.lahead = None, // discarded: no right match
+                    Ordering::Greater => self.rahead = None,
+                    Ordering::Equal => self.state = ST_BUILD_LEFT,
                 }
                 Ok(Step::Continue)
             }
             ST_BUILD_LEFT => {
-                if let Some(t) = self.lahead.clone() {
-                    let key = if self.lpacket.is_empty() {
-                        self.lkey(&t)?
-                    } else {
-                        self.lkey(&self.lpacket[0])?
-                    };
-                    if self.lkey(&t)? == key {
-                        self.lahead = None;
-                        self.heap_bytes += t.heap_bytes();
-                        self.lpacket.push(t);
-                    } else {
-                        self.state = ST_BUILD_RIGHT;
-                    }
-                } else if self.l_done {
+                let packet_key = self.packet_key;
+                if let Some(l) = self.lahead.take_if(|l| packet_key.is_none_or(|k| k == l.key)) {
+                    self.packet_key = Some(l.key);
+                    self.heap_bytes += l.row.heap_bytes();
+                    self.lpacket.push(l.row);
+                } else if self.lahead.is_some() || self.l_done {
                     self.state = ST_BUILD_RIGHT;
                 } else {
-                    match self.left.next(ctx)? {
-                        Poll::Tuple(t) => {
-                            self.lahead = Some(t);
-                            ctx.tick(self.op);
-                        }
-                        Poll::Done => self.l_done = true,
-                        Poll::Suspended => return Ok(Step::Suspended),
-                    }
+                    return self.pull_left(ctx);
                 }
                 Ok(Step::Continue)
             }
             ST_BUILD_RIGHT => {
-                let key = self.lkey(&self.lpacket[0])?;
-                if let Some(r) = self.rahead.clone() {
-                    if self.rkey(&r)? == key {
-                        self.rahead = None;
+                let key = self.packet_key.ok_or_else(|| {
+                    StorageError::corrupt("merge join builds a right packet without a left one")
+                })?;
+                if let Some(r) = &self.rahead {
+                    if r.key == key {
+                        let r = self.rahead.take().expect("checked above").row;
                         self.heap_bytes += r.heap_bytes();
                         self.rpacket.push(r);
                     } else if self.rpacket.is_empty() {
@@ -309,14 +290,7 @@ impl MergeJoin {
                         self.state = ST_EMIT;
                     }
                 } else {
-                    match self.right.next(ctx)? {
-                        Poll::Tuple(t) => {
-                            self.rahead = Some(t);
-                            ctx.tick(self.op);
-                        }
-                        Poll::Done => self.r_done = true,
-                        Poll::Suspended => return Ok(Step::Suspended),
-                    }
+                    return self.pull_right(ctx);
                 }
                 Ok(Step::Continue)
             }
@@ -339,9 +313,36 @@ impl MergeJoin {
         }
     }
 
+    /// Pull the left child's next row into the (empty) left lookahead.
+    fn pull_left(&mut self, ctx: &mut ExecContext) -> Result<Step> {
+        match self.left.next(ctx)? {
+            Poll::Tuple(t) => {
+                self.lahead = Some(self.keyed_left(t)?);
+                ctx.tick(self.op);
+            }
+            Poll::Done => self.l_done = true,
+            Poll::Suspended => return Ok(Step::Suspended),
+        }
+        Ok(Step::Continue)
+    }
+
+    /// Pull the right child's next row into the (empty) right lookahead.
+    fn pull_right(&mut self, ctx: &mut ExecContext) -> Result<Step> {
+        match self.right.next(ctx)? {
+            Poll::Tuple(t) => {
+                self.rahead = Some(self.keyed_right(t)?);
+                ctx.tick(self.op);
+            }
+            Poll::Done => self.r_done = true,
+            Poll::Suspended => return Ok(Step::Suspended),
+        }
+        Ok(Step::Continue)
+    }
+
     fn discard_packets(&mut self, ctx: &mut ExecContext, replay: bool) -> Result<()> {
         self.lpacket.clear();
         self.rpacket.clear();
+        self.packet_key = None;
         self.heap_bytes = 0;
         self.li = 0;
         self.ri = 0;
@@ -352,14 +353,15 @@ impl MergeJoin {
         Ok(())
     }
 
-    fn restore_control(&mut self, c: &MjControl) {
+    fn restore_control(&mut self, c: &MjControl) -> Result<()> {
         self.state = c.state;
         self.li = c.li as usize;
         self.ri = c.ri as usize;
-        self.lahead = c.lahead.clone();
-        self.rahead = c.rahead.clone();
+        self.lahead = c.lahead.clone().map(|t| self.keyed_left(t)).transpose()?;
+        self.rahead = c.rahead.clone().map(|t| self.keyed_right(t)).transpose()?;
         self.l_done = c.l_done;
         self.r_done = c.r_done;
+        Ok(())
     }
 }
 
@@ -530,6 +532,7 @@ impl Operator for MergeJoin {
         let target = MjControl::decode_from_slice(&rec.resume_point)?;
         self.lpacket.clear();
         self.rpacket.clear();
+        self.packet_key = None;
         self.heap_bytes = 0;
         match (&rec.strategy, &rec.heap_dump) {
             (Strategy::Dump, Some(blob)) => {
@@ -537,12 +540,16 @@ impl Operator for MergeJoin {
                 for t in left.iter().chain(right.iter()) {
                     self.heap_bytes += t.heap_bytes();
                 }
+                self.packet_key = match left.first() {
+                    Some(t) => Some(t.get(self.left_key).as_int()?),
+                    None => None,
+                };
                 self.lpacket = left;
                 self.rpacket = right;
-                self.restore_control(&target);
+                self.restore_control(&target)?;
             }
             (Strategy::Dump, None) => {
-                self.restore_control(&target);
+                self.restore_control(&target)?;
             }
             (Strategy::GoBack { .. }, _) => {
                 // Replay the deterministic machine from the checkpoint
@@ -568,7 +575,7 @@ impl Operator for MergeJoin {
                 // starts from the machine's reset state with children
                 // repositioned to the checkpoint contracts. The aheads at
                 // the checkpoint travel in the record's `aux` field.
-                self.restore_control(&ck_control);
+                self.restore_control(&ck_control)?;
                 // Re-pull aheads: at a packet-boundary checkpoint the
                 // aheads were the first tuples of the upcoming packets;
                 // the children contracts were signed *after* those tuples
@@ -576,10 +583,10 @@ impl Operator for MergeJoin {
                 // control which travels as `aux`.
                 if !rec.aux.is_empty() {
                     let ck = MjControl::decode_from_slice(&rec.aux)?;
-                    self.restore_control(&ck);
+                    self.restore_control(&ck)?;
                 }
                 loop {
-                    if self.control().machine_eq(&target) {
+                    if self.reached(&target) {
                         break;
                     }
                     match self.step(ctx, true)? {
@@ -619,8 +626,8 @@ impl Operator for MergeJoin {
         OpSuspendInputs {
             heap_bytes: self.heap_bytes,
             control_bytes: 64
-                + self.lahead.as_ref().map(Tuple::heap_bytes).unwrap_or(0)
-                + self.rahead.as_ref().map(Tuple::heap_bytes).unwrap_or(0),
+                + self.lahead.as_ref().map_or(0, |k| k.row.heap_bytes())
+                + self.rahead.as_ref().map_or(0, |k| k.row.heap_bytes()),
             ..Default::default()
         }
     }
@@ -638,8 +645,8 @@ impl Operator for MergeJoin {
     }
 }
 
-/// Heap-dump payload: both value packets, each stored as a column-major
-/// [`TupleBlock`] (raw value runs, no per-tuple headers).
+/// Heap-dump payload: both value packets, each stored as a
+/// [`TupleBlock`] of the rows' records.
 struct PacketDump {
     left: Vec<Tuple>,
     right: Vec<Tuple>,

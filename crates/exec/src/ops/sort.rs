@@ -30,8 +30,8 @@ use qsr_core::{
     SuspendPlan, SuspendedQuery,
 };
 use qsr_storage::{
-    Decode, Decoder, Encode, Encoder, Result, RunHandle, RunReader, RunWriter, Schema,
-    StorageError, Tuple, TupleAddr, TupleBlock, TupleSlice,
+    Decode, Decoder, Encode, Encoder, Result, RowBuffer, RunHandle, RunReader, RunWriter, Schema,
+    StorageError, Tuple, TupleAddr,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -104,8 +104,9 @@ pub struct ExternalSort {
     schema: Schema,
 
     phase: u8,
-    buf: Vec<Tuple>,
-    heap_bytes: usize,
+    /// Phase-1 sort buffer: the rows read since the last sublist, as one
+    /// block of records — also its own dump image.
+    buf: RowBuffer,
     runs: Vec<RunHandle>,
     child_done: bool,
 
@@ -145,8 +146,7 @@ impl ExternalSort {
             merge_fanin: 0,
             schema,
             phase: PHASE_BUILD,
-            buf: Vec::new(),
-            heap_bytes: 0,
+            buf: RowBuffer::new(),
             runs: Vec::new(),
             child_done: false,
             readers: Vec::new(),
@@ -202,21 +202,22 @@ impl ExternalSort {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let mut keyed: Vec<(i64, Tuple)> = Vec::with_capacity(self.buf.len());
-        for t in self.buf.drain(..) {
-            let k = t.get(self.key).as_int()?;
-            keyed.push((k, t));
-        }
-        keyed.sort_by_key(|(k, _)| *k);
+        // `(key, position)` pairs are distinct, so any sort of them yields
+        // the order a stable sort on the key gives: equal keys in the
+        // order they were read in.
+        let mut order = (0..self.buf.len())
+            .map(|i| Ok((self.buf.get(i, self.key).as_int()?, i)))
+            .collect::<Result<Vec<_>>>()?;
+        order.sort_unstable();
         let mut w = ctx.create_run()?;
-        for (_, t) in &keyed {
-            w.append(t)?;
+        for &(_, i) in &order {
+            w.append_record(self.buf.record(i))?;
         }
         let handle = w.finish()?;
         let pages = ctx.db.pool().num_pages(handle.file)?;
         ctx.note_page_writes(self.op, pages);
         self.runs.push(handle);
-        self.heap_bytes = 0;
+        self.buf.clear();
         Ok(())
     }
 
@@ -513,8 +514,7 @@ impl Operator for ExternalSort {
                 }
                 match self.child.next(ctx)? {
                     Poll::Tuple(t) => {
-                        self.heap_bytes += t.heap_bytes();
-                        self.buf.push(t);
+                        self.buf.push(&t);
                         ctx.tick(self.op);
                     }
                     Poll::Done => self.child_done = true,
@@ -536,7 +536,7 @@ impl Operator for ExternalSort {
 
     fn close(&mut self, ctx: &mut ExecContext) -> Result<()> {
         self.child.close(ctx)?;
-        self.buf.clear();
+        self.buf = RowBuffer::new();
         self.readers.clear();
         self.merge_heap.clear();
         Ok(())
@@ -668,7 +668,7 @@ impl Operator for ExternalSort {
 
         let heap_dump = match strategy {
             Strategy::Dump if self.phase == PHASE_BUILD && !self.buf.is_empty() => {
-                Some(ctx.put_dump_value(self.op, &TupleSlice(&self.buf))?)
+                Some(ctx.put_dump_value(self.op, &self.buf)?)
             }
             _ => None,
         };
@@ -694,7 +694,6 @@ impl Operator for ExternalSort {
         self.child_done = control.child_done;
         self.phase = control.phase;
         self.buf.clear();
-        self.heap_bytes = 0;
         self.readers.clear();
         self.heads.clear();
         self.head_addrs.clear();
@@ -708,19 +707,18 @@ impl Operator for ExternalSort {
         if control.phase == PHASE_BUILD {
             match (&rec.strategy, &rec.heap_dump) {
                 (Strategy::Dump, Some(blob)) => {
-                    let TupleBlock(tuples) = ctx.get_dump_value_for(self.op, *blob)?;
-                    for t in &tuples {
-                        self.heap_bytes += t.heap_bytes();
-                    }
-                    self.buf = tuples;
+                    self.buf = ctx.get_dump_value_for(self.op, *blob)?;
                 }
                 (Strategy::Dump, None) => { /* empty buffer at suspend */ }
                 (Strategy::GoBack { .. }, _) => {
-                    for _ in 0..control.fill {
+                    for i in 0..control.fill {
                         match self.child.next(ctx)? {
                             Poll::Tuple(t) => {
-                                self.heap_bytes += t.heap_bytes();
-                                self.buf.push(t);
+                                self.buf.push(&t);
+                                if i == 0 {
+                                    // The first row sizes the rest.
+                                    self.buf.reserve(control.fill as usize - 1);
+                                }
                             }
                             Poll::Done => {
                                 return Err(StorageError::corrupt(
@@ -777,7 +775,7 @@ impl Operator for ExternalSort {
 
     fn suspend_inputs(&self) -> OpSuspendInputs {
         OpSuspendInputs {
-            heap_bytes: self.heap_bytes,
+            heap_bytes: self.buf.heap_bytes(),
             control_bytes: 32
                 + 18
                     * (self.runs.len() + self.pass_out.len() + self.group.len())

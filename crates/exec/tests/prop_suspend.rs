@@ -9,7 +9,8 @@ mod common;
 use common::*;
 use proptest::prelude::*;
 use qsr_core::SuspendPolicy;
-use qsr_exec::PlanSpec;
+use qsr_exec::{PlanSpec, QueryExecution};
+use qsr_storage::{Column, DataType, Database, Encode, RunWriter, Schema, Tuple, Value};
 
 fn nlj_spec() -> PlanSpec {
     PlanSpec::BlockNlj {
@@ -87,5 +88,65 @@ proptest! {
     ) {
         let (_d, db) = test_db("prop-hj");
         check_suspend_resume(&db, &hj_spec(hybrid), after(0, n), &policy_from(pol, bf));
+    }
+}
+
+/// The bytes of page file `file` in the database directory `dir`.
+fn file_bytes(dir: &std::path::Path, file: qsr_storage::FileId) -> Vec<u8> {
+    std::fs::read(dir.join(format!("f{}.qsr", file.0))).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
+
+    /// The external sort against a stable sort of `Tuple`s, on keys drawn
+    /// from a small range so most are duplicates: the output is the
+    /// stable order record for record, and every sublist it seals holds
+    /// the bytes a run writer produces from that chunk of the input
+    /// stable-sorted — what sorting owned rows and appending them wrote.
+    #[test]
+    fn prop_sort_matches_a_stable_sort_of_tuples(
+        keys in proptest::collection::vec(0i64..6, 1..160),
+        buffer in 1usize..24,
+    ) {
+        let dir = TempDir::new("prop-sort");
+        let db = Database::open_default(&dir.0).unwrap();
+        let schema = Schema::new(vec![
+            Column::new("p.key", DataType::Int),
+            Column::new("p.id", DataType::Int),
+            Column::new("p.name", DataType::Str),
+        ]);
+        let rows: Vec<Tuple> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| Tuple::new(vec![Value::Int(k), Value::Int(i as i64), Value::Str(format!("n{i}"))]))
+            .collect();
+        create_table(&db, "p", schema, &rows);
+        let spec = PlanSpec::Sort { input: Box::new(scan("p")), key: 0, buffer_tuples: buffer };
+        let stable = |rows: &[Tuple]| {
+            let mut rows = rows.to_vec();
+            rows.sort_by_key(|t| t.get(0).as_int().unwrap());
+            rows.iter().map(Encode::encode_to_vec).collect::<Vec<_>>()
+        };
+
+        let out = run_baseline(&db, &spec);
+        prop_assert_eq!(out.iter().map(Encode::encode_to_vec).collect::<Vec<_>>(), stable(&rows));
+
+        // Park once the scan (op 1) has delivered every row: the sublists
+        // sealed so far are on disk, in the order they were written.
+        let mut exec = QueryExecution::start(db.clone(), spec).unwrap();
+        exec.set_trigger(Some(after(1, rows.len() as u64)));
+        let (prefix, done) = exec.run().unwrap();
+        prop_assert!(prefix.is_empty() && !done);
+        let parked = exec.suspend(&SuspendPolicy::AllDump).unwrap();
+        prop_assert_eq!(parked.spill_files.len(), (rows.len() - 1) / buffer);
+        for (chunk, &file) in rows.chunks(buffer).zip(&parked.spill_files) {
+            let mut w = RunWriter::create(db.pool().clone()).unwrap();
+            let mut sorted = chunk.to_vec();
+            sorted.sort_by_key(|t| t.get(0).as_int().unwrap());
+            sorted.iter().for_each(|t| w.append(t).unwrap());
+            let expected = w.finish().unwrap().file;
+            prop_assert_eq!(file_bytes(&dir.0, file), file_bytes(&dir.0, expected));
+        }
     }
 }

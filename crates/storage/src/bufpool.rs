@@ -47,9 +47,13 @@
 //! dirty frames of a file are always written back in ascending page
 //! order; evicting a dirty frame first flushes every lower-numbered dirty
 //! frame of the same file. [`BufferPool::sync_file`] flushes all dirty
-//! frames of the file before fsyncing, so the suspend commit protocol's
-//! "everything durable before the manifest rename" invariant holds
-//! whether or not pages were cached.
+//! frames of the file before fsyncing, so a file the suspend commit
+//! protocol syncs is durable whether or not its pages were cached. The
+//! protocol syncs blobs and the run files it finds in
+//! [`BufferPool::dirty_files`]; a run page written back earlier (by an
+//! eviction, or through a capacity-0 pool) has reached the OS but is not
+//! fsynced, which survives a process kill and not an OS crash
+//! (`DESIGN.md` §10).
 
 use crate::disk::{DiskManager, FileId};
 use crate::error::{Result, StorageError};

@@ -127,6 +127,8 @@ pub struct DiskManager {
     /// Bytes currently held by page files (sidecars are exempt: they are
     /// tiny, bounded in number, and the commit protocol depends on them).
     used_bytes: AtomicU64,
+    /// Page files fsynced through [`Self::sync_file`].
+    file_syncs: AtomicU64,
 }
 
 impl DiskManager {
@@ -168,6 +170,7 @@ impl DiskManager {
             fault: Mutex::new(None),
             quota: Mutex::new(None),
             used_bytes: AtomicU64::new(used),
+            file_syncs: AtomicU64::new(0),
         })
     }
 
@@ -485,7 +488,14 @@ impl DiskManager {
             fi.check_alive()?;
         }
         self.file_handle(id)?.file.sync_all()?;
+        self.file_syncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Page files fsynced so far by [`Self::sync_file`] — blobs and run
+    /// files alike; the sidecar commit's own fsyncs are not counted.
+    pub fn file_syncs(&self) -> u64 {
+        self.file_syncs.load(Ordering::Relaxed)
     }
 
     /// Truncate file `id` down to `pages` pages, discarding anything past

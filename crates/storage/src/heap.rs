@@ -136,7 +136,14 @@ impl HeapFile {
     /// Append a tuple; may flush a full page. The tuple's record is copied
     /// straight into the tail page's buffer, behind its length prefix.
     pub fn append(&mut self, tuple: &Tuple) -> Result<()> {
-        let record = tuple.record();
+        self.append_record(tuple.record())
+    }
+
+    /// Append one row given as its codec record (the bytes a [`Tuple`]
+    /// holds, e.g. a [`RowBuffer`](crate::RowBuffer) row); may flush a
+    /// full page. The bytes are stored as they are: a malformed record is
+    /// refused where every row is checked, when it is read back.
+    pub fn append_record(&mut self, record: &[u8]) -> Result<()> {
         let len = record.len();
         if PAGE_HEADER + 4 + len > PAGE_SIZE {
             return Err(StorageError::invalid(format!(

@@ -59,7 +59,7 @@ pub use bufpool::BufferPool;
 pub use catalog::{Catalog, TableInfo};
 pub use checksum::{checksum, fnv1a, verify_checksum};
 pub use codec::{Decode, Decoder, Encode, Encoder};
-pub use colblock::{TupleBlock, TupleSlice};
+pub use colblock::{RowBuffer, TupleBlock, TupleSlice};
 pub use cost::{CacheStats, CostLedger, CostModel, CostSnapshot, Phase, PhaseCost};
 pub use db::Database;
 pub use delta::{is_delta_frame, DeltaDump, COMPACT_CHAIN_LEN, DELTA_MAGIC, DELTA_VERSION};

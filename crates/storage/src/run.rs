@@ -84,7 +84,13 @@ impl RunWriter {
 
     /// Append one tuple.
     pub fn append(&mut self, tuple: &Tuple) -> Result<()> {
-        self.heap.append(tuple)
+        self.append_record(tuple.record())
+    }
+
+    /// Append one row given as its codec record (see
+    /// [`HeapFile::append_record`]).
+    pub fn append_record(&mut self, record: &[u8]) -> Result<()> {
+        self.heap.append_record(record)
     }
 
     /// Number of tuples appended so far.

@@ -96,11 +96,66 @@ fn record_len(bytes: &[u8]) -> Option<usize> {
     Some(bytes.len() - rest.len())
 }
 
+/// Check the record at the front of `dec` and consume it: the door every
+/// row read back from a dump passes, naming the fault in the codec's
+/// typed `Corrupt` error when there is one.
+pub(crate) fn take_record<'a>(dec: &mut Decoder<'a>) -> Result<&'a [u8]> {
+    match record_len(dec.rest()) {
+        Some(len) => dec.get_raw(len),
+        None => Err(malformed(dec)),
+    }
+}
+
+/// Arity in the header of a checked record.
+#[inline]
+fn arity_of(rec: &[u8]) -> usize {
+    let header: [u8; HEADER] = rec[..HEADER].try_into().expect("record has a header");
+    u32::from_le_bytes(header) as usize
+}
+
 /// The encoded fields of a record, one slice (tag and payload) each.
 #[derive(Clone)]
-pub(crate) struct Fields<'a> {
+struct Fields<'a> {
     rest: &'a [u8],
     left: usize,
+}
+
+/// Every encoded field of the checked record `rec`, in order.
+#[inline]
+fn fields_of(rec: &[u8]) -> Fields<'_> {
+    Fields {
+        rest: &rec[HEADER..],
+        left: arity_of(rec),
+    }
+}
+
+/// The encoded field (tag and payload) at `idx` in the checked record
+/// `rec`. Panics if there is none.
+#[inline]
+fn record_field(rec: &[u8], idx: usize) -> &[u8] {
+    fields_of(rec)
+        .nth(idx)
+        .unwrap_or_else(|| panic!("field {idx} of a tuple of arity {}", arity_of(rec)))
+}
+
+/// The value at `idx` in the checked record `rec`. Panics if there is
+/// none.
+#[inline]
+pub(crate) fn record_get(rec: &[u8], idx: usize) -> ValueRef<'_> {
+    read_field(record_field(rec, idx))
+}
+
+/// Approximate in-memory footprint of the row the checked record `rec`
+/// holds, in bytes: what the suspend-plan optimizer is told a buffered
+/// row costs. Every `heap_bytes` of a row is this one formula.
+pub(crate) fn record_heap_bytes(rec: &[u8]) -> usize {
+    // [`ValueRef::heap_bytes`] of each field, off the tags: the payload
+    // of a scalar, the bytes of a string plus 8.
+    let field = |f: &[u8]| match f[0] {
+        TAG_STR => f.len() - 5 + 8,
+        _ => f.len() - 1,
+    };
+    16 + fields_of(rec).map(field).sum::<usize>()
 }
 
 impl<'a> Iterator for Fields<'a> {
@@ -204,34 +259,20 @@ impl Tuple {
 
     /// Every encoded field in order.
     #[inline]
-    pub(crate) fn fields(&self) -> Fields<'_> {
-        Fields {
-            rest: &self.rec[HEADER..],
-            left: self.arity(),
-        }
-    }
-
-    /// The encoded field (tag and payload) at `idx`. Panics if there is
-    /// none.
-    #[inline]
-    pub(crate) fn field(&self, idx: usize) -> &[u8] {
-        let arity = self.arity();
-        self.fields()
-            .nth(idx)
-            .unwrap_or_else(|| panic!("field {idx} of a tuple of arity {arity}"))
+    fn fields(&self) -> Fields<'_> {
+        fields_of(&self.rec)
     }
 
     /// Number of fields.
     #[inline]
     pub fn arity(&self) -> usize {
-        let header: [u8; HEADER] = self.rec[..HEADER].try_into().expect("record has a header");
-        u32::from_le_bytes(header) as usize
+        arity_of(&self.rec)
     }
 
     /// Field at `idx`. Panics if there is none.
     #[inline]
     pub fn get(&self, idx: usize) -> ValueRef<'_> {
-        read_field(self.field(idx))
+        record_get(&self.rec, idx)
     }
 
     /// All fields in order.
@@ -250,7 +291,7 @@ impl Tuple {
 
     /// Project onto the given field indices, in order.
     pub fn project(&self, indices: &[usize]) -> Tuple {
-        let picked = indices.iter().map(|&i| self.field(i));
+        let picked = indices.iter().map(|&i| record_field(&self.rec, i));
         let body = picked.clone().map(<[u8]>::len).sum();
         Self::build(indices.len(), body, |w| picked.for_each(|f| w.put(f)))
     }
@@ -258,13 +299,7 @@ impl Tuple {
     /// Approximate in-memory footprint in bytes (for heap-state sizing
     /// reported to the suspend-plan optimizer).
     pub fn heap_bytes(&self) -> usize {
-        // [`ValueRef::heap_bytes`] of each field, off the tags: the
-        // payload of a scalar, the bytes of a string plus 8.
-        let field = |f: &[u8]| match f[0] {
-            TAG_STR => f.len() - 5 + 8,
-            _ => f.len() - 1,
-        };
-        16 + self.fields().map(field).sum::<usize>()
+        record_heap_bytes(&self.rec)
     }
 }
 
@@ -332,12 +367,9 @@ impl Decode for Tuple {
     /// Check one record off `dec` and copy it: this is where a row's
     /// bytes are validated, and the one allocation of a decode.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        match record_len(dec.rest()) {
-            Some(len) => Ok(Tuple {
-                rec: Arc::from(dec.get_raw(len)?),
-            }),
-            None => Err(malformed(dec)),
-        }
+        Ok(Tuple {
+            rec: Arc::from(take_record(dec)?),
+        })
     }
 }
 

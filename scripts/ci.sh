@@ -24,6 +24,21 @@ if [ "$legacy_calls" != "crates/storage/src/checksum.rs 2" ]; then
     exit 1
 fi
 
+# Structural guard: dump blocks are written as row records only; the
+# column-major format of earlier builds is read, never written (DESIGN.md
+# §16). Outside `#[cfg(test)]` tails and comments, `crates/*/src` may
+# name `FORMAT_COLUMNAR` exactly twice, both in colblock.rs: its
+# definition and the decoder's format check. Any other hit — a write path
+# emitting columnar blocks again — fails the run.
+columnar_uses="$(grep -rl 'FORMAT_COLUMNAR' crates/*/src | while read -r f; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -v '^ *//' | grep -c 'FORMAT_COLUMNAR' | sed "s|^|$f |"
+done | grep -v ' 0$' || true)"
+if [ "$columnar_uses" != "crates/storage/src/colblock.rs 2" ]; then
+    printf 'FORMAT_COLUMNAR outside the block decoder (file, hits before its test tail):\n%s\n' \
+        "$columnar_uses" >&2
+    exit 1
+fi
+
 # Structural guard: rows are raw bytes read through safe code only, and
 # nothing else in the engine needs `unsafe` either — every library and
 # binary root under crates/ forbids it.

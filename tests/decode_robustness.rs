@@ -1,5 +1,6 @@
 //! Decoder robustness: everything a resumed process reads back from disk
-//! or from a remote endpoint — tuple blocks, tuples, the `SuspendedQuery`,
+//! or from a remote endpoint — tuple blocks, row buffers, tuples, the
+//! `SuspendedQuery`,
 //! the suspend manifest, delta frames — turns arbitrary bytes into `Ok` or
 //! a typed `Err`. Never a panic, and never an allocation sized by a count
 //! the input merely claims: a decode may allocate in proportion to the
@@ -16,8 +17,8 @@ use qsr::exec::SuspendManifest;
 use qsr::server::SessionMeta;
 use qsr::storage::{
     checksum, fnv1a, BlobId, BlobStore, BufferPool, CostLedger, Decode, DeltaDump, DiskManager,
-    Encode, Encoder, FileId, HeapFile, StorageError, Tuple, TupleBlock, Value, DELTA_MAGIC,
-    DELTA_VERSION, PAGE_SIZE,
+    Encode, Encoder, FileId, HeapFile, RowBuffer, StorageError, Tuple, TupleBlock, Value,
+    DELTA_MAGIC, DELTA_VERSION, PAGE_SIZE,
 };
 use std::sync::Arc;
 
@@ -45,6 +46,7 @@ fn decode_all(bytes: &[u8]) {
         );
     }
     one("TupleBlock", bytes, TupleBlock::decode_from_slice);
+    one("RowBuffer", bytes, RowBuffer::decode_from_slice);
     one("Tuple", bytes, Tuple::decode_from_slice);
     one("SuspendedQuery", bytes, SuspendedQuery::decode_from_slice);
     one("SuspendManifest", bytes, SuspendManifest::decode_from_slice);
@@ -55,13 +57,39 @@ fn blob(n: u64) -> BlobId {
     BlobId { file: FileId(n), len: 4096 * n, checksum: n.wrapping_mul(0x9E37_79B9_7F4A_7C15) }
 }
 
+/// Row `i` of the blocks below: one column of each type.
+fn row(i: i64) -> Tuple {
+    let name = Value::Str(format!("r{i}"));
+    Tuple::new(vec![Value::Int(i), Value::Float(i as f64 / 4.0), name, Value::Bool(i % 2 == 0)])
+}
+
+/// Rows `0..n` as the column-major block earlier builds wrote (format
+/// byte 0, rows, columns, then one tagged raw run per column), built by
+/// hand: no write path of this build emits the format any more.
+fn columnar_block(n: i64) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_u8(0);
+    enc.put_u32(n as u32);
+    enc.put_u32(4);
+    enc.put_u8(0);
+    (0..n).for_each(|i| enc.put_i64(i));
+    enc.put_u8(1);
+    (0..n).for_each(|i| enc.put_f64(i as f64 / 4.0));
+    enc.put_u8(3);
+    let names: Vec<String> = (0..n).map(|i| format!("r{i}")).collect();
+    names.iter().for_each(|s| enc.put_u32(s.len() as u32));
+    enc.put_bytes(names.concat().as_bytes());
+    enc.put_u8(2);
+    (0..n).for_each(|i| enc.put_u8(u8::from(i % 2 == 0)));
+    let bytes = enc.finish();
+    let rows: Vec<Tuple> = (0..n).map(row).collect();
+    assert_eq!(TupleBlock::decode_from_slice(&bytes).unwrap().0, rows);
+    bytes
+}
+
 /// One valid encoding per decoder and per wire shape (columnar and
 /// row-major blocks, v1 and v2 manifests, v2 and v3 suspended queries).
 fn valid_encodings() -> Vec<Vec<u8>> {
-    let row = |i: i64| {
-        let name = Value::Str(format!("r{i}"));
-        Tuple::new(vec![Value::Int(i), Value::Float(i as f64 / 4.0), name, Value::Bool(i % 2 == 0)])
-    };
     let ragged = vec![row(1), Tuple::new(vec![Value::Int(7)])];
     let record = OpSuspendRecord {
         op: OpId(1),
@@ -87,6 +115,7 @@ fn valid_encodings() -> Vec<Vec<u8>> {
     manifest.retained = vec![(3, blob(6))];
     let delta = DeltaDump::diff(&[0u8; 100], blob(7), &[1u8; 90]).expect("the states differ");
     vec![
+        columnar_block(3),
         TupleBlock((0..3).map(row).collect()).encode_to_vec(),
         TupleBlock(ragged).encode_to_vec(),
         row(5).encode_to_vec(),
@@ -147,6 +176,51 @@ fn forged_delta_chunk_count_is_rejected_before_allocating() {
     decode_all(&frame);
     let decoded = DeltaDump::decode_from_bytes(&frame);
     assert!(matches!(decoded, Err(StorageError::Corrupt(_))), "got {decoded:?}");
+}
+
+/// The sort buffer's dump image is decoded straight into a `RowBuffer`,
+/// whose every record is checked before it enters — the walk and the
+/// typed errors of `Tuple::decode`. Truncation anywhere and trailing bytes
+/// are `Corrupt`. A single flipped bit either still spells a valid block
+/// (a bit of an integer or float payload: catching that is the blob
+/// checksum's job, not the block's), and then the buffer holds exactly
+/// the rows the row-by-row decoder reads, or it is rejected with the
+/// same typed error that decoder gives. Blocks of both formats.
+#[test]
+fn row_buffer_decode_rejects_truncation_trailing_bytes_and_bit_flips() {
+    let rows: Vec<Tuple> = (0..3).map(row).collect();
+    let buffer: RowBuffer = rows.iter().collect();
+    let wire = buffer.encode_to_vec();
+    assert_eq!(wire, TupleBlock(rows.clone()).encode_to_vec());
+    for wire in [wire, columnar_block(3)] {
+        assert_eq!(RowBuffer::decode_from_slice(&wire).unwrap(), buffer);
+        for cut in 0..wire.len() {
+            let got = RowBuffer::decode_from_slice(&wire[..cut]);
+            assert!(matches!(got, Err(StorageError::Corrupt(_))), "cut at {cut}: {got:?}");
+        }
+        let mut trailing = wire.clone();
+        trailing.push(0);
+        match RowBuffer::decode_from_slice(&trailing) {
+            Err(StorageError::Corrupt(m)) => assert_eq!(m, "1 trailing bytes after decode"),
+            other => panic!("trailing byte: {other:?}"),
+        }
+        let mut rejected = 0;
+        for bit in 0..wire.len() * 8 {
+            let mut bad = wire.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            match (RowBuffer::decode_from_slice(&bad), TupleBlock::decode_from_slice(&bad)) {
+                (Ok(buf), Ok(TupleBlock(rows))) => {
+                    assert_eq!(buf, rows.iter().collect::<RowBuffer>(), "bit {bit}");
+                }
+                (Err(StorageError::Corrupt(got)), Err(StorageError::Corrupt(want))) => {
+                    assert_eq!(got, want, "bit {bit}");
+                    rejected += 1;
+                }
+                (got, want) => panic!("bit {bit}: row buffer {got:?}, tuple block {want:?}"),
+            }
+        }
+        assert!(rejected > 0);
+    }
 }
 
 /// Malformed row records, one per way a record can be wrong. A row is

@@ -1080,26 +1080,27 @@ fn delta_chain_commit_fault_matrix_keeps_exactly_one_chain() {
 }
 
 /// Crash / torn at every write ordinal of the compaction fold: after
-/// five committed generations the chain sits at depth 2 (the cap minus
-/// one), so the sixth suspend folds it back to full dumps. A fault mid-
-/// fold must leave generation 5 (chained) or generation 6 (folded) whole.
+/// three committed generations the chain sits at depth 2 (the cap minus
+/// one), so the fourth suspend folds it back to full dumps. A fault mid-
+/// fold must leave generation 3 (chained) or generation 4 (folded) whole.
 #[test]
 fn compaction_fold_fault_matrix_keeps_exactly_one_chain() {
     use qsr::storage::{TraceEvent, Tracer};
     let reference = delta_reference();
     let opts = delta_options(1);
-    // The sort operator's buffer grows in bursts as the join below it
-    // flushes blocks, so an occasional delta is unprofitable and resets the
-    // chain; under this workload the chain deterministically reaches depth
-    // 2 (one below the cap) after the fifth committed suspend, making the
-    // sixth the fold.
+    // The sort's buffer only grows between these suspends, and a dump of
+    // rows as records is then the previous dump's bytes with the new rows
+    // appended (the row count in the header aside), so every delta frame
+    // is smaller than the full dump: the chain is 0, 1 and 2 links long
+    // after the first, second and third committed suspend, making the
+    // fourth the fold.
     let writes = {
-        let (_dir, db, exec) = run_delta_cycles("cfdry", &opts, 5);
+        let (_dir, db, exec) = run_delta_cycles("cfdry", &opts, 3);
         let pre = qsr::exec::read_manifest(&db).unwrap().unwrap();
         assert_eq!(
             pre.chain_len as usize,
             COMPACT_CHAIN_LEN - 1,
-            "five committed delta suspends must sit one below the cap"
+            "three committed delta suspends must sit one below the cap"
         );
         let tracer = Arc::new(Tracer::new(db.ledger().clone()));
         tracer.enable_full_capture();
@@ -1112,7 +1113,7 @@ fn compaction_fold_fault_matrix_keeps_exactly_one_chain() {
             .iter()
             .filter(|r| matches!(r.event, TraceEvent::ChainCompact { .. }))
             .count();
-        assert!(folds > 0, "the sixth suspend must fold at least one chain");
+        assert!(folds > 0, "the fourth suspend must fold at least one chain");
         let post = qsr::exec::read_manifest(&db).unwrap().unwrap();
         assert!(
             (post.chain_len as usize) < COMPACT_CHAIN_LEN,
@@ -1122,7 +1123,7 @@ fn compaction_fold_fault_matrix_keeps_exactly_one_chain() {
     };
     for k in 1..=writes {
         for fault in [WriteFault::Crash, WriteFault::Torn] {
-            let (dir, db, exec) = run_delta_cycles("cfcell", &opts, 5);
+            let (dir, db, exec) = run_delta_cycles("cfcell", &opts, 3);
             let fi = Arc::new(FaultInjector::seeded(0xF07D + k));
             fi.fail_write(k, fault);
             db.disk().set_fault_injector(Some(fi));
@@ -1131,7 +1132,7 @@ fn compaction_fold_fault_matrix_keeps_exactly_one_chain() {
             assert_one_valid_delta_chain(
                 &dir,
                 &reference,
-                5..=6,
+                3..=4,
                 &format!("{fault:?} at compaction write {k}"),
             );
         }

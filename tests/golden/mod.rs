@@ -13,7 +13,17 @@
 //! each time while the aggregate, the sort and the join all held in-memory
 //! state, so the second suspend chains delta dumps to the first one's.
 
-// Each includer uses its own half of this module.
+//!
+//! `suspend-v2/` was written by the same example (`--v2`, the
+//! [`write_suspend_v2`] below) at commit b0587b5, the last build that
+//! wrote columnar dump blocks. It holds the oldest layout that build
+//! still wrote: with delta checkpoints off and one generation kept, a
+//! `SuspendedQuery` v2 frame (no delta section) under a v1 manifest, and a
+//! full — not delta — columnar `TupleBlock` dump of a sort buffer. The
+//! query is a merge join of two sorts, suspended once under `AllDump`
+//! while the right sort was still reading its input.
+
+// Each includer uses its own part of this module.
 #![allow(dead_code)]
 
 use qsr::core::{OpId, SuspendPolicy};
@@ -26,6 +36,11 @@ use std::sync::Arc;
 /// The checked-in directory of the `SuspendedQuery` v3 era.
 pub fn suspend_v3_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/suspend-v3")
+}
+
+/// The checked-in directory of the `SuspendedQuery` v2 era.
+pub fn suspend_v2_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/suspend-v2")
 }
 
 /// `MergeJoin(HashAgg(r), Sort(HashJoin{build: s, probe: t}))` on `sel`,
@@ -104,5 +119,61 @@ pub fn write_suspend(dir: &Path) -> Result<()> {
         }
         exec.suspend_with(&SuspendPolicy::AllDump, &options)?;
     }
+    Ok(())
+}
+
+/// `MergeJoin(Sort(r), Sort(s))` on the key column, operators numbered in
+/// preorder: merge join 0, sort of `r` 1, its scan 2, sort of `s` 3, its
+/// scan 4. Each sort writes a sublist every 256 rows.
+pub fn plan_v2() -> PlanSpec {
+    let sort = |table: &str| {
+        Box::new(PlanSpec::Sort {
+            input: Box::new(PlanSpec::TableScan { table: table.into() }),
+            key: 0,
+            buffer_tuples: 256,
+        })
+    };
+    PlanSpec::MergeJoin {
+        left: sort("r"),
+        right: sort("s"),
+        left_key: 0,
+        right_key: 0,
+    }
+}
+
+/// Create the two 600-row tables of [`plan_v2`] in a fresh database at
+/// `dir`.
+pub fn populate_v2(dir: &Path) -> Result<Arc<Database>> {
+    let db = Database::open_default(dir)?;
+    for (table, seed) in [("r", 51), ("s", 52)] {
+        generate_table(&db, &TableSpec::new(table, 600).payload(8).seed(seed))?;
+    }
+    Ok(db)
+}
+
+/// Rows the scan of `s` has delivered at the suspend: the right sort has
+/// sealed one sublist and buffers the next 144 rows, while the left sort
+/// is merging its three sublists.
+pub const SUSPEND_V2_AFTER_S_ROWS: u64 = 400;
+
+/// Populate `dir`, then run [`plan_v2`] to its one `AllDump` suspend with
+/// delta checkpoints off and a single generation kept. The merge join is
+/// still waiting for its first right row, so resuming must produce the
+/// whole result.
+pub fn write_suspend_v2(dir: &Path) -> Result<()> {
+    let options = SuspendOptions {
+        delta: Some(false),
+        keep_generations: Some(1),
+        ..SuspendOptions::default()
+    };
+    let mut exec = QueryExecution::start(populate_v2(dir)?, plan_v2())?;
+    exec.set_trigger(Some(SuspendTrigger::AfterOpTuples {
+        op: OpId(4),
+        n: SUSPEND_V2_AFTER_S_ROWS,
+    }));
+    let (delivered, done) = exec.run()?;
+    assert!(!done && delivered.is_empty(), "the suspend must land inside the right sort's input");
+    assert!(exec.suspend_problem().inputs[&OpId(3)].heap_bytes > 0, "the right sort buffers rows");
+    exec.suspend_with(&SuspendPolicy::AllDump, &options)?;
     Ok(())
 }

@@ -1,4 +1,4 @@
-//! Suspended queries stored by an older build resume on this one: each
+//! Suspended queries stored by older builds resume on this one: each
 //! checked-in golden directory (see `tests/golden/mod.rs`) is copied to a
 //! scratch directory, recovered through the cold-start path, and must
 //! deliver exactly what a fresh uninterrupted run of its plan delivers.
@@ -84,5 +84,48 @@ fn suspend_v3_directory_resumes_to_a_fresh_run() {
         .run_to_completion()
         .unwrap();
     assert!(fresh.len() > 1000, "the plan must produce a real result");
+    assert_eq!(recovered, fresh);
+}
+
+#[test]
+fn suspend_v2_directory_resumes_to_a_fresh_run() {
+    let dir = TempDir::new("v2");
+    copy_dir(&golden::suspend_v2_dir(), &dir.0);
+    let db = Database::open_default(&dir.0).unwrap();
+
+    // The directory is of the era it claims to be: a v1 manifest, a v2
+    // `SuspendedQuery`, and the right sort's buffer as a full columnar
+    // block (format byte 0) of the rows it had read past its sublist.
+    let manifest = read_manifest(&db).unwrap().expect("a committed manifest");
+    assert_eq!(version_word(&std::fs::read(dir.0.join(SUSPEND_MANIFEST)).unwrap()), 1);
+    assert_eq!((manifest.chain_len, manifest.retained.len()), (0, 0));
+    assert_eq!(version_word(&db.blobs().get(manifest.query).unwrap()), 2);
+    let sq = SuspendedQuery::load(db.blobs(), manifest.query).unwrap();
+    assert!(sq.delta_deps.is_empty());
+    let sort = &sq.records[&OpId(3)];
+    assert_eq!(sort.strategy, Strategy::Dump);
+    let dump = db.blobs().get(sort.heap_dump.expect("the right sort dumps its buffer")).unwrap();
+    let buffered = golden::SUSPEND_V2_AFTER_S_ROWS % 256;
+    assert_eq!(dump[0], 0, "columnar block");
+    assert_eq!(u32::from_le_bytes(dump[1..5].try_into().unwrap()), buffered as u32);
+
+    let tracer = Arc::new(Tracer::new(db.ledger().clone()));
+    tracer.enable_full_capture();
+    db.ledger().set_tracer(&tracer);
+    let mut resumed = QueryExecution::recover(db.clone())
+        .unwrap()
+        .expect("the golden directory holds a committed suspend");
+    let substituted = tracer.take_full().into_iter().any(|r| {
+        matches!(&r.event, TraceEvent::RecoveryStep { step } if step.contains("substituting"))
+    });
+    assert!(!substituted, "the columnar dump must decode on this build");
+    assert_eq!(resumed.tuples_emitted(), 0, "the suspend was taken before any output");
+    let recovered = resumed.run_to_completion().unwrap();
+
+    let fresh = QueryExecution::start(db, golden::plan_v2())
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
+    assert_eq!(fresh.len(), 600, "every key of r meets its row of s");
     assert_eq!(recovered, fresh);
 }

@@ -80,47 +80,84 @@ fn replay_repro_token() {
     check_or_die(&mut oracle, &s, cfg.seed);
 }
 
-#[test]
-fn exhaustive_suspend_point_sweep() {
+/// Suspend `case` at every `stride`-th work-unit boundary under every
+/// pool × writers configuration.
+fn sweep_suspend_points(case: &str) {
     let cfg = config();
     if cfg.replay.is_some() {
         return;
     }
     let mut oracle = Oracle::new();
-    for case in qsr::workload::cases() {
-        let total = oracle
-            .total_work_units(case.name)
-            .unwrap_or_else(|e| panic!("golden run of {}: {e}", case.name));
-        for (pool_pages, dump_writers) in CONFIGS {
-            let mut boundary = 1;
-            while boundary <= total {
-                // Alternate policies across the sweep so both the
-                // all-dump and the MIP-optimized suspend paths see every
-                // region of the boundary space.
-                let policy = if boundary % 2 == 0 {
-                    Policy::Optimized
-                } else {
-                    Policy::Dump
-                };
-                let s = Scenario {
-                    case: case.name.to_string(),
-                    pool_pages,
-                    dump_writers,
-                    mem_budget: 0,
-                    merge_fanin: 0,
-                    skew: SkewProfile::Default,
-                    policy,
-                    quota: None,
-                    backend: Default::default(),
-                    delta: false,
-                    keep: 1,
-                    mode: Mode::Sweep { boundary },
-                };
-                check_or_die(&mut oracle, &s, cfg.seed);
-                boundary += cfg.stride;
-            }
+    let total = oracle
+        .total_work_units(case)
+        .unwrap_or_else(|e| panic!("golden run of {case}: {e}"));
+    for (pool_pages, dump_writers) in CONFIGS {
+        let mut boundary = 1;
+        while boundary <= total {
+            // Alternate policies across the sweep so both the all-dump
+            // and the MIP-optimized suspend paths see every region of the
+            // boundary space.
+            let policy = if boundary % 2 == 0 {
+                Policy::Optimized
+            } else {
+                Policy::Dump
+            };
+            let s = Scenario {
+                case: case.to_string(),
+                pool_pages,
+                dump_writers,
+                mem_budget: 0,
+                merge_fanin: 0,
+                skew: SkewProfile::Default,
+                policy,
+                quota: None,
+                backend: Default::default(),
+                delta: false,
+                keep: 1,
+                mode: Mode::Sweep { boundary },
+            };
+            check_or_die(&mut oracle, &s, cfg.seed);
+            boundary += cfg.stride;
         }
     }
+}
+
+/// The exhaustive suspend-point sweep, one test per corpus case so the
+/// test harness runs the cases in parallel; `covers_the_corpus` fails
+/// when the list here and `qsr::workload::cases()` part ways.
+macro_rules! sweep_every_case {
+    ($($test:ident => $case:literal,)*) => {
+        mod exhaustive_suspend_point_sweep {
+            const CASES: &[&str] = &[$($case),*];
+
+            $(
+                #[test]
+                fn $test() {
+                    super::sweep_suspend_points($case);
+                }
+            )*
+
+            #[test]
+            fn covers_the_corpus() {
+                let corpus: Vec<&str> = qsr::workload::cases().iter().map(|c| c.name).collect();
+                assert_eq!(CASES, &corpus[..], "one sweep test per corpus case, in corpus order");
+            }
+        }
+    };
+}
+
+sweep_every_case! {
+    block_nlj => "block-nlj",
+    index_nlj => "index-nlj",
+    sort => "sort",
+    merge_join => "merge-join",
+    hash_join => "hash-join",
+    sort_over_hybrid_join => "sort-over-hybrid-join",
+    hash_agg => "hash-agg",
+    stream_agg => "stream-agg",
+    grace_join_deep => "grace-join-deep",
+    multipass_sort => "multipass-sort",
+    distinct => "distinct",
 }
 
 #[test]

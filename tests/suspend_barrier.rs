@@ -2,11 +2,18 @@
 //! — and nothing a neighbour sharing its buffer pool wrote.
 //!
 //! Before the manifest rename commits a suspend, every page the new
-//! generation can reach must be on disk. The run files an execution
-//! created or reopened since it started (or resumed) are the only files
-//! it can have dirtied; another execution's dirty run pages in the same
-//! pool are that execution's to sync when it suspends, and flushing them
-//! here would only put their fsyncs on this suspend's clock.
+//! generation can reach must have left the process: that is what a
+//! process kill cannot undo. The run files an execution created or
+//! reopened since it started (or resumed) are the only files it can have
+//! dirtied; another execution's dirty run pages in the same pool are that
+//! execution's to sync when it suspends, and flushing them here would only
+//! put their fsyncs on this suspend's clock.
+//!
+//! The barrier fsyncs the suspend's blobs and those of its run files
+//! still dirty in the pool. Run pages the pool wrote back earlier — an
+//! eviction, or any write through a capacity-0 pool — are in the OS page
+//! cache but not fsynced, so the guarantee is against a process kill, not
+//! against losing the machine (ROADMAP item 1).
 
 use qsr::core::{OpId, SuspendPolicy};
 use qsr::exec::{AggFn, PlanSpec, QueryExecution, SuspendTrigger};
@@ -125,4 +132,29 @@ fn a_suspend_syncs_its_own_run_files_and_leaves_a_neighbours_dirty() {
         .expect("A's suspend committed");
     out.extend(a.run_to_completion().unwrap());
     assert_eq!(out, reference);
+}
+
+#[test]
+fn a_park_fsyncs_its_blobs_and_the_sublists_still_dirty_not_the_evicted_ones() {
+    let dir = TempDir::new("evicted");
+    // Eight frames: the sort's sublists (100 rows, a page each) are
+    // written back by eviction soon after they are sealed.
+    let db = Database::open_with_pool(&dir.0, CostModel::default(), 8).unwrap();
+    generate_table(&db, &TableSpec::new("b", 3000).payload(16).seed(22)).unwrap();
+    db.pool().flush_all().unwrap();
+
+    let mut exec = QueryExecution::start(db.clone(), sort_plan()).unwrap();
+    run_to(&mut exec, 1550);
+    let still_dirty = dirty(&db).len() as u64;
+    let before = db.disk().file_syncs();
+    let parked = exec.suspend(&SuspendPolicy::AllDump).unwrap();
+    let synced = db.disk().file_syncs() - before;
+
+    // Fifteen sublists and 50 buffered rows: the barrier fsyncs the
+    // `SuspendedQuery` blob, the buffer's dump blob and the sublists whose
+    // pages are still in the pool — not the evicted ones.
+    assert_eq!(parked.spill_files.len(), 15);
+    assert_eq!(still_dirty, 5);
+    assert_eq!(synced, 2 + still_dirty);
+    assert!(dirty(&db).is_empty());
 }
