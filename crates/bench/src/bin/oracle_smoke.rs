@@ -1,6 +1,6 @@
 //! Oracle smoke: one differential suspend/resume check plus one seeded
 //! fault schedule per corpus case, at the heaviest configuration (caching
-//! pool, parallel dump writers, MIP-optimized policy). A fast end-to-end
+//! pool, MIP-optimized policy). A fast end-to-end
 //! sanity pass over the same machinery `tests/oracle_sweep.rs` sweeps
 //! exhaustively; wall-clock per case is printed for the bench log.
 
@@ -29,7 +29,6 @@ fn main() {
         let sweep = Scenario {
             case: case.name.to_string(),
             pool_pages: 64,
-            dump_writers: 4,
             policy: Policy::Optimized,
             quota: None,
             mem_budget: 0,
@@ -43,7 +42,6 @@ fn main() {
         let pressured = Scenario {
             quota: Some(2 * 4096),
             pool_pages: 0,
-            dump_writers: 0,
             ..sweep.clone()
         };
         let shape = Scenario {

@@ -1,7 +1,6 @@
 //! Execution context: the ambient state shared by every operator of one
 //! query — database handle, contract graph, work table, suspend trigger.
 
-use crate::writers::{DumpPipeline, PrefetchedDumps};
 use qsr_core::{ContractGraph, OpId, WorkTable};
 use qsr_storage::{
     checksum, is_delta_frame, pages_for_bytes, BlobId, CostModel, CostSnapshot, Database, Decode,
@@ -122,20 +121,12 @@ pub struct ExecContext {
     /// Used to measure the paper's "negligible overhead during execution"
     /// claim.
     pub checkpoints_enabled: bool,
-    /// Background writer pool installed by the driver for the duration of
-    /// the suspend phase; operators route dump blobs through it via
-    /// [`ExecContext::put_dump_value`]. `None` = serial writes.
-    dump_pipeline: Option<Arc<DumpPipeline>>,
     /// Per-rung I/O watchdog (driver-installed; see [`DumpWatchdog`]).
     watchdog: Option<DumpWatchdog>,
     /// Salvaged dump blobs from failed ladder rungs, reusable by checksum.
     /// Interior mutability because consumption happens inside the `&self`
     /// dump-write path.
     salvage: RefCell<SalvageCache>,
-    /// Dump blobs pre-read by the parallel resume pool (driver-installed
-    /// before `root.resume`). Consumed once per blob; misses fall through
-    /// to a plain serial blob read.
-    prefetched: RefCell<PrefetchedDumps>,
     /// When true, [`ExecContext::put_dump_value`] may emit delta frames
     /// against recorded baselines (driver-set per suspend rung; always
     /// off during fallback shadow passes, whose scratch dumps must stand
@@ -174,10 +165,8 @@ impl ExecContext {
             suspend_requested: false,
             cpu_tuple_cost: 0.0,
             checkpoints_enabled: true,
-            dump_pipeline: None,
             watchdog: None,
             salvage: RefCell::new(SalvageCache::new()),
-            prefetched: RefCell::new(PrefetchedDumps::new()),
             delta_enabled: false,
             baselines: RefCell::new(HashMap::new()),
             delta_emitted: RefCell::new(BTreeMap::new()),
@@ -221,29 +210,10 @@ impl ExecContext {
         std::mem::take(&mut *self.delta_emitted.borrow_mut())
     }
 
-    /// Install in-flight prefetched dump blobs (driver-only, before
-    /// `root.resume`). The pool's reads pipeline with operator rebuilds;
-    /// any previous collection is dropped, which waits for its stragglers.
-    pub fn install_prefetched(&mut self, dumps: PrefetchedDumps) {
-        *self.prefetched.borrow_mut() = dumps;
-    }
-
-    /// Barrier: wait for every still-queued prefetch read to land (and
-    /// charge the ledger). The driver calls this before leaving
-    /// `Phase::Resume`, so a resume that aborts early — or substitutes a
-    /// fallback and never consumes a blob — cannot leak charged reads
-    /// into the next phase.
-    pub fn drain_prefetched(&mut self) {
-        *self.prefetched.borrow_mut() = PrefetchedDumps::new();
-    }
-
-    /// Load an operator dump blob. A blob the parallel resume pool is
-    /// reading is awaited and served (or its read error replayed) from
-    /// its prefetch slot — the worker charges the ledger when it reads
-    /// the pages, so totals stay identical to a serial resume; anything
-    /// else is a plain checksummed blob read.
+    /// Load an operator dump blob: a plain checksummed blob read from the
+    /// suspend backend.
     pub fn get_dump_value<T: Decode>(&self, id: BlobId) -> Result<T> {
-        T::decode_from_slice(&self.fetch_dump_bytes(id)?)
+        T::decode_from_slice(&self.db.backend().get_blob(id)?)
     }
 
     /// Load an operator dump for `op`, transparently reconstructing delta
@@ -266,21 +236,11 @@ impl ExecContext {
         Ok(value)
     }
 
-    /// Raw dump-blob bytes: the prefetch slot if the parallel resume pool
-    /// read (or is reading) this blob, else the suspend backend.
-    fn fetch_dump_bytes(&self, id: BlobId) -> Result<Vec<u8>> {
-        let slot = self.prefetched.borrow_mut().remove(&id);
-        if let Some(slot) = slot {
-            return slot.take();
-        }
-        self.db.backend().get_blob(id)
-    }
-
     /// Fully materialize the state stored under `id`: returns the
     /// reconstructed bytes, the number of delta links applied, and the
     /// ancestor blobs (base-first).
     fn materialize_dump(&self, id: BlobId) -> Result<(Vec<u8>, usize, Vec<BlobId>)> {
-        let raw = self.fetch_dump_bytes(id)?;
+        let raw = self.db.backend().get_blob(id)?;
         if !is_delta_frame(&raw) {
             return Ok((raw, 0, Vec::new()));
         }
@@ -311,22 +271,8 @@ impl ExecContext {
         std::mem::take(&mut *self.salvage.borrow_mut())
     }
 
-    /// Install the suspend-phase dump pipeline (driver-only).
-    pub fn set_dump_pipeline(&mut self, pipeline: Option<Arc<DumpPipeline>>) {
-        self.dump_pipeline = pipeline;
-    }
-
-    /// Detach the dump pipeline, if any (driver-only; done before the
-    /// fallback shadow passes, which delete scratch dumps and therefore
-    /// must write serially).
-    pub fn take_dump_pipeline(&mut self) -> Option<Arc<DumpPipeline>> {
-        self.dump_pipeline.take()
-    }
-
-    /// Store an operator dump blob. During a pipelined suspend the write
-    /// is handed to a background worker (the returned [`BlobId`] is
-    /// computed synchronously and is valid once the driver joins the
-    /// pipeline); otherwise this is a plain serial blob write.
+    /// Store an operator dump blob: a serial blob write on the calling
+    /// thread, through the suspend backend.
     ///
     /// Two degradation-ladder mechanisms hook in here, where every dump
     /// byte passes: the salvage cache returns an already-durable blob with
@@ -341,10 +287,15 @@ impl ExecContext {
         let nbytes = bytes.len() as u64;
         let pages = pages_for_bytes(bytes.len()) as u64;
         // The salvage cache is empty on every first rung, so the common
-        // suspend never hashes a dump here: whoever writes it computes the
-        // one checksum its `BlobId` needs.
-        let sum = (!self.salvage.borrow().is_empty()).then(|| checksum(&bytes));
-        let salvaged = sum.and_then(|sum| self.salvage.borrow_mut().remove(&(sum, nbytes)));
+        // suspend never hashes a dump here: `put_blob` computes the one
+        // checksum its `BlobId` needs.
+        let salvaged = if self.salvage.borrow().is_empty() {
+            None
+        } else {
+            self.salvage
+                .borrow_mut()
+                .remove(&(checksum(&bytes), nbytes))
+        };
         if let Some(id) = salvaged {
             self.db.ledger().trace(|| TraceEvent::OpDump {
                 op: op.0,
@@ -377,10 +328,7 @@ impl ExecContext {
             }
         }
         let backend = self.db.backend();
-        let id = match &self.dump_pipeline {
-            Some(p) => p.put_checksummed(bytes, sum),
-            None => backend.put_blob(&bytes),
-        }?;
+        let id = backend.put_blob(&bytes)?;
         self.db.ledger().trace(|| TraceEvent::OpDump {
             op: op.0,
             strategy: "dump",

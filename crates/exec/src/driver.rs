@@ -27,7 +27,6 @@ use crate::recovery::{
     clear_manifest_named, commit_manifest_named, read_manifest_named, with_retries, ResumeError,
     SuspendManifest, SUSPEND_MANIFEST,
 };
-use crate::writers::{DumpPipeline, ResumePool};
 use qsr_core::{
     ContractGraph, OpId, OpSuspendInputs, OptimizeReport, PlanTopology, SolveBudget, Strategy,
     SuspendOptimizer, SuspendPlan, SuspendPolicy, SuspendProblem, SuspendedQuery,
@@ -84,11 +83,9 @@ pub struct SuspendOptions {
     /// re-suspensions fall back to DumpState-heavy plans. Persisting costs
     /// a few hundred bytes — the default.
     pub persist_graph: bool,
-    /// Number of background writer threads flushing dump blobs (and dirty
-    /// cached pages) during the suspend phase. `0` writes everything
-    /// serially on the suspending thread — the paper's baseline. Either
-    /// way every byte is durable before the manifest rename commits the
-    /// suspend; the pipeline only overlaps the writes.
+    /// Ignored; defaults to 0. A suspend writes its dump blobs serially on
+    /// the suspending thread whatever this says (DESIGN.md §11). The field
+    /// stays only because existing callers still read and print it.
     pub dump_writers: usize,
     /// Suspend I/O deadline in simulated cost units. When set, each
     /// degradation-ladder rung runs under a live watchdog: a rung whose
@@ -103,14 +100,9 @@ pub struct SuspendOptions {
     /// [`SuspendOptimizer::default_solve_budget`] (the `QSR_SOLVE_NODES`
     /// environment knob, or the solver default).
     pub solve_budget: Option<SolveBudget>,
-    /// Number of background reader threads prefetching operator dump
-    /// blobs during resume (the read-side mirror of `dump_writers`). `0`
-    /// reads every blob serially at the point of consumption — the
-    /// paper's baseline. Prefetching charges the identical
-    /// [`Phase::Resume`] ledger I/O (the blob set is deduplicated, so
-    /// each dump is read exactly once either way) and read *errors* are
-    /// replayed when the owning operator consumes the blob, so the
-    /// [`ResumeError`] taxonomy and fallback substitution are unchanged.
+    /// Ignored; defaults to 0. A resume reads each dump blob when its
+    /// operator consumes it, on the resuming thread (DESIGN.md §11). The
+    /// field stays only because existing callers still read and print it.
     pub resume_workers: usize,
     /// Delta checkpoints: when enabled, an operator whose state was
     /// materialized during resume dumps only the pages that changed since,
@@ -136,7 +128,7 @@ impl Default for SuspendOptions {
     fn default() -> Self {
         Self {
             persist_graph: true,
-            dump_writers: 4,
+            dump_writers: 0,
             deadline: None,
             solve_budget: None,
             resume_workers: 0,
@@ -509,13 +501,7 @@ impl QueryExecution {
                     baseline: self.db.ledger().snapshot(),
                 }));
             }
-            // The dump pipeline writes straight to the local blob store;
-            // a non-local backend takes the serial path so every byte
-            // goes through (and is accounted to) the backend.
-            let use_pipeline =
-                i == 0 && options.dump_writers > 0 && self.db.backend().is_local();
-            let attempt =
-                self.attempt_rung(&report, options, use_pipeline, phase, prev.as_ref(), delta_on, keep);
+            let attempt = self.attempt_rung(&report, options, phase, prev.as_ref(), delta_on, keep);
             self.ctx.set_watchdog(None);
             match attempt {
                 Ok((mut handle, sq, committed)) => {
@@ -649,12 +635,11 @@ impl QueryExecution {
     /// everything it references, and commit the manifest. On failure the
     /// partial [`SuspendedQuery`] comes back with the error so the caller
     /// can salvage the dump blobs it references.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    #[allow(clippy::type_complexity)]
     fn attempt_rung(
         &mut self,
         report: &OptimizeReport,
         options: &SuspendOptions,
-        use_pipeline: bool,
         phase: Phase,
         prev: Option<&SuspendManifest>,
         delta_on: bool,
@@ -678,31 +663,14 @@ impl QueryExecution {
             ..Default::default()
         };
 
-        // With dump_writers > 0, operator dump blobs are handed to a
-        // bounded pool of background writers instead of being written
-        // inline, overlapping the dumps of independent operators. The
-        // pipeline is joined before the manifest rename below, so the
-        // crash-safety protocol is unchanged. Retry rungs always write
-        // serially: they interleave with salvage reuse and run on the
-        // emergency path where predictability beats overlap.
-        let pipeline = use_pipeline.then(|| DumpPipeline::new(&self.db, options.dump_writers));
-        self.ctx.set_dump_pipeline(pipeline.clone());
+        // Operator dump blobs are written serially on this thread as the
+        // walk reaches them; every one is durable before the manifest
+        // rename below commits the suspend.
         let suspended = self
             .root
             .suspend(&mut self.ctx, SuspendMode::Current, &report.plan, &mut sq);
-        // Detach before the fallback shadow passes: they delete rejected
-        // scratch dumps, which must not still be in flight on a worker.
-        self.ctx.take_dump_pipeline();
         if let Err(e) = suspended {
-            if let Some(p) = &pipeline {
-                let _ = p.finish();
-            }
             return Err(Box::new((e, sq)));
-        }
-        if let Some(p) = &pipeline {
-            if let Err(e) = p.finish() {
-                return Err(Box::new((e, sq)));
-            }
         }
         // Harvest the delta chains the dump walk emitted *before* the
         // fallback shadow passes run (their scratch dumps are always full
@@ -1157,23 +1125,10 @@ impl QueryExecution {
 
     /// [`QueryExecution::recover`] for an explicitly named manifest. The
     /// recovered execution keeps committing under `name`, so a session
-    /// resumed by the server stays on its own generation chain. The
-    /// `QSR_RESUME_WORKERS` environment knob sets the prefetch pool size
-    /// (see [`SuspendOptions::resume_workers`]); unset means serial.
+    /// resumed by the server stays on its own generation chain.
     pub fn recover_named(
         db: Arc<Database>,
         name: &str,
-    ) -> std::result::Result<Option<Self>, ResumeError> {
-        let workers = env_parse("QSR_RESUME_WORKERS").unwrap_or(0);
-        Self::recover_named_with(db, name, workers)
-    }
-
-    /// [`QueryExecution::recover_named`] with an explicit resume-prefetch
-    /// pool size instead of the environment knob.
-    pub fn recover_named_with(
-        db: Arc<Database>,
-        name: &str,
-        resume_workers: usize,
     ) -> std::result::Result<Option<Self>, ResumeError> {
         match read_manifest_named(&db, name)? {
             None => {
@@ -1186,7 +1141,7 @@ impl QueryExecution {
                 db.ledger().trace(|| TraceEvent::RecoveryStep {
                     step: format!("manifest generation {} found at {name}; resuming", m.generation),
                 });
-                let mut exec = Self::resume_validated_with(db, m.query, resume_workers)?;
+                let mut exec = Self::resume_validated(db, m.query)?;
                 exec.manifest_name = name.to_string();
                 Ok(Some(exec))
             }
@@ -1210,27 +1165,13 @@ impl QueryExecution {
     /// frame/checksum/version checks on the `SuspendedQuery`, plan-spec
     /// decode, catalog compatibility, bounded-backoff retry of transient
     /// I/O, and GoBack-fallback substitution for unreadable dump blobs.
+    /// Each dump blob is read when its operator resumes, on this thread.
     pub fn resume_validated(
         db: Arc<Database>,
         blob: BlobId,
     ) -> std::result::Result<Self, ResumeError> {
-        Self::resume_validated_with(db, blob, 0)
-    }
-
-    /// [`QueryExecution::resume_validated`] with a resume-prefetch pool:
-    /// with `resume_workers > 0`, the suspended query's dump blobs are
-    /// read in the background by a bounded [`ResumePool`] while operator
-    /// state is rebuilt, pipelining each operator's decode CPU with the
-    /// remaining operators' blob reads.
-    /// Charged `Phase::Resume` I/O, recovered outputs, and the error
-    /// taxonomy are identical to the serial path.
-    pub fn resume_validated_with(
-        db: Arc<Database>,
-        blob: BlobId,
-        resume_workers: usize,
-    ) -> std::result::Result<Self, ResumeError> {
         db.ledger().set_phase(Phase::Resume);
-        let out = Self::resume_validated_inner(&db, blob, resume_workers);
+        let out = Self::resume_validated_inner(&db, blob);
         if let Err(e) = &out {
             // Attach the flight-recorder tail to the failure out-of-band
             // (the ResumeError shape is frozen; callers fetch the tail via
@@ -1246,7 +1187,6 @@ impl QueryExecution {
     fn resume_validated_inner(
         db: &Arc<Database>,
         blob: BlobId,
-        resume_workers: usize,
     ) -> std::result::Result<Self, ResumeError> {
         let mut sq = with_retries(|| Self::load_sq(db, blob)).map_err(|e| {
             if e.is_corruption() || matches!(e, StorageError::NotFound(_)) {
@@ -1274,7 +1214,7 @@ impl QueryExecution {
         // GoBack fallback and rebuild. Bounded by the number of records.
         let mut substitutions = sq.records.len() + 1;
         loop {
-            match with_retries(|| Self::try_resume(db, &spec, &sq, resume_workers)) {
+            match with_retries(|| Self::try_resume(db, &spec, &sq)) {
                 Ok(exec) => return Ok(exec),
                 Err(e) if e.is_corruption() || matches!(e, StorageError::NotFound(_)) => {
                     if substitutions == 0 {
@@ -1334,38 +1274,17 @@ impl QueryExecution {
         delta.apply(&base)
     }
 
-    /// One resume attempt over a fixed record set. With `workers > 0` the
-    /// record set's dump blobs are read in the background by a
-    /// [`ResumePool`] whose slot map is installed in the context before
-    /// any operator resumes; each operator blocks only on *its own*
-    /// blob's slot (or replays its read error) through
-    /// [`ExecContext::get_dump_value`], so blob I/O pipelines with the
-    /// decode work of operators that already have their bytes.
-    /// Prefetching happens per attempt so fallback substitution always
-    /// reads the *current* record set, and the context is drained before
-    /// returning so no charged read outlives `Phase::Resume`.
-    fn try_resume(
-        db: &Arc<Database>,
-        spec: &PlanSpec,
-        sq: &SuspendedQuery,
-        workers: usize,
-    ) -> Result<Self> {
+    /// One resume attempt over a fixed record set: each operator reads
+    /// its own dump blob through [`ExecContext::get_dump_value`] as it
+    /// resumes, so fallback substitution always reads the *current*
+    /// record set.
+    fn try_resume(db: &Arc<Database>, spec: &PlanSpec, sq: &SuspendedQuery) -> Result<Self> {
         let built = build_plan(db, spec)?;
         let mut ctx = ExecContext::new(db.clone());
         if let Some(gb) = &sq.graph_bytes {
             ctx.graph = ContractGraph::decode_from_slice(gb)?;
         }
         ctx.work.restore(sq.work_snapshot.iter().copied());
-        // The resume pool reads straight from the local blob store; a
-        // non-local backend serves every read itself (serially).
-        if workers > 0 && db.backend().is_local() {
-            // `sq.records` is a BTreeMap, so the queue order (and thus the
-            // fault-ordinal exposure) is deterministic.
-            let blobs: Vec<BlobId> = sq.records.values().filter_map(|r| r.heap_dump).collect();
-            if !blobs.is_empty() {
-                ctx.install_prefetched(ResumePool::fetch(db, &blobs, workers));
-            }
-        }
         let mut exec = Self {
             db: db.clone(),
             ctx,
@@ -1376,9 +1295,7 @@ impl QueryExecution {
             finished: false,
             manifest_name: SUSPEND_MANIFEST.to_string(),
         };
-        let resumed = exec.root.resume(&mut exec.ctx, sq);
-        exec.ctx.drain_prefetched();
-        resumed?;
+        exec.root.resume(&mut exec.ctx, sq)?;
         Ok(exec)
     }
 }

@@ -14,11 +14,9 @@ pub mod operator;
 pub mod ops;
 pub mod plan;
 pub mod recovery;
-pub mod writers;
 
 pub use context::{DumpWatchdog, ExecContext, SalvageCache, SuspendTrigger, WorkUnitObserver};
 pub use driver::{reclaim_spill_files, QueryExecution, Rung, SuspendOptions, SuspendedHandle};
-pub use writers::DumpPipeline;
 pub use recovery::{
     clear_manifest, clear_manifest_named, read_manifest, read_manifest_named, with_backoff,
     with_retries, BackoffSchedule, ResumeError, SuspendManifest, RESUME_BACKOFF, SUSPEND_MANIFEST,

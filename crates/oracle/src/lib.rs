@@ -29,7 +29,7 @@
 //! Every scenario serializes to a one-line repro token
 //! (`QSR_ORACLE_CASE=…`); a failing randomized run prints its token and a
 //! greedy [`shrink`]er minimizes it (suspend point, fault ordinals, pool
-//! pages, dump writers) before the harness panics, so the bug report is
+//! pages) before the harness panics, so the bug report is
 //! the smallest scenario that still fails.
 
 #![forbid(unsafe_code)]

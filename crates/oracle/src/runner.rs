@@ -154,7 +154,6 @@ impl Oracle {
     /// The suspend options a scenario's tokens spell out.
     fn options_for(s: &Scenario) -> SuspendOptions {
         SuspendOptions {
-            dump_writers: s.dump_writers,
             delta: Some(s.delta),
             keep_generations: Some(s.keep.max(1) as usize),
             ..SuspendOptions::default()
@@ -585,7 +584,6 @@ mod tests {
         let s = Scenario {
             case: "sort".into(),
             pool_pages: 0,
-            dump_writers: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -606,7 +604,6 @@ mod tests {
         let s = Scenario {
             case: "distinct".into(),
             pool_pages: 0,
-            dump_writers: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -629,7 +626,6 @@ mod tests {
         let s = Scenario {
             case: "sort".into(),
             pool_pages: 0,
-            dump_writers: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -649,7 +645,6 @@ mod tests {
         let s = Scenario {
             case: "sort".into(),
             pool_pages: 0,
-            dump_writers: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -672,7 +667,6 @@ mod tests {
         let base = Scenario {
             case: "grace-join-deep".into(),
             pool_pages: 0,
-            dump_writers: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -700,7 +694,6 @@ mod tests {
         let base = Scenario {
             case: "multipass-sort".into(),
             pool_pages: 0,
-            dump_writers: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,

@@ -93,8 +93,6 @@ pub struct Scenario {
     pub case: String,
     /// Buffer-pool frames (0 = uncached passthrough).
     pub pool_pages: usize,
-    /// Parallel dump writers (0 = serial suspend).
-    pub dump_writers: usize,
     /// Per-partition hash-join build budget in tuples, applied by wrapping
     /// the case's plan in a `MemoryBudget` envelope (0 = absent, legacy
     /// execution and pre-existing tokens unchanged).
@@ -157,10 +155,9 @@ impl fmt::Display for Scenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "case={};pool={};writers={};policy={}",
+            "case={};pool={};policy={}",
             self.case,
             self.pool_pages,
-            self.dump_writers,
             self.policy.token()
         )?;
         if self.mem_budget != 0 {
@@ -221,7 +218,6 @@ impl FromStr for Scenario {
     fn from_str(s: &str) -> Result<Self, String> {
         let mut case = None;
         let mut pool = None;
-        let mut writers = None;
         let mut mem_budget = None;
         let mut merge_fanin = None;
         let mut skew = None;
@@ -241,11 +237,11 @@ impl FromStr for Scenario {
             match key {
                 "case" => case = Some(value.to_string()),
                 "pool" => pool = Some(num(value)? as usize),
-                "writers" => writers = Some(num(value)? as usize),
-                // Tokens minted while the engine had a batch lane may carry
-                // a batch size. Rows always move one at a time now, as their
-                // golden run did, so the part is checked and ignored.
-                "batch" => {
+                // Tokens minted while the engine had a batch lane or a dump
+                // writer pool may carry a batch size or a writer count. Rows
+                // always move one at a time and dumps are always written
+                // serially now, so either part is checked and ignored.
+                "batch" | "writers" => {
                     num(value)?;
                 }
                 "budget" => mem_budget = Some(num(value)?),
@@ -319,7 +315,6 @@ impl FromStr for Scenario {
         Ok(Scenario {
             case: case.ok_or("missing case=")?,
             pool_pages: pool.ok_or("missing pool=")?,
-            dump_writers: writers.ok_or("missing writers=")?,
             // Absent in pre-grace tokens: legacy knob-free execution.
             mem_budget: mem_budget.unwrap_or(0),
             merge_fanin: merge_fanin.unwrap_or(0),
@@ -351,7 +346,6 @@ mod tests {
         roundtrip(&Scenario {
             case: "sort".into(),
             pool_pages: 64,
-            dump_writers: 4,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -365,7 +359,6 @@ mod tests {
         roundtrip(&Scenario {
             case: "hash-join".into(),
             pool_pages: 0,
-            dump_writers: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -381,7 +374,6 @@ mod tests {
         roundtrip(&Scenario {
             case: "merge-join".into(),
             pool_pages: 64,
-            dump_writers: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -403,7 +395,6 @@ mod tests {
         roundtrip(&Scenario {
             case: "distinct".into(),
             pool_pages: 0,
-            dump_writers: 4,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -426,7 +417,6 @@ mod tests {
         roundtrip(&Scenario {
             case: "sort".into(),
             pool_pages: 0,
-            dump_writers: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -451,7 +441,6 @@ mod tests {
         let s = Scenario {
             case: "sort".into(),
             pool_pages: 0,
-            dump_writers: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -477,22 +466,32 @@ mod tests {
 
     #[test]
     fn batch_tokens_parse_and_replay_one_row_at_a_time() {
-        // Tokens minted while the engine had a batch lane may carry a
-        // `batch=N` part; they parse to the same scenario as the token
-        // without it, and re-render without it. A malformed size is
-        // still rejected.
-        let plain: Scenario = "case=sort;pool=0;writers=0;policy=dump;mode=sweep:3"
-            .parse()
-            .unwrap();
-        for batch in ["batch=0", "batch=48", "batch=1024"] {
-            let token = format!("case=sort;pool=0;writers=0;policy=dump;{batch};mode=sweep:3");
+        // Tokens minted while the engine had a batch lane or a dump writer
+        // pool may carry a `batch=N` or `writers=N` part; they parse to the
+        // same scenario as the token without it, and re-render without it.
+        // A malformed number is still rejected.
+        let plain: Scenario = "case=sort;pool=0;policy=dump;mode=sweep:3".parse().unwrap();
+        for part in [
+            "batch=0",
+            "batch=48",
+            "batch=1024",
+            "writers=0",
+            "writers=4",
+            "writers=0;batch=48",
+        ] {
+            let token = format!("case=sort;pool=0;{part};policy=dump;mode=sweep:3");
             let s: Scenario = token.parse().unwrap_or_else(|e| panic!("{token}: {e}"));
             assert_eq!(s, plain, "token {token}");
-            assert!(!s.to_string().contains("batch="), "token {s}");
+            let back = s.to_string();
+            assert!(
+                !back.contains("batch=") && !back.contains("writers="),
+                "token {back}"
+            );
         }
-        assert!("case=sort;pool=0;writers=0;policy=dump;batch=x;mode=sweep:3"
-            .parse::<Scenario>()
-            .is_err());
+        for bad in ["batch=x", "writers=x", "writers=-1"] {
+            let token = format!("case=sort;pool=0;{bad};policy=dump;mode=sweep:3");
+            assert!(token.parse::<Scenario>().is_err(), "accepted {token:?}");
+        }
     }
 
     #[test]
@@ -500,7 +499,6 @@ mod tests {
         let s = Scenario {
             case: "grace-join-deep".into(),
             pool_pages: 64,
-            dump_writers: 4,
             mem_budget: 3,
             merge_fanin: 2,
             skew: SkewProfile::Dup,
@@ -541,7 +539,6 @@ mod tests {
         let base = Scenario {
             case: "sort".into(),
             pool_pages: 0,
-            dump_writers: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,

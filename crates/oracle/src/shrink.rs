@@ -96,11 +96,6 @@ pub fn shrink(oracle: &mut Oracle, failing: &Scenario) -> Scenario {
         c.pool_pages = 0;
         sh.try_adopt(&mut best, c);
     }
-    if best.dump_writers != 0 {
-        let mut c = best.clone();
-        c.dump_writers = 0;
-        sh.try_adopt(&mut best, c);
-    }
     if best.skew != qsr_workload::SkewProfile::Default {
         // The default profile already forces recursive spills; a failure
         // that survives losing the skew axis was never about it.

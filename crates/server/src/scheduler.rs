@@ -461,11 +461,7 @@ fn resume_on(
     let mut attempt = 1u32;
     let (exec, before) = loop {
         let before = env.db.ledger().snapshot().phase_cost(Phase::Resume);
-        match QueryExecution::recover_named_with(
-            env.db.clone(),
-            &name,
-            env.config.options.resume_workers,
-        ) {
+        match QueryExecution::recover_named(env.db.clone(), &name) {
             Ok(Some(exec)) => break (exec, before),
             Ok(None) => {
                 return Err(ResumeError::Storage(StorageError::invalid(format!(

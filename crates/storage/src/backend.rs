@@ -31,18 +31,10 @@ use std::sync::Arc;
 /// Where suspend state lives. The object a suspend commits through:
 /// dump blobs (put/get/delete/sync) plus the manifest sidecars that form
 /// the atomic commit point. Implementations must be thread-safe — the
-/// suspend write pipeline and the multi-session server share one backend.
+/// multi-session server's workers share one backend.
 pub trait SuspendBackend: Send + Sync {
     /// Stable label for traces, attribution tables, and benchmarks.
     fn name(&self) -> &'static str;
-
-    /// True for the local-disk backend (and only it): the dump write
-    /// pipeline and the resume prefetch pool read and write local page
-    /// files directly, so they are only engaged when the backend is the
-    /// local disk.
-    fn is_local(&self) -> bool {
-        false
-    }
 
     /// Persist `bytes` as a new dump blob.
     fn put_blob(&self, bytes: &[u8]) -> Result<BlobId>;
@@ -150,9 +142,6 @@ impl LocalDiskBackend {
 impl SuspendBackend for LocalDiskBackend {
     fn name(&self) -> &'static str {
         "local"
-    }
-    fn is_local(&self) -> bool {
-        true
     }
     fn put_blob(&self, bytes: &[u8]) -> Result<BlobId> {
         self.blobs.put(bytes)
@@ -601,9 +590,6 @@ impl RobustBackend {
 impl SuspendBackend for RobustBackend {
     fn name(&self) -> &'static str {
         self.active().name()
-    }
-    fn is_local(&self) -> bool {
-        self.active().is_local()
     }
     fn put_blob(&self, bytes: &[u8]) -> Result<BlobId> {
         self.run_write(|b| b.put_blob(bytes))

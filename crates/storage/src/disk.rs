@@ -111,8 +111,9 @@ impl OpenFile {
 /// each other, which is what lets the threaded scheduler's session slices
 /// actually run in parallel. Writes serialize per file, so I/O on
 /// *different* files proceeds in parallel (the map lock is only held long
-/// enough to fetch a handle). This is what lets the suspend-dump write
-/// pipeline overlap blob writes across worker threads.
+/// enough to fetch a handle). The server's worker threads rely on this:
+/// one session's suspend writes its blobs while another's slice spills to
+/// its own run files.
 pub struct DiskManager {
     dir: PathBuf,
     files: Mutex<HashMap<FileId, Arc<OpenFile>>>,

@@ -90,8 +90,8 @@ pub enum WriteKind {
 /// One recorded write event: which target it hit, what it was, and how
 /// many payload bytes it carried. Recorded (when enabled) by the disk
 /// manager alongside fault consultation, so tests can compare the exact
-/// per-file write sequences of two executions (e.g. a serial vs a
-/// pipelined suspend).
+/// per-file write sequences of two executions (e.g. a suspend with and
+/// without a caching pool).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct WriteEvent {
     /// Target label: the page-file name (`f12.qsr`) or sidecar name.

@@ -55,8 +55,8 @@ fn numeric_knobs_parse_or_name_the_variable() {
 
     // QSR_KEEP_GENERATIONS reads as usize (the retention window width),
     // as do QSR_WORKERS (the server's slice-thread count; 0 = serial),
-    // the spill-shape knobs QSR_MEM_BUDGET / QSR_MERGE_FANIN (0 =
-    // unlimited) and the driver's QSR_RESUME_WORKERS.
+    // and the spill-shape knobs QSR_MEM_BUDGET / QSR_MERGE_FANIN (0 =
+    // unlimited).
     let usize_table: &[Row<usize>] = &[
         ("QSR_KEEP_GENERATIONS", None, Ok(None)),
         ("QSR_KEEP_GENERATIONS", Some("1"), Ok(Some(1))),
@@ -80,11 +80,6 @@ fn numeric_knobs_parse_or_name_the_variable() {
         ("QSR_MERGE_FANIN", Some("64k"), Err(())),
         ("QSR_MERGE_FANIN", Some("-1"), Err(())),
         ("QSR_MERGE_FANIN", Some(""), Err(())),
-        ("QSR_RESUME_WORKERS", None, Ok(None)),
-        ("QSR_RESUME_WORKERS", Some("4"), Ok(Some(4))),
-        ("QSR_RESUME_WORKERS", Some("64k"), Err(())),
-        ("QSR_RESUME_WORKERS", Some("-1"), Err(())),
-        ("QSR_RESUME_WORKERS", Some(""), Err(())),
     ];
     for (name, raw, expected) in usize_table {
         let got = parse_env_value::<usize>(name, *raw);

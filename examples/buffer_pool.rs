@@ -1,16 +1,14 @@
-//! The PR 2 surface, end to end: the shared buffer pool (LRU caching,
-//! cost-ledger cache counters, capacity-0 passthrough fidelity) and the
-//! overlapped suspend-dump write pipeline (parallel writers joined before
-//! the manifest commit, crash-safe at any write ordinal).
+//! The shared buffer pool end to end: LRU caching with cost-ledger cache
+//! counters, and a suspend that stays crash-safe at any write ordinal —
+//! its dump blobs are written serially and synced before the manifest
+//! commit, and the execution's dirty run pages are flushed before it too.
 //!
 //! ```sh
 //! cargo run --example buffer_pool
 //! ```
 
 use qsr::core::{OpId, SuspendPolicy};
-use qsr::exec::{
-    PlanSpec, Predicate, QueryExecution, SuspendOptions, SuspendTrigger,
-};
+use qsr::exec::{PlanSpec, Predicate, QueryExecution, SuspendTrigger};
 use qsr::storage::{CostModel, Database, FaultInjector, Tuple, WriteFault};
 use qsr::workload::{generate_table, TableSpec};
 use std::sync::Arc;
@@ -37,6 +35,9 @@ fn fresh_db(dir: &std::path::Path, pool_pages: usize) -> Arc<Database> {
     let db = Database::open_with_pool(dir, CostModel::default(), pool_pages).unwrap();
     generate_table(&db, &TableSpec::new("r", 800).payload(16).seed(11)).unwrap();
     generate_table(&db, &TableSpec::new("s", 200).payload(16).seed(12)).unwrap();
+    // The load is committed before any query runs: a suspend makes durable
+    // only the run files its own execution wrote, not a neighbour's pages.
+    db.pool().flush_all().unwrap();
     db
 }
 
@@ -65,13 +66,6 @@ fn suspend_point(db: &Arc<Database>) -> (Vec<Tuple>, QueryExecution) {
     (prefix, exec)
 }
 
-fn with_writers(n: usize) -> SuspendOptions {
-    SuspendOptions {
-        dump_writers: n,
-        ..SuspendOptions::default()
-    }
-}
-
 fn main() {
     let base = std::env::temp_dir().join(format!("qsr-bufpool-demo-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
@@ -90,31 +84,24 @@ fn main() {
          {warm_reads} with a 256-frame pool ({hits} cache hits)"
     );
 
-    // 2. The dump pipeline issues exactly the serial write set — count
-    // write events under a fault injector in both modes.
-    let mut counts = Vec::new();
-    for writers in [0usize, 4] {
-        let dir = base.join(format!("count{writers}"));
-        let db = fresh_db(&dir, 0);
+    // 2. Count the suspend's write events under a fault injector: the
+    // ordinal space a crash can strike.
+    let writes = {
+        let db = fresh_db(&base.join("count"), 0);
         let (_, exec) = suspend_point(&db);
         let fi = Arc::new(FaultInjector::seeded(1));
         db.disk().set_fault_injector(Some(fi.clone()));
-        exec.suspend_with(&SuspendPolicy::AllDump, &with_writers(writers))
-            .unwrap();
+        exec.suspend(&SuspendPolicy::AllDump).unwrap();
         db.disk().set_fault_injector(None);
-        counts.push(fi.writes_observed());
-    }
-    assert_eq!(counts[0], counts[1], "pipeline changed the write-event set");
-    println!(
-        "suspend write events: {} serial == {} with 4 background writers",
-        counts[0], counts[1]
-    );
+        fi.writes_observed()
+    };
+    println!("suspend write events: {writes}");
 
-    // 3. Crash mid-pipeline: kill the process at a write ordinal in the
-    // middle of the parallel dump flush, reopen cold, recover. The
-    // manifest never committed, so recovery reports "no suspend" and a
-    // fresh run still yields the reference output — or, if the ordinal
-    // landed after the rename, resume completes it. Both must match.
+    // 3. Crash mid-suspend: kill the process at the middle write ordinal,
+    // reopen cold, recover. The manifest never committed, so recovery
+    // reports "no suspend" and a fresh run still yields the reference
+    // output — or, if the ordinal landed after the rename, resume
+    // completes it. Both must match.
     let reference = QueryExecution::start(fresh_db(&base.join("ref"), 0), join_plan())
         .unwrap()
         .run_to_completion()
@@ -123,9 +110,9 @@ fn main() {
     let db = fresh_db(&dir, 0);
     let (prefix, exec) = suspend_point(&db);
     let fi = Arc::new(FaultInjector::seeded(7));
-    fi.fail_write(counts[0] / 2, WriteFault::Crash);
+    fi.fail_write(writes / 2, WriteFault::Crash);
     db.disk().set_fault_injector(Some(fi));
-    let _ = exec.suspend_with(&SuspendPolicy::AllDump, &with_writers(4));
+    let _ = exec.suspend(&SuspendPolicy::AllDump);
     drop(db);
 
     let db = Database::open_default(&dir).unwrap();
@@ -133,11 +120,11 @@ fn main() {
         Some(mut resumed) => {
             let mut all = prefix;
             all.extend(resumed.run_to_completion().unwrap());
-            println!("crash mid-pipeline: suspend had committed, resumed to completion");
+            println!("crash mid-suspend: suspend had committed, resumed to completion");
             all
         }
         None => {
-            println!("crash mid-pipeline: suspend never committed, clean restart");
+            println!("crash mid-suspend: suspend never committed, clean restart");
             QueryExecution::start(db, join_plan())
                 .unwrap()
                 .run_to_completion()
@@ -146,13 +133,12 @@ fn main() {
     };
     assert_eq!(recovered, reference, "post-crash output diverged");
 
-    // 4. Pipelined suspend over a *cached* database: dirty pool frames are
-    // flushed before the commit point, so a cold process resumes fine.
+    // 4. Suspend over a *cached* database: the execution's dirty run pages
+    // are flushed before the commit point, so a cold process resumes fine.
     let dir = base.join("cached");
     let db = fresh_db(&dir, 256);
     let (prefix, exec) = suspend_point(&db);
-    exec.suspend_with(&SuspendPolicy::AllDump, &with_writers(4))
-        .unwrap();
+    exec.suspend(&SuspendPolicy::AllDump).unwrap();
     drop(db); // dirty frames die with the pool; disk must be complete
     let db = Database::open_default(&dir).unwrap();
     let mut resumed = QueryExecution::recover(db)
@@ -161,7 +147,7 @@ fn main() {
     let mut all = prefix;
     all.extend(resumed.run_to_completion().unwrap());
     assert_eq!(all, reference, "cached suspend/recover diverged");
-    println!("cached suspend: dirty frames flushed at commit, cold recovery OK");
+    println!("cached suspend: dirty run pages flushed at commit, cold recovery OK");
 
     let _ = std::fs::remove_dir_all(&base);
     println!("buffer_pool example: all checks passed");

@@ -3,23 +3,23 @@
 //! mid-query — by default the layout of `suspend-v3/` (a merge join of a
 //! hash aggregate with a sort over a hash join, two delta-chained
 //! suspends), with `--v2` that of `suspend-v2/` (a merge join of two
-//! sorts, one full suspend).
+//! sorts, one full suspend), with `--fnv` that of `suspend-fnv/` (a merge
+//! join of two hash joins in their join phases, one full suspend).
 //!
 //! ```sh
-//! cargo run --offline --example golden_suspend -- [--v2] <empty-dir>
+//! cargo run --offline --example golden_suspend -- [--v2 | --fnv] <empty-dir>
 //! ```
 
 #[path = "../tests/golden/mod.rs"]
 mod golden;
 
 fn main() {
-    let mut args: Vec<_> = std::env::args_os().skip(1).collect();
-    let v2 = args.first().is_some_and(|a| a == "--v2");
-    if v2 {
-        args.remove(0);
-    }
-    let [dir] = &args[..] else {
-        panic!("usage: golden_suspend [--v2] <empty-dir>");
+    let args: Vec<_> = std::env::args_os().skip(1).collect();
+    let (write, dir): (fn(&std::path::Path) -> qsr::storage::Result<()>, _) = match &args[..] {
+        [dir] => (golden::write_suspend, dir),
+        [era, dir] if era == "--v2" => (golden::write_suspend_v2, dir),
+        [era, dir] if era == "--fnv" => (golden::write_suspend_fnv, dir),
+        _ => panic!("usage: golden_suspend [--v2 | --fnv] <empty-dir>"),
     };
     let dir = std::path::PathBuf::from(dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -28,10 +28,6 @@ fn main() {
         "{} must be empty",
         dir.display()
     );
-    if v2 {
-        golden::write_suspend_v2(&dir).unwrap();
-    } else {
-        golden::write_suspend(&dir).unwrap();
-    }
+    write(&dir).unwrap();
     println!("suspended query written to {}", dir.display());
 }

@@ -65,7 +65,6 @@ fn reopen(dir: &Path) -> Arc<Database> {
 fn restart_sweep(dir: &Path, delta: bool, reference: &[Tuple]) -> (u64, Vec<u64>) {
     let mut db = fresh_db(dir);
     let opts = SuspendOptions {
-        dump_writers: 0,
         delta: Some(delta),
         keep_generations: Some(1),
         ..SuspendOptions::default()
@@ -121,7 +120,7 @@ fn remote_suspend(
     assert!(prefix.is_empty() && !done);
     exec.suspend_with(
         &SuspendPolicy::AllDump,
-        &SuspendOptions { dump_writers: 0, ..SuspendOptions::default() },
+        &SuspendOptions::default(),
     )
     .unwrap();
     let outcome = (robust.failed_over(), remote.latency_units());

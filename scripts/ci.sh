@@ -39,6 +39,20 @@ if [ "$columnar_uses" != "crates/storage/src/colblock.rs 2" ]; then
     exit 1
 fi
 
+# Structural guard: the engine crates spawn no threads. A suspend writes
+# its dump blobs and a resume reads them on the query's own thread
+# (DESIGN.md §11); only qsr-server owns threads (its slice workers).
+# Outside `#[cfg(test)]` tails and comments, crates/{storage,core,exec}/src
+# may not start a thread — any hit fails the run.
+spawns="$(grep -rlE 'thread::(spawn|scope|Builder)' crates/storage/src crates/core/src crates/exec/src | while read -r f; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -v '^ *//' | grep -cE 'thread::(spawn|scope|Builder)' | sed "s|^|$f |"
+done | grep -v ' 0$' || true)"
+if [ -n "$spawns" ]; then
+    printf 'thread spawns in an engine crate (file, hits before its test tail):\n%s\n' \
+        "$spawns" >&2
+    exit 1
+fi
+
 # Structural guard: rows are raw bytes read through safe code only, and
 # nothing else in the engine needs `unsafe` either — every library and
 # binary root under crates/ forbids it.
@@ -50,7 +64,7 @@ fi
 cargo build --release
 cargo test -q
 
-# Release-mode suite: the buffer pool and the parallel dump pipeline are
+# Release-mode suite: the buffer pool and the threaded server are
 # concurrency-sensitive; optimized codegen shakes out timing-dependent
 # bugs the dev profile can mask.
 cargo test --workspace --release -q

@@ -124,7 +124,6 @@ fn crash_at_with(
     reference: &[Tuple],
     options: &SuspendOptions,
     pool_pages: usize,
-    resume_workers: usize,
 ) {
     let (dir, db, prefix, exec) = run_to_suspend_point_with("cell", pool_pages);
     let fi = Arc::new(FaultInjector::seeded(0xC0FFEE + k));
@@ -141,8 +140,7 @@ fn crash_at_with(
     drop(db);
     let db = Database::open_default(&dir.0).unwrap();
 
-    match QueryExecution::recover_named_with(db.clone(), qsr::exec::SUSPEND_MANIFEST, resume_workers)
-    {
+    match QueryExecution::recover(db.clone()) {
         Ok(Some(mut resumed)) => {
             // Suspend committed: prefix + resumed suffix == reference.
             let suffix = resumed.run_to_completion().unwrap();
@@ -176,10 +174,6 @@ fn crash_at_with(
 /// alternating whole-process crashes with torn writes so both halves of
 /// the fault model are exercised at every other ordinal.
 fn run_matrix(options: &SuspendOptions, pool_pages: usize) {
-    run_matrix_with_resume_workers(options, pool_pages, 0);
-}
-
-fn run_matrix_with_resume_workers(options: &SuspendOptions, pool_pages: usize, resume_workers: usize) {
     let reference = reference_output();
     assert!(!reference.is_empty());
     let writes = count_suspend_writes_with(options, pool_pages);
@@ -189,28 +183,15 @@ fn run_matrix_with_resume_workers(options: &SuspendOptions, pool_pages: usize, r
         } else {
             WriteFault::Crash
         };
-        crash_at_with(k, fault, &reference, options, pool_pages, resume_workers);
+        crash_at_with(k, fault, &reference, options, pool_pages);
     }
 }
 
 #[test]
 fn crash_matrix_every_suspend_write() {
-    // Default options: dump blobs flushed by the parallel writer pipeline.
-    // Which physical write lands at ordinal `k` is scheduling-dependent,
-    // but the invariant is state-based and must hold at every ordinal.
+    // Default options, uncached: every dump blob is written serially on
+    // the suspending thread, so ordinal `k` is the same write every run.
     run_matrix(&SuspendOptions::default(), 0);
-}
-
-#[test]
-fn crash_matrix_serial_baseline() {
-    // The seed's serial write path (`dump_writers: 0`) stays covered.
-    run_matrix(
-        &SuspendOptions {
-            dump_writers: 0,
-            ..SuspendOptions::default()
-        },
-        0,
-    );
 }
 
 #[test]
@@ -222,40 +203,24 @@ fn crash_matrix_with_buffer_pool() {
     run_matrix(&SuspendOptions::default(), 64);
 }
 
-#[test]
-fn crash_matrix_parallel_resume() {
-    // The same crash matrix, but every recovery runs with a 4-reader
-    // prefetch pool: whatever torn state a crash left behind, the
-    // parallel read path must reach the identical resumable-or-clean
-    // verdict and output as the serial one.
-    run_matrix_with_resume_workers(&SuspendOptions::default(), 0, 4);
-}
+/// Write events of this plan's AllDump suspend, uncached and through a
+/// 64-frame pool.
+const PINNED_UNCACHED: u64 = 11;
+const PINNED_POOLED: u64 = 10;
 
 #[test]
-fn serial_and_parallel_suspends_issue_identical_write_counts() {
-    // The pipeline overlaps writes; it must not add, drop, or merge any.
-    // Equal totals keep the fault-injection ordinal space — and therefore
-    // the crash matrix — identical across the two modes.
-    let serial = count_suspend_writes_with(
-        &SuspendOptions {
-            dump_writers: 0,
-            ..SuspendOptions::default()
-        },
-        0,
+fn suspend_write_ordinal_count_is_pinned() {
+    // The ordinal space the matrices above enumerate. A change to the
+    // suspend write path that adds, drops or merges a write shows up here
+    // first, as an exact count.
+    assert_eq!(
+        count_suspend_writes_with(&SuspendOptions::default(), 0),
+        PINNED_UNCACHED
     );
-    for writers in [1, 4, 8] {
-        let parallel = count_suspend_writes_with(
-            &SuspendOptions {
-                dump_writers: writers,
-                ..SuspendOptions::default()
-            },
-            0,
-        );
-        assert_eq!(
-            serial, parallel,
-            "suspend with {writers} writers changed the write-event count"
-        );
-    }
+    assert_eq!(
+        count_suspend_writes_with(&SuspendOptions::default(), 64),
+        PINNED_POOLED
+    );
 }
 
 #[test]

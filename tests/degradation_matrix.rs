@@ -79,7 +79,7 @@ fn trigger() -> SuspendTrigger {
     SuspendTrigger::AfterOpTuples { op: OpId(1), n: 250 }
 }
 
-/// Run to the suspend point in a fresh directory (serial, uncached — the
+/// Run to the suspend point in a fresh directory (uncached — the
 /// deterministic baseline the ordinal matrices need).
 fn run_to_suspend_point(tag: &str) -> (TempDir, Arc<Database>, Vec<Tuple>, QueryExecution) {
     let dir = TempDir::new(tag);
@@ -91,13 +91,6 @@ fn run_to_suspend_point(tag: &str) -> (TempDir, Arc<Database>, Vec<Tuple>, Query
     let (prefix, done) = exec.run().unwrap();
     assert!(!done, "trigger must fire before the query completes");
     (dir, db, prefix, exec)
-}
-
-fn serial_options() -> SuspendOptions {
-    SuspendOptions {
-        dump_writers: 0,
-        ..SuspendOptions::default()
-    }
 }
 
 /// Cap the disk at `used + headroom` bytes.
@@ -134,7 +127,7 @@ fn smallest_committing_headroom(policy: &SuspendPolicy) -> u64 {
     for pages in 1..=32u64 {
         let (_dir, db, _prefix, exec) = run_to_suspend_point("probe");
         arm_quota(&db, pages * PAGE_SIZE as u64);
-        if exec.suspend_with(policy, &serial_options()).is_ok() {
+        if exec.suspend(policy).is_ok() {
             return pages * PAGE_SIZE as u64;
         }
     }
@@ -150,7 +143,7 @@ fn every_ladder_rung_commits_under_engineered_pressure() {
     {
         let (dir, db, prefix, exec) = run_to_suspend_point("r0");
         let h = exec
-            .suspend_with(&SuspendPolicy::Optimized { budget: None }, &serial_options())
+            .suspend(&SuspendPolicy::Optimized { budget: None })
             .unwrap();
         assert_eq!(h.rung, Rung::Requested);
         seen.insert(h.rung);
@@ -166,7 +159,7 @@ fn every_ladder_rung_commits_under_engineered_pressure() {
         fi.fail_write(1, WriteFault::NoSpace);
         db.disk().set_fault_injector(Some(fi));
         let h = exec
-            .suspend_with(&SuspendPolicy::Optimized { budget: None }, &serial_options())
+            .suspend(&SuspendPolicy::Optimized { budget: None })
             .unwrap();
         assert_eq!(h.rung, Rung::HeuristicRounded);
         seen.insert(h.rung);
@@ -189,7 +182,7 @@ fn every_ladder_rung_commits_under_engineered_pressure() {
         fi.fail_write(1, WriteFault::NoSpace);
         db.disk().set_fault_injector(Some(fi));
         let h = exec
-            .suspend_with(&SuspendPolicy::Fixed(fixed), &serial_options())
+            .suspend(&SuspendPolicy::Fixed(fixed))
             .unwrap();
         assert_eq!(h.rung, Rung::AllDump);
         seen.insert(h.rung);
@@ -206,7 +199,7 @@ fn every_ladder_rung_commits_under_engineered_pressure() {
         fi.fail_write(1, WriteFault::NoSpace);
         db.disk().set_fault_injector(Some(fi));
         let h = exec
-            .suspend_with(&SuspendPolicy::AllDump, &serial_options())
+            .suspend(&SuspendPolicy::AllDump)
             .unwrap();
         assert_eq!(h.rung, Rung::AllGoBack);
         seen.insert(h.rung);
@@ -228,7 +221,7 @@ fn minimal_quota_headroom_commits_some_rung_and_resumes() {
     for headroom in [0, minimal.saturating_sub(PAGE_SIZE as u64), minimal] {
         let (dir, db, prefix, exec) = run_to_suspend_point("min");
         arm_quota(&db, headroom);
-        let outcome = exec.suspend_with(&SuspendPolicy::AllDump, &serial_options());
+        let outcome = exec.suspend(&SuspendPolicy::AllDump);
         db.disk().set_quota(None);
         if headroom >= minimal {
             assert!(outcome.is_ok(), "minimal headroom {headroom} must commit");
@@ -256,7 +249,7 @@ fn tiny_deadline_admission_control_skips_to_goback() {
             &SuspendPolicy::AllDump,
             &SuspendOptions {
                 deadline: Some(0.5),
-                ..serial_options()
+                ..SuspendOptions::default()
             },
         )
         .unwrap();
@@ -269,7 +262,7 @@ fn tiny_deadline_admission_control_skips_to_goback() {
         let fi2 = Arc::new(FaultInjector::seeded(3));
         db2.disk().set_fault_injector(Some(fi2.clone()));
         exec2
-            .suspend_with(&SuspendPolicy::AllGoBack, &serial_options())
+            .suspend(&SuspendPolicy::AllGoBack)
             .unwrap();
         fi2.writes_observed()
     };
@@ -322,7 +315,7 @@ fn deadline_sweep_commits_within_budget_at_every_fraction() {
         assert!(!done, "trigger must fire before the query completes");
         let before = db.ledger().snapshot();
         let h = exec
-            .suspend_with(policy, &SuspendOptions { deadline, ..serial_options() })
+            .suspend_with(policy, &SuspendOptions { deadline, ..SuspendOptions::default() })
             .unwrap_or_else(|e| panic!("deadline {deadline:?}: no rung committed: {e}"));
         let spent = db.ledger().snapshot().since(&before).phase_cost(Phase::Suspend);
         let mut resumed = QueryExecution::resume(db, &h).unwrap();
@@ -360,7 +353,7 @@ fn scripted_nospace_at_every_write_ordinal_still_commits() {
         let (_dir, db, _prefix, exec) = run_to_suspend_point("dry");
         let fi = Arc::new(FaultInjector::seeded(0));
         db.disk().set_fault_injector(Some(fi.clone()));
-        exec.suspend_with(&SuspendPolicy::Optimized { budget: None }, &serial_options())
+        exec.suspend(&SuspendPolicy::Optimized { budget: None })
             .unwrap();
         fi.writes_observed()
     };
@@ -370,7 +363,7 @@ fn scripted_nospace_at_every_write_ordinal_still_commits() {
         let fi = Arc::new(FaultInjector::seeded(0xA0 + k));
         fi.fail_write(k, WriteFault::NoSpace);
         db.disk().set_fault_injector(Some(fi));
-        exec.suspend_with(&SuspendPolicy::Optimized { budget: None }, &serial_options())
+        exec.suspend(&SuspendPolicy::Optimized { budget: None })
             .unwrap_or_else(|e| panic!("nospace at write {k}: suspend aborted: {e}"));
         drop(db);
         assert_resumable_or_clean(&dir, &prefix, &reference, &format!("nospace at write {k}"));
@@ -393,7 +386,7 @@ fn fault_matrix_under_disk_pressure() {
         arm_quota(&db, headroom);
         let fi = Arc::new(FaultInjector::seeded(0));
         db.disk().set_fault_injector(Some(fi.clone()));
-        exec.suspend_with(&SuspendPolicy::AllDump, &serial_options())
+        exec.suspend(&SuspendPolicy::AllDump)
             .unwrap();
         fi.writes_observed()
     };
@@ -407,7 +400,7 @@ fn fault_matrix_under_disk_pressure() {
             db.disk().set_fault_injector(Some(fi));
             // Commit, clean abort, or halt are all legal; what matters is
             // the state left behind.
-            let _ = exec.suspend_with(&SuspendPolicy::AllDump, &serial_options());
+            let _ = exec.suspend(&SuspendPolicy::AllDump);
             drop(db);
             assert_resumable_or_clean(
                 &dir,
@@ -432,7 +425,7 @@ fn gc_crash_matrix_keeps_exactly_one_valid_generation() {
     let second_trigger = SuspendTrigger::AfterOpTuples { op: OpId(0), n: 40 };
     let writes = {
         let (_dir, db, _prefix, exec) = run_to_suspend_point("gdry");
-        exec.suspend_with(&SuspendPolicy::AllDump, &serial_options())
+        exec.suspend(&SuspendPolicy::AllDump)
             .unwrap();
         let mut resumed = QueryExecution::recover(db.clone()).unwrap().unwrap();
         resumed.set_trigger(Some(second_trigger.clone()));
@@ -441,7 +434,7 @@ fn gc_crash_matrix_keeps_exactly_one_valid_generation() {
         let fi = Arc::new(FaultInjector::seeded(0));
         db.disk().set_fault_injector(Some(fi.clone()));
         resumed
-            .suspend_with(&SuspendPolicy::AllDump, &serial_options())
+            .suspend(&SuspendPolicy::AllDump)
             .unwrap();
         fi.writes_observed()
     };
@@ -450,7 +443,7 @@ fn gc_crash_matrix_keeps_exactly_one_valid_generation() {
     for k in 1..=writes {
         let fault = if k % 2 == 0 { WriteFault::Torn } else { WriteFault::Crash };
         let (dir, db, prefix, exec) = run_to_suspend_point("gcell");
-        exec.suspend_with(&SuspendPolicy::AllDump, &serial_options())
+        exec.suspend(&SuspendPolicy::AllDump)
             .unwrap();
         let mut resumed = QueryExecution::recover(db.clone()).unwrap().unwrap();
         resumed.set_trigger(Some(second_trigger.clone()));
@@ -459,7 +452,7 @@ fn gc_crash_matrix_keeps_exactly_one_valid_generation() {
         let fi = Arc::new(FaultInjector::seeded(0x6C + k));
         fi.fail_write(k, fault);
         db.disk().set_fault_injector(Some(fi));
-        let _ = resumed.suspend_with(&SuspendPolicy::AllDump, &serial_options());
+        let _ = resumed.suspend(&SuspendPolicy::AllDump);
         drop(db);
 
         // Exactly one generation must load. Which one decides how much of
@@ -499,7 +492,7 @@ fn retire_crash_matrix_is_all_or_nothing() {
     let reference = reference_output();
     let writes = {
         let (_dir, db, _prefix, exec) = run_to_suspend_point("rdry");
-        exec.suspend_with(&SuspendPolicy::AllDump, &serial_options())
+        exec.suspend(&SuspendPolicy::AllDump)
             .unwrap();
         let fi = Arc::new(FaultInjector::seeded(0));
         db.disk().set_fault_injector(Some(fi.clone()));
@@ -511,7 +504,7 @@ fn retire_crash_matrix_is_all_or_nothing() {
     for k in 1..=writes {
         let fault = if k % 2 == 0 { WriteFault::Torn } else { WriteFault::Crash };
         let (dir, db, prefix, exec) = run_to_suspend_point("rcell");
-        exec.suspend_with(&SuspendPolicy::AllDump, &serial_options())
+        exec.suspend(&SuspendPolicy::AllDump)
             .unwrap();
         let fi = Arc::new(FaultInjector::seeded(0x2E + k));
         fi.fail_write(k, fault);
@@ -605,7 +598,7 @@ fn torn_write_during_one_sessions_suspend_spares_the_others() {
             exec.set_trigger(Some(SuspendTrigger::AfterOpTuples { op: OpId(1), n }));
             let (prefix, done) = exec.run().unwrap();
             assert!(!done);
-            exec.suspend_with(&SuspendPolicy::AllDump, &serial_options())
+            exec.suspend(&SuspendPolicy::AllDump)
                 .unwrap();
             prefixes.push(prefix);
         }
@@ -622,7 +615,7 @@ fn torn_write_during_one_sessions_suspend_spares_the_others() {
         let (_dir, db, _prefixes, a) = build("mdry");
         let fi = Arc::new(FaultInjector::seeded(0));
         db.disk().set_fault_injector(Some(fi.clone()));
-        a.suspend_with(&SuspendPolicy::AllDump, &serial_options())
+        a.suspend(&SuspendPolicy::AllDump)
             .unwrap();
         fi.writes_observed()
     };
@@ -633,7 +626,7 @@ fn torn_write_during_one_sessions_suspend_spares_the_others() {
         let fi = Arc::new(FaultInjector::seeded(0x7081 + k));
         fi.fail_write(k, WriteFault::Torn);
         db.disk().set_fault_injector(Some(fi));
-        let _ = a.suspend_with(&SuspendPolicy::AllDump, &serial_options());
+        let _ = a.suspend(&SuspendPolicy::AllDump);
         drop(db);
 
         let db = Database::open_default(&dir.0).unwrap();
@@ -852,7 +845,7 @@ fn fault_matrix_at_recursive_spill_and_merge_pass_ordinals() {
             let before = interesting(&tracer.take_full());
             let fi = Arc::new(FaultInjector::seeded(0));
             db.disk().set_fault_injector(Some(fi.clone()));
-            exec.suspend_with(&SuspendPolicy::Optimized { budget: None }, &serial_options())
+            exec.suspend(&SuspendPolicy::Optimized { budget: None })
                 .unwrap();
             let writes = fi.writes_observed();
             assert!(writes > 0, "{name} boundary {b}: suspend must write");
@@ -879,7 +872,7 @@ fn fault_matrix_at_recursive_spill_and_merge_pass_ordinals() {
                     // is always left, below the requested one when the
                     // requested plan's first write is the one that fails.
                     let outcome =
-                        exec.suspend_with(&SuspendPolicy::Optimized { budget: None }, &serial_options());
+                        exec.suspend(&SuspendPolicy::Optimized { budget: None });
                     if matches!(fault, WriteFault::NoSpace) {
                         let rung = outcome
                             .unwrap_or_else(|e| panic!("{name}: NoSpace at write {k} of boundary {b} aborted: {e}"))
@@ -951,7 +944,6 @@ fn delta_reference() -> Vec<Tuple> {
 
 fn delta_options(keep: usize) -> SuspendOptions {
     SuspendOptions {
-        dump_writers: 0,
         delta: Some(true),
         keep_generations: Some(keep),
         ..SuspendOptions::default()
@@ -1200,7 +1192,7 @@ fn remote_fault_matrix_retries_or_fails_over_at_every_write() {
             Some(db.ledger().clone()),
         ));
         db.set_backend(robust.clone());
-        exec.suspend_with(&SuspendPolicy::AllDump, &serial_options())
+        exec.suspend(&SuspendPolicy::AllDump)
             .expect("retry/failover must keep the suspend alive");
         (dir, robust, prefix, remote.latency_units())
     };
@@ -1211,7 +1203,7 @@ fn remote_fault_matrix_retries_or_fails_over_at_every_write() {
             || Arc::new(LocalDiskBackend::new(db.blobs().clone(), db.disk().clone()));
         let remote = Arc::new(RemoteMockBackend::new(local(), 9).with_latency(2, None));
         db.set_backend(remote.clone());
-        exec.suspend_with(&SuspendPolicy::AllDump, &serial_options())
+        exec.suspend(&SuspendPolicy::AllDump)
             .unwrap();
         (remote.faults().writes_observed(), remote.latency_units())
     };
@@ -1269,7 +1261,7 @@ fn clean_abort_leaves_no_new_files_and_typed_error() {
     let used_before = db.disk().used_bytes();
     arm_quota(&db, 0);
     let err = exec
-        .suspend_with(&SuspendPolicy::Optimized { budget: None }, &serial_options())
+        .suspend(&SuspendPolicy::Optimized { budget: None })
         .expect_err("zero headroom must abort the ladder");
     assert!(
         err.is_resource_pressure(),

@@ -81,7 +81,6 @@ fn reference_output() -> Vec<Tuple> {
 
 fn options(delta: bool, keep: usize) -> SuspendOptions {
     SuspendOptions {
-        dump_writers: 0,
         delta: Some(delta),
         keep_generations: Some(keep),
         ..SuspendOptions::default()

@@ -23,6 +23,17 @@
 //! query is a merge join of two sorts, suspended once under `AllDump`
 //! while the right sort was still reading its input.
 
+//!
+//! `suspend-fnv/` was written by the same example (`--fnv`, the
+//! [`write_suspend_fnv`] below) at commit cfe96cc, the last build that
+//! wrote the hash join's two retired join-phase bytes — 2, the linear
+//! partition scan, and 4, the budgeted task walk — and one of the builds
+//! that stamped every page trailer and frame with FNV-1a. It holds a
+//! `SuspendedQuery` v2 frame under a v1 manifest (delta checkpoints off,
+//! one generation kept). The query is a merge join of two hash joins, one
+//! without and one under a memory budget, suspended once under `AllDump`
+//! while both were streaming their join phase.
+
 // Each includer uses its own part of this module.
 #![allow(dead_code)]
 
@@ -36,6 +47,11 @@ use std::sync::Arc;
 /// The checked-in directory of the `SuspendedQuery` v3 era.
 pub fn suspend_v3_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/suspend-v3")
+}
+
+/// The checked-in directory of the FNV, join-phase-2-and-4 era.
+pub fn suspend_fnv_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/suspend-fnv")
 }
 
 /// The checked-in directory of the `SuspendedQuery` v2 era.
@@ -174,6 +190,98 @@ pub fn write_suspend_v2(dir: &Path) -> Result<()> {
     let (delivered, done) = exec.run()?;
     assert!(!done && delivered.is_empty(), "the suspend must land inside the right sort's input");
     assert!(exec.suspend_problem().inputs[&OpId(3)].heap_bytes > 0, "the right sort buffers rows");
+    exec.suspend_with(&SuspendPolicy::AllDump, &options)?;
+    Ok(())
+}
+
+/// `MergeJoin(HashJoin{build: a, probe: p}, MemoryBudget(HashJoin{build:
+/// b, probe: p}))` on the key column, operators numbered in preorder:
+/// merge join 0, the unbudgeted hash join 1 and its scans of `a` and `p`
+/// 2 and 3, the budgeted hash join 4 and its scans of `b` and `p` 5 and 6
+/// (the envelope takes no number). Each join has one partition and probes
+/// the presorted `p`, so it emits in key order; every key of `p` meets
+/// one row of `a` and one of `b`.
+pub fn plan_fnv() -> PlanSpec {
+    let join = |build: &str| {
+        Box::new(PlanSpec::HashJoin {
+            build: Box::new(PlanSpec::TableScan {
+                table: build.into(),
+            }),
+            probe: Box::new(PlanSpec::TableScan { table: "p".into() }),
+            build_key: 0,
+            probe_key: 0,
+            partitions: 1,
+            hybrid: false,
+        })
+    };
+    PlanSpec::MergeJoin {
+        left: join("a"),
+        right: Box::new(PlanSpec::MemoryBudget {
+            input: join("b"),
+            mem_budget: 1000,
+            merge_fanin: 0,
+        }),
+        left_key: 0,
+        right_key: 0,
+    }
+}
+
+/// Rows in each table of [`plan_fnv`].
+pub const SUSPEND_FNV_ROWS: u64 = 250;
+
+/// Create the tables of [`plan_fnv`] in a fresh database at `dir`: `a`
+/// and `b` with their keys shuffled, `p` presorted.
+pub fn populate_fnv(dir: &Path) -> Result<Arc<Database>> {
+    let db = Database::open_default(dir)?;
+    for (table, seed) in [("a", 61), ("b", 62)] {
+        generate_table(
+            &db,
+            &TableSpec::new(table, SUSPEND_FNV_ROWS)
+                .payload(8)
+                .seed(seed),
+        )?;
+    }
+    generate_table(
+        &db,
+        &TableSpec::new("p", SUSPEND_FNV_ROWS)
+            .payload(8)
+            .seed(63)
+            .sorted(),
+    )?;
+    Ok(db)
+}
+
+/// Budgeted-join work units before the suspend: its build and probe rows
+/// partitioned, then 100 probe rows of its join phase. The unbudgeted
+/// join, which the merge join pulls in step with it, is as far along.
+pub const SUSPEND_FNV_JOIN_TICKS: u64 = 2 * SUSPEND_FNV_ROWS + 100;
+
+/// Populate `dir`, then run [`plan_fnv`] to its one `AllDump` suspend with
+/// delta checkpoints off and a single generation kept, taken while both
+/// hash joins hold their partition's build table in memory.
+pub fn write_suspend_fnv(dir: &Path) -> Result<()> {
+    let options = SuspendOptions {
+        delta: Some(false),
+        keep_generations: Some(1),
+        ..SuspendOptions::default()
+    };
+    let mut exec = QueryExecution::start(populate_fnv(dir)?, plan_fnv())?;
+    exec.set_trigger(Some(SuspendTrigger::AfterOpTuples {
+        op: OpId(4),
+        n: SUSPEND_FNV_JOIN_TICKS,
+    }));
+    let (delivered, done) = exec.run()?;
+    assert!(
+        !done && !delivered.is_empty(),
+        "the suspend must land inside both join phases"
+    );
+    let inputs = exec.suspend_problem().inputs;
+    for op in [1, 4] {
+        assert!(
+            inputs[&OpId(op)].heap_bytes > 0,
+            "hash join {op} must hold its build table"
+        );
+    }
     exec.suspend_with(&SuspendPolicy::AllDump, &options)?;
     Ok(())
 }

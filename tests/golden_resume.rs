@@ -7,7 +7,7 @@ mod golden;
 
 use qsr::core::{OpId, Strategy, SuspendedQuery};
 use qsr::exec::{read_manifest, QueryExecution, SUSPEND_MANIFEST};
-use qsr::storage::{Database, TraceEvent, Tracer};
+use qsr::storage::{checksum, fnv1a, Database, TraceEvent, Tracer, PAGE_SIZE};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -128,4 +128,95 @@ fn suspend_v2_directory_resumes_to_a_fresh_run() {
         .unwrap();
     assert_eq!(fresh.len(), 600, "every key of r meets its row of s");
     assert_eq!(recovered, fresh);
+}
+
+/// The eight-byte checksum slot of a `magic, version, sum, len-prefixed
+/// body` frame holds FNV-1a of the body, not this build's checksum.
+fn assert_fnv_stamped(what: &str, frame: &[u8]) {
+    let stamp = u64::from_le_bytes(frame[8..16].try_into().unwrap());
+    let body = &frame[20..];
+    assert_eq!(stamp, fnv1a(body), "{what}: FNV-1a stamp");
+    assert_ne!(stamp, checksum(body), "{what}: not this build's checksum");
+}
+
+#[test]
+fn suspend_fnv_directory_resumes_to_a_fresh_run() {
+    let dir = TempDir::new("fnv");
+    copy_dir(&golden::suspend_fnv_dir(), &dir.0);
+
+    // Every page record on disk — tables, join partitions, dump blobs,
+    // the `SuspendedQuery` — ends in FNV-1a of its payload.
+    let mut pages = 0;
+    for entry in std::fs::read_dir(&dir.0).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "qsr")
+            && path.file_name().unwrap() != "catalog.qsr"
+        {
+            for record in std::fs::read(&path).unwrap().chunks(PAGE_SIZE + 8) {
+                let (payload, trailer) = record.split_at(PAGE_SIZE);
+                assert_eq!(trailer, fnv1a(payload).to_le_bytes(), "{}", path.display());
+                pages += 1;
+            }
+        }
+    }
+    assert_eq!(pages, 20);
+
+    // The directory is of the era it claims to be: a v1 manifest and a v2
+    // `SuspendedQuery`, both FNV-stamped, and each hash join parked in a
+    // join phase this build no longer writes — the linear partition scan
+    // (byte 2) without a budget, the budgeted task walk (byte 4) under one.
+    let db = Database::open_default(&dir.0).unwrap();
+    let manifest_frame = std::fs::read(dir.0.join(SUSPEND_MANIFEST)).unwrap();
+    assert_eq!(version_word(&manifest_frame), 1);
+    assert_fnv_stamped("manifest", &manifest_frame);
+    let manifest = read_manifest(&db).unwrap().expect("a committed manifest");
+    assert_eq!((manifest.chain_len, manifest.retained.len()), (0, 0));
+    let query_frame = db.blobs().get(manifest.query).unwrap();
+    assert_eq!(version_word(&query_frame), 2);
+    assert_fnv_stamped("SuspendedQuery", &query_frame);
+    let sq = SuspendedQuery::load(db.blobs(), manifest.query).unwrap();
+    assert!(sq.delta_deps.is_empty());
+    for (op, phase) in [(1, 2), (4, 4)] {
+        let record = &sq.records[&OpId(op)];
+        assert_eq!(record.strategy, Strategy::Dump, "op {op}");
+        assert!(
+            record.heap_dump.is_some(),
+            "hash join {op} dumps its build table"
+        );
+        assert_eq!(
+            record.resume_point[0], phase,
+            "hash join {op}'s join-phase byte"
+        );
+    }
+
+    let tracer = Arc::new(Tracer::new(db.ledger().clone()));
+    tracer.enable_full_capture();
+    db.ledger().set_tracer(&tracer);
+    let mut resumed = QueryExecution::recover(db.clone())
+        .unwrap()
+        .expect("the golden directory holds a committed suspend");
+    let substituted = tracer.take_full().into_iter().any(
+        |r| matches!(&r.event, TraceEvent::RecoveryStep { step } if step.contains("substituting")),
+    );
+    assert!(
+        !substituted,
+        "both join-phase dumps must decode on this build"
+    );
+    let delivered = resumed.tuples_emitted() as usize;
+    let recovered = resumed.run_to_completion().unwrap();
+
+    let fresh = QueryExecution::start(db, golden::plan_fnv())
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
+    assert_eq!(
+        fresh.len() as u64,
+        golden::SUSPEND_FNV_ROWS,
+        "every key of p meets a and b"
+    );
+    assert!(
+        delivered > 0,
+        "the merge join had output rows before the suspend"
+    );
+    assert_eq!(recovered, fresh[delivered..]);
 }

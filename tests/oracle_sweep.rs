@@ -6,7 +6,7 @@
 //!
 //! 1. an exhaustive sweep suspending at every `QSR_ORACLE_STRIDE`-th
 //!    work-unit boundary (default 1: *every* boundary) under every
-//!    pool × writers configuration,
+//!    pool configuration,
 //! 2. multi-suspend chains (suspend → resume → suspend …) to depth 3,
 //! 3. `QSR_ORACLE_FAULTS` randomized fault schedules (default 32; seeded,
 //!    no wall-clock entropy) striking the suspend or resume phase.
@@ -45,8 +45,8 @@ fn config() -> Config {
     }
 }
 
-/// The pool-pages × dump-writers matrix every family covers.
-const CONFIGS: [(usize, usize); 4] = [(0, 0), (0, 4), (64, 0), (64, 4)];
+/// The buffer-pool sizes every family covers: passthrough and caching.
+const CONFIGS: [usize; 2] = [0, 64];
 
 /// Report a failing scenario: print the repro token, shrink, print the
 /// minimized token, panic.
@@ -81,7 +81,7 @@ fn replay_repro_token() {
 }
 
 /// Suspend `case` at every `stride`-th work-unit boundary under every
-/// pool × writers configuration.
+/// pool configuration.
 fn sweep_suspend_points(case: &str) {
     let cfg = config();
     if cfg.replay.is_some() {
@@ -91,7 +91,7 @@ fn sweep_suspend_points(case: &str) {
     let total = oracle
         .total_work_units(case)
         .unwrap_or_else(|e| panic!("golden run of {case}: {e}"));
-    for (pool_pages, dump_writers) in CONFIGS {
+    for pool_pages in CONFIGS {
         let mut boundary = 1;
         while boundary <= total {
             // Alternate policies across the sweep so both the all-dump
@@ -105,7 +105,6 @@ fn sweep_suspend_points(case: &str) {
             let s = Scenario {
                 case: case.to_string(),
                 pool_pages,
-                dump_writers,
                 mem_budget: 0,
                 merge_fanin: 0,
                 skew: SkewProfile::Default,
@@ -167,7 +166,6 @@ fn multi_suspend_chains_to_depth_three() {
         return;
     }
     let mut oracle = Oracle::new();
-    let configs: &[(usize, usize)] = if cfg.full { &CONFIGS } else { &[(0, 0), (64, 4)] };
     for case in qsr::workload::cases() {
         let total = oracle.total_work_units(case.name).unwrap();
         let step = (total / 4).max(1);
@@ -184,12 +182,11 @@ fn multi_suspend_chains_to_depth_three() {
             1 + next() % step,
             1 + next() % step,
         ]);
-        for (pool_pages, dump_writers) in configs.iter().copied() {
+        for pool_pages in CONFIGS {
             for boundaries in &chains {
                 let s = Scenario {
                     case: case.name.to_string(),
                     pool_pages,
-                    dump_writers,
                     mem_budget: 0,
                     merge_fanin: 0,
                     skew: SkewProfile::Default,
@@ -235,7 +232,6 @@ fn sort_over_hybrid_join_every_policy_and_lane() {
                 let s = Scenario {
                     case: case.to_string(),
                     pool_pages: 0,
-                    dump_writers: 0,
                     mem_budget: 0,
                     merge_fanin: 0,
                     skew: SkewProfile::Default,
@@ -282,7 +278,6 @@ fn backend_delta_retention_chains() {
                 let s = Scenario {
                     case: case.to_string(),
                     pool_pages: 0,
-                    dump_writers: 0,
                     mem_budget: 0,
                     merge_fanin: 0,
                     skew: SkewProfile::Default,
@@ -325,7 +320,6 @@ fn degradation_ladder_quota_sweep() {
                 let s = Scenario {
                     case: case.name.to_string(),
                     pool_pages: 0,
-                    dump_writers: 0,
                     mem_budget: 0,
                     merge_fanin: 0,
                     skew: SkewProfile::Default,
@@ -364,7 +358,6 @@ fn scripted_nospace_at_every_suspend_write() {
         let shape = Scenario {
             case: case.to_string(),
             pool_pages: 0,
-            dump_writers: 0,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,
@@ -422,14 +415,13 @@ fn grace_memory_knob_sweep() {
         return;
     }
     let mut oracle = Oracle::new();
-    // The full lane crosses every boundary with the whole pool × writers
-    // matrix; the quick lane rotates through the matrix across the
-    // boundary space so each combination still sees every region.
+    // The full lane crosses every boundary with every pool size; the
+    // quick lane rotates through them across the boundary space so each
+    // still sees every region.
     for (case, mem_budget, merge_fanin, skew) in GRACE_VARIANTS {
         let probe = Scenario {
             case: case.to_string(),
             pool_pages: 0,
-            dump_writers: 0,
             mem_budget,
             merge_fanin,
             skew,
@@ -458,16 +450,15 @@ fn grace_memory_knob_sweep() {
             } else {
                 Policy::Dump
             };
-            let picks: &[(usize, usize)] = if cfg.full {
+            let picks: &[usize] = if cfg.full {
                 &CONFIGS
             } else {
                 std::slice::from_ref(&CONFIGS[turn % CONFIGS.len()])
             };
-            for &(pool_pages, dump_writers) in picks {
+            for &pool_pages in picks {
                 let s = Scenario {
                     case: case.to_string(),
                     pool_pages,
-                    dump_writers,
                     mem_budget,
                     merge_fanin,
                     skew,
@@ -505,13 +496,12 @@ fn grace_knob_fault_schedules() {
     for i in 0..32u64 {
         let (case, mem_budget, merge_fanin, skew) =
             GRACE_VARIANTS[(next() % GRACE_VARIANTS.len() as u64) as usize];
-        let (pool_pages, dump_writers) = CONFIGS[(next() % CONFIGS.len() as u64) as usize];
+        let pool_pages = CONFIGS[(next() % CONFIGS.len() as u64) as usize];
         let during_resume = next() % 2 == 1;
         let policy = if next() % 2 == 0 { Policy::Dump } else { Policy::Optimized };
         let shape = Scenario {
             case: case.to_string(),
             pool_pages,
-            dump_writers,
             mem_budget,
             merge_fanin,
             skew,
@@ -568,7 +558,7 @@ fn randomized_fault_schedules() {
     for i in 0..cfg.faults {
         let case = &cases[(next() % cases.len() as u64) as usize];
         let total = oracle.total_work_units(case.name).unwrap();
-        let (pool_pages, dump_writers) = CONFIGS[(next() % CONFIGS.len() as u64) as usize];
+        let pool_pages = CONFIGS[(next() % CONFIGS.len() as u64) as usize];
         let during_resume = next() % 2 == 1;
         let boundary = 1 + next() % total.max(1);
         let policy = if next() % 2 == 0 { Policy::Dump } else { Policy::Optimized };
@@ -578,7 +568,6 @@ fn randomized_fault_schedules() {
         let shape = Scenario {
             case: case.name.to_string(),
             pool_pages,
-            dump_writers,
             mem_budget: 0,
             merge_fanin: 0,
             skew: SkewProfile::Default,

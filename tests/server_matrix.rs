@@ -13,7 +13,7 @@
 //! damage.
 
 use qsr::core::SuspendPolicy;
-use qsr::exec::{read_manifest_named, AggFn, PlanSpec, Predicate, SuspendOptions};
+use qsr::exec::{read_manifest_named, AggFn, PlanSpec, Predicate};
 use qsr::server::{
     Admission, AdmissionConfig, QsrServer, ServerConfig, SessionId, SessionRegistry, SlaConfig,
 };
@@ -98,10 +98,6 @@ fn config() -> ServerConfig {
         quantum: 1_500,
         max_live: 1,
         policy: SuspendPolicy::Optimized { budget: None },
-        options: SuspendOptions {
-            dump_writers: 0,
-            ..SuspendOptions::default()
-        },
         ..ServerConfig::default()
     }
 }

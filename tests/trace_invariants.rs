@@ -61,13 +61,6 @@ fn install_full_capture(db: &Arc<Database>, sink: Option<&PathBuf>) -> Arc<Trace
     t
 }
 
-fn serial() -> SuspendOptions {
-    SuspendOptions {
-        dump_writers: 0,
-        ..SuspendOptions::default()
-    }
-}
-
 /// Golden output and total work units of an uninterrupted run.
 fn golden(case: &str) -> (Vec<qsr::storage::Tuple>, u64) {
     let dir = TempDir::new("golden");
@@ -224,7 +217,8 @@ fn tracer_installed_is_ledger_bit_identical() {
                 let sink = dir.0.join("trace.jsonl");
                 install_full_capture(&db, Some(&sink));
             }
-            let out = suspend_resume_cycle(&db, case.name, boundary, &policy, &serial());
+            let options = SuspendOptions::default();
+            let out = suspend_resume_cycle(&db, case.name, boundary, &policy, &options);
             (out, db.ledger().snapshot())
         };
 
@@ -251,7 +245,7 @@ fn suspend_cost(case: &str, boundary: u64, policy: &SuspendPolicy) -> f64 {
     let (_, done) = exec.run().unwrap();
     assert!(!done);
     let before = db.ledger().snapshot();
-    exec.suspend_with(policy, &serial()).unwrap();
+    exec.suspend(policy).unwrap();
     db.ledger().snapshot().since(&before).total_cost()
 }
 
@@ -284,7 +278,7 @@ fn event_stream_invariants_across_corpus() {
             let dir = TempDir::new(&tag);
             let db = setup(&dir, *pool_pages);
             let tracer = install_full_capture(&db, None);
-            let options = SuspendOptions { deadline, ..serial() };
+            let options = SuspendOptions { deadline, ..SuspendOptions::default() };
             let out = suspend_resume_cycle(&db, case.name, boundary, policy, &options);
             assert_eq!(out, reference, "[{tag}] output diverges");
 
@@ -398,7 +392,7 @@ fn flight_recorder_tail_attaches_to_clean_abort_and_resume_failure() {
         assert!(!done);
         let dm = db.disk();
         dm.set_quota(Some(dm.used_bytes()));
-        exec.suspend_with(&SuspendPolicy::AllDump, &serial())
+        exec.suspend(&SuspendPolicy::AllDump)
             .expect_err("zero headroom must abort");
         let (label, tail) = tracer.failure_tail().expect("abort must freeze a tail");
         assert!(
@@ -424,7 +418,7 @@ fn flight_recorder_tail_attaches_to_clean_abort_and_resume_failure() {
         exec.set_work_unit_observer(Some(Box::new(move |_op, seq: u64| seq >= boundary)));
         let (_, done) = exec.run().unwrap();
         assert!(!done);
-        let handle = exec.suspend_with(&SuspendPolicy::AllDump, &serial()).unwrap();
+        let handle = exec.suspend(&SuspendPolicy::AllDump).unwrap();
         drop(db);
 
         let db = Database::open_default(&dir.0).unwrap();

@@ -1,19 +1,15 @@
-//! Write-event-set equality: a pipelined suspend must issue exactly the
-//! same labeled write events as a serial one.
+//! Write-event sets: a suspend over a caching buffer pool must issue
+//! exactly the dump-blob writes a passthrough suspend issues.
 //!
-//! The dump pipeline overlaps blob writes across worker threads, so the
-//! *global* ordering of write events is scheduling-dependent — but blob
-//! file ids are allocated on the submitting thread in operator order, and
-//! each file's pages are written by a single job in order. Grouping the
-//! recorded [`WriteEvent`] stream per target file therefore must yield
-//! identical ordered sequences for `dump_writers: 0` and `dump_writers: 4`,
-//! at both a passthrough (pool 0) and a caching (pool 64) database. A
-//! divergence means the pipeline added, dropped, merged, or relabeled an
-//! I/O — precisely the class of bug that silently shifts the crash-matrix
-//! ordinal space.
+//! The recorded [`WriteEvent`] stream is grouped per target file. A cache
+//! may defer or absorb table write-backs, but dump blobs are created fresh
+//! at suspend time and synced before the commit, so their ordered write
+//! sequences must agree with and without a pool. A divergence means the
+//! cache added, dropped, merged, or relabeled an I/O — precisely the class
+//! of bug that silently shifts the crash-matrix ordinal space.
 
 use qsr::core::SuspendPolicy;
-use qsr::exec::{PlanSpec, QueryExecution, SuspendOptions, WorkUnitObserver};
+use qsr::exec::{PlanSpec, QueryExecution, WorkUnitObserver};
 use qsr::storage::{CostModel, Database, FaultInjector, WriteEvent, WriteKind};
 use qsr::workload::{generate_table, TableSpec};
 use std::collections::BTreeMap;
@@ -41,8 +37,7 @@ impl Drop for TempDir {
 
 /// Sort over a spilling hash join: at the suspend point both the join
 /// (partition files, hybrid-resident partition) and the sort (run buffer)
-/// carry dump-worthy state, so the suspend writes several distinct blobs —
-/// enough for the pipeline to genuinely interleave.
+/// carry dump-worthy state, so the suspend writes several distinct blobs.
 fn plan() -> PlanSpec {
     PlanSpec::Sort {
         input: Box::new(PlanSpec::HashJoin {
@@ -81,11 +76,7 @@ fn total_work_units() -> u64 {
 /// Run to the half-way work unit, suspend under a recording injector, and
 /// return the suspend phase's write events grouped per target in arrival
 /// order.
-fn suspend_events(
-    boundary: u64,
-    pool_pages: usize,
-    dump_writers: usize,
-) -> BTreeMap<String, Vec<WriteEvent>> {
+fn suspend_events(boundary: u64, pool_pages: usize) -> BTreeMap<String, Vec<WriteEvent>> {
     let dir = TempDir::new("cell");
     let db = Database::open_with_pool(&dir.0, CostModel::default(), pool_pages).unwrap();
     populate(&db);
@@ -99,14 +90,7 @@ fn suspend_events(
     let fi = Arc::new(FaultInjector::seeded(0));
     fi.record_events(true);
     db.disk().set_fault_injector(Some(fi.clone()));
-    exec.suspend_with(
-        &SuspendPolicy::AllDump,
-        &SuspendOptions {
-            dump_writers,
-            ..SuspendOptions::default()
-        },
-    )
-    .unwrap();
+    exec.suspend(&SuspendPolicy::AllDump).unwrap();
     db.disk().set_fault_injector(None);
 
     let mut by_target: BTreeMap<String, Vec<WriteEvent>> = BTreeMap::new();
@@ -116,53 +100,6 @@ fn suspend_events(
     by_target
 }
 
-fn assert_same_per_file_sequences(
-    serial: &BTreeMap<String, Vec<WriteEvent>>,
-    pipelined: &BTreeMap<String, Vec<WriteEvent>>,
-    pool_pages: usize,
-) {
-    let s_targets: Vec<_> = serial.keys().collect();
-    let p_targets: Vec<_> = pipelined.keys().collect();
-    assert_eq!(
-        s_targets, p_targets,
-        "pool {pool_pages}: pipelined suspend touched a different file set"
-    );
-    for (target, s_events) in serial {
-        assert_eq!(
-            s_events, &pipelined[target],
-            "pool {pool_pages}: write sequence for {target} diverged between \
-             serial and pipelined suspend"
-        );
-    }
-}
-
-#[test]
-fn pipelined_suspend_writes_equal_serial_per_file() {
-    let boundary = (total_work_units() / 2).max(1);
-    for pool_pages in [0usize, 64] {
-        let serial = suspend_events(boundary, pool_pages, 0);
-        let pipelined = suspend_events(boundary, pool_pages, 4);
-
-        // Sanity: the suspend really dumped state (several blob files plus
-        // the manifest's two-step atomic commit).
-        assert!(
-            serial.len() >= 3,
-            "pool {pool_pages}: expected several dump files, got {:?}",
-            serial.keys().collect::<Vec<_>>()
-        );
-        let manifest = serial
-            .get(qsr::exec::SUSPEND_MANIFEST)
-            .unwrap_or_else(|| panic!("pool {pool_pages}: no manifest commit recorded"));
-        assert_eq!(
-            manifest.iter().map(|e| e.kind).collect::<Vec<_>>(),
-            vec![WriteKind::SidecarWrite, WriteKind::SidecarRename],
-            "pool {pool_pages}: manifest commit must be write-tmp then rename"
-        );
-
-        assert_same_per_file_sequences(&serial, &pipelined, pool_pages);
-    }
-}
-
 #[test]
 fn caching_pool_defers_but_does_not_invent_writes() {
     // Cross-pool the event *kinds* per file still agree in multiset terms
@@ -170,8 +107,25 @@ fn caching_pool_defers_but_does_not_invent_writes() {
     // suspend time and synced before commit, so caching cannot elide any
     // of their pages — only table-file write-back timing may differ.
     let boundary = (total_work_units() / 2).max(1);
-    let plain = suspend_events(boundary, 0, 0);
-    let cached = suspend_events(boundary, 64, 0);
+    let plain = suspend_events(boundary, 0);
+    let cached = suspend_events(boundary, 64);
+    for (pool_pages, events) in [(0, &plain), (64, &cached)] {
+        // Sanity: the suspend really dumped state (several blob files plus
+        // the manifest's two-step atomic commit).
+        assert!(
+            events.len() >= 3,
+            "pool {pool_pages}: expected several dump files, got {:?}",
+            events.keys().collect::<Vec<_>>()
+        );
+        let manifest = events
+            .get(qsr::exec::SUSPEND_MANIFEST)
+            .unwrap_or_else(|| panic!("pool {pool_pages}: no manifest commit recorded"));
+        assert_eq!(
+            manifest.iter().map(|e| e.kind).collect::<Vec<_>>(),
+            vec![WriteKind::SidecarWrite, WriteKind::SidecarRename],
+            "pool {pool_pages}: manifest commit must be write-tmp then rename"
+        );
+    }
     for (target, events) in &plain {
         let Some(cached_events) = cached.get(target) else {
             continue; // table write-back absorbed by the cache: legal
