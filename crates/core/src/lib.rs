@@ -19,12 +19,12 @@
 //! * [`suspended`] — the `SuspendedQuery` structure (§2) written at
 //!   suspend and read at resume.
 //! * [`optimizer`] — the §5 mixed-integer program, generated from the live
-//!   contract graph and per-operator statistics, solved via `qsr-mip`;
-//!   plus the purist policies (all-DumpState, all-GoBack) and the static
-//!   table-statistics baseline of Figure 12.
-//! * [`structured`] — an exact Pareto-frontier tree-DP solver for the same
-//!   problem, used for very large plans and property-tested against the
-//!   MIP path.
+//!   contract graph and per-operator statistics; plus the purist policies
+//!   (all-DumpState, all-GoBack) and the static table-statistics baseline
+//!   of Figure 12.
+//! * [`structured`] — the exact Pareto-frontier tree DP that solves every
+//!   `Optimized` suspend, property-tested against the literal MIP solved
+//!   by `qsr-mip` (the reference solver).
 //! * [`work`] — per-operator cumulative-work tracking feeding the
 //!   optimizer's `g^r` terms.
 
@@ -41,8 +41,8 @@ pub mod work;
 pub use graph::{Checkpoint, Contract, ContractGraph, Migration, SideSnapshot};
 pub use ids::{CkptId, CtrId, OpId};
 pub use optimizer::{
-    GoBackCandidate, OpSuspendInputs, OptimizeReport, SolverKind, SuspendOptimizer,
-    SuspendPolicy, SuspendProblem,
+    GoBackCandidate, OpSuspendInputs, OptimizeReport, SuspendOptimizer, SuspendPolicy,
+    SuspendProblem,
 };
 pub use qsr_mip::{SolveBudget, SolveStats};
 pub use suspended::{OpSuspendRecord, Strategy, SuspendPlan, SuspendedQuery};

@@ -9,6 +9,11 @@
 //! * objective (1)+(2): total suspend + resume cost,
 //! * constraints (3)–(8), including the suspend budget `C`.
 //!
+//! The program is tree-shaped, so [`crate::structured`]'s Pareto DP solves
+//! it exactly, and that DP answers every `Optimized` suspend.
+//! [`SuspendOptimizer::solve_mip`] keeps the literal MIP, solved by
+//! `qsr-mip`, as the reference the DP is tested against.
+//!
 //! Cost attribution (see `DESIGN.md` §4 for the derivation):
 //!
 //! * `d^s_i` / `d^r_i` — pages of heap state × write/read page cost.
@@ -29,12 +34,8 @@ use crate::graph::{ChainResolution, Contract, ContractGraph, SideSnapshot};
 use crate::ids::OpId;
 use crate::suspended::{Strategy, SuspendPlan};
 use crate::topology::PlanTopology;
-use qsr_mip::{
-    ConstraintOp, LinearProgram, MipSolution, SolveBudget, SolveObserver, SolveStats, VarId,
-};
-use qsr_storage::{
-    pages_for_bytes, CostModel, Result, StorageError, TraceEvent, Tracer, PAGE_SIZE,
-};
+use qsr_mip::{ConstraintOp, LinearProgram, MipSolution, SolveBudget, SolveStats, VarId};
+use qsr_storage::{pages_for_bytes, CostModel, Result, StorageError, PAGE_SIZE};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Instant;
 
@@ -72,8 +73,8 @@ pub enum SuspendPolicy {
     AllDump,
     /// Every operator goes back to the deepest resolvable anchor.
     AllGoBack,
-    /// The online optimizer: solve the §5 MIP, minimizing total overhead
-    /// subject to an optional suspend budget.
+    /// The online optimizer: solve the §5 problem exactly, minimizing
+    /// total overhead subject to an optional suspend budget.
     Optimized {
         /// Suspend-cost budget `C` in simulated cost units; `None` means
         /// unconstrained.
@@ -111,27 +112,11 @@ pub struct OptimizeReport {
     pub est_suspend_cost: f64,
     /// Estimated resume cost of the plan (cost units).
     pub est_resume_cost: f64,
-    /// Which solver produced it.
-    pub solver: SolverKind,
     /// Wall-clock time spent optimizing.
     pub elapsed: std::time::Duration,
-    /// Branch-and-bound nodes (MIP path only).
-    pub nodes: usize,
-    /// Anytime-solver statistics (MIP path only; default elsewhere). When
-    /// `stats.budget_exhausted` is set the plan is a best-effort incumbent
-    /// or a rounded relaxation, not a proved optimum.
+    /// Always `SolveStats::default()`: no branch-and-bound runs online.
+    /// The field stays only because the `benchmark/` crate still reads it.
     pub stats: SolveStats,
-}
-
-/// Which engine produced a suspend plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverKind {
-    /// A fixed policy (AllDump / AllGoBack / Fixed).
-    Policy,
-    /// The mixed-integer program via `qsr-mip`.
-    Mip,
-    /// The structured Pareto-frontier tree DP (`structured` module).
-    Structured,
 }
 
 impl SuspendProblem {
@@ -286,153 +271,33 @@ impl SuspendProblem {
 /// The suspend-plan chooser.
 pub struct SuspendOptimizer;
 
-/// Adapter forwarding [`SolveObserver`] callbacks into the trace journal
-/// (`qsr-mip` has no dependencies, so it cannot emit directly).
-struct MipTraceObserver<'a>(&'a Tracer);
-
-impl SolveObserver for MipTraceObserver<'_> {
-    fn on_root(&self, pivots: usize) {
-        self.0.emit(TraceEvent::MipPivot { pivots });
-    }
-    fn on_node(&self, nodes: usize, pivots: usize, bound: f64) {
-        self.0.emit(TraceEvent::MipNode {
-            nodes,
-            pivots,
-            bound,
-        });
-    }
-    fn on_incumbent(&self, objective: f64, nodes: usize) {
-        self.0.emit(TraceEvent::MipIncumbent { objective, nodes });
-    }
-}
-
 impl SuspendOptimizer {
-    /// Number of MIP variables above which the structured solver is used
-    /// instead of the dense simplex (see `structured`).
-    pub const STRUCTURED_THRESHOLD: usize = 600;
-
-    /// The solver budget in effect when the caller specifies none: the
-    /// `QSR_SOLVE_NODES` environment knob (a node cap), or the solver's
-    /// own defensive default. A malformed value is a hard error naming
-    /// the variable, not a silent fall-through.
-    pub fn default_solve_budget() -> SolveBudget {
-        match qsr_storage::env_parse::<usize>("QSR_SOLVE_NODES") {
-            Some(n) => SolveBudget::nodes(n),
-            None => SolveBudget::default(),
-        }
-    }
-
-    /// Choose a suspend plan under `policy` with the default solve budget.
+    /// Choose a suspend plan under `policy`. `Optimized` is answered by the
+    /// exact tree DP ([`crate::structured::solve`]) whatever the plan's
+    /// size; the other policies are fixed plans.
     pub fn choose(
         policy: &SuspendPolicy,
         problem: &SuspendProblem,
         graph: &ContractGraph,
     ) -> Result<OptimizeReport> {
-        Self::choose_with_budget(policy, problem, graph, &Self::default_solve_budget())
-    }
-
-    /// [`Self::choose`], emitting solver progress to `tracer` when present.
-    pub fn choose_traced(
-        policy: &SuspendPolicy,
-        problem: &SuspendProblem,
-        graph: &ContractGraph,
-        tracer: Option<&Tracer>,
-    ) -> Result<OptimizeReport> {
-        Self::choose_with_budget_traced(
-            policy,
-            problem,
-            graph,
-            &Self::default_solve_budget(),
-            tracer,
-        )
-    }
-
-    /// Choose a suspend plan under `policy`, bounding the MIP search by
-    /// `solve_budget`. The result is always *some* plan: on budget expiry
-    /// the anytime solver's incumbent or rounded relaxation is used, and
-    /// [`OptimizeReport::stats`] says so.
-    pub fn choose_with_budget(
-        policy: &SuspendPolicy,
-        problem: &SuspendProblem,
-        graph: &ContractGraph,
-        solve_budget: &SolveBudget,
-    ) -> Result<OptimizeReport> {
-        Self::choose_with_budget_traced(policy, problem, graph, solve_budget, None)
-    }
-
-    /// [`Self::choose_with_budget`], emitting `MipPivot` / `MipNode` /
-    /// `MipIncumbent` events to `tracer` while the branch-and-bound runs.
-    pub fn choose_with_budget_traced(
-        policy: &SuspendPolicy,
-        problem: &SuspendProblem,
-        graph: &ContractGraph,
-        solve_budget: &SolveBudget,
-        tracer: Option<&Tracer>,
-    ) -> Result<OptimizeReport> {
         let start = Instant::now();
-        let report = match policy {
-            SuspendPolicy::AllDump => {
-                let plan = Self::all_dump(problem);
-                Self::report(problem, graph, plan, SolverKind::Policy, start, SolveStats::default())
-            }
-            SuspendPolicy::AllGoBack => {
-                let plan = Self::all_goback(problem, graph);
-                Self::report(problem, graph, plan, SolverKind::Policy, start, SolveStats::default())
-            }
-            SuspendPolicy::Fixed(plan) => Self::report(
-                problem,
-                graph,
-                plan.clone(),
-                SolverKind::Policy,
-                start,
-                SolveStats::default(),
-            ),
+        let plan = match policy {
+            SuspendPolicy::AllDump => Self::all_dump(problem),
+            SuspendPolicy::AllGoBack => Self::all_goback(problem, graph),
+            SuspendPolicy::Fixed(plan) => plan.clone(),
             SuspendPolicy::Optimized { budget } => {
                 let cands = problem.candidates(graph);
-                if cands.len() > Self::STRUCTURED_THRESHOLD {
-                    let plan = crate::structured::solve(problem, graph, &cands, *budget)?;
-                    Self::report(
-                        problem,
-                        graph,
-                        plan,
-                        SolverKind::Structured,
-                        start,
-                        SolveStats::default(),
-                    )
-                } else {
-                    let (plan, stats) = Self::solve_mip_budgeted_observed(
-                        problem,
-                        graph,
-                        &cands,
-                        *budget,
-                        solve_budget,
-                        tracer,
-                    )?;
-                    Self::report(problem, graph, plan, SolverKind::Mip, start, stats)
-                }
+                crate::structured::solve(problem, graph, &cands, *budget)
             }
         };
-        Ok(report)
-    }
-
-    fn report(
-        problem: &SuspendProblem,
-        graph: &ContractGraph,
-        plan: SuspendPlan,
-        solver: SolverKind,
-        start: Instant,
-        stats: SolveStats,
-    ) -> OptimizeReport {
         let (s, r) = problem.evaluate(graph, &plan);
-        OptimizeReport {
+        Ok(OptimizeReport {
             plan,
             est_suspend_cost: s,
             est_resume_cost: r,
-            solver,
             elapsed: start.elapsed(),
-            nodes: stats.nodes,
-            stats,
-        }
+            stats: SolveStats::default(),
+        })
     }
 
     /// The strawman: every operator dumps.
@@ -493,90 +358,28 @@ impl SuspendOptimizer {
         plan
     }
 
-    /// Build and solve the §5 MIP with the default solve budget. Returns
-    /// the plan and branch-and-bound node count. On budget infeasibility,
-    /// falls back to all-GoBack (the cheapest-suspend plan available).
+    /// Estimated cost of suspending this query *right now* — the victim-
+    /// choice signal for a preemptive scheduler: the suspend estimate of
+    /// the unbudgeted optimum, as the tree DP prices it (linear in the
+    /// plan, so it is cheap enough to evaluate for every live session at
+    /// each preemption decision).
+    pub fn victim_signal(problem: &SuspendProblem, graph: &ContractGraph) -> f64 {
+        let plan = crate::structured::solve(problem, graph, &problem.candidates(graph), None);
+        problem.evaluate(graph, &plan).0
+    }
+
+    /// The reference solver: build the §5 MIP over `cands` and solve it
+    /// with `qsr-mip`'s branch-and-bound under [`SolveBudget::default`].
+    /// The engine never calls it; the tree DP is property-tested equal to
+    /// it, and Table 2 times the two side by side. When the program is
+    /// infeasible (suspend budget below even the cheapest suspend) the
+    /// answer is the all-GoBack plan, as the DP's.
     pub fn solve_mip(
         problem: &SuspendProblem,
         graph: &ContractGraph,
         cands: &[GoBackCandidate],
         budget: Option<f64>,
-    ) -> Result<(SuspendPlan, usize)> {
-        let (plan, stats) =
-            Self::solve_mip_budgeted(problem, graph, cands, budget, &SolveBudget::default())?;
-        Ok((plan, stats.nodes))
-    }
-
-    /// A pure heuristic plan: round the root LP relaxation without any
-    /// branch-and-bound (a zero-node [`SolveBudget`]). This is the
-    /// degradation ladder's second rung — cheaper than a full solve, still
-    /// budget-aware, always terminates after one LP.
-    pub fn heuristic_rounded(
-        problem: &SuspendProblem,
-        graph: &ContractGraph,
-        budget: Option<f64>,
-    ) -> Result<OptimizeReport> {
-        Self::heuristic_rounded_traced(problem, graph, budget, None)
-    }
-
-    /// Estimated cost of suspending this query *right now* — the victim-
-    /// choice signal for a preemptive scheduler. One root LP plus
-    /// rounding (zero branch-and-bound nodes), so it is cheap enough to
-    /// evaluate for every live session at each preemption decision. Falls
-    /// back to the all-dump strawman's estimate when the LP is
-    /// infeasible, and to `f64::INFINITY` when even that fails — an
-    /// unestimable session is never picked over an estimable one.
-    pub fn victim_signal(problem: &SuspendProblem, graph: &ContractGraph) -> f64 {
-        Self::heuristic_rounded(problem, graph, None)
-            .or_else(|_| Self::choose(&SuspendPolicy::AllDump, problem, graph))
-            .map(|r| r.est_suspend_cost)
-            .unwrap_or(f64::INFINITY)
-    }
-
-    /// [`Self::heuristic_rounded`], emitting the root-LP pivot count to
-    /// `tracer` when present.
-    pub fn heuristic_rounded_traced(
-        problem: &SuspendProblem,
-        graph: &ContractGraph,
-        budget: Option<f64>,
-        tracer: Option<&Tracer>,
-    ) -> Result<OptimizeReport> {
-        let start = Instant::now();
-        let cands = problem.candidates(graph);
-        let (plan, stats) = Self::solve_mip_budgeted_observed(
-            problem,
-            graph,
-            &cands,
-            budget,
-            &SolveBudget::nodes(0),
-            tracer,
-        )?;
-        Ok(Self::report(problem, graph, plan, SolverKind::Mip, start, stats))
-    }
-
-    /// Build the §5 MIP and solve it with the anytime solver under
-    /// `solve_budget`. Always produces a plan: a proved optimum, a
-    /// budget-expired incumbent, a rounded relaxation, or — when the
-    /// program is infeasible (suspend budget below even the cheapest
-    /// suspend) — the all-GoBack plan.
-    pub fn solve_mip_budgeted(
-        problem: &SuspendProblem,
-        graph: &ContractGraph,
-        cands: &[GoBackCandidate],
-        budget: Option<f64>,
-        solve_budget: &SolveBudget,
-    ) -> Result<(SuspendPlan, SolveStats)> {
-        Self::solve_mip_budgeted_observed(problem, graph, cands, budget, solve_budget, None)
-    }
-
-    fn solve_mip_budgeted_observed(
-        problem: &SuspendProblem,
-        graph: &ContractGraph,
-        cands: &[GoBackCandidate],
-        budget: Option<f64>,
-        solve_budget: &SolveBudget,
-        tracer: Option<&Tracer>,
-    ) -> Result<(SuspendPlan, SolveStats)> {
+    ) -> Result<SuspendPlan> {
         let mut lp = LinearProgram::new();
         let mut var_of: HashMap<(OpId, OpId), VarId> = HashMap::new();
         let mut vars_of_op: BTreeMap<OpId, Vec<(OpId, VarId)>> = BTreeMap::new();
@@ -638,10 +441,17 @@ impl SuspendOptimizer {
             }
         }
 
-        // (7): suspend budget.
+        // (7): suspend budget. Positional operators carry no decision and
+        // cost nothing at suspend (`evaluate` skips them).
         if let Some(cap) = budget {
-            let all_dump_suspend: f64 =
-                problem.topo.nodes().iter().map(|n| problem.d_s(n.op)).sum();
+            let positional = problem.positional_ops();
+            let all_dump_suspend: f64 = problem
+                .topo
+                .nodes()
+                .iter()
+                .filter(|n| !positional.contains(&n.op))
+                .map(|n| problem.d_s(n.op))
+                .sum();
             let terms: Vec<(VarId, f64)> = cands
                 .iter()
                 .map(|c| (var_of[&(c.i, c.j)], c.g_s - problem.d_s(c.i)))
@@ -654,12 +464,7 @@ impl SuspendOptimizer {
             }
         }
 
-        let observer = tracer.map(MipTraceObserver);
-        let (sol, stats) = qsr_mip::solve_mip_observed(
-            &lp,
-            solve_budget,
-            observer.as_ref().map(|o| o as &dyn SolveObserver),
-        );
+        let (sol, _) = qsr_mip::solve_mip_with_stats(&lp, &SolveBudget::default());
         match sol {
             MipSolution::Optimal { x, .. } | MipSolution::Heuristic { x, .. } => {
                 let mut plan = Self::all_dump(problem);
@@ -669,14 +474,14 @@ impl SuspendOptimizer {
                         plan.set(c.i, Strategy::GoBack { to: c.j });
                     }
                 }
-                Ok((plan, stats))
+                Ok(plan)
             }
             MipSolution::Infeasible => {
                 // Budget below even the cheapest suspend (or the solve
                 // budget expired before any feasible point was found):
                 // best effort is all-GoBack (minimal suspend-time work;
                 // paper Figure 14's leftmost points).
-                Ok((Self::all_goback(problem, graph), stats))
+                Ok(Self::all_goback(problem, graph))
             }
             MipSolution::Unbounded => Err(StorageError::invalid(
                 "suspend-plan MIP unbounded: negative cost cycle in inputs",
@@ -836,7 +641,6 @@ mod tests {
         .unwrap();
         assert!(matches!(report.plan.get(OpId(1)), Strategy::GoBack { .. }));
         assert!(matches!(report.plan.get(OpId(0)), Strategy::GoBack { .. }));
-        assert_eq!(report.solver, SolverKind::Mip);
     }
 
     #[test]
@@ -911,7 +715,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.plan, plan);
-        assert_eq!(report.solver, SolverKind::Policy);
     }
 
     #[test]
@@ -983,7 +786,7 @@ mod tests {
         assert!(cands.iter().any(|c| c.i == OpId(1)));
         assert!(cands.iter().any(|c| c.i == OpId(2)));
         // And the MIP solves cleanly over this shape.
-        let (plan, _) = SuspendOptimizer::solve_mip(&problem, &graph, &cands, None).unwrap();
+        let plan = SuspendOptimizer::solve_mip(&problem, &graph, &cands, None).unwrap();
         let _ = problem.evaluate(&graph, &plan);
     }
 
@@ -997,83 +800,6 @@ mod tests {
         assert!(
             !cands.iter().any(|c| c.j == OpId(1)),
             "no chain may anchor at a barrier checkpoint"
-        );
-    }
-
-    #[test]
-    fn zero_node_budget_still_yields_a_valid_plan() {
-        // A zero-node solve budget forces the rounded-relaxation path; the
-        // result must still be a complete plan over every operator, and
-        // the stats must say the answer is heuristic.
-        let f = fixture(100.0, 8192 * 100, 8192 * 100);
-        let report = SuspendOptimizer::choose_with_budget(
-            &SuspendPolicy::Optimized { budget: None },
-            &f.problem,
-            &f.graph,
-            &SolveBudget::nodes(0),
-        )
-        .unwrap();
-        assert_eq!(report.plan.len(), 5, "plan must cover all operators");
-        assert_eq!(report.solver, SolverKind::Mip);
-        assert!(report.stats.budget_exhausted || report.stats.nodes == 0);
-        // Whatever came out must evaluate without panicking.
-        let _ = f.problem.evaluate(&f.graph, &report.plan);
-    }
-
-    #[test]
-    fn anytime_plan_never_beats_the_proved_optimum() {
-        let f = fixture(1_000.0, 8192 * 40, 8192 * 40);
-        let full = SuspendOptimizer::choose_with_budget(
-            &SuspendPolicy::Optimized { budget: None },
-            &f.problem,
-            &f.graph,
-            &SolveBudget::unlimited(),
-        )
-        .unwrap();
-        assert!(!full.stats.budget_exhausted);
-        let best = full.est_suspend_cost + full.est_resume_cost;
-        for nodes in [0usize, 1, 2, 3] {
-            let r = SuspendOptimizer::choose_with_budget(
-                &SuspendPolicy::Optimized { budget: None },
-                &f.problem,
-                &f.graph,
-                &SolveBudget::nodes(nodes),
-            )
-            .unwrap();
-            let total = r.est_suspend_cost + r.est_resume_cost;
-            assert!(
-                total >= best - 1e-6,
-                "budget {nodes}: anytime total {total} beats optimum {best}"
-            );
-        }
-    }
-
-    #[test]
-    fn heuristic_rounded_is_one_lp_deep() {
-        let f = fixture(100.0, 8192 * 100, 8192 * 100);
-        let report = SuspendOptimizer::heuristic_rounded(&f.problem, &f.graph, None).unwrap();
-        assert_eq!(report.stats.nodes, 0, "no branch-and-bound nodes allowed");
-        assert_eq!(report.plan.len(), 5);
-    }
-
-    #[test]
-    fn budgeted_suspend_constraint_respected_by_heuristic() {
-        // Same setup as budget_forces_goback, through the anytime path
-        // with a tiny solve budget: the plan must still respect the
-        // suspend budget (or be the all-GoBack fallback, which trivially
-        // does).
-        let f = fixture(10_000.0, 8192, 8192);
-        let r = SuspendOptimizer::choose_with_budget(
-            &SuspendPolicy::Optimized { budget: Some(1.0) },
-            &f.problem,
-            &f.graph,
-            &SolveBudget::nodes(0),
-        )
-        .unwrap();
-        assert!(
-            r.est_suspend_cost <= 1.0 + 1e-9,
-            "heuristic plan blows the suspend budget: {}",
-            r.est_suspend_cost
         );
     }
 

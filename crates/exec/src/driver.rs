@@ -9,7 +9,7 @@
 //!
 //! 1. switches the cost ledger to the suspend phase,
 //! 2. snapshots per-operator statistics and asks the
-//!    [`SuspendPolicy`] for a suspend plan (the online MIP optimizer, a
+//!    [`SuspendPolicy`] for a suspend plan (the online optimizer, a
 //!    purist policy, or a fixed plan),
 //! 3. carries the plan out by walking the tree with `Suspend()` /
 //!    `Suspend(Ctr)` calls,
@@ -96,9 +96,9 @@ pub struct SuspendOptions {
     /// plans are chosen to fit the deadline before any I/O is spent).
     /// `None` disables both — the pre-ladder behavior.
     pub deadline: Option<f64>,
-    /// Node/pivot budget for the anytime MIP solver. `None` uses
-    /// [`SuspendOptimizer::default_solve_budget`] (the `QSR_SOLVE_NODES`
-    /// environment knob, or the solver default).
+    /// Ignored; defaults to `None`. The suspend plan is chosen by the
+    /// exact tree DP, which has no search to budget (DESIGN.md §4). The
+    /// field stays only because existing callers still read and print it.
     pub solve_budget: Option<SolveBudget>,
     /// Ignored; defaults to 0. A resume reads each dump blob when its
     /// operator consumes it, on the resuming thread (DESIGN.md §11). The
@@ -139,8 +139,8 @@ impl Default for SuspendOptions {
 }
 
 /// One rung of the suspend degradation ladder, in descending order of
-/// plan quality: the requested policy, the LP-rounded heuristic, the
-/// all-DumpState strawman, the all-GoBack minimum. Each rung is
+/// plan quality: the requested policy, the all-DumpState strawman, the
+/// all-GoBack minimum. Each rung is
 /// individually crash-safe (the manifest commits only at the end of a
 /// fully successful rung); a rung failing with a *non-halting* error —
 /// [`StorageError::NoSpace`], [`StorageError::DeadlineExceeded`], an
@@ -148,10 +148,8 @@ impl Default for SuspendOptions {
 /// failed rung's checksum-valid dump blobs instead of rewriting them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rung {
-    /// The caller's policy, solved under the anytime budget.
+    /// The caller's policy.
     Requested,
-    /// One LP, zero branch-and-bound nodes, forced rounding.
-    HeuristicRounded,
     /// Every operator dumps.
     AllDump,
     /// Every operator goes back; near-zero dump I/O.
@@ -163,7 +161,6 @@ impl Rung {
     pub fn name(&self) -> &'static str {
         match self {
             Rung::Requested => "requested",
-            Rung::HeuristicRounded => "heuristic-rounded",
             Rung::AllDump => "all-dump",
             Rung::AllGoBack => "all-goback",
         }
@@ -172,13 +169,9 @@ impl Rung {
     /// strictly cheaper rungs (never climb back up), ending at AllGoBack.
     fn ladder(policy: &SuspendPolicy) -> Vec<Rung> {
         match policy {
-            SuspendPolicy::Optimized { .. } => vec![
-                Rung::Requested,
-                Rung::HeuristicRounded,
-                Rung::AllDump,
-                Rung::AllGoBack,
-            ],
-            SuspendPolicy::Fixed(_) => vec![Rung::Requested, Rung::AllDump, Rung::AllGoBack],
+            SuspendPolicy::Optimized { .. } | SuspendPolicy::Fixed(_) => {
+                vec![Rung::Requested, Rung::AllDump, Rung::AllGoBack]
+            }
             SuspendPolicy::AllDump => vec![Rung::Requested, Rung::AllGoBack],
             SuspendPolicy::AllGoBack => vec![Rung::Requested],
         }
@@ -411,8 +404,7 @@ impl QueryExecution {
     /// Under resource pressure — a disk quota ([`StorageError::NoSpace`]),
     /// an I/O deadline ([`SuspendOptions::deadline`]), a permanent device
     /// fault — the attempt walks a **degradation ladder** ([`Rung`]):
-    /// requested plan → LP-rounded heuristic → all-DumpState → all-GoBack
-    /// → typed clean abort. Each rung is individually crash-safe; a failed
+    /// requested plan → all-DumpState → all-GoBack → typed clean abort. Each rung is individually crash-safe; a failed
     /// rung's checksum-valid dump blobs are salvaged and reused by the
     /// next rung, orphaned ones deleted. Every rung after the first
     /// charges its I/O to [`Phase::Fallback`], keeping the committed
@@ -426,9 +418,6 @@ impl QueryExecution {
     ) -> Result<SuspendedHandle> {
         self.db.ledger().set_phase(Phase::Suspend);
         let problem = self.suspend_problem();
-        let solve_budget = options
-            .solve_budget
-            .unwrap_or_else(SuspendOptimizer::default_solve_budget);
 
         // The previous generation (if any) seeds the new generation number
         // and is garbage-collected after the new manifest commits. An
@@ -456,7 +445,7 @@ impl QueryExecution {
             self.db
                 .ledger()
                 .trace(|| TraceEvent::RungStart { rung: rung.name() });
-            let report = match self.rung_report(rung, policy, &problem, options, &solve_budget) {
+            let report = match self.rung_report(rung, policy, &problem, options) {
                 Ok(r) => r,
                 Err(e) => {
                     self.db.ledger().trace(|| TraceEvent::RungAbort {
@@ -587,47 +576,16 @@ impl QueryExecution {
         policy: &SuspendPolicy,
         problem: &SuspendProblem,
         options: &SuspendOptions,
-        solve_budget: &SolveBudget,
     ) -> Result<OptimizeReport> {
-        let budget_of = |b: &Option<f64>| b.or(options.deadline);
-        let tracer = self.db.tracer();
-        let tracer = tracer.as_deref();
-        match rung {
-            Rung::Requested => {
-                let effective = match policy {
-                    SuspendPolicy::Optimized { budget } => SuspendPolicy::Optimized {
-                        budget: budget_of(budget),
-                    },
-                    other => other.clone(),
-                };
-                SuspendOptimizer::choose_with_budget_traced(
-                    &effective,
-                    problem,
-                    &self.ctx.graph,
-                    solve_budget,
-                    tracer,
-                )
-            }
-            Rung::HeuristicRounded => {
-                let budget = match policy {
-                    SuspendPolicy::Optimized { budget } => budget_of(budget),
-                    _ => options.deadline,
-                };
-                SuspendOptimizer::heuristic_rounded_traced(problem, &self.ctx.graph, budget, tracer)
-            }
-            Rung::AllDump => SuspendOptimizer::choose_traced(
-                &SuspendPolicy::AllDump,
-                problem,
-                &self.ctx.graph,
-                tracer,
-            ),
-            Rung::AllGoBack => SuspendOptimizer::choose_traced(
-                &SuspendPolicy::AllGoBack,
-                problem,
-                &self.ctx.graph,
-                tracer,
-            ),
-        }
+        let policy = match (rung, policy) {
+            (Rung::Requested, SuspendPolicy::Optimized { budget }) => SuspendPolicy::Optimized {
+                budget: budget.or(options.deadline),
+            },
+            (Rung::Requested, other) => other.clone(),
+            (Rung::AllDump, _) => SuspendPolicy::AllDump,
+            (Rung::AllGoBack, _) => SuspendPolicy::AllGoBack,
+        };
+        SuspendOptimizer::choose(&policy, problem, &self.ctx.graph)
     }
 
     /// Carry out one ladder rung end to end: walk the tree under the

@@ -91,26 +91,6 @@ pub struct SolveStats {
     pub rounded: bool,
 }
 
-/// Observer of branch-and-bound progress. `qsr-mip` has no dependencies
-/// by design, so it cannot emit into the storage layer's tracer directly;
-/// callers (the suspend-plan optimizer) pass an adapter implementing this
-/// trait and forward the callbacks. All methods default to no-ops.
-pub trait SolveObserver {
-    /// The root LP relaxation finished after `pivots` simplex pivots.
-    fn on_root(&self, pivots: usize) {
-        let _ = pivots;
-    }
-    /// One branch-and-bound node was expanded. `nodes`/`pivots` are
-    /// cumulative; `bound` is the node's LP objective.
-    fn on_node(&self, nodes: usize, pivots: usize, bound: f64) {
-        let _ = (nodes, pivots, bound);
-    }
-    /// The incumbent improved to `objective` after `nodes` nodes.
-    fn on_incumbent(&self, objective: f64, nodes: usize) {
-        let _ = (objective, nodes);
-    }
-}
-
 /// Result of a MIP solve.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MipSolution {
@@ -242,24 +222,11 @@ pub fn solve_mip(lp: &LinearProgram, opts: &MipOptions) -> MipSolution {
 /// solve report `Infeasible` (with `budget_exhausted` set, so the caller
 /// knows infeasibility was *not* proved).
 pub fn solve_mip_with_stats(lp: &LinearProgram, budget: &SolveBudget) -> (MipSolution, SolveStats) {
-    solve_mip_observed(lp, budget, None)
-}
-
-/// [`solve_mip_with_stats`] with an optional progress observer; see
-/// [`SolveObserver`].
-pub fn solve_mip_observed(
-    lp: &LinearProgram,
-    budget: &SolveBudget,
-    obs: Option<&dyn SolveObserver>,
-) -> (MipSolution, SolveStats) {
     let mut stats = SolveStats::default();
 
     // Root relaxation.
     let (root_outcome, root_pivots) = solve_lp_counted(lp);
     stats.pivots += root_pivots;
-    if let Some(o) = obs {
-        o.on_root(root_pivots);
-    }
     let root = match root_outcome {
         LpOutcome::Optimal(s) => s,
         LpOutcome::Infeasible => return (MipSolution::Infeasible, stats),
@@ -296,9 +263,6 @@ pub fn solve_mip_observed(
             LpOutcome::Infeasible => continue,
             LpOutcome::Unbounded => return (MipSolution::Unbounded, stats),
         };
-        if let Some(o) = obs {
-            o.on_node(stats.nodes, stats.pivots, sol.objective);
-        }
         if let Some((_, inc_obj)) = &incumbent {
             if sol.objective >= *inc_obj - 1e-9 {
                 continue;
@@ -316,9 +280,6 @@ pub fn solve_mip_observed(
                 let obj = lp.objective_value(&x);
                 let better = incumbent.as_ref().is_none_or(|(_, o)| obj < *o - 1e-12);
                 if better {
-                    if let Some(o) = obs {
-                        o.on_incumbent(obj, stats.nodes);
-                    }
                     incumbent = Some((x, obj));
                 }
             }

@@ -30,8 +30,8 @@ pub enum Policy {
     Dump,
     /// `SuspendPolicy::AllGoBack` — every operator goes back.
     GoBack,
-    /// `SuspendPolicy::Optimized { budget: None }` — the MIP picks a mix
-    /// of DumpState and GoBack strategies.
+    /// `SuspendPolicy::Optimized { budget: None }` — the optimizer picks a
+    /// mix of DumpState and GoBack strategies.
     Optimized,
 }
 

@@ -2,9 +2,9 @@
 //!
 //! When a new session asks to start, the server must decide whether the
 //! memory it would pin can be freed cheaply enough. Each live session is a
-//! potential preemption victim with a *signal* — its estimated suspend
-//! cost from one root LP plus rounding (`victim_signal`) — and a memory
-//! footprint it would release when parked. The admission price of a demand
+//! potential preemption victim with a *signal* — the suspend estimate of
+//! its optimal plan, as the tree DP prices it (`victim_signal`) — and a
+//! memory footprint it would release when parked. The admission price of a demand
 //! is the total signal of the victims the scheduler would actually
 //! preempt.
 //!

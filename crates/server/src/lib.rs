@@ -13,13 +13,14 @@
 //!   sidecar plus one private generation-numbered suspend manifest per
 //!   session, reconstructed by a directory scan after a crash.
 //! - [`scheduler`] — the preemptive round-robin driver, one loop run
-//!   inline or on worker threads: quantum slicing, MIP-cheapest victim
+//!   inline or on worker threads: quantum slicing, cheapest-suspend victim
 //!   choice under a strict live-slot bound, clean-abort rollback,
 //!   server-level shedding, and deterministic resume backoff, with
 //!   per-tenant fairness accounting.
 
 #![forbid(unsafe_code)]
 
+mod admission;
 pub mod registry;
 pub mod scheduler;
 

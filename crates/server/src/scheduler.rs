@@ -3,8 +3,8 @@
 //! Suspend/resume *is* the scheduler (ROADMAP item 1, SaGe-style web
 //! preemption): every admitted session runs for a work-unit quantum, then
 //! yields. Sessions beyond the live-slot budget are parked on disk through
-//! the ordinary suspend path — the MIP's suspend-cost estimate picks the
-//! cheapest victim — and resumed round-robin, so N sessions share one
+//! the ordinary suspend path — the optimizer's suspend-cost estimate picks
+//! the cheapest victim — and resumed round-robin, so N sessions share one
 //! `Database`/buffer pool with per-tenant fairness accounting.
 //!
 //! ## The scheduling loop
@@ -15,7 +15,8 @@
 //! 1. **claim** the next runnable session at the round-robin cursor;
 //! 2. **make room**: while `max_live` sessions already hold in-memory
 //!    state, check out the live sessions nobody has claimed, price each
-//!    (`victim_signal`, one root LP) and suspend the cheapest to disk;
+//!    (`victim_signal`, the tree DP's price) and suspend the cheapest to
+//!    disk;
 //! 3. **activate** the claimed session (start it, or resume its committed
 //!    generation) and run one **slice** of `quantum` work units;
 //! 4. **put it back**, still live — it is parked only when a later claim
@@ -27,8 +28,8 @@
 //! charge in a deterministic order, bit-identical cost journals across
 //! runs (the property the oracle and the golden tests pin) — and `N >= 1`
 //! runs the same loop on N scoped threads over the shared `Database`. The
-//! table's mutex is released across every LP solve, suspend, resume and
-//! slice, so preemption suspends, resumes and degradation-ladder descents
+//! table's mutex is released across every victim pricing, suspend, resume
+//! and slice, so preemption suspends, resumes and degradation-ladder descents
 //! of different sessions genuinely overlap; ledger totals stay correct
 //! (every counter is atomic or lock-guarded) but per-phase attribution
 //! interleaves, so runs with two or more workers are validated by output
@@ -73,13 +74,13 @@
 //! [`StorageError::Overloaded`] rejection, or a parked queue entry that
 //! the loop re-prices head-of-line as load drains.
 
+use crate::admission::admission_price;
 use crate::registry::{SessionId, SessionMeta, SessionRegistry};
 use qsr_core::{SuspendOptimizer, SuspendPolicy};
 use qsr_exec::{
     read_manifest_named, reclaim_spill_files, PlanSpec, QueryExecution, ResumeError, Rung,
     SuspendOptions, RESUME_BACKOFF,
 };
-use qsr_mip::admission_price;
 use qsr_storage::{
     Database, Decode, Encode, FileId, Phase, Result, StorageError, TraceEvent, Tuple,
 };
@@ -150,7 +151,7 @@ pub struct ServerConfig {
     pub quantum: u64,
     /// Live-session slots: how many sessions may hold in-memory execution
     /// state at once, a strict bound whatever `workers` is. Activating a
-    /// session beyond this budget first preempts the MIP-cheapest
+    /// session beyond this budget first preempts the cheapest-to-suspend
     /// unclaimed live victim to disk.
     pub max_live: usize,
     /// Suspend policy used for preemptions.
@@ -310,8 +311,8 @@ impl Session {
         matches!(self.state, SessionState::Live(_))
     }
 
-    /// Estimated cost of suspending this (live) session right now: one
-    /// root LP, zero branch-and-bound nodes.
+    /// Estimated cost of suspending this (live) session right now: the
+    /// suspend estimate of its optimal plan, priced by the tree DP.
     fn victim_signal(&self) -> f64 {
         match &self.state {
             SessionState::Live(exec) => {
@@ -924,7 +925,7 @@ impl Sched<'_> {
 
     /// The scheduling loop — the only one; see the module docs. Runs on
     /// the caller's thread or on several at once; the table lock is held
-    /// only between the numbered steps, never across an LP solve, a
+    /// only between the numbered steps, never across a victim pricing, a
     /// suspend, a resume or a slice.
     fn run(&self) {
         let mut t = self.lock();
@@ -1014,7 +1015,7 @@ impl Sched<'_> {
     }
 
     /// Check out every live session nobody has claimed and price each one
-    /// — `victim_signal`, an LP solve — with the table unlocked. The
+    /// — `victim_signal`, a tree-DP solve — with the table unlocked. The
     /// caller puts them back.
     fn price_live<'g>(&'g self, mut t: Guard<'g>) -> (Guard<'g>, Vec<(usize, Session, f64)>) {
         let live: Vec<usize> = (0..t.slots.len())

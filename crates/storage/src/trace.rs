@@ -4,8 +4,7 @@
 //! The [`Tracer`] is the single journal every layer writes to: phase
 //! transitions (from [`CostLedger::set_phase`](crate::CostLedger)),
 //! per-operator dump and execution I/O (from the exec layer), buffer-pool
-//! evictions and write-backs, MIP solver progress, degradation-ladder rung
-//! lifecycle, injected faults, and resume recovery steps. Every record
+//! evictions and write-backs, degradation-ladder rung lifecycle, injected faults, and resume recovery steps. Every record
 //! carries the [`CostSnapshot`] at emit time, so post-hoc analysis can
 //! attribute ledger deltas to the events between two records.
 //!
@@ -37,8 +36,8 @@ use std::path::Path;
 pub const DEFAULT_RING_CAPACITY: usize = 256;
 
 /// One typed trace event. Variants mirror the lifecycle layers: phases,
-/// operator I/O, buffer pool, MIP solver, degradation ladder, fault
-/// injection, and resume recovery.
+/// operator I/O, buffer pool, degradation ladder, fault injection, and
+/// resume recovery.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// The ledger's active phase changed away from `phase`.
@@ -88,27 +87,6 @@ pub enum TraceEvent {
         file: u64,
         /// Dirty pages written back.
         pages: u64,
-    },
-    /// Root LP relaxation of the suspend-plan MIP finished.
-    MipPivot {
-        /// Simplex pivots of the root relaxation.
-        pivots: usize,
-    },
-    /// One branch-and-bound node was expanded.
-    MipNode {
-        /// Nodes expanded so far.
-        nodes: usize,
-        /// Cumulative pivots so far.
-        pivots: usize,
-        /// LP bound at this node.
-        bound: f64,
-    },
-    /// The MIP incumbent improved.
-    MipIncumbent {
-        /// New incumbent objective.
-        objective: f64,
-        /// Nodes expanded when it was found.
-        nodes: usize,
     },
     /// A degradation-ladder rung was entered.
     RungStart {
@@ -211,8 +189,8 @@ pub enum TraceEvent {
     Preempt {
         /// The victim session.
         session: u64,
-        /// The MIP victim-choice signal: estimated suspend cost of the
-        /// cheapest certified plan for this execution.
+        /// The victim-choice signal: estimated suspend cost of the
+        /// optimal plan for this execution.
         est_suspend_cost: f64,
         /// What raised the preemption (quantum expiry, memory/slot
         /// pressure, disk pressure).
@@ -552,25 +530,6 @@ pub fn event_json(e: &TraceEvent) -> (&'static str, String) {
             "PoolWriteBack",
             format!("{{\"file\":{file},\"pages\":{pages}}}"),
         ),
-        TraceEvent::MipPivot { pivots } => ("MipPivot", format!("{{\"pivots\":{pivots}}}")),
-        TraceEvent::MipNode {
-            nodes,
-            pivots,
-            bound,
-        } => (
-            "MipNode",
-            format!(
-                "{{\"nodes\":{nodes},\"pivots\":{pivots},\"bound\":{}}}",
-                json_f64(*bound)
-            ),
-        ),
-        TraceEvent::MipIncumbent { objective, nodes } => (
-            "MipIncumbent",
-            format!(
-                "{{\"objective\":{},\"nodes\":{nodes}}}",
-                json_f64(*objective)
-            ),
-        ),
         TraceEvent::RungStart { rung } => (
             "RungStart",
             format!("{{\"rung\":{}}}", json_string(rung)),
@@ -900,15 +859,12 @@ mod tests {
         {
             let t = Tracer::new(CostLedger::default());
             t.set_json_sink(&path).unwrap();
-            t.emit(TraceEvent::MipPivot { pivots: 3 });
-            t.emit(TraceEvent::MipIncumbent {
-                objective: 1.5,
-                nodes: 2,
-            });
+            t.emit(TraceEvent::PoolWriteBack { file: 3, pages: 2 });
+            t.emit(TraceEvent::RungStart { rung: "requested" });
         }
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body.lines().count(), 2);
-        assert!(body.contains("\"MipPivot\""));
+        assert!(body.contains("\"PoolWriteBack\""));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -27,7 +27,6 @@ fn numeric_knobs_parse_or_name_the_variable() {
         // valid values (whitespace tolerated)
         ("QSR_POOL_PAGES", Some("64"), Ok(Some(64))),
         ("QSR_POOL_PAGES", Some(" 64 "), Ok(Some(64))),
-        ("QSR_SOLVE_NODES", Some("0"), Ok(Some(0))),
         ("QSR_DISK_QUOTA", Some("1048576"), Ok(Some(1_048_576))),
         ("QSR_ORACLE_SEED", Some("3735928559"), Ok(Some(0xDEAD_BEEF))),
         ("QSR_ORACLE_FAULTS", Some("128"), Ok(Some(128))),
@@ -35,7 +34,6 @@ fn numeric_knobs_parse_or_name_the_variable() {
         // malformed → hard error
         ("QSR_POOL_PAGES", Some("64k"), Err(())),
         ("QSR_POOL_PAGES", Some("-1"), Err(())),
-        ("QSR_SOLVE_NODES", Some("many"), Err(())),
         ("QSR_DISK_QUOTA", Some("1e6"), Err(())),
         ("QSR_ORACLE_SEED", Some("0xBEEF"), Err(())),
         // empty → hard error ("QSR_X=" is a typo, not an unset)

@@ -53,6 +53,20 @@ if [ -n "$spawns" ]; then
     exit 1
 fi
 
+# Structural guard: the engine runs one suspend-plan solver, the tree DP
+# in qsr-core (DESIGN.md §4); qsr-mip is the reference it is tested
+# against, reached only through qsr-core's `solve_mip`. Outside
+# `#[cfg(test)]` tails and comments, crates/{storage,exec,server}/src may
+# not name `qsr_mip` — any hit fails the run.
+mip_uses="$(grep -rl 'qsr_mip' crates/storage/src crates/exec/src crates/server/src | while read -r f; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -v '^ *//' | grep -c 'qsr_mip' | sed "s|^|$f |"
+done | grep -v ' 0$' || true)"
+if [ -n "$mip_uses" ]; then
+    printf 'qsr_mip named in an engine crate (file, hits before its test tail):\n%s\n' \
+        "$mip_uses" >&2
+    exit 1
+fi
+
 # Structural guard: rows are raw bytes read through safe code only, and
 # nothing else in the engine needs `unsafe` either — every library and
 # binary root under crates/ forbids it.
@@ -79,6 +93,45 @@ done
 # must stay within 3x of a 64-row one (a lookup, not a scan of the
 # buffer), timed once more with optimized codegen.
 cargo test --release -q -p qsr-exec --test nlj_scale
+
+# Scorecard pin: every cost-unit column of the paper reproduction must
+# match the checked-in experiments_output.md byte for byte. The binary
+# writes experiments_output.md into its working directory, so it runs in
+# a temp dir. Wall-clock values differ run to run and are blanked on both
+# sides first: each table column whose header ends in "ms", and the
+# total wall time.
+blank_timings() {
+    awk -F'|' -v OFS='|' '
+        /^\|/ {
+            if (!in_table) {
+                in_table = 1
+                split("", timed)
+                for (i = 2; i < NF; i++) {
+                    h = $i
+                    gsub(/^ +| +$/, "", h)
+                    if (h ~ /ms$/) timed[i] = 1
+                }
+            } else {
+                for (i in timed) $i = " - "
+            }
+            print
+            next
+        }
+        { in_table = 0 }
+        /^Total wall time: / { sub(/[0-9.]+s;/, "-;") }
+        { print }' "$1"
+}
+repo="$(pwd)"
+EXP_DIR="$(mktemp -d)"
+(cd "$EXP_DIR" && cargo run --release -q --manifest-path "$repo/Cargo.toml" \
+    -p qsr-bench --bin all_experiments >/dev/null)
+blank_timings experiments_output.md >"$EXP_DIR/expected.md"
+blank_timings "$EXP_DIR/experiments_output.md" >"$EXP_DIR/actual.md"
+if ! diff -u "$EXP_DIR/expected.md" "$EXP_DIR/actual.md" >&2; then
+    printf 'all_experiments cost units differ from experiments_output.md\n' >&2
+    exit 1
+fi
+rm -rf "$EXP_DIR"
 
 # Differential suspend-point oracle, bounded CI shape: stride-1 sweep
 # over the corpus plus 32 seeded fault schedules (the workspace test run

@@ -152,7 +152,8 @@ fn every_ladder_rung_commits_under_engineered_pressure() {
     }
 
     // Rung 1: a one-shot NoSpace kills the requested plan's first write;
-    // the LP-rounded heuristic is fault-free and commits.
+    // `Optimized`'s ladder steps straight down to all-DumpState, which is
+    // fault-free and commits.
     {
         let (dir, db, prefix, exec) = run_to_suspend_point("r1");
         let fi = Arc::new(FaultInjector::seeded(1));
@@ -161,14 +162,14 @@ fn every_ladder_rung_commits_under_engineered_pressure() {
         let h = exec
             .suspend(&SuspendPolicy::Optimized { budget: None })
             .unwrap();
-        assert_eq!(h.rung, Rung::HeuristicRounded);
+        assert_eq!(h.rung, Rung::AllDump);
         seen.insert(h.rung);
         drop(db);
-        assert_resumable_or_clean(&dir, &prefix, &reference, "nospace → heuristic rung");
+        assert_resumable_or_clean(&dir, &prefix, &reference, "nospace → all-dump rung");
     }
 
-    // Rung 2: a Fixed policy's ladder skips the heuristic; the same
-    // one-shot fault lands the commit on the all-DumpState rung.
+    // Rung 2: a Fixed policy has the same ladder; the same one-shot fault
+    // lands the commit on the all-DumpState rung.
     {
         let (dir, db, prefix, exec) = run_to_suspend_point("r2");
         let fixed = SuspendOptimizer::choose(
@@ -207,7 +208,7 @@ fn every_ladder_rung_commits_under_engineered_pressure() {
         assert_resumable_or_clean(&dir, &prefix, &reference, "nospace → all-goback rung");
     }
 
-    assert_eq!(seen.len(), 4, "all four ladder rungs must have committed");
+    assert_eq!(seen.len(), 3, "all three ladder rungs must have committed");
 }
 
 #[test]

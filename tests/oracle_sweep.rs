@@ -95,7 +95,7 @@ fn sweep_suspend_points(case: &str) {
         let mut boundary = 1;
         while boundary <= total {
             // Alternate policies across the sweep so both the all-dump
-            // and the MIP-optimized suspend paths see every region of the
+            // and the optimized suspend paths see every region of the
             // boundary space.
             let policy = if boundary % 2 == 0 {
                 Policy::Optimized
@@ -298,7 +298,7 @@ fn backend_delta_retention_chains() {
 
 /// Disk-pressure family: sweep quota headrooms from "nothing fits" (clean
 /// abort + rerun) through "only the cheapest rungs fit" up to "everything
-/// fits", at the MIP-optimized policy whose ladder has all four rungs.
+/// fits", at the optimized policy whose ladder has all three rungs.
 /// Every headroom must deliver golden output — via a committed suspend at
 /// whatever rung the quota admits, or via clean abort and re-execution.
 #[test]

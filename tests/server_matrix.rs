@@ -736,7 +736,7 @@ fn rung_fallback_io_is_attributed_to_the_preemptor_exactly() {
 fn admission_control_rejects_queues_and_drains() {
     let goldens = goldens();
     // One session, one live slot: after a round the sort-over-join is
-    // live *mid-flight*, deep enough that its victim signal — the root-LP
+    // live *mid-flight*, deep enough that its victim signal — the tree DP's
     // suspend estimate — prices dumping real buffered state (a fresh or
     // finished session would price 0.0 and admit anything).
     let dir = TempDir::new("admit");
