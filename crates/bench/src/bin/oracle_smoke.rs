@@ -35,8 +35,6 @@ fn main() {
             merge_fanin: 0,
             skew: SkewProfile::Default,
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Sweep { boundary },
         };
         let pressured = Scenario {

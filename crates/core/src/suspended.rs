@@ -206,7 +206,7 @@ pub struct SuspendedQuery {
     pub fallbacks: BTreeMap<OpId, Vec<OpSuspendRecord>>,
     /// For operators whose `heap_dump` is a delta layer: the parent blobs
     /// the layer patches, base-first (full checkpoint, then each older
-    /// delta). Resume replays `deps + [heap_dump]` newest-wins; retention
+    /// delta). Resume replays `deps + [heap_dump]` newest-wins; generation
     /// GC must keep every blob listed here alive as long as this
     /// generation is recoverable. Empty for full dumps and pre-delta
     /// structures.

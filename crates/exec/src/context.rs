@@ -79,7 +79,7 @@ pub type SalvageCache = HashMap<(u64, u64), BlobId>;
 /// its full (chain-reconstructed) bytes, and where it sits in its delta
 /// chain. Recorded whenever a dump is read back (resume) — at zero I/O
 /// cost beyond the read that was happening anyway — so the *next* suspend
-/// can diff against it when delta checkpoints are enabled.
+/// can diff against it.
 #[derive(Debug, Clone)]
 pub struct DumpBaseline {
     /// Blob the baseline state is committed under.
@@ -127,8 +127,9 @@ pub struct ExecContext {
     /// Interior mutability because consumption happens inside the `&self`
     /// dump-write path.
     salvage: RefCell<SalvageCache>,
-    /// When true, [`ExecContext::put_dump_value`] may emit delta frames
-    /// against recorded baselines (driver-set per suspend rung; always
+    /// When true, [`ExecContext::put_dump_value`] emits a delta frame
+    /// against the operator's recorded baseline whenever it is smaller
+    /// than the full dump (driver-set for each rung's primary dump walk;
     /// off during fallback shadow passes, whose scratch dumps must stand
     /// alone).
     delta_enabled: bool,
@@ -192,14 +193,11 @@ impl ExecContext {
         Ok(w)
     }
 
-    /// Enable or disable delta checkpoint emission (driver-only).
-    pub fn set_delta_enabled(&mut self, on: bool) {
+    /// Enable or disable delta frame emission: on for a rung's primary
+    /// dump walk, off for the fallback shadow passes, whose scratch dumps
+    /// must stand alone.
+    pub(crate) fn set_delta_enabled(&mut self, on: bool) {
         self.delta_enabled = on;
-    }
-
-    /// Whether delta checkpoint emission is on.
-    pub fn delta_enabled(&self) -> bool {
-        self.delta_enabled
     }
 
     /// Drain the parent chains of delta frames written since the last
@@ -346,7 +344,7 @@ impl ExecContext {
     }
 
     /// Delta-encode `full` against `op`'s baseline when enabled and
-    /// profitable. Returns the bytes to persist and, for a delta frame,
+    /// smaller. Returns the bytes to persist and, for a delta frame,
     /// the parent chain (base-first) the new blob depends on. A chain
     /// about to reach [`COMPACT_CHAIN_LEN`] links is folded back into a
     /// full dump instead (crash-safe compaction: the fold is just a full

@@ -32,7 +32,7 @@ use qsr_core::{
     SuspendOptimizer, SuspendPlan, SuspendPolicy, SuspendProblem, SuspendedQuery,
 };
 use qsr_storage::{
-    delete_run, env_flag, env_parse, is_delta_frame, pages_for_bytes, BlobId, Database, Decode,
+    delete_run, is_delta_frame, pages_for_bytes, BlobId, Database, Decode,
     DeltaDump, Encode, FileId, Phase, Result, Schema, StorageError, TraceEvent, Tuple,
 };
 use std::collections::{BTreeMap, HashSet};
@@ -104,23 +104,15 @@ pub struct SuspendOptions {
     /// operator consumes it, on the resuming thread (DESIGN.md §11). The
     /// field stays only because existing callers still read and print it.
     pub resume_workers: usize,
-    /// Delta checkpoints: when enabled, an operator whose state was
-    /// materialized during resume dumps only the pages that changed since,
-    /// as a delta frame chained to the previous generation's blob
-    /// ([`qsr_storage::DeltaDump`]). Chains are bounded by
-    /// [`qsr_storage::COMPACT_CHAIN_LEN`] — a chain at the cap is folded
-    /// back into a full dump (crash-safe: the fold commits through the
-    /// same manifest swap as any suspend). `None` defers to the
-    /// `QSR_DELTA` environment knob (`1`/`0`), default off — off is
-    /// bit-identical to the pre-delta write path.
+    /// Ignored; defaults to `None`. Every suspend diffs each dump against
+    /// its resume baseline and writes the smaller of the delta frame and
+    /// the full dump (DESIGN.md §18). The field stays only because
+    /// existing callers still read and print it.
     pub delta: Option<bool>,
-    /// Keep the last N suspend generations resumable (retention). The
-    /// newest generation is always the one the manifest points at; up to
-    /// N−1 predecessors ride along in [`SuspendManifest::retained`] and
-    /// survive GC, together with every blob their delta chains reference.
-    /// `None` defers to `QSR_KEEP_GENERATIONS`, default 1 (today's
-    /// behavior: only the committed generation survives). Values are
-    /// clamped to ≥ 1.
+    /// Ignored; defaults to `None`. Every commit keeps only the newest
+    /// generation; a manifest's retained generations, written by older
+    /// builds, are collected by the next commit (DESIGN.md §18). The
+    /// field stays only because existing callers still read and print it.
     pub keep_generations: Option<usize>,
 }
 
@@ -426,13 +418,6 @@ impl QueryExecution {
         let prev = read_manifest_named(&self.db, &self.manifest_name)
             .ok()
             .flatten();
-        let delta_on = options
-            .delta
-            .unwrap_or_else(|| env_flag("QSR_DELTA").unwrap_or(false));
-        let keep = options
-            .keep_generations
-            .unwrap_or_else(|| env_parse::<usize>("QSR_KEEP_GENERATIONS").unwrap_or(1))
-            .max(1);
 
         let rungs = Rung::ladder(policy);
         let last = rungs.len() - 1;
@@ -490,10 +475,10 @@ impl QueryExecution {
                     baseline: self.db.ledger().snapshot(),
                 }));
             }
-            let attempt = self.attempt_rung(&report, options, phase, prev.as_ref(), delta_on, keep);
+            let attempt = self.attempt_rung(&report, options, phase, prev.as_ref());
             self.ctx.set_watchdog(None);
             match attempt {
-                Ok((mut handle, sq, committed)) => {
+                Ok((mut handle, sq)) => {
                     handle.rung = *rung;
                     handle.spill_files = std::mem::take(&mut self.ctx.spill_files);
                     self.db.ledger().trace(|| TraceEvent::RungCommit {
@@ -502,15 +487,15 @@ impl QueryExecution {
                     });
                     // Commit point passed. Reclaim in strictly safe order:
                     // salvage orphans first (never referenced by any
-                    // manifest), then the superseded generations that fell
-                    // off the retention window.
+                    // manifest), then the superseded generation and any
+                    // generations an older build's manifest retained.
                     self.db.ledger().set_phase(Phase::Fallback);
                     let backend = self.db.backend();
                     for id in self.ctx.take_salvage().into_values() {
                         let _ = backend.delete_blob(id);
                     }
                     if let Some(old) = prev {
-                        Self::gc_generations(&self.db, &old, &sq, &committed);
+                        Self::gc_generations(&self.db, &old, &sq);
                     }
                     self.root.close(&mut self.ctx)?;
                     self.db.ledger().set_phase(Phase::Execute);
@@ -593,22 +578,18 @@ impl QueryExecution {
     /// everything it references, and commit the manifest. On failure the
     /// partial [`SuspendedQuery`] comes back with the error so the caller
     /// can salvage the dump blobs it references.
-    #[allow(clippy::type_complexity)]
     fn attempt_rung(
         &mut self,
         report: &OptimizeReport,
         options: &SuspendOptions,
         phase: Phase,
         prev: Option<&SuspendManifest>,
-        delta_on: bool,
-        keep: usize,
-    ) -> std::result::Result<
-        (SuspendedHandle, SuspendedQuery, SuspendManifest),
-        Box<(StorageError, SuspendedQuery)>,
-    > {
-        // Delta frames may only be emitted by the rung's primary dump
-        // walk; anything recorded by an earlier (failed) rung is stale.
-        self.ctx.set_delta_enabled(delta_on);
+    ) -> std::result::Result<(SuspendedHandle, SuspendedQuery), Box<(StorageError, SuspendedQuery)>>
+    {
+        // The rung's primary dump walk writes each dump as a delta frame
+        // against its resume baseline when that is smaller; anything
+        // recorded by an earlier (failed) rung is stale.
+        self.ctx.set_delta_enabled(true);
         let _ = self.ctx.take_delta_emitted();
         let mut sq = SuspendedQuery {
             plan_bytes: self.spec.encode_to_vec(),
@@ -685,14 +666,6 @@ impl QueryExecution {
             .map(|chain| chain.len() as u64)
             .max()
             .unwrap_or(0);
-        // Retention window: the previous generation (and its own retained
-        // tail) slides down one slot; whatever falls past keep−1 entries
-        // is collected after commit.
-        if let Some(p) = prev {
-            manifest.retained.push((p.generation, p.query));
-            manifest.retained.extend(p.retained.iter().copied());
-            manifest.retained.truncate(keep - 1);
-        }
         if let Err(e) = commit_manifest_named(&self.db, &self.manifest_name, &manifest) {
             let _ = backend.delete_blob(blob);
             return Err(Box::new((e, sq)));
@@ -706,7 +679,6 @@ impl QueryExecution {
                 spill_files: Vec::new(), // filled in by the ladder loop
             },
             sq,
-            manifest,
         ))
     }
 
@@ -841,36 +813,19 @@ impl QueryExecution {
             .chain(sq.delta_deps.values().flatten().map(|b| b.file))
     }
 
-    /// Retention GC after a commit: collect every generation that fell off
-    /// the just-committed manifest's retention window, keeping anything
-    /// the new generation or a still-retained generation references —
-    /// including every blob their delta chains reach, so a live chain is
-    /// never broken. Run files referenced through operator aux/control
-    /// bytes are never touched — the new generation may share them.
-    /// Best-effort: errors are ignored; a crash mid-GC leaks blobs but
-    /// never loses committed state.
-    fn gc_generations(
-        db: &Database,
-        old: &SuspendManifest,
-        new_sq: &SuspendedQuery,
-        committed: &SuspendManifest,
-    ) {
-        let retained: HashSet<u64> = committed.retained.iter().map(|(g, _)| *g).collect();
-        let dropped: Vec<(u64, BlobId)> = std::iter::once((old.generation, old.query))
-            .chain(old.retained.iter().copied())
-            .filter(|(g, _)| !retained.contains(g))
-            .collect();
-        if dropped.is_empty() {
-            return;
-        }
-        let mut keep: HashSet<FileId> = Self::sq_files(new_sq).collect();
-        for (_, qblob) in &committed.retained {
-            keep.insert(qblob.file);
-            if let Ok(rsq) = Self::load_sq(db, *qblob) {
-                keep.extend(Self::sq_files(&rsq));
-            }
-        }
-        for (generation, qblob) in dropped {
+    /// Generation GC after a commit: collect the superseded generation,
+    /// and every generation an older build's manifest retained beside it,
+    /// keeping anything the new generation references — including every
+    /// blob its delta chains reach, so the live chain is never broken. Run
+    /// files referenced through operator aux/control bytes are never
+    /// touched — the new generation may share them. Best-effort: errors
+    /// are ignored; a crash mid-GC leaks blobs but never loses committed
+    /// state.
+    fn gc_generations(db: &Database, old: &SuspendManifest, new_sq: &SuspendedQuery) {
+        let keep: HashSet<FileId> = Self::sq_files(new_sq).collect();
+        for (generation, qblob) in
+            std::iter::once((old.generation, old.query)).chain(old.retained.iter().copied())
+        {
             Self::gc_generation(db, generation, qblob, &keep);
         }
     }

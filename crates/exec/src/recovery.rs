@@ -44,7 +44,7 @@ const MANIFEST_VERSION: u32 = 2;
 pub struct SuspendManifest {
     /// Monotone suspend counter for this database directory. Each suspend
     /// commits generation `n + 1` and then garbage-collects generation
-    /// `n`'s blobs (unless retention keeps it).
+    /// `n`'s blobs, except those the new generation's delta chains reach.
     pub generation: u64,
     /// Blob holding the committed `SuspendedQuery`.
     pub query: BlobId,
@@ -52,9 +52,12 @@ pub struct SuspendManifest {
     /// full checkpoint). Drives compaction and lets tools report resume
     /// depth without decoding the `SuspendedQuery`.
     pub chain_len: u64,
-    /// Older generations retention keeps recoverable, newest first:
-    /// `(generation, SuspendedQuery blob)`. Their blob closures (records,
-    /// fallbacks, delta parents) stay live until they age off this list.
+    /// Older generations kept recoverable, newest first: `(generation,
+    /// SuspendedQuery blob)`. This build writes it empty; older builds
+    /// could keep the last N generations, and their manifests still decode
+    /// here. Every blob closure listed (records, fallbacks, delta parents)
+    /// is collected by the next commit, by retirement and by the orphan
+    /// sweep's keep-set until then.
     pub retained: Vec<(u64, BlobId)>,
 }
 

@@ -1,7 +1,7 @@
 //! Scenario execution: golden runs, interference, recovery ladders.
 
 use crate::scenario::{Mode, Scenario};
-use qsr_exec::{QueryExecution, SuspendOptions};
+use qsr_exec::QueryExecution;
 use qsr_storage::{BackendKind, CostModel, Database, FaultInjector, Tuple};
 use qsr_workload::{corpus, SkewProfile};
 use std::collections::HashMap;
@@ -151,15 +151,6 @@ impl Oracle {
         Ok(db)
     }
 
-    /// The suspend options a scenario's tokens spell out.
-    fn options_for(s: &Scenario) -> SuspendOptions {
-        SuspendOptions {
-            delta: Some(s.delta),
-            keep_generations: Some(s.keep.max(1) as usize),
-            ..SuspendOptions::default()
-        }
-    }
-
     /// Golden output of `case` with the knobs off (uninterrupted run),
     /// cached.
     pub fn golden(&mut self, case: &str) -> OracleResult<Vec<Tuple>> {
@@ -284,7 +275,6 @@ impl Oracle {
             Err(e) => return ctx_err("start", e),
         };
         let policy = s.policy.to_suspend_policy();
-        let options = Self::options_for(s);
         let mut collected = Vec::new();
         // Tuples delivered up to the last *committed* suspend — the resume
         // point a clean-aborted later suspend must fall back to.
@@ -302,7 +292,7 @@ impl Oracle {
                 return Self::diff(s, &format!("segment {i} ran to completion"), &collected, golden);
             }
             Self::arm_quota(&db, s.quota);
-            let suspended = exec.suspend_with(&policy, &options);
+            let suspended = exec.suspend(&policy);
             db.disk().set_quota(None);
             if let Err(e) = suspended {
                 if s.quota.is_none() {
@@ -381,7 +371,6 @@ impl Oracle {
             Err(e) => return ctx_err("start", e),
         };
         let policy = s.policy.to_suspend_policy();
-        let options = Self::options_for(s);
         Self::arm(&mut exec, boundary);
         let (prefix, done) = match exec.run() {
             Ok(r) => r,
@@ -398,7 +387,7 @@ impl Oracle {
             schedule.apply(&fi);
             db.disk().set_fault_injector(Some(fi));
             Self::arm_quota(&db, s.quota);
-            let suspend_ok = exec.suspend_with(&policy, &options).is_ok();
+            let suspend_ok = exec.suspend(&policy).is_ok();
 
             // "Process restart": reopen from the directory, injector-free.
             let db = Self::reopen(&dir.0, s, db)?;
@@ -441,7 +430,7 @@ impl Oracle {
         } else {
             // Clean suspend; faults strike the recovery / resume phase.
             Self::arm_quota(&db, s.quota);
-            let suspended = exec.suspend_with(&policy, &options);
+            let suspended = exec.suspend(&policy);
             db.disk().set_quota(None);
             if let Err(e) = suspended {
                 if s.quota.is_none() {
@@ -546,7 +535,6 @@ impl Oracle {
         Self::install(&db, s);
         let mut exec = QueryExecution::start(db.clone(), Self::plan_for(s)?)
             .map_err(|e| format!("probe start: {e}"))?;
-        let options = Self::options_for(s);
         Self::arm(&mut exec, boundary);
         let (_, done) = exec.run().map_err(|e| format!("probe run: {e}"))?;
         if done {
@@ -555,11 +543,11 @@ impl Oracle {
         let fi = Arc::new(FaultInjector::seeded(FI_SEED));
         if !during_resume {
             db.disk().set_fault_injector(Some(fi.clone()));
-            exec.suspend_with(&s.policy.to_suspend_policy(), &options)
+            exec.suspend(&s.policy.to_suspend_policy())
                 .map_err(|e| format!("probe suspend: {e}"))?;
             return Ok((fi.writes_observed(), fi.reads_observed()));
         }
-        exec.suspend_with(&s.policy.to_suspend_policy(), &options)
+        exec.suspend(&s.policy.to_suspend_policy())
             .map_err(|e| format!("probe suspend: {e}"))?;
         let db = Self::reopen(&dir.0, s, db)?;
         db.disk().set_fault_injector(Some(fi.clone()));
@@ -590,8 +578,6 @@ mod tests {
             policy: Policy::Dump,
             quota: None,
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Sweep { boundary: 5 },
         };
         oracle.check(&s).unwrap();
@@ -610,8 +596,6 @@ mod tests {
             policy: Policy::Dump,
             quota: None,
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Sweep { boundary: total + 100 },
         };
         oracle.check(&s).unwrap();
@@ -632,8 +616,6 @@ mod tests {
             policy: Policy::Optimized,
             quota: Some(0),
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Sweep { boundary: 5 },
         };
         oracle.check(&s).unwrap();
@@ -651,8 +633,6 @@ mod tests {
             policy: Policy::Optimized,
             quota: Some(64 * 1024 * 1024),
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Sweep { boundary: 5 },
         };
         oracle.check(&s).unwrap();
@@ -673,8 +653,6 @@ mod tests {
             policy: Policy::Dump,
             quota: None,
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Sweep { boundary: 4 },
         };
         let widened = Scenario { mem_budget: 9, ..base.clone() };
@@ -700,8 +678,6 @@ mod tests {
             policy: Policy::Dump,
             quota: None,
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Sweep { boundary: 7 },
         };
         let rev = Scenario { skew: SkewProfile::Rev, ..base.clone() };

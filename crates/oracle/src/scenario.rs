@@ -117,12 +117,6 @@ pub struct Scenario {
     /// `Memory` scenarios resume through the same database handle — the
     /// backend's state dies with the process by design.
     pub backend: BackendKind,
-    /// Delta checkpointing for repeated suspends (`false` = absent, full
-    /// dumps as before the delta axis existed).
-    pub delta: bool,
-    /// Keep-last-N generation retention (`1` = absent, only the newest
-    /// generation survives — the pre-retention behavior).
-    pub keep: u64,
     /// Interference mode.
     pub mode: Mode,
 }
@@ -175,12 +169,6 @@ impl fmt::Display for Scenario {
         if self.backend != BackendKind::Local {
             write!(f, ";backend={}", self.backend)?;
         }
-        if self.delta {
-            write!(f, ";delta=1")?;
-        }
-        if self.keep > 1 {
-            write!(f, ";keep={}", self.keep)?;
-        }
         match &self.mode {
             Mode::Sweep { boundary } => write!(f, ";mode=sweep:{boundary}"),
             Mode::Chain { boundaries } => {
@@ -224,8 +212,6 @@ impl FromStr for Scenario {
         let mut policy = None;
         let mut quota = None;
         let mut backend = None;
-        let mut delta = None;
-        let mut keep = None;
         let mut mode: Option<Mode> = None;
         for part in s.split(';').filter(|p| !p.is_empty()) {
             let (key, value) = part
@@ -257,8 +243,6 @@ impl FromStr for Scenario {
                 }
                 "quota" => quota = Some(num(value)?),
                 "backend" => backend = Some(value.parse::<BackendKind>()?),
-                "delta" => delta = Some(num(value)? != 0),
-                "keep" => keep = Some(num(value)?),
                 "mode" => {
                     let (kind, rest) = value
                         .split_once(':')
@@ -321,11 +305,8 @@ impl FromStr for Scenario {
             skew: skew.unwrap_or_default(),
             policy: policy.ok_or("missing policy=")?,
             quota,
-            // Absent in pre-backend tokens: local disk, full dumps,
-            // keep-newest-only retention — the legacy lifecycle.
+            // Absent in pre-backend tokens: the local disk.
             backend: backend.unwrap_or_default(),
-            delta: delta.unwrap_or(false),
-            keep: keep.unwrap_or(1),
             mode: mode.ok_or("missing mode=")?,
         })
     }
@@ -352,8 +333,6 @@ mod tests {
             policy: Policy::Dump,
             quota: None,
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Sweep { boundary: 17 },
         });
         roundtrip(&Scenario {
@@ -365,8 +344,6 @@ mod tests {
             policy: Policy::Optimized,
             quota: Some(8192),
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Chain {
                 boundaries: vec![3, 9, 2],
             },
@@ -380,8 +357,6 @@ mod tests {
             policy: Policy::Dump,
             quota: None,
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Fault {
                 boundary: 12,
                 during_resume: true,
@@ -401,8 +376,6 @@ mod tests {
             policy: Policy::Dump,
             quota: None,
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Fault {
                 boundary: 1,
                 during_resume: false,
@@ -423,8 +396,6 @@ mod tests {
             policy: Policy::Optimized,
             quota: Some(0),
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Fault {
                 boundary: 5,
                 during_resume: false,
@@ -447,8 +418,6 @@ mod tests {
             policy: Policy::Optimized,
             quota: Some(4096),
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Fault {
                 boundary: 3,
                 during_resume: false,
@@ -505,8 +474,6 @@ mod tests {
             policy: Policy::Optimized,
             quota: None,
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Sweep { boundary: 9 },
         };
         let token = s.to_string();
@@ -535,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_delta_keep_tokens_roundtrip() {
+    fn backend_tokens_roundtrip() {
         let base = Scenario {
             case: "sort".into(),
             pool_pages: 0,
@@ -545,17 +512,12 @@ mod tests {
             policy: Policy::Dump,
             quota: None,
             backend: BackendKind::Remote,
-            delta: true,
-            keep: 3,
             mode: Mode::Chain {
                 boundaries: vec![5, 5, 5],
             },
         };
         let token = base.to_string();
-        assert!(
-            token.contains("backend=remote;delta=1;keep=3"),
-            "token {token}"
-        );
+        assert!(token.contains("backend=remote;mode="), "token {token}");
         roundtrip(&base);
         for backend in [BackendKind::Local, BackendKind::Memory] {
             roundtrip(&Scenario { backend, ..base.clone() });
@@ -564,19 +526,28 @@ mod tests {
 
     #[test]
     fn pre_backend_tokens_parse_as_legacy_lifecycle() {
-        // Tokens minted before the backend/delta/retention axes existed
-        // carry no backend=/delta=/keep= parts; they must replay on the
-        // local disk with full dumps and keep-newest-only retention, and
-        // legacy-lifecycle tokens must not grow redundant parts.
+        // Tokens minted before the backend axis existed carry no
+        // backend= part; they must replay on the local disk, and local
+        // tokens must not grow a redundant part.
         let s: Scenario = "case=sort;pool=0;writers=0;policy=dump;mode=sweep:3"
             .parse()
             .unwrap();
         assert_eq!(s.backend, BackendKind::Local);
-        assert!(!s.delta);
-        assert_eq!(s.keep, 1);
-        let token = s.to_string();
-        for part in ["backend=", "delta=", "keep="] {
-            assert!(!token.contains(part), "token {token}");
+        assert!(!s.to_string().contains("backend="), "token {s}");
+    }
+
+    #[test]
+    fn delta_and_keep_tokens_are_rejected() {
+        // Tokens minted while delta checkpoints and keep-last-N retention
+        // were suspend modes may carry a `delta=` or `keep=` part. Every
+        // suspend now writes delta frames and keeps one generation, so
+        // `delta=0` or `keep=2` would replay a different program than the
+        // one that failed: such tokens fail to parse, like any unknown
+        // part, whatever their value (a `delta=1` or `keep=1` token
+        // replays with that part deleted by hand).
+        for part in ["delta=0", "delta=1", "keep=1", "keep=2", "delta=1;keep=3", "delta=x"] {
+            let token = format!("case=sort;pool=0;policy=dump;{part};mode=chain:5,5,5");
+            assert!(token.parse::<Scenario>().is_err(), "accepted {token:?}");
         }
     }
 
@@ -594,8 +565,6 @@ mod tests {
             "case=sort;pool=0;writers=0;policy=dump;skew=bogus;mode=sweep:3",
             "case=sort;pool=0;writers=0;policy=dump;budget=x;mode=sweep:3",
             "case=sort;pool=0;writers=0;policy=dump;backend=tape;mode=sweep:3",
-            "case=sort;pool=0;writers=0;policy=dump;delta=x;mode=sweep:3",
-            "case=sort;pool=0;writers=0;policy=dump;keep=lots;mode=sweep:3",
         ] {
             assert!(bad.parse::<Scenario>().is_err(), "accepted {bad:?}");
         }

@@ -67,28 +67,13 @@ pub fn shrink(oracle: &mut Oracle, failing: &Scenario) -> Scenario {
     let mut best = failing.clone();
     let mut sh = Shrinker { oracle, trials: 0 };
 
-    // Environment: drop the cache, then the writer pool, then the
-    // optimizer — each is a whole subsystem eliminated from the repro.
-    // Delta checkpointing goes first: it layers chained frames over every
-    // other axis, so a failure that survives delta=0 was never about the
-    // delta encoder and every later trial replays faster on full dumps.
-    if best.delta {
-        let mut c = best.clone();
-        c.delta = false;
-        sh.try_adopt(&mut best, c);
-    }
+    // Environment: the backend, the cache, the grace knobs, the optimizer
+    // and the quota — each is a whole subsystem eliminated from the repro.
     if best.backend != qsr_storage::BackendKind::Local {
         // The local disk is the reference backend; keep memory/remote only
         // if the failure needs them.
         let mut c = best.clone();
         c.backend = qsr_storage::BackendKind::Local;
-        sh.try_adopt(&mut best, c);
-    }
-    if best.keep > 1 {
-        // Keep-newest-only removes the whole retention window from the
-        // repro.
-        let mut c = best.clone();
-        c.keep = 1;
         sh.try_adopt(&mut best, c);
     }
     if best.pool_pages != 0 {

@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! cargo run --bin qsr-server -- --sessions 4 --quantum 2000 --max-live 2 \
-//!     --delta 1 --keep 2 --backend local --workers 2 --sla-budget 5000
+//!     --backend local --workers 2 --sla-budget 5000
 //! ```
 //!
 //! Opens a scratch database, generates a small star-schema workload,
@@ -84,10 +84,7 @@ fn main() -> qsr_storage::Result<()> {
         max_price: flag(&args, "--admission-price").unwrap_or(1e6),
         queue: flag::<u64>(&args, "--admission-queue").unwrap_or(0) != 0,
     });
-    // Suspend-path knobs: delta checkpoints, keep-last-N retention, and
-    // the suspend backend every parked session's state routes through.
-    let delta = flag::<u64>(&args, "--delta").unwrap_or(0) != 0;
-    let keep: usize = flag(&args, "--keep").unwrap_or(1);
+    // The suspend backend every parked session's state routes through.
     let backend: BackendKind = flag(&args, "--backend").unwrap_or_default();
 
     let dir = std::env::temp_dir().join(format!("qsr-server-{}", std::process::id()));
@@ -103,11 +100,7 @@ fn main() -> qsr_storage::Result<()> {
             quantum,
             max_live,
             policy: SuspendPolicy::Optimized { budget: None },
-            options: SuspendOptions {
-                delta: Some(delta),
-                keep_generations: Some(keep),
-                ..SuspendOptions::default()
-            },
+            options: SuspendOptions::default(),
             workers,
             sla: sla_budget.map(SlaConfig::uniform),
             admission,

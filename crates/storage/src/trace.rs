@@ -248,7 +248,7 @@ pub enum TraceEvent {
         /// Chain length (delta links) folded away.
         chain_len: u64,
     },
-    /// Retention GC collected an old suspend generation.
+    /// Generation GC collected an old suspend generation.
     RetentionGc {
         /// The collected generation.
         generation: u64,

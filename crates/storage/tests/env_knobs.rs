@@ -51,17 +51,10 @@ fn numeric_knobs_parse_or_name_the_variable() {
         }
     }
 
-    // QSR_KEEP_GENERATIONS reads as usize (the retention window width),
-    // as do QSR_WORKERS (the server's slice-thread count; 0 = serial),
-    // and the spill-shape knobs QSR_MEM_BUDGET / QSR_MERGE_FANIN (0 =
-    // unlimited).
+    // QSR_WORKERS (the server's slice-thread count; 0 = serial) reads as
+    // usize, as do the spill-shape knobs QSR_MEM_BUDGET / QSR_MERGE_FANIN
+    // (0 = unlimited).
     let usize_table: &[Row<usize>] = &[
-        ("QSR_KEEP_GENERATIONS", None, Ok(None)),
-        ("QSR_KEEP_GENERATIONS", Some("1"), Ok(Some(1))),
-        ("QSR_KEEP_GENERATIONS", Some("3"), Ok(Some(3))),
-        ("QSR_KEEP_GENERATIONS", Some("lots"), Err(())),
-        ("QSR_KEEP_GENERATIONS", Some("-2"), Err(())),
-        ("QSR_KEEP_GENERATIONS", Some(""), Err(())),
         ("QSR_WORKERS", None, Ok(None)),
         ("QSR_WORKERS", Some("0"), Ok(Some(0))),
         ("QSR_WORKERS", Some("4"), Ok(Some(4))),
@@ -127,9 +120,9 @@ fn flag_knobs_accept_only_zero_and_one() {
         (Some("2"), Err(())),
         (Some(""), Err(())),
     ];
-    // Same contract for every flag knob; QSR_DELTA gates delta
-    // checkpoints, QSR_ORACLE_FULL widens the oracle corpus.
-    for knob in ["QSR_ORACLE_FULL", "QSR_DELTA"] {
+    // Same contract for every flag knob; QSR_ORACLE_FULL widens the
+    // oracle corpus.
+    for knob in ["QSR_ORACLE_FULL"] {
         for (raw, expected) in table {
             let got = parse_env_flag(knob, *raw);
             match expected {

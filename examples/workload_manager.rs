@@ -3,7 +3,9 @@
 //! queries share the machine; whenever a high-priority query arrives, the
 //! *running* low-priority query is suspended under a tight budget, parked,
 //! and later resumed round-robin. No low-priority work is ever lost or
-//! duplicated (verified against uninterrupted baselines).
+//! duplicated (verified against uninterrupted baselines). Each parked
+//! query commits its suspends under its own manifest name, so one
+//! query's generation GC never collects another's blobs.
 //!
 //! ```sh
 //! cargo run --example workload_manager
@@ -22,6 +24,8 @@ enum Parked {
 
 struct LowPriorityQuery {
     name: &'static str,
+    /// Manifest sidecar this query's suspends commit under.
+    manifest: String,
     state: Parked,
     collected: Vec<Tuple>,
     expected: usize,
@@ -71,11 +75,12 @@ fn main() -> qsr::storage::Result<()> {
 
     // Uninterrupted baselines for verification.
     let mut queue: VecDeque<LowPriorityQuery> = VecDeque::new();
-    for (name, plan) in plans {
+    for (i, (name, plan)) in plans.into_iter().enumerate() {
         let mut base = QueryExecution::start(db.clone(), plan.clone())?;
         let expected = base.run_to_completion()?.len();
         queue.push_back(LowPriorityQuery {
             name,
+            manifest: format!("SUSPEND.q{}.manifest", i + 1),
             state: Parked::Fresh(plan),
             collected: Vec::new(),
             expected,
@@ -94,6 +99,9 @@ fn main() -> qsr::storage::Result<()> {
             Parked::Fresh(plan) => QueryExecution::start(db.clone(), plan)?,
             Parked::Suspended(handle) => QueryExecution::resume(db.clone(), &handle)?,
         };
+        // A resumed execution starts on the default manifest; keep this
+        // query on its own.
+        exec.set_manifest_name(q.manifest.as_str());
         // Preemption point for this time slice.
         exec.set_trigger(Some(SuspendTrigger::AfterOpTuples {
             op: OpId(0),

@@ -67,6 +67,24 @@ if [ -n "$mip_uses" ]; then
     exit 1
 fi
 
+# Structural guard: a suspend has one write mode (DESIGN.md §18). Every
+# suspend writes each dump as a delta frame or in full, whichever is
+# smaller, and every commit keeps only the newest generation; neither is
+# a setting. Outside `#[cfg(test)]` tails and comments, `crates/*/src`
+# may not name `QSR_DELTA` or `QSR_KEEP_GENERATIONS`, nor read the
+# ignored `SuspendOptions` fields (`.delta`, `.keep_generations`) — the
+# fields' own declarations have no dot and do not match. Any hit fails
+# the run.
+mode_uses="$(grep -rlE 'QSR_DELTA|QSR_KEEP_GENERATIONS|\.delta\b|\.keep_generations\b' crates/*/src | while read -r f; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -v '^ *//' \
+        | grep -cE 'QSR_DELTA|QSR_KEEP_GENERATIONS|\.delta\b|\.keep_generations\b' | sed "s|^|$f |"
+done | grep -v ' 0$' || true)"
+if [ -n "$mode_uses" ]; then
+    printf 'suspend-write mode read in an engine crate (file, hits before its test tail):\n%s\n' \
+        "$mode_uses" >&2
+    exit 1
+fi
+
 # Structural guard: rows are raw bytes read through safe code only, and
 # nothing else in the engine needs `unsafe` either — every library and
 # binary root under crates/ forbids it.
@@ -153,6 +171,15 @@ cargo run --release -p qsr-bench --bin trace_summary -- \
     "$QSR_TRACE_DIR/trace.jsonl"
 rm -rf "$QSR_TRACE_DIR"
 
+# Examples stage: every example runs to completion and exits 0. Each one
+# asserts its own output against an uninterrupted run. The exception is
+# golden_suspend, a generator that writes a new golden directory.
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    [ "$name" = golden_suspend ] && continue
+    cargo run --release -q --example "$name" >/dev/null
+done
+
 # Scheduler stage: the server binary end to end, inline (--workers 0) and
 # on threads (tests/server_matrix.rs ran in the release workspace pass).
 for workers in 0 2; do
@@ -175,9 +202,9 @@ if [ "${QSR_NIGHTLY:-0}" = "1" ]; then
     QSR_ORACLE_FULL=1 QSR_ORACLE_SEED=219803630 QSR_ORACLE_FAULTS=64 \
         cargo test --release -q --test oracle_sweep
     # Delta-chain lane: the widened corpus crossing every backend with
-    # delta chaining and multi-generation retention windows.
+    # repeated suspends whose dumps chain.
     QSR_ORACLE_FULL=1 \
-        cargo test --release -q --test oracle_sweep backend_delta_retention_chains
+        cargo test --release -q --test oracle_sweep backend_delta_chains
 fi
 
 # No stage may write into the checkout: build outputs and benchmark

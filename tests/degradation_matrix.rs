@@ -20,8 +20,10 @@ use qsr::storage::{
 };
 use qsr::workload::{generate_table, KeyDist, TableSpec};
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+mod golden;
 
 struct TempDir(PathBuf);
 impl TempDir {
@@ -39,6 +41,14 @@ impl TempDir {
 impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Copy a checked-in golden directory (flat: tables, blobs, manifest).
+fn copy_dir(from: &Path, to: &Path) {
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
     }
 }
 
@@ -902,12 +912,13 @@ fn fault_matrix_at_recursive_spill_and_merge_pass_ordinals() {
 }
 
 // ---------------------------------------------------------------------
-// PR 9 matrices: delta-chain commits, chain compaction, remote failover,
-// and keep-last-N retention GC — each under faults at every write ordinal.
-// The invariant throughout: the directory always holds **exactly one
-// valid, recoverable chain** per surviving generation — a manifest that
-// loads, a chain below the compaction cap, every retained generation
-// fully materializable, and a resume that delivers the reference output.
+// Repeated-suspend matrices: delta-chain commits, chain compaction,
+// remote failover, and the GC of an older build's retained generation —
+// each under faults at every write ordinal. The invariant throughout:
+// the directory always holds **exactly one valid, recoverable chain** —
+// a manifest that loads, a chain below the compaction cap, every
+// generation it still retains fully materializable, and a resume that
+// delivers the reference output.
 // ---------------------------------------------------------------------
 
 /// Tables sized so operator dumps span several pages — page-granular
@@ -943,24 +954,12 @@ fn delta_reference() -> Vec<Tuple> {
     exec.run_to_completion().unwrap()
 }
 
-fn delta_options(keep: usize) -> SuspendOptions {
-    SuspendOptions {
-        delta: Some(true),
-        keep_generations: Some(keep),
-        ..SuspendOptions::default()
-    }
-}
-
-/// Commit `committed` delta suspends (the first after 250 NLJ ticks, each
+/// Commit `committed` suspends (the first after 250 NLJ ticks, each
 /// later one 40 ticks into its resumed segment) and leave the execution
 /// parked at the pre-suspend point of suspend `committed + 1`. The root
 /// sort is blocking, so no tuple leaves before the final drain — every
 /// cell's full output arrives in the post-fault completion run.
-fn run_delta_cycles(
-    tag: &str,
-    opts: &SuspendOptions,
-    committed: usize,
-) -> (TempDir, Arc<Database>, QueryExecution) {
+fn run_delta_cycles(tag: &str, committed: usize) -> (TempDir, Arc<Database>, QueryExecution) {
     let dir = TempDir::new(tag);
     let db = Database::open_with_pool(&dir.0, CostModel::default(), 0).unwrap();
     delta_populate(&db);
@@ -973,7 +972,7 @@ fn run_delta_cycles(
         assert!(prefix.is_empty(), "the blocking sort must deliver nothing mid-build");
         assert!(!done, "cycle {cycle} finished before its suspend fired");
         if cycle < committed {
-            exec.suspend_with(&SuspendPolicy::AllDump, opts).unwrap();
+            exec.suspend(&SuspendPolicy::AllDump).unwrap();
             exec = QueryExecution::recover(db.clone()).unwrap().unwrap();
         }
     }
@@ -981,30 +980,36 @@ fn run_delta_cycles(
 }
 
 /// The exactly-one-valid-recoverable-chain invariant, checked from a
-/// fresh handle: the manifest loads to a generation in `gens`, its chain
-/// is below the compaction cap, every retained generation is fully
+/// fresh handle: the manifest loads to one of the legal generations in
+/// `gens` (each paired with the number of `reference` tuples delivered
+/// before its suspend; the last is the one this build commits), its chain
+/// is below the compaction cap, the newest legal generation retains
+/// nothing, every generation an older build's manifest retains is fully
 /// materializable (query blob, record and fallback dumps, every delta
-/// ancestor), and the resumed run delivers exactly `reference`.
+/// ancestor), the resumed execution has delivered exactly its
+/// generation's count, and its run delivers the rest of `reference`.
 fn assert_one_valid_delta_chain(
     dir: &TempDir,
     reference: &[Tuple],
-    gens: std::ops::RangeInclusive<u64>,
+    gens: &[(u64, usize)],
     what: &str,
 ) {
     let db = Database::open_default(&dir.0).unwrap();
     let m = qsr::exec::read_manifest(&db)
         .unwrap_or_else(|e| panic!("{what}: manifest unreadable: {e}"))
         .unwrap_or_else(|| panic!("{what}: every committed generation lost"));
-    assert!(
-        gens.contains(&m.generation),
-        "{what}: unexpected generation {} (legal: {gens:?})",
-        m.generation
-    );
+    let &(_, delivered) = gens
+        .iter()
+        .find(|(g, _)| *g == m.generation)
+        .unwrap_or_else(|| panic!("{what}: unexpected generation {} (legal: {gens:?})", m.generation));
     assert!(
         (m.chain_len as usize) < COMPACT_CHAIN_LEN,
         "{what}: chain_len {} at or past the compaction cap",
         m.chain_len
     );
+    if Some(m.generation) == gens.last().map(|&(g, _)| g) {
+        assert!(m.retained.is_empty(), "{what}: a new commit retains nothing");
+    }
     let backend = db.backend();
     for (generation, qblob) in &m.retained {
         let sq = SuspendedQuery::decode_from_slice(
@@ -1029,22 +1034,27 @@ fn assert_one_valid_delta_chain(
     let mut resumed = QueryExecution::recover(db)
         .unwrap_or_else(|e| panic!("{what}: recovery errored: {e}"))
         .unwrap_or_else(|| panic!("{what}: committed generation did not recover"));
+    assert_eq!(
+        resumed.tuples_emitted() as usize,
+        delivered,
+        "{what}: generation {} resumed with the wrong delivered count",
+        m.generation
+    );
     let out = resumed.run_to_completion().unwrap();
-    assert_eq!(out, reference, "{what}: resumed output diverges");
+    assert_eq!(out, reference[delivered..], "{what}: resumed output diverges");
 }
 
 /// Crash / torn / transient at every write ordinal of the first
 /// delta-chain commit (the second suspend: fresh delta frames over the
-/// full generation, plus the keep=1 GC of generation 1 at its tail).
+/// full generation, plus the GC of generation 1 at its tail).
 #[test]
 fn delta_chain_commit_fault_matrix_keeps_exactly_one_chain() {
     let reference = delta_reference();
-    let opts = delta_options(1);
     let writes = {
-        let (_dir, db, exec) = run_delta_cycles("dcdry", &opts, 1);
+        let (_dir, db, exec) = run_delta_cycles("dcdry", 1);
         let fi = Arc::new(FaultInjector::seeded(0));
         db.disk().set_fault_injector(Some(fi.clone()));
-        exec.suspend_with(&SuspendPolicy::AllDump, &opts).unwrap();
+        exec.suspend(&SuspendPolicy::AllDump).unwrap();
         let m = qsr::exec::read_manifest(&db).unwrap().unwrap();
         assert!(
             m.chain_len >= 1,
@@ -1056,16 +1066,16 @@ fn delta_chain_commit_fault_matrix_keeps_exactly_one_chain() {
     assert!(writes > 0);
     for k in 1..=writes {
         for fault in [WriteFault::Crash, WriteFault::Torn, WriteFault::Transient(2)] {
-            let (dir, db, exec) = run_delta_cycles("dccell", &opts, 1);
+            let (dir, db, exec) = run_delta_cycles("dccell", 1);
             let fi = Arc::new(FaultInjector::seeded(0xDE17A + k));
             fi.fail_write(k, fault);
             db.disk().set_fault_injector(Some(fi));
-            let _ = exec.suspend_with(&SuspendPolicy::AllDump, &opts);
+            let _ = exec.suspend(&SuspendPolicy::AllDump);
             drop(db);
             assert_one_valid_delta_chain(
                 &dir,
                 &reference,
-                1..=2,
+                &[(1, 0), (2, 0)],
                 &format!("{fault:?} at delta-commit write {k}"),
             );
         }
@@ -1080,7 +1090,6 @@ fn delta_chain_commit_fault_matrix_keeps_exactly_one_chain() {
 fn compaction_fold_fault_matrix_keeps_exactly_one_chain() {
     use qsr::storage::{TraceEvent, Tracer};
     let reference = delta_reference();
-    let opts = delta_options(1);
     // The sort's buffer only grows between these suspends, and a dump of
     // rows as records is then the previous dump's bytes with the new rows
     // appended (the row count in the header aside), so every delta frame
@@ -1088,7 +1097,7 @@ fn compaction_fold_fault_matrix_keeps_exactly_one_chain() {
     // after the first, second and third committed suspend, making the
     // fourth the fold.
     let writes = {
-        let (_dir, db, exec) = run_delta_cycles("cfdry", &opts, 3);
+        let (_dir, db, exec) = run_delta_cycles("cfdry", 3);
         let pre = qsr::exec::read_manifest(&db).unwrap().unwrap();
         assert_eq!(
             pre.chain_len as usize,
@@ -1100,7 +1109,7 @@ fn compaction_fold_fault_matrix_keeps_exactly_one_chain() {
         db.ledger().set_tracer(&tracer);
         let fi = Arc::new(FaultInjector::seeded(0));
         db.disk().set_fault_injector(Some(fi.clone()));
-        exec.suspend_with(&SuspendPolicy::AllDump, &opts).unwrap();
+        exec.suspend(&SuspendPolicy::AllDump).unwrap();
         let folds = tracer
             .take_full()
             .iter()
@@ -1116,51 +1125,77 @@ fn compaction_fold_fault_matrix_keeps_exactly_one_chain() {
     };
     for k in 1..=writes {
         for fault in [WriteFault::Crash, WriteFault::Torn] {
-            let (dir, db, exec) = run_delta_cycles("cfcell", &opts, 3);
+            let (dir, db, exec) = run_delta_cycles("cfcell", 3);
             let fi = Arc::new(FaultInjector::seeded(0xF07D + k));
             fi.fail_write(k, fault);
             db.disk().set_fault_injector(Some(fi));
-            let _ = exec.suspend_with(&SuspendPolicy::AllDump, &opts);
+            let _ = exec.suspend(&SuspendPolicy::AllDump);
             drop(db);
             assert_one_valid_delta_chain(
                 &dir,
                 &reference,
-                3..=4,
+                &[(3, 0), (4, 0)],
                 &format!("{fault:?} at compaction write {k}"),
             );
         }
     }
 }
 
-/// Crash / torn at every write ordinal of a keep-last-2 retention GC:
-/// the third suspend's tail collects generation 1 while generation 2
-/// must stay in the retained window, fully materializable — delta
-/// ancestors included — whichever side of the fault the commit landed.
+/// Crash / torn at every write ordinal of the first commit over an older
+/// build's manifest that retains a generation: the golden `suspend-v3`
+/// directory (generation 2 current and chained to generation 1, which is
+/// retained), recovered, run one segment and suspended. The commit drops
+/// the retained generation and its GC collects it, so a fault must leave
+/// either generation 2 with generation 1 still fully materializable —
+/// delta ancestors included — or generation 3 retaining nothing, and
+/// either resumes to the fresh run's output.
 #[test]
 fn retention_gc_fault_matrix_never_breaks_live_chains() {
-    let reference = delta_reference();
-    let opts = delta_options(2);
-    let writes = {
-        let (_dir, db, exec) = run_delta_cycles("rgdry", &opts, 2);
+    let reference = {
+        let dir = TempDir::new("rgref");
+        let db = golden::populate(&dir.0).unwrap();
+        QueryExecution::start(db, golden::plan())
+            .unwrap()
+            .run_to_completion()
+            .unwrap()
+    };
+    let segment = |tag: &str| {
+        let dir = TempDir::new(tag);
+        copy_dir(&golden::suspend_v3_dir(), &dir.0);
+        let db = Database::open_with_pool(&dir.0, CostModel::default(), 0).unwrap();
         let pre = qsr::exec::read_manifest(&db).unwrap().unwrap();
-        assert_eq!(pre.retained.len(), 1, "keep=2 must retain one predecessor");
+        assert_eq!(
+            (pre.generation, pre.retained.len()),
+            (2, 1),
+            "suspend-v3 retains its first generation"
+        );
+        let mut exec = QueryExecution::recover(db.clone()).unwrap().unwrap();
+        exec.set_trigger(Some(SuspendTrigger::AfterOpTuples { op: OpId(4), n: 300 }));
+        let (prefix, done) = exec.run().unwrap();
+        assert!(!done, "the segment must stop inside the query");
+        assert_eq!(prefix, reference[..prefix.len()], "the segment's output diverges");
+        (dir, db, exec, prefix.len())
+    };
+    let writes = {
+        let (_dir, db, exec, _) = segment("rgdry");
         let fi = Arc::new(FaultInjector::seeded(0));
         db.disk().set_fault_injector(Some(fi.clone()));
-        exec.suspend_with(&SuspendPolicy::AllDump, &opts).unwrap();
+        exec.suspend(&SuspendPolicy::AllDump).unwrap();
         fi.writes_observed()
     };
+    assert!(writes > 0);
     for k in 1..=writes {
         for fault in [WriteFault::Crash, WriteFault::Torn] {
-            let (dir, db, exec) = run_delta_cycles("rgcell", &opts, 2);
+            let (dir, db, exec, segment_len) = segment("rgcell");
             let fi = Arc::new(FaultInjector::seeded(0x6C2 + k));
             fi.fail_write(k, fault);
             db.disk().set_fault_injector(Some(fi));
-            let _ = exec.suspend_with(&SuspendPolicy::AllDump, &opts);
+            let _ = exec.suspend(&SuspendPolicy::AllDump);
             drop(db);
             assert_one_valid_delta_chain(
                 &dir,
                 &reference,
-                2..=3,
+                &[(2, 0), (3, segment_len)],
                 &format!("{fault:?} at retention-gc write {k}"),
             );
         }

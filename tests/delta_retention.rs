@@ -1,27 +1,29 @@
-//! PR 9 end-to-end coverage: delta checkpoints, keep-last-N retention,
-//! and pluggable suspend backends (memory, fault-injected remote with
-//! retry + failover) — all through the public suspend/resume lifecycle.
+//! End-to-end coverage of the suspend write path across repeated
+//! suspends — delta checkpoints, generation GC and pluggable suspend
+//! backends (memory, fault-injected remote with retry + failover) — all
+//! through the public suspend/resume lifecycle.
 //!
 //! The invariants under test:
-//! - delta-on suspends charge measurably fewer `Phase::Suspend` dump
-//!   pages than full suspends of the same state, and resume is exact;
+//! - a suspend after a resume writes a dump as a delta frame only when
+//!   the frame is smaller than the full dump it encodes, and resume is
+//!   exact;
 //! - delta chains never grow past `COMPACT_CHAIN_LEN − 1` links (the
 //!   compaction fold), across arbitrarily many suspend/resume cycles;
-//! - retention GC (keep = 1) never collects a blob a live delta chain
-//!   still references — every cycle stays resumable;
-//! - keep = N retains the N−1 previous generations fully materializable;
+//! - every commit keeps only the newest generation, and its GC never
+//!   collects a blob a live delta chain still references — every cycle
+//!   stays resumable;
 //! - the memory backend round-trips without touching the disk manifest;
 //! - the remote backend stack retries transients and fails over to the
 //!   local disk mid-suspend without losing the suspend.
 
 use qsr::core::{OpId, SuspendPolicy, SuspendedQuery};
 use qsr::exec::{
-    read_manifest, PlanSpec, Predicate, QueryExecution, SuspendOptions, SuspendTrigger,
-    SUSPEND_MANIFEST,
+    read_manifest, PlanSpec, Predicate, QueryExecution, SuspendTrigger, SUSPEND_MANIFEST,
 };
 use qsr::storage::{
-    BackendKind, Database, Decode, LocalDiskBackend, Phase, RemoteMockBackend, RobustBackend,
-    SuspendBackend, Tuple, WriteFault, COMPACT_CHAIN_LEN, RESUME_BACKOFF,
+    is_delta_frame, pages_for_bytes, BackendKind, Database, Decode, DeltaDump, LocalDiskBackend,
+    Phase, RemoteMockBackend, RobustBackend, SuspendBackend, Tuple, WriteFault, COMPACT_CHAIN_LEN,
+    RESUME_BACKOFF,
 };
 use qsr::workload::{generate_table, TableSpec};
 use std::path::PathBuf;
@@ -79,24 +81,26 @@ fn reference_output() -> Vec<Tuple> {
     exec.run_to_completion().unwrap()
 }
 
-fn options(delta: bool, keep: usize) -> SuspendOptions {
-    SuspendOptions {
-        delta: Some(delta),
-        keep_generations: Some(keep),
-        ..SuspendOptions::default()
-    }
+/// One record dump blob of a committed suspend, as written.
+struct RecordBlob {
+    /// Suspend (0-based cycle) that wrote it.
+    cycle: usize,
+    /// Operator it belongs to.
+    op: OpId,
+    /// Its bytes as stored: a delta frame or a full dump.
+    bytes: Vec<u8>,
 }
 
 /// Drive one lifecycle on a fresh directory: suspend after 250 NLJ ticks,
 /// then `cycles − 1` further suspend/resume rounds of 40 ticks each, then
-/// run to completion. Returns the concatenated output and the
-/// `Phase::Suspend` pages charged by each suspend.
-fn run_cycles(tag: &str, opts: &SuspendOptions, cycles: usize) -> (Vec<Tuple>, Vec<u64>) {
+/// run to completion. Returns the concatenated output and every record
+/// dump blob each suspend committed, read back right after its commit.
+fn run_cycles(tag: &str, cycles: usize) -> (Vec<Tuple>, Vec<RecordBlob>) {
     let dir = TempDir::new(tag);
     let db = Database::open_default(&dir.0).unwrap();
     populate(&db);
     let mut out = Vec::new();
-    let mut suspend_pages = Vec::new();
+    let mut records = Vec::new();
     let mut exec = QueryExecution::start(db.clone(), plan()).unwrap();
     for cycle in 0..cycles {
         let ticks = if cycle == 0 { 250 } else { 40 };
@@ -107,121 +111,79 @@ fn run_cycles(tag: &str, opts: &SuspendOptions, cycles: usize) -> (Vec<Tuple>, V
         let (prefix, done) = exec.run().unwrap();
         out.extend(prefix);
         assert!(!done, "cycle {cycle} finished before its suspend fired");
-        let before = db.ledger().snapshot();
-        exec.suspend_with(&SuspendPolicy::AllDump, opts).unwrap();
-        suspend_pages.push(
-            db.ledger()
-                .snapshot()
-                .since(&before)
-                .phase(Phase::Suspend)
-                .pages_written,
-        );
+        exec.suspend(&SuspendPolicy::AllDump).unwrap();
         let m = read_manifest(&db).unwrap().expect("manifest after suspend");
         assert!(
             (m.chain_len as usize) < COMPACT_CHAIN_LEN,
             "cycle {cycle}: chain_len {} must stay below the compaction cap",
             m.chain_len
         );
+        assert!(
+            m.retained.is_empty(),
+            "cycle {cycle}: a commit keeps only the newest generation"
+        );
+        let backend = db.backend();
+        let sq = SuspendedQuery::decode_from_slice(&backend.get_blob(m.query).unwrap()).unwrap();
+        for (op, rec) in &sq.records {
+            if let Some(b) = rec.heap_dump {
+                records.push(RecordBlob {
+                    cycle,
+                    op: *op,
+                    bytes: backend.get_blob(b).unwrap(),
+                });
+            }
+        }
         exec = QueryExecution::recover(db.clone())
             .unwrap()
             .expect("committed suspend must recover");
     }
     exec.set_trigger(None);
     out.extend(exec.run_to_completion().unwrap());
-    (out, suspend_pages)
+    (out, records)
 }
 
 #[test]
 fn delta_suspends_charge_less_dump_io_and_resume_exactly() {
     let reference = reference_output();
-    let (full_out, full_pages) = run_cycles("full", &options(false, 1), 3);
-    let (delta_out, delta_pages) = run_cycles("delta", &options(true, 1), 3);
-    assert_eq!(full_out, reference, "delta-off output drifted");
-    assert_eq!(delta_out, reference, "delta-on output drifted");
-    // The first suspend has no baseline — both modes dump in full.
-    assert_eq!(full_pages[0], delta_pages[0]);
-    // Later suspends moved only 40 tuples past a multi-page state: delta
-    // frames are never dearer (an unprofitable delta falls back to a full
-    // dump) and must be measurably cheaper in aggregate.
-    for i in 1..delta_pages.len() {
-        assert!(
-            delta_pages[i] <= full_pages[i],
-            "suspend {i}: delta pages {} exceed full pages {}",
-            delta_pages[i],
-            full_pages[i]
-        );
-    }
-    let (full, delta): (u64, u64) = (full_pages[1..].iter().sum(), delta_pages[1..].iter().sum());
+    let (out, records) = run_cycles("delta", 3);
+    assert_eq!(out, reference, "repeated-suspend output drifted");
+    // The first suspend has no resume baseline: every dump is full.
     assert!(
-        delta < full,
-        "delta suspends charged {delta} pages, not below the {full} full suspends charge"
+        records.iter().filter(|r| r.cycle == 0).all(|r| !is_delta_frame(&r.bytes)),
+        "the first suspend has nothing to diff against"
+    );
+    // Later suspends moved only 40 tuples past a multi-page state. A
+    // delta frame is written only when it is smaller than the full dump
+    // it encodes, so each one charges fewer pages than that dump would.
+    let mut frames = 0;
+    for r in records.iter().filter(|r| is_delta_frame(&r.bytes)) {
+        let frame = DeltaDump::decode_from_bytes(&r.bytes).unwrap();
+        let (written, full) = (
+            pages_for_bytes(r.bytes.len()),
+            pages_for_bytes(frame.full_len as usize),
+        );
+        assert!(
+            written < full,
+            "suspend {} op {:?}: delta frame writes {written} pages, not below the {full} of its full dump",
+            r.cycle,
+            r.op
+        );
+        frames += 1;
+    }
+    assert!(
+        records.iter().any(|r| r.cycle == 1 && is_delta_frame(&r.bytes)),
+        "the first suspend after a resume must write at least one delta frame ({frames} in all)"
     );
 }
 
 #[test]
 fn delta_chains_compact_and_survive_retention_gc_across_cycles() {
     let reference = reference_output();
-    // 7 cycles at keep=1: chains grow 0→1→2, fold, and grow again, with
-    // retention GC collecting the superseded generation every time. Any
-    // GC'd blob still referenced by a live chain would break a resume.
-    let (out, _) = run_cycles("cycles", &options(true, 1), 7);
+    // 7 cycles: chains grow 0→1→2, fold, and grow again, with generation
+    // GC collecting the superseded generation every time. Any GC'd blob
+    // still referenced by a live chain would break a resume.
+    let (out, _) = run_cycles("cycles", 7);
     assert_eq!(out, reference, "multi-cycle delta output drifted");
-}
-
-#[test]
-fn retention_keeps_previous_generations_materializable() {
-    let dir = TempDir::new("keep");
-    let db = Database::open_default(&dir.0).unwrap();
-    populate(&db);
-    let opts = options(true, 3);
-    let mut exec = QueryExecution::start(db.clone(), plan()).unwrap();
-    let mut retained_seen = Vec::new();
-    for cycle in 0..4 {
-        let ticks = if cycle == 0 { 250 } else { 40 };
-        exec.set_trigger(Some(SuspendTrigger::AfterOpTuples {
-            op: OpId(1),
-            n: ticks,
-        }));
-        let (_, done) = exec.run().unwrap();
-        assert!(!done);
-        exec.suspend_with(&SuspendPolicy::AllDump, &opts).unwrap();
-        let m = read_manifest(&db).unwrap().unwrap();
-        assert_eq!(
-            m.retained.len(),
-            (cycle).min(2),
-            "cycle {cycle}: keep=3 retains up to 2 predecessors"
-        );
-        // Every retained generation must still be fully materializable:
-        // its SuspendedQuery loads and every record blob (including each
-        // delta chain ancestor) reads back through the backend.
-        let backend = db.backend();
-        for (generation, qblob) in &m.retained {
-            let sq =
-                SuspendedQuery::decode_from_slice(&backend.get_blob(*qblob).unwrap()).unwrap();
-            for rec in sq.records.values() {
-                if let Some(b) = rec.heap_dump {
-                    backend.get_blob(b).unwrap_or_else(|e| {
-                        panic!("generation {generation}: record blob unreadable: {e}")
-                    });
-                }
-            }
-            for dep in sq.delta_deps.values().flatten() {
-                backend.get_blob(*dep).unwrap_or_else(|e| {
-                    panic!("generation {generation}: delta ancestor unreadable: {e}")
-                });
-            }
-            retained_seen.push(*generation);
-        }
-        exec = QueryExecution::recover(db.clone()).unwrap().unwrap();
-    }
-    assert!(
-        retained_seen.contains(&1) && retained_seen.contains(&3),
-        "retention window never slid over generations 1 and 3: {retained_seen:?}"
-    );
-    // Retiring the live generation reclaims the retained tail too.
-    drop(exec);
-    QueryExecution::retire_generation(&db).unwrap();
-    assert!(read_manifest(&db).unwrap().is_none());
 }
 
 #[test]

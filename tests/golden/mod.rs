@@ -3,9 +3,11 @@
 //! every later build proves it can still resume what that build stored.
 //!
 //! `suspend-v3/` was written by `examples/golden_suspend.rs` (the
-//! [`write_suspend`] below) at commit fbdca7e. It holds the layout of that
-//! era at its newest: a `SuspendedQuery` v3 frame (it carries delta-chain
-//! dependencies), a v2 manifest (a delta chain and a retained generation),
+//! [`write_suspend`] below) at commit fbdca7e, with delta checkpoints on
+//! and two generations kept — suspend modes of that build. It holds the
+//! layout of that era at its newest: a `SuspendedQuery` v3 frame (it
+//! carries delta-chain dependencies), a v2 manifest (a delta chain and a
+//! retained generation),
 //! a hash join parked in its partition task walk (phase byte 5), columnar
 //! `TupleBlock` dump blocks, delta frames, and word-parallel checksums.
 //! The query is a merge join of a hash aggregate with a sort over a hash
@@ -17,8 +19,8 @@
 //! `suspend-v2/` was written by the same example (`--v2`, the
 //! [`write_suspend_v2`] below) at commit b0587b5, the last build that
 //! wrote columnar dump blocks. It holds the oldest layout that build
-//! still wrote: with delta checkpoints off and one generation kept, a
-//! `SuspendedQuery` v2 frame (no delta section) under a v1 manifest, and a
+//! still wrote: a single suspend, so a `SuspendedQuery` v2 frame (no
+//! delta section) under a v1 manifest, and a
 //! full — not delta — columnar `TupleBlock` dump of a sort buffer. The
 //! query is a merge join of two sorts, suspended once under `AllDump`
 //! while the right sort was still reading its input.
@@ -29,8 +31,8 @@
 //! wrote the hash join's two retired join-phase bytes — 2, the linear
 //! partition scan, and 4, the budgeted task walk — and one of the builds
 //! that stamped every page trailer and frame with FNV-1a. It holds a
-//! `SuspendedQuery` v2 frame under a v1 manifest (delta checkpoints off,
-//! one generation kept). The query is a merge join of two hash joins, one
+//! `SuspendedQuery` v2 frame under a v1 manifest (a single suspend: no
+//! delta chain, nothing retained). The query is a merge join of two hash joins, one
 //! without and one under a memory budget, suspended once under `AllDump`
 //! while both were streaming their join phase.
 
@@ -38,7 +40,7 @@
 #![allow(dead_code)]
 
 use qsr::core::{OpId, SuspendPolicy};
-use qsr::exec::{AggFn, PlanSpec, QueryExecution, SuspendOptions, SuspendTrigger};
+use qsr::exec::{AggFn, PlanSpec, QueryExecution, SuspendTrigger};
 use qsr::storage::{Database, Result};
 use qsr::workload::{generate_table, TableSpec};
 use std::path::{Path, PathBuf};
@@ -109,17 +111,14 @@ pub fn populate(dir: &Path) -> Result<Arc<Database>> {
 /// runs 300 more join work units before the second suspend.
 const SUSPEND_AFTER_JOIN_TICKS: [u64; 2] = [5000, 300];
 
-/// Populate `dir`, then run [`plan`] through two `AllDump` suspends with
-/// delta checkpoints and two retained generations, reopening the database
-/// for the resume in between. The merge join has not matched a row at
-/// either suspend, so nothing has been delivered: resuming must produce
-/// the whole result.
+/// Populate `dir`, then run [`plan`] through two `AllDump` suspends,
+/// reopening the database for the resume in between, so the second
+/// suspend chains delta dumps to the first. The merge join has not
+/// matched a row at either suspend, so nothing has been delivered:
+/// resuming must produce the whole result. (The build that wrote
+/// `suspend-v3/` also kept the first generation in the manifest; this
+/// build keeps only the newest.)
 pub fn write_suspend(dir: &Path) -> Result<()> {
-    let options = SuspendOptions {
-        delta: Some(true),
-        keep_generations: Some(2),
-        ..SuspendOptions::default()
-    };
     for (i, n) in SUSPEND_AFTER_JOIN_TICKS.into_iter().enumerate() {
         let mut exec = match i {
             0 => QueryExecution::start(populate(dir)?, plan())?,
@@ -133,7 +132,7 @@ pub fn write_suspend(dir: &Path) -> Result<()> {
         for op in [1, 3, 4] {
             assert!(inputs[&OpId(op)].heap_bytes > 0, "op {op} must hold in-memory state");
         }
-        exec.suspend_with(&SuspendPolicy::AllDump, &options)?;
+        exec.suspend(&SuspendPolicy::AllDump)?;
     }
     Ok(())
 }
@@ -172,16 +171,10 @@ pub fn populate_v2(dir: &Path) -> Result<Arc<Database>> {
 /// is merging its three sublists.
 pub const SUSPEND_V2_AFTER_S_ROWS: u64 = 400;
 
-/// Populate `dir`, then run [`plan_v2`] to its one `AllDump` suspend with
-/// delta checkpoints off and a single generation kept. The merge join is
-/// still waiting for its first right row, so resuming must produce the
-/// whole result.
+/// Populate `dir`, then run [`plan_v2`] to its one `AllDump` suspend.
+/// The merge join is still waiting for its first right row, so resuming
+/// must produce the whole result.
 pub fn write_suspend_v2(dir: &Path) -> Result<()> {
-    let options = SuspendOptions {
-        delta: Some(false),
-        keep_generations: Some(1),
-        ..SuspendOptions::default()
-    };
     let mut exec = QueryExecution::start(populate_v2(dir)?, plan_v2())?;
     exec.set_trigger(Some(SuspendTrigger::AfterOpTuples {
         op: OpId(4),
@@ -190,7 +183,7 @@ pub fn write_suspend_v2(dir: &Path) -> Result<()> {
     let (delivered, done) = exec.run()?;
     assert!(!done && delivered.is_empty(), "the suspend must land inside the right sort's input");
     assert!(exec.suspend_problem().inputs[&OpId(3)].heap_bytes > 0, "the right sort buffers rows");
-    exec.suspend_with(&SuspendPolicy::AllDump, &options)?;
+    exec.suspend(&SuspendPolicy::AllDump)?;
     Ok(())
 }
 
@@ -256,15 +249,10 @@ pub fn populate_fnv(dir: &Path) -> Result<Arc<Database>> {
 /// join, which the merge join pulls in step with it, is as far along.
 pub const SUSPEND_FNV_JOIN_TICKS: u64 = 2 * SUSPEND_FNV_ROWS + 100;
 
-/// Populate `dir`, then run [`plan_fnv`] to its one `AllDump` suspend with
-/// delta checkpoints off and a single generation kept, taken while both
-/// hash joins hold their partition's build table in memory.
+/// Populate `dir`, then run [`plan_fnv`] to its one `AllDump` suspend,
+/// taken while both hash joins hold their partition's build table in
+/// memory.
 pub fn write_suspend_fnv(dir: &Path) -> Result<()> {
-    let options = SuspendOptions {
-        delta: Some(false),
-        keep_generations: Some(1),
-        ..SuspendOptions::default()
-    };
     let mut exec = QueryExecution::start(populate_fnv(dir)?, plan_fnv())?;
     exec.set_trigger(Some(SuspendTrigger::AfterOpTuples {
         op: OpId(4),
@@ -282,6 +270,6 @@ pub fn write_suspend_fnv(dir: &Path) -> Result<()> {
             "hash join {op} must hold its build table"
         );
     }
-    exec.suspend_with(&SuspendPolicy::AllDump, &options)?;
+    exec.suspend(&SuspendPolicy::AllDump)?;
     Ok(())
 }

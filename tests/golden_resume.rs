@@ -5,9 +5,14 @@
 
 mod golden;
 
-use qsr::core::{OpId, Strategy, SuspendedQuery};
-use qsr::exec::{read_manifest, QueryExecution, SUSPEND_MANIFEST};
-use qsr::storage::{checksum, fnv1a, Database, TraceEvent, Tracer, PAGE_SIZE};
+use qsr::core::{OpId, Strategy, SuspendPolicy, SuspendedQuery};
+use qsr::exec::{
+    read_manifest, reclaim_spill_files, QueryExecution, SuspendTrigger, SUSPEND_MANIFEST,
+};
+use qsr::storage::{
+    checksum, fnv1a, BlobId, Database, StorageError, TraceEvent, Tracer, PAGE_SIZE,
+};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -84,6 +89,92 @@ fn suspend_v3_directory_resumes_to_a_fresh_run() {
         .run_to_completion()
         .unwrap();
     assert!(fresh.len() > 1000, "the plan must produce a real result");
+    assert_eq!(recovered, fresh);
+}
+
+/// The `f*.qsr` files in `dir`: tables, run files and blobs.
+fn qsr_files(dir: &Path) -> BTreeSet<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with('f') && name.ends_with(".qsr"))
+        .collect()
+}
+
+/// This build keeps only the newest generation, but `suspend-v3`'s
+/// manifest retains one. The first suspend this build commits over it
+/// must drop the retained generation from the manifest and reclaim every
+/// blob of the old build's current and retained generations except the
+/// delta ancestors its own new frames chain to. The query must still
+/// finish exactly, and once it is retired no blob of either build is
+/// left: only the files that were not the old build's blobs remain.
+#[test]
+fn suspend_v3_retained_generation_is_reclaimed_by_the_next_suspend() {
+    let dir = TempDir::new("v3-reclaim");
+    copy_dir(&golden::suspend_v3_dir(), &dir.0);
+    let golden_files = qsr_files(&dir.0);
+    let db = Database::open_default(&dir.0).unwrap();
+    let old = read_manifest(&db).unwrap().expect("a committed manifest");
+    assert_eq!(old.retained.len(), 1, "the first generation is retained");
+
+    // Every blob the old build's manifest reaches: both query blobs, their
+    // records and fallbacks, and every delta ancestor.
+    let mut old_blobs = Vec::new();
+    for qblob in std::iter::once(old.query).chain(old.retained.iter().map(|(_, q)| *q)) {
+        let sq = SuspendedQuery::load(db.blobs(), qblob).unwrap();
+        old_blobs.push(qblob);
+        for rec in sq.records.values().chain(sq.fallbacks.values().flatten()) {
+            old_blobs.extend(rec.heap_dump);
+        }
+        old_blobs.extend(sq.delta_deps.values().flatten().copied());
+    }
+    for b in &old_blobs {
+        db.blobs().get(*b).expect("the golden directory holds every blob it names");
+    }
+
+    let mut exec = QueryExecution::recover(db.clone())
+        .unwrap()
+        .expect("the golden directory holds a committed suspend");
+    exec.set_trigger(Some(SuspendTrigger::AfterOpTuples { op: OpId(4), n: 300 }));
+    let (mut recovered, done) = exec.run().unwrap();
+    assert!(!done, "the segment must stop inside the query");
+    let mut handle = exec.suspend(&SuspendPolicy::AllDump).unwrap();
+
+    let new = read_manifest(&db).unwrap().expect("the suspend committed");
+    assert_eq!(new.generation, old.generation + 1);
+    assert!(new.retained.is_empty(), "a commit keeps only the newest generation");
+    let new_sq = SuspendedQuery::load(db.blobs(), new.query).unwrap();
+    let chained: Vec<BlobId> = new_sq.delta_deps.values().flatten().copied().collect();
+    let assert_reclaimed = |b: &BlobId| match db.blobs().get(*b) {
+        Err(StorageError::NotFound(_)) => {}
+        other => panic!("old blob {b:?} must be reclaimed, got {other:?}"),
+    };
+    for b in &old_blobs {
+        if chained.contains(b) {
+            db.blobs().get(*b).expect("a live chain's ancestor survives GC");
+        } else {
+            assert_reclaimed(b);
+        }
+    }
+
+    let mut exec = QueryExecution::recover(db.clone()).unwrap().unwrap();
+    recovered.extend(exec.run_to_completion().unwrap());
+    drop(exec);
+    QueryExecution::retire_generation(&db).unwrap();
+    reclaim_spill_files(&db, &mut handle.spill_files).unwrap();
+    old_blobs.iter().for_each(assert_reclaimed);
+    let old_blob_files: BTreeSet<String> =
+        old_blobs.iter().map(|b| format!("f{}.qsr", b.file.0)).collect();
+    assert_eq!(
+        qsr_files(&dir.0),
+        &golden_files - &old_blob_files,
+        "no blob of either build is left"
+    );
+
+    let fresh = QueryExecution::start(db, golden::plan())
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
     assert_eq!(recovered, fresh);
 }
 

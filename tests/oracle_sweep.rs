@@ -111,8 +111,6 @@ fn sweep_suspend_points(case: &str) {
                 policy,
                 quota: None,
                 backend: Default::default(),
-                delta: false,
-                keep: 1,
                 mode: Mode::Sweep { boundary },
             };
             check_or_die(&mut oracle, &s, cfg.seed);
@@ -197,8 +195,6 @@ fn multi_suspend_chains_to_depth_three() {
                     },
                     quota: None,
                     backend: Default::default(),
-                    delta: false,
-                    keep: 1,
                     mode: Mode::Chain {
                         boundaries: boundaries.clone(),
                     },
@@ -238,8 +234,6 @@ fn sort_over_hybrid_join_every_policy_and_lane() {
                     policy,
                     quota: None,
                     backend: Default::default(),
-                    delta: false,
-                    keep: 1,
                     mode: Mode::Sweep { boundary },
                 };
                 check_or_die(&mut oracle, &s, cfg.seed);
@@ -248,16 +242,14 @@ fn sort_over_hybrid_join_every_policy_and_lane() {
     }
 }
 
-/// Backend × delta × retention family: multi-suspend chains (the only
-/// mode where delta frames and the retention window actually build up)
-/// across every suspend backend, with delta checkpointing on and a
-/// keep-last-2 window, so every resume replays chained frames whose
-/// ancestors the retention GC must have preserved. The memory backend
-/// resumes through the same handle (its state dies with the process by
-/// design); local and remote resume through a fresh handle like every
-/// other scenario.
+/// Backend × delta-chain family: multi-suspend chains (the only mode
+/// where delta frames build up) across every suspend backend, so every
+/// resume after the first replays chained frames whose ancestors the
+/// generation GC must have preserved. The memory backend resumes through
+/// the same handle (its state dies with the process by design); local and
+/// remote resume through a fresh handle like every other scenario.
 #[test]
-fn backend_delta_retention_chains() {
+fn backend_delta_chains() {
     let cfg = config();
     if cfg.replay.is_some() {
         return;
@@ -274,24 +266,20 @@ fn backend_delta_retention_chains() {
             .unwrap_or_else(|e| panic!("golden run of {case}: {e}"));
         let step = (total / 4).max(1);
         for backend in [BackendKind::Local, BackendKind::Memory, BackendKind::Remote] {
-            for (delta, keep) in [(true, 1), (true, 2), (false, 3)] {
-                let s = Scenario {
-                    case: case.to_string(),
-                    pool_pages: 0,
-                    mem_budget: 0,
-                    merge_fanin: 0,
-                    skew: SkewProfile::Default,
-                    policy: Policy::Dump,
-                    quota: None,
-                    backend,
-                    delta,
-                    keep,
-                    mode: Mode::Chain {
-                        boundaries: vec![step, step, step],
-                    },
-                };
-                check_or_die(&mut oracle, &s, cfg.seed);
-            }
+            let s = Scenario {
+                case: case.to_string(),
+                pool_pages: 0,
+                mem_budget: 0,
+                merge_fanin: 0,
+                skew: SkewProfile::Default,
+                policy: Policy::Dump,
+                quota: None,
+                backend,
+                mode: Mode::Chain {
+                    boundaries: vec![step, step, step],
+                },
+            };
+            check_or_die(&mut oracle, &s, cfg.seed);
         }
     }
 }
@@ -326,8 +314,6 @@ fn degradation_ladder_quota_sweep() {
                     policy,
                     quota: Some(headroom),
                     backend: Default::default(),
-                    delta: false,
-                    keep: 1,
                     mode: Mode::Sweep { boundary },
                 };
                 check_or_die(&mut oracle, &s, cfg.seed);
@@ -364,8 +350,6 @@ fn scripted_nospace_at_every_suspend_write() {
             policy: Policy::Optimized,
             quota: None,
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Fault {
                 boundary,
                 during_resume: false,
@@ -428,8 +412,6 @@ fn grace_memory_knob_sweep() {
             policy: Policy::Dump,
             quota: None,
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Sweep { boundary: 1 },
         };
         let total = oracle
@@ -465,8 +447,6 @@ fn grace_memory_knob_sweep() {
                     policy,
                     quota: None,
                     backend: Default::default(),
-                    delta: false,
-                    keep: 1,
                     mode: Mode::Sweep { boundary },
                 };
                 check_or_die(&mut oracle, &s, cfg.seed);
@@ -508,8 +488,6 @@ fn grace_knob_fault_schedules() {
             policy,
             quota: None,
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Fault {
                 boundary: 1,
                 during_resume,
@@ -574,8 +552,6 @@ fn randomized_fault_schedules() {
             policy,
             quota,
             backend: Default::default(),
-            delta: false,
-            keep: 1,
             mode: Mode::Fault {
                 boundary,
                 during_resume,

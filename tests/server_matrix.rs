@@ -484,8 +484,7 @@ fn nightly() -> bool {
 }
 
 /// A server with `n` sessions (cycling the three plan shapes) over the
-/// given backend, worker count, and delta setting, with one live slot per
-/// worker — the threaded stress lane's parameterized builder: more
+/// given backend and worker count, with one live slot per worker — the threaded stress lane's parameterized builder: more
 /// sessions than `max_live = workers` keeps every worker preempting, so
 /// suspends of different victims overlap. The backend installs before
 /// any admission so registry sidecars and suspend state share one store.
@@ -494,7 +493,6 @@ fn build_server_mt(
     n: usize,
     backend: BackendKind,
     workers: usize,
-    delta: bool,
 ) -> (TempDir, Arc<Database>, QsrServer) {
     let dir = TempDir::new(tag);
     let db = Database::open_with_pool(&dir.0, CostModel::default(), 0).unwrap();
@@ -504,7 +502,6 @@ fn build_server_mt(
     let mut cfg = config();
     cfg.workers = workers;
     cfg.max_live = workers;
-    cfg.options.delta = Some(delta);
     let mut server = QsrServer::new(db.clone(), cfg);
     let all = plans();
     for i in 0..n {
@@ -517,11 +514,12 @@ fn build_server_mt(
 }
 
 /// The seeded multi-threaded stress lane: workers {2,4} (and as many live
-/// slots, and more sessions than that) × backend {local,memory} × delta
-/// {off,on}. Threaded schedules interleave
-/// suspends, resumes, and ladder descents arbitrarily, so the invariant
-/// is output equality: every session must deliver its uninterrupted
-/// golden bit-exactly, exactly once, with suspends matched by resumes.
+/// slots, and more sessions than that) × backend {local,memory}.
+/// Repeated preemptions of one session chain its delta dumps, and
+/// threaded schedules interleave suspends, resumes, and ladder descents
+/// arbitrarily, so the invariant is output equality: every session must
+/// deliver its uninterrupted golden bit-exactly, exactly once, with
+/// suspends matched by resumes.
 #[test]
 fn threaded_stress_lane_delivers_goldens_exactly_once() {
     let goldens = goldens();
@@ -529,41 +527,37 @@ fn threaded_stress_lane_delivers_goldens_exactly_once() {
     for workers in [2usize, 4] {
         let sessions = workers + if nightly() { 4 } else { 2 };
         for backend in [BackendKind::Local, BackendKind::Memory] {
-            for delta in [false, true] {
-                for rep in 0..reps {
-                    let what =
-                        format!("workers={workers} backend={backend:?} delta={delta} rep={rep}");
-                    let (_dir, _db, mut server) = build_server_mt(
-                        &format!("mt-{workers}-{delta}-{rep}"),
-                        sessions,
-                        backend,
-                        workers,
-                        delta,
+            for rep in 0..reps {
+                let what = format!("workers={workers} backend={backend:?} rep={rep}");
+                let (_dir, _db, mut server) = build_server_mt(
+                    &format!("mt-{workers}-{rep}"),
+                    sessions,
+                    backend,
+                    workers,
+                );
+                server
+                    .run_to_completion()
+                    .unwrap_or_else(|e| panic!("{what}: threaded run failed: {e}"));
+                let mut preempted = 0;
+                for (i, s) in server.sessions().iter().enumerate() {
+                    assert!(s.is_finished(), "{what}: session {} must finish", i + 1);
+                    assert_eq!(
+                        s.collected,
+                        goldens[i % 3],
+                        "{what}: session {} output diverges from its golden",
+                        i + 1
                     );
-                    server
-                        .run_to_completion()
-                        .unwrap_or_else(|e| panic!("{what}: threaded run failed: {e}"));
-                    let mut preempted = 0;
-                    for (i, s) in server.sessions().iter().enumerate() {
-                        assert!(s.is_finished(), "{what}: session {} must finish", i + 1);
-                        assert_eq!(
-                            s.collected,
-                            goldens[i % 3],
-                            "{what}: session {} output diverges from its golden",
-                            i + 1
-                        );
-                        assert_eq!(
-                            s.fairness.suspends, s.fairness.resumes,
-                            "{what}: session {} suspends must match resumes",
-                            i + 1
-                        );
-                        preempted += s.fairness.suspends;
-                    }
-                    assert!(
-                        preempted > 0,
-                        "{what}: more sessions than live slots must force concurrent parking"
+                    assert_eq!(
+                        s.fairness.suspends, s.fairness.resumes,
+                        "{what}: session {} suspends must match resumes",
+                        i + 1
                     );
+                    preempted += s.fairness.suspends;
                 }
+                assert!(
+                    preempted > 0,
+                    "{what}: more sessions than live slots must force concurrent parking"
+                );
             }
         }
     }
@@ -579,7 +573,7 @@ fn crash_mid_concurrent_suspend_leaves_registry_recoverable() {
     let goldens = goldens();
     let clean_writes = {
         let (_dir, db, mut server) =
-            build_server_mt("mtc-dry", 4, BackendKind::Local, 2, false);
+            build_server_mt("mtc-dry", 4, BackendKind::Local, 2);
         let fi = Arc::new(FaultInjector::seeded(0));
         db.disk().set_fault_injector(Some(fi.clone()));
         server.run_to_completion().unwrap();
@@ -597,7 +591,7 @@ fn crash_mid_concurrent_suspend_leaves_registry_recoverable() {
     for k in ordinals {
         let what = format!("crash at threaded write {k}");
         let (dir, db, mut server) =
-            build_server_mt(&format!("mtc-{k}"), 4, BackendKind::Local, 2, false);
+            build_server_mt(&format!("mtc-{k}"), 4, BackendKind::Local, 2);
         let fi = Arc::new(FaultInjector::seeded(0xBEEF + k));
         fi.fail_write(k, WriteFault::Crash);
         db.disk().set_fault_injector(Some(fi.clone()));
@@ -978,7 +972,7 @@ fn threaded_live_sessions_never_exceed_max_live() {
     for (max_live, workers, sessions) in [(1usize, 2usize, 2usize), (2, 4, 6)] {
         let what = format!("max_live={max_live} workers={workers} sessions={sessions}");
         let (_dir, _db, mut server) =
-            build_server_mt(&format!("ceiling-{max_live}"), sessions, BackendKind::Local, workers, false);
+            build_server_mt(&format!("ceiling-{max_live}"), sessions, BackendKind::Local, workers);
         server.config_mut().max_live = max_live;
         server.run_to_completion().unwrap();
         assert!(
