@@ -2,64 +2,29 @@
 //! `experiments_output.md` in the current directory (the source for
 //! `EXPERIMENTS.md`).
 //!
-//! `--pool-pages N` runs every experiment over an N-frame shared buffer
-//! pool (exported as `QSR_POOL_PAGES` for the harness). The default, 0,
-//! is the uncached passthrough configuration whose ledger numbers match
-//! the paper's cost analysis exactly.
-//!
-//! `--suspend-deadline C` (exported as `QSR_SUSPEND_DEADLINE`) caps every
-//! measured suspend at C simulated cost units — the degradation ladder
-//! may commit a cheaper rung than each experiment's nominal policy.
-//! `--disk-quota BYTES` (exported as `QSR_DISK_QUOTA`) arms a disk quota
-//! of `used + BYTES` around every measured suspend; headrooms no ladder
-//! rung fits surface as typed clean-abort experiment failures.
-//!
-//! `--trace-json PATH` (exported as `QSR_TRACE`) attaches a structured
-//! trace sink to every experiment database: each suspend-lifecycle event
-//! is appended to PATH as one JSON line.
+//! The harness settings apply to every experiment (see
+//! `qsr_bench::harness`): `QSR_POOL_PAGES=N` runs over an N-frame shared
+//! buffer pool (the default, 0, is the uncached passthrough
+//! configuration whose ledger numbers match the paper's cost analysis
+//! exactly); `QSR_SUSPEND_DEADLINE=C` caps every measured suspend at C
+//! simulated cost units, so the degradation ladder may commit a cheaper
+//! rung than each experiment's nominal policy; `QSR_DISK_QUOTA=BYTES`
+//! arms a disk quota of `used + BYTES` around every measured suspend,
+//! and headrooms no ladder rung fits surface as typed clean-abort
+//! experiment failures; `QSR_TRACE=PATH` appends each suspend-lifecycle
+//! event of every experiment database to PATH as one JSON line.
 
 #![forbid(unsafe_code)]
 
 use qsr_bench::experiments as ex;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--pool-pages" => {
-                let n: usize = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--pool-pages needs a non-negative integer");
-                std::env::set_var("QSR_POOL_PAGES", n.to_string());
-            }
-            "--suspend-deadline" => {
-                let c: f64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--suspend-deadline needs a cost-unit number");
-                std::env::set_var("QSR_SUSPEND_DEADLINE", c.to_string());
-            }
-            "--disk-quota" => {
-                let b: u64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--disk-quota needs a byte count");
-                std::env::set_var("QSR_DISK_QUOTA", b.to_string());
-            }
-            "--trace-json" => {
-                let p = args.next().filter(|p| !p.is_empty());
-                let p = p.expect("--trace-json needs a file path");
-                std::env::set_var("QSR_TRACE", p);
-            }
-            other => {
-                eprintln!(
-                    "unknown argument: {other} (supported: --pool-pages N, \
-                     --suspend-deadline C, --disk-quota BYTES, --trace-json PATH)"
-                );
-                std::process::exit(2);
-            }
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!(
+            "unknown argument: {arg} (all_experiments takes none; set QSR_POOL_PAGES, \
+             QSR_SUSPEND_DEADLINE, QSR_DISK_QUOTA or QSR_TRACE instead)"
+        );
+        std::process::exit(2);
     }
     eprintln!("buffer pool: {} pages", qsr_bench::harness::pool_pages());
     if let Some(d) = qsr_bench::harness::suspend_deadline() {

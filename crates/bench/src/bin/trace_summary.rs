@@ -2,13 +2,13 @@
 //!
 //! Usage: `trace_summary <trace.jsonl>`
 //!
-//! Reads a flight-recorder sink file (written via `QSR_TRACE` or
-//! `--trace-json`) and prints the markdown attribution table: fresh dump
-//! pages split by the phase that paid for them, salvage-reused dump
-//! pages, execution read/write pages, and the per-operator cache
-//! hit-rate heuristic. Validation is `trace_check`'s job — this tool
-//! only needs the attribution-relevant fields and fails on lines where
-//! they are malformed.
+//! Reads a flight-recorder sink file (written via `QSR_TRACE`) and
+//! prints the markdown attribution table: fresh dump pages split by the
+//! phase that paid for them, salvage-reused dump pages, execution
+//! read/write pages, and the per-operator cache hit-rate heuristic.
+//! Validation is `trace_check`'s job — this tool only needs the
+//! attribution-relevant fields and fails on lines where they are
+//! malformed.
 
 #![forbid(unsafe_code)]
 

@@ -51,7 +51,6 @@ pub fn run() -> Result<String> {
             sort_spec.clone(),
             BuildOptions {
                 contract_migration: migration,
-                ..BuildOptions::default()
             },
         )?;
         exec.set_trigger(Some(trigger.clone()));
@@ -75,7 +74,6 @@ pub fn run() -> Result<String> {
             sort_spec.clone(),
             BuildOptions {
                 contract_migration: migration,
-                ..BuildOptions::default()
             },
         )?;
         base.run_to_completion()?;

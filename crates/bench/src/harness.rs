@@ -9,6 +9,7 @@
 
 use qsr_core::{OpId, SuspendPolicy};
 use qsr_exec::{PlanSpec, Predicate, QueryExecution, SuspendOptions, SuspendTrigger};
+use qsr_oracle::env_parse;
 use qsr_storage::{CostModel, Database, Phase, Result};
 use qsr_workload::{generate_skewed_table, generate_table, TableSpec};
 use std::path::PathBuf;
@@ -18,7 +19,7 @@ use std::sync::Arc;
 /// malformed `QSR_SCALE` is a hard configuration error, not a silent
 /// fall-through to the default.
 pub fn scale() -> f64 {
-    qsr_storage::env_parse::<f64>("QSR_SCALE").unwrap_or(0.01)
+    env_parse::<f64>("QSR_SCALE").unwrap_or(0.01)
 }
 
 /// Scale a paper-sized count.
@@ -28,29 +29,28 @@ pub fn scaled(paper_count: u64) -> u64 {
 
 /// Buffer-pool capacity (frames) for experiment databases. Default 0 —
 /// an uncached passthrough pool, so every charged page I/O matches the
-/// paper's cost analysis bit-for-bit. Set `QSR_POOL_PAGES` (or pass
-/// `--pool-pages N` to `all_experiments`) to measure with caching on.
+/// paper's cost analysis bit-for-bit. Set `QSR_POOL_PAGES` to measure
+/// with caching on.
 pub fn pool_pages() -> usize {
-    qsr_storage::env_parse::<usize>("QSR_POOL_PAGES").unwrap_or(0)
+    env_parse::<usize>("QSR_POOL_PAGES").unwrap_or(0)
 }
 
 /// Suspend I/O deadline in simulated cost units applied to every measured
-/// suspend (`QSR_SUSPEND_DEADLINE`, or `--suspend-deadline C` to
-/// `all_experiments`). Under a deadline the driver's degradation ladder
-/// may commit a cheaper rung than the requested policy; the measured
-/// suspend/resume split shifts accordingly. Default: unconstrained.
+/// suspend (`QSR_SUSPEND_DEADLINE`). Under a deadline the driver's
+/// degradation ladder may commit a cheaper rung than the requested
+/// policy; the measured suspend/resume split shifts accordingly.
+/// Default: unconstrained.
 pub fn suspend_deadline() -> Option<f64> {
-    qsr_storage::env_parse::<f64>("QSR_SUSPEND_DEADLINE")
+    env_parse::<f64>("QSR_SUSPEND_DEADLINE")
 }
 
 /// Disk-quota headroom in bytes armed for each measured suspend window
-/// (`QSR_DISK_QUOTA`, or `--disk-quota BYTES` to `all_experiments`): the
-/// disk is capped at `used + headroom` while the suspend runs, then
-/// uncapped. Tight headrooms force ladder descent; a headroom no rung
-/// fits surfaces as the suspend's typed clean-abort error. Default: no
-/// quota.
+/// (`QSR_DISK_QUOTA`): the disk is capped at `used + headroom` while the
+/// suspend runs, then uncapped. Tight headrooms force ladder descent; a
+/// headroom no rung fits surfaces as the suspend's typed clean-abort
+/// error. Default: no quota.
 pub fn disk_quota_headroom() -> Option<u64> {
-    qsr_storage::env_parse::<u64>("QSR_DISK_QUOTA")
+    env_parse::<u64>("QSR_DISK_QUOTA")
 }
 
 /// A temporary experiment database; the directory is removed on drop.
@@ -82,9 +82,11 @@ impl ExpDb {
         ));
         std::fs::create_dir_all(&dir)?;
         let db = Database::open_with_pool(&dir, model, pool_pages())?;
-        // With QSR_TRACE set (or --trace-json on all_experiments), every
-        // experiment database gets a flight recorder + JSONL sink.
-        qsr_storage::install_env_tracer(&db)?;
+        // With QSR_TRACE set, every experiment database gets a flight
+        // recorder + JSONL sink.
+        if let Some(path) = env_parse::<PathBuf>("QSR_TRACE") {
+            qsr_storage::install_json_tracer(&db, &path)?;
+        }
         Ok(Self { db, dir })
     }
 

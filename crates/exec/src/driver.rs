@@ -48,6 +48,9 @@ pub struct SuspendedHandle {
     /// Generation number the suspend committed under (see
     /// [`SuspendManifest`]).
     pub generation: u64,
+    /// Name of the manifest the suspend committed under;
+    /// [`QueryExecution::resume`] keeps committing there.
+    pub manifest_name: String,
     /// The degradation-ladder rung that actually committed.
     pub rung: Rung,
     /// Run files the suspended execution created since it started (or
@@ -675,6 +678,7 @@ impl QueryExecution {
                 blob,
                 report: report.clone(),
                 generation,
+                manifest_name: self.manifest_name.clone(),
                 rung: Rung::Requested, // overwritten by the ladder loop
                 spill_files: Vec::new(), // filled in by the ladder loop
             },
@@ -1063,13 +1067,17 @@ impl QueryExecution {
 
     /// Resume a suspended query: read `SuspendedQuery`, rebuild the plan,
     /// and reconstruct all operator state (the resume phase). The returned
-    /// execution continues exactly after the last pre-suspend tuple.
+    /// execution continues exactly after the last pre-suspend tuple, and
+    /// commits its next suspend under the handle's manifest name.
     pub fn resume(db: Arc<Database>, handle: &SuspendedHandle) -> Result<Self> {
-        Self::resume_from_blob(db, handle.blob)
+        let mut exec = Self::resume_from_blob(db, handle.blob)?;
+        exec.manifest_name.clone_from(&handle.manifest_name);
+        Ok(exec)
     }
 
     /// Resume from a raw blob id with a legacy `StorageError` result.
-    /// Delegates to [`QueryExecution::resume_validated`].
+    /// Delegates to [`QueryExecution::resume_validated`]; like it, the
+    /// execution commits under the default [`SUSPEND_MANIFEST`].
     pub fn resume_from_blob(db: Arc<Database>, blob: BlobId) -> Result<Self> {
         Self::resume_validated(db, blob).map_err(Into::into)
     }

@@ -16,9 +16,7 @@ use crate::ops::{
 };
 use crate::ops::agg::{Distinct, StreamAgg};
 use qsr_core::{OpId, PlanTopology, TopoNode};
-use qsr_storage::{
-    env_parse, Database, Decode, Decoder, Encode, Encoder, Result, Schema, StorageError,
-};
+use qsr_storage::{Database, Decode, Decoder, Encode, Encoder, Result, Schema, StorageError};
 
 /// Declarative physical plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -535,27 +533,17 @@ impl PlanSpec {
     }
 }
 
-/// Options controlling operator construction (ablation toggles and
-/// memory-envelope knobs).
+/// Options controlling operator construction (ablation toggles).
 #[derive(Debug, Clone)]
 pub struct BuildOptions {
     /// Enable contract migration (§3.4). Production default: on.
     pub contract_migration: bool,
-    /// Hash-join build-partition budget in tuples (0 = unlimited). The
-    /// default is seeded from `QSR_MEM_BUDGET`; a `PlanSpec::MemoryBudget`
-    /// envelope overrides it for its subtree.
-    pub mem_budget: usize,
-    /// Sort merge fan-in cap (0 = unlimited). Default seeded from
-    /// `QSR_MERGE_FANIN`; overridden per-subtree by the envelope.
-    pub merge_fanin: usize,
 }
 
 impl Default for BuildOptions {
     fn default() -> Self {
         Self {
             contract_migration: true,
-            mem_budget: env_parse("QSR_MEM_BUDGET").unwrap_or(0),
-            merge_fanin: env_parse("QSR_MERGE_FANIN").unwrap_or(0),
         }
     }
 }
@@ -572,6 +560,11 @@ struct Builder<'a> {
     db: &'a Database,
     nodes: Vec<TopoNode>,
     options: BuildOptions,
+    /// Hash-join build-partition budget in tuples (0 = unlimited) of the
+    /// innermost enclosing `PlanSpec::MemoryBudget` envelope.
+    mem_budget: usize,
+    /// Sort merge fan-in cap (0 = unlimited) of that envelope.
+    merge_fanin: usize,
 }
 
 impl<'a> Builder<'a> {
@@ -684,7 +677,7 @@ impl<'a> Builder<'a> {
                 let child = self.build(input, Some(op))?;
                 self.link(op, child.op_id(), true);
                 let srt = ExternalSortAlias::new(op, child, *key, *buffer_tuples)
-                    .with_merge_fanin(self.options.merge_fanin);
+                    .with_merge_fanin(self.merge_fanin);
                 Ok(Box::new(if self.options.contract_migration {
                     srt
                 } else {
@@ -732,7 +725,7 @@ impl<'a> Builder<'a> {
                     *partitions,
                     *hybrid,
                 )
-                .with_memory_budget(self.options.mem_budget);
+                .with_memory_budget(self.mem_budget);
                 Ok(Box::new(if self.options.contract_migration {
                     hj
                 } else {
@@ -785,11 +778,10 @@ impl<'a> Builder<'a> {
                 // Scoped envelope: knobs apply to the wrapped subtree only
                 // and no operator (or OpId) is allocated for the wrapper,
                 // so wrapping a plan never renumbers its operators.
-                let saved = (self.options.mem_budget, self.options.merge_fanin);
-                self.options.mem_budget = *mem_budget;
-                self.options.merge_fanin = *merge_fanin;
+                let saved = (self.mem_budget, self.merge_fanin);
+                (self.mem_budget, self.merge_fanin) = (*mem_budget, *merge_fanin);
                 let built = self.build(input, parent);
-                (self.options.mem_budget, self.options.merge_fanin) = saved;
+                (self.mem_budget, self.merge_fanin) = saved;
                 built
             }
         }
@@ -810,6 +802,8 @@ pub fn build_plan_with(db: &Database, spec: &PlanSpec, options: BuildOptions) ->
         db,
         nodes: Vec::new(),
         options,
+        mem_budget: 0,
+        merge_fanin: 0,
     };
     let root = b.build(spec, None)?;
     let topology = PlanTopology::new(b.nodes)?;

@@ -48,7 +48,6 @@ fn sort_migration_caps_the_goback_redo_and_stays_correct_without_it() {
             spec.clone(),
             BuildOptions {
                 contract_migration: migration,
-                ..BuildOptions::default()
             },
         )
         .unwrap();
@@ -61,7 +60,6 @@ fn sort_migration_caps_the_goback_redo_and_stays_correct_without_it() {
             spec.clone(),
             BuildOptions {
                 contract_migration: migration,
-                ..BuildOptions::default()
             },
         )
         .unwrap();

@@ -1,15 +1,22 @@
-//! Hard-error environment-knob parsing.
+//! Hard-error parsing for the `QSR_*` settings the harnesses read.
 //!
-//! Every `QSR_*` knob used to silently fall back to its default on a
-//! malformed value (`.ok().and_then(|v| v.parse().ok()).unwrap_or(d)`),
-//! which turns a typo like `QSR_POOL_PAGES=64k` into an invisible
-//! misconfiguration. These helpers make malformed values a hard error
-//! that names the offending variable.
+//! The engine crates read no environment: every engine setting is an
+//! API value (`PlanSpec::MemoryBudget`, `Database::install_backend`,
+//! `ServerConfig`, `SuspendOptions`). The variables that remain belong
+//! to the programs that consume them — `qsr-bench`'s experiment harness
+//! (`QSR_SCALE`, `QSR_POOL_PAGES`, `QSR_SUSPEND_DEADLINE`,
+//! `QSR_DISK_QUOTA`, `QSR_TRACE`), this oracle (`QSR_TRACE`), its sweep
+//! (`QSR_ORACLE_*`) and the server stress lanes (`QSR_NIGHTLY`) — and
+//! each is read through these helpers.
+//!
+//! A malformed value is a hard error that names the variable, never a
+//! silent fall-back to the default: a typo like `QSR_POOL_PAGES=64k`
+//! must not become an invisible misconfiguration.
 //!
 //! The parsing core ([`parse_env_value`]) is pure — it takes the raw
 //! string instead of reading the environment — so the table-driven test
-//! in `crates/storage/tests/env_knobs.rs` can cover every case without
-//! racy `std::env::set_var` calls in a multi-threaded test harness.
+//! in `crates/oracle/tests/env_knobs.rs` covers every case without
+//! touching the process environment.
 
 use std::fmt::Display;
 use std::str::FromStr;

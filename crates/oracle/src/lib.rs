@@ -36,10 +36,12 @@
 
 #![warn(missing_docs)]
 
+mod env;
 mod runner;
 mod scenario;
 mod shrink;
 
+pub use env::{env_flag, env_parse, parse_env_flag, parse_env_value};
 pub use runner::{Oracle, FI_SEED};
 pub use scenario::{Mode, Policy, Scenario};
 pub use shrink::shrink;

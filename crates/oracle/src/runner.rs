@@ -65,7 +65,10 @@ impl Oracle {
         // With QSR_TRACE set, every database handle the oracle opens gets
         // a flight recorder + JSONL sink, so a repro token replays with
         // its trace attached.
-        qsr_storage::install_env_tracer(&db).map_err(|e| format!("install tracer: {e}"))?;
+        if let Some(path) = crate::env_parse::<PathBuf>("QSR_TRACE") {
+            qsr_storage::install_json_tracer(&db, &path)
+                .map_err(|e| format!("install tracer: {e}"))?;
+        }
         Ok(db)
     }
 

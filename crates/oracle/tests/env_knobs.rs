@@ -1,14 +1,15 @@
-//! Table-driven audit of the hard-error `QSR_*` knob parsing.
+//! Table-driven audit of the hard-error `QSR_*` setting parsing.
 //!
-//! Every knob reader funnels through [`qsr_storage::parse_env_value`] /
-//! [`qsr_storage::parse_env_flag`], which take the raw string instead of
-//! reading the environment — so this table covers unset, valid,
-//! malformed, and empty values for every knob type without racy
-//! `std::env::set_var` calls. The contract under test: a malformed value
-//! is a hard error whose message names the offending variable, never a
-//! silent fall-through to the default.
+//! Every variable the harnesses read funnels through
+//! [`qsr_oracle::parse_env_value`] / [`qsr_oracle::parse_env_flag`],
+//! which take the raw string instead of reading the environment — so
+//! this table covers unset, valid, malformed, and empty values for every
+//! setting type without touching the process environment. The contract
+//! under test: a malformed value is a hard error whose message names the
+//! offending variable, never a silent fall-through to the default.
 
-use qsr_storage::{parse_env_flag, parse_env_value, BackendKind};
+use qsr_oracle::{parse_env_flag, parse_env_value};
+use qsr_storage::BackendKind;
 
 /// One table row: (knob name, raw value, expected parse outcome).
 type Row<T> = (&'static str, Option<&'static str>, Result<Option<T>, ()>);
@@ -22,23 +23,21 @@ fn numeric_knobs_parse_or_name_the_variable() {
     // numeric knob family in the tree.
     let u64_table: &[Row<u64>] = &[
         // unset → None, no error
-        ("QSR_POOL_PAGES", None, Ok(None)),
         ("QSR_DISK_QUOTA", None, Ok(None)),
+        ("QSR_ORACLE_SEED", None, Ok(None)),
         // valid values (whitespace tolerated)
-        ("QSR_POOL_PAGES", Some("64"), Ok(Some(64))),
-        ("QSR_POOL_PAGES", Some(" 64 "), Ok(Some(64))),
         ("QSR_DISK_QUOTA", Some("1048576"), Ok(Some(1_048_576))),
+        ("QSR_DISK_QUOTA", Some(" 65536 "), Ok(Some(65_536))),
         ("QSR_ORACLE_SEED", Some("3735928559"), Ok(Some(0xDEAD_BEEF))),
         ("QSR_ORACLE_FAULTS", Some("128"), Ok(Some(128))),
         ("QSR_ORACLE_STRIDE", Some("7"), Ok(Some(7))),
         // malformed → hard error
-        ("QSR_POOL_PAGES", Some("64k"), Err(())),
-        ("QSR_POOL_PAGES", Some("-1"), Err(())),
         ("QSR_DISK_QUOTA", Some("1e6"), Err(())),
+        ("QSR_DISK_QUOTA", Some("-1"), Err(())),
         ("QSR_ORACLE_SEED", Some("0xBEEF"), Err(())),
         // empty → hard error ("QSR_X=" is a typo, not an unset)
-        ("QSR_POOL_PAGES", Some(""), Err(())),
         ("QSR_DISK_QUOTA", Some("   "), Err(())),
+        ("QSR_ORACLE_FAULTS", Some(""), Err(())),
     ];
     for (name, raw, expected) in u64_table {
         let got = parse_env_value::<u64>(name, *raw);
@@ -51,26 +50,17 @@ fn numeric_knobs_parse_or_name_the_variable() {
         }
     }
 
-    // QSR_WORKERS (the server's slice-thread count; 0 = serial) reads as
-    // usize, as do the spill-shape knobs QSR_MEM_BUDGET / QSR_MERGE_FANIN
-    // (0 = unlimited).
+    // QSR_POOL_PAGES (the experiment harness's buffer-pool frames; 0 =
+    // uncached passthrough) reads as usize.
     let usize_table: &[Row<usize>] = &[
-        ("QSR_WORKERS", None, Ok(None)),
-        ("QSR_WORKERS", Some("0"), Ok(Some(0))),
-        ("QSR_WORKERS", Some("4"), Ok(Some(4))),
-        ("QSR_WORKERS", Some("two"), Err(())),
-        ("QSR_WORKERS", Some("-1"), Err(())),
-        ("QSR_WORKERS", Some(""), Err(())),
-        ("QSR_MEM_BUDGET", None, Ok(None)),
-        ("QSR_MEM_BUDGET", Some("5000"), Ok(Some(5000))),
-        ("QSR_MEM_BUDGET", Some("64k"), Err(())),
-        ("QSR_MEM_BUDGET", Some("-1"), Err(())),
-        ("QSR_MEM_BUDGET", Some(""), Err(())),
-        ("QSR_MERGE_FANIN", None, Ok(None)),
-        ("QSR_MERGE_FANIN", Some("4"), Ok(Some(4))),
-        ("QSR_MERGE_FANIN", Some("64k"), Err(())),
-        ("QSR_MERGE_FANIN", Some("-1"), Err(())),
-        ("QSR_MERGE_FANIN", Some(""), Err(())),
+        ("QSR_POOL_PAGES", None, Ok(None)),
+        ("QSR_POOL_PAGES", Some("0"), Ok(Some(0))),
+        ("QSR_POOL_PAGES", Some("64"), Ok(Some(64))),
+        ("QSR_POOL_PAGES", Some(" 64 "), Ok(Some(64))),
+        ("QSR_POOL_PAGES", Some("64k"), Err(())),
+        ("QSR_POOL_PAGES", Some("two"), Err(())),
+        ("QSR_POOL_PAGES", Some("-1"), Err(())),
+        ("QSR_POOL_PAGES", Some(""), Err(())),
     ];
     for (name, raw, expected) in usize_table {
         let got = parse_env_value::<usize>(name, *raw);
@@ -89,13 +79,10 @@ fn numeric_knobs_parse_or_name_the_variable() {
         ("QSR_SCALE", Some("0.01"), Ok(Some(0.01))),
         ("QSR_SUSPEND_DEADLINE", Some("12.5s"), Err(())),
         ("QSR_SCALE", Some(""), Err(())),
-        // QSR_SLA_BUDGET: the server's uniform per-tenant suspend-cost
-        // budget, in ledger cost units.
-        ("QSR_SLA_BUDGET", None, Ok(None)),
-        ("QSR_SLA_BUDGET", Some("5000"), Ok(Some(5000.0))),
-        ("QSR_SLA_BUDGET", Some("0.5"), Ok(Some(0.5))),
-        ("QSR_SLA_BUDGET", Some("cheap"), Err(())),
-        ("QSR_SLA_BUDGET", Some(""), Err(())),
+        ("QSR_SCALE", None, Ok(None)),
+        ("QSR_SCALE", Some("1"), Ok(Some(1.0))),
+        ("QSR_SCALE", Some("big"), Err(())),
+        ("QSR_SUSPEND_DEADLINE", Some("50"), Ok(Some(50.0))),
     ];
     for (name, raw, expected) in f64_table {
         let got = parse_env_value::<f64>(name, *raw);
@@ -120,9 +107,9 @@ fn flag_knobs_accept_only_zero_and_one() {
         (Some("2"), Err(())),
         (Some(""), Err(())),
     ];
-    // Same contract for every flag knob; QSR_ORACLE_FULL widens the
-    // oracle corpus.
-    for knob in ["QSR_ORACLE_FULL"] {
+    // Same contract for every flag: QSR_ORACLE_FULL widens the oracle
+    // corpus, QSR_NIGHTLY the server stress lanes.
+    for knob in ["QSR_ORACLE_FULL", "QSR_NIGHTLY"] {
         for (raw, expected) in table {
             let got = parse_env_flag(knob, *raw);
             match expected {
@@ -137,34 +124,35 @@ fn flag_knobs_accept_only_zero_and_one() {
 }
 
 #[test]
-fn backend_knob_accepts_only_known_backends() {
-    // QSR_SUSPEND_BACKEND parses through BackendKind::from_str: the three
-    // shipped backends are valid, anything else is a hard error that
-    // names both the variable and the valid options.
-    let table: &[Row<BackendKind>] = &[
-        ("QSR_SUSPEND_BACKEND", None, Ok(None)),
-        ("QSR_SUSPEND_BACKEND", Some("local"), Ok(Some(BackendKind::Local))),
-        ("QSR_SUSPEND_BACKEND", Some("memory"), Ok(Some(BackendKind::Memory))),
-        ("QSR_SUSPEND_BACKEND", Some(" remote "), Ok(Some(BackendKind::Remote))),
-        ("QSR_SUSPEND_BACKEND", Some("tape"), Err(())),
-        ("QSR_SUSPEND_BACKEND", Some("Local "), Err(())),
-        ("QSR_SUSPEND_BACKEND", Some(""), Err(())),
+fn backend_names_accept_only_known_backends() {
+    // `qsr-server --backend` and the oracle's `backend=` token both parse
+    // through BackendKind::from_str: the three shipped backends are
+    // valid, anything else is an error that names the valid options.
+    let table: &[(&str, Result<BackendKind, ()>)] = &[
+        ("local", Ok(BackendKind::Local)),
+        ("memory", Ok(BackendKind::Memory)),
+        ("remote", Ok(BackendKind::Remote)),
+        ("tape", Err(())),
+        ("Local", Err(())),
+        (" remote ", Err(())),
+        ("", Err(())),
     ];
-    for (name, raw, expected) in table {
-        let got = parse_env_value::<BackendKind>(name, *raw);
-        match expected {
-            Ok(v) => assert_eq!(got.as_ref().ok(), Some(v), "{name}={raw:?}"),
-            Err(()) => {
-                let msg = got.expect_err(&format!("{name}={raw:?} must hard-error"));
-                assert!(msg.contains(name), "error {msg:?} must name {name}");
-            }
+    for (raw, expected) in table {
+        match (raw.parse::<BackendKind>(), expected) {
+            (Ok(got), Ok(want)) => assert_eq!(got, *want, "--backend {raw:?}"),
+            (Err(msg), Err(())) => assert!(
+                msg.contains("local") && msg.contains("memory") && msg.contains("remote"),
+                "error {msg:?} must list the valid backends"
+            ),
+            (got, _) => panic!("--backend {raw:?}: unexpected {got:?}"),
         }
     }
-    let msg = parse_env_value::<BackendKind>("QSR_SUSPEND_BACKEND", Some("tape")).unwrap_err();
-    assert!(
-        msg.contains("local") && msg.contains("memory") && msg.contains("remote"),
-        "error {msg:?} must list the valid backends"
-    );
+    // The oracle's token spelling goes through the same parser.
+    let token =
+        |backend: &str| format!("case=sort;pool=0;policy=opt;backend={backend};mode=sweep:3");
+    let s: qsr_oracle::Scenario = token("memory").parse().unwrap();
+    assert_eq!(s.backend, BackendKind::Memory);
+    assert!(token("tape").parse::<qsr_oracle::Scenario>().is_err());
 }
 
 #[test]

@@ -21,15 +21,15 @@
 //! preemption derives its suspend deadline. `--admission-budget M` (with
 //! optional `--admission-price P`, default 1e6) prices each admission's
 //! estimated memory against the live victims and rejects sessions whose
-//! preemption price exceeds P. `QSR_WORKERS` / `QSR_SLA_BUDGET` override
-//! the flags (hard error on malformed values).
+//! preemption price exceeds P. A malformed flag value is a hard error
+//! naming the flag.
 
 #![forbid(unsafe_code)]
 
 use qsr_core::SuspendPolicy;
 use qsr_exec::{AggFn, PlanSpec, Predicate, SuspendOptions};
 use qsr_server::{AdmissionConfig, QsrServer, ServerConfig, SlaConfig};
-use qsr_storage::{env_parse, BackendKind, Database, StorageError};
+use qsr_storage::{BackendKind, Database, StorageError};
 use qsr_workload::{generate_table, TableSpec};
 
 /// The value following `flag`, if present; a malformed value is a hard
@@ -74,11 +74,9 @@ fn main() -> qsr_storage::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let sessions: u64 = flag(&args, "--sessions").unwrap_or(3);
     let quantum: u64 = flag(&args, "--quantum").unwrap_or(2_000);
-    // Threading and SLA knobs; env overrides flags, hard-erroring on typos.
-    let workers = env_parse::<usize>("QSR_WORKERS")
-        .unwrap_or_else(|| flag(&args, "--workers").unwrap_or(0));
+    let workers: usize = flag(&args, "--workers").unwrap_or(0);
     let max_live: usize = flag(&args, "--max-live").unwrap_or(workers.max(1));
-    let sla_budget = env_parse::<f64>("QSR_SLA_BUDGET").or_else(|| flag(&args, "--sla-budget"));
+    let sla_budget: Option<f64> = flag(&args, "--sla-budget");
     let admission = flag(&args, "--admission-budget").map(|memory_budget| AdmissionConfig {
         memory_budget,
         max_price: flag(&args, "--admission-price").unwrap_or(1e6),

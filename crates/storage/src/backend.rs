@@ -76,9 +76,11 @@ pub trait SuspendBackend: Send + Sync {
     }
 }
 
-/// Which [`SuspendBackend`] to install, as named by the
-/// `QSR_SUSPEND_BACKEND` environment knob and the oracle's `backend=`
-/// scenario token.
+/// Which [`SuspendBackend`] [`Database::install_backend`] installs, as
+/// named by `qsr-server --backend` and the oracle's `backend=` scenario
+/// token.
+///
+/// [`Database::install_backend`]: crate::Database::install_backend
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// [`LocalDiskBackend`] — the default; bit-identical to pre-backend

@@ -10,7 +10,6 @@ use crate::bufpool::BufferPool;
 use crate::catalog::{Catalog, TableInfo};
 use crate::cost::{CostLedger, CostModel};
 use crate::disk::DiskManager;
-use crate::env::env_parse;
 use crate::error::Result;
 use crate::heap::HeapFile;
 use crate::index::{IndexMeta, SortedIndex};
@@ -28,9 +27,9 @@ pub struct Database {
     pool: Arc<BufferPool>,
     catalog: Mutex<Catalog>,
     blobs: BlobStore,
-    /// Where suspend state (dump blobs + manifests) lives. Defaults to
-    /// the local disk; `QSR_SUSPEND_BACKEND` or [`Database::set_backend`]
-    /// swaps it.
+    /// Where suspend state (dump blobs + manifests) lives. Opens on the
+    /// local disk; [`Database::install_backend`] or
+    /// [`Database::set_backend`] swaps it.
     backend: Mutex<Arc<dyn SuspendBackend>>,
     /// The strong owner of an installed tracer; the ledger only holds a
     /// weak reference (see [`CostLedger::set_tracer`]).
@@ -58,17 +57,16 @@ impl Database {
         let pool = BufferPool::new(dm.clone(), pool_pages);
         let catalog = Mutex::new(Catalog::open(dir.as_ref())?);
         let blobs = BlobStore::new(pool.clone());
-        let db = Arc::new(Self {
+        let backend: Arc<dyn SuspendBackend> =
+            Arc::new(LocalDiskBackend::new(blobs.clone(), dm.clone()));
+        Ok(Arc::new(Self {
             dm,
             pool,
             catalog,
             blobs,
-            backend: Mutex::new(Arc::new(MemoryBackend::new()) as Arc<dyn SuspendBackend>),
+            backend: Mutex::new(backend),
             tracer: Mutex::new(None),
-        });
-        let kind: BackendKind = env_parse("QSR_SUSPEND_BACKEND").unwrap_or_default();
-        db.install_backend(kind);
-        Ok(db)
+        }))
     }
 
     /// Install the suspend backend selected by `kind`, constructed over

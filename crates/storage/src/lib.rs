@@ -37,7 +37,6 @@ pub mod cost;
 pub mod db;
 pub mod delta;
 pub mod disk;
-pub mod env;
 pub mod error;
 pub mod fault;
 pub mod heap;
@@ -64,7 +63,6 @@ pub use cost::{CacheStats, CostLedger, CostModel, CostSnapshot, Phase, PhaseCost
 pub use db::Database;
 pub use delta::{is_delta_frame, DeltaDump, COMPACT_CHAIN_LEN, DELTA_MAGIC, DELTA_VERSION};
 pub use disk::{DiskManager, FileId};
-pub use env::{env_flag, env_parse, parse_env_flag, parse_env_value};
 pub use error::{Result, StorageError};
 pub use fault::{
     splitmix64, FaultInjector, FaultSchedule, WriteEvent, WriteFault, WriteKind, WriteOutcome,
@@ -75,6 +73,6 @@ pub use index::{IndexBuilder, IndexMeta, SortedIndex};
 pub use page::{pages_for_bytes, Page, PAGE_SIZE};
 pub use run::{delete_run, RunHandle, RunReader, RunWriter};
 pub use schema::{Column, Schema};
-pub use trace::{install_env_tracer, record_json, TraceEvent, TraceRecord, Tracer};
+pub use trace::{install_json_tracer, record_json, TraceEvent, TraceRecord, Tracer};
 pub use tuple::Tuple;
 pub use value::{DataType, Value, ValueRef};

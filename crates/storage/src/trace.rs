@@ -428,22 +428,17 @@ impl Tracer {
     }
 }
 
-/// Install a tracer on `db` when the `QSR_TRACE` environment variable
-/// names a JSONL sink path; with `QSR_TRACE` unset this is a no-op
-/// returning `None` (and the database stays on the zero-overhead path).
-/// An empty value is a hard configuration error, consistent with the
-/// other `QSR_*` knobs. Harnesses (bench, oracle) call this after every
-/// `Database` open so repro runs carry their traces.
-pub fn install_env_tracer(
+/// Install a tracer on `db` whose JSONL sink is `path`, and return it.
+/// Harnesses (bench, oracle) call this after every `Database` open when
+/// their trace setting names a sink, so repro runs carry their traces.
+pub fn install_json_tracer(
     db: &crate::db::Database,
-) -> std::io::Result<Option<std::sync::Arc<Tracer>>> {
-    let Some(path) = crate::env::env_parse::<std::path::PathBuf>("QSR_TRACE") else {
-        return Ok(None);
-    };
+    path: &std::path::Path,
+) -> std::io::Result<std::sync::Arc<Tracer>> {
     let tracer = std::sync::Arc::new(Tracer::new(db.ledger().clone()));
-    tracer.set_json_sink(&path)?;
+    tracer.set_json_sink(path)?;
     db.install_tracer(Some(tracer.clone()));
-    Ok(Some(tracer))
+    Ok(tracer)
 }
 
 impl std::fmt::Debug for Tracer {

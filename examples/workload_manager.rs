@@ -95,13 +95,16 @@ fn main() -> qsr::storage::Result<()> {
     while !queue.is_empty() {
         rounds += 1;
         let mut q = queue.pop_front().expect("non-empty");
+        // Each query commits under its own manifest name; a resume keeps
+        // the name its handle was committed under.
         let mut exec = match q.state {
-            Parked::Fresh(plan) => QueryExecution::start(db.clone(), plan)?,
+            Parked::Fresh(plan) => {
+                let mut exec = QueryExecution::start(db.clone(), plan)?;
+                exec.set_manifest_name(q.manifest.as_str());
+                exec
+            }
             Parked::Suspended(handle) => QueryExecution::resume(db.clone(), &handle)?,
         };
-        // A resumed execution starts on the default manifest; keep this
-        // query on its own.
-        exec.set_manifest_name(q.manifest.as_str());
         // Preemption point for this time slice.
         exec.set_trigger(Some(SuspendTrigger::AfterOpTuples {
             op: OpId(0),

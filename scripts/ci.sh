@@ -85,6 +85,25 @@ if [ -n "$mode_uses" ]; then
     exit 1
 fi
 
+# Structural guard: the engine reads no environment (DESIGN.md §14).
+# Every engine setting is an API value — `PlanSpec::MemoryBudget`,
+# `Database::install_backend`, `ServerConfig`, `SuspendOptions` — carried
+# in the saved plan where a resume needs it; the `QSR_*` variables that
+# remain are read by the programs that consume them (qsr-bench's harness,
+# the oracle and its sweep). Outside `src/bin/`, `#[cfg(test)]` tails and
+# comments, the library crates below may not call `env::var`,
+# `env::vars` or `env::var_os` — any hit fails the run.
+env_reads="$(grep -rl --exclude-dir=bin 'env::var' crates/storage/src crates/core/src \
+    crates/exec/src crates/server/src crates/mip/src crates/planner/src \
+    crates/workload/src | while read -r f; do
+    sed '/#\[cfg(test)\]/,$d' "$f" | grep -v '^ *//' | grep -c 'env::var' | sed "s|^|$f |"
+done | grep -v ' 0$' || true)"
+if [ -n "$env_reads" ]; then
+    printf 'environment read in a library crate (file, hits before its test tail):\n%s\n' \
+        "$env_reads" >&2
+    exit 1
+fi
+
 # Structural guard: rows are raw bytes read through safe code only, and
 # nothing else in the engine needs `unsafe` either — every library and
 # binary root under crates/ forbids it.
@@ -95,6 +114,13 @@ if [ -n "$unguarded" ]; then
 fi
 cargo build --release
 cargo test -q
+
+# Deleted-settings lane: older builds read these five variables as
+# aliases of API values (the memory envelope, the suspend backend, the
+# server's --workers/--sla-budget). Nothing reads them now, so the tier-1
+# suite must pass unchanged with each set to a non-default value.
+QSR_SUSPEND_BACKEND=memory QSR_MEM_BUDGET=3 QSR_MERGE_FANIN=2 QSR_WORKERS=5 \
+    QSR_SLA_BUDGET=0.5 cargo test -q
 
 # Release-mode suite: the buffer pool and the threaded server are
 # concurrency-sensitive; optimized codegen shakes out timing-dependent

@@ -695,6 +695,52 @@ fn torn_write_during_one_sessions_suspend_spares_the_others() {
     }
 }
 
+/// A query resumed from its handle keeps the manifest name it committed
+/// under: named `q1`, suspended, resumed through
+/// `QueryExecution::resume(&handle)` and suspended again, its second
+/// generation lands on `q1` and the default manifest is never written.
+/// (A resume that forgot the name would commit generation 1 over the
+/// default manifest — and garbage-collect whatever another query had
+/// committed there.)
+#[test]
+fn resume_from_handle_keeps_the_manifest_name() {
+    let (dir, db, mut output, mut exec) = run_to_suspend_point("mname");
+    exec.set_manifest_name("q1");
+    let first = exec.suspend(&SuspendPolicy::AllDump).unwrap();
+    assert_eq!((first.manifest_name.as_str(), first.generation), ("q1", 1));
+
+    let mut resumed = QueryExecution::resume(db.clone(), &first).unwrap();
+    assert_eq!(resumed.manifest_name(), "q1");
+    let n = resumed.ctx().ticks_of(OpId(1)) + 100;
+    resumed.set_trigger(Some(SuspendTrigger::AfterOpTuples { op: OpId(1), n }));
+    let (segment, done) = resumed.run().unwrap();
+    assert!(
+        !done,
+        "the second trigger must fire before the query completes"
+    );
+    output.extend(segment);
+    let second = resumed.suspend(&SuspendPolicy::AllDump).unwrap();
+    assert_eq!(
+        (second.manifest_name.as_str(), second.generation),
+        ("q1", 2)
+    );
+
+    let q1 = qsr::exec::read_manifest_named(&db, "q1")
+        .unwrap()
+        .expect("q1 committed");
+    assert_eq!((q1.generation, q1.query), (2, second.blob));
+    assert!(
+        qsr::exec::read_manifest(&db).unwrap().is_none(),
+        "a resumed query must not commit under the default manifest"
+    );
+
+    drop(db);
+    let db = Database::open_default(&dir.0).unwrap();
+    let mut last = QueryExecution::resume(db, &second).unwrap();
+    output.extend(last.run_to_completion().unwrap());
+    assert_eq!(output, reference_output());
+}
+
 /// Tables for the larger-than-memory matrices: a duplicate-heavy build
 /// side (the hot key never splits, forcing recursion to the depth cap and
 /// the block-NLJ fallback) and a reverse-sorted sort input (adversarial

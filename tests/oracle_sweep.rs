@@ -34,14 +34,14 @@ struct Config {
 fn config() -> Config {
     // Hard-error parsing: a malformed QSR_ORACLE_* value must abort the
     // run naming the variable, never silently fall back to a default.
-    let full = qsr::storage::env_flag("QSR_ORACLE_FULL").unwrap_or(false);
+    let full = qsr::oracle::env_flag("QSR_ORACLE_FULL").unwrap_or(false);
     Config {
-        seed: qsr::storage::env_parse("QSR_ORACLE_SEED").unwrap_or(DEFAULT_SEED),
-        stride: qsr::storage::env_parse("QSR_ORACLE_STRIDE").unwrap_or(1).max(1),
-        faults: qsr::storage::env_parse("QSR_ORACLE_FAULTS")
+        seed: qsr::oracle::env_parse("QSR_ORACLE_SEED").unwrap_or(DEFAULT_SEED),
+        stride: qsr::oracle::env_parse("QSR_ORACLE_STRIDE").unwrap_or(1).max(1),
+        faults: qsr::oracle::env_parse("QSR_ORACLE_FAULTS")
             .unwrap_or(if full { 128 } else { 32 }),
         full,
-        replay: qsr::storage::env_parse::<String>("QSR_ORACLE_CASE"),
+        replay: qsr::oracle::env_parse::<String>("QSR_ORACLE_CASE"),
     }
 }
 

@@ -479,8 +479,9 @@ fn quota_pressure_sheds_lowest_priority_and_preserves_survivor() {
 
 /// Nightly widening knob: `QSR_NIGHTLY=1` runs the stress lanes at full
 /// width (more workers, more repetitions, the full crash-ordinal sweep).
+/// Any value but 0 or 1 is a hard error naming the variable.
 fn nightly() -> bool {
-    std::env::var("QSR_NIGHTLY").ok().as_deref() == Some("1")
+    qsr::oracle::env_flag("QSR_NIGHTLY").unwrap_or(false)
 }
 
 /// A server with `n` sessions (cycling the three plan shapes) over the
