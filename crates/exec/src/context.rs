@@ -4,11 +4,11 @@
 use qsr_core::{ContractGraph, OpId, WorkTable};
 use qsr_storage::{
     checksum, is_delta_frame, pages_for_bytes, BlobId, CostModel, CostSnapshot, Database, Decode,
-    DeltaDump, Encode, FileId, Result, RunHandle, RunWriter, StorageError, TraceEvent,
+    DeltaDump, Encode, FileId, Result, RunHandle, RunReader, RunWriter, StorageError, TraceEvent,
     COMPACT_CHAIN_LEN, PAGE_SIZE,
 };
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// When to fire a suspend request, for controlled experiments. In a
@@ -145,11 +145,10 @@ pub struct ExecContext {
     /// reaches `Done`; a committed suspend hands them to the caller
     /// instead ([`crate::SuspendedHandle::spill_files`]).
     pub(crate) spill_files: Vec<FileId>,
-    /// Run files this execution created or reopened for appending since
-    /// it started (or resumed): the only files whose pages it can have
-    /// dirtied, so the only ones its suspend barrier flushes and syncs —
-    /// never a neighbouring execution's in the shared pool.
-    pub(crate) written_files: BTreeSet<FileId>,
+    /// Every run this execution's operators sealed since it started (or
+    /// resumed): the suspend barrier checks that each has all its pages in
+    /// its file before the manifest can reference it.
+    pub(crate) sealed_runs: Vec<RunHandle>,
 }
 
 impl ExecContext {
@@ -172,25 +171,59 @@ impl ExecContext {
             baselines: RefCell::new(HashMap::new()),
             delta_emitted: RefCell::new(BTreeMap::new()),
             spill_files: Vec::new(),
-            written_files: BTreeSet::new(),
+            sealed_runs: Vec::new(),
         }
     }
 
     /// Start a new operator-owned run (sorted sublist, join or aggregate
     /// partition), recording its file for reclaim at query end.
     pub fn create_run(&mut self) -> Result<RunWriter> {
-        let w = RunWriter::create(self.db.pool().clone())?;
+        let w = RunWriter::create(self.db.run_pool().clone())?;
         self.spill_files.push(w.file_id());
-        self.written_files.insert(w.file_id());
         Ok(w)
     }
 
     /// Reopen a sealed run for further appends (a resumed operator
     /// continuing a partially written run; see [`RunWriter::reopen`]).
     pub fn reopen_run(&mut self, handle: RunHandle) -> Result<RunWriter> {
-        let w = RunWriter::reopen(self.db.pool().clone(), handle)?;
-        self.written_files.insert(handle.file);
-        Ok(w)
+        RunWriter::reopen(self.db.run_pool().clone(), handle)
+    }
+
+    /// A reader at the start of `handle`'s run.
+    pub fn read_run(&self, handle: RunHandle) -> RunReader {
+        RunReader::open(self.db.run_pool().clone(), handle)
+    }
+
+    /// Seal `w` for `op`: its pages are charged to the operator's work and
+    /// the handle is kept for the suspend barrier's check.
+    pub fn seal_run(&mut self, op: OpId, w: &mut RunWriter) -> Result<RunHandle> {
+        let handle = w.seal()?;
+        self.note_page_writes(op, handle.pages);
+        self.sealed_runs.push(handle);
+        Ok(handle)
+    }
+
+    /// [`Self::seal_run`] for a seal that may run inside a suspend: the
+    /// tail page it writes outside the dump-blob path is first admitted
+    /// against the rung's I/O budget (see [`Self::guard_suspend_write`];
+    /// a no-op when no watchdog is armed), and journaled as a `MetaWrite`
+    /// under `label`.
+    pub fn seal_run_guarded(
+        &mut self,
+        op: OpId,
+        w: &mut RunWriter,
+        label: &'static str,
+    ) -> Result<RunHandle> {
+        let pending = w.pending_pages();
+        self.guard_suspend_write(pending)?;
+        let handle = self.seal_run(op, w)?;
+        if pending > 0 {
+            self.db.ledger().trace(|| TraceEvent::MetaWrite {
+                label,
+                pages: pending,
+            });
+        }
+        Ok(handle)
     }
 
     /// Enable or disable delta frame emission: on for a rung's primary

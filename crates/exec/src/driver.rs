@@ -67,7 +67,7 @@ pub struct SuspendedHandle {
 /// Charges nothing to the cost ledger.
 pub fn reclaim_spill_files(db: &Database, files: &mut Vec<FileId>) -> Result<()> {
     for file in files.drain(..) {
-        if let Err(e) = delete_run(db.pool(), file) {
+        if let Err(e) = delete_run(db.run_pool(), file) {
             if db.disk().fault_injector().is_some_and(|fi| fi.halted()) {
                 return Err(e);
             }
@@ -337,7 +337,7 @@ impl QueryExecution {
 
     /// Has no effect: rows always move one at a time. Kept only because
     /// the `benchmark/` crate still calls it; it is removed together with
-    /// those calls (ROADMAP item 5).
+    /// those calls (ROADMAP item 3(c)).
     pub fn set_batch_size(&mut self, _rows: usize) {}
 
     /// Run until completion or suspension. Returns the tuples produced in
@@ -650,10 +650,10 @@ impl QueryExecution {
         // Durability barrier: everything the manifest makes reachable must
         // have left this process before the rename that commits it, since
         // resume reopens the database with a fresh pool and reads from
-        // disk. The blobs are fsynced; so are this execution's run files
-        // with pages still dirty in the shared pool. Run pages written
-        // back before now are in the OS page cache, not fsynced: enough
-        // against a process kill (DESIGN.md §10), not against an OS crash.
+        // disk. The blobs are fsynced. Run pages left the process when
+        // their writer sealed them: they are in the OS page cache, not
+        // fsynced — enough against a process kill (DESIGN.md §10), not
+        // against an OS crash.
         if let Err(e) = self.sync_rung(&sq, blob) {
             // The just-saved `SuspendedQuery` blob is referenced by
             // nothing yet; reclaim it so a failed rung leaks no files.
@@ -686,13 +686,9 @@ impl QueryExecution {
         ))
     }
 
-    /// Flush and fsync what a rung's manifest would reference and this
-    /// process may still hold: its blobs, and those run files this
-    /// execution wrote since it started or resumed
-    /// (`ExecContext::written_files`) that have pages dirty in the pool.
-    /// A run file whose pages the pool already wrote back is not fsynced
-    /// — nor is one from an earlier segment — and a neighbouring
-    /// execution's dirty files are its own business.
+    /// Fsync the blobs a rung's manifest would reference, and check that
+    /// every run this execution sealed has all its pages in its file — no
+    /// page a writer still buffers can be reachable from the manifest.
     fn sync_rung(&self, sq: &SuspendedQuery, blob: BlobId) -> Result<()> {
         let backend = self.db.backend();
         backend.sync_blob(blob)?;
@@ -701,9 +697,13 @@ impl QueryExecution {
                 backend.sync_blob(b)?;
             }
         }
-        for file in self.db.pool().dirty_files() {
-            if self.ctx.written_files.contains(&file) {
-                self.db.pool().sync_file(file)?;
+        for run in &self.ctx.sealed_runs {
+            let written = self.db.disk().num_pages(run.file)?;
+            if written < run.pages {
+                return Err(StorageError::invalid(format!(
+                    "run {} holds {written} of its {} sealed pages",
+                    run.file, run.pages
+                )));
             }
         }
         Ok(())

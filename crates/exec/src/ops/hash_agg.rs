@@ -23,7 +23,7 @@ use qsr_core::{
     SuspendPlan, SuspendedQuery,
 };
 use qsr_storage::{
-    Column, DataType, Decode, Decoder, Encode, Encoder, Result, RunHandle, RunReader, RunWriter,
+    Column, DataType, Decode, Decoder, Encode, Encoder, Result, RunHandle, RunWriter,
     Schema, StorageError, Tuple, ValueRef,
 };
 use std::collections::{HashMap, VecDeque};
@@ -170,7 +170,7 @@ impl HashAgg {
     fn load_partition(&mut self, ctx: &mut ExecContext, part: usize) -> Result<()> {
         let mut table: HashMap<i64, Accum> = HashMap::new();
         let mut bytes = 0usize;
-        let mut r = RunReader::open(ctx.db.pool().clone(), self.runs[part]);
+        let mut r = ctx.read_run(self.runs[part]);
         while let Some(t) = r.next()? {
             let g = t.get(self.group_col).as_int()?;
             let v = t.get(self.agg_col).as_int()?;
@@ -230,14 +230,10 @@ impl Operator for HashAgg {
                         }
                         Poll::Done => {
                             for w in self.writers.drain(..) {
-                                let handle = w
-                                    .ok_or_else(|| {
-                                        StorageError::invalid("hash-agg partition writer missing")
-                                    })?
-                                    .finish()?;
-                                let pages = ctx.db.pool().num_pages(handle.file)?;
-                                ctx.note_page_writes(self.op, pages);
-                                self.runs.push(handle);
+                                let mut w = w.ok_or_else(|| {
+                                    StorageError::invalid("hash-agg partition writer missing")
+                                })?;
+                                self.runs.push(ctx.seal_run(self.op, &mut w)?);
                             }
                             self.phase = PHASE_AGG;
                             self.cur_part = 0;
@@ -342,19 +338,7 @@ impl Operator for HashAgg {
             let w = slot
                 .as_mut()
                 .ok_or_else(|| StorageError::invalid("hash-agg partition writer missing"))?;
-            // Non-dump suspend write: admit the tail flush against the
-            // rung's I/O budget (see ExecContext::guard_suspend_write).
-            let pending = w.pending_pages();
-            ctx.guard_suspend_write(pending)?;
-            let handle = w.seal()?;
-            if pending > 0 {
-                ctx.db.ledger().trace(|| qsr_storage::TraceEvent::MetaWrite {
-                    label: "partition-seal",
-                    pages: pending,
-                });
-            }
-            let pages = ctx.db.pool().num_pages(handle.file)?;
-            ctx.note_page_writes(self.op, pages);
+            let handle = ctx.seal_run_guarded(self.op, w, "partition-seal")?;
             self.runs.push(handle);
             self.writers.remove(0);
         }

@@ -528,21 +528,9 @@ impl HashJoin {
             let w = slot
                 .as_mut()
                 .ok_or_else(|| StorageError::invalid("hash-join partition writer missing"))?;
-            // Suspend-time seals write outside the dump-blob path; admit
-            // the flush against the rung's I/O budget before committing,
-            // so a rung cannot overrun via writes the dump watchdog never
-            // sees (no-op during execution, when no watchdog is armed).
-            let pending = w.pending_pages();
-            ctx.guard_suspend_write(pending)?;
-            let handle = w.seal()?;
-            if pending > 0 {
-                ctx.db.ledger().trace(|| qsr_storage::TraceEvent::MetaWrite {
-                    label: "partition-seal",
-                    pages: pending,
-                });
-            }
-            let pages = ctx.db.pool().num_pages(handle.file)?;
-            ctx.note_page_writes(op, pages);
+            // Suspend-time seals write outside the dump-blob path, so a
+            // rung cannot overrun via writes the dump watchdog never sees.
+            let handle = ctx.seal_run_guarded(op, w, "partition-seal")?;
             runs.push(handle);
             writers.remove(0);
         }
@@ -615,7 +603,7 @@ impl HashJoin {
         self.heap_bytes = 0;
         let nlj = self.stage == TS_NLJ;
         let limit = if nlj { self.mem_budget.max(1) as u64 } else { u64::MAX };
-        let mut r = RunReader::open(ctx.db.pool().clone(), build);
+        let mut r = ctx.read_run(build);
         if let Some(addr) = self.nlj_addr {
             r.seek(addr);
         }
@@ -635,7 +623,7 @@ impl HashJoin {
     }
 
     fn open_probe_run(&mut self, ctx: &mut ExecContext, handle: RunHandle, at: Option<TupleAddr>) {
-        let mut r = RunReader::open(ctx.db.pool().clone(), handle);
+        let mut r = ctx.read_run(handle);
         if let Some(addr) = at {
             r.seek(addr);
         }
@@ -710,7 +698,7 @@ impl HashJoin {
             self.spill_build_children.clear();
             self.spill_probe_children.clear();
             self.spill_pages_noted = 0;
-            self.spill_reader = Some(RunReader::open(ctx.db.pool().clone(), task.build));
+            self.spill_reader = Some(ctx.read_run(task.build));
             TS_SPILL_BUILD
         };
         self.cur_task = Some(task);
@@ -811,7 +799,7 @@ impl HashJoin {
                     None if build_side => {
                         Self::seal_writers(ctx, self.op, writers, children)?;
                         self.spill_pages_noted = 0;
-                        self.spill_reader = Some(RunReader::open(ctx.db.pool().clone(), probe));
+                        self.spill_reader = Some(ctx.read_run(probe));
                         self.stage = TS_SPILL_PROBE;
                     }
                     // Both sides split: the children replace the task.
@@ -1152,7 +1140,7 @@ impl Operator for HashJoin {
                                 Self::reopen_writers(ctx, &mut self.spill_probe_children)?;
                             probe
                         };
-                        let mut r = RunReader::open(ctx.db.pool().clone(), run);
+                        let mut r = ctx.read_run(run);
                         if let Some(addr) = control.spill_addr {
                             r.seek(addr);
                         }

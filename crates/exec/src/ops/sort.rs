@@ -213,9 +213,7 @@ impl ExternalSort {
         for &(_, i) in &order {
             w.append_record(self.buf.record(i))?;
         }
-        let handle = w.finish()?;
-        let pages = ctx.db.pool().num_pages(handle.file)?;
-        ctx.note_page_writes(self.op, pages);
+        let handle = ctx.seal_run(self.op, &mut w)?;
         self.runs.push(handle);
         self.buf.clear();
         Ok(())
@@ -287,7 +285,7 @@ impl ExternalSort {
     fn open_readers(&mut self, ctx: &ExecContext, runs: &[RunHandle]) {
         self.readers = runs
             .iter()
-            .map(|&h| RunReader::open(ctx.db.pool().clone(), h))
+            .map(|&h| ctx.read_run(h))
             .collect();
         self.heads = vec![None; runs.len()];
         self.head_addrs = vec![None; runs.len()];
@@ -378,13 +376,11 @@ impl ExternalSort {
                 // Group exhausted: seal its output — a materialization
                 // point — and checkpoint the group boundary (contract
                 // migration applies: passes emit nothing).
-                let w = self
+                let mut w = self
                     .pass_writer
                     .take()
                     .ok_or_else(|| StorageError::invalid("sort pass writer missing"))?;
-                let handle = w.finish()?;
-                let pages = ctx.db.pool().num_pages(handle.file)?;
-                ctx.note_page_writes(self.op, pages);
+                let handle = ctx.seal_run(self.op, &mut w)?;
                 self.pass_out.push(handle);
                 self.pass_run = None;
                 self.readers.clear();
@@ -402,17 +398,7 @@ impl ExternalSort {
     /// and a re-walked suspend finds `pass_run` already recorded.
     fn seal_pass_writer(&mut self, ctx: &mut ExecContext) -> Result<()> {
         if let Some(w) = self.pass_writer.as_mut() {
-            let pending = w.pending_pages();
-            ctx.guard_suspend_write(pending)?;
-            let handle = w.seal()?;
-            if pending > 0 {
-                ctx.db.ledger().trace(|| qsr_storage::TraceEvent::MetaWrite {
-                    label: "pass-seal",
-                    pages: pending,
-                });
-            }
-            let pages = ctx.db.pool().num_pages(handle.file)?;
-            ctx.note_page_writes(self.op, pages);
+            let handle = ctx.seal_run_guarded(self.op, w, "pass-seal")?;
             self.pass_run = Some(handle);
             self.pass_writer = None;
         }

@@ -1,9 +1,11 @@
 //! Shared buffer pool: a fixed-capacity frame table over [`DiskManager`]
 //! pages with strict-LRU eviction and dirty-page write-back.
 //!
-//! Every page consumer in the engine — heap scans, sort runs, hash-join
-//! partitions, index pages, dump blobs — goes through a [`BufferPool`]
-//! instead of the raw disk manager. I/O cost is charged to the
+//! Table heaps, index pages and dump blobs go through the shared
+//! [`BufferPool`] instead of the raw disk manager; run files (sort
+//! sublists, hash-join and hash-aggregate partitions) go through a
+//! capacity-0 one ([`Database::run_pool`](crate::Database::run_pool)), so
+//! the frames hold only pages worth caching. I/O cost is charged to the
 //! [`CostLedger`](crate::cost::CostLedger) only on *actual* disk traffic:
 //! a cache hit costs nothing, a miss charges one page read, and a dirty
 //! write-back charges one page write. Hit/miss/eviction/write-back counts
@@ -47,20 +49,15 @@
 //! dirty frames of a file are always written back in ascending page
 //! order; evicting a dirty frame first flushes every lower-numbered dirty
 //! frame of the same file. [`BufferPool::sync_file`] flushes all dirty
-//! frames of the file before fsyncing, so a file the suspend commit
-//! protocol syncs is durable whether or not its pages were cached. The
-//! protocol syncs blobs and the run files it finds in
-//! [`BufferPool::dirty_files`]; a run page written back earlier (by an
-//! eviction, or through a capacity-0 pool) has reached the OS but is not
-//! fsynced, which survives a process kill and not an OS crash
-//! (`DESIGN.md` §10).
+//! frames of the file before fsyncing, so a blob the suspend commit
+//! protocol syncs is durable whether or not its pages were cached.
 
 use crate::disk::{DiskManager, FileId};
 use crate::error::{Result, StorageError};
 use crate::page::Page;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::{Bound, RangeInclusive};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 type Key = (FileId, u64);
@@ -415,21 +412,6 @@ impl BufferPool {
             written += self.flush_locked(&mut g, id, None)?;
         }
         Ok(written)
-    }
-
-    /// Files that currently hold dirty frames (for overlapped flushing).
-    pub fn dirty_files(&self) -> Vec<FileId> {
-        if self.capacity == 0 {
-            return Vec::new();
-        }
-        let g = self.inner.lock();
-        let mut files = Vec::new();
-        let mut after = Bound::Unbounded;
-        while let Some(&(id, _)) = g.dirty.range((after, Bound::Unbounded)).next() {
-            files.push(id);
-            after = Bound::Excluded((id, u64::MAX));
-        }
-        files
     }
 
     /// Flush dirty frames of `id`, then fsync it. This is the call the
@@ -867,13 +849,6 @@ mod tests {
                     _ => {}
                 }
                 prop_assert!(pool.cached_frames() <= cap);
-                prop_assert_eq!(pool.dirty_files(), {
-                    let mut dirty: Vec<FileId> =
-                        model.frames.iter().filter(|(_, f)| f.1).map(|(k, _)| k.0).collect();
-                    dirty.sort_unstable();
-                    dirty.dedup();
-                    dirty
-                });
             }
             for &f in &files {
                 for p in 0..12 {

@@ -28,12 +28,6 @@ impl Encoder {
         }
     }
 
-    /// Continue writing after the bytes already in `buf` (the inverse of
-    /// [`Encoder::finish`]).
-    pub(crate) fn from_vec(buf: Vec<u8>) -> Self {
-        Self { buf }
-    }
-
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

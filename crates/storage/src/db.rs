@@ -25,6 +25,7 @@ use std::sync::Arc;
 pub struct Database {
     dm: Arc<DiskManager>,
     pool: Arc<BufferPool>,
+    runs: Arc<BufferPool>,
     catalog: Mutex<Catalog>,
     blobs: BlobStore,
     /// Where suspend state (dump blobs + manifests) lives. Opens on the
@@ -60,6 +61,7 @@ impl Database {
         let backend: Arc<dyn SuspendBackend> =
             Arc::new(LocalDiskBackend::new(blobs.clone(), dm.clone()));
         Ok(Arc::new(Self {
+            runs: BufferPool::passthrough(dm.clone()),
             dm,
             pool,
             catalog,
@@ -130,9 +132,18 @@ impl Database {
         &self.dm
     }
 
-    /// The shared buffer pool all page consumers go through.
+    /// The shared buffer pool table, index and blob pages go through.
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
+    }
+
+    /// The capacity-0 pool run files (sort sublists, join and aggregate
+    /// partitions) go through, whatever the shared pool's size: a run is
+    /// written once and read back in order, so caching it would only evict
+    /// table pages, and its pages leave the process in extents as they
+    /// are written (`DESIGN.md` §11).
+    pub fn run_pool(&self) -> &Arc<BufferPool> {
+        &self.runs
     }
 
     /// The cost ledger.

@@ -230,9 +230,28 @@ impl DiskManager {
     /// A fault that fires here (not the dead-process echo after a halt)
     /// is journaled as a `FaultInjected` trace event.
     fn fault_write(&self, target: &str, kind: WriteKind, len: usize) -> Result<WriteOutcome> {
-        let Some(fi) = self.fault_injector() else {
-            return Ok(WriteOutcome::Proceed);
-        };
+        match self.fault_injector() {
+            None => Ok(WriteOutcome::Proceed),
+            Some(fi) => self.consult_write(&fi, target, kind, len),
+        }
+    }
+
+    /// [`Self::fault_write`] against page file `id`, whose label
+    /// (`f<id>.qsr`) is built only when an injector is attached.
+    fn fault_write_file(&self, id: FileId, kind: WriteKind, len: usize) -> Result<WriteOutcome> {
+        match self.fault_injector() {
+            None => Ok(WriteOutcome::Proceed),
+            Some(fi) => self.consult_write(&fi, &format!("f{}.qsr", id.0), kind, len),
+        }
+    }
+
+    fn consult_write(
+        &self,
+        fi: &FaultInjector,
+        target: &str,
+        kind: WriteKind,
+        len: usize,
+    ) -> Result<WriteOutcome> {
         let was_halted = fi.halted();
         let out = fi.before_write_at(Some((target, kind)), len);
         let label = match &out {
@@ -297,8 +316,8 @@ impl DiskManager {
         // id (exact whenever creates are not racing each other, which
         // covers every recording test; ordering across racing creates is
         // scheduling-dependent anyway).
-        let label = format!("f{}.qsr", self.next_id.load(Ordering::SeqCst));
-        if let WriteOutcome::TornPrefix(_) = self.fault_write(&label, WriteKind::Create, 0)? {
+        let next = FileId(self.next_id.load(Ordering::SeqCst));
+        if let WriteOutcome::TornPrefix(_) = self.fault_write_file(next, WriteKind::Create, 0)? {
             return Err(FaultInjector::halt_error());
         }
         let id = FileId(self.next_id.fetch_add(1, Ordering::SeqCst));
@@ -425,7 +444,7 @@ impl DiskManager {
     /// write-event record would make disk-pressure incidents invisible to
     /// exactly the accounting meant to diagnose them.
     pub fn write_page(&self, id: FileId, page_no: u64, page: &Page) -> Result<()> {
-        let outcome = self.fault_write(&format!("f{}.qsr", id.0), WriteKind::Page, PAGE_SIZE)?;
+        let outcome = self.fault_write_file(id, WriteKind::Page, PAGE_SIZE)?;
         self.ledger.charge_write(1);
         let of = self.file_handle(id)?;
         let _g = of.write.lock();
@@ -445,7 +464,7 @@ impl DiskManager {
     /// other's slot. Charges one page write (before the quota check; see
     /// [`DiskManager::write_page`]).
     pub fn append_page(&self, id: FileId, page: &Page) -> Result<u64> {
-        let outcome = self.fault_write(&format!("f{}.qsr", id.0), WriteKind::Page, PAGE_SIZE)?;
+        let outcome = self.fault_write_file(id, WriteKind::Page, PAGE_SIZE)?;
         self.ledger.charge_write(1);
         let of = self.file_handle(id)?;
         let _g = of.write.lock();
@@ -456,12 +475,53 @@ impl DiskManager {
         Ok(page_no)
     }
 
+    /// Seal one page record for an extent append to `id`: stamp its
+    /// checksum trailer, then do what [`Self::append_page`] does before it
+    /// writes — consult the injector, charge one page write, reserve the
+    /// page's quota — so an append-only stream written in extents keeps
+    /// the write ordinals, charges and bytes of one written page by page.
+    /// The record then waits in the caller's extent for
+    /// [`Self::append_extent`]. On `TornPrefix(k)` that extent must end
+    /// with the record's first `k` bytes; on an error the record is
+    /// refused, and the records sealed before it still have to land.
+    pub fn seal_page(&self, id: FileId, record: &mut [u8]) -> Result<WriteOutcome> {
+        let (page, trailer) = record.split_at_mut(PAGE_SIZE);
+        trailer.copy_from_slice(&checksum(page).to_le_bytes());
+        let outcome = self.fault_write_file(id, WriteKind::Page, PAGE_SIZE)?;
+        self.ledger.charge_write(1);
+        self.check_quota_extend()?;
+        if outcome == WriteOutcome::Proceed {
+            self.used_bytes
+                .fetch_add(PAGE_SIZE as u64, Ordering::SeqCst);
+        }
+        Ok(outcome)
+    }
+
+    /// Append page records sealed by [`Self::seal_page`] to `id` in one
+    /// positioned write. Not an I/O event — each record was one when it
+    /// was sealed — so it also runs in a halted process: the records were
+    /// accepted before the crash. A trailing partial record is a torn
+    /// page: it lands after the whole ones, the file is synced, and the
+    /// call reports the crash, the page count not covering it.
+    pub fn append_extent(&self, id: FileId, records: &[u8]) -> Result<()> {
+        let of = self.file_handle(id)?;
+        let _g = of.write.lock();
+        let pages = of.pages();
+        of.write_record_at(records, pages * PAGE_RECORD as u64)?;
+        let whole = (records.len() / PAGE_RECORD) as u64;
+        // Release-publish only after the records landed (see `write_locked`).
+        of.pages.store(pages + whole, Ordering::Release);
+        if !records.len().is_multiple_of(PAGE_RECORD) {
+            let _ = of.file.sync_all();
+            return Err(FaultInjector::halt_error());
+        }
+        Ok(())
+    }
+
     /// Delete file `id` from disk, reclaiming its bytes from the quota.
     /// Counts one write event.
     pub fn delete_file(&self, id: FileId) -> Result<()> {
-        if let WriteOutcome::TornPrefix(_) =
-            self.fault_write(&format!("f{}.qsr", id.0), WriteKind::Delete, 0)?
-        {
+        if let WriteOutcome::TornPrefix(_) = self.fault_write_file(id, WriteKind::Delete, 0)? {
             return Err(FaultInjector::halt_error());
         }
         self.files.lock().remove(&id);

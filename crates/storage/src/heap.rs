@@ -10,6 +10,7 @@ use crate::bufpool::BufferPool;
 use crate::codec::{Decode, Decoder, Encode, Encoder};
 use crate::disk::FileId;
 use crate::error::{Result, StorageError};
+use crate::fault::WriteOutcome;
 use crate::page::{Page, PAGE_RECORD, PAGE_SIZE};
 use crate::tuple::Tuple;
 use std::sync::Arc;
@@ -47,64 +48,37 @@ impl Decode for TupleAddr {
     }
 }
 
-/// A heap file of tuples. All page I/O goes through the shared
-/// [`BufferPool`], so repeated scans of a hot table are served from
-/// memory (and charged nothing) when the pool has capacity.
+/// Pages a heap on a capacity-0 pool seals before it writes them, in one
+/// positioned write ([`DiskManager::append_extent`]).
+///
+/// [`DiskManager::append_extent`]: crate::DiskManager::append_extent
+const EXTENT_PAGES: usize = 16;
+
+/// A heap file of tuples. All page I/O goes through a [`BufferPool`]:
+/// table heaps use the shared one, so repeated scans of a hot table are
+/// served from memory (and charged nothing) when it has capacity; runs use
+/// a capacity-0 pool, on which a heap is an append-only stream written in
+/// extents of up to `EXTENT_PAGES` pages.
 pub struct HeapFile {
     pool: Arc<BufferPool>,
     file: FileId,
     tuple_count: u64,
-    // Build-side state: the page being filled.
-    tail: Option<TailPage>,
-}
-
-/// The page being filled. `buf` *is* the page image — the count slot,
-/// then the records — in a buffer sized for one whole page record, so
-/// tuples are encoded where they will be written from and sealing the
-/// page moves no bytes.
-struct TailPage {
-    buf: Encoder,
-    count: u16,
-}
-
-impl TailPage {
-    fn new() -> Self {
-        let mut buf = Encoder::with_capacity(PAGE_RECORD);
-        buf.put_u16(0); // count slot, filled in when the page is sealed
-        Self { buf, count: 0 }
-    }
-
-    /// Seal into a page: count stamped, slack zeroed. Returns the number
-    /// of bytes in use so a failed write can [`Self::unseal`].
-    fn seal(self) -> (Page, usize) {
-        let mut image = self.buf.finish();
-        let used = image.len();
-        image[..PAGE_HEADER].copy_from_slice(&self.count.to_le_bytes());
-        image.resize(PAGE_RECORD, 0);
-        (Page::from_record(image), used)
-    }
-
-    fn unseal(page: Page, used: usize) -> Self {
-        let count = page.read_u16(0);
-        let mut image = page.into_record();
-        image.truncate(used);
-        Self {
-            buf: Encoder::from_vec(image),
-            count,
-        }
-    }
+    /// Build side: the page records sealed and not yet written (only on a
+    /// capacity-0 pool; a caching pool takes each page as it is sealed),
+    /// then the page being filled — its count slot, then its records —
+    /// encoded where it will be written from.
+    out: Vec<u8>,
+    /// Whole page records at the front of `out`.
+    sealed: usize,
+    /// Rows on the page being filled, if one is open.
+    tail_rows: Option<u16>,
 }
 
 impl HeapFile {
     /// Create a new empty heap file.
     pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
         let file = pool.create_file()?;
-        Ok(Self {
-            pool,
-            file,
-            tuple_count: 0,
-            tail: None,
-        })
+        Ok(Self::open(pool, file, 0))
     }
 
     /// Open an existing heap file. `tuple_count` comes from the catalog.
@@ -113,7 +87,9 @@ impl HeapFile {
             pool,
             file,
             tuple_count,
-            tail: None,
+            out: Vec::new(),
+            sealed: 0,
+            tail_rows: None,
         }
     }
 
@@ -127,20 +103,21 @@ impl HeapFile {
         self.tuple_count
     }
 
-    /// Number of pages in the file (excluding any unflushed tail; includes
-    /// pages still buffered in the pool).
+    /// Number of pages in the file (excluding any unflushed tail and any
+    /// sealed page still waiting for its extent write; includes pages
+    /// still buffered in the pool).
     pub fn pages(&self) -> Result<u64> {
         self.pool.num_pages(self.file)
     }
 
-    /// Append a tuple; may flush a full page. The tuple's record is copied
+    /// Append a tuple; may seal a full page. The tuple's record is copied
     /// straight into the tail page's buffer, behind its length prefix.
     pub fn append(&mut self, tuple: &Tuple) -> Result<()> {
         self.append_record(tuple.record())
     }
 
     /// Append one row given as its codec record (the bytes a [`Tuple`]
-    /// holds, e.g. a [`RowBuffer`](crate::RowBuffer) row); may flush a
+    /// holds, e.g. a [`RowBuffer`](crate::RowBuffer) row); may seal a
     /// full page. The bytes are stored as they are: a malformed record is
     /// refused where every row is checked, when it is read back.
     pub fn append_record(&mut self, record: &[u8]) -> Result<()> {
@@ -150,40 +127,112 @@ impl HeapFile {
                 "tuple of {len} bytes does not fit a page"
             )));
         }
-        if matches!(&self.tail, Some(t) if t.buf.len() + 4 + len > PAGE_SIZE) {
-            self.flush_tail()?;
+        let start = self.sealed * PAGE_RECORD;
+        if self.tail_rows.is_some() && self.out.len() - start + 4 + len > PAGE_SIZE {
+            self.seal_tail()?;
         }
-        let tail = self.tail.get_or_insert_with(TailPage::new);
-        tail.buf.put_bytes(record);
-        tail.count += 1;
+        let rows = match &mut self.tail_rows {
+            Some(rows) => rows,
+            None => {
+                if self.out.capacity() == 0 {
+                    let pages = if self.pool.capacity() == 0 {
+                        EXTENT_PAGES
+                    } else {
+                        1
+                    };
+                    self.out.reserve_exact(pages * PAGE_RECORD);
+                }
+                // Count slot, stamped when the page is sealed.
+                self.out.extend_from_slice(&[0; PAGE_HEADER]);
+                self.tail_rows.insert(0)
+            }
+        };
+        *rows += 1;
+        self.out.extend_from_slice(&(len as u32).to_le_bytes());
+        self.out.extend_from_slice(record);
         self.tuple_count += 1;
         Ok(())
     }
 
-    fn flush_tail(&mut self) -> Result<()> {
-        // The tail is cleared only after the page lands: a failed append
-        // (quota, injected fault) keeps the buffered tuples so a later
-        // retry — e.g. a cheaper degradation-ladder rung re-sealing a
-        // partition — can flush them instead of silently losing them.
-        if let Some(tail) = self.tail.take() {
-            let (page, used) = tail.seal();
-            if let Err(e) = self.pool.append_page(self.file, &page) {
-                self.tail = Some(TailPage::unseal(page, used));
-                return Err(e);
+    /// Seal the page being filled — count stamped, slack zeroed — and hand
+    /// it on: to the pool, or (capacity 0) into the extent, which is
+    /// written once it holds `EXTENT_PAGES` pages.
+    fn seal_tail(&mut self) -> Result<()> {
+        let Some(rows) = self.tail_rows else {
+            return Ok(());
+        };
+        let start = self.sealed * PAGE_RECORD;
+        let used = self.out.len();
+        self.out[start..start + PAGE_HEADER].copy_from_slice(&rows.to_le_bytes());
+        self.out.resize(start + PAGE_RECORD, 0);
+        let sealed = if self.pool.capacity() > 0 {
+            let page = Page::from_bytes(&self.out[start..start + PAGE_SIZE]);
+            self.pool
+                .append_page(self.file, &page)
+                .map(|_| WriteOutcome::Proceed)
+        } else {
+            self.pool
+                .disk()
+                .seal_page(self.file, &mut self.out[start..])
+        };
+        match sealed {
+            Ok(WriteOutcome::Proceed) => {
+                self.tail_rows = None;
+                if self.pool.capacity() > 0 {
+                    self.out.clear();
+                } else {
+                    self.sealed += 1;
+                    if self.sealed == EXTENT_PAGES {
+                        self.write_extent()?;
+                    }
+                }
+                Ok(())
+            }
+            // A torn page: the pages sealed before it land, then its
+            // prefix, and the process halts.
+            Ok(WriteOutcome::TornPrefix(keep)) => self
+                .pool
+                .disk()
+                .append_extent(self.file, &self.out[..start + keep]),
+            // The page stays open until it is accepted: a refused page
+            // (quota, injected fault) keeps its rows so a later retry — e.g.
+            // a cheaper degradation-ladder rung re-sealing a partition — can
+            // write them instead of silently losing them. The pages sealed
+            // before it were accepted, so they land now.
+            Err(e) => {
+                self.out.truncate(used);
+                self.write_extent()?;
+                Err(e)
             }
         }
+    }
+
+    /// Write the sealed page records as one extent; the open page, if any,
+    /// moves to the front of the buffer.
+    fn write_extent(&mut self) -> Result<()> {
+        if self.sealed == 0 {
+            return Ok(());
+        }
+        let end = self.sealed * PAGE_RECORD;
+        self.pool
+            .disk()
+            .append_extent(self.file, &self.out[..end])?;
+        self.out.drain(..end);
+        self.sealed = 0;
         Ok(())
     }
 
-    /// Flush any partially filled page. Must be called after bulk loading.
+    /// Seal any partially filled page and write every sealed one. Must be
+    /// called after bulk loading.
     pub fn finish(&mut self) -> Result<()> {
-        self.flush_tail()
+        self.seal_tail()?;
+        self.write_extent()
     }
 
     /// True when a partially filled page is still buffered in memory (the
-    /// page [`Self::finish`] would write).
+    /// page [`Self::finish`] would seal).
     pub fn has_unflushed_tail(&self) -> bool {
-        self.tail.is_some()
+        self.tail_rows.is_some()
     }
 
     /// Open a sequential cursor at the beginning.
@@ -214,6 +263,23 @@ impl HeapFile {
             dec.get_bytes()?;
         }
         Tuple::from_record(dec.get_bytes()?)
+    }
+}
+
+impl Drop for HeapFile {
+    /// Sealed pages were charged and accepted, so they reach the file even
+    /// when the writer is dropped unfinished — unless an injected crash
+    /// halted the process, which then never wrote them.
+    fn drop(&mut self) {
+        let halted = || {
+            self.pool
+                .disk()
+                .fault_injector()
+                .is_some_and(|fi| fi.halted())
+        };
+        if self.sealed > 0 && !halted() {
+            let _ = self.write_extent();
+        }
     }
 }
 

@@ -46,11 +46,6 @@ impl Page {
         }
     }
 
-    /// Give the record buffer back (the inverse of [`Page::from_record`]).
-    pub(crate) fn into_record(self) -> Vec<u8> {
-        (self.data as Box<[u8]>).into_vec()
-    }
-
     /// The whole record buffer: payload, then the trailer slot.
     pub(crate) fn record_mut(&mut self) -> &mut [u8; PAGE_RECORD] {
         &mut self.data

@@ -50,6 +50,15 @@ impl Decode for RunHandle {
 }
 
 /// Writes a run sequentially, then seals it into a [`RunHandle`].
+///
+/// Over a capacity-0 pool (the [`Database::run_pool`] every operator
+/// uses) the run is an append-only stream: full pages are sealed into an
+/// extent — each one charged, quota-checked and counted as a write event
+/// as it is sealed — and the extent is written in one positioned write.
+/// [`Self::seal`] writes whatever the extent still holds, so every page a
+/// [`RunHandle`] covers is in the file when the handle exists.
+///
+/// [`Database::run_pool`]: crate::Database::run_pool
 pub struct RunWriter {
     heap: HeapFile,
 }
@@ -103,14 +112,11 @@ impl RunWriter {
         self.len() == 0
     }
 
-    /// Pages flushed to disk so far (excludes the unflushed tail page).
-    pub fn pages_written(&self) -> Result<u64> {
-        self.heap.pages()
-    }
-
-    /// Pages [`Self::seal`] would still write (0 or 1: the buffered tail).
-    /// Lets a suspend-time caller pass the exact upcoming write volume to
-    /// an I/O-budget admission check before committing to the seal.
+    /// Page writes [`Self::seal`] would still charge (0 or 1: the open
+    /// tail; pages waiting in the extent were charged when they were
+    /// sealed). Lets a suspend-time caller pass the exact upcoming write
+    /// volume to an I/O-budget admission check before committing to the
+    /// seal.
     pub fn pending_pages(&self) -> u64 {
         u64::from(self.heap.has_unflushed_tail())
     }

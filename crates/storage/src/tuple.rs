@@ -85,7 +85,8 @@ fn record_len(bytes: &[u8]) -> Option<usize> {
         let (field, tail) = rest.split_at(field_len(rest)?);
         let sound = match field[0] {
             TAG_BOOL => field[1] <= 1,
-            TAG_STR => std::str::from_utf8(&field[5..]).is_ok(),
+            // ASCII is UTF-8, and the common case costs one pass.
+            TAG_STR => field[5..].is_ascii() || std::str::from_utf8(&field[5..]).is_ok(),
             _ => true,
         };
         if !sound {
@@ -495,6 +496,33 @@ mod tests {
         proptest::collection::vec(arb_value(), 0..8)
     }
 
+    /// String payloads that are not all ASCII: multi-byte characters,
+    /// and bytes that are no UTF-8 — stray continuation and invalid bytes,
+    /// overlong forms, surrogates, and a character cut short — among
+    /// ASCII.
+    fn arb_str_payload() -> impl Strategy<Value = Vec<u8>> {
+        const PIECES: &[&[u8]] = &[
+            b"ab",
+            "é".as_bytes(),
+            "€".as_bytes(),
+            "𝄞".as_bytes(),
+            b"\x80",
+            b"\xff",
+            b"\xc0\xaf",
+            b"\xe0\x80\xaf",
+            b"\xed\xa0\x80",
+            b"\xed\xbf\xbf",
+            b"\xf4\x90\x80\x80",
+            b"\xe2\x82",
+        ];
+        proptest::collection::vec(0..PIECES.len(), 1..5).prop_map(|picks| {
+            picks
+                .into_iter()
+                .flat_map(|i| PIECES[i].iter().copied())
+                .collect()
+        })
+    }
+
     fn hash_of(v: &impl Hash) -> u64 {
         let mut h = DefaultHasher::new();
         v.hash(&mut h);
@@ -528,10 +556,20 @@ mod tests {
         fn prop_the_record_check_agrees_with_the_codec_walk(
             vals in arb_row(),
             edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+            strs in proptest::collection::vec(arb_str_payload(), 0..3),
             cut: usize,
             junk in proptest::collection::vec(any::<u8>(), 0..48),
         ) {
-            let mut damaged = Tuple::new(vals).encode_to_vec();
+            let mut enc = Encoder::new();
+            enc.put_u32((vals.len() + strs.len()) as u32);
+            for v in &vals {
+                v.encode(&mut enc);
+            }
+            for s in &strs {
+                enc.put_u8(TAG_STR);
+                enc.put_bytes(s);
+            }
+            let mut damaged = enc.finish();
             damaged.extend_from_slice(&junk[..junk.len() / 2]);
             for (at, byte) in edits {
                 let at = at % damaged.len();

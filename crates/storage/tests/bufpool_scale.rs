@@ -135,7 +135,7 @@ fn threads_sharing_a_small_pool_lose_no_page() {
     // After a flush, a fresh process finds every file exactly as a run
     // without a cache would have written it.
     pool.flush_all().unwrap();
-    assert!(pool.dirty_files().is_empty());
+    assert_eq!(pool.flush_all().unwrap(), 0, "nothing is left dirty");
     drop(pool);
     drop(dm);
     let reopened = disk(&dir);

@@ -58,5 +58,7 @@ fn main() -> qsr::storage::Result<()> {
         }
     }
     println!("query finished with {produced} tuples");
+    drop(exec);
+    std::fs::remove_dir_all(&dir)?;
     Ok(())
 }

@@ -199,12 +199,23 @@ rm -rf "$QSR_TRACE_DIR"
 
 # Examples stage: every example runs to completion and exits 0. Each one
 # asserts its own output against an uninterrupted run. The exception is
-# golden_suspend, a generator that writes a new golden directory.
+# golden_suspend, a generator that writes a new golden directory. Every
+# example removes the scratch directories it makes: a `qsr-*` entry of the
+# temp dir that appears during the stage fails it.
+qsr_temp_entries() { ls -1 "${TMPDIR:-/tmp}" | grep '^qsr-' || true; }
+temp_before="$(mktemp)"
+qsr_temp_entries >"$temp_before"
 for example in examples/*.rs; do
     name="$(basename "$example" .rs)"
     [ "$name" = golden_suspend ] && continue
     cargo run --release -q --example "$name" >/dev/null
 done
+temp_leaked="$(qsr_temp_entries | grep -vxFf "$temp_before" || true)"
+rm -f "$temp_before"
+if [ -n "$temp_leaked" ]; then
+    printf 'examples left temp-dir entries behind:\n%s\n' "$temp_leaked" >&2
+    exit 1
+fi
 
 # Scheduler stage: the server binary end to end, inline (--workers 0) and
 # on threads (tests/server_matrix.rs ran in the release workspace pass).
