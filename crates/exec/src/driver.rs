@@ -22,7 +22,7 @@
 
 use crate::context::{DumpWatchdog, ExecContext, SuspendTrigger, WorkUnitObserver};
 use crate::operator::{Operator, Poll, SuspendMode};
-use crate::plan::{build_plan, PlanSpec};
+use crate::plan::{build_plan, BuiltPlan, PlanSpec};
 use crate::recovery::{
     clear_manifest_named, commit_manifest_named, read_manifest_named, with_retries, ResumeError,
     SuspendManifest, SUSPEND_MANIFEST,
@@ -213,23 +213,22 @@ impl QueryExecution {
     ) -> Result<Self> {
         db.ledger().set_phase(Phase::Execute);
         let built = crate::plan::build_plan_with(&db, &spec, options)?;
-        let mut exec = Self {
-            ctx: ExecContext::new(db.clone()),
-            db,
-            root: built.root,
-            spec,
-            topology: built.topology,
-            tuples_emitted: 0,
-            finished: false,
-            manifest_name: SUSPEND_MANIFEST.to_string(),
-        };
-        exec.root.open(&mut exec.ctx)?;
-        Ok(exec)
+        Self::open_built(db, spec, built, true)
     }
 
     fn start_inner(db: Arc<Database>, spec: PlanSpec, checkpoints: bool) -> Result<Self> {
         db.ledger().set_phase(Phase::Execute);
         let built = build_plan(&db, &spec)?;
+        Self::open_built(db, spec, built, checkpoints)
+    }
+
+    /// Open `built`, the operator tree of `spec`, for fresh execution.
+    fn open_built(
+        db: Arc<Database>,
+        spec: PlanSpec,
+        built: BuiltPlan,
+        checkpoints: bool,
+    ) -> Result<Self> {
         let mut exec = Self {
             ctx: ExecContext::new(db.clone()),
             db,
@@ -1200,7 +1199,16 @@ impl QueryExecution {
     /// resumes, so fallback substitution always reads the *current*
     /// record set.
     fn try_resume(db: &Arc<Database>, spec: &PlanSpec, sq: &SuspendedQuery) -> Result<Self> {
-        let built = build_plan(db, spec)?;
+        Self::resume_built(db, spec, sq, build_plan(db, spec)?)
+    }
+
+    /// Resume `built`, a fresh operator tree of `spec`, from `sq`.
+    fn resume_built(
+        db: &Arc<Database>,
+        spec: &PlanSpec,
+        sq: &SuspendedQuery,
+        built: BuiltPlan,
+    ) -> Result<Self> {
         let mut ctx = ExecContext::new(db.clone());
         if let Some(gb) = &sq.graph_bytes {
             ctx.graph = ContractGraph::decode_from_slice(gb)?;
@@ -1220,3 +1228,6 @@ impl QueryExecution {
         Ok(exec)
     }
 }
+
+#[cfg(test)]
+mod tests;

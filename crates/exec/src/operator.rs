@@ -10,6 +10,7 @@
 //! its operator descriptions.
 
 use crate::context::ExecContext;
+use crate::ops::Predicate;
 use qsr_core::{CkptId, CtrId, OpId, OpSuspendInputs, SideSnapshot, SuspendPlan, SuspendedQuery};
 use qsr_storage::{Result, Schema, StorageError, Tuple};
 
@@ -57,6 +58,33 @@ pub trait Operator: Send {
 
     /// Pull the next tuple.
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Poll>;
+
+    /// Pull the next tuple that satisfies `pred`, for the filter
+    /// `filter_op` above this operator: check for a suspend request, pull,
+    /// tick `filter_op`, evaluate, until a tuple passes. This body is the
+    /// filter's loop; only [`crate::TableScan`] overrides it, to evaluate
+    /// each row on its page and copy only the rows that pass, with the
+    /// same suspend checks, ticks and page-read attribution in the same
+    /// order.
+    fn next_where(
+        &mut self,
+        ctx: &mut ExecContext,
+        filter_op: OpId,
+        pred: &Predicate,
+    ) -> Result<Poll> {
+        loop {
+            if ctx.suspend_pending() {
+                return Ok(Poll::Suspended);
+            }
+            let Some(t) = crate::pull!(self, ctx) else {
+                return Ok(Poll::Done);
+            };
+            ctx.tick(filter_op);
+            if pred.eval(t.row())? {
+                return Ok(Poll::Tuple(t));
+            }
+        }
+    }
 
     /// Release resources.
     fn close(&mut self, ctx: &mut ExecContext) -> Result<()>;

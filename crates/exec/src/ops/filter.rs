@@ -13,7 +13,7 @@ use qsr_core::{
     SuspendedQuery,
 };
 use qsr_storage::{
-    Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple,
+    Decode, Decoder, Encode, Encoder, Result, RowRef, Schema, StorageError, Tuple,
 };
 use std::collections::VecDeque;
 
@@ -47,13 +47,14 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    /// Evaluate against a tuple.
-    pub fn eval(&self, t: &Tuple) -> Result<bool> {
+    /// Evaluate against a row: a tuple's (`t.row()`), or one still on a
+    /// scan's page, before any copy is made.
+    pub fn eval(&self, row: RowRef<'_>) -> Result<bool> {
         Ok(match self {
             Predicate::True => true,
-            Predicate::IntLt { col, value } => t.get(*col).as_int()? < *value,
-            Predicate::IntGe { col, value } => t.get(*col).as_int()? >= *value,
-            Predicate::IntEq { col, value } => t.get(*col).as_int()? == *value,
+            Predicate::IntLt { col, value } => row.get(*col).as_int()? < *value,
+            Predicate::IntGe { col, value } => row.get(*col).as_int()? >= *value,
+            Predicate::IntEq { col, value } => row.get(*col).as_int()? == *value,
         })
     }
 }
@@ -173,21 +174,13 @@ impl Operator for Filter {
         if let Some(t) = self.pending.pop_front() {
             return Ok(Poll::Tuple(t));
         }
-        loop {
-            if ctx.suspend_pending() {
-                return Ok(Poll::Suspended);
-            }
-            let Some(t) = crate::pull!(self.child, ctx) else {
-                return Ok(Poll::Done);
-            };
-            ctx.tick(self.op);
-            if self.predicate.eval(&t)? {
-                if self.migration_enabled {
-                    self.migrate_if_pending(ctx, &t)?;
-                }
-                return Ok(Poll::Tuple(t));
+        let polled = self.child.next_where(ctx, self.op, &self.predicate)?;
+        if let Poll::Tuple(t) = &polled {
+            if self.migration_enabled {
+                self.migrate_if_pending(ctx, t)?;
             }
         }
+        Ok(polled)
     }
 
     fn close(&mut self, ctx: &mut ExecContext) -> Result<()> {

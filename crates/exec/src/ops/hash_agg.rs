@@ -171,9 +171,9 @@ impl HashAgg {
         let mut table: HashMap<i64, Accum> = HashMap::new();
         let mut bytes = 0usize;
         let mut r = ctx.read_run(self.runs[part]);
-        while let Some(t) = r.next()? {
-            let g = t.get(self.group_col).as_int()?;
-            let v = t.get(self.agg_col).as_int()?;
+        while let Some(row) = r.next_row()? {
+            let g = row.get(self.group_col).as_int()?;
+            let v = row.get(self.agg_col).as_int()?;
             table.entry(g).or_insert_with(Accum::new).add(v);
             bytes += 40;
         }

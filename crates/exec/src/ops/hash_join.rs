@@ -475,11 +475,11 @@ impl HashJoin {
         Ok(())
     }
 
-    fn append_to(writers: &mut [Option<RunWriter>], part: usize, t: &Tuple) -> Result<()> {
+    fn append_to(writers: &mut [Option<RunWriter>], part: usize, record: &[u8]) -> Result<()> {
         writers[part]
             .as_mut()
             .ok_or_else(|| StorageError::invalid("hash-join partition writer missing"))?
-            .append(t)
+            .append_record(record)
     }
 
     /// Reopen sealed partition runs as in-progress writers (a Dump resume
@@ -547,7 +547,7 @@ impl HashJoin {
             self.table_insert(key, t);
             return Ok(());
         }
-        Self::append_to(&mut self.build_writers, p, &t)
+        Self::append_to(&mut self.build_writers, p, t.row().record())
     }
 
     /// Route one probe tuple: a hybrid partition-0 tuple becomes the probe
@@ -562,7 +562,7 @@ impl HashJoin {
             self.match_idx = 0;
             return Ok(());
         }
-        Self::append_to(&mut self.probe_writers, p, &t)
+        Self::append_to(&mut self.probe_writers, p, t.row().record())
     }
 
     /// Build side exhausted. The phase boundary is a materialization
@@ -787,14 +787,21 @@ impl HashJoin {
                     .spill_reader
                     .as_mut()
                     .ok_or_else(|| StorageError::invalid("hash-join spill reader not open"))?;
-                let t = reader.next()?;
+                // The row goes from the reader's page straight into its
+                // deeper run. The append lands before the page read is
+                // attributed and the tick taken, which only count; a failed
+                // key read or append is raised after both, so it leaves the
+                // same counts as a move that succeeds.
+                let moved = reader.next_row()?.map(|row| {
+                    let key = row.get(key_col).as_int()?;
+                    let p = hash_partition_at(key, level + 1, self.partitions);
+                    Self::append_to(writers, p, row.record())
+                });
                 Self::note_io(ctx, self.op, &self.spill_reader, &mut self.spill_pages_noted);
-                match t {
-                    Some(t) => {
+                match moved {
+                    Some(moved) => {
                         ctx.tick(self.op);
-                        let key = t.get(key_col).as_int()?;
-                        let p = hash_partition_at(key, level + 1, self.partitions);
-                        Self::append_to(writers, p, &t)?;
+                        moved?;
                     }
                     None if build_side => {
                         Self::seal_writers(ctx, self.op, writers, children)?;

@@ -9,6 +9,7 @@
 
 use crate::context::ExecContext;
 use crate::operator::{Operator, Poll, SuspendMode};
+use crate::ops::Predicate;
 use qsr_core::{
     CkptId, CtrId, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, SuspendPlan,
     SuspendedQuery,
@@ -112,6 +113,43 @@ impl Operator for TableScan {
                 Ok(Poll::Tuple(t))
             }
             None => Ok(Poll::Done),
+        }
+    }
+
+    fn next_where(
+        &mut self,
+        ctx: &mut ExecContext,
+        filter_op: OpId,
+        pred: &Predicate,
+    ) -> Result<Poll> {
+        loop {
+            if ctx.suspend_pending() {
+                return Ok(Poll::Suspended);
+            }
+            // A row saved in a contract comes first, untouched by the
+            // cursor, as `next` serves it.
+            let kept = if let Some(t) = self.pending.pop_front() {
+                ctx.tick(filter_op);
+                pred.eval(t.row())?.then_some(t)
+            } else {
+                // The verdict is reached on the page and held until the
+                // read is attributed and both operators have ticked, so a
+                // rejected row is never copied and a failed evaluation
+                // surfaces after the same ticks as in the default body.
+                let verdict = self.cursor_mut()?.next_row()?.map(|row| {
+                    pred.eval(row).map(|pass| pass.then(|| row.to_tuple()))
+                });
+                self.note_io(ctx);
+                let Some(verdict) = verdict else {
+                    return Ok(Poll::Done);
+                };
+                ctx.tick(self.op);
+                ctx.tick(filter_op);
+                verdict?
+            };
+            if let Some(t) = kept {
+                return Ok(Poll::Tuple(t));
+            }
         }
     }
 

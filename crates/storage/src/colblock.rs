@@ -21,7 +21,7 @@
 
 use crate::codec::{Decode, Decoder, Encode, Encoder};
 use crate::error::{Result, StorageError};
-use crate::tuple::{record_get, record_heap_bytes, take_record, Tuple};
+use crate::tuple::{take_record, RowRef, Tuple};
 use crate::value::ValueRef;
 use std::borrow::Borrow;
 
@@ -142,10 +142,10 @@ impl RowBuffer {
 
     /// Append a copy of `row`.
     pub fn push(&mut self, row: &Tuple) {
-        let rec = row.record();
+        let row = row.row();
         self.starts.push(self.bytes.len());
-        self.bytes.extend_from_slice(rec);
-        self.heap_bytes += record_heap_bytes(rec);
+        self.bytes.extend_from_slice(row.record());
+        self.heap_bytes += row.heap_bytes();
     }
 
     /// Make room for `rows` more rows of about the size of those held
@@ -172,7 +172,8 @@ impl RowBuffer {
 
     /// Field `col` of row `i`. Panics if there is none.
     pub fn get(&self, i: usize, col: usize) -> ValueRef<'_> {
-        record_get(self.record(i), col)
+        // Every record was checked on its way in (`push`, `decode`).
+        RowRef::trusted(self.record(i)).get(col)
     }
 
     /// Sum of [`Tuple::heap_bytes`] over the rows held — the same
@@ -212,10 +213,10 @@ impl Decode for RowBuffer {
         let mut starts = Vec::with_capacity(rows.min(span.len() / 4));
         let (mut len, mut heap_bytes) = (0, 0);
         for _ in 0..rows {
-            let rec = take_record(dec)?;
+            let row = take_record(dec)?;
             starts.push(len);
-            len += rec.len();
-            heap_bytes += record_heap_bytes(rec);
+            len += row.record().len();
+            heap_bytes += row.heap_bytes();
         }
         Ok(RowBuffer {
             bytes: span[..len].to_vec(),

@@ -19,7 +19,7 @@ use std::io::Write;
 #[cfg(unix)]
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 // On disk a page is a [`PAGE_RECORD`]: the [`PAGE_SIZE`] payload plus a
@@ -123,6 +123,13 @@ pub struct DiskManager {
     /// writes, file creates/deletes, and sidecar commit steps are write
     /// events; page and sidecar reads are read events.
     fault: Mutex<Option<Arc<FaultInjector>>>,
+    /// Whether `fault` holds an injector, kept beside it by
+    /// [`Self::set_fault_injector`] so that every page read and seal with
+    /// none attached costs one atomic load, not a lock and a clone. Stored
+    /// (`Release`) under the slot's lock, loaded (`Acquire`) before it is
+    /// taken: a reader that sees `true` then finds the injector in the
+    /// slot, unless a detach has emptied it since.
+    fault_attached: AtomicBool,
     /// Optional byte quota over all page files. `None` = unlimited.
     quota: Mutex<Option<u64>>,
     /// Bytes currently held by page files (sidecars are exempt: they are
@@ -169,6 +176,7 @@ impl DiskManager {
             next_id: AtomicU64::new(max_id),
             ledger,
             fault: Mutex::new(None),
+            fault_attached: AtomicBool::new(false),
             quota: Mutex::new(None),
             used_bytes: AtomicU64::new(used),
             file_syncs: AtomicU64::new(0),
@@ -217,11 +225,16 @@ impl DiskManager {
     /// Attach (or with `None`, detach) a fault injector. All subsequent
     /// I/O through this manager consults it; see [`crate::fault`].
     pub fn set_fault_injector(&self, fi: Option<Arc<FaultInjector>>) {
-        *self.fault.lock() = fi;
+        let mut slot = self.fault.lock();
+        self.fault_attached.store(fi.is_some(), Ordering::Release);
+        *slot = fi;
     }
 
     /// The currently attached fault injector, if any.
     pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
+        if !self.fault_attached.load(Ordering::Acquire) {
+            return None;
+        }
         self.fault.lock().clone()
     }
 
@@ -844,6 +857,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // the writers under test run on threads
     fn parallel_writes_to_distinct_files_land_intact() {
         let (_d, m) = mgr();
         let m = std::sync::Arc::new(m);

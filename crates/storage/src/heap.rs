@@ -12,7 +12,7 @@ use crate::disk::FileId;
 use crate::error::{Result, StorageError};
 use crate::fault::WriteOutcome;
 use crate::page::{Page, PAGE_RECORD, PAGE_SIZE};
-use crate::tuple::Tuple;
+use crate::tuple::{RowRef, Tuple};
 use std::sync::Arc;
 
 /// Page layout: `[count: u16][(len: u32, tuple bytes)...]`.
@@ -384,8 +384,8 @@ impl HeapCursor {
     }
 
     /// Ensure the page under the cursor is held, reading (and charging)
-    /// it at most once. Returns `None` at end of file.
-    fn load_current_page(&mut self) -> Result<Option<&mut CurrentPage>> {
+    /// it at most once. Returns its row count, or `None` at end of file.
+    fn load_current_page(&mut self) -> Result<Option<usize>> {
         let page_no = self.next.page;
         if self.current.as_ref().map(|c| c.page_no) != Some(page_no) {
             if page_no >= self.pool.num_pages(self.file)? {
@@ -401,29 +401,38 @@ impl HeapCursor {
                 at_slot: 0,
             });
         }
-        Ok(self.current.as_mut())
+        Ok(self.current.as_ref().map(|c| c.rows))
     }
 
-    /// Return the next tuple, or `None` at end of file: a checked copy of
-    /// its record off the page, one allocation.
+    /// Return the next row where it lies on the page the cursor holds,
+    /// checked, or `None` at end of file. Nothing is allocated; a record
+    /// that fails the check is a typed `Corrupt` error and the cursor
+    /// stays on it.
+    pub fn next_row(&mut self) -> Result<Option<RowRef<'_>>> {
+        loop {
+            match self.load_current_page()? {
+                None => return Ok(None),
+                Some(rows) if (self.next.slot as usize) < rows => break,
+                // Move to the next page.
+                Some(_) => {
+                    self.next = TupleAddr {
+                        page: self.next.page + 1,
+                        slot: 0,
+                    }
+                }
+            }
+        }
+        let cur = self.current.as_mut().expect("the page was loaded above");
+        let row = RowRef::from_record(cur.record(self.next.slot as usize)?)?;
+        self.next.slot += 1;
+        Ok(Some(row))
+    }
+
+    /// Return the next tuple, or `None` at end of file: [`Self::next_row`]
+    /// and one copy.
     #[allow(clippy::should_implement_trait)] // fallible pull, not an Iterator
     pub fn next(&mut self) -> Result<Option<Tuple>> {
-        loop {
-            let slot = self.next.slot as usize;
-            let Some(cur) = self.load_current_page()? else {
-                return Ok(None);
-            };
-            if slot < cur.rows {
-                let t = Tuple::from_record(cur.record(slot)?)?;
-                self.next.slot += 1;
-                return Ok(Some(t));
-            }
-            // Move to the next page.
-            self.next = TupleAddr {
-                page: self.next.page + 1,
-                slot: 0,
-            };
-        }
+        Ok(self.next_row()?.map(RowRef::to_tuple))
     }
 }
 

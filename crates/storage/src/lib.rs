@@ -74,5 +74,5 @@ pub use page::{pages_for_bytes, Page, PAGE_SIZE};
 pub use run::{delete_run, RunHandle, RunReader, RunWriter};
 pub use schema::{Column, Schema};
 pub use trace::{install_json_tracer, record_json, TraceEvent, TraceRecord, Tracer};
-pub use tuple::Tuple;
+pub use tuple::{RowRef, Tuple};
 pub use value::{DataType, Value, ValueRef};

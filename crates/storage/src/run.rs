@@ -13,7 +13,7 @@ use crate::bufpool::BufferPool;
 use crate::disk::FileId;
 use crate::error::Result;
 use crate::heap::{HeapCursor, HeapFile, TupleAddr};
-use crate::tuple::Tuple;
+use crate::tuple::{RowRef, Tuple};
 use std::sync::Arc;
 
 /// A completed, immutable run on disk.
@@ -183,6 +183,12 @@ impl RunReader {
     #[allow(clippy::should_implement_trait)] // fallible pull, not an Iterator
     pub fn next(&mut self) -> Result<Option<Tuple>> {
         self.cursor.next()
+    }
+
+    /// Next row, borrowed where it lies on the page (see
+    /// [`HeapCursor::next_row`]), or `None` at end of run.
+    pub fn next_row(&mut self) -> Result<Option<RowRef<'_>>> {
+        self.cursor.next_row()
     }
 
     /// Page reads performed by this reader (for work attribution).

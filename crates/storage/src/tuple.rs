@@ -1,15 +1,17 @@
 //! Tuples: rows kept as the bytes they are on a page.
 //!
-//! A [`Tuple`] is one `Arc<[u8]>` holding exactly the codec record of the
-//! row — a little-endian `u32` arity, then one tagged value per field
-//! (`0` + 8 bytes `Int`, `1` + 8 bytes `Float`, `2` + `u32` length + UTF-8
-//! `Str`, `3` + one byte `Bool`). These are the bytes [`HeapFile::append`]
-//! puts behind a record's length prefix and the bytes a scan finds there,
-//! so reading a row off a page is a validated copy, spilling one is a
-//! copy, and joining two is a header plus two copies — one allocation
-//! each, none per field.
+//! A row's bytes are its codec record — a little-endian `u32` arity, then
+//! one tagged value per field (`0` + 8 bytes `Int`, `1` + 8 bytes `Float`,
+//! `2` + `u32` length + UTF-8 `Str`, `3` + one byte `Bool`). These are the
+//! bytes [`HeapFile::append`] puts behind a record's length prefix and the
+//! bytes a scan finds there. A row read off a page is a [`RowRef`]: a
+//! checked view of those bytes where they lie, until a parent keeps it —
+//! then it becomes a [`Tuple`], one `Arc<[u8]>` holding a copy of the
+//! record. Reading a row costs one checking pass, keeping it one
+//! allocation, spilling it one copy, and joining two a header plus two
+//! copies into one allocation — none per field.
 //!
-//! The record is checked once, where it enters: [`Tuple::from_record`]
+//! The record is checked once, where it enters: [`RowRef::from_record`]
 //! (and `Decode`) walks the tags, lengths, bool bytes and UTF-8 and
 //! returns the codec's typed `Corrupt` errors; the constructors that
 //! start from values write a valid record by construction. Every accessor
@@ -17,7 +19,8 @@
 //! would be a panic, never undefined behaviour. Fields are read through
 //! the borrowed [`ValueRef`]; `get(i)` skips `i` fields (arities are
 //! single digits), and a `Str` is re-checked by `from_utf8` when — and
-//! only when — it is read.
+//! only when — it is read. `Tuple`'s accessors are its `RowRef`'s, so
+//! there is one walker of the layout.
 //!
 //! Equality, ordering and hashing are value-wise — those of the
 //! `[Value]` slice this type used to hold, floats included — not
@@ -43,6 +46,16 @@ const HEADER: usize = 4;
 pub struct Tuple {
     /// The validated codec record: arity header, then the tagged fields.
     rec: Arc<[u8]>,
+}
+
+/// A row borrowed in place: a checked codec record in bytes someone else
+/// owns — the page a cursor holds, a [`Tuple`], a
+/// [`RowBuffer`](crate::RowBuffer). Reading it allocates nothing;
+/// [`RowRef::to_tuple`] is the one copy, made only for a row that is kept.
+#[derive(Clone, Copy)]
+pub struct RowRef<'a> {
+    /// The checked record: arity header, then the tagged fields.
+    rec: &'a [u8],
 }
 
 /// Write cursor over a freshly allocated record.
@@ -100,18 +113,11 @@ fn record_len(bytes: &[u8]) -> Option<usize> {
 /// Check the record at the front of `dec` and consume it: the door every
 /// row read back from a dump passes, naming the fault in the codec's
 /// typed `Corrupt` error when there is one.
-pub(crate) fn take_record<'a>(dec: &mut Decoder<'a>) -> Result<&'a [u8]> {
+pub(crate) fn take_record<'a>(dec: &mut Decoder<'a>) -> Result<RowRef<'a>> {
     match record_len(dec.rest()) {
-        Some(len) => dec.get_raw(len),
+        Some(len) => dec.get_raw(len).map(RowRef::trusted),
         None => Err(malformed(dec)),
     }
-}
-
-/// Arity in the header of a checked record.
-#[inline]
-fn arity_of(rec: &[u8]) -> usize {
-    let header: [u8; HEADER] = rec[..HEADER].try_into().expect("record has a header");
-    u32::from_le_bytes(header) as usize
 }
 
 /// The encoded fields of a record, one slice (tag and payload) each.
@@ -119,44 +125,6 @@ fn arity_of(rec: &[u8]) -> usize {
 struct Fields<'a> {
     rest: &'a [u8],
     left: usize,
-}
-
-/// Every encoded field of the checked record `rec`, in order.
-#[inline]
-fn fields_of(rec: &[u8]) -> Fields<'_> {
-    Fields {
-        rest: &rec[HEADER..],
-        left: arity_of(rec),
-    }
-}
-
-/// The encoded field (tag and payload) at `idx` in the checked record
-/// `rec`. Panics if there is none.
-#[inline]
-fn record_field(rec: &[u8], idx: usize) -> &[u8] {
-    fields_of(rec)
-        .nth(idx)
-        .unwrap_or_else(|| panic!("field {idx} of a tuple of arity {}", arity_of(rec)))
-}
-
-/// The value at `idx` in the checked record `rec`. Panics if there is
-/// none.
-#[inline]
-pub(crate) fn record_get(rec: &[u8], idx: usize) -> ValueRef<'_> {
-    read_field(record_field(rec, idx))
-}
-
-/// Approximate in-memory footprint of the row the checked record `rec`
-/// holds, in bytes: what the suspend-plan optimizer is told a buffered
-/// row costs. Every `heap_bytes` of a row is this one formula.
-pub(crate) fn record_heap_bytes(rec: &[u8]) -> usize {
-    // [`ValueRef::heap_bytes`] of each field, off the tags: the payload
-    // of a scalar, the bytes of a string plus 8.
-    let field = |f: &[u8]| match f[0] {
-        TAG_STR => f.len() - 5 + 8,
-        _ => f.len() - 1,
-    };
-    16 + fields_of(rec).map(field).sum::<usize>()
 }
 
 impl<'a> Iterator for Fields<'a> {
@@ -195,6 +163,103 @@ fn read_field(field: &[u8]) -> ValueRef<'_> {
         _ => ValueRef::Str(
             std::str::from_utf8(&field[5..]).expect("record checked at construction"),
         ),
+    }
+}
+
+impl<'a> RowRef<'a> {
+    /// Borrow `bytes` — one whole codec record, as [`Encode`] writes it —
+    /// after checking it: arity, tags, lengths, bool bytes, UTF-8 and the
+    /// absence of trailing bytes. Malformed input is a typed `Corrupt`
+    /// error.
+    #[inline]
+    pub fn from_record(bytes: &'a [u8]) -> Result<Self> {
+        if record_len(bytes) == Some(bytes.len()) {
+            return Ok(RowRef { rec: bytes });
+        }
+        // Anything else — a malformed field, bytes after the record — goes
+        // to the general decoder to be named.
+        Err(Tuple::decode_from_slice(bytes)
+            .err()
+            .unwrap_or_else(|| StorageError::corrupt("malformed row record")))
+    }
+
+    /// A record this crate checked when it took the bytes in.
+    pub(crate) fn trusted(rec: &'a [u8]) -> Self {
+        RowRef { rec }
+    }
+
+    /// The whole record.
+    #[inline]
+    pub fn record(self) -> &'a [u8] {
+        self.rec
+    }
+
+    /// Number of fields.
+    #[inline]
+    pub fn arity(self) -> usize {
+        let header: [u8; HEADER] = self.rec[..HEADER].try_into().expect("record has a header");
+        u32::from_le_bytes(header) as usize
+    }
+
+    /// Every encoded field (tag and payload) in order.
+    #[inline]
+    fn fields(self) -> Fields<'a> {
+        Fields {
+            rest: &self.rec[HEADER..],
+            left: self.arity(),
+        }
+    }
+
+    /// The encoded field at `idx`. Panics if there is none.
+    #[inline]
+    fn field(self, idx: usize) -> &'a [u8] {
+        self.fields()
+            .nth(idx)
+            .unwrap_or_else(|| panic!("field {idx} of a tuple of arity {}", self.arity()))
+    }
+
+    /// Field at `idx`. Panics if there is none.
+    #[inline]
+    pub fn get(self, idx: usize) -> ValueRef<'a> {
+        read_field(self.field(idx))
+    }
+
+    /// All fields in order.
+    pub fn values(self) -> impl ExactSizeIterator<Item = ValueRef<'a>> + Clone {
+        self.fields().map(read_field)
+    }
+
+    /// Approximate in-memory footprint of the row as a [`Tuple`], in
+    /// bytes: what the suspend-plan optimizer is told a buffered row
+    /// costs. Every `heap_bytes` of a row is this one formula.
+    pub fn heap_bytes(self) -> usize {
+        // [`ValueRef::heap_bytes`] of each field, off the tags: the payload
+        // of a scalar, the bytes of a string plus 8.
+        let field = |f: &[u8]| match f[0] {
+            TAG_STR => f.len() - 5 + 8,
+            _ => f.len() - 1,
+        };
+        16 + self.fields().map(field).sum::<usize>()
+    }
+
+    /// Keep the row: copy its record into a [`Tuple`], one allocation.
+    #[inline]
+    pub fn to_tuple(self) -> Tuple {
+        Tuple {
+            rec: Arc::from(self.rec),
+        }
+    }
+}
+
+impl PartialEq for RowRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.values().eq(other.values())
+    }
+}
+
+impl fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.values()).finish()
     }
 }
 
@@ -237,20 +302,17 @@ impl Tuple {
         })
     }
 
-    /// Adopt `bytes` — one whole codec record, as [`Encode`] writes it —
-    /// after checking it: arity, tags, lengths, bool bytes, UTF-8 and the
-    /// absence of trailing bytes. Malformed input is a typed `Corrupt`
-    /// error, and no row is allocated for it.
+    /// Adopt a copy of `bytes` — one whole codec record — after
+    /// [`RowRef::from_record`] has checked it. Malformed input is a typed
+    /// `Corrupt` error, and no row is allocated for it.
     pub fn from_record(bytes: &[u8]) -> Result<Self> {
-        // The row path's decode, so the good case is spelled out: check,
-        // copy. Anything else — a malformed field, bytes after the
-        // record — goes to the general decoder to be named.
-        if record_len(bytes) == Some(bytes.len()) {
-            return Ok(Tuple {
-                rec: Arc::from(bytes),
-            });
-        }
-        Self::decode_from_slice(bytes)
+        RowRef::from_record(bytes).map(RowRef::to_tuple)
+    }
+
+    /// The row, borrowed: every accessor below reads through it.
+    #[inline]
+    pub fn row(&self) -> RowRef<'_> {
+        RowRef { rec: &self.rec }
     }
 
     /// The whole record.
@@ -258,27 +320,21 @@ impl Tuple {
         &self.rec
     }
 
-    /// Every encoded field in order.
-    #[inline]
-    fn fields(&self) -> Fields<'_> {
-        fields_of(&self.rec)
-    }
-
     /// Number of fields.
     #[inline]
     pub fn arity(&self) -> usize {
-        arity_of(&self.rec)
+        self.row().arity()
     }
 
     /// Field at `idx`. Panics if there is none.
     #[inline]
     pub fn get(&self, idx: usize) -> ValueRef<'_> {
-        record_get(&self.rec, idx)
+        self.row().get(idx)
     }
 
     /// All fields in order.
     pub fn values(&self) -> impl ExactSizeIterator<Item = ValueRef<'_>> + Clone {
-        self.fields().map(read_field)
+        self.row().values()
     }
 
     /// Concatenate two tuples (join output).
@@ -292,7 +348,7 @@ impl Tuple {
 
     /// Project onto the given field indices, in order.
     pub fn project(&self, indices: &[usize]) -> Tuple {
-        let picked = indices.iter().map(|&i| record_field(&self.rec, i));
+        let picked = indices.iter().map(|&i| self.row().field(i));
         let body = picked.clone().map(<[u8]>::len).sum();
         Self::build(indices.len(), body, |w| picked.for_each(|f| w.put(f)))
     }
@@ -300,13 +356,13 @@ impl Tuple {
     /// Approximate in-memory footprint in bytes (for heap-state sizing
     /// reported to the suspend-plan optimizer).
     pub fn heap_bytes(&self) -> usize {
-        record_heap_bytes(&self.rec)
+        self.row().heap_bytes()
     }
 }
 
 impl PartialEq for Tuple {
     fn eq(&self, other: &Self) -> bool {
-        self.values().eq(other.values())
+        self.row() == other.row()
     }
 }
 
@@ -335,7 +391,7 @@ impl std::hash::Hash for Tuple {
 
 impl fmt::Debug for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.values()).finish()
+        self.row().fmt(f)
     }
 }
 
@@ -368,9 +424,7 @@ impl Decode for Tuple {
     /// Check one record off `dec` and copy it: this is where a row's
     /// bytes are validated, and the one allocation of a decode.
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(Tuple {
-            rec: Arc::from(take_record(dec)?),
-        })
+        take_record(dec).map(RowRef::to_tuple)
     }
 }
 

@@ -88,6 +88,7 @@ fn a_miss_costs_the_same_in_a_small_and_a_large_pool() {
 /// reads its own earlier pages back — many of them evicted, dirty, by the
 /// other threads in the meantime — and all scan one read-only file.
 #[test]
+#[allow(clippy::disallowed_methods)] // the pool is shared by threads under test
 fn threads_sharing_a_small_pool_lose_no_page() {
     const THREADS: u32 = 4;
     const ROUNDS: u64 = 400;

@@ -1,15 +1,21 @@
 //! Allocation budgets of the row path, counted exactly.
 //!
-//! A row is one allocation — its record — from the page it is read off to
-//! the page it is spilled to; everything else on the read path is per
-//! page, and the spill path allocates its extent buffer once per run. A
-//! timing cannot pin that in a test suite; a counting allocator can.
+//! A row read off a page is a checked view of the page's bytes and costs
+//! no allocation; a row that is kept is one allocation — its record —
+//! from the page it is read off to the page it is spilled to; everything
+//! else on the read path is per page, and the spill path allocates its
+//! extent buffer once per run. A timing cannot pin that in a test suite;
+//! a counting allocator can.
 
 mod counting_alloc;
 
+use qsr::exec::{PlanSpec, Poll, Predicate, QueryExecution};
 use qsr::storage::{
-    BufferPool, CostLedger, DiskManager, HeapFile, RunWriter, Tuple, Value, ValueRef,
+    BufferPool, CostLedger, CostModel, Database, DiskManager, HeapFile, RunReader, RunWriter,
+    Tuple, Value, ValueRef,
 };
+use qsr::workload::{generate_table, TableSpec};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Run `f` and count the allocations it makes on this thread.
@@ -17,6 +23,23 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
     let before = counting_alloc::allocations();
     let out = f();
     (out, counting_alloc::allocations() - before)
+}
+
+/// Self-cleaning scratch directory, removed even when an assertion fails.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let p = std::env::temp_dir().join(format!("qsr-alloc-budget-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&p).unwrap();
+        TempDir(p)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn row(k: i64) -> Tuple {
@@ -40,9 +63,8 @@ fn tuple_operations_allocate_their_record_and_nothing_else() {
 
 #[test]
 fn scan_and_spill_allocate_per_row_only_the_row() {
-    let dir = std::env::temp_dir().join(format!("qsr-alloc-budget-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let disk = DiskManager::open(&dir, CostLedger::default()).unwrap();
+    let dir = TempDir::new("rows");
+    let disk = DiskManager::open(&dir.0, CostLedger::default()).unwrap();
     let pool = BufferPool::passthrough(Arc::new(disk));
 
     const ROWS: usize = 5_000;
@@ -68,6 +90,19 @@ fn scan_and_spill_allocate_per_row_only_the_row() {
     // One record per row; per page, the page buffer and its `Arc`.
     assert_eq!(scan, ROWS + 2 * pages, "scan of {ROWS} rows over {pages} pages");
 
+    // Borrowed, a row costs nothing: only the pages are allocated.
+    let mut cursor = heap.cursor();
+    let (seen, walk) = allocations(|| {
+        let mut seen = 0;
+        while let Some(r) = cursor.next_row().unwrap() {
+            assert_eq!(r, rows[seen].row());
+            seen += 1;
+        }
+        seen
+    });
+    assert_eq!(seen, ROWS);
+    assert_eq!(walk, 2 * pages, "borrowed walk of {ROWS} rows over {pages} pages");
+
     let mut writer = RunWriter::create(pool.clone()).unwrap();
     let ((), spill) = allocations(|| {
         for t in &rows {
@@ -81,5 +116,53 @@ fn scan_and_spill_allocate_per_row_only_the_row() {
     // written from there (`pages` is more than one extent of 16).
     assert!(pages > 16, "the run spans several extents: {pages} pages");
     assert_eq!(spill, 1, "spill of {ROWS} rows over {pages} pages");
-    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut reader = RunReader::open(pool, run);
+    let (seen, walk) = allocations(|| {
+        let mut seen = 0;
+        while let Some(r) = reader.next_row().unwrap() {
+            assert_eq!(r, rows[seen].row());
+            seen += 1;
+        }
+        seen
+    });
+    assert_eq!(seen, ROWS);
+    assert_eq!(walk, 2 * pages, "borrowed walk of a run of {ROWS} rows over {pages} pages");
+}
+
+/// A row the filter rejects is judged on the scan's page and never
+/// copied: pulling `Filter(TableScan)` to the end costs the same at every
+/// selectivity except for one allocation per row that passes.
+#[test]
+fn a_row_a_filter_rejects_over_a_scan_costs_no_allocation() {
+    let dir = TempDir::new("filter");
+    // A capacity-0 pool, so every run reads (and allocates) every page.
+    let db = Database::open(&dir.0, CostModel::default()).unwrap();
+    generate_table(&db, &TableSpec::new("r", 3_000).payload(16).seed(5)).unwrap();
+    let pull_all = |threshold: i64| {
+        let spec = PlanSpec::Filter {
+            input: Box::new(PlanSpec::TableScan { table: "r".into() }),
+            predicate: Predicate::IntLt { col: 1, value: threshold },
+        };
+        allocations(|| {
+            let mut exec = QueryExecution::start(db.clone(), spec).unwrap();
+            let mut kept = 0;
+            loop {
+                match exec.next().unwrap() {
+                    Poll::Tuple(_) => kept += 1,
+                    Poll::Done => return kept,
+                    Poll::Suspended => unreachable!("no suspend was requested"),
+                }
+            }
+        })
+    };
+    // The first run also opens the table's file handle.
+    pull_all(0);
+    let (none, base) = pull_all(0);
+    assert_eq!(none, 0);
+    for threshold in [1, 100, 500, 1_000] {
+        let (kept, allocs) = pull_all(threshold);
+        assert!(kept > 0, "threshold {threshold} keeps a row");
+        assert_eq!(allocs, base + kept, "threshold {threshold}: {kept} rows kept");
+    }
 }
