@@ -45,74 +45,12 @@ use qsr_core::{
     SuspendPlan, SuspendedQuery,
 };
 use qsr_storage::{
-    Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple, TupleBlock, TupleSlice,
-    ValueRef,
+    Decode, Decoder, Encode, Encoder, KeyedRows, Result, RowBuffer, Schema, StorageError, Tuple,
 };
-use std::collections::hash_map::{Entry, HashMap};
 use std::collections::VecDeque;
-use std::hash::BuildHasher;
 
 const PHASE_FILL: u8 = 0;
 const PHASE_JOIN: u8 = 1;
-
-/// End of a chain in [`KeyIndex::next`].
-const END: usize = usize::MAX;
-
-/// The outer buffer's join keys, looked up instead of scanned: buffered
-/// positions grouped by the hash of their key, each group a chain in
-/// ascending position order. Equal keys hash alike (`-0.0` as `0.0`), so
-/// every row equal to a probe key is on that key's chain; rows of other
-/// keys that share the hash are skipped by comparing keys on the walk.
-/// A NaN key equals nothing and goes on no chain. The index is derived
-/// from the buffer alone: it is never dumped, and `heap_bytes` does not
-/// count it.
-#[derive(Default)]
-struct KeyIndex {
-    /// Key hash → first and last position of its chain.
-    chains: HashMap<u64, (usize, usize)>,
-    /// `next[p]`: the position after `p` on `p`'s chain, or [`END`].
-    next: Vec<usize>,
-}
-
-impl KeyIndex {
-    /// The chain a key belongs on: its hash under the map's own randomly
-    /// keyed hasher, so keys cannot be picked to pile onto one chain.
-    fn key_hash(&self, key: ValueRef<'_>) -> u64 {
-        self.chains.hasher().hash_one(key)
-    }
-
-    /// Append the next buffer position, whose join key is `key`.
-    fn push(&mut self, key: ValueRef<'_>) {
-        let pos = self.next.len();
-        self.next.push(END);
-        if matches!(key, ValueRef::Float(f) if f.is_nan()) {
-            return;
-        }
-        match self.chains.entry(self.key_hash(key)) {
-            Entry::Occupied(mut chain) => {
-                let last = &mut chain.get_mut().1;
-                self.next[*last] = pos;
-                *last = pos;
-            }
-            Entry::Vacant(slot) => {
-                slot.insert((pos, pos));
-            }
-        }
-    }
-
-    /// First position on `key`'s chain, or [`END`].
-    fn head(&self, key: ValueRef<'_>) -> usize {
-        self.chains
-            .get(&self.key_hash(key))
-            .map_or(END, |&(first, _)| first)
-    }
-
-    /// Forget every position; the allocations are kept for the next block.
-    fn clear(&mut self) {
-        self.chains.clear();
-        self.next.clear();
-    }
-}
 
 /// Serializable control state (paper §2: "NLJ's control state consists of
 /// a tuple from its inner child and a cursor over the outer buffer" — plus
@@ -158,11 +96,8 @@ pub struct BlockNlj {
     buffer_size: usize,
     schema: Schema,
 
-    buffer: Vec<Tuple>,
-    /// `buffer`'s rows by join key, kept in step by the only two
-    /// mutators, `push_buffer` and `clear_buffer`.
-    index: KeyIndex,
-    heap_bytes: usize,
+    /// The outer rows of the current block, found by join key.
+    buffer: KeyedRows,
     phase: u8,
     cursor: usize,
     inner_tuple: Option<Tuple>,
@@ -195,9 +130,7 @@ impl BlockNlj {
             inner_key,
             buffer_size,
             schema,
-            buffer: Vec::new(),
-            index: KeyIndex::default(),
-            heap_bytes: 0,
+            buffer: KeyedRows::new(outer_key),
             phase: PHASE_FILL,
             cursor: 0,
             inner_tuple: None,
@@ -218,44 +151,11 @@ impl BlockNlj {
     fn control(&self) -> NljControl {
         NljControl {
             phase: self.phase,
-            fill: self.buffer.len() as u64,
+            fill: self.buffer.rows().len() as u64,
             cursor: self.cursor as u64,
             inner_tuple: self.inner_tuple.clone(),
             outer_done: self.outer_done,
         }
-    }
-
-    fn push_buffer(&mut self, t: Tuple) {
-        self.heap_bytes += t.heap_bytes();
-        self.index.push(t.get(self.outer_key));
-        self.buffer.push(t);
-    }
-
-    fn clear_buffer(&mut self) {
-        self.buffer.clear();
-        self.index.clear();
-        self.heap_bytes = 0;
-    }
-
-    /// The first buffered row at or after `cursor` whose join key equals
-    /// `key`: where the nested loop would stop next.
-    fn probe(&self, key: ValueRef<'_>) -> Option<usize> {
-        let key_at = |p: usize| self.buffer[p].get(self.outer_key);
-        // `cursor` is 0 for a fresh inner tuple and otherwise one past its
-        // last match, whose chain successor is then the next candidate.
-        // Walking the chain from its head is right for any cursor, and is
-        // what a fresh tuple (or any other restored state) does.
-        let mut pos = match self.cursor.checked_sub(1) {
-            Some(prev) if prev < self.buffer.len() && key_at(prev) == key => self.index.next[prev],
-            _ => self.index.head(key),
-        };
-        while pos != END {
-            if pos >= self.cursor && key_at(pos) == key {
-                return Some(pos);
-            }
-            pos = self.index.next[pos];
-        }
-        None
     }
 
     /// Proactive checkpoint at the minimal-heap-state point (buffer just
@@ -265,7 +165,7 @@ impl BlockNlj {
         if !ctx.checkpoints_enabled {
             return Ok(());
         }
-        debug_assert!(self.buffer.is_empty());
+        debug_assert!(self.buffer.rows().is_empty());
         let control = self.control().encode_to_vec();
         let work = ctx.work.get(self.op);
         let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
@@ -322,16 +222,16 @@ impl Operator for BlockNlj {
                 return Ok(Poll::Suspended);
             }
             if self.phase == PHASE_FILL {
-                if !self.outer_done && self.buffer.len() < self.buffer_size {
+                if !self.outer_done && self.buffer.rows().len() < self.buffer_size {
                     match self.outer.next(ctx)? {
                         Poll::Tuple(t) => {
-                            self.push_buffer(t);
+                            self.buffer.push(t.row());
                             ctx.tick(self.op);
                         }
                         Poll::Done => self.outer_done = true,
                         Poll::Suspended => return Ok(Poll::Suspended),
                     }
-                } else if self.buffer.is_empty() {
+                } else if self.buffer.rows().is_empty() {
                     debug_assert!(self.outer_done);
                     return Ok(Poll::Done);
                 } else {
@@ -353,20 +253,23 @@ impl Operator for BlockNlj {
                             if self.outer_done {
                                 return Ok(Poll::Done);
                             }
-                            self.clear_buffer();
+                            self.buffer.clear();
                             self.phase = PHASE_FILL;
                             self.checkpoint(ctx)?;
                         }
                         Poll::Suspended => return Ok(Poll::Suspended),
                     },
-                    Some(inner) => match self.probe(inner.get(self.inner_key)) {
+                    // `cursor` is 0 for a fresh inner tuple and otherwise
+                    // one past its last match: where the nested loop would
+                    // look next.
+                    Some(inner) => match self.buffer.find(inner.get(self.inner_key), self.cursor) {
                         Some(pos) => {
                             self.cursor = pos + 1;
                             self.produced_since_sign += 1;
-                            return Ok(Poll::Tuple(self.buffer[pos].join(inner)));
+                            return Ok(Poll::Tuple(self.buffer.rows().row(pos).join(inner.row())));
                         }
                         None => {
-                            self.cursor = self.buffer.len();
+                            self.cursor = self.buffer.rows().len();
                             self.inner_tuple = None;
                         }
                     },
@@ -378,7 +281,7 @@ impl Operator for BlockNlj {
     fn close(&mut self, ctx: &mut ExecContext) -> Result<()> {
         self.outer.close(ctx)?;
         self.inner.close(ctx)?;
-        self.clear_buffer();
+        self.buffer.clear();
         Ok(())
     }
 
@@ -422,7 +325,7 @@ impl Operator for BlockNlj {
         let strategy = plan.get(self.op);
         match (mode, strategy) {
             (SuspendMode::Current, Strategy::Dump) => {
-                let blob = ctx.put_dump_value(self.op, &TupleSlice(&self.buffer))?;
+                let blob = ctx.put_dump_value(self.op, self.buffer.rows())?;
                 sq.put_record(OpSuspendRecord {
                     op: self.op,
                     strategy,
@@ -454,7 +357,9 @@ impl Operator for BlockNlj {
                     .contract_from(latest, self.outer.op_id())
                     .map(|c| c.id)
                 {
-                    Some(ctr) => self.outer.suspend(ctx, SuspendMode::Contract(ctr), plan, sq)?,
+                    Some(ctr) => self
+                        .outer
+                        .suspend(ctx, SuspendMode::Contract(ctr), plan, sq)?,
                     None => self.outer.suspend(ctx, SuspendMode::Current, plan, sq)?,
                 }
                 // The inner child is positional: current position suffices.
@@ -476,18 +381,17 @@ impl Operator for BlockNlj {
                             // reproduces all promised outputs.
                             self.control()
                         } else {
-                            if target.fill != self.buffer.len() as u64 {
+                            if target.fill != self.buffer.rows().len() as u64 {
                                 return Err(StorageError::invalid(format!(
                                     "NLJ buffer diverged from contract {ctr_id}: \
                                      contract fill {} vs current {}",
                                     target.fill,
-                                    self.buffer.len()
+                                    self.buffer.rows().len()
                                 )));
                             }
                             target
                         };
-                        let blob =
-                            ctx.put_dump_value(self.op, &TupleSlice(&self.buffer))?;
+                        let blob = ctx.put_dump_value(self.op, self.buffer.rows())?;
                         sq.put_record(OpSuspendRecord {
                             op: self.op,
                             strategy: strat,
@@ -537,17 +441,15 @@ impl Operator for BlockNlj {
         self.inner.resume(ctx, sq)?;
         let rec = sq.record(self.op)?;
         let control = NljControl::decode_from_slice(&rec.resume_point)?;
-        self.clear_buffer();
+        self.buffer.clear();
         match (&rec.strategy, &rec.heap_dump) {
             (Strategy::Dump, Some(blob)) => {
-                let TupleBlock(tuples) = ctx.get_dump_value_for(self.op, *blob)?;
-                for t in tuples {
-                    self.push_buffer(t);
-                }
-                if self.buffer.len() as u64 != control.fill {
+                let rows: RowBuffer = ctx.get_dump_value_for(self.op, *blob)?;
+                self.buffer = KeyedRows::from_rows(rows, self.outer_key)?;
+                if self.buffer.rows().len() as u64 != control.fill {
                     return Err(StorageError::corrupt(format!(
                         "NLJ buffer dump holds {} tuples but control records fill {}",
-                        self.buffer.len(),
+                        self.buffer.rows().len(),
                         control.fill
                     )));
                 }
@@ -556,7 +458,7 @@ impl Operator for BlockNlj {
                 // Refill the buffer through the (repositioned) outer child.
                 for _ in 0..control.fill {
                     match self.outer.next(ctx)? {
-                        Poll::Tuple(t) => self.push_buffer(t),
+                        Poll::Tuple(t) => self.buffer.push(t.row()),
                         Poll::Done => {
                             return Err(StorageError::corrupt(
                                 "outer child exhausted during GoBack refill",
@@ -587,7 +489,7 @@ impl Operator for BlockNlj {
 
     fn suspend_inputs(&self) -> OpSuspendInputs {
         OpSuspendInputs {
-            heap_bytes: self.heap_bytes,
+            heap_bytes: self.buffer.rows().heap_bytes(),
             control_bytes: 64
                 + self
                     .inner_tuple

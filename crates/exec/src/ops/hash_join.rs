@@ -36,11 +36,11 @@ use qsr_core::{
     SuspendPlan, SuspendedQuery,
 };
 use qsr_storage::{
-    Decode, Decoder, Encode, Encoder, Result, RunHandle, RunReader, RunWriter, Schema,
-    StorageError, Tuple, TupleAddr, TupleBlock, TupleSlice,
+    Decode, Decoder, Encode, Encoder, KeyedRows, Result, RowBuffer, RunHandle, RunReader,
+    RunWriter, Schema, StorageError, Tuple, TupleAddr, ValueRef, PAGE_SIZE,
 };
-use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::iter::repeat_n;
 
 const PHASE_BUILD: u8 = 0;
 const PHASE_PROBE: u8 = 1;
@@ -286,14 +286,17 @@ pub struct HashJoin {
 
     /// In-memory hash table: partition 0 during hybrid build/probe, or the
     /// in-flight task's build run (or NLJ block) during the join phase.
-    table: HashMap<i64, Vec<Tuple>>,
-    heap_bytes: usize,
+    table: KeyedRows,
     cur_part: usize,
     probe_reader: Option<RunReader>,
     pages_noted: u64,
     cur_probe: Option<Tuple>,
     cur_probe_addr: Option<TupleAddr>,
+    /// Matches of `cur_probe` emitted so far.
     match_idx: usize,
+    /// The table position the search for `cur_probe`'s next match starts
+    /// at: one past the last match.
+    match_at: usize,
     build_consumed: u64,
     probe_consumed: u64,
 
@@ -354,14 +357,14 @@ impl HashJoin {
             probe_runs: Vec::new(),
             build_done: false,
             probe_done: false,
-            table: HashMap::new(),
-            heap_bytes: 0,
+            table: KeyedRows::new(build_key),
             cur_part: 0,
             probe_reader: None,
             pages_noted: 0,
             cur_probe: None,
             cur_probe_addr: None,
             match_idx: 0,
+            match_at: 0,
             build_consumed: 0,
             probe_consumed: 0,
             last_in_ctr: None,
@@ -412,9 +415,9 @@ impl HashJoin {
             build_runs: self.build_runs.clone(),
             probe_runs: self.probe_runs.clone(),
             cur_part: self.cur_part as u64,
-            probe_addr: self.cur_probe_addr.or_else(|| {
-                self.probe_reader.as_ref().map(|r| r.position())
-            }),
+            probe_addr: self
+                .cur_probe_addr
+                .or_else(|| self.probe_reader.as_ref().map(|r| r.position())),
             cur_probe: self.cur_probe.clone(),
             match_idx: self.match_idx as u64,
             build_done: self.build_done,
@@ -488,22 +491,24 @@ impl HashJoin {
         ctx: &mut ExecContext,
         runs: &mut Vec<RunHandle>,
     ) -> Result<Vec<Option<RunWriter>>> {
-        runs.drain(..).map(|h| ctx.reopen_run(h).map(Some)).collect()
-    }
-
-    fn table_insert(&mut self, key: i64, t: Tuple) {
-        self.heap_bytes += t.heap_bytes();
-        self.table.entry(key).or_default().push(t);
+        runs.drain(..)
+            .map(|h| ctx.reopen_run(h).map(Some))
+            .collect()
     }
 
     /// Drop the in-memory table and the probe cursor over it.
     fn clear_probe_state(&mut self) {
         self.table.clear();
-        self.heap_bytes = 0;
         self.probe_reader = None;
-        self.cur_probe = None;
-        self.cur_probe_addr = None;
+        self.set_probe(None, None);
+    }
+
+    /// Make `t`, read at `addr`, the probe cursor, with no match emitted.
+    fn set_probe(&mut self, t: Option<Tuple>, addr: Option<TupleAddr>) {
+        self.cur_probe = t;
+        self.cur_probe_addr = addr;
         self.match_idx = 0;
+        self.match_at = 0;
     }
 
     fn reset_nlj_cursor(&mut self) {
@@ -544,7 +549,7 @@ impl HashJoin {
         self.build_consumed += 1;
         let p = hash_partition(key, self.partitions);
         if self.hybrid && p == 0 {
-            self.table_insert(key, t);
+            self.table.push(t.row());
             return Ok(());
         }
         Self::append_to(&mut self.build_writers, p, t.row().record())
@@ -558,8 +563,7 @@ impl HashJoin {
         self.probe_consumed += 1;
         let p = hash_partition(key, self.partitions);
         if self.hybrid && p == 0 {
-            self.cur_probe = Some(t);
-            self.match_idx = 0;
+            self.set_probe(Some(t), None);
             return Ok(());
         }
         Self::append_to(&mut self.probe_writers, p, t.row().record())
@@ -600,18 +604,25 @@ impl HashJoin {
     /// rebuild the table by re-running it.
     fn load_table(&mut self, ctx: &mut ExecContext, build: RunHandle) -> Result<()> {
         self.table.clear();
-        self.heap_bytes = 0;
         let nlj = self.stage == TS_NLJ;
-        let limit = if nlj { self.mem_budget.max(1) as u64 } else { u64::MAX };
+        let budget = self.mem_budget.max(1) as u64;
+        let limit = if nlj { budget } else { u64::MAX };
+        // Room for every row this load takes, at the run's bytes per row
+        // (a page's bytes bound its records'), so the rows go in without
+        // growing the store.
+        let rows = limit.min(build.tuples.saturating_sub(self.nlj_pos)) as usize;
+        let per_row =
+            (build.pages as usize).saturating_mul(PAGE_SIZE) / build.tuples.max(1) as usize;
+        self.table.reserve(rows, rows.saturating_mul(per_row));
         let mut r = ctx.read_run(build);
         if let Some(addr) = self.nlj_addr {
             r.seek(addr);
         }
         let mut loaded = 0u64;
         while loaded < limit {
-            let Some(t) = r.next()? else { break };
-            let key = t.get(self.build_key).as_int()?;
-            self.table_insert(key, t);
+            let Some(row) = r.next_row()? else { break };
+            row.get(self.build_key).as_int()?;
+            self.table.push(row);
             loaded += 1;
         }
         ctx.note_page_reads(self.op, r.pages_fetched());
@@ -641,23 +652,22 @@ impl HashJoin {
     }
 
     /// The next match of the probe cursor against the in-memory table,
-    /// resuming at `match_idx`; clears the cursor once its matches are
+    /// searched from `match_at`; clears the cursor once its matches are
     /// exhausted. `None` without a cursor.
     fn next_match(&mut self) -> Result<Option<Tuple>> {
         let Some(p) = &self.cur_probe else {
             return Ok(None);
         };
-        let key = p.get(self.probe_key).as_int()?;
-        match self.table.get(&key).and_then(|ms| ms.get(self.match_idx)) {
-            Some(m) => {
-                let out = m.join(p);
+        let key = ValueRef::Int(p.get(self.probe_key).as_int()?);
+        match self.table.find(key, self.match_at) {
+            Some(pos) => {
+                let out = self.table.rows().row(pos).join(p.row());
                 self.match_idx += 1;
+                self.match_at = pos + 1;
                 Ok(Some(out))
             }
             None => {
-                self.cur_probe = None;
-                self.cur_probe_addr = None;
-                self.match_idx = 0;
+                self.set_probe(None, None);
                 Ok(None)
             }
         }
@@ -688,13 +698,15 @@ impl HashJoin {
         } else {
             let (op, level) = (self.op.0, task.level + 1);
             let (path, tuples, pages) = (task.path_string(), task.build.tuples, task.build.pages);
-            ctx.db.ledger().trace(|| qsr_storage::TraceEvent::PartitionSpill {
-                op,
-                level,
-                path: path.clone(),
-                tuples,
-                pages,
-            });
+            ctx.db
+                .ledger()
+                .trace(|| qsr_storage::TraceEvent::PartitionSpill {
+                    op,
+                    level,
+                    path: path.clone(),
+                    tuples,
+                    pages,
+                });
             self.spill_build_children.clear();
             self.spill_probe_children.clear();
             self.spill_pages_noted = 0;
@@ -750,9 +762,7 @@ impl HashJoin {
                 match t {
                     Some(t) => {
                         ctx.tick(self.op);
-                        self.cur_probe = Some(t);
-                        self.cur_probe_addr = Some(addr);
-                        self.match_idx = 0;
+                        self.set_probe(Some(t), Some(addr));
                     }
                     // Probe run exhausted. NLJ moves on to the precomputed
                     // next build block — with no checkpoint in between, to
@@ -797,7 +807,12 @@ impl HashJoin {
                     let p = hash_partition_at(key, level + 1, self.partitions);
                     Self::append_to(writers, p, row.record())
                 });
-                Self::note_io(ctx, self.op, &self.spill_reader, &mut self.spill_pages_noted);
+                Self::note_io(
+                    ctx,
+                    self.op,
+                    &self.spill_reader,
+                    &mut self.spill_pages_noted,
+                );
                 match moved {
                     Some(moved) => {
                         ctx.tick(self.op);
@@ -831,7 +846,9 @@ impl HashJoin {
                 }
                 Ok(GraceStep::Continue)
             }
-            s => Err(StorageError::corrupt(format!("bad hash-join task stage {s}"))),
+            s => Err(StorageError::corrupt(format!(
+                "bad hash-join task stage {s}"
+            ))),
         }
     }
 }
@@ -924,7 +941,9 @@ impl Operator for HashJoin {
         } else {
             match ctx.graph.latest_ckpt(self.op) {
                 Some(ck) => ck,
-                None => ctx.graph.create_barrier_checkpoint(self.op, control.clone(), work),
+                None => ctx
+                    .graph
+                    .create_barrier_checkpoint(self.op, control.clone(), work),
             }
         };
         let ctr = ctx
@@ -1053,8 +1072,8 @@ impl Operator for HashJoin {
         // Heap dump: the in-memory table (hybrid partition 0 or the
         // in-flight task's build side).
         let heap_dump = match strategy {
-            Strategy::Dump if !self.table.is_empty() => {
-                Some(ctx.put_dump_value(self.op, &TableDump(Cow::Borrowed(&self.table)))?)
+            Strategy::Dump if !self.table.rows().is_empty() => {
+                Some(ctx.put_dump_value(self.op, &TableDump(&self.table))?)
             }
             _ => None,
         };
@@ -1104,7 +1123,6 @@ impl Operator for HashJoin {
         self.cur_probe_addr = control.probe_addr;
         self.match_idx = control.match_idx as usize;
         self.table.clear();
-        self.heap_bytes = 0;
         self.probe_reader = None;
         self.pages_noted = 0;
         self.tasks = control.tasks.clone();
@@ -1156,9 +1174,8 @@ impl Operator for HashJoin {
                     _ => {}
                 }
                 if let Some(blob) = rec.heap_dump {
-                    let TableDump(table) = ctx.get_dump_value_for(self.op, blob)?;
-                    self.table = table.into_owned();
-                    self.heap_bytes = self.table.values().flatten().map(Tuple::heap_bytes).sum();
+                    let image: TableImage = ctx.get_dump_value_for(self.op, blob)?;
+                    self.table = image.into_table(self.build_key)?;
                 }
             }
             Strategy::GoBack { .. } => {
@@ -1181,9 +1198,7 @@ impl Operator for HashJoin {
                     self.probe_runs.clear();
                     // A build-phase target means nothing was emitted yet;
                     // hybrid's in-memory table is rebuilt by re-execution.
-                    self.cur_probe = None;
-                    self.cur_probe_addr = None;
-                    self.match_idx = 0;
+                    self.set_probe(None, None);
                 } else if self.phase == PHASE_PROBE {
                     self.probe_writers.clear();
                     self.probe_runs.clear();
@@ -1208,11 +1223,8 @@ impl Operator for HashJoin {
                         self.probe_consumed = start.probe_consumed;
                         self.build_runs = start.build_runs;
                         self.probe_runs = start.probe_runs;
-                        self.cur_probe = None;
-                        self.cur_probe_addr = None;
-                        self.match_idx = 0;
-                        self.replay_stop =
-                            Some((control.build_consumed, control.probe_consumed));
+                        self.set_probe(None, None);
+                        self.replay_stop = Some((control.build_consumed, control.probe_consumed));
                         while !self.replay_reached() {
                             match self.next(ctx)? {
                                 Poll::Tuple(_) => {} // suppressed re-emission
@@ -1259,6 +1271,16 @@ impl Operator for HashJoin {
                 Self::note_io(ctx, self.op, &self.probe_reader, &mut self.pages_noted);
             }
         }
+        // Step past the probe cursor's first `match_idx` matches, where the
+        // resumed probe goes on.
+        self.match_at = 0;
+        if let Some(p) = &self.cur_probe {
+            let key = ValueRef::Int(p.get(self.probe_key).as_int()?);
+            for _ in 0..self.match_idx {
+                let next = self.table.find(key, self.match_at);
+                self.match_at = next.map_or(self.table.rows().len(), |pos| pos + 1);
+            }
+        }
 
         self.pending = rec
             .saved_tuples
@@ -1280,7 +1302,7 @@ impl Operator for HashJoin {
             + self.spill_probe_children.len()
             + usize::from(self.cur_task.as_ref().is_some_and(|t| t.level > 0));
         OpSuspendInputs {
-            heap_bytes: self.heap_bytes,
+            heap_bytes: self.table.rows().heap_bytes(),
             control_bytes: 64
                 + 16 * (self.build_runs.len() + self.probe_runs.len())
                 + 48 * task_entries,
@@ -1304,59 +1326,76 @@ impl Operator for HashJoin {
     }
 }
 
-/// Heap-dump image of the in-memory hash table, encoded straight from the
-/// table in sorted key order: one raw little-endian run of the `n` keys,
-/// one raw run of per-key tuple counts, then every tuple flattened into a
-/// single [`TupleBlock`] of their records, written straight from the
-/// table's rows.
-struct TableDump<'a>(Cow<'a, HashMap<i64, Vec<Tuple>>>);
+/// Heap-dump image of the in-memory table, in the layout builds that
+/// kept the table as a key → rows map wrote: the `n` distinct keys in
+/// ascending order as one raw little-endian run, one raw run of per-key
+/// row counts, then one block of every row grouped by key, in insertion
+/// order within a key. A stable sort of the positions by key gives that
+/// order.
+struct TableDump<'a>(&'a KeyedRows);
 
 impl Encode for TableDump<'_> {
     fn encode(&self, enc: &mut Encoder) {
-        let mut groups: Vec<(&i64, &Vec<Tuple>)> = self.0.iter().collect();
-        groups.sort_by_key(|(k, _)| **k);
+        let table = self.0;
+        // Every key was read as an integer on its way in.
+        let key = |p: usize| table.key(p).as_int().expect("integer join key");
+        let mut order: Vec<(i64, usize)> = (0..table.rows().len()).map(|p| (key(p), p)).collect();
+        order.sort_by_key(|&(k, _)| k);
+        let groups: Vec<&[(i64, usize)]> = order.chunk_by(|a, b| a.0 == b.0).collect();
         enc.put_u32(groups.len() as u32);
-        let mut keys = Vec::with_capacity(groups.len() * 8);
-        let mut counts = Vec::with_capacity(groups.len() * 4);
-        for (k, vs) in &groups {
-            keys.extend_from_slice(&k.to_le_bytes());
-            counts.extend_from_slice(&(vs.len() as u32).to_le_bytes());
-        }
-        enc.put_raw(&keys);
-        enc.put_raw(&counts);
-        let flat: Vec<&Tuple> = groups.iter().flat_map(|(_, vs)| vs.iter()).collect();
-        TupleSlice(&flat).encode(enc);
+        groups.iter().for_each(|g| enc.put_i64(g[0].0));
+        groups.iter().for_each(|g| enc.put_u32(g.len() as u32));
+        table
+            .rows()
+            .encode_in_order(order.iter().map(|&(_, p)| p), enc);
     }
 }
 
-impl Decode for TableDump<'static> {
+/// A decoded [`TableDump`]: its groups, as (key, rows), and its rows.
+struct TableImage {
+    groups: Vec<(i64, u32)>,
+    rows: RowBuffer,
+}
+
+impl Decode for TableImage {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let n = dec.get_u32()? as usize;
         if n > (1 << 28) {
             return Err(StorageError::corrupt(format!("table dump claims {n} keys")));
         }
-        let keys = dec.get_raw(n * 8)?;
-        let counts = dec.get_raw(n * 4)?;
-        let TupleBlock(flat) = TupleBlock::decode(dec)?;
-        let mut it = flat.into_iter();
-        let mut table = HashMap::with_capacity(n);
-        for (k, c) in keys.chunks_exact(8).zip(counts.chunks_exact(4)) {
-            let k = i64::from_le_bytes(k.try_into().expect("8-byte key"));
-            let c = u32::from_le_bytes(c.try_into().expect("4-byte count")) as usize;
-            let vs: Vec<Tuple> = it.by_ref().take(c).collect();
-            if vs.len() < c {
-                return Err(StorageError::corrupt(
-                    "table dump truncated: fewer tuples than counts claim",
-                ));
+        let mut keys = Decoder::new(dec.get_raw(n * 8)?);
+        let mut counts = Decoder::new(dec.get_raw(n * 4)?);
+        let mut groups = Vec::with_capacity(n);
+        for _ in 0..n {
+            groups.push((keys.get_i64()?, counts.get_u32()?));
+        }
+        let rows = RowBuffer::decode(dec)?;
+        Ok(TableImage { groups, rows })
+    }
+}
+
+impl TableImage {
+    /// The table, keyed by column `key_col`. The groups must account for
+    /// every row, each in the group of its own key.
+    fn into_table(self, key_col: usize) -> Result<KeyedRows> {
+        let table = KeyedRows::from_rows(self.rows, key_col)?;
+        let mut keys = self
+            .groups
+            .into_iter()
+            .flat_map(|(k, n)| repeat_n(k, n as usize));
+        for p in 0..table.rows().len() {
+            if keys.next() != Some(table.key(p).as_int()?) {
+                return Err(StorageError::corrupt(format!(
+                    "table dump row {p} is outside its key group"
+                )));
             }
-            table.insert(k, vs);
         }
-        if it.next().is_some() {
-            return Err(StorageError::corrupt(
-                "table dump has trailing tuples beyond counted groups",
-            ));
+        match keys.next() {
+            None => Ok(table),
+            Some(_) => Err(StorageError::corrupt(
+                "table dump counts more rows than it holds",
+            )),
         }
-        Ok(TableDump(Cow::Owned(table)))
     }
 }
 
@@ -1368,14 +1407,64 @@ mod tests {
     use qsr_storage::Database;
     use qsr_workload::{generate_table, TableSpec};
 
+    /// The table's dump is the layout of a key → rows map: keys ascending,
+    /// their counts, then the rows grouped by key in insertion order. It
+    /// decodes to a table that re-encodes to the same bytes, and groups
+    /// that do not account for the rows are `Corrupt`.
+    #[test]
+    fn table_dump_groups_rows_by_key_in_insertion_order() {
+        use qsr_storage::Value;
+        let rows: Vec<Tuple> = [(2, "a"), (1, "b"), (2, "c")]
+            .into_iter()
+            .map(|(k, s)| Tuple::new(vec![Value::Str(s.into()), Value::Int(k)]))
+            .collect();
+        let mut table = KeyedRows::new(1);
+        rows.iter().for_each(|r| table.push(r.row()));
+        let wire = TableDump(&table).encode_to_vec();
+        let mut want = Encoder::new();
+        want.put_u32(2);
+        [1i64, 2].into_iter().for_each(|k| want.put_i64(k));
+        [1u32, 2].into_iter().for_each(|n| want.put_u32(n));
+        let mut grouped = RowBuffer::new();
+        [1, 0, 2]
+            .into_iter()
+            .for_each(|i| grouped.push(rows[i].row()));
+        grouped.encode(&mut want);
+        assert_eq!(wire, want.finish());
+        let back = TableImage::decode_from_slice(&wire)
+            .unwrap()
+            .into_table(1)
+            .unwrap();
+        assert_eq!(TableDump(&back).encode_to_vec(), wire);
+
+        // Counts of 2 and 1 put row `b` (key 1) in key 2's group; counts of
+        // 1 and 3 claim a row that is not there.
+        for counts in [[2u32, 1], [1, 3]] {
+            let mut bad = wire.clone();
+            for (i, n) in counts.into_iter().enumerate() {
+                bad[20 + 4 * i..24 + 4 * i].copy_from_slice(&n.to_le_bytes());
+            }
+            let got = TableImage::decode_from_slice(&bad).unwrap().into_table(1);
+            assert!(matches!(got, Err(StorageError::Corrupt(_))), "{counts:?}");
+        }
+    }
+
     /// A record written under the retired linear-scan phase byte — mid
     /// partition, probe cursor and all — resumes to the same remaining
     /// output as the task-walk record of the same point.
     #[test]
     fn retired_phase_byte_resumes_like_the_task_walk() {
-        let dir = std::env::temp_dir().join(format!("qsr-hj-retired-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let db = Database::open_default(&dir).unwrap();
+        /// Removed even when an assertion fails.
+        struct TempDir(std::path::PathBuf);
+        impl Drop for TempDir {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let dir =
+            TempDir(std::env::temp_dir().join(format!("qsr-hj-retired-{}", std::process::id())));
+        std::fs::create_dir_all(&dir.0).unwrap();
+        let db = Database::open_default(&dir.0).unwrap();
         generate_table(&db, &TableSpec::new("b", 300).payload(16).seed(5)).unwrap();
         generate_table(&db, &TableSpec::new("p", 900).payload(16).seed(6)).unwrap();
         let plan = PlanSpec::HashJoin {
@@ -1419,7 +1508,10 @@ mod tests {
         };
         rec.resume_point = retired.encode_to_vec();
         assert_eq!(rec.resume_point[0], 2);
-        assert_eq!(HjControl::decode_from_slice(&rec.resume_point).unwrap(), walk);
+        assert_eq!(
+            HjControl::decode_from_slice(&rec.resume_point).unwrap(),
+            walk
+        );
         let retired_blob = db.backend().put_blob(&sq.encode_to_vec()).unwrap();
         // And as the seeded queue recorded it: the unstarted top-level
         // partitions queued, `cur_part` never moved.
@@ -1432,7 +1524,10 @@ mod tests {
                 .collect(),
             ..walk.clone()
         };
-        assert_eq!(HjControl::decode_from_slice(&seeded.encode_to_vec()).unwrap(), walk);
+        assert_eq!(
+            HjControl::decode_from_slice(&seeded.encode_to_vec()).unwrap(),
+            walk
+        );
 
         for blob in [retired_blob, handle.blob] {
             let mut resumed = QueryExecution::resume_from_blob(db.clone(), blob).unwrap();
@@ -1440,7 +1535,5 @@ mod tests {
             all.extend(resumed.run_to_completion().unwrap());
             assert_eq!(all, expected);
         }
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

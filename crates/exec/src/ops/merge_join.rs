@@ -16,7 +16,7 @@ use qsr_core::{
     SuspendPlan, SuspendedQuery,
 };
 use qsr_storage::{
-    Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple, TupleBlock, TupleSlice,
+    Decode, Decoder, Encode, Encoder, Result, RowBuffer, Schema, StorageError, Tuple,
 };
 use std::cmp::Ordering;
 use std::collections::VecDeque;
@@ -27,7 +27,7 @@ const ST_BUILD_RIGHT: u8 = 3;
 const ST_EMIT: u8 = 4;
 const ST_DONE: u8 = 5;
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct MjControl {
     state: u8,
     lfill: u64,
@@ -76,6 +76,14 @@ struct Keyed {
     row: Tuple,
 }
 
+impl Keyed {
+    /// `row`, keyed by its column `col`.
+    fn new(row: Tuple, col: usize) -> Result<Keyed> {
+        let key = row.get(col).as_int()?;
+        Ok(Keyed { key, row })
+    }
+}
+
 /// One machine transition's outcome.
 enum Step {
     /// Keep stepping.
@@ -98,8 +106,8 @@ pub struct MergeJoin {
     schema: Schema,
 
     state: u8,
-    lpacket: Vec<Tuple>,
-    rpacket: Vec<Tuple>,
+    lpacket: RowBuffer,
+    rpacket: RowBuffer,
     /// The join key of every row in `lpacket` (`None` while it is empty).
     packet_key: Option<i64>,
     li: usize,
@@ -108,7 +116,6 @@ pub struct MergeJoin {
     rahead: Option<Keyed>,
     l_done: bool,
     r_done: bool,
-    heap_bytes: usize,
 
     last_in_ctr: Option<CtrId>,
     produced_since_sign: u64,
@@ -135,8 +142,8 @@ impl MergeJoin {
             right_key,
             schema,
             state: ST_ADVANCE,
-            lpacket: Vec::new(),
-            rpacket: Vec::new(),
+            lpacket: RowBuffer::new(),
+            rpacket: RowBuffer::new(),
             packet_key: None,
             li: 0,
             ri: 0,
@@ -144,7 +151,6 @@ impl MergeJoin {
             rahead: None,
             l_done: false,
             r_done: false,
-            heap_bytes: 0,
             last_in_ctr: None,
             produced_since_sign: 0,
             migration_enabled: true,
@@ -186,16 +192,6 @@ impl MergeJoin {
             && row(&self.rahead) == target.rahead.as_ref()
             && self.l_done == target.l_done
             && self.r_done == target.r_done
-    }
-
-    fn keyed_left(&self, row: Tuple) -> Result<Keyed> {
-        let key = row.get(self.left_key).as_int()?;
-        Ok(Keyed { key, row })
-    }
-
-    fn keyed_right(&self, row: Tuple) -> Result<Keyed> {
-        let key = row.get(self.right_key).as_int()?;
-        Ok(Keyed { key, row })
     }
 
     /// Proactive checkpoint at a packet boundary (both packets empty).
@@ -253,10 +249,12 @@ impl MergeJoin {
             }
             ST_BUILD_LEFT => {
                 let packet_key = self.packet_key;
-                if let Some(l) = self.lahead.take_if(|l| packet_key.is_none_or(|k| k == l.key)) {
+                if let Some(l) = self
+                    .lahead
+                    .take_if(|l| packet_key.is_none_or(|k| k == l.key))
+                {
                     self.packet_key = Some(l.key);
-                    self.heap_bytes += l.row.heap_bytes();
-                    self.lpacket.push(l.row);
+                    self.lpacket.push(l.row.row());
                 } else if self.lahead.is_some() || self.l_done {
                     self.state = ST_BUILD_RIGHT;
                 } else {
@@ -271,8 +269,7 @@ impl MergeJoin {
                 if let Some(r) = &self.rahead {
                     if r.key == key {
                         let r = self.rahead.take().expect("checked above").row;
-                        self.heap_bytes += r.heap_bytes();
-                        self.rpacket.push(r);
+                        self.rpacket.push(r.row());
                     } else if self.rpacket.is_empty() {
                         // No right matches: discard the left packet.
                         self.discard_packets(ctx, replay)?;
@@ -296,7 +293,7 @@ impl MergeJoin {
             }
             ST_EMIT => {
                 if self.ri < self.rpacket.len() && self.li < self.lpacket.len() {
-                    let out = self.lpacket[self.li].join(&self.rpacket[self.ri]);
+                    let out = self.lpacket.row(self.li).join(self.rpacket.row(self.ri));
                     self.li += 1;
                     if self.li >= self.lpacket.len() {
                         self.li = 0;
@@ -317,7 +314,7 @@ impl MergeJoin {
     fn pull_left(&mut self, ctx: &mut ExecContext) -> Result<Step> {
         match self.left.next(ctx)? {
             Poll::Tuple(t) => {
-                self.lahead = Some(self.keyed_left(t)?);
+                self.lahead = Some(Keyed::new(t, self.left_key)?);
                 ctx.tick(self.op);
             }
             Poll::Done => self.l_done = true,
@@ -330,7 +327,7 @@ impl MergeJoin {
     fn pull_right(&mut self, ctx: &mut ExecContext) -> Result<Step> {
         match self.right.next(ctx)? {
             Poll::Tuple(t) => {
-                self.rahead = Some(self.keyed_right(t)?);
+                self.rahead = Some(Keyed::new(t, self.right_key)?);
                 ctx.tick(self.op);
             }
             Poll::Done => self.r_done = true,
@@ -343,7 +340,6 @@ impl MergeJoin {
         self.lpacket.clear();
         self.rpacket.clear();
         self.packet_key = None;
-        self.heap_bytes = 0;
         self.li = 0;
         self.ri = 0;
         self.state = ST_ADVANCE;
@@ -357,8 +353,16 @@ impl MergeJoin {
         self.state = c.state;
         self.li = c.li as usize;
         self.ri = c.ri as usize;
-        self.lahead = c.lahead.clone().map(|t| self.keyed_left(t)).transpose()?;
-        self.rahead = c.rahead.clone().map(|t| self.keyed_right(t)).transpose()?;
+        self.lahead = c
+            .lahead
+            .clone()
+            .map(|t| Keyed::new(t, self.left_key))
+            .transpose()?;
+        self.rahead = c
+            .rahead
+            .clone()
+            .map(|t| Keyed::new(t, self.right_key))
+            .transpose()?;
         self.l_done = c.l_done;
         self.r_done = c.r_done;
         Ok(())
@@ -482,10 +486,7 @@ impl Operator for MergeJoin {
 
         let heap_dump = match strategy {
             Strategy::Dump if !self.lpacket.is_empty() || !self.rpacket.is_empty() => {
-                Some(ctx.put_dump_value(self.op, &PacketDump {
-                    left: self.lpacket.clone(),
-                    right: self.rpacket.clone(),
-                })?)
+                Some(ctx.put_dump_value(self.op, &PacketDump(&self.lpacket, &self.rpacket))?)
             }
             _ => None,
         };
@@ -533,17 +534,11 @@ impl Operator for MergeJoin {
         self.lpacket.clear();
         self.rpacket.clear();
         self.packet_key = None;
-        self.heap_bytes = 0;
         match (&rec.strategy, &rec.heap_dump) {
             (Strategy::Dump, Some(blob)) => {
-                let PacketDump { left, right } = ctx.get_dump_value_for(self.op, *blob)?;
-                for t in left.iter().chain(right.iter()) {
-                    self.heap_bytes += t.heap_bytes();
-                }
-                self.packet_key = match left.first() {
-                    Some(t) => Some(t.get(self.left_key).as_int()?),
-                    None => None,
-                };
+                let PacketDump(left, right) = ctx.get_dump_value_for(self.op, *blob)?;
+                let key = (!left.is_empty()).then(|| left.row(0).get(self.left_key).as_int());
+                self.packet_key = key.transpose()?;
                 self.lpacket = left;
                 self.rpacket = right;
                 self.restore_control(&target)?;
@@ -559,14 +554,7 @@ impl Operator for MergeJoin {
                 // empty, ST_ADVANCE, lookaheads re-pulled lazily.
                 let ck_control = MjControl {
                     state: ST_ADVANCE,
-                    lfill: 0,
-                    rfill: 0,
-                    li: 0,
-                    ri: 0,
-                    lahead: None,
-                    rahead: None,
-                    l_done: false,
-                    r_done: false,
+                    ..MjControl::default()
                 };
                 // The checkpoint's own control (with its aheads/dones) is
                 // what we actually resume from; it is stored in the graph,
@@ -585,10 +573,7 @@ impl Operator for MergeJoin {
                     let ck = MjControl::decode_from_slice(&rec.aux)?;
                     self.restore_control(&ck)?;
                 }
-                loop {
-                    if self.reached(&target) {
-                        break;
-                    }
+                while !self.reached(&target) {
                     match self.step(ctx, true)? {
                         Step::Continue => {}
                         Step::Output(_) => {
@@ -624,7 +609,7 @@ impl Operator for MergeJoin {
 
     fn suspend_inputs(&self) -> OpSuspendInputs {
         OpSuspendInputs {
-            heap_bytes: self.heap_bytes,
+            heap_bytes: self.lpacket.heap_bytes() + self.rpacket.heap_bytes(),
             control_bytes: 64
                 + self.lahead.as_ref().map_or(0, |k| k.row.heap_bytes())
                 + self.rahead.as_ref().map_or(0, |k| k.row.heap_bytes()),
@@ -645,25 +630,21 @@ impl Operator for MergeJoin {
     }
 }
 
-/// Heap-dump payload: both value packets, each stored as a
-/// [`TupleBlock`] of the rows' records.
-struct PacketDump {
-    left: Vec<Tuple>,
-    right: Vec<Tuple>,
-}
+/// Heap-dump image of both value packets: each packet's own block, left
+/// then right. It is written from the packets where they are and read
+/// back into packets of its own.
+struct PacketDump<P>(P, P);
 
-impl Encode for PacketDump {
+impl Encode for PacketDump<&RowBuffer> {
     fn encode(&self, enc: &mut Encoder) {
-        TupleSlice(&self.left).encode(enc);
-        TupleSlice(&self.right).encode(enc);
+        self.0.encode(enc);
+        self.1.encode(enc);
     }
 }
 
-impl Decode for PacketDump {
+impl Decode for PacketDump<RowBuffer> {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(PacketDump {
-            left: TupleBlock::decode(dec)?.0,
-            right: TupleBlock::decode(dec)?.0,
-        })
+        let left = RowBuffer::decode(dec)?;
+        Ok(PacketDump(left, RowBuffer::decode(dec)?))
     }
 }

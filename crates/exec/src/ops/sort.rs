@@ -206,7 +206,7 @@ impl ExternalSort {
         // the order a stable sort on the key gives: equal keys in the
         // order they were read in.
         let mut order = (0..self.buf.len())
-            .map(|i| Ok((self.buf.get(i, self.key).as_int()?, i)))
+            .map(|i| Ok((self.buf.row(i).get(self.key).as_int()?, i)))
             .collect::<Result<Vec<_>>>()?;
         order.sort_unstable();
         let mut w = ctx.create_run()?;
@@ -283,10 +283,7 @@ impl ExternalSort {
 
     /// Fresh readers over `runs`, no heads yet.
     fn open_readers(&mut self, ctx: &ExecContext, runs: &[RunHandle]) {
-        self.readers = runs
-            .iter()
-            .map(|&h| ctx.read_run(h))
-            .collect();
+        self.readers = runs.iter().map(|&h| ctx.read_run(h)).collect();
         self.heads = vec![None; runs.len()];
         self.head_addrs = vec![None; runs.len()];
         self.merge_heap.clear();
@@ -350,13 +347,15 @@ impl ExternalSort {
                 .fold((0u64, 0u64), |(t, p), h| (t + h.tuples, p + h.pages));
             {
                 let (op, pass, runs) = (self.op.0, self.pass_level, self.group.len() as u64);
-                ctx.db.ledger().trace(|| qsr_storage::TraceEvent::MergePass {
-                    op,
-                    pass,
-                    runs,
-                    tuples,
-                    pages,
-                });
+                ctx.db
+                    .ledger()
+                    .trace(|| qsr_storage::TraceEvent::MergePass {
+                        op,
+                        pass,
+                        runs,
+                        tuples,
+                        pages,
+                    });
             }
             let group = self.group.clone();
             self.open_merge(ctx, &group)?;
@@ -500,7 +499,7 @@ impl Operator for ExternalSort {
                 }
                 match self.child.next(ctx)? {
                     Poll::Tuple(t) => {
-                        self.buf.push(&t);
+                        self.buf.push(t.row());
                         ctx.tick(self.op);
                     }
                     Poll::Done => self.child_done = true,
@@ -667,7 +666,9 @@ impl Operator for ExternalSort {
             aux: Vec::new(),
         });
         match enforce_child {
-            Some(Some(ctr)) => self.child.suspend(ctx, SuspendMode::Contract(ctr), plan, sq),
+            Some(Some(ctr)) => self
+                .child
+                .suspend(ctx, SuspendMode::Contract(ctr), plan, sq),
             _ => self.child.suspend(ctx, SuspendMode::Current, plan, sq),
         }
     }
@@ -700,10 +701,11 @@ impl Operator for ExternalSort {
                     for i in 0..control.fill {
                         match self.child.next(ctx)? {
                             Poll::Tuple(t) => {
-                                self.buf.push(&t);
+                                self.buf.push(t.row());
                                 if i == 0 {
                                     // The first row sizes the rest.
-                                    self.buf.reserve(control.fill as usize - 1);
+                                    let rest = control.fill as usize - 1;
+                                    self.buf.reserve(rest, rest * self.buf.record(0).len());
                                 }
                             }
                             Poll::Done => {
@@ -763,9 +765,8 @@ impl Operator for ExternalSort {
         OpSuspendInputs {
             heap_bytes: self.buf.heap_bytes(),
             control_bytes: 32
-                + 18
-                    * (self.runs.len() + self.pass_out.len() + self.group.len())
-                        .max(self.head_addrs.len()),
+                + 18 * (self.runs.len() + self.pass_out.len() + self.group.len())
+                    .max(self.head_addrs.len()),
             ..Default::default()
         }
     }

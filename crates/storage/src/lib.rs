@@ -49,8 +49,8 @@ pub mod tuple;
 pub mod value;
 
 pub use backend::{
-    BackendKind, LocalDiskBackend, MemoryBackend, RemoteMockBackend, RobustBackend,
-    SuspendBackend, MEMORY_FILE_BASE,
+    BackendKind, LocalDiskBackend, MemoryBackend, RemoteMockBackend, RobustBackend, SuspendBackend,
+    MEMORY_FILE_BASE,
 };
 pub use backoff::{with_backoff, with_retries, BackoffSchedule, MAX_RETRIES, RESUME_BACKOFF};
 pub use blob::{BlobId, BlobStore};
@@ -58,7 +58,7 @@ pub use bufpool::BufferPool;
 pub use catalog::{Catalog, TableInfo};
 pub use checksum::{checksum, fnv1a, verify_checksum};
 pub use codec::{Decode, Decoder, Encode, Encoder};
-pub use colblock::{RowBuffer, TupleBlock, TupleSlice};
+pub use colblock::{KeyedRows, RowBuffer};
 pub use cost::{CacheStats, CostLedger, CostModel, CostSnapshot, Phase, PhaseCost};
 pub use db::Database;
 pub use delta::{is_delta_frame, DeltaDump, COMPACT_CHAIN_LEN, DELTA_MAGIC, DELTA_VERSION};

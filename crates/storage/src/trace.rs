@@ -847,9 +847,17 @@ mod tests {
 
     #[test]
     fn json_sink_appends_lines() {
-        let dir = std::env::temp_dir().join(format!("qsr-trace-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.jsonl");
+        /// Removed even when an assertion fails.
+        struct TempDir(std::path::PathBuf);
+        impl Drop for TempDir {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let dir =
+            TempDir(std::env::temp_dir().join(format!("qsr-trace-test-{}", std::process::id())));
+        std::fs::create_dir_all(&dir.0).unwrap();
+        let path = dir.0.join("t.jsonl");
         let _ = std::fs::remove_file(&path);
         {
             let t = Tracer::new(CostLedger::default());
@@ -860,6 +868,5 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body.lines().count(), 2);
         assert!(body.contains("\"PoolWriteBack\""));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

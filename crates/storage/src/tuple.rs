@@ -160,9 +160,9 @@ fn read_field(field: &[u8]) -> ValueRef<'_> {
         TAG_INT => ValueRef::Int(scalar() as i64),
         TAG_FLOAT => ValueRef::Float(f64::from_bits(scalar())),
         TAG_BOOL => ValueRef::Bool(field[1] != 0),
-        _ => ValueRef::Str(
-            std::str::from_utf8(&field[5..]).expect("record checked at construction"),
-        ),
+        _ => {
+            ValueRef::Str(std::str::from_utf8(&field[5..]).expect("record checked at construction"))
+        }
     }
 }
 
@@ -240,6 +240,20 @@ impl<'a> RowRef<'a> {
             _ => f.len() - 1,
         };
         16 + self.fields().map(field).sum::<usize>()
+    }
+
+    /// Concatenate two rows (join output): their fields in one record,
+    /// one allocation.
+    pub fn join(self, other: RowRef<'_>) -> Tuple {
+        let (left, right) = (&self.rec[HEADER..], &other.rec[HEADER..]);
+        Tuple::build(
+            self.arity() + other.arity(),
+            left.len() + right.len(),
+            |w| {
+                w.put(left);
+                w.put(right);
+            },
+        )
     }
 
     /// Keep the row: copy its record into a [`Tuple`], one allocation.
@@ -339,11 +353,7 @@ impl Tuple {
 
     /// Concatenate two tuples (join output).
     pub fn join(&self, other: &Tuple) -> Tuple {
-        let (left, right) = (&self.rec[HEADER..], &other.rec[HEADER..]);
-        Self::build(self.arity() + other.arity(), left.len() + right.len(), |w| {
-            w.put(left);
-            w.put(right);
-        })
+        self.row().join(other.row())
     }
 
     /// Project onto the given field indices, in order.
@@ -501,7 +511,11 @@ mod tests {
 
     #[test]
     fn from_record_rejects_every_malformation_with_the_codec_errors() {
-        let good = t(vec![Value::Int(7), Value::Str("héllo".into()), Value::Bool(true)]);
+        let good = t(vec![
+            Value::Int(7),
+            Value::Str("héllo".into()),
+            Value::Bool(true),
+        ]);
         let rec = good.encode_to_vec();
         assert_eq!(Tuple::from_record(&rec).unwrap(), good);
         let corrupt = |bytes: &[u8]| match Tuple::from_record(bytes) {
@@ -510,7 +524,10 @@ mod tests {
         };
         // Truncated anywhere: header, tag, scalar, string length, string.
         for cut in 0..rec.len() {
-            assert!(corrupt(&rec[..cut]).starts_with("decode past end"), "cut at {cut}");
+            assert!(
+                corrupt(&rec[..cut]).starts_with("decode past end"),
+                "cut at {cut}"
+            );
         }
         let mut bad = rec.clone();
         bad[4] = 9;

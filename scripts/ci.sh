@@ -87,8 +87,27 @@ if [ -n "$unguarded" ]; then
     printf 'crate roots without #![forbid(unsafe_code)]:\n%s\n' "$unguarded" >&2
     exit 1
 fi
+
+# Temp-dir guard: a test or example removes the scratch directories it
+# makes, even when it fails, so a `qsr-*` entry of the temp dir that
+# appears during a guarded stage (tier 1, the release workspace suite,
+# the examples) fails the run. `temp_mark` notes the entries before a
+# stage, `temp_check <stage>` fails on any new one after it.
+qsr_temp_entries() { ls -1 "${TMPDIR:-/tmp}" | grep '^qsr-' || true; }
+temp_before="$(mktemp)"
+temp_mark() { qsr_temp_entries >"$temp_before"; }
+temp_check() {
+    temp_leaked="$(qsr_temp_entries | grep -vxFf "$temp_before" || true)"
+    if [ -n "$temp_leaked" ]; then
+        printf '%s left temp-dir entries behind:\n%s\n' "$1" "$temp_leaked" >&2
+        exit 1
+    fi
+}
+
+temp_mark
 cargo build --release
 cargo test -q
+temp_check 'tier 1'
 
 # Deleted-settings lane: older builds read these five variables as
 # aliases of API values (the memory envelope, the suspend backend, the
@@ -100,7 +119,9 @@ QSR_SUSPEND_BACKEND=memory QSR_MEM_BUDGET=3 QSR_MERGE_FANIN=2 QSR_WORKERS=5 \
 # Release-mode suite: the buffer pool and the threaded server are
 # concurrency-sensitive; optimized codegen shakes out timing-dependent
 # bugs the dev profile can mask.
+temp_mark
 cargo test --workspace --release -q
+temp_check 'the release workspace suite'
 
 # Threads sharing a small buffer pool: a race shows up in some schedules
 # and not others, so the stress test gets three more rolls of the dice.
@@ -174,23 +195,16 @@ rm -rf "$QSR_TRACE_DIR"
 
 # Examples stage: every example runs to completion and exits 0. Each one
 # asserts its own output against an uninterrupted run. The exception is
-# golden_suspend, a generator that writes a new golden directory. Every
-# example removes the scratch directories it makes: a `qsr-*` entry of the
-# temp dir that appears during the stage fails it.
-qsr_temp_entries() { ls -1 "${TMPDIR:-/tmp}" | grep '^qsr-' || true; }
-temp_before="$(mktemp)"
-qsr_temp_entries >"$temp_before"
+# golden_suspend, a generator that writes a new golden directory. The
+# temp-dir guard covers the stage.
+temp_mark
 for example in examples/*.rs; do
     name="$(basename "$example" .rs)"
     [ "$name" = golden_suspend ] && continue
     cargo run --release -q --example "$name" >/dev/null
 done
-temp_leaked="$(qsr_temp_entries | grep -vxFf "$temp_before" || true)"
+temp_check 'the examples'
 rm -f "$temp_before"
-if [ -n "$temp_leaked" ]; then
-    printf 'examples left temp-dir entries behind:\n%s\n' "$temp_leaked" >&2
-    exit 1
-fi
 
 # Scheduler stage: the server binary end to end, inline (--workers 0) and
 # on threads (tests/server_matrix.rs ran in the release workspace pass).

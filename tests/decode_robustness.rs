@@ -1,6 +1,5 @@
 //! Decoder robustness: everything a resumed process reads back from disk
-//! or from a remote endpoint — tuple blocks, row buffers, tuples, the
-//! `SuspendedQuery`,
+//! or from a remote endpoint — row blocks, tuples, the `SuspendedQuery`,
 //! the suspend manifest, delta frames — turns arbitrary bytes into `Ok` or
 //! a typed `Err`. Never a panic, and never an allocation sized by a count
 //! the input merely claims: a decode may allocate in proportion to the
@@ -16,11 +15,29 @@ use qsr::core::{
 use qsr::exec::SuspendManifest;
 use qsr::server::SessionMeta;
 use qsr::storage::{
-    checksum, fnv1a, BlobId, BlobStore, BufferPool, CostLedger, Decode, DeltaDump, DiskManager,
-    Encode, Encoder, FileId, HeapFile, RowBuffer, StorageError, Tuple, TupleBlock, Value,
+    checksum, fnv1a, BlobId, BlobStore, BufferPool, CostLedger, Decode, Decoder, DeltaDump,
+    DiskManager, Encode, Encoder, FileId, HeapFile, RowBuffer, StorageError, Tuple, Value,
     DELTA_MAGIC, DELTA_VERSION, PAGE_SIZE,
 };
+use std::path::PathBuf;
 use std::sync::Arc;
+
+/// Self-cleaning scratch directory, removed even when an assertion fails.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> Self {
+        let p = std::env::temp_dir().join(format!("qsr-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&p).unwrap();
+        TempDir(p)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// No input here is longer than `MAX_INPUT` bytes, and no decode of one
 /// may request more than `ALLOC_BOUND` bytes from the allocator in total.
@@ -45,7 +62,6 @@ fn decode_all(bytes: &[u8]) {
             bytes.len()
         );
     }
-    one("TupleBlock", bytes, TupleBlock::decode_from_slice);
     one("RowBuffer", bytes, RowBuffer::decode_from_slice);
     one("Tuple", bytes, Tuple::decode_from_slice);
     one("SuspendedQuery", bytes, SuspendedQuery::decode_from_slice);
@@ -54,13 +70,49 @@ fn decode_all(bytes: &[u8]) {
 }
 
 fn blob(n: u64) -> BlobId {
-    BlobId { file: FileId(n), len: 4096 * n, checksum: n.wrapping_mul(0x9E37_79B9_7F4A_7C15) }
+    BlobId {
+        file: FileId(n),
+        len: 4096 * n,
+        checksum: n.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    }
+}
+
+/// A block of row records read row by row: the format byte, then the
+/// rows as a sequence of `Tuple`s, each checked by `Tuple::decode`. The
+/// reference `RowBuffer::decode` is held to.
+#[derive(Debug)]
+struct RowsOneByOne(Vec<Tuple>);
+
+impl Decode for RowsOneByOne {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, StorageError> {
+        match dec.get_u8()? {
+            1 => Ok(RowsOneByOne(dec.get_seq()?)),
+            f => Err(StorageError::corrupt(format!("bad tuple block format {f}"))),
+        }
+    }
+}
+
+/// `rows` in a row buffer.
+fn buffer(rows: &[Tuple]) -> RowBuffer {
+    let mut buf = RowBuffer::new();
+    rows.iter().for_each(|r| buf.push(r.row()));
+    buf
+}
+
+/// `rows` as a dump block.
+fn block(rows: &[Tuple]) -> Vec<u8> {
+    buffer(rows).encode_to_vec()
 }
 
 /// Row `i` of the blocks below: one column of each type.
 fn row(i: i64) -> Tuple {
     let name = Value::Str(format!("r{i}"));
-    Tuple::new(vec![Value::Int(i), Value::Float(i as f64 / 4.0), name, Value::Bool(i % 2 == 0)])
+    Tuple::new(vec![
+        Value::Int(i),
+        Value::Float(i as f64 / 4.0),
+        name,
+        Value::Bool(i % 2 == 0),
+    ])
 }
 
 /// Rows `0..n` as the column-major block earlier builds wrote (format
@@ -83,7 +135,7 @@ fn columnar_block(n: i64) -> Vec<u8> {
     (0..n).for_each(|i| enc.put_u8(u8::from(i % 2 == 0)));
     let bytes = enc.finish();
     let rows: Vec<Tuple> = (0..n).map(row).collect();
-    assert_eq!(TupleBlock::decode_from_slice(&bytes).unwrap().0, rows);
+    assert_eq!(RowBuffer::decode_from_slice(&bytes).unwrap(), buffer(&rows));
     bytes
 }
 
@@ -116,8 +168,8 @@ fn valid_encodings() -> Vec<Vec<u8>> {
     let delta = DeltaDump::diff(&[0u8; 100], blob(7), &[1u8; 90]).expect("the states differ");
     vec![
         columnar_block(3),
-        TupleBlock((0..3).map(row).collect()).encode_to_vec(),
-        TupleBlock(ragged).encode_to_vec(),
+        block(&(0..3).map(row).collect::<Vec<_>>()),
+        block(&ragged),
         row(5).encode_to_vec(),
         query.encode_to_vec(),
         chained.encode_to_vec(),
@@ -175,28 +227,40 @@ fn forged_delta_chunk_count_is_rejected_before_allocating() {
     let frame = frame.finish();
     decode_all(&frame);
     let decoded = DeltaDump::decode_from_bytes(&frame);
-    assert!(matches!(decoded, Err(StorageError::Corrupt(_))), "got {decoded:?}");
+    assert!(
+        matches!(decoded, Err(StorageError::Corrupt(_))),
+        "got {decoded:?}"
+    );
 }
 
-/// The sort buffer's dump image is decoded straight into a `RowBuffer`,
-/// whose every record is checked before it enters — the walk and the
-/// typed errors of `Tuple::decode`. Truncation anywhere and trailing bytes
-/// are `Corrupt`. A single flipped bit either still spells a valid block
-/// (a bit of an integer or float payload: catching that is the blob
-/// checksum's job, not the block's), and then the buffer holds exactly
-/// the rows the row-by-row decoder reads, or it is rejected with the
-/// same typed error that decoder gives. Blocks of both formats.
+/// A buffering operator's dump image is decoded straight into a
+/// `RowBuffer`, whose every record is checked before it enters — the walk
+/// and the typed errors of `Tuple::decode`. Truncation anywhere and
+/// trailing bytes are `Corrupt`. A single flipped bit either still spells
+/// a valid block (a bit of an integer or float payload: catching that is
+/// the blob checksum's job, not the block's), and then the buffer holds
+/// exactly the rows the row-by-row reference reads, or it is rejected
+/// with the same typed error the reference gives. Blocks of both formats;
+/// a flip that spells the column-major format, which has no per-record
+/// reference, must still give `Ok` or `Corrupt`.
 #[test]
 fn row_buffer_decode_rejects_truncation_trailing_bytes_and_bit_flips() {
     let rows: Vec<Tuple> = (0..3).map(row).collect();
-    let buffer: RowBuffer = rows.iter().collect();
-    let wire = buffer.encode_to_vec();
-    assert_eq!(wire, TupleBlock(rows.clone()).encode_to_vec());
+    let expected = buffer(&rows);
+    let wire = expected.encode_to_vec();
+    let mut records = vec![1, 3, 0, 0, 0];
+    rows.iter()
+        .for_each(|r| records.extend_from_slice(&r.encode_to_vec()));
+    assert_eq!(wire, records);
+    assert_eq!(RowsOneByOne::decode_from_slice(&wire).unwrap().0, rows);
     for wire in [wire, columnar_block(3)] {
-        assert_eq!(RowBuffer::decode_from_slice(&wire).unwrap(), buffer);
+        assert_eq!(RowBuffer::decode_from_slice(&wire).unwrap(), expected);
         for cut in 0..wire.len() {
             let got = RowBuffer::decode_from_slice(&wire[..cut]);
-            assert!(matches!(got, Err(StorageError::Corrupt(_))), "cut at {cut}: {got:?}");
+            assert!(
+                matches!(got, Err(StorageError::Corrupt(_))),
+                "cut at {cut}: {got:?}"
+            );
         }
         let mut trailing = wire.clone();
         trailing.push(0);
@@ -208,15 +272,24 @@ fn row_buffer_decode_rejects_truncation_trailing_bytes_and_bit_flips() {
         for bit in 0..wire.len() * 8 {
             let mut bad = wire.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            match (RowBuffer::decode_from_slice(&bad), TupleBlock::decode_from_slice(&bad)) {
-                (Ok(buf), Ok(TupleBlock(rows))) => {
-                    assert_eq!(buf, rows.iter().collect::<RowBuffer>(), "bit {bit}");
+            let got = RowBuffer::decode_from_slice(&bad);
+            if bad[0] == 0 {
+                match got {
+                    Ok(_) => {}
+                    Err(StorageError::Corrupt(_)) => rejected += 1,
+                    got => panic!("bit {bit}: column-major block gave {got:?}"),
+                }
+                continue;
+            }
+            match (got, RowsOneByOne::decode_from_slice(&bad)) {
+                (Ok(buf), Ok(RowsOneByOne(rows))) => {
+                    assert_eq!(buf, buffer(&rows), "bit {bit}");
                 }
                 (Err(StorageError::Corrupt(got)), Err(StorageError::Corrupt(want))) => {
                     assert_eq!(got, want, "bit {bit}");
                     rejected += 1;
                 }
-                (got, want) => panic!("bit {bit}: row buffer {got:?}, tuple block {want:?}"),
+                (got, want) => panic!("bit {bit}: row buffer {got:?}, reference {want:?}"),
             }
         }
         assert!(rejected > 0);
@@ -230,7 +303,11 @@ fn row_buffer_decode_rejects_truncation_trailing_bytes_and_bit_flips() {
 /// scan that finds the record on a heap page — and never a panic.
 #[test]
 fn malformed_row_records_are_typed_corrupt_errors() {
-    let good = Tuple::new(vec![Value::Int(7), Value::Str("naïve".into()), Value::Bool(true)]);
+    let good = Tuple::new(vec![
+        Value::Int(7),
+        Value::Str("naïve".into()),
+        Value::Bool(true),
+    ]);
     let rec = good.encode_to_vec();
     // Layout: arity(4) | 0,i64(9) | 2,len(4),"naïve"(6) | 3,bool(1).
     assert_eq!(rec.len(), 4 + 9 + 5 + 6 + 2);
@@ -243,18 +320,34 @@ fn malformed_row_records_are_typed_corrupt_errors() {
     trailing.extend_from_slice(&[0, 0]);
     let cases: [(&str, Vec<u8>, &str); 9] = [
         ("empty", Vec::new(), "decode past end: need 4 bytes, have 0"),
-        ("truncated body", rec[..rec.len() - 1].to_vec(), "decode past end: need 1 bytes, have 0"),
-        ("truncated scalar", rec[..9].to_vec(), "decode past end: need 8 bytes, have 4"),
+        (
+            "truncated body",
+            rec[..rec.len() - 1].to_vec(),
+            "decode past end: need 1 bytes, have 0",
+        ),
+        (
+            "truncated scalar",
+            rec[..9].to_vec(),
+            "decode past end: need 8 bytes, have 4",
+        ),
         ("bad tag", edit(4, 0x7f), "bad value tag 127"),
-        ("arity overrun", edit(0, 4), "decode past end: need 1 bytes, have 0"),
-        ("string length past the end", edit(14, 0xff), "decode past end: need 255 bytes, have 8"),
+        (
+            "arity overrun",
+            edit(0, 4),
+            "decode past end: need 1 bytes, have 0",
+        ),
+        (
+            "string length past the end",
+            edit(14, 0xff),
+            "decode past end: need 255 bytes, have 8",
+        ),
         ("invalid utf-8", edit(20, b'x'), "invalid utf-8 in string"),
         ("bad bool byte", edit(rec.len() - 1, 2), "bad bool byte 2"),
         ("trailing bytes", trailing, "2 trailing bytes after decode"),
     ];
 
-    let dir = std::env::temp_dir().join(format!("qsr-bad-rows-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("bad-rows");
+    let dir = &dir.0;
     for (n, (what, bytes, message)) in cases.iter().enumerate() {
         decode_all(bytes);
         for got in [Tuple::from_record(bytes), Tuple::decode_from_slice(bytes)] {
@@ -275,17 +368,22 @@ fn malformed_row_records_are_typed_corrupt_errors() {
         let sum = checksum(&page);
         page.extend_from_slice(&sum.to_le_bytes());
         std::fs::write(dir.join(format!("f{n}.qsr")), page).unwrap();
-        let dm = DiskManager::open(&dir, CostLedger::default()).unwrap();
+        let dm = DiskManager::open(dir, CostLedger::default()).unwrap();
         let pool = BufferPool::passthrough(Arc::new(dm));
         let heap = HeapFile::open(pool, FileId(n as u64), 2);
         let mut cursor = heap.cursor();
         assert_eq!(cursor.next().unwrap(), Some(good.clone()), "{what}");
         let got = cursor.next();
-        assert!(matches!(got, Err(StorageError::Corrupt(_))), "{what}: scan gave {got:?}");
+        assert!(
+            matches!(got, Err(StorageError::Corrupt(_))),
+            "{what}: scan gave {got:?}"
+        );
         let fetched = heap.fetch(qsr::storage::TupleAddr { page: 0, slot: 1 });
-        assert!(matches!(fetched, Err(StorageError::Corrupt(_))), "{what}: fetch gave {fetched:?}");
+        assert!(
+            matches!(fetched, Err(StorageError::Corrupt(_))),
+            "{what}: fetch gave {fetched:?}"
+        );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A frame exactly as f25e1d4 wrote it: the same bytes with FNV-1a of
@@ -293,9 +391,16 @@ fn malformed_row_records_are_typed_corrupt_errors() {
 /// not change; only the function that fills the slot did.)
 fn legacy_frame(mut frame: Vec<u8>, slot: usize, body: std::ops::Range<usize>) -> Vec<u8> {
     let new = u64::from_le_bytes(frame[slot..slot + 8].try_into().unwrap());
-    assert_eq!(new, checksum(&frame[body.clone()]), "slot/body layout of the frame");
+    assert_eq!(
+        new,
+        checksum(&frame[body.clone()]),
+        "slot/body layout of the frame"
+    );
     let old = fnv1a(&frame[body]);
-    assert_ne!(old, new, "the two functions must disagree for the test to mean anything");
+    assert_ne!(
+        old, new,
+        "the two functions must disagree for the test to mean anything"
+    );
     frame[slot..slot + 8].copy_from_slice(&old.to_le_bytes());
     frame
 }
@@ -336,25 +441,63 @@ fn data_written_with_the_legacy_checksum_still_reads_and_still_rejects_damage() 
         panic!("valid_encodings ends with the five framed structures");
     };
     for (what, frame) in [("SuspendedQuery v2", query), ("SuspendedQuery v3", chained)] {
-        check(what, frame.clone(), 8, 20..frame.len(), SuspendedQuery::decode_from_slice);
+        check(
+            what,
+            frame.clone(),
+            8,
+            20..frame.len(),
+            SuspendedQuery::decode_from_slice,
+        );
     }
     for (what, frame) in [("manifest v1", v1_manifest), ("manifest v2", v2_manifest)] {
-        check(what, frame.clone(), 8, 20..frame.len(), SuspendManifest::decode_from_slice);
+        check(
+            what,
+            frame.clone(),
+            8,
+            20..frame.len(),
+            SuspendManifest::decode_from_slice,
+        );
     }
     let n = delta.len();
-    check("delta frame", delta.clone(), n - 8, 8..n - 8, DeltaDump::decode_from_bytes);
+    check(
+        "delta frame",
+        delta.clone(),
+        n - 8,
+        8..n - 8,
+        DeltaDump::decode_from_bytes,
+    );
     let mut graph = ContractGraph::new();
     let ckpt = graph.create_checkpoint(OpId(2), vec![9, 8, 7], 3.5);
-    let record = graph.checkpoint(ckpt).expect("just created").encode_to_vec();
-    check("checkpoint record", record.clone(), 0, 12..record.len(), Checkpoint::decode_from_slice);
-    let meta = SessionMeta { id: 3, tenant: "t".into(), priority: 1, plan_bytes: vec![1, 2, 3] };
+    let record = graph
+        .checkpoint(ckpt)
+        .expect("just created")
+        .encode_to_vec();
+    check(
+        "checkpoint record",
+        record.clone(),
+        0,
+        12..record.len(),
+        Checkpoint::decode_from_slice,
+    );
+    let meta = SessionMeta {
+        id: 3,
+        tenant: "t".into(),
+        priority: 1,
+        plan_bytes: vec![1, 2, 3],
+    };
     let meta = meta.encode_to_vec();
-    check("session meta", meta.clone(), 8, 20..meta.len(), SessionMeta::decode_from_slice);
+    check(
+        "session meta",
+        meta.clone(),
+        8,
+        20..meta.len(),
+        SessionMeta::decode_from_slice,
+    );
 
     // --- Pages and blobs: page files as f25e1d4 laid them out, each 8 KiB
     // payload followed by FNV-1a of it.
-    let dir = std::env::temp_dir().join(format!("qsr-legacy-sum-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("legacy-sum");
+    let dir = &dir.0;
     let write_file = |n: u64, payloads: &[Vec<u8>]| {
         let mut bytes = Vec::new();
         for p in payloads {
@@ -365,7 +508,7 @@ fn data_written_with_the_legacy_checksum_still_reads_and_still_rejects_damage() 
         std::fs::write(dir.join(format!("f{n}.qsr")), bytes).unwrap();
     };
     let open = || {
-        let dm = DiskManager::open(&dir, CostLedger::default()).unwrap();
+        let dm = DiskManager::open(dir, CostLedger::default()).unwrap();
         BufferPool::passthrough(Arc::new(dm))
     };
 
@@ -393,7 +536,10 @@ fn data_written_with_the_legacy_checksum_still_reads_and_still_rejects_damage() 
     record.extend_from_slice(&fnv1a(&page).to_le_bytes());
     std::fs::write(dir.join("f0.qsr"), &record).unwrap();
     let got = HeapFile::open(open(), FileId(0), 2).cursor().next();
-    assert!(matches!(got, Err(StorageError::Corrupt(_))), "rotten legacy page: {got:?}");
+    assert!(
+        matches!(got, Err(StorageError::Corrupt(_))),
+        "rotten legacy page: {got:?}"
+    );
 
     // One blob spanning two pages, named by a legacy `BlobId`.
     let payload: Vec<u8> = (0..PAGE_SIZE + 100).map(|i| (i % 251) as u8).collect();
@@ -408,7 +554,11 @@ fn data_written_with_the_legacy_checksum_still_reads_and_still_rejects_damage() 
             .collect()
     };
     write_file(1, &pages(&payload));
-    let id = BlobId { file: FileId(1), len: payload.len() as u64, checksum: fnv1a(&payload) };
+    let id = BlobId {
+        file: FileId(1),
+        len: payload.len() as u64,
+        checksum: fnv1a(&payload),
+    };
     assert_eq!(BlobStore::new(open()).get(id).unwrap(), payload);
     // Damage the page trailers cannot see (pages rewritten consistently,
     // payload no longer what the id names): still `ChecksumMismatch`.
@@ -420,5 +570,4 @@ fn data_written_with_the_legacy_checksum_still_reads_and_still_rejects_damage() 
         matches!(got, Err(StorageError::ChecksumMismatch { .. })),
         "swapped legacy blob: {got:?}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }

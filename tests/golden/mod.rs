@@ -36,13 +36,28 @@
 //! without and one under a memory budget, suspended once under `AllDump`
 //! while both were streaming their join phase.
 
+//!
+//! `suspend-rows/` was written by the same example (`--rows`, the
+//! [`write_suspend_rows`] below) at commit 8af0d5f, the last build whose
+//! block NLJ, merge join and hash join kept their rows as `Vec<Tuple>`s.
+//! It is the current era: this build writes the same layout, so besides
+//! resuming it, `tests/golden_resume.rs` writes it again and compares
+//! every dump blob byte for byte. It holds a `SuspendedQuery` v3 frame
+//! (delta-chain dependencies) under a v2 manifest with a delta chain and
+//! nothing retained, row-record dump blocks, delta frames and
+//! word-parallel checksums. The query is a merge join of a merge join
+//! over a block NLJ with a sort over a hybrid hash join. It was suspended
+//! twice under `AllDump`, with a resume in between, each time while the
+//! NLJ held its outer buffer, the inner merge join both its value
+//! packets, the sort its buffer and the hash join its partition-0 table.
+
 // Each includer uses its own part of this module.
 #![allow(dead_code)]
 
 use qsr::core::{OpId, SuspendPolicy};
 use qsr::exec::{AggFn, PlanSpec, QueryExecution, SuspendTrigger};
 use qsr::storage::{Database, Result};
-use qsr::workload::{generate_table, TableSpec};
+use qsr::workload::{generate_table, KeyDist, TableSpec};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -54,6 +69,11 @@ pub fn suspend_v3_dir() -> PathBuf {
 /// The checked-in directory of the FNV, join-phase-2-and-4 era.
 pub fn suspend_fnv_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/suspend-fnv")
+}
+
+/// The checked-in directory of the current era.
+pub fn suspend_rows_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/suspend-rows")
 }
 
 /// The checked-in directory of the `SuspendedQuery` v2 era.
@@ -68,7 +88,11 @@ pub fn suspend_v2_dir() -> PathBuf {
 /// rows) in key order; the sort orders the key-on-key join of `s` and
 /// `t` by `s.sel`.
 pub fn plan() -> PlanSpec {
-    let scan = |table: &str| Box::new(PlanSpec::TableScan { table: table.into() });
+    let scan = |table: &str| {
+        Box::new(PlanSpec::TableScan {
+            table: table.into(),
+        })
+    };
     PlanSpec::MergeJoin {
         left: Box::new(PlanSpec::HashAgg {
             input: scan("r"),
@@ -127,10 +151,16 @@ pub fn write_suspend(dir: &Path) -> Result<()> {
         };
         exec.set_trigger(Some(SuspendTrigger::AfterOpTuples { op: OpId(4), n }));
         let (delivered, done) = exec.run()?;
-        assert!(!done && delivered.is_empty(), "suspend {i} must land inside the sort's input");
+        assert!(
+            !done && delivered.is_empty(),
+            "suspend {i} must land inside the sort's input"
+        );
         let inputs = exec.suspend_problem().inputs;
         for op in [1, 3, 4] {
-            assert!(inputs[&OpId(op)].heap_bytes > 0, "op {op} must hold in-memory state");
+            assert!(
+                inputs[&OpId(op)].heap_bytes > 0,
+                "op {op} must hold in-memory state"
+            );
         }
         exec.suspend(&SuspendPolicy::AllDump)?;
     }
@@ -143,7 +173,9 @@ pub fn write_suspend(dir: &Path) -> Result<()> {
 pub fn plan_v2() -> PlanSpec {
     let sort = |table: &str| {
         Box::new(PlanSpec::Sort {
-            input: Box::new(PlanSpec::TableScan { table: table.into() }),
+            input: Box::new(PlanSpec::TableScan {
+                table: table.into(),
+            }),
             key: 0,
             buffer_tuples: 256,
         })
@@ -181,8 +213,14 @@ pub fn write_suspend_v2(dir: &Path) -> Result<()> {
         n: SUSPEND_V2_AFTER_S_ROWS,
     }));
     let (delivered, done) = exec.run()?;
-    assert!(!done && delivered.is_empty(), "the suspend must land inside the right sort's input");
-    assert!(exec.suspend_problem().inputs[&OpId(3)].heap_bytes > 0, "the right sort buffers rows");
+    assert!(
+        !done && delivered.is_empty(),
+        "the suspend must land inside the right sort's input"
+    );
+    assert!(
+        exec.suspend_problem().inputs[&OpId(3)].heap_bytes > 0,
+        "the right sort buffers rows"
+    );
     exec.suspend(&SuspendPolicy::AllDump)?;
     Ok(())
 }
@@ -271,5 +309,107 @@ pub fn write_suspend_fnv(dir: &Path) -> Result<()> {
         );
     }
     exec.suspend(&SuspendPolicy::AllDump)?;
+    Ok(())
+}
+
+/// `MergeJoin(MergeJoin(BlockNlj(a, b), c), Sort(HashJoin{hybrid, build:
+/// s, probe: t}))` on the key column, operators numbered in preorder:
+/// outer merge join 0, inner merge join 1, block NLJ 2 with its scans of
+/// `a` and `b` 3 and 4, scan of `c` 5, sort 6, hash join 7 with its scans
+/// of `s` and `t` 8 and 9. The NLJ buffers all of `a` (Zipf keys, so a
+/// key repeats) in one block and rescans the presorted `b`, so it emits
+/// in key order and the inner merge join's left packets hold every `a`
+/// row of their key. The hybrid join matches `s.sel` with `t.sel` (a
+/// `sel` repeats too) and keeps build partition 0 in memory.
+pub fn plan_rows() -> PlanSpec {
+    let scan = |table: &str| {
+        Box::new(PlanSpec::TableScan {
+            table: table.into(),
+        })
+    };
+    PlanSpec::MergeJoin {
+        left: Box::new(PlanSpec::MergeJoin {
+            left: Box::new(PlanSpec::BlockNlj {
+                outer: scan("a"),
+                inner: scan("b"),
+                outer_key: 0,
+                inner_key: 0,
+                buffer_tuples: SUSPEND_ROWS_TABLE_ROWS as usize,
+            }),
+            right: scan("c"),
+            left_key: 0,
+            right_key: 0,
+        }),
+        right: Box::new(PlanSpec::Sort {
+            input: Box::new(PlanSpec::HashJoin {
+                build: scan("s"),
+                probe: scan("t"),
+                build_key: 1,
+                probe_key: 1,
+                partitions: 4,
+                hybrid: true,
+            }),
+            key: 0,
+            buffer_tuples: 64,
+        }),
+        left_key: 0,
+        right_key: 0,
+    }
+}
+
+/// Rows in `a`, `b` and `c` of [`plan_rows`]; `s` and `t` have twice as
+/// many.
+pub const SUSPEND_ROWS_TABLE_ROWS: u64 = 300;
+
+/// Create the five tables of [`plan_rows`] in a fresh database at `dir`.
+pub fn populate_rows(dir: &Path) -> Result<Arc<Database>> {
+    let db = Database::open_default(dir)?;
+    let n = SUSPEND_ROWS_TABLE_ROWS;
+    let specs = [
+        TableSpec::new("a", n).dist(KeyDist::Zipf).seed(71),
+        TableSpec::new("b", n).sorted().seed(72),
+        TableSpec::new("c", n).sorted().seed(73),
+        TableSpec::new("s", 2 * n).seed(74),
+        TableSpec::new("t", 2 * n).seed(75),
+    ];
+    for spec in specs {
+        generate_table(&db, &spec.payload(8))?;
+    }
+    Ok(db)
+}
+
+/// Hash-join work units before each suspend: all of `s` partitioned and
+/// half of `t`, then 150 more rows of `t` in the resumed segment. The
+/// outer merge join holds the inner one's first row and is filling the
+/// sort, which the hash join feeds partition-0 matches while it
+/// partitions `t`.
+pub const SUSPEND_ROWS_JOIN_TICKS: [u64; 2] = [3 * SUSPEND_ROWS_TABLE_ROWS, 150];
+
+/// Populate `dir`, then run [`plan_rows`] through two `AllDump` suspends,
+/// reopening the database for the resume in between, so the second
+/// suspend chains delta dumps to the first. Nothing has been delivered at
+/// either suspend, so resuming must produce the whole result.
+pub fn write_suspend_rows(dir: &Path) -> Result<()> {
+    for (i, n) in SUSPEND_ROWS_JOIN_TICKS.into_iter().enumerate() {
+        let mut exec = match i {
+            0 => QueryExecution::start(populate_rows(dir)?, plan_rows())?,
+            _ => QueryExecution::recover(Database::open_default(dir)?)?
+                .expect("the first suspend committed"),
+        };
+        exec.set_trigger(Some(SuspendTrigger::AfterOpTuples { op: OpId(7), n }));
+        let (delivered, done) = exec.run()?;
+        assert!(
+            !done && delivered.is_empty(),
+            "suspend {i} must land inside the sort's input"
+        );
+        let inputs = exec.suspend_problem().inputs;
+        for op in [1, 2, 6, 7] {
+            assert!(
+                inputs[&OpId(op)].heap_bytes > 0,
+                "op {op} must hold in-memory state"
+            );
+        }
+        exec.suspend(&SuspendPolicy::AllDump)?;
+    }
     Ok(())
 }

@@ -10,7 +10,8 @@ use qsr::exec::{
     read_manifest, reclaim_spill_files, QueryExecution, SuspendTrigger, SUSPEND_MANIFEST,
 };
 use qsr::storage::{
-    checksum, fnv1a, BlobId, Database, StorageError, TraceEvent, Tracer, PAGE_SIZE,
+    checksum, fnv1a, is_delta_frame, BlobId, Database, Decode, Decoder, DeltaDump, RowBuffer,
+    StorageError, TraceEvent, Tracer, PAGE_SIZE,
 };
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -49,6 +50,44 @@ fn version_word(frame: &[u8]) -> u32 {
     u32::from_le_bytes(frame[4..8].try_into().unwrap())
 }
 
+/// Recover the committed suspend in `db` with every recovery step
+/// captured, and assert that no dump was replaced by its GoBack fallback:
+/// an unreadable dump would be, and would still reach the same output.
+fn recover_without_substitution(db: &Arc<Database>, why: &str) -> QueryExecution {
+    let tracer = Arc::new(Tracer::new(db.ledger().clone()));
+    tracer.enable_full_capture();
+    db.ledger().set_tracer(&tracer);
+    let resumed = QueryExecution::recover(db.clone())
+        .unwrap()
+        .expect("the golden directory holds a committed suspend");
+    let substituted = tracer.take_full().into_iter().any(
+        |r| matches!(&r.event, TraceEvent::RecoveryStep { step } if step.contains("substituting")),
+    );
+    assert!(!substituted, "{why}");
+    resumed
+}
+
+/// The state a dump blob stands for: the blob itself, or a delta frame
+/// applied to its base, materialized the same way.
+fn materialize(db: &Database, id: BlobId) -> Vec<u8> {
+    let raw = db.backend().get_blob(id).unwrap();
+    if !is_delta_frame(&raw) {
+        return raw;
+    }
+    let delta = DeltaDump::decode_from_bytes(&raw).unwrap();
+    delta.apply(&materialize(db, delta.base)).unwrap()
+}
+
+/// Every dump of the committed suspend in `db`, materialized, by operator.
+fn materialized_dumps(db: &Database) -> Vec<(OpId, Vec<u8>)> {
+    let manifest = read_manifest(db).unwrap().expect("a committed manifest");
+    let sq = SuspendedQuery::load(db.blobs(), manifest.query).unwrap();
+    sq.records
+        .iter()
+        .filter_map(|(op, rec)| rec.heap_dump.map(|blob| (*op, materialize(db, blob))))
+        .collect()
+}
+
 #[test]
 fn suspend_v3_directory_resumes_to_a_fresh_run() {
     let dir = TempDir::new("v3");
@@ -57,9 +96,19 @@ fn suspend_v3_directory_resumes_to_a_fresh_run() {
 
     // The directory is of the era it claims to be.
     let manifest = read_manifest(&db).unwrap().expect("a committed manifest");
-    assert_eq!(version_word(&std::fs::read(dir.0.join(SUSPEND_MANIFEST)).unwrap()), 2);
-    assert!(manifest.chain_len >= 1, "the second suspend chains delta dumps");
-    assert_eq!(manifest.retained.len(), 1, "the first generation is retained");
+    assert_eq!(
+        version_word(&std::fs::read(dir.0.join(SUSPEND_MANIFEST)).unwrap()),
+        2
+    );
+    assert!(
+        manifest.chain_len >= 1,
+        "the second suspend chains delta dumps"
+    );
+    assert_eq!(
+        manifest.retained.len(),
+        1,
+        "the first generation is retained"
+    );
     assert_eq!(version_word(&db.blobs().get(manifest.query).unwrap()), 3);
     let sq = SuspendedQuery::load(db.blobs(), manifest.query).unwrap();
     for op in [1, 3, 4] {
@@ -67,21 +116,18 @@ fn suspend_v3_directory_resumes_to_a_fresh_run() {
         assert_eq!(record.strategy, Strategy::Dump, "op {op}");
         assert!(record.heap_dump.is_some(), "op {op} carries a dump");
     }
-    assert_eq!(sq.records[&OpId(4)].resume_point[0], 5, "hash join parked in its task walk");
+    assert_eq!(
+        sq.records[&OpId(4)].resume_point[0],
+        5,
+        "hash join parked in its task walk"
+    );
 
-    // Every dump is read back: an unreadable one would be replaced by its
-    // GoBack fallback, which reaches the same output without the dump.
-    let tracer = Arc::new(Tracer::new(db.ledger().clone()));
-    tracer.enable_full_capture();
-    db.ledger().set_tracer(&tracer);
-    let mut resumed = QueryExecution::recover(db.clone())
-        .unwrap()
-        .expect("the golden directory holds a committed suspend");
-    let substituted = tracer.take_full().into_iter().any(|r| {
-        matches!(&r.event, TraceEvent::RecoveryStep { step } if step.contains("substituting"))
-    });
-    assert!(!substituted, "every dump must decode on this build");
-    assert_eq!(resumed.tuples_emitted(), 0, "the suspend was taken before any output");
+    let mut resumed = recover_without_substitution(&db, "every dump must decode on this build");
+    assert_eq!(
+        resumed.tuples_emitted(),
+        0,
+        "the suspend was taken before any output"
+    );
     let recovered = resumed.run_to_completion().unwrap();
 
     let fresh = QueryExecution::start(db, golden::plan())
@@ -129,20 +175,28 @@ fn suspend_v3_retained_generation_is_reclaimed_by_the_next_suspend() {
         old_blobs.extend(sq.delta_deps.values().flatten().copied());
     }
     for b in &old_blobs {
-        db.blobs().get(*b).expect("the golden directory holds every blob it names");
+        db.blobs()
+            .get(*b)
+            .expect("the golden directory holds every blob it names");
     }
 
     let mut exec = QueryExecution::recover(db.clone())
         .unwrap()
         .expect("the golden directory holds a committed suspend");
-    exec.set_trigger(Some(SuspendTrigger::AfterOpTuples { op: OpId(4), n: 300 }));
+    exec.set_trigger(Some(SuspendTrigger::AfterOpTuples {
+        op: OpId(4),
+        n: 300,
+    }));
     let (mut recovered, done) = exec.run().unwrap();
     assert!(!done, "the segment must stop inside the query");
     let mut handle = exec.suspend(&SuspendPolicy::AllDump).unwrap();
 
     let new = read_manifest(&db).unwrap().expect("the suspend committed");
     assert_eq!(new.generation, old.generation + 1);
-    assert!(new.retained.is_empty(), "a commit keeps only the newest generation");
+    assert!(
+        new.retained.is_empty(),
+        "a commit keeps only the newest generation"
+    );
     let new_sq = SuspendedQuery::load(db.blobs(), new.query).unwrap();
     let chained: Vec<BlobId> = new_sq.delta_deps.values().flatten().copied().collect();
     let assert_reclaimed = |b: &BlobId| match db.blobs().get(*b) {
@@ -151,7 +205,9 @@ fn suspend_v3_retained_generation_is_reclaimed_by_the_next_suspend() {
     };
     for b in &old_blobs {
         if chained.contains(b) {
-            db.blobs().get(*b).expect("a live chain's ancestor survives GC");
+            db.blobs()
+                .get(*b)
+                .expect("a live chain's ancestor survives GC");
         } else {
             assert_reclaimed(b);
         }
@@ -163,8 +219,10 @@ fn suspend_v3_retained_generation_is_reclaimed_by_the_next_suspend() {
     QueryExecution::retire_generation(&db).unwrap();
     reclaim_spill_files(&db, &mut handle.spill_files).unwrap();
     old_blobs.iter().for_each(assert_reclaimed);
-    let old_blob_files: BTreeSet<String> =
-        old_blobs.iter().map(|b| format!("f{}.qsr", b.file.0)).collect();
+    let old_blob_files: BTreeSet<String> = old_blobs
+        .iter()
+        .map(|b| format!("f{}.qsr", b.file.0))
+        .collect();
     assert_eq!(
         qsr_files(&dir.0),
         &golden_files - &old_blob_files,
@@ -178,6 +236,102 @@ fn suspend_v3_retained_generation_is_reclaimed_by_the_next_suspend() {
     assert_eq!(recovered, fresh);
 }
 
+/// Operators of `golden::plan_rows` that hold rows at both suspends: the
+/// inner merge join, the block NLJ, the sort and the hybrid hash join.
+const ROWS_HOLDERS: [u32; 4] = [1, 2, 6, 7];
+
+#[test]
+fn suspend_rows_directory_resumes_to_a_fresh_run() {
+    let dir = TempDir::new("rows");
+    copy_dir(&golden::suspend_rows_dir(), &dir.0);
+    let db = Database::open_default(&dir.0).unwrap();
+
+    // The directory is of the era it claims to be: a v2 manifest with a
+    // delta chain and nothing retained over a v3 `SuspendedQuery`, and a
+    // row-record dump (format byte 1) from each row holder. Both of the
+    // merge join's value packets hold rows.
+    let manifest = read_manifest(&db).unwrap().expect("a committed manifest");
+    assert_eq!(
+        version_word(&std::fs::read(dir.0.join(SUSPEND_MANIFEST)).unwrap()),
+        2
+    );
+    assert!(
+        manifest.chain_len >= 1,
+        "the second suspend chains delta dumps"
+    );
+    assert!(
+        manifest.retained.is_empty(),
+        "a commit keeps only the newest generation"
+    );
+    assert_eq!(version_word(&db.blobs().get(manifest.query).unwrap()), 3);
+    let sq = SuspendedQuery::load(db.blobs(), manifest.query).unwrap();
+    assert!(
+        !sq.delta_deps.is_empty(),
+        "the second suspend's dumps are delta frames"
+    );
+    for op in ROWS_HOLDERS {
+        let record = &sq.records[&OpId(op)];
+        assert_eq!(record.strategy, Strategy::Dump, "op {op}");
+        assert!(record.heap_dump.is_some(), "op {op} carries a dump");
+    }
+    assert_eq!(
+        sq.records[&OpId(7)].resume_point[0],
+        1,
+        "hash join partitioning its probe side"
+    );
+    let packets = materialize(&db, sq.records[&OpId(1)].heap_dump.unwrap());
+    let mut dec = Decoder::new(&packets);
+    let (left, right) = (
+        RowBuffer::decode(&mut dec).unwrap(),
+        RowBuffer::decode(&mut dec).unwrap(),
+    );
+    assert!(
+        left.len() > 1 && !right.is_empty(),
+        "packets of {} and {} rows",
+        left.len(),
+        right.len()
+    );
+
+    let mut resumed = recover_without_substitution(&db, "every dump must decode on this build");
+    assert_eq!(
+        resumed.tuples_emitted(),
+        0,
+        "the suspend was taken before any output"
+    );
+    let recovered = resumed.run_to_completion().unwrap();
+
+    let fresh = QueryExecution::start(db, golden::plan_rows())
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
+    assert!(!fresh.is_empty(), "the plan must produce a real result");
+    assert_eq!(recovered, fresh);
+}
+
+/// `suspend-rows` is the era this build writes: the same query suspended
+/// the same way by this build leaves, operator by operator, dumps whose
+/// materialized bytes are the checked-in ones.
+#[test]
+fn suspend_rows_directory_is_what_this_build_writes() {
+    let golden = TempDir::new("rows-golden");
+    copy_dir(&golden::suspend_rows_dir(), &golden.0);
+    let fresh = TempDir::new("rows-fresh");
+    golden::write_suspend_rows(&fresh.0).unwrap();
+    let want = materialized_dumps(&Database::open_default(&golden.0).unwrap());
+    let got = materialized_dumps(&Database::open_default(&fresh.0).unwrap());
+    let ops = |dumps: &[(OpId, Vec<u8>)]| dumps.iter().map(|(op, _)| *op).collect::<Vec<_>>();
+    assert_eq!(ops(&got), ops(&want), "operators that dump");
+    for ((op, got), (_, want)) in got.iter().zip(&want) {
+        assert!(
+            got == want,
+            "{op}: {} dump bytes differ from the golden's {}",
+            got.len(),
+            want.len()
+        );
+    }
+    assert_eq!(ops(&want), ROWS_HOLDERS.map(OpId), "every row holder dumps");
+}
+
 #[test]
 fn suspend_v2_directory_resumes_to_a_fresh_run() {
     let dir = TempDir::new("v2");
@@ -188,29 +342,34 @@ fn suspend_v2_directory_resumes_to_a_fresh_run() {
     // `SuspendedQuery`, and the right sort's buffer as a full columnar
     // block (format byte 0) of the rows it had read past its sublist.
     let manifest = read_manifest(&db).unwrap().expect("a committed manifest");
-    assert_eq!(version_word(&std::fs::read(dir.0.join(SUSPEND_MANIFEST)).unwrap()), 1);
+    assert_eq!(
+        version_word(&std::fs::read(dir.0.join(SUSPEND_MANIFEST)).unwrap()),
+        1
+    );
     assert_eq!((manifest.chain_len, manifest.retained.len()), (0, 0));
     assert_eq!(version_word(&db.blobs().get(manifest.query).unwrap()), 2);
     let sq = SuspendedQuery::load(db.blobs(), manifest.query).unwrap();
     assert!(sq.delta_deps.is_empty());
     let sort = &sq.records[&OpId(3)];
     assert_eq!(sort.strategy, Strategy::Dump);
-    let dump = db.blobs().get(sort.heap_dump.expect("the right sort dumps its buffer")).unwrap();
+    let dump = db
+        .blobs()
+        .get(sort.heap_dump.expect("the right sort dumps its buffer"))
+        .unwrap();
     let buffered = golden::SUSPEND_V2_AFTER_S_ROWS % 256;
     assert_eq!(dump[0], 0, "columnar block");
-    assert_eq!(u32::from_le_bytes(dump[1..5].try_into().unwrap()), buffered as u32);
+    assert_eq!(
+        u32::from_le_bytes(dump[1..5].try_into().unwrap()),
+        buffered as u32
+    );
 
-    let tracer = Arc::new(Tracer::new(db.ledger().clone()));
-    tracer.enable_full_capture();
-    db.ledger().set_tracer(&tracer);
-    let mut resumed = QueryExecution::recover(db.clone())
-        .unwrap()
-        .expect("the golden directory holds a committed suspend");
-    let substituted = tracer.take_full().into_iter().any(|r| {
-        matches!(&r.event, TraceEvent::RecoveryStep { step } if step.contains("substituting"))
-    });
-    assert!(!substituted, "the columnar dump must decode on this build");
-    assert_eq!(resumed.tuples_emitted(), 0, "the suspend was taken before any output");
+    let mut resumed =
+        recover_without_substitution(&db, "the columnar dump must decode on this build");
+    assert_eq!(
+        resumed.tuples_emitted(),
+        0,
+        "the suspend was taken before any output"
+    );
     let recovered = resumed.run_to_completion().unwrap();
 
     let fresh = QueryExecution::start(db, golden::plan_v2())
@@ -280,19 +439,8 @@ fn suspend_fnv_directory_resumes_to_a_fresh_run() {
         );
     }
 
-    let tracer = Arc::new(Tracer::new(db.ledger().clone()));
-    tracer.enable_full_capture();
-    db.ledger().set_tracer(&tracer);
-    let mut resumed = QueryExecution::recover(db.clone())
-        .unwrap()
-        .expect("the golden directory holds a committed suspend");
-    let substituted = tracer.take_full().into_iter().any(
-        |r| matches!(&r.event, TraceEvent::RecoveryStep { step } if step.contains("substituting")),
-    );
-    assert!(
-        !substituted,
-        "both join-phase dumps must decode on this build"
-    );
+    let mut resumed =
+        recover_without_substitution(&db, "both join-phase dumps must decode on this build");
     let delivered = resumed.tuples_emitted() as usize;
     let recovered = resumed.run_to_completion().unwrap();
 
