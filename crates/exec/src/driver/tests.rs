@@ -39,6 +39,15 @@ impl Operator for PassThrough {
     fn sign_contract(&mut self, ctx: &mut ExecContext, parent_ckpt: CkptId) -> Result<CtrId> {
         self.0.sign_contract(ctx, parent_ckpt)
     }
+    fn children(&mut self) -> Vec<&mut dyn Operator> {
+        self.0.children()
+    }
+    fn state(&mut self) -> &mut crate::operator::ContractState {
+        self.0.state()
+    }
+    fn control(&self) -> Vec<u8> {
+        self.0.control()
+    }
     fn side_snapshot(&mut self, ctx: &mut ExecContext) -> Result<SideSnapshot> {
         self.0.side_snapshot(ctx)
     }
@@ -211,4 +220,25 @@ fn a_predicate_on_a_string_fails_alike_on_both_paths() {
     assert_eq!(err, "invalid argument: expected INT, got STR");
     assert_eq!((counts.0, counts.1, counts.2), (2, 1, 1), "one row read, one row tested");
     assert!(counts.3 > 0.0, "the page read is charged to the scan");
+}
+
+/// The filter migrates its incoming contract at its first output after a
+/// signing (§3.4, footnote 3): the contract the sort's latest checkpoint
+/// holds on the filter carries that one tuple and is fulfilled by the
+/// filter's newest checkpoint, so going back to the sort's flush never
+/// re-reads the filter's non-matching prefix. (Output alone cannot show
+/// this: without the migration a GoBack is still exact, only dearer.)
+#[test]
+fn a_filter_contract_migrates_to_its_first_output_after_signing() {
+    let (_dir, db) = database("migrate");
+    let mut exec = QueryExecution::start(db, spec(1, 400)).unwrap();
+    // The sort flushes its 16-row buffer and signs at its 16th row.
+    exec.set_trigger(Some(crate::SuspendTrigger::AfterOpTuples { op: SORT, n: 20 }));
+    assert!(!exec.run().unwrap().1);
+    let graph = &exec.ctx().graph;
+    let ctr = graph
+        .contract_from(graph.latest_ckpt(SORT).unwrap(), FILTER)
+        .unwrap();
+    assert_eq!(ctr.saved_tuples.len(), 1);
+    assert_eq!(graph.latest_ckpt(FILTER), Some(ctr.child_ckpt));
 }

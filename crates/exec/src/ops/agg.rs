@@ -8,17 +8,13 @@
 //! expressed by composing `HashJoin`-style partitioning with these.
 
 use crate::context::ExecContext;
-use crate::operator::{Operator, Poll, SuspendMode};
+use crate::operator::{ContractState, Operator, Poll};
 use crate::ops::Accum;
-use qsr_core::{
-    CkptId, CtrId, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, SuspendPlan,
-    SuspendedQuery,
-};
+use qsr_core::{OpId, OpSuspendInputs, OpSuspendRecord};
 use qsr_storage::{
     Column, DataType, Decode, Decoder, Encode, Encoder, Result, Schema, StorageError, Tuple,
     ValueRef,
 };
-use std::collections::VecDeque;
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +104,7 @@ pub struct StreamAgg {
     acc: Accum,
     done: bool,
     finished: bool,
-    pending: VecDeque<Tuple>,
+    ctr: ContractState,
 }
 
 impl StreamAgg {
@@ -136,21 +132,14 @@ impl StreamAgg {
             acc: Accum::new(),
             done: false,
             finished: false,
-            pending: VecDeque::new(),
-        }
-    }
-
-    fn control(&self) -> AggControl {
-        AggControl {
-            cur_group: self.cur_group,
-            acc: self.acc,
-            done: self.done,
-            finished: self.finished,
+            ctr: ContractState::default(),
         }
     }
 
     fn emit(&self) -> Tuple {
-        let group = self.group_col.map(|_| ValueRef::Int(self.cur_group.unwrap_or(0)));
+        let group = self
+            .group_col
+            .map(|_| ValueRef::Int(self.cur_group.unwrap_or(0)));
         let agg = ValueRef::Int(self.acc.value(self.func));
         Tuple::from_fields(group.into_iter().chain([agg]))
     }
@@ -170,7 +159,7 @@ impl Operator for StreamAgg {
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Poll> {
-        if let Some(t) = self.pending.pop_front() {
+        if let Some(t) = self.ctr.pending.pop_front() {
             return Ok(Poll::Tuple(t));
         }
         if self.finished {
@@ -224,83 +213,32 @@ impl Operator for StreamAgg {
         self.child.close(ctx)
     }
 
-    fn sign_contract(&mut self, ctx: &mut ExecContext, parent_ckpt: CkptId) -> Result<CtrId> {
-        // Reactive: the accumulator travels in the contract, as §4 says.
-        let control = self.control().encode_to_vec();
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
-        self.child.sign_contract(ctx, ck)?;
-        ctx.graph.prune_for(self.op);
-        ctx.graph
-            .sign_contract(parent_ckpt, self.op, ck, control, work, vec![])
+    fn children(&mut self) -> Vec<&mut dyn Operator> {
+        vec![self.child.as_mut()]
     }
 
-    fn side_snapshot(&mut self, _ctx: &mut ExecContext) -> Result<SideSnapshot> {
-        Err(StorageError::invalid(
-            "aggregate cannot appear in a positional subtree",
-        ))
+    fn state(&mut self) -> &mut ContractState {
+        &mut self.ctr
     }
 
-    fn suspend(
-        &mut self,
-        ctx: &mut ExecContext,
-        mode: SuspendMode,
-        plan: &SuspendPlan,
-        sq: &mut SuspendedQuery,
-    ) -> Result<()> {
-        match mode {
-            SuspendMode::Current => {
-                sq.put_record(OpSuspendRecord {
-                    op: self.op,
-                    strategy: plan.get(self.op),
-                    resume_point: self.control().encode_to_vec(),
-                    heap_dump: None,
-                    saved_tuples: Vec::new(),
-                    aux: Vec::new(),
-                });
-                self.child.suspend(ctx, SuspendMode::Current, plan, sq)
-            }
-            SuspendMode::Contract(ctr_id) => {
-                let ctr = ctx
-                    .graph
-                    .contract(ctr_id)
-                    .ok_or_else(|| StorageError::invalid(format!("unknown contract {ctr_id}")))?;
-                let (control, saved, my_ckpt) =
-                    (ctr.control.clone(), ctr.saved_tuples.clone(), ctr.child_ckpt);
-                sq.put_record(OpSuspendRecord {
-                    op: self.op,
-                    strategy: plan.get(self.op),
-                    resume_point: control,
-                    heap_dump: None,
-                    saved_tuples: saved,
-                    aux: Vec::new(),
-                });
-                let child_ctr = ctx
-                    .graph
-                    .contract_from(my_ckpt, self.child.op_id())
-                    .map(|cc| cc.id)
-                    .ok_or_else(|| {
-                        StorageError::invalid("aggregate checkpoint missing child contract")
-                    })?;
-                self.child
-                    .suspend(ctx, SuspendMode::Contract(child_ctr), plan, sq)
-            }
+    /// The accumulator travels in the control record, and so in every
+    /// contract (§4).
+    fn control(&self) -> Vec<u8> {
+        AggControl {
+            cur_group: self.cur_group,
+            acc: self.acc,
+            done: self.done,
+            finished: self.finished,
         }
+        .encode_to_vec()
     }
 
-    fn resume(&mut self, ctx: &mut ExecContext, sq: &SuspendedQuery) -> Result<()> {
-        self.child.resume(ctx, sq)?;
-        let rec = sq.record(self.op)?;
+    fn restore(&mut self, _ctx: &mut ExecContext, rec: &OpSuspendRecord) -> Result<()> {
         let control = AggControl::decode_from_slice(&rec.resume_point)?;
         self.cur_group = control.cur_group;
         self.acc = control.acc;
         self.done = control.done;
         self.finished = control.finished;
-        self.pending = rec
-            .saved_tuples
-            .iter()
-            .map(|b| Tuple::decode_from_slice(b))
-            .collect::<Result<_>>()?;
         Ok(())
     }
 
@@ -331,7 +269,7 @@ pub struct Distinct {
     child: Box<dyn Operator>,
     schema: Schema,
     last: Option<Tuple>,
-    pending: VecDeque<Tuple>,
+    ctr: ContractState,
 }
 
 impl Distinct {
@@ -343,14 +281,8 @@ impl Distinct {
             child,
             schema,
             last: None,
-            pending: VecDeque::new(),
+            ctr: ContractState::default(),
         }
-    }
-
-    fn control_bytes(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
-        enc.put_option(&self.last);
-        enc.finish()
     }
 }
 
@@ -368,7 +300,7 @@ impl Operator for Distinct {
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Poll> {
-        if let Some(t) = self.pending.pop_front() {
+        if let Some(t) = self.ctr.pending.pop_front() {
             return Ok(Poll::Tuple(t));
         }
         loop {
@@ -392,79 +324,22 @@ impl Operator for Distinct {
         self.child.close(ctx)
     }
 
-    fn sign_contract(&mut self, ctx: &mut ExecContext, parent_ckpt: CkptId) -> Result<CtrId> {
-        let control = self.control_bytes();
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
-        self.child.sign_contract(ctx, ck)?;
-        ctx.graph.prune_for(self.op);
-        ctx.graph
-            .sign_contract(parent_ckpt, self.op, ck, control, work, vec![])
+    fn children(&mut self) -> Vec<&mut dyn Operator> {
+        vec![self.child.as_mut()]
     }
 
-    fn side_snapshot(&mut self, _ctx: &mut ExecContext) -> Result<SideSnapshot> {
-        Err(StorageError::invalid(
-            "distinct cannot appear in a positional subtree",
-        ))
+    fn state(&mut self) -> &mut ContractState {
+        &mut self.ctr
     }
 
-    fn suspend(
-        &mut self,
-        ctx: &mut ExecContext,
-        mode: SuspendMode,
-        plan: &SuspendPlan,
-        sq: &mut SuspendedQuery,
-    ) -> Result<()> {
-        match mode {
-            SuspendMode::Current => {
-                sq.put_record(OpSuspendRecord {
-                    op: self.op,
-                    strategy: plan.get(self.op),
-                    resume_point: self.control_bytes(),
-                    heap_dump: None,
-                    saved_tuples: Vec::new(),
-                    aux: Vec::new(),
-                });
-                self.child.suspend(ctx, SuspendMode::Current, plan, sq)
-            }
-            SuspendMode::Contract(ctr_id) => {
-                let ctr = ctx
-                    .graph
-                    .contract(ctr_id)
-                    .ok_or_else(|| StorageError::invalid(format!("unknown contract {ctr_id}")))?;
-                let (control, saved, my_ckpt) =
-                    (ctr.control.clone(), ctr.saved_tuples.clone(), ctr.child_ckpt);
-                sq.put_record(OpSuspendRecord {
-                    op: self.op,
-                    strategy: plan.get(self.op),
-                    resume_point: control,
-                    heap_dump: None,
-                    saved_tuples: saved,
-                    aux: Vec::new(),
-                });
-                let child_ctr = ctx
-                    .graph
-                    .contract_from(my_ckpt, self.child.op_id())
-                    .map(|cc| cc.id)
-                    .ok_or_else(|| {
-                        StorageError::invalid("distinct checkpoint missing child contract")
-                    })?;
-                self.child
-                    .suspend(ctx, SuspendMode::Contract(child_ctr), plan, sq)
-            }
-        }
+    fn control(&self) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_option(&self.last);
+        enc.finish()
     }
 
-    fn resume(&mut self, ctx: &mut ExecContext, sq: &SuspendedQuery) -> Result<()> {
-        self.child.resume(ctx, sq)?;
-        let rec = sq.record(self.op)?;
-        let mut dec = Decoder::new(&rec.resume_point);
-        self.last = dec.get_option()?;
-        self.pending = rec
-            .saved_tuples
-            .iter()
-            .map(|b| Tuple::decode_from_slice(b))
-            .collect::<Result<_>>()?;
+    fn restore(&mut self, _ctx: &mut ExecContext, rec: &OpSuspendRecord) -> Result<()> {
+        self.last = Decoder::new(&rec.resume_point).get_option()?;
         Ok(())
     }
 

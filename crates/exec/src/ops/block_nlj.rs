@@ -38,16 +38,12 @@
 //! recomputed.
 
 use crate::context::ExecContext;
-use crate::operator::{Operator, Poll, SuspendMode};
-use crate::ops::record_side_snapshot;
-use qsr_core::{
-    CkptId, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, Strategy,
-    SuspendPlan, SuspendedQuery,
-};
+use crate::operator::{Cell, ContractState, Operator, Poll};
+use qsr_core::{OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, Strategy};
 use qsr_storage::{
-    Decode, Decoder, Encode, Encoder, KeyedRows, Result, RowBuffer, Schema, StorageError, Tuple,
+    BlobId, Decode, Decoder, Encode, Encoder, KeyedRows, Result, RowBuffer, Schema, StorageError,
+    Tuple,
 };
-use std::collections::VecDeque;
 
 const PHASE_FILL: u8 = 0;
 const PHASE_JOIN: u8 = 1;
@@ -103,11 +99,7 @@ pub struct BlockNlj {
     inner_tuple: Option<Tuple>,
     outer_done: bool,
 
-    /// Latest incoming contract + outputs since, for migration.
-    last_in_ctr: Option<CtrId>,
-    produced_since_sign: u64,
-    migration_enabled: bool,
-    pending: VecDeque<Tuple>,
+    ctr: ContractState,
 }
 
 impl BlockNlj {
@@ -135,65 +127,14 @@ impl BlockNlj {
             cursor: 0,
             inner_tuple: None,
             outer_done: false,
-            last_in_ctr: None,
-            produced_since_sign: 0,
-            migration_enabled: true,
-            pending: VecDeque::new(),
+            ctr: ContractState::default(),
         }
     }
 
     /// Disable contract migration (ablation toggle).
     pub fn without_migration(mut self) -> Self {
-        self.migration_enabled = false;
+        self.ctr.migration_enabled = false;
         self
-    }
-
-    fn control(&self) -> NljControl {
-        NljControl {
-            phase: self.phase,
-            fill: self.buffer.rows().len() as u64,
-            cursor: self.cursor as u64,
-            inner_tuple: self.inner_tuple.clone(),
-            outer_done: self.outer_done,
-        }
-    }
-
-    /// Proactive checkpoint at the minimal-heap-state point (buffer just
-    /// cleared), with contract signing on the rebuild (outer) child and
-    /// migration of a dormant incoming contract.
-    fn checkpoint(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        if !ctx.checkpoints_enabled {
-            return Ok(());
-        }
-        debug_assert!(self.buffer.rows().is_empty());
-        let control = self.control().encode_to_vec();
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
-        self.outer.sign_contract(ctx, ck)?;
-        if self.migration_enabled && self.produced_since_sign == 0 {
-            if let Some(ctr) = self.last_in_ctr {
-                if ctx.graph.contract(ctr).is_some() {
-                    let sides = vec![self.inner.side_snapshot(ctx)?];
-                    ctx.graph.migrate_contract(
-                        ctr,
-                        Migration::to(ck)
-                            .with_control(control)
-                            .with_work(work)
-                            .with_sides(sides),
-                    )?;
-                }
-            }
-        }
-        ctx.graph.prune_for(self.op);
-        Ok(())
-    }
-
-    /// Restore machine state from an encoded control record.
-    fn restore_control(&mut self, c: &NljControl) {
-        self.phase = c.phase;
-        self.cursor = c.cursor as usize;
-        self.inner_tuple = c.inner_tuple.clone();
-        self.outer_done = c.outer_done;
     }
 }
 
@@ -214,7 +155,7 @@ impl Operator for BlockNlj {
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Poll> {
-        if let Some(t) = self.pending.pop_front() {
+        if let Some(t) = self.ctr.pending.pop_front() {
             return Ok(Poll::Tuple(t));
         }
         loop {
@@ -265,7 +206,7 @@ impl Operator for BlockNlj {
                     Some(inner) => match self.buffer.find(inner.get(self.inner_key), self.cursor) {
                         Some(pos) => {
                             self.cursor = pos + 1;
-                            self.produced_since_sign += 1;
+                            self.ctr.produced_since_sign += 1;
                             return Ok(Poll::Tuple(self.buffer.rows().row(pos).join(inner.row())));
                         }
                         None => {
@@ -285,161 +226,61 @@ impl Operator for BlockNlj {
         Ok(())
     }
 
-    fn sign_contract(&mut self, ctx: &mut ExecContext, parent_ckpt: CkptId) -> Result<CtrId> {
-        let latest = match ctx.graph.latest_ckpt(self.op) {
-            Some(ck) => ck,
-            // No checkpoint yet (resume without a persisted graph, §3.3):
-            // sign against a barrier so the contract exists but is never
-            // offered as a GoBack chain; the graph re-forms at the next
-            // minimal-heap-state point.
-            None => ctx.graph.create_barrier_checkpoint(
-                self.op,
-                self.control().encode_to_vec(),
-                ctx.work.get(self.op),
-            ),
-        };
-        let control = self.control().encode_to_vec();
-        let work = ctx.work.get(self.op);
-        let sides = vec![self.inner.side_snapshot(ctx)?];
-        let ctr = ctx
-            .graph
-            .sign_contract(parent_ckpt, self.op, latest, control, work, sides)?;
-        self.last_in_ctr = Some(ctr);
-        self.produced_since_sign = 0;
-        Ok(ctr)
+    fn children(&mut self) -> Vec<&mut dyn Operator> {
+        vec![self.outer.as_mut(), self.inner.as_mut()]
     }
 
-    fn side_snapshot(&mut self, _ctx: &mut ExecContext) -> Result<SideSnapshot> {
-        Err(StorageError::invalid(
-            "block NLJ cannot appear in a positional subtree",
-        ))
+    /// Checkpoints sign the outer (rebuild) child only; the inner is
+    /// positional and travels as a side snapshot.
+    fn live_children(&mut self) -> Vec<&mut dyn Operator> {
+        vec![self.outer.as_mut()]
     }
 
-    fn suspend(
-        &mut self,
-        ctx: &mut ExecContext,
-        mode: SuspendMode,
-        plan: &SuspendPlan,
-        sq: &mut SuspendedQuery,
-    ) -> Result<()> {
-        let strategy = plan.get(self.op);
-        match (mode, strategy) {
-            (SuspendMode::Current, Strategy::Dump) => {
-                let blob = ctx.put_dump_value(self.op, self.buffer.rows())?;
-                sq.put_record(OpSuspendRecord {
-                    op: self.op,
-                    strategy,
-                    resume_point: self.control().encode_to_vec(),
-                    heap_dump: Some(blob),
-                    saved_tuples: Vec::new(),
-                    aux: Vec::new(),
-                });
-                self.outer.suspend(ctx, SuspendMode::Current, plan, sq)?;
-                self.inner.suspend(ctx, SuspendMode::Current, plan, sq)
-            }
-            (SuspendMode::Current, Strategy::GoBack { to }) => {
-                debug_assert_eq!(to, self.op, "direct suspend can only go back to self");
-                let latest = ctx
-                    .graph
-                    .latest_ckpt(self.op)
-                    .ok_or_else(|| StorageError::invalid("NLJ has no checkpoint"))?;
-                sq.put_record(OpSuspendRecord {
-                    op: self.op,
-                    strategy,
-                    resume_point: self.control().encode_to_vec(),
-                    heap_dump: None,
-                    saved_tuples: Vec::new(),
-                    aux: Vec::new(),
-                });
-                // Enforce the checkpoint's contract on the rebuild child.
-                match ctx
-                    .graph
-                    .contract_from(latest, self.outer.op_id())
-                    .map(|c| c.id)
-                {
-                    Some(ctr) => self
-                        .outer
-                        .suspend(ctx, SuspendMode::Contract(ctr), plan, sq)?,
-                    None => self.outer.suspend(ctx, SuspendMode::Current, plan, sq)?,
-                }
-                // The inner child is positional: current position suffices.
-                self.inner.suspend(ctx, SuspendMode::Current, plan, sq)
-            }
-            (SuspendMode::Contract(ctr_id), strat) => {
-                let ctr = ctx
-                    .graph
-                    .contract(ctr_id)
-                    .ok_or_else(|| StorageError::invalid(format!("unknown contract {ctr_id}")))?
-                    .clone();
-                let target = NljControl::decode_from_slice(&ctr.control)?;
-                match strat {
-                    Strategy::Dump => {
-                        // Valid only when c_{i,j} = 0 (no checkpoint since
-                        // the chain checkpoint — buffer never cleared).
-                        let resume = if target.phase == PHASE_FILL {
-                            // No output since signing: current state
-                            // reproduces all promised outputs.
-                            self.control()
-                        } else {
-                            if target.fill != self.buffer.rows().len() as u64 {
-                                return Err(StorageError::invalid(format!(
-                                    "NLJ buffer diverged from contract {ctr_id}: \
-                                     contract fill {} vs current {}",
-                                    target.fill,
-                                    self.buffer.rows().len()
-                                )));
-                            }
-                            target
-                        };
-                        let blob = ctx.put_dump_value(self.op, self.buffer.rows())?;
-                        sq.put_record(OpSuspendRecord {
-                            op: self.op,
-                            strategy: strat,
-                            resume_point: resume.encode_to_vec(),
-                            heap_dump: Some(blob),
-                            saved_tuples: ctr.saved_tuples.clone(),
-                            aux: Vec::new(),
-                        });
-                        // Outer position unchanged since the fill that the
-                        // contract covers: current position is correct.
-                        self.outer.suspend(ctx, SuspendMode::Current, plan, sq)?;
-                    }
-                    Strategy::GoBack { .. } => {
-                        sq.put_record(OpSuspendRecord {
-                            op: self.op,
-                            strategy: strat,
-                            resume_point: ctr.control.clone(),
-                            heap_dump: None,
-                            saved_tuples: ctr.saved_tuples.clone(),
-                            aux: Vec::new(),
-                        });
-                        match ctx
-                            .graph
-                            .contract_from(ctr.child_ckpt, self.outer.op_id())
-                            .map(|c| c.id)
-                        {
-                            Some(out_ctr) => {
-                                self.outer
-                                    .suspend(ctx, SuspendMode::Contract(out_ctr), plan, sq)?
-                            }
-                            None => self.outer.suspend(ctx, SuspendMode::Current, plan, sq)?,
-                        }
-                    }
-                }
-                // The inner child repositions to the contract's side
-                // snapshot in both cases.
-                for side in &ctr.sides {
-                    record_side_snapshot(sq, side);
-                }
-                Ok(())
-            }
+    fn state(&mut self) -> &mut ContractState {
+        &mut self.ctr
+    }
+
+    fn control(&self) -> Vec<u8> {
+        NljControl {
+            phase: self.phase,
+            fill: self.buffer.rows().len() as u64,
+            cursor: self.cursor as u64,
+            inner_tuple: self.inner_tuple.clone(),
+            outer_done: self.outer_done,
         }
+        .encode_to_vec()
     }
 
-    fn resume(&mut self, ctx: &mut ExecContext, sq: &SuspendedQuery) -> Result<()> {
-        self.outer.resume(ctx, sq)?;
-        self.inner.resume(ctx, sq)?;
-        let rec = sq.record(self.op)?;
+    fn reactive(&self) -> bool {
+        false
+    }
+
+    fn sides(&mut self, ctx: &mut ExecContext) -> Result<Vec<SideSnapshot>> {
+        Ok(vec![self.inner.side_snapshot(ctx)?])
+    }
+
+    fn cell(&self, strategy: Strategy, target: Option<&[u8]>) -> Result<Cell> {
+        let target = target.map(NljControl::decode_from_slice).transpose()?;
+        Ok(match (strategy, target) {
+            (Strategy::GoBack { .. }, _) => Cell::GO_BACK,
+            // Filling at signing: nothing emitted since, so the current
+            // state reproduces every promised output.
+            (Strategy::Dump, Some(t)) if t.phase == PHASE_FILL => Cell::NOW,
+            (Strategy::Dump, _) => Cell::TARGET,
+        })
+    }
+
+    /// Joining at signing: valid while the buffer is still that batch's.
+    fn dump_serves(&self, target: &[u8]) -> Result<bool> {
+        let t = NljControl::decode_from_slice(target)?;
+        Ok(t.phase == PHASE_FILL || t.fill == self.buffer.rows().len() as u64)
+    }
+
+    fn dump_heap(&mut self, ctx: &mut ExecContext) -> Result<Option<BlobId>> {
+        Ok(Some(ctx.put_dump_value(self.op, self.buffer.rows())?))
+    }
+
+    fn restore(&mut self, ctx: &mut ExecContext, rec: &OpSuspendRecord) -> Result<()> {
         let control = NljControl::decode_from_slice(&rec.resume_point)?;
         self.buffer.clear();
         match (&rec.strategy, &rec.heap_dump) {
@@ -476,14 +317,10 @@ impl Operator for BlockNlj {
                 return Err(StorageError::corrupt("dump record without heap blob"))
             }
         }
-        self.restore_control(&control);
-        self.pending = rec
-            .saved_tuples
-            .iter()
-            .map(|b| Tuple::decode_from_slice(b))
-            .collect::<Result<_>>()?;
-        self.last_in_ctr = None;
-        self.produced_since_sign = 0;
+        self.phase = control.phase;
+        self.cursor = control.cursor as usize;
+        self.inner_tuple = control.inner_tuple;
+        self.outer_done = control.outer_done;
         Ok(())
     }
 

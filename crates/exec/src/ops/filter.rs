@@ -7,15 +7,9 @@
 //! to regenerate the non-matching prefix on resume.
 
 use crate::context::ExecContext;
-use crate::operator::{Operator, Poll, SuspendMode};
-use qsr_core::{
-    CkptId, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, SuspendPlan,
-    SuspendedQuery,
-};
-use qsr_storage::{
-    Decode, Decoder, Encode, Encoder, Result, RowRef, Schema, StorageError, Tuple,
-};
-use std::collections::VecDeque;
+use crate::operator::{positional_snapshot, ContractState, Operator, Poll};
+use qsr_core::{OpId, OpSuspendInputs, SideSnapshot};
+use qsr_storage::{Decode, Decoder, Encode, Encoder, Result, RowRef, Schema, StorageError};
 
 /// A serializable predicate over a tuple.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,11 +103,9 @@ pub struct Filter {
     predicate: Predicate,
     child: Box<dyn Operator>,
     schema: Schema,
-    pending: VecDeque<Tuple>,
-    /// Contract awaiting migration to the next matching tuple.
-    pending_migration: Option<CtrId>,
-    /// Whether contract migration is enabled (ablation toggle).
-    migration_enabled: bool,
+    /// `last_in_ctr` is the contract awaiting migration to the next
+    /// matching tuple.
+    ctr: ContractState,
 }
 
 impl Filter {
@@ -125,35 +117,14 @@ impl Filter {
             predicate,
             child,
             schema,
-            pending: VecDeque::new(),
-            pending_migration: None,
-            migration_enabled: true,
+            ctr: ContractState::default(),
         }
     }
 
     /// Disable contract migration (for the ablation benchmark).
     pub fn without_migration(mut self) -> Self {
-        self.migration_enabled = false;
+        self.ctr.migration_enabled = false;
         self
-    }
-
-    fn migrate_if_pending(&mut self, ctx: &mut ExecContext, matching: &Tuple) -> Result<()> {
-        let Some(ctr) = self.pending_migration.take() else {
-            return Ok(());
-        };
-        // New reactive checkpoint at the current position (just past the
-        // matching tuple) with a fresh cascaded contract to the child.
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, vec![], work);
-        self.child.sign_contract(ctx, ck)?;
-        ctx.graph.migrate_contract(
-            ctr,
-            Migration::to(ck)
-                .saving(matching.encode_to_vec())
-                .with_work(work),
-        )?;
-        ctx.graph.prune_for(self.op);
-        Ok(())
     }
 }
 
@@ -171,13 +142,13 @@ impl Operator for Filter {
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Poll> {
-        if let Some(t) = self.pending.pop_front() {
+        if let Some(t) = self.ctr.pending.pop_front() {
             return Ok(Poll::Tuple(t));
         }
         let polled = self.child.next_where(ctx, self.op, &self.predicate)?;
         if let Poll::Tuple(t) = &polled {
-            if self.migration_enabled {
-                self.migrate_if_pending(ctx, t)?;
+            if self.ctr.migration_enabled {
+                self.migrate_past(ctx, t)?;
             }
         }
         Ok(polled)
@@ -187,89 +158,20 @@ impl Operator for Filter {
         self.child.close(ctx)
     }
 
-    fn sign_contract(&mut self, ctx: &mut ExecContext, parent_ckpt: CkptId) -> Result<CtrId> {
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, vec![], work);
-        self.child.sign_contract(ctx, ck)?;
-        ctx.graph.prune_for(self.op);
-        let ctr = ctx
-            .graph
-            .sign_contract(parent_ckpt, self.op, ck, vec![], work, vec![])?;
-        if self.migration_enabled {
-            self.pending_migration = Some(ctr);
-        }
-        Ok(ctr)
+    fn children(&mut self) -> Vec<&mut dyn Operator> {
+        vec![self.child.as_mut()]
+    }
+
+    fn state(&mut self) -> &mut ContractState {
+        &mut self.ctr
+    }
+
+    fn control(&self) -> Vec<u8> {
+        Vec::new()
     }
 
     fn side_snapshot(&mut self, ctx: &mut ExecContext) -> Result<SideSnapshot> {
-        let child = self.child.side_snapshot(ctx)?;
-        Ok(SideSnapshot {
-            op: self.op,
-            control: vec![],
-            work: ctx.work.get(self.op),
-            children: vec![child],
-        })
-    }
-
-    fn suspend(
-        &mut self,
-        ctx: &mut ExecContext,
-        mode: SuspendMode,
-        plan: &SuspendPlan,
-        sq: &mut SuspendedQuery,
-    ) -> Result<()> {
-        match mode {
-            SuspendMode::Current => {
-                sq.put_record(OpSuspendRecord {
-                    op: self.op,
-                    strategy: plan.get(self.op),
-                    resume_point: vec![],
-                    heap_dump: None,
-                    saved_tuples: Vec::new(),
-                    aux: Vec::new(),
-                });
-                self.child.suspend(ctx, SuspendMode::Current, plan, sq)
-            }
-            SuspendMode::Contract(ctr) => {
-                let c = ctx
-                    .graph
-                    .contract(ctr)
-                    .ok_or_else(|| StorageError::invalid(format!("unknown contract {ctr}")))?;
-                let saved = c.saved_tuples.clone();
-                let my_ckpt = c.child_ckpt;
-                sq.put_record(OpSuspendRecord {
-                    op: self.op,
-                    strategy: plan.get(self.op),
-                    resume_point: vec![],
-                    heap_dump: None,
-                    saved_tuples: saved,
-                    aux: Vec::new(),
-                });
-                // Relay to the child via the cascaded contract of the
-                // checkpoint that fulfills ours.
-                let child_ctr = ctx
-                    .graph
-                    .contract_from(my_ckpt, self.child.op_id())
-                    .map(|cc| cc.id)
-                    .ok_or_else(|| {
-                        StorageError::invalid("filter checkpoint missing child contract")
-                    })?;
-                self.child
-                    .suspend(ctx, SuspendMode::Contract(child_ctr), plan, sq)
-            }
-        }
-    }
-
-    fn resume(&mut self, ctx: &mut ExecContext, sq: &SuspendedQuery) -> Result<()> {
-        self.child.resume(ctx, sq)?;
-        let rec = sq.record(self.op)?;
-        self.pending = rec
-            .saved_tuples
-            .iter()
-            .map(|b| Tuple::decode_from_slice(b))
-            .collect::<Result<_>>()?;
-        self.pending_migration = None;
-        Ok(())
+        positional_snapshot(self, ctx)
     }
 
     fn suspend_inputs(&self) -> OpSuspendInputs {
@@ -281,7 +183,7 @@ impl Operator for Filter {
     }
 
     fn rewind(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        self.pending.clear();
+        self.ctr.pending.clear();
         self.child.rewind(ctx)
     }
 

@@ -15,18 +15,15 @@
 //! directly to the cursor.
 
 use crate::context::ExecContext;
-use crate::operator::{Operator, Poll, SuspendMode};
+use crate::operator::{Cell, ContractState, Operator, Poll};
 use crate::ops::agg::AggFn;
 use crate::ops::{hash_partition, Accum};
-use qsr_core::{
-    CkptId, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, Strategy,
-    SuspendPlan, SuspendedQuery,
-};
+use qsr_core::{OpId, OpSuspendInputs, OpSuspendRecord, Strategy};
 use qsr_storage::{
-    Column, DataType, Decode, Decoder, Encode, Encoder, Result, RunHandle, RunWriter,
+    BlobId, Column, DataType, Decode, Decoder, Encode, Encoder, Result, RunHandle, RunWriter,
     Schema, StorageError, Tuple, ValueRef,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 const PHASE_PARTITION: u8 = 0;
 const PHASE_AGG: u8 = 1;
@@ -83,10 +80,7 @@ pub struct HashAgg {
     heap_bytes: usize,
     consumed: u64,
 
-    last_in_ctr: Option<CtrId>,
-    produced_since_sign: u64,
-    migration_enabled: bool,
-    pending: VecDeque<Tuple>,
+    ctr: ContractState,
 }
 
 impl HashAgg {
@@ -120,20 +114,17 @@ impl HashAgg {
             emit_idx: 0,
             heap_bytes: 0,
             consumed: 0,
-            last_in_ctr: None,
-            produced_since_sign: 0,
-            migration_enabled: true,
-            pending: VecDeque::new(),
+            ctr: ContractState::default(),
         }
     }
 
     /// Disable contract migration (ablation toggle).
     pub fn without_migration(mut self) -> Self {
-        self.migration_enabled = false;
+        self.ctr.migration_enabled = false;
         self
     }
 
-    fn control(&self) -> HaControl {
+    fn control_record(&self) -> HaControl {
         HaControl {
             phase: self.phase,
             runs: self.runs.clone(),
@@ -141,30 +132,6 @@ impl HashAgg {
             emit_idx: self.emit_idx as u64,
             consumed: self.consumed,
         }
-    }
-
-    fn checkpoint(&mut self, ctx: &mut ExecContext, sign_child: bool) -> Result<()> {
-        if !ctx.checkpoints_enabled {
-            return Ok(());
-        }
-        let control = self.control().encode_to_vec();
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
-        if sign_child {
-            self.child.sign_contract(ctx, ck)?;
-        }
-        if self.migration_enabled && self.produced_since_sign == 0 {
-            if let Some(ctr) = self.last_in_ctr {
-                if ctx.graph.contract(ctr).is_some() {
-                    ctx.graph.migrate_contract(
-                        ctr,
-                        Migration::to(ck).with_control(control).with_work(work),
-                    )?;
-                }
-            }
-        }
-        ctx.graph.prune_for(self.op);
-        Ok(())
     }
 
     fn load_partition(&mut self, ctx: &mut ExecContext, part: usize) -> Result<()> {
@@ -197,12 +164,12 @@ impl Operator for HashAgg {
 
     fn open(&mut self, ctx: &mut ExecContext) -> Result<()> {
         self.child.open(ctx)?;
-        self.checkpoint(ctx, true)?;
+        self.checkpoint(ctx)?;
         Ok(())
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Poll> {
-        if let Some(t) = self.pending.pop_front() {
+        if let Some(t) = self.ctr.pending.pop_front() {
             return Ok(Poll::Tuple(t));
         }
         loop {
@@ -212,8 +179,7 @@ impl Operator for HashAgg {
             match self.phase {
                 PHASE_PARTITION => {
                     while self.writers.len() < self.partitions {
-                        self.writers
-                            .push(Some(ctx.create_run()?));
+                        self.writers.push(Some(ctx.create_run()?));
                     }
                     match self.child.next(ctx)? {
                         Poll::Tuple(t) => {
@@ -241,7 +207,7 @@ impl Operator for HashAgg {
                             self.groups.clear();
                             self.heap_bytes = 0;
                             // Materialization point.
-                            self.checkpoint(ctx, false)?;
+                            self.checkpoint(ctx)?;
                         }
                         Poll::Suspended => return Ok(Poll::Suspended),
                     }
@@ -257,7 +223,7 @@ impl Operator for HashAgg {
                     if self.emit_idx < self.groups.len() {
                         let (g, acc) = self.groups[self.emit_idx];
                         self.emit_idx += 1;
-                        self.produced_since_sign += 1;
+                        self.ctr.produced_since_sign += 1;
                         return Ok(Poll::Tuple(Tuple::from_fields([
                             ValueRef::Int(g),
                             ValueRef::Int(acc.value(self.func)),
@@ -268,7 +234,7 @@ impl Operator for HashAgg {
                     self.heap_bytes = 0;
                     self.emit_idx = 0;
                     self.cur_part += 1;
-                    self.checkpoint(ctx, false)?;
+                    self.checkpoint(ctx)?;
                 }
                 PHASE_DONE => return Ok(Poll::Done),
                 p => return Err(StorageError::corrupt(format!("bad hash-agg phase {p}"))),
@@ -282,58 +248,37 @@ impl Operator for HashAgg {
         Ok(())
     }
 
-    fn sign_contract(&mut self, ctx: &mut ExecContext, parent_ckpt: CkptId) -> Result<CtrId> {
-        let ctr = if self.phase == PHASE_PARTITION {
-            let latest = match ctx.graph.latest_ckpt(self.op) {
-                Some(ck) => ck,
-                None => ctx.graph.create_barrier_checkpoint(
-                    self.op,
-                    self.control().encode_to_vec(),
-                    ctx.work.get(self.op),
-                ),
-            };
-            ctx.graph.sign_contract(
-                parent_ckpt,
-                self.op,
-                latest,
-                self.control().encode_to_vec(),
-                ctx.work.get(self.op),
-                vec![],
-            )?
-        } else {
-            // Reactive in the emission phase: the cursor is the contract.
-            let control = self.control().encode_to_vec();
-            let work = ctx.work.get(self.op);
-            let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
-            ctx.graph.prune_for(self.op);
-            ctx.graph
-                .sign_contract(parent_ckpt, self.op, ck, control, work, vec![])?
-        };
-        self.last_in_ctr = Some(ctr);
-        self.produced_since_sign = 0;
-        Ok(ctr)
+    fn children(&mut self) -> Vec<&mut dyn Operator> {
+        vec![self.child.as_mut()]
     }
 
-    fn side_snapshot(&mut self, _ctx: &mut ExecContext) -> Result<SideSnapshot> {
-        Err(StorageError::invalid(
-            "hash aggregate cannot appear in a positional subtree",
-        ))
+    /// The child is signed only while it is being partitioned.
+    fn live_children(&mut self) -> Vec<&mut dyn Operator> {
+        match self.phase {
+            PHASE_PARTITION => vec![self.child.as_mut()],
+            _ => Vec::new(),
+        }
     }
 
-    fn suspend(
-        &mut self,
-        ctx: &mut ExecContext,
-        mode: SuspendMode,
-        plan: &SuspendPlan,
-        sq: &mut SuspendedQuery,
-    ) -> Result<()> {
-        let strategy = plan.get(self.op);
+    fn state(&mut self) -> &mut ContractState {
+        &mut self.ctr
+    }
 
-        // Seal any in-progress partitions, in place: a writer leaves the
-        // vec only after its flush succeeded and its handle is recorded
-        // in `self.runs`, so a suspend attempt failing here or in a later
-        // operator can be retried by the next degradation-ladder rung
-        // without losing buffered tuples or already-sealed handles.
+    fn control(&self) -> Vec<u8> {
+        self.control_record().encode_to_vec()
+    }
+
+    /// Reactive in the emission phase: the cursor is the contract.
+    fn reactive(&self) -> bool {
+        self.phase != PHASE_PARTITION
+    }
+
+    /// Seal any in-progress partitions, in place: a writer leaves the vec
+    /// only after its flush succeeded and its handle is recorded in
+    /// `self.runs`, so a suspend attempt failing here or in a later
+    /// operator can be retried by the next degradation-ladder rung
+    /// without losing buffered tuples or already-sealed handles.
+    fn seal(&mut self, ctx: &mut ExecContext, _strategy: Strategy) -> Result<()> {
         while let Some(slot) = self.writers.first_mut() {
             let w = slot
                 .as_mut()
@@ -342,89 +287,35 @@ impl Operator for HashAgg {
             self.runs.push(handle);
             self.writers.remove(0);
         }
-        let current = HaControl {
-            runs: self.runs.clone(),
-            ..self.control()
-        };
-
-        let (resume_point, saved, ckpt_for_child): (HaControl, Vec<Vec<u8>>, Option<CkptId>) =
-            match mode {
-                SuspendMode::Current => match strategy {
-                    Strategy::Dump => (current, Vec::new(), None),
-                    Strategy::GoBack { .. } => {
-                        if self.phase == PHASE_AGG {
-                            // Rebuild the table from own runs + skip to the
-                            // emission cursor.
-                            (current, Vec::new(), None)
-                        } else {
-                            let latest = ctx.graph.latest_ckpt(self.op).ok_or_else(|| {
-                                StorageError::invalid("hash agg has no checkpoint")
-                            })?;
-                            (current, Vec::new(), Some(latest))
-                        }
-                    }
-                },
-                SuspendMode::Contract(ctr_id) => {
-                    let ctr = ctx
-                        .graph
-                        .contract(ctr_id)
-                        .ok_or_else(|| StorageError::invalid(format!("unknown contract {ctr_id}")))?
-                        .clone();
-                    let target = HaControl::decode_from_slice(&ctr.control)?;
-                    match strategy {
-                        Strategy::Dump => {
-                            if target.phase == PHASE_AGG {
-                                (target, ctr.saved_tuples.clone(), None)
-                            } else {
-                                (current, ctr.saved_tuples.clone(), None)
-                            }
-                        }
-                        Strategy::GoBack { .. } => {
-                            if target.phase == PHASE_AGG {
-                                (target, ctr.saved_tuples.clone(), None)
-                            } else {
-                                (target, ctr.saved_tuples.clone(), Some(ctr.child_ckpt))
-                            }
-                        }
-                    }
-                }
-            };
-
-        let heap_dump = match strategy {
-            Strategy::Dump if !self.groups.is_empty() => {
-                Some(ctx.put_dump_value(self.op, &GroupsDump(self.groups.clone()))?)
-            }
-            _ => None,
-        };
-        let aux = match ckpt_for_child {
-            Some(ck) => ctx
-                .graph
-                .checkpoint(ck)
-                .map(|c| c.control.clone())
-                .unwrap_or_default(),
-            None => Vec::new(),
-        };
-        sq.put_record(OpSuspendRecord {
-            op: self.op,
-            strategy,
-            resume_point: resume_point.encode_to_vec(),
-            heap_dump,
-            saved_tuples: saved,
-            aux,
-        });
-
-        match ckpt_for_child {
-            Some(ck) => match ctx.graph.contract_from(ck, self.child.op_id()).map(|c| c.id) {
-                Some(ctr) => self.child.suspend(ctx, SuspendMode::Contract(ctr), plan, sq),
-                None => self.child.suspend(ctx, SuspendMode::Current, plan, sq),
-            },
-            None => self.child.suspend(ctx, SuspendMode::Current, plan, sq),
-        }
+        Ok(())
     }
 
-    fn resume(&mut self, ctx: &mut ExecContext, sq: &SuspendedQuery) -> Result<()> {
-        self.child.resume(ctx, sq)?;
-        let rec = sq.record(self.op)?;
+    /// An emission-phase point repositions from the sealed runs: reload
+    /// the partition and skip to the cursor. A partitioning-phase Dump
+    /// keeps the partial runs; its GoBack redoes them from the anchor.
+    fn cell(&self, strategy: Strategy, target: Option<&[u8]>) -> Result<Cell> {
+        let phase = match target {
+            Some(t) => HaControl::decode_from_slice(t)?.phase,
+            None => self.phase,
+        };
+        Ok(match strategy {
+            _ if phase == PHASE_AGG => Cell::TARGET,
+            Strategy::Dump => Cell::NOW,
+            Strategy::GoBack { .. } => Cell::ROLL_FORWARD,
+        })
+    }
+
+    fn dump_heap(&mut self, ctx: &mut ExecContext) -> Result<Option<BlobId>> {
+        if self.groups.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(ctx.put_dump_value(
+            self.op,
+            &GroupsDump(self.groups.clone()),
+        )?))
+    }
+
+    fn restore(&mut self, ctx: &mut ExecContext, rec: &OpSuspendRecord) -> Result<()> {
         let control = HaControl::decode_from_slice(&rec.resume_point)?;
         self.phase = control.phase;
         self.runs = control.runs.clone();
@@ -475,13 +366,6 @@ impl Operator for HashAgg {
                 }
             }
         }
-        self.pending = rec
-            .saved_tuples
-            .iter()
-            .map(|b| Tuple::decode_from_slice(b))
-            .collect::<Result<_>>()?;
-        self.last_in_ctr = None;
-        self.produced_since_sign = 0;
         Ok(())
     }
 

@@ -29,17 +29,13 @@
 //! across phase and task boundaries like the sort's.
 
 use crate::context::ExecContext;
-use crate::operator::{Operator, Poll, SuspendMode};
+use crate::operator::{Cell, ContractState, Enforce, Operator, Poll, ResumeAt};
 use crate::ops::hash_partition;
-use qsr_core::{
-    CkptId, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, Strategy,
-    SuspendPlan, SuspendedQuery,
-};
+use qsr_core::{OpId, OpSuspendInputs, OpSuspendRecord, Strategy};
 use qsr_storage::{
-    Decode, Decoder, Encode, Encoder, KeyedRows, Result, RowBuffer, RunHandle, RunReader,
+    BlobId, Decode, Decoder, Encode, Encoder, KeyedRows, Result, RowBuffer, RunHandle, RunReader,
     RunWriter, Schema, StorageError, Tuple, TupleAddr, ValueRef, PAGE_SIZE,
 };
-use std::collections::VecDeque;
 use std::iter::repeat_n;
 
 const PHASE_BUILD: u8 = 0;
@@ -300,10 +296,7 @@ pub struct HashJoin {
     build_consumed: u64,
     probe_consumed: u64,
 
-    last_in_ctr: Option<CtrId>,
-    produced_since_sign: u64,
-    migration_enabled: bool,
-    pending: VecDeque<Tuple>,
+    ctr: ContractState,
     /// Resume-replay stop point: (build_consumed, probe_consumed). When
     /// set, `next()` freezes (returns `Suspended`) upon reaching it.
     replay_stop: Option<(u64, u64)>,
@@ -367,10 +360,7 @@ impl HashJoin {
             match_at: 0,
             build_consumed: 0,
             probe_consumed: 0,
-            last_in_ctr: None,
-            produced_since_sign: 0,
-            migration_enabled: true,
-            pending: VecDeque::new(),
+            ctr: ContractState::default(),
             replay_stop: None,
             mem_budget: 0,
             tasks: Vec::new(),
@@ -396,7 +386,7 @@ impl HashJoin {
 
     /// Disable contract migration (ablation toggle).
     pub fn without_migration(mut self) -> Self {
-        self.migration_enabled = false;
+        self.ctr.migration_enabled = false;
         self
     }
 
@@ -409,7 +399,7 @@ impl HashJoin {
         self
     }
 
-    fn control(&self) -> HjControl {
+    fn control_record(&self) -> HjControl {
         HjControl {
             phase: self.phase,
             build_runs: self.build_runs.clone(),
@@ -435,36 +425,6 @@ impl HashJoin {
             nlj_next_pos: self.nlj_next_pos,
             nlj_next_addr: self.nlj_next_addr,
         }
-    }
-
-    /// A checkpoint with optional migration of the incoming contract.
-    fn checkpoint(&mut self, ctx: &mut ExecContext, sign_children: bool) -> Result<()> {
-        if !ctx.checkpoints_enabled {
-            return Ok(());
-        }
-        let control = self.control().encode_to_vec();
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
-        if sign_children {
-            if !self.build_done {
-                self.build.sign_contract(ctx, ck)?;
-            }
-            if !self.probe_done {
-                self.probe.sign_contract(ctx, ck)?;
-            }
-        }
-        if self.migration_enabled && self.produced_since_sign == 0 {
-            if let Some(ctr) = self.last_in_ctr {
-                if ctx.graph.contract(ctr).is_some() {
-                    ctx.graph.migrate_contract(
-                        ctr,
-                        Migration::to(ck).with_control(control).with_work(work),
-                    )?;
-                }
-            }
-        }
-        ctx.graph.prune_for(self.op);
-        Ok(())
     }
 
     fn ensure_writers(
@@ -579,7 +539,7 @@ impl HashJoin {
         Self::seal_writers(ctx, self.op, &mut self.build_writers, &mut self.build_runs)?;
         self.phase = PHASE_PROBE;
         if !self.hybrid {
-            self.checkpoint(ctx, true)?;
+            self.checkpoint(ctx)?;
         }
         Ok(())
     }
@@ -594,7 +554,7 @@ impl HashJoin {
         self.clear_probe_state();
         self.phase = PHASE_TASKS;
         self.cur_part = usize::from(self.hybrid);
-        self.checkpoint(ctx, false)
+        self.checkpoint(ctx)
     }
 
     /// Load the in-flight task's build side into the table: the whole run
@@ -721,7 +681,7 @@ impl HashJoin {
         self.clear_probe_state();
         self.reset_nlj_cursor();
         self.cur_task = None;
-        self.checkpoint(ctx, false)
+        self.checkpoint(ctx)
     }
 
     /// One step of the task machine: one tick per probe tuple consumed
@@ -841,7 +801,7 @@ impl HashJoin {
                                 probe: probes[i],
                             });
                         }
-                        self.checkpoint(ctx, false)?;
+                        self.checkpoint(ctx)?;
                     }
                 }
                 Ok(GraceStep::Continue)
@@ -866,12 +826,12 @@ impl Operator for HashJoin {
         self.build.open(ctx)?;
         self.probe.open(ctx)?;
         // Proactive checkpoint at the beginning of the hash phase.
-        self.checkpoint(ctx, true)?;
+        self.checkpoint(ctx)?;
         Ok(())
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Poll> {
-        if let Some(t) = self.pending.pop_front() {
+        if let Some(t) = self.ctr.pending.pop_front() {
             return Ok(Poll::Tuple(t));
         }
         loop {
@@ -895,7 +855,7 @@ impl Operator for HashJoin {
                     // Hybrid: finish emitting matches of the current probe
                     // tuple before pulling the next one.
                     if let Some(out) = self.next_match()? {
-                        self.produced_since_sign += 1;
+                        self.ctr.produced_since_sign += 1;
                         return Ok(Poll::Tuple(out));
                     }
                     match self.probe.next(ctx)? {
@@ -909,7 +869,7 @@ impl Operator for HashJoin {
                 }
                 PHASE_TASKS => match self.grace_step(ctx)? {
                     GraceStep::Emit(t) => {
-                        self.produced_since_sign += 1;
+                        self.ctr.produced_since_sign += 1;
                         return Ok(Poll::Tuple(t));
                     }
                     GraceStep::Continue => {}
@@ -928,188 +888,104 @@ impl Operator for HashJoin {
         Ok(())
     }
 
-    fn sign_contract(&mut self, ctx: &mut ExecContext, parent_ckpt: CkptId) -> Result<CtrId> {
-        let current = self.control();
-        let control = current.encode_to_vec();
-        let work = ctx.work.get(self.op);
-        let ck = if self.phase == PHASE_DONE || current.repositions() {
-            // Reactive: a fresh checkpoint capturing the join-phase
-            // cursor is a valid GoBack target.
-            let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
-            ctx.graph.prune_for(self.op);
-            ck
-        } else {
-            match ctx.graph.latest_ckpt(self.op) {
-                Some(ck) => ck,
-                None => ctx
-                    .graph
-                    .create_barrier_checkpoint(self.op, control.clone(), work),
-            }
-        };
-        let ctr = ctx
-            .graph
-            .sign_contract(parent_ckpt, self.op, ck, control, work, vec![])?;
-        self.last_in_ctr = Some(ctr);
-        self.produced_since_sign = 0;
-        Ok(ctr)
+    fn children(&mut self) -> Vec<&mut dyn Operator> {
+        vec![self.build.as_mut(), self.probe.as_mut()]
     }
 
-    fn side_snapshot(&mut self, _ctx: &mut ExecContext) -> Result<SideSnapshot> {
-        Err(StorageError::invalid(
-            "hash join cannot appear in a positional subtree",
-        ))
+    fn live_children(&mut self) -> Vec<&mut dyn Operator> {
+        let live = [!self.build_done, !self.probe_done];
+        let children: [&mut dyn Operator; 2] = [self.build.as_mut(), self.probe.as_mut()];
+        children
+            .into_iter()
+            .zip(live)
+            .filter_map(|(child, live)| live.then_some(child))
+            .collect()
     }
 
-    fn suspend(
-        &mut self,
-        ctx: &mut ExecContext,
-        mode: SuspendMode,
-        plan: &SuspendPlan,
-        sq: &mut SuspendedQuery,
-    ) -> Result<()> {
-        let strategy = plan.get(self.op);
+    fn state(&mut self) -> &mut ContractState {
+        &mut self.ctr
+    }
 
-        // Seal any in-progress partition writers; their handles are part
-        // of the recorded state either way (Dump keeps them; GoBack to a
-        // phase-start checkpoint discards in-phase partials, but sealing
-        // first is harmless and keeps the accounting simple). Sealing
-        // mutates `self` so that a suspend attempt failing *here or in
-        // any later operator* leaves the sealed handles recorded — a
-        // retried walk (the next ladder rung) resumes sealing where this
-        // one stopped instead of dropping runs already on disk.
-        Self::seal_writers(ctx, self.op, &mut self.build_writers, &mut self.build_runs)?;
-        Self::seal_writers(ctx, self.op, &mut self.probe_writers, &mut self.probe_runs)?;
-        // Mid-spill suspends seal the child partition writers the same
-        // way; the sealed handles ride in the control record (Dump
-        // reopens them for appending, GoBack discards them).
+    fn control(&self) -> Vec<u8> {
+        self.control_record().encode_to_vec()
+    }
+
+    /// A join-phase cursor (or the end) is a valid GoBack target of its
+    /// own; the partitioning phases and the spill stages anchor at the
+    /// latest phase or task boundary.
+    fn reactive(&self) -> bool {
+        self.phase == PHASE_DONE || self.control_record().repositions()
+    }
+
+    /// Seal any in-progress partition writers; their handles are part of
+    /// the recorded state either way (Dump keeps them; GoBack to a
+    /// phase-start checkpoint discards in-phase partials, but sealing
+    /// first is harmless and keeps the accounting simple). Sealing mutates
+    /// `self` so that a suspend attempt failing *here or in any later
+    /// operator* leaves the sealed handles recorded — a retried walk (the
+    /// next ladder rung) resumes sealing where this one stopped instead of
+    /// dropping runs already on disk. Mid-spill suspends seal the child
+    /// partition writers the same way; the sealed handles ride in the
+    /// control record (Dump reopens them for appending, GoBack discards
+    /// them).
+    fn seal(&mut self, ctx: &mut ExecContext, _strategy: Strategy) -> Result<()> {
+        let op = self.op;
+        Self::seal_writers(ctx, op, &mut self.build_writers, &mut self.build_runs)?;
+        Self::seal_writers(ctx, op, &mut self.probe_writers, &mut self.probe_runs)?;
         Self::seal_writers(
             ctx,
-            self.op,
+            op,
             &mut self.spill_build_writers,
             &mut self.spill_build_children,
         )?;
         Self::seal_writers(
             ctx,
-            self.op,
+            op,
             &mut self.spill_probe_writers,
             &mut self.spill_probe_children,
-        )?;
-        let current_control = self.control();
-        let ckpt_control = |ctx: &ExecContext, ck: CkptId| -> Result<HjControl> {
-            let ck = ctx
-                .graph
-                .checkpoint(ck)
-                .ok_or_else(|| StorageError::invalid("hash join checkpoint missing"))?;
-            HjControl::decode_from_slice(&ck.control)
-        };
-
-        let (resume_point, saved, ckpt_for_children): (HjControl, Vec<Vec<u8>>, Option<CkptId>) =
-            match mode {
-                SuspendMode::Current => match strategy {
-                    Strategy::Dump => (current_control, Vec::new(), None),
-                    Strategy::GoBack { .. } => {
-                        let latest = ctx
-                            .graph
-                            .latest_ckpt(self.op)
-                            .ok_or_else(|| StorageError::invalid("hash join has no checkpoint"))?;
-                        if current_control.repositions() {
-                            // Rebuild the table from own runs and
-                            // reposition the probe cursor — target is the
-                            // current control state.
-                            (current_control, Vec::new(), None)
-                        } else if self.phase == PHASE_TASKS {
-                            // Mid-spill: restart the in-flight task from
-                            // its boundary checkpoint (spill stages emit
-                            // nothing, so no output is re-delivered).
-                            (ckpt_control(ctx, latest)?, Vec::new(), None)
-                        } else {
-                            // Partition phases: go back to the phase-start
-                            // checkpoint (shipped via `aux`); the resume
-                            // target is the *current* point, so already
-                            // delivered output is never re-emitted.
-                            (current_control, Vec::new(), Some(latest))
-                        }
-                    }
-                },
-                SuspendMode::Contract(ctr_id) => {
-                    let ctr = ctx
-                        .graph
-                        .contract(ctr_id)
-                        .ok_or_else(|| StorageError::invalid(format!("unknown contract {ctr_id}")))?
-                        .clone();
-                    let target = HjControl::decode_from_slice(&ctr.control)?;
-                    let saved = ctr.saved_tuples;
-                    match strategy {
-                        // Join-phase targets that reposition resume at the
-                        // contract's cursor, over the dumped table or over
-                        // one rebuilt from sealed runs.
-                        _ if target.repositions() => (target, saved, None),
-                        // c = 0: no checkpoint since signing. In the
-                        // partition phases (and mid-spill) the current
-                        // state reproduces all outputs only if nothing
-                        // was produced since — false once hybrid has
-                        // emitted inline partition-0 matches, which
-                        // `suspend_inputs` reports so the optimizer
-                        // never asks for this.
-                        Strategy::Dump if self.produced_since_sign > 0 => {
-                            return Err(StorageError::invalid(format!(
-                                "{}: Dump under a partition-phase contract would lose {} \
-                                 tuples emitted since it was signed",
-                                self.op, self.produced_since_sign
-                            )));
-                        }
-                        Strategy::Dump => (current_control, saved, None),
-                        // Spill-stage target: roll forward from the
-                        // fulfilling (task-boundary) checkpoint.
-                        Strategy::GoBack { .. } if target.phase == PHASE_TASKS => {
-                            (ckpt_control(ctx, ctr.child_ckpt)?, saved, None)
-                        }
-                        Strategy::GoBack { .. } => (target, saved, Some(ctr.child_ckpt)),
-                    }
-                }
-            };
-
-        // Heap dump: the in-memory table (hybrid partition 0 or the
-        // in-flight task's build side).
-        let heap_dump = match strategy {
-            Strategy::Dump if !self.table.rows().is_empty() => {
-                Some(ctx.put_dump_value(self.op, &TableDump(&self.table))?)
-            }
-            _ => None,
-        };
-
-        let aux = match ckpt_for_children {
-            Some(ck) => ctx
-                .graph
-                .checkpoint(ck)
-                .map(|c| c.control.clone())
-                .unwrap_or_default(),
-            None => Vec::new(),
-        };
-        sq.put_record(OpSuspendRecord {
-            op: self.op,
-            strategy,
-            resume_point: resume_point.encode_to_vec(),
-            heap_dump,
-            saved_tuples: saved,
-            aux,
-        });
-
-        for child in [&mut self.build, &mut self.probe] {
-            let ctr = ckpt_for_children
-                .and_then(|ck| ctx.graph.contract_from(ck, child.op_id()).map(|c| c.id));
-            match ctr {
-                Some(ctr) => child.suspend(ctx, SuspendMode::Contract(ctr), plan, sq)?,
-                None => child.suspend(ctx, SuspendMode::Current, plan, sq)?,
-            }
-        }
-        Ok(())
+        )
     }
 
-    fn resume(&mut self, ctx: &mut ExecContext, sq: &SuspendedQuery) -> Result<()> {
-        self.build.resume(ctx, sq)?;
-        self.probe.resume(ctx, sq)?;
-        let rec = sq.record(self.op)?;
+    /// A target that repositions resumes there, over the dumped table or
+    /// one rebuilt from sealed runs. Otherwise a Dump resumes at the
+    /// current state; a GoBack mid-spill restarts the in-flight task from
+    /// its boundary checkpoint (spill stages emit nothing), and in the
+    /// partitioning phases rolls forward from the phase-start checkpoint
+    /// to the target, so output already delivered is never re-emitted.
+    fn cell(&self, strategy: Strategy, target: Option<&[u8]>) -> Result<Cell> {
+        let t = match target {
+            Some(t) => HjControl::decode_from_slice(t)?,
+            None => self.control_record(),
+        };
+        Ok(match strategy {
+            _ if t.repositions() => Cell::TARGET,
+            Strategy::Dump => Cell::NOW,
+            Strategy::GoBack { .. } if t.phase == PHASE_TASKS => {
+                Cell::new(ResumeAt::Anchor, Enforce::Nothing)
+            }
+            Strategy::GoBack { .. } => Cell::ROLL_FORWARD,
+        })
+    }
+
+    /// In the partitioning phases (and mid-spill) the current state
+    /// reproduces a contract's outputs only if nothing was produced since
+    /// it was signed — false once hybrid has emitted inline partition-0
+    /// matches, which `suspend_inputs` reports so the optimizer never asks.
+    fn dump_serves(&self, target: &[u8]) -> Result<bool> {
+        let t = HjControl::decode_from_slice(target)?;
+        Ok(t.repositions() || self.ctr.produced_since_sign == 0)
+    }
+
+    /// The in-memory table: hybrid partition 0 or the in-flight task's
+    /// build side.
+    fn dump_heap(&mut self, ctx: &mut ExecContext) -> Result<Option<BlobId>> {
+        if self.table.rows().is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(ctx.put_dump_value(self.op, &TableDump(&self.table))?))
+    }
+
+    fn restore(&mut self, ctx: &mut ExecContext, rec: &OpSuspendRecord) -> Result<()> {
         let control = HjControl::decode_from_slice(&rec.resume_point)?;
         let repositions = control.repositions();
 
@@ -1281,14 +1157,6 @@ impl Operator for HashJoin {
                 self.match_at = next.map_or(self.table.rows().len(), |pos| pos + 1);
             }
         }
-
-        self.pending = rec
-            .saved_tuples
-            .iter()
-            .map(|b| Tuple::decode_from_slice(b))
-            .collect::<Result<_>>()?;
-        self.last_in_ctr = None;
-        self.produced_since_sign = 0;
         Ok(())
     }
 
@@ -1309,7 +1177,7 @@ impl Operator for HashJoin {
             // Hybrid emits partition-0 matches inline while partitioning
             // the probe side, with no checkpoint to anchor them: a dump
             // of the current state resumes *after* them.
-            dump_loses_output: self.phase == PHASE_PROBE && self.produced_since_sign > 0,
+            dump_loses_output: self.phase == PHASE_PROBE && self.ctr.produced_since_sign > 0,
         }
     }
 
@@ -1403,7 +1271,7 @@ impl TableImage {
 mod tests {
     use super::*;
     use crate::{PlanSpec, QueryExecution, SuspendTrigger};
-    use qsr_core::SuspendPolicy;
+    use qsr_core::{SuspendPolicy, SuspendedQuery};
     use qsr_storage::Database;
     use qsr_workload::{generate_table, TableSpec};
 

@@ -7,16 +7,12 @@
 //! re-probed.
 
 use crate::context::ExecContext;
-use crate::operator::{Operator, Poll, SuspendMode};
-use qsr_core::{
-    CkptId, CtrId, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, SuspendPlan,
-    SuspendedQuery,
-};
+use crate::operator::{ContractState, Operator, Poll};
+use qsr_core::{OpId, OpSuspendInputs, OpSuspendRecord};
 use qsr_storage::{
     Decode, Decoder, Encode, Encoder, HeapFile, Result, Schema, SortedIndex, StorageError, Tuple,
     TupleAddr,
 };
-use std::collections::VecDeque;
 
 #[derive(Debug, Clone, PartialEq)]
 struct InljControl {
@@ -56,7 +52,7 @@ pub struct IndexNlj {
     cur_outer: Option<Tuple>,
     matches: Vec<TupleAddr>,
     match_idx: usize,
-    pending: VecDeque<Tuple>,
+    ctr: ContractState,
 }
 
 impl IndexNlj {
@@ -83,7 +79,7 @@ impl IndexNlj {
             cur_outer: None,
             matches: Vec::new(),
             match_idx: 0,
-            pending: VecDeque::new(),
+            ctr: ContractState::default(),
         }
     }
 
@@ -95,13 +91,6 @@ impl IndexNlj {
             self.heap = Some(ctx.db.open_table_heap(&self.inner_table)?);
         }
         Ok(())
-    }
-
-    fn control(&self) -> InljControl {
-        InljControl {
-            cur_outer: self.cur_outer.clone(),
-            match_idx: self.match_idx as u64,
-        }
     }
 
     /// Probe the index for the current outer tuple, charging the page
@@ -147,7 +136,7 @@ impl Operator for IndexNlj {
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Poll> {
-        if let Some(t) = self.pending.pop_front() {
+        if let Some(t) = self.ctr.pending.pop_front() {
             return Ok(Poll::Tuple(t));
         }
         loop {
@@ -182,74 +171,24 @@ impl Operator for IndexNlj {
         self.outer.close(ctx)
     }
 
-    fn sign_contract(&mut self, ctx: &mut ExecContext, parent_ckpt: CkptId) -> Result<CtrId> {
-        // Reactive: checkpoint the tiny control state and cascade.
-        let control = self.control().encode_to_vec();
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
-        self.outer.sign_contract(ctx, ck)?;
-        ctx.graph.prune_for(self.op);
-        ctx.graph
-            .sign_contract(parent_ckpt, self.op, ck, control, work, vec![])
+    fn children(&mut self) -> Vec<&mut dyn Operator> {
+        vec![self.outer.as_mut()]
     }
 
-    fn side_snapshot(&mut self, _ctx: &mut ExecContext) -> Result<SideSnapshot> {
-        Err(StorageError::invalid(
-            "index NLJ cannot appear in a positional subtree",
-        ))
+    fn state(&mut self) -> &mut ContractState {
+        &mut self.ctr
     }
 
-    fn suspend(
-        &mut self,
-        ctx: &mut ExecContext,
-        mode: SuspendMode,
-        plan: &SuspendPlan,
-        sq: &mut SuspendedQuery,
-    ) -> Result<()> {
-        match mode {
-            SuspendMode::Current => {
-                sq.put_record(OpSuspendRecord {
-                    op: self.op,
-                    strategy: plan.get(self.op),
-                    resume_point: self.control().encode_to_vec(),
-                    heap_dump: None,
-                    saved_tuples: Vec::new(),
-                    aux: Vec::new(),
-                });
-                self.outer.suspend(ctx, SuspendMode::Current, plan, sq)
-            }
-            SuspendMode::Contract(ctr_id) => {
-                let ctr = ctx
-                    .graph
-                    .contract(ctr_id)
-                    .ok_or_else(|| StorageError::invalid(format!("unknown contract {ctr_id}")))?;
-                let (control, saved, my_ckpt) =
-                    (ctr.control.clone(), ctr.saved_tuples.clone(), ctr.child_ckpt);
-                sq.put_record(OpSuspendRecord {
-                    op: self.op,
-                    strategy: plan.get(self.op),
-                    resume_point: control,
-                    heap_dump: None,
-                    saved_tuples: saved,
-                    aux: Vec::new(),
-                });
-                let child_ctr = ctx
-                    .graph
-                    .contract_from(my_ckpt, self.outer.op_id())
-                    .map(|cc| cc.id)
-                    .ok_or_else(|| {
-                        StorageError::invalid("index NLJ checkpoint missing outer contract")
-                    })?;
-                self.outer
-                    .suspend(ctx, SuspendMode::Contract(child_ctr), plan, sq)
-            }
+    fn control(&self) -> Vec<u8> {
+        InljControl {
+            cur_outer: self.cur_outer.clone(),
+            match_idx: self.match_idx as u64,
         }
+        .encode_to_vec()
     }
 
-    fn resume(&mut self, ctx: &mut ExecContext, sq: &SuspendedQuery) -> Result<()> {
-        self.outer.resume(ctx, sq)?;
+    fn restore(&mut self, ctx: &mut ExecContext, rec: &OpSuspendRecord) -> Result<()> {
         self.acquire(ctx)?;
-        let rec = sq.record(self.op)?;
         let control = InljControl::decode_from_slice(&rec.resume_point)?;
         self.cur_outer = control.cur_outer.clone();
         self.match_idx = control.match_idx as usize;
@@ -258,19 +197,13 @@ impl Operator for IndexNlj {
             // Re-probe to rebuild the match list (charged resume I/O).
             self.probe(ctx, &outer)?;
         }
-        self.pending = rec
-            .saved_tuples
-            .iter()
-            .map(|b| Tuple::decode_from_slice(b))
-            .collect::<Result<_>>()?;
         Ok(())
     }
 
     fn suspend_inputs(&self) -> OpSuspendInputs {
         OpSuspendInputs {
             heap_bytes: 0,
-            control_bytes: 16
-                + self.cur_outer.as_ref().map(Tuple::heap_bytes).unwrap_or(0),
+            control_bytes: 16 + self.cur_outer.as_ref().map(Tuple::heap_bytes).unwrap_or(0),
             ..Default::default()
         }
     }

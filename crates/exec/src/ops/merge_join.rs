@@ -10,16 +10,12 @@
 //! cursor" bookkeeping the paper describes.
 
 use crate::context::ExecContext;
-use crate::operator::{Operator, Poll, SuspendMode};
-use qsr_core::{
-    CkptId, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, Strategy,
-    SuspendPlan, SuspendedQuery,
-};
+use crate::operator::{Cell, ContractState, Operator, Poll};
+use qsr_core::{OpId, OpSuspendInputs, OpSuspendRecord, Strategy};
 use qsr_storage::{
-    Decode, Decoder, Encode, Encoder, Result, RowBuffer, Schema, StorageError, Tuple,
+    BlobId, Decode, Decoder, Encode, Encoder, Result, RowBuffer, Schema, StorageError, Tuple,
 };
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 
 const ST_ADVANCE: u8 = 1;
 const ST_BUILD_LEFT: u8 = 2;
@@ -117,10 +113,7 @@ pub struct MergeJoin {
     l_done: bool,
     r_done: bool,
 
-    last_in_ctr: Option<CtrId>,
-    produced_since_sign: u64,
-    migration_enabled: bool,
-    pending: VecDeque<Tuple>,
+    ctr: ContractState,
 }
 
 impl MergeJoin {
@@ -151,31 +144,14 @@ impl MergeJoin {
             rahead: None,
             l_done: false,
             r_done: false,
-            last_in_ctr: None,
-            produced_since_sign: 0,
-            migration_enabled: true,
-            pending: VecDeque::new(),
+            ctr: ContractState::default(),
         }
     }
 
     /// Disable contract migration (ablation toggle).
     pub fn without_migration(mut self) -> Self {
-        self.migration_enabled = false;
+        self.ctr.migration_enabled = false;
         self
-    }
-
-    fn control(&self) -> MjControl {
-        MjControl {
-            state: self.state,
-            lfill: self.lpacket.len() as u64,
-            rfill: self.rpacket.len() as u64,
-            li: self.li as u64,
-            ri: self.ri as u64,
-            lahead: self.lahead.as_ref().map(|k| k.row.clone()),
-            rahead: self.rahead.as_ref().map(|k| k.row.clone()),
-            l_done: self.l_done,
-            r_done: self.r_done,
-        }
     }
 
     /// True when the machine is where `target` was, emission cursors
@@ -192,35 +168,6 @@ impl MergeJoin {
             && row(&self.rahead) == target.rahead.as_ref()
             && self.l_done == target.l_done
             && self.r_done == target.r_done
-    }
-
-    /// Proactive checkpoint at a packet boundary (both packets empty).
-    fn checkpoint(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        if !ctx.checkpoints_enabled {
-            return Ok(());
-        }
-        debug_assert!(self.lpacket.is_empty() && self.rpacket.is_empty());
-        let control = self.control().encode_to_vec();
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
-        if !self.l_done || self.lahead.is_some() {
-            self.left.sign_contract(ctx, ck)?;
-        }
-        if !self.r_done || self.rahead.is_some() {
-            self.right.sign_contract(ctx, ck)?;
-        }
-        if self.migration_enabled && self.produced_since_sign == 0 {
-            if let Some(ctr) = self.last_in_ctr {
-                if ctx.graph.contract(ctr).is_some() {
-                    ctx.graph.migrate_contract(
-                        ctr,
-                        Migration::to(ck).with_control(control).with_work(work),
-                    )?;
-                }
-            }
-        }
-        ctx.graph.prune_for(self.op);
-        Ok(())
     }
 
     /// One machine transition. `replay` suppresses checkpointing (used
@@ -299,7 +246,7 @@ impl MergeJoin {
                         self.li = 0;
                         self.ri += 1;
                     }
-                    self.produced_since_sign += 1;
+                    self.ctr.produced_since_sign += 1;
                     return Ok(Step::Output(out));
                 }
                 self.discard_packets(ctx, replay)?;
@@ -381,21 +328,12 @@ impl Operator for MergeJoin {
     fn open(&mut self, ctx: &mut ExecContext) -> Result<()> {
         self.left.open(ctx)?;
         self.right.open(ctx)?;
-        if !ctx.checkpoints_enabled {
-            return Ok(());
-        }
         // Initial checkpoint before execution starts.
-        let control = self.control().encode_to_vec();
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, control, work);
-        self.left.sign_contract(ctx, ck)?;
-        self.right.sign_contract(ctx, ck)?;
-        ctx.graph.prune_for(self.op);
-        Ok(())
+        self.checkpoint(ctx)
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Poll> {
-        if let Some(t) = self.pending.pop_front() {
+        if let Some(t) = self.ctr.pending.pop_front() {
             return Ok(Poll::Tuple(t));
         }
         loop {
@@ -416,163 +354,94 @@ impl Operator for MergeJoin {
         self.right.close(ctx)
     }
 
-    fn sign_contract(&mut self, ctx: &mut ExecContext, parent_ckpt: CkptId) -> Result<CtrId> {
-        let latest = match ctx.graph.latest_ckpt(self.op) {
-            Some(ck) => ck,
-            None => ctx.graph.create_barrier_checkpoint(
-                self.op,
-                self.control().encode_to_vec(),
-                ctx.work.get(self.op),
-            ),
-        };
-        let ctr = ctx.graph.sign_contract(
-            parent_ckpt,
-            self.op,
-            latest,
-            self.control().encode_to_vec(),
-            ctx.work.get(self.op),
-            vec![],
-        )?;
-        self.last_in_ctr = Some(ctr);
-        self.produced_since_sign = 0;
-        Ok(ctr)
+    fn children(&mut self) -> Vec<&mut dyn Operator> {
+        vec![self.left.as_mut(), self.right.as_mut()]
     }
 
-    fn side_snapshot(&mut self, _ctx: &mut ExecContext) -> Result<SideSnapshot> {
-        Err(StorageError::invalid(
-            "merge join cannot appear in a positional subtree",
-        ))
+    fn live_children(&mut self) -> Vec<&mut dyn Operator> {
+        let live = [
+            !self.l_done || self.lahead.is_some(),
+            !self.r_done || self.rahead.is_some(),
+        ];
+        let children: [&mut dyn Operator; 2] = [self.left.as_mut(), self.right.as_mut()];
+        children
+            .into_iter()
+            .zip(live)
+            .filter_map(|(child, live)| live.then_some(child))
+            .collect()
     }
 
-    fn suspend(
-        &mut self,
-        ctx: &mut ExecContext,
-        mode: SuspendMode,
-        plan: &SuspendPlan,
-        sq: &mut SuspendedQuery,
-    ) -> Result<()> {
-        let strategy = plan.get(self.op);
-        // Resolve the target control state and child enforcement.
-        let (resume_point, saved, ckpt_for_children) = match mode {
-            SuspendMode::Current => match strategy {
-                Strategy::Dump => (self.control().encode_to_vec(), Vec::new(), None),
-                Strategy::GoBack { .. } => {
-                    let latest = ctx
-                        .graph
-                        .latest_ckpt(self.op)
-                        .ok_or_else(|| StorageError::invalid("merge join has no checkpoint"))?;
-                    (self.control().encode_to_vec(), Vec::new(), Some(latest))
-                }
-            },
-            SuspendMode::Contract(ctr_id) => {
-                let ctr = ctx
-                    .graph
-                    .contract(ctr_id)
-                    .ok_or_else(|| StorageError::invalid(format!("unknown contract {ctr_id}")))?
-                    .clone();
-                match strategy {
-                    Strategy::Dump => {
-                        // c = 0: packets unchanged since signing.
-                        (ctr.control.clone(), ctr.saved_tuples.clone(), None)
-                    }
-                    Strategy::GoBack { .. } => (
-                        ctr.control.clone(),
-                        ctr.saved_tuples.clone(),
-                        Some(ctr.child_ckpt),
-                    ),
-                }
-            }
-        };
+    fn state(&mut self) -> &mut ContractState {
+        &mut self.ctr
+    }
 
-        let heap_dump = match strategy {
-            Strategy::Dump if !self.lpacket.is_empty() || !self.rpacket.is_empty() => {
-                Some(ctx.put_dump_value(self.op, &PacketDump(&self.lpacket, &self.rpacket))?)
-            }
-            _ => None,
-        };
-        // For GoBack, the replay starts from the fulfilling checkpoint's
-        // own control state (its lookaheads/done flags); ship it in `aux`.
-        let aux = match ckpt_for_children {
-            Some(ck) => ctx
-                .graph
-                .checkpoint(ck)
-                .map(|c| c.control.clone())
-                .unwrap_or_default(),
-            None => Vec::new(),
-        };
-        sq.put_record(OpSuspendRecord {
-            op: self.op,
-            strategy,
-            resume_point,
-            heap_dump,
-            saved_tuples: saved,
-            aux,
-        });
-
-        match ckpt_for_children {
-            Some(ck) => {
-                for (child, _key) in [(&mut self.left, 0usize), (&mut self.right, 1usize)] {
-                    match ctx.graph.contract_from(ck, child.op_id()).map(|c| c.id) {
-                        Some(ctr) => child.suspend(ctx, SuspendMode::Contract(ctr), plan, sq)?,
-                        None => child.suspend(ctx, SuspendMode::Current, plan, sq)?,
-                    }
-                }
-                Ok(())
-            }
-            None => {
-                self.left.suspend(ctx, SuspendMode::Current, plan, sq)?;
-                self.right.suspend(ctx, SuspendMode::Current, plan, sq)
-            }
+    fn control(&self) -> Vec<u8> {
+        MjControl {
+            state: self.state,
+            lfill: self.lpacket.len() as u64,
+            rfill: self.rpacket.len() as u64,
+            li: self.li as u64,
+            ri: self.ri as u64,
+            lahead: self.lahead.as_ref().map(|k| k.row.clone()),
+            rahead: self.rahead.as_ref().map(|k| k.row.clone()),
+            l_done: self.l_done,
+            r_done: self.r_done,
         }
+        .encode_to_vec()
     }
 
-    fn resume(&mut self, ctx: &mut ExecContext, sq: &SuspendedQuery) -> Result<()> {
-        self.left.resume(ctx, sq)?;
-        self.right.resume(ctx, sq)?;
-        let rec = sq.record(self.op)?;
+    fn reactive(&self) -> bool {
+        false
+    }
+
+    /// A Dump keeps the packets (unchanged since a contract's signing
+    /// while `c = 0`); a GoBack replays from the anchor's state.
+    fn cell(&self, strategy: Strategy, _target: Option<&[u8]>) -> Result<Cell> {
+        Ok(match strategy {
+            Strategy::Dump => Cell::TARGET,
+            Strategy::GoBack { .. } => Cell::ROLL_FORWARD,
+        })
+    }
+
+    fn dump_heap(&mut self, ctx: &mut ExecContext) -> Result<Option<BlobId>> {
+        if self.lpacket.is_empty() && self.rpacket.is_empty() {
+            return Ok(None);
+        }
+        let image = PacketDump(&self.lpacket, &self.rpacket);
+        Ok(Some(ctx.put_dump_value(self.op, &image)?))
+    }
+
+    fn restore(&mut self, ctx: &mut ExecContext, rec: &OpSuspendRecord) -> Result<()> {
         let target = MjControl::decode_from_slice(&rec.resume_point)?;
         self.lpacket.clear();
         self.rpacket.clear();
         self.packet_key = None;
-        match (&rec.strategy, &rec.heap_dump) {
-            (Strategy::Dump, Some(blob)) => {
-                let PacketDump(left, right) = ctx.get_dump_value_for(self.op, *blob)?;
-                let key = (!left.is_empty()).then(|| left.row(0).get(self.left_key).as_int());
-                self.packet_key = key.transpose()?;
-                self.lpacket = left;
-                self.rpacket = right;
-                self.restore_control(&target)?;
-            }
-            (Strategy::Dump, None) => {
-                self.restore_control(&target)?;
-            }
-            (Strategy::GoBack { .. }, _) => {
-                // Replay the deterministic machine from the checkpoint
-                // state (children already repositioned) until the machine
-                // position matches the target, then restore the cursors.
-                // The checkpoint state is the post-discard state: packets
-                // empty, ST_ADVANCE, lookaheads re-pulled lazily.
-                let ck_control = MjControl {
-                    state: ST_ADVANCE,
-                    ..MjControl::default()
-                };
-                // The checkpoint's own control (with its aheads/dones) is
-                // what we actually resume from; it is stored in the graph,
-                // but after a process restart the graph may be gone — so
-                // the suspend phase recorded the *target*, and replay
-                // starts from the machine's reset state with children
-                // repositioned to the checkpoint contracts. The aheads at
-                // the checkpoint travel in the record's `aux` field.
-                self.restore_control(&ck_control)?;
-                // Re-pull aheads: at a packet-boundary checkpoint the
-                // aheads were the first tuples of the upcoming packets;
-                // the children contracts were signed *after* those tuples
-                // were consumed... they are stored in the checkpoint
-                // control which travels as `aux`.
-                if !rec.aux.is_empty() {
-                    let ck = MjControl::decode_from_slice(&rec.aux)?;
-                    self.restore_control(&ck)?;
+        match rec.strategy {
+            Strategy::Dump => {
+                if let Some(blob) = rec.heap_dump {
+                    let PacketDump(left, right) = ctx.get_dump_value_for(self.op, blob)?;
+                    let key = (!left.is_empty()).then(|| left.row(0).get(self.left_key).as_int());
+                    self.packet_key = key.transpose()?;
+                    self.lpacket = left;
+                    self.rpacket = right;
                 }
+                self.restore_control(&target)?;
+            }
+            Strategy::GoBack { .. } => {
+                // Replay the deterministic machine from the anchor
+                // checkpoint's state — a packet boundary, shipped in `aux`
+                // with its lookaheads, or the reset state without one —
+                // with the children repositioned to that checkpoint's
+                // contracts, until it reaches the target; then restore the
+                // emission cursors directly.
+                let start = match rec.aux.is_empty() {
+                    true => MjControl {
+                        state: ST_ADVANCE,
+                        ..MjControl::default()
+                    },
+                    false => MjControl::decode_from_slice(&rec.aux)?,
+                };
+                self.restore_control(&start)?;
                 while !self.reached(&target) {
                     match self.step(ctx, true)? {
                         Step::Continue => {}
@@ -597,13 +466,6 @@ impl Operator for MergeJoin {
                 self.ri = target.ri as usize;
             }
         }
-        self.pending = rec
-            .saved_tuples
-            .iter()
-            .map(|b| Tuple::decode_from_slice(b))
-            .collect::<Result<_>>()?;
-        self.last_in_ctr = None;
-        self.produced_since_sign = 0;
         Ok(())
     }
 

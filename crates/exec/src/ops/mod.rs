@@ -23,7 +23,6 @@ pub use project::Project;
 pub use scan::TableScan;
 
 use crate::operator::Operator;
-use qsr_core::{OpSuspendRecord, SideSnapshot, Strategy, SuspendPlan, SuspendedQuery};
 use qsr_storage::{Decode, Decoder, Encode, Encoder, Result};
 
 /// The partition a key hashes to — one function for the hash join and the
@@ -90,30 +89,6 @@ impl Decode for Accum {
             max: dec.get_i64()?,
         })
     }
-}
-
-/// Write resume records for a positional subtree from its side snapshot:
-/// each operator is repositioned to the recorded control state — pure
-/// seeking, no replay (this is the mechanics behind §3.3's "skipping").
-pub fn record_side_snapshot(sq: &mut SuspendedQuery, snap: &SideSnapshot) {
-    sq.put_record(OpSuspendRecord {
-        op: snap.op,
-        strategy: Strategy::Dump,
-        resume_point: snap.control.clone(),
-        heap_dump: None,
-        saved_tuples: Vec::new(),
-        aux: Vec::new(),
-    });
-    for child in &snap.children {
-        record_side_snapshot(sq, child);
-    }
-}
-
-/// The effective strategy for an operator at suspend time: what the plan
-/// says, defaulting to Dump (always valid for operators the optimizer did
-/// not consider, e.g. positional scans).
-pub fn planned_strategy(plan: &SuspendPlan, op: qsr_core::OpId) -> Strategy {
-    plan.get(op)
 }
 
 /// Boxed operator alias.

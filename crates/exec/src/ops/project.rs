@@ -1,13 +1,11 @@
 //! Projection: stateless column selection. Suspend/resume behavior is the
-//! filter's minus contract migration (projection consumes nothing).
+//! filter's minus contract migration (projection consumes nothing), so
+//! its saved tuples are always none.
 
 use crate::context::ExecContext;
-use crate::operator::{Operator, Poll, SuspendMode};
-use qsr_core::{
-    CkptId, CtrId, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, SuspendPlan,
-    SuspendedQuery,
-};
-use qsr_storage::{Result, Schema, StorageError};
+use crate::operator::{positional_snapshot, ContractState, Operator, Poll};
+use qsr_core::{OpId, OpSuspendInputs, SideSnapshot};
+use qsr_storage::{Result, Schema};
 
 /// Column projection.
 pub struct Project {
@@ -15,6 +13,7 @@ pub struct Project {
     columns: Vec<usize>,
     schema: Schema,
     child: Box<dyn Operator>,
+    ctr: ContractState,
 }
 
 impl Project {
@@ -26,6 +25,7 @@ impl Project {
             columns,
             schema,
             child,
+            ctr: ContractState::default(),
         }
     }
 }
@@ -60,63 +60,20 @@ impl Operator for Project {
         self.child.close(ctx)
     }
 
-    fn sign_contract(&mut self, ctx: &mut ExecContext, parent_ckpt: CkptId) -> Result<CtrId> {
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, vec![], work);
-        self.child.sign_contract(ctx, ck)?;
-        ctx.graph.prune_for(self.op);
-        ctx.graph
-            .sign_contract(parent_ckpt, self.op, ck, vec![], work, vec![])
+    fn children(&mut self) -> Vec<&mut dyn Operator> {
+        vec![self.child.as_mut()]
+    }
+
+    fn state(&mut self) -> &mut ContractState {
+        &mut self.ctr
+    }
+
+    fn control(&self) -> Vec<u8> {
+        Vec::new()
     }
 
     fn side_snapshot(&mut self, ctx: &mut ExecContext) -> Result<SideSnapshot> {
-        let child = self.child.side_snapshot(ctx)?;
-        Ok(SideSnapshot {
-            op: self.op,
-            control: vec![],
-            work: ctx.work.get(self.op),
-            children: vec![child],
-        })
-    }
-
-    fn suspend(
-        &mut self,
-        ctx: &mut ExecContext,
-        mode: SuspendMode,
-        plan: &SuspendPlan,
-        sq: &mut SuspendedQuery,
-    ) -> Result<()> {
-        sq.put_record(OpSuspendRecord {
-            op: self.op,
-            strategy: plan.get(self.op),
-            resume_point: vec![],
-            heap_dump: None,
-            saved_tuples: Vec::new(),
-            aux: Vec::new(),
-        });
-        match mode {
-            SuspendMode::Current => self.child.suspend(ctx, SuspendMode::Current, plan, sq),
-            SuspendMode::Contract(ctr) => {
-                let my_ckpt = ctx
-                    .graph
-                    .contract(ctr)
-                    .ok_or_else(|| StorageError::invalid(format!("unknown contract {ctr}")))?
-                    .child_ckpt;
-                let child_ctr = ctx
-                    .graph
-                    .contract_from(my_ckpt, self.child.op_id())
-                    .map(|cc| cc.id)
-                    .ok_or_else(|| {
-                        StorageError::invalid("project checkpoint missing child contract")
-                    })?;
-                self.child
-                    .suspend(ctx, SuspendMode::Contract(child_ctr), plan, sq)
-            }
-        }
-    }
-
-    fn resume(&mut self, ctx: &mut ExecContext, sq: &SuspendedQuery) -> Result<()> {
-        self.child.resume(ctx, sq)
+        positional_snapshot(self, ctx)
     }
 
     fn suspend_inputs(&self) -> OpSuspendInputs {

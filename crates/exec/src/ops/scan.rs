@@ -8,16 +8,10 @@
 //!   re-read on the next `next()` call, which is the charged resume I/O).
 
 use crate::context::ExecContext;
-use crate::operator::{Operator, Poll, SuspendMode};
+use crate::operator::{positional_snapshot, ContractState, Operator, Poll};
 use crate::ops::Predicate;
-use qsr_core::{
-    CkptId, CtrId, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, SuspendPlan,
-    SuspendedQuery,
-};
-use qsr_storage::{
-    Decode, Encode, HeapCursor, HeapFile, Result, Schema, StorageError, Tuple, TupleAddr,
-};
-use std::collections::VecDeque;
+use qsr_core::{OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot};
+use qsr_storage::{Decode, Encode, HeapCursor, HeapFile, Result, Schema, StorageError, TupleAddr};
 
 /// Sequential scan over a catalog table.
 pub struct TableScan {
@@ -27,7 +21,7 @@ pub struct TableScan {
     heap: Option<HeapFile>,
     cursor: Option<HeapCursor>,
     pages_noted: u64,
-    pending: VecDeque<Tuple>,
+    ctr: ContractState,
 }
 
 impl TableScan {
@@ -41,7 +35,7 @@ impl TableScan {
             heap: None,
             cursor: None,
             pages_noted: 0,
-            pending: VecDeque::new(),
+            ctr: ContractState::default(),
         }
     }
 
@@ -72,10 +66,6 @@ impl TableScan {
             .unwrap_or(TupleAddr::ZERO)
     }
 
-    fn control_bytes(&self) -> Vec<u8> {
-        self.position().encode_to_vec()
-    }
-
     /// Attribute newly fetched pages to this operator's work counter.
     fn note_io(&mut self, ctx: &mut ExecContext) {
         let fetched = self.cursor.as_ref().map(|c| c.pages_fetched()).unwrap_or(0);
@@ -99,7 +89,7 @@ impl Operator for TableScan {
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Poll> {
-        if let Some(t) = self.pending.pop_front() {
+        if let Some(t) = self.ctr.pending.pop_front() {
             return Ok(Poll::Tuple(t));
         }
         if ctx.suspend_pending() {
@@ -128,7 +118,7 @@ impl Operator for TableScan {
             }
             // A row saved in a contract comes first, untouched by the
             // cursor, as `next` serves it.
-            let kept = if let Some(t) = self.pending.pop_front() {
+            let kept = if let Some(t) = self.ctr.pending.pop_front() {
                 ctx.tick(filter_op);
                 pred.eval(t.row())?.then_some(t)
             } else {
@@ -136,9 +126,10 @@ impl Operator for TableScan {
                 // read is attributed and both operators have ticked, so a
                 // rejected row is never copied and a failed evaluation
                 // surfaces after the same ticks as in the default body.
-                let verdict = self.cursor_mut()?.next_row()?.map(|row| {
-                    pred.eval(row).map(|pass| pass.then(|| row.to_tuple()))
-                });
+                let verdict = self
+                    .cursor_mut()?
+                    .next_row()?
+                    .map(|row| pred.eval(row).map(|pass| pass.then(|| row.to_tuple())));
                 self.note_io(ctx);
                 let Some(verdict) = verdict else {
                     return Ok(Poll::Done);
@@ -159,62 +150,26 @@ impl Operator for TableScan {
         Ok(())
     }
 
-    fn sign_contract(&mut self, ctx: &mut ExecContext, parent_ckpt: CkptId) -> Result<CtrId> {
-        let control = self.control_bytes();
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
-        ctx.graph.prune_for(self.op);
-        ctx.graph
-            .sign_contract(parent_ckpt, self.op, ck, control, work, vec![])
+    fn children(&mut self) -> Vec<&mut dyn Operator> {
+        Vec::new()
+    }
+
+    fn state(&mut self) -> &mut ContractState {
+        &mut self.ctr
+    }
+
+    fn control(&self) -> Vec<u8> {
+        self.position().encode_to_vec()
     }
 
     fn side_snapshot(&mut self, ctx: &mut ExecContext) -> Result<SideSnapshot> {
-        Ok(SideSnapshot {
-            op: self.op,
-            control: self.control_bytes(),
-            work: ctx.work.get(self.op),
-            children: vec![],
-        })
+        positional_snapshot(self, ctx)
     }
 
-    fn suspend(
-        &mut self,
-        ctx: &mut ExecContext,
-        mode: SuspendMode,
-        plan: &SuspendPlan,
-        sq: &mut SuspendedQuery,
-    ) -> Result<()> {
-        let (resume_point, saved) = match mode {
-            SuspendMode::Current => (self.control_bytes(), Vec::new()),
-            SuspendMode::Contract(ctr) => {
-                let c = ctx
-                    .graph
-                    .contract(ctr)
-                    .ok_or_else(|| StorageError::invalid(format!("unknown contract {ctr}")))?;
-                (c.control.clone(), c.saved_tuples.clone())
-            }
-        };
-        sq.put_record(OpSuspendRecord {
-            op: self.op,
-            strategy: plan.get(self.op),
-            resume_point,
-            heap_dump: None,
-            saved_tuples: saved,
-            aux: Vec::new(),
-        });
-        Ok(())
-    }
-
-    fn resume(&mut self, ctx: &mut ExecContext, sq: &SuspendedQuery) -> Result<()> {
-        let rec = sq.record(self.op)?;
+    fn restore(&mut self, ctx: &mut ExecContext, rec: &OpSuspendRecord) -> Result<()> {
         let addr = TupleAddr::decode_from_slice(&rec.resume_point)?;
         self.acquire(ctx)?;
         self.cursor_mut()?.seek(addr);
-        self.pending = rec
-            .saved_tuples
-            .iter()
-            .map(|b| Tuple::decode_from_slice(b))
-            .collect::<Result<_>>()?;
         Ok(())
     }
 
@@ -228,7 +183,7 @@ impl Operator for TableScan {
 
     fn rewind(&mut self, _ctx: &mut ExecContext) -> Result<()> {
         self.cursor_mut()?.seek(TupleAddr::ZERO);
-        self.pending.clear();
+        self.ctr.pending.clear();
         Ok(())
     }
 

@@ -24,17 +24,14 @@
 //! restarts the group from its boundary checkpoint.
 
 use crate::context::ExecContext;
-use crate::operator::{Operator, Poll, SuspendMode};
-use qsr_core::{
-    CkptId, CtrId, Migration, OpId, OpSuspendInputs, OpSuspendRecord, SideSnapshot, Strategy,
-    SuspendPlan, SuspendedQuery,
-};
+use crate::operator::{Cell, ContractState, Enforce, Operator, Poll, ResumeAt};
+use qsr_core::{OpId, OpSuspendInputs, OpSuspendRecord, Strategy};
 use qsr_storage::{
-    Decode, Decoder, Encode, Encoder, Result, RowBuffer, RunHandle, RunReader, RunWriter, Schema,
-    StorageError, Tuple, TupleAddr,
+    BlobId, Decode, Decoder, Encode, Encoder, Result, RowBuffer, RunHandle, RunReader, RunWriter,
+    Schema, StorageError, Tuple, TupleAddr,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 const PHASE_BUILD: u8 = 0;
 const PHASE_MERGE: u8 = 1;
@@ -127,10 +124,7 @@ pub struct ExternalSort {
     pass_writer: Option<RunWriter>,
     pass_run: Option<RunHandle>,
 
-    last_in_ctr: Option<CtrId>,
-    produced_since_sign: u64,
-    migration_enabled: bool,
-    pending: VecDeque<Tuple>,
+    ctr: ContractState,
 }
 
 impl ExternalSort {
@@ -158,16 +152,13 @@ impl ExternalSort {
             group: Vec::new(),
             pass_writer: None,
             pass_run: None,
-            last_in_ctr: None,
-            produced_since_sign: 0,
-            migration_enabled: true,
-            pending: VecDeque::new(),
+            ctr: ContractState::default(),
         }
     }
 
     /// Disable contract migration (ablation toggle — dramatic for sort).
     pub fn without_migration(mut self) -> Self {
-        self.migration_enabled = false;
+        self.ctr.migration_enabled = false;
         self
     }
 
@@ -176,20 +167,6 @@ impl ExternalSort {
     pub fn with_merge_fanin(mut self, fanin: usize) -> Self {
         self.merge_fanin = fanin;
         self
-    }
-
-    fn control(&self) -> SortControl {
-        SortControl {
-            phase: self.phase,
-            runs: self.runs.clone(),
-            fill: self.buf.len() as u64,
-            child_done: self.child_done,
-            head_addrs: self.head_addrs.clone(),
-            pass_level: self.pass_level,
-            pass_out: self.pass_out.clone(),
-            group: self.group.clone(),
-            pass_run: self.pass_run,
-        }
     }
 
     fn sort_key(&self, t: &Tuple) -> Result<i64> {
@@ -219,35 +196,6 @@ impl ExternalSort {
         Ok(())
     }
 
-    /// Proactive checkpoint at a phase-1 minimal-heap-state point, with
-    /// contract signing on the child and migration of the incoming
-    /// contract (sort produces nothing in phase 1, so migration always
-    /// applies).
-    fn checkpoint(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        if !ctx.checkpoints_enabled {
-            return Ok(());
-        }
-        debug_assert!(self.buf.is_empty());
-        let control = self.control().encode_to_vec();
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
-        if !self.child_done {
-            self.child.sign_contract(ctx, ck)?;
-        }
-        if self.migration_enabled && self.produced_since_sign == 0 {
-            if let Some(ctr) = self.last_in_ctr {
-                if ctx.graph.contract(ctr).is_some() {
-                    ctx.graph.migrate_contract(
-                        ctr,
-                        Migration::to(ck).with_control(control).with_work(work),
-                    )?;
-                }
-            }
-        }
-        ctx.graph.prune_for(self.op);
-        Ok(())
-    }
-
     fn enter_merge(&mut self, ctx: &mut ExecContext) -> Result<()> {
         self.flush_run(ctx)?;
         if self.merge_fanin > 0 && self.runs.len() > self.merge_fanin {
@@ -261,7 +209,7 @@ impl ExternalSort {
         self.open_final_merge(ctx)?;
         // Proactive checkpoint at the phase boundary: the sublists are a
         // materialization point.
-        self.checkpoint_merge(ctx)?;
+        self.checkpoint(ctx)?;
         Ok(())
     }
 
@@ -332,7 +280,7 @@ impl ExternalSort {
                 self.pass_level += 1;
                 if self.merge_fanin == 0 || self.runs.len() <= self.merge_fanin {
                     self.open_final_merge(ctx)?;
-                    self.checkpoint_merge(ctx)?;
+                    self.checkpoint(ctx)?;
                 } else {
                     self.checkpoint(ctx)?;
                 }
@@ -392,42 +340,6 @@ impl ExternalSort {
         Ok(())
     }
 
-    /// Seal the in-progress pass output so its handle can ride in the
-    /// suspend control record. Retry-safe: once sealed, the writer is gone
-    /// and a re-walked suspend finds `pass_run` already recorded.
-    fn seal_pass_writer(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        if let Some(w) = self.pass_writer.as_mut() {
-            let handle = ctx.seal_run_guarded(self.op, w, "pass-seal")?;
-            self.pass_run = Some(handle);
-            self.pass_writer = None;
-        }
-        Ok(())
-    }
-
-    /// Phase-2 checkpoint: positions only (reactive-style; "behaves
-    /// similarly to a table scan").
-    fn checkpoint_merge(&mut self, ctx: &mut ExecContext) -> Result<()> {
-        if !ctx.checkpoints_enabled {
-            return Ok(());
-        }
-        let control = self.control().encode_to_vec();
-        let work = ctx.work.get(self.op);
-        let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
-        if self.migration_enabled && self.produced_since_sign == 0 {
-            if let Some(ctr) = self.last_in_ctr {
-                if ctx.graph.contract(ctr).is_some() {
-                    ctx.graph.migrate_contract(
-                        ctr,
-                        Migration::to(ck).with_control(control).with_work(work),
-                    )?;
-                }
-            }
-        }
-        ctx.graph.prune_for(self.op);
-        let _ = ck;
-        Ok(())
-    }
-
     /// Read run `i`'s next tuple in as its head: slot, address, and —
     /// with its key cached — merge-heap entry. Returns the page reads the
     /// step cost, for the caller to attribute.
@@ -480,7 +392,7 @@ impl Operator for ExternalSort {
     }
 
     fn next(&mut self, ctx: &mut ExecContext) -> Result<Poll> {
-        if let Some(t) = self.pending.pop_front() {
+        if let Some(t) = self.ctr.pending.pop_front() {
             return Ok(Poll::Tuple(t));
         }
         loop {
@@ -510,7 +422,7 @@ impl Operator for ExternalSort {
             } else {
                 return match self.pop_min(ctx)? {
                     Some(t) => {
-                        self.produced_since_sign += 1;
+                        self.ctr.produced_since_sign += 1;
                         Ok(Poll::Tuple(t))
                     }
                     None => Ok(Poll::Done),
@@ -527,155 +439,83 @@ impl Operator for ExternalSort {
         Ok(())
     }
 
-    fn sign_contract(&mut self, ctx: &mut ExecContext, parent_ckpt: CkptId) -> Result<CtrId> {
-        // Build and pass phases anchor contracts at the latest proactive
-        // checkpoint (a mid-group reactive point would not be a valid
-        // GoBack target: the group's partial output run is unsealed).
-        let ctr = if self.phase != PHASE_MERGE {
-            let latest = match ctx.graph.latest_ckpt(self.op) {
-                Some(ck) => ck,
-                None => ctx.graph.create_barrier_checkpoint(
-                    self.op,
-                    self.control().encode_to_vec(),
-                    ctx.work.get(self.op),
-                ),
-            };
-            ctx.graph.sign_contract(
-                parent_ckpt,
-                self.op,
-                latest,
-                self.control().encode_to_vec(),
-                ctx.work.get(self.op),
-                vec![],
-            )?
-        } else {
-            // Phase 2: fresh reactive checkpoint capturing run positions.
-            let control = self.control().encode_to_vec();
-            let work = ctx.work.get(self.op);
-            let ck = ctx.graph.create_checkpoint(self.op, control.clone(), work);
-            ctx.graph.prune_for(self.op);
-            ctx.graph
-                .sign_contract(parent_ckpt, self.op, ck, control, work, vec![])?
-        };
-        self.last_in_ctr = Some(ctr);
-        self.produced_since_sign = 0;
-        Ok(ctr)
+    fn children(&mut self) -> Vec<&mut dyn Operator> {
+        vec![self.child.as_mut()]
     }
 
-    fn side_snapshot(&mut self, _ctx: &mut ExecContext) -> Result<SideSnapshot> {
-        Err(StorageError::invalid(
-            "sort cannot appear in a positional subtree",
-        ))
-    }
-
-    fn suspend(
-        &mut self,
-        ctx: &mut ExecContext,
-        mode: SuspendMode,
-        plan: &SuspendPlan,
-        sq: &mut SuspendedQuery,
-    ) -> Result<()> {
-        let strategy = plan.get(self.op);
-        // A Dump mid-pass must carry the partial group output: seal it so
-        // its handle rides in the control record (no-op otherwise).
-        if matches!(strategy, Strategy::Dump) {
-            self.seal_pass_writer(ctx)?;
-        }
-        let (resume_point, saved, enforce_child): (Vec<u8>, Vec<Vec<u8>>, Option<Option<CtrId>>) =
-            match mode {
-                SuspendMode::Current => match strategy {
-                    Strategy::Dump => (self.control().encode_to_vec(), Vec::new(), None),
-                    Strategy::GoBack { .. } => {
-                        let latest = ctx
-                            .graph
-                            .latest_ckpt(self.op)
-                            .ok_or_else(|| StorageError::invalid("sort has no checkpoint"))?;
-                        let child_ctr = ctx
-                            .graph
-                            .contract_from(latest, self.child.op_id())
-                            .map(|c| c.id);
-                        (self.control().encode_to_vec(), Vec::new(), Some(child_ctr))
-                    }
-                },
-                SuspendMode::Contract(ctr_id) => {
-                    let ctr = ctx
-                        .graph
-                        .contract(ctr_id)
-                        .ok_or_else(|| StorageError::invalid(format!("unknown contract {ctr_id}")))?
-                        .clone();
-                    let target = SortControl::decode_from_slice(&ctr.control)?;
-                    match strategy {
-                        Strategy::Dump => {
-                            // Build/pass targets produced no output since
-                            // signing; current state reproduces everything
-                            // (and, mid-pass, carries the sealed partial
-                            // run a stale target control could not).
-                            let resume = if target.phase != PHASE_MERGE {
-                                self.control()
-                            } else {
-                                target
-                            };
-                            (resume.encode_to_vec(), ctr.saved_tuples.clone(), None)
-                        }
-                        Strategy::GoBack { .. } => {
-                            if target.phase != PHASE_MERGE {
-                                // Roll forward from the *fulfilling*
-                                // checkpoint: its control (runs so far,
-                                // empty buffer) matches exactly where the
-                                // enforced child contract repositions the
-                                // input. The work from there to the suspend
-                                // point is redone by post-resume execution
-                                // — one buffer fill when contract migration
-                                // kept the checkpoint fresh, every sublist
-                                // without it (the ablation case).
-                                let ck_control = ctx
-                                    .graph
-                                    .checkpoint(ctr.child_ckpt)
-                                    .ok_or_else(|| {
-                                        StorageError::invalid("missing fulfilling checkpoint")
-                                    })?
-                                    .control
-                                    .clone();
-                                let child_ctr = ctx
-                                    .graph
-                                    .contract_from(ctr.child_ckpt, self.child.op_id())
-                                    .map(|c| c.id);
-                                (ck_control, ctr.saved_tuples.clone(), Some(child_ctr))
-                            } else {
-                                // Phase 2: pure repositioning to the
-                                // contract point.
-                                (ctr.control.clone(), ctr.saved_tuples.clone(), Some(None))
-                            }
-                        }
-                    }
-                }
-            };
-
-        let heap_dump = match strategy {
-            Strategy::Dump if self.phase == PHASE_BUILD && !self.buf.is_empty() => {
-                Some(ctx.put_dump_value(self.op, &self.buf)?)
-            }
-            _ => None,
-        };
-        sq.put_record(OpSuspendRecord {
-            op: self.op,
-            strategy,
-            resume_point,
-            heap_dump,
-            saved_tuples: saved,
-            aux: Vec::new(),
-        });
-        match enforce_child {
-            Some(Some(ctr)) => self
-                .child
-                .suspend(ctx, SuspendMode::Contract(ctr), plan, sq),
-            _ => self.child.suspend(ctx, SuspendMode::Current, plan, sq),
+    fn live_children(&mut self) -> Vec<&mut dyn Operator> {
+        match self.child_done {
+            false => vec![self.child.as_mut()],
+            true => Vec::new(),
         }
     }
 
-    fn resume(&mut self, ctx: &mut ExecContext, sq: &SuspendedQuery) -> Result<()> {
-        self.child.resume(ctx, sq)?;
-        let rec = sq.record(self.op)?;
+    fn state(&mut self) -> &mut ContractState {
+        &mut self.ctr
+    }
+
+    fn control(&self) -> Vec<u8> {
+        SortControl {
+            phase: self.phase,
+            runs: self.runs.clone(),
+            fill: self.buf.len() as u64,
+            child_done: self.child_done,
+            head_addrs: self.head_addrs.clone(),
+            pass_level: self.pass_level,
+            pass_out: self.pass_out.clone(),
+            group: self.group.clone(),
+            pass_run: self.pass_run,
+        }
+        .encode_to_vec()
+    }
+
+    /// Phase 2 signs at a fresh reactive checkpoint of the run positions.
+    /// Build and pass phases anchor contracts at the latest proactive
+    /// checkpoint (a mid-group reactive point would not be a valid GoBack
+    /// target: the group's partial output run is unsealed).
+    fn reactive(&self) -> bool {
+        self.phase == PHASE_MERGE
+    }
+
+    /// A Dump mid-pass must carry the partial group output: seal it so its
+    /// handle rides in the control record (no-op otherwise).
+    fn seal(&mut self, ctx: &mut ExecContext, strategy: Strategy) -> Result<()> {
+        if let (Some(w), Strategy::Dump) = (self.pass_writer.as_mut(), strategy) {
+            self.pass_run = Some(ctx.seal_run_guarded(self.op, w, "pass-seal")?);
+            self.pass_writer = None;
+        }
+        Ok(())
+    }
+
+    /// Phase 2 repositions to the run positions. Build and pass targets
+    /// produced no output since signing: a Dump resumes at the current
+    /// state (which, mid-pass, carries the sealed partial run a stale
+    /// target could not), a GoBack of `Suspend(Ctr)` at the fulfilling
+    /// checkpoint — its runs and empty buffer are exactly where the
+    /// enforced child contract repositions the input, and the work from
+    /// there is redone after the resume (one buffer fill when migration
+    /// kept the checkpoint fresh, every sublist without it).
+    fn cell(&self, strategy: Strategy, target: Option<&[u8]>) -> Result<Cell> {
+        let phase = match target {
+            Some(t) => SortControl::decode_from_slice(t)?.phase,
+            None => self.phase,
+        };
+        Ok(match strategy {
+            Strategy::Dump if phase == PHASE_MERGE => Cell::TARGET,
+            Strategy::Dump => Cell::NOW,
+            Strategy::GoBack { .. } if phase == PHASE_MERGE || target.is_none() => Cell::GO_BACK,
+            Strategy::GoBack { .. } => Cell::new(ResumeAt::Anchor, Enforce::Anchor),
+        })
+    }
+
+    fn dump_heap(&mut self, ctx: &mut ExecContext) -> Result<Option<BlobId>> {
+        if self.phase != PHASE_BUILD || self.buf.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(ctx.put_dump_value(self.op, &self.buf)?))
+    }
+
+    fn restore(&mut self, ctx: &mut ExecContext, rec: &OpSuspendRecord) -> Result<()> {
         let control = SortControl::decode_from_slice(&rec.resume_point)?;
         self.runs = control.runs.clone();
         self.child_done = control.child_done;
@@ -751,13 +591,6 @@ impl Operator for ExternalSort {
             let runs = self.runs.clone();
             self.reopen_merge(ctx, &runs, &control.head_addrs)?;
         }
-        self.pending = rec
-            .saved_tuples
-            .iter()
-            .map(|b| Tuple::decode_from_slice(b))
-            .collect::<Result<_>>()?;
-        self.last_in_ctr = None;
-        self.produced_since_sign = 0;
         Ok(())
     }
 

@@ -18,6 +18,11 @@ tree_before="$(git status --porcelain 2>/dev/null || true)"
 # `#[allow(clippy::disallowed_methods)]`.
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Format guard: the operator interface and every operator file (reached
+# from ops/mod.rs through `mod`) are rustfmt-clean. The rest of the tree
+# is formatted file by file as it is touched (ROADMAP item 12).
+rustfmt --edition 2021 --check crates/exec/src/operator.rs crates/exec/src/ops/mod.rs
+
 # Structural guard: the legacy hash `fnv1a` survives only as the fallback
 # arm of the checksum module's verifier (DESIGN.md §10) and in test code.
 # Outside `#[cfg(test)]` tails, `crates/*/src` may hold exactly its
@@ -231,6 +236,10 @@ if [ "${QSR_NIGHTLY:-0}" = "1" ]; then
     # repeated suspends whose dumps chain.
     QSR_ORACLE_FULL=1 \
         cargo test --release -q --test oracle_sweep backend_delta_chains
+    # Mutation lane: every mutant of the one suspend/resume body in
+    # scripts/mutants.list must be killed by tier 1, the qsr-exec release
+    # suite or the oracle quick lane.
+    sh scripts/mutants.sh
 fi
 
 # No stage may write into the checkout: build outputs and benchmark

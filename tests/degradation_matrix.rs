@@ -10,13 +10,14 @@
 //! query's output concatenated with its pre-suspend prefix must be
 //! byte-identical to an uninterrupted run.
 
-use qsr::core::{OpId, SuspendOptimizer, SuspendPolicy, SuspendedQuery};
+use qsr::core::{OpId, Strategy, SuspendOptimizer, SuspendPlan, SuspendPolicy, SuspendedQuery};
 use qsr::exec::{
     PlanSpec, Predicate, QueryExecution, Rung, SuspendOptions, SuspendTrigger,
 };
 use qsr::storage::{
     CostModel, Database, Decode, FaultInjector, LocalDiskBackend, Phase, RemoteMockBackend,
-    RobustBackend, Tuple, WriteFault, COMPACT_CHAIN_LEN, PAGE_SIZE, RESUME_BACKOFF,
+    RobustBackend, TraceEvent, Tracer, Tuple, WriteFault, COMPACT_CHAIN_LEN, PAGE_SIZE,
+    RESUME_BACKOFF,
 };
 use qsr::workload::{generate_table, KeyDist, TableSpec};
 use std::collections::HashSet;
@@ -1361,4 +1362,101 @@ fn clean_abort_leaves_no_new_files_and_typed_error() {
         QueryExecution::recover(db).unwrap().is_none(),
         "clean abort must leave no manifest"
     );
+}
+
+/// A Dump under a contract the operator can no longer honour: the sort
+/// above goes back to its latest flush, which enforces the contract it
+/// signed there with the join below, and the join dumps. The block NLJ
+/// signed it mid-join and has since checkpointed past it into a new
+/// batch; the hybrid hash join signed it mid-probe and has emitted
+/// inline partition-0 matches since. Either way the dump would resume
+/// after output the sort goes back to re-read, so the requested rung must
+/// fail with `Invalid`, a later rung must commit, and the resumed output
+/// must equal a fresh run — never short.
+#[test]
+fn stale_contract_dump_fails_the_requested_rung_and_a_later_rung_commits() {
+    let scan = |t: &str| Box::new(PlanSpec::TableScan { table: t.into() });
+    let cases = [
+        (
+            "block-nlj",
+            PlanSpec::BlockNlj {
+                outer: scan("r"),
+                inner: scan("s"),
+                outer_key: 0,
+                inner_key: 0,
+                buffer_tuples: 150,
+            },
+            150 + 70,
+        ),
+        (
+            "hybrid-hash-join",
+            PlanSpec::HashJoin {
+                build: scan("s"),
+                probe: scan("r"),
+                build_key: 0,
+                probe_key: 0,
+                partitions: 2,
+                hybrid: true,
+            },
+            200 + 403,
+        ),
+    ];
+    for (name, join, ticks) in cases {
+        let plan = PlanSpec::Sort {
+            input: Box::new(join),
+            key: 0,
+            buffer_tuples: 16,
+        };
+        let reference = {
+            let dir = TempDir::new("stale-ref");
+            let db = Database::open_default(&dir.0).unwrap();
+            populate(&db);
+            QueryExecution::start(db, plan.clone())
+                .unwrap()
+                .run_to_completion()
+                .unwrap()
+        };
+        let dir = TempDir::new("stale");
+        let db = Database::open_default(&dir.0).unwrap();
+        populate(&db);
+        let tracer = Arc::new(Tracer::new(db.ledger().clone()));
+        tracer.enable_full_capture();
+        db.install_tracer(Some(tracer.clone()));
+        let mut exec = QueryExecution::start(db.clone(), plan.clone()).unwrap();
+        exec.set_trigger(Some(SuspendTrigger::AfterOpTuples {
+            op: OpId(1),
+            n: ticks,
+        }));
+        let (prefix, done) = exec.run().unwrap();
+        assert!(!done, "{name}: the trigger must fire before the end");
+        // Sort (op 0) goes back; the join (op 1) and its scans dump.
+        let mut fixed = SuspendPlan::new();
+        fixed.set(OpId(0), Strategy::GoBack { to: OpId(0) });
+        for op in 1..4 {
+            fixed.set(OpId(op), Strategy::Dump);
+        }
+        let h = exec.suspend(&SuspendPolicy::Fixed(fixed)).unwrap();
+        assert_ne!(h.rung, Rung::Requested, "{name}: the stale dump committed");
+        let aborts: Vec<String> = tracer
+            .take_full()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::RungAbort { rung, reason } if rung == Rung::Requested.name() => {
+                    Some(reason)
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(
+            matches!(&aborts[..], [reason] if reason.starts_with("invalid argument")),
+            "{name}: the requested rung must fail with Invalid, got {aborts:?}"
+        );
+        db.install_tracer(None);
+        drop(db);
+        let db = Database::open_default(&dir.0).unwrap();
+        let mut resumed = QueryExecution::recover(db).unwrap().expect("a committed rung");
+        let mut all = prefix;
+        all.extend(resumed.run_to_completion().unwrap());
+        assert_eq!(all, reference, "{name}: resumed output differs from a fresh run");
+    }
 }
